@@ -1,9 +1,8 @@
-"""Timing comparison of the kernel backends.
+"""Timing of the max-plus kernels.
 
-Runs the hot kernels (matrix product, sequence fold, anchored trellis
-sweeps) on random scaled-integer inputs under every available backend
-and prints the best wall time per call.  The jitted backend is warmed
-before timing so compilation is excluded.
+Runs the hot kernels (matrix product, sequence fold and the trellis
+sweeps, the start-indexed ones with every node as a start) on random
+scaled-integer inputs and prints the best wall time per call.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --sizes 5,16,64 --length 500
@@ -14,7 +13,7 @@ import time
 
 import numpy as np
 
-from tropical_transient._kernels import available_backends
+from tropical_transient._kernels import ACTIVE
 
 
 def random_inputs(rng, m, n, k, density=0.7):
@@ -43,37 +42,30 @@ def main() -> int:
     args = parser.parse_args()
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    backends = available_backends()
     rng = np.random.default_rng(args.seed)
 
-    header = f"{'kernel':<18}{'n':>5}{'k':>6}" + "".join(
-        f"{b.name + ' (ms)':>14}" for b in backends
-    )
-    if len(backends) == 2:
-        header += f"{backends[0].name}/{backends[1].name}".rjust(14)
+    header = f"{'kernel':<18}{'n':>5}{'k':>6}{'starts':>8}{ACTIVE.name + ' (ms)':>14}"
     print(header)
     print("-" * len(header))
 
     for n in sizes:
         num, fin, seq = random_inputs(rng, args.members, n, args.length)
+        every = np.arange(n)
+        other = 1 % args.members
         cases = [
-            ("matmul", lambda b: b.matmul(num[0], fin[0], num[1 % args.members],
-                                          fin[1 % args.members]), 1),
-            ("fold", lambda b: b.fold(num, fin, seq), args.length),
-            ("initial_to_anchor", lambda b: b.initial_to_anchor(num, fin, seq),
-             args.length),
-            ("through_anchor", lambda b: b.through_anchor(num, fin, seq, 0),
-             args.length),
+            ("matmul", lambda: ACTIVE.matmul(num[0], fin[0], num[other], fin[other]), 1, 1),
+            ("fold", lambda: ACTIVE.fold(num, fin, seq), args.length, 1),
+            ("initial_to_anchor", lambda: ACTIVE.initial_to_anchor(num, fin, seq),
+             args.length, n),
+            ("final_from_anchor", lambda: ACTIVE.final_from_anchor(num, fin, seq),
+             args.length, n),
         ]
-        for name, call, k in cases:
-            times = []
-            for backend in backends:
-                call(backend)  # warm: trigger any compilation
-                times.append(best_time(lambda: call(backend), args.repeats))
-            row = f"{name:<18}{n:>5}{k:>6}" + "".join(f"{t * 1e3:>14.3f}" for t in times)
-            if len(times) == 2 and times[1] > 0:
-                row += f"{times[0] / times[1]:>13.1f}x"
-            print(row)
+        for name in ("forward_full", "forward_avoid", "backward_avoid", "through_anchor"):
+            sweep = getattr(ACTIVE, name)
+            cases.append((name, lambda sweep=sweep: sweep(num, fin, seq, every), args.length, n))
+        for name, call, k, starts in cases:
+            t = best_time(call, args.repeats)
+            print(f"{name:<18}{n:>5}{k:>6}{starts:>8}{t * 1e3:>14.3f}")
     return 0
 
 

@@ -1,463 +1,161 @@
-"""Integer max-plus kernels with a numba fast path and a numpy fallback.
+"""Exact integer max-plus kernels on one sentinel encoding.
 
-All kernels work on pairs of arrays: an ``int64`` numerator grid and a
-boolean finiteness mask.  Entries with a False mask are -inf; their
-numerator slot is kept at 0 and never read.  Callers scale exact rational
-matrices onto a common denominator before entering, so every kernel is
-exact integer arithmetic (max-plus only ever adds and compares).
+Callers scale exact rational matrices onto a common denominator and pass
+an ``int64`` numerator grid with a boolean finiteness mask (False is
+-inf).  They also check that every finite magnitude a kernel can form,
+inputs and sums alike, stays below ``2**61`` (``matrix._GUARD``).
 
-Node 0 in these kernels is the distinguished node (node 1 in the 1-based
-labels used by the public API).
+Inside, a masked entry is stored as the sentinel ``MASKED = -2**62`` and
+a max-plus product is a plain integer broadcast, add then max.  That is
+exact for every guarded input:
 
-Backend selection: numba when importable, unless the environment variable
-``TROPICAL_TRANSIENT_DISABLE_NUMBA`` is set to a non-empty value, in which
-case the vectorized numpy implementations are used.  Both backends stay
-importable for tests and benchmarks.
+* a sum of finite entries lies in (-2**61, 2**61);
+* a sum with a masked term is at most -2**62 + 2**61 < -2**61;
+* ``MASKED + MASKED = -2**63`` still fits in int64.
+
+So an encoded entry is finite exactly when it exceeds ``FLOOR = -2**61``,
+and clamping every reduction back up to ``MASKED`` keeps the next sum in
+range.  ``matmul`` and ``fold`` return (numerator, mask) pairs with 0 in
+masked slots; the trellis sweeps return encoded tables, which their
+callers reduce further.
+
+A sweep pushes a state through the layer matrices of a sequence.  The
+state has one row per start node (per target node for the backward
+sweep), so one pass serves every start.  Each trellis DP is such a sweep
+over members edited around node 0, the distinguished node (node 1 in the
+1-based labels of the public API): cut off, made absorbing, or split into
+a "not yet visited" and a "visited" copy.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-ENV_DISABLE_NUMBA = "TROPICAL_TRANSIENT_DISABLE_NUMBA"
-
-# Internal reduction identity for the numpy path only.  It never takes part
-# in an addition: sums are computed first, then masked slots are replaced.
-_NEG = np.int64(np.iinfo(np.int64).min // 4)
+MASKED = np.int64(-(1 << 62))
+FLOOR = -(1 << 61)
 
 
-# ---------------------------------------------------------------------------
-# Loop implementations (compiled by numba; never run uncompiled in production)
-# ---------------------------------------------------------------------------
-
-def _matmul_loops(a_num, a_fin, b_num, b_fin):
-    r = a_num.shape[0]
-    m = a_num.shape[1]
-    c = b_num.shape[1]
-    out_num = np.zeros((r, c), dtype=np.int64)
-    out_fin = np.zeros((r, c), dtype=np.bool_)
-    for i in range(r):
-        for j in range(c):
-            best = np.int64(0)
-            found = False
-            for k in range(m):
-                if a_fin[i, k] and b_fin[k, j]:
-                    s = a_num[i, k] + b_num[k, j]
-                    if (not found) or s > best:
-                        best = s
-                        found = True
-            if found:
-                out_num[i, j] = best
-                out_fin[i, j] = True
-    return out_num, out_fin
+def encode(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
+    """Numerators with MASKED in every -inf slot."""
+    return np.where(fin, num, MASKED)
 
 
-def _fold_loops(mem_num, mem_fin, seq):
-    n = mem_num.shape[1]
-    cur_num = mem_num[seq[0]].copy()
-    cur_fin = mem_fin[seq[0]].copy()
-    for t in range(1, seq.shape[0]):
-        b_num = mem_num[seq[t]]
-        b_fin = mem_fin[seq[t]]
-        nxt_num = np.zeros((n, n), dtype=np.int64)
-        nxt_fin = np.zeros((n, n), dtype=np.bool_)
-        for i in range(n):
-            for j in range(n):
-                best = np.int64(0)
-                found = False
-                for k in range(n):
-                    if cur_fin[i, k] and b_fin[k, j]:
-                        s = cur_num[i, k] + b_num[k, j]
-                        if (not found) or s > best:
-                            best = s
-                            found = True
-                if found:
-                    nxt_num[i, j] = best
-                    nxt_fin[i, j] = True
-        cur_num = nxt_num
-        cur_fin = nxt_fin
-    return cur_num, cur_fin
+def decode(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(numerator, mask) pair of an encoded array, 0 in masked slots."""
+    fin = x > FLOOR
+    return np.where(fin, x, np.int64(0)), fin
 
 
-def _forward_full_loops(mem_num, mem_fin, seq, start):
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    tab_num = np.zeros((k + 1, n), dtype=np.int64)
-    tab_fin = np.zeros((k + 1, n), dtype=np.bool_)
-    tab_fin[0, start] = True
-    for l in range(1, k + 1):
-        a_num = mem_num[seq[l - 1]]
-        a_fin = mem_fin[seq[l - 1]]
-        for j in range(n):
-            best = np.int64(0)
-            found = False
-            for p in range(n):
-                if tab_fin[l - 1, p] and a_fin[p, j]:
-                    s = tab_num[l - 1, p] + a_num[p, j]
-                    if (not found) or s > best:
-                        best = s
-                        found = True
-            if found:
-                tab_num[l, j] = best
-                tab_fin[l, j] = True
-    return tab_num, tab_fin
+def _product(x: np.ndarray, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """x (x) a for an encoded (r, n) or (n,) state x and an (n, c) matrix a."""
+    out = (x[..., :, None] + a).max(axis=-2, out=out)
+    return np.maximum(out, MASKED, out=out)
 
 
-def _forward_avoid_loops(mem_num, mem_fin, seq, start):
-    # Walks that never visit node 0; column 0 of the table stays -inf.
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    tab_num = np.zeros((k + 1, n), dtype=np.int64)
-    tab_fin = np.zeros((k + 1, n), dtype=np.bool_)
-    if start != 0:
-        tab_fin[0, start] = True
-    for l in range(1, k + 1):
-        a_num = mem_num[seq[l - 1]]
-        a_fin = mem_fin[seq[l - 1]]
-        for j in range(1, n):
-            best = np.int64(0)
-            found = False
-            for p in range(1, n):
-                if tab_fin[l - 1, p] and a_fin[p, j]:
-                    s = tab_num[l - 1, p] + a_num[p, j]
-                    if (not found) or s > best:
-                        best = s
-                        found = True
-            if found:
-                tab_num[l, j] = best
-                tab_fin[l, j] = True
-    return tab_num, tab_fin
+def _sweep(layers: np.ndarray, seq: np.ndarray, state: np.ndarray,
+           table: bool = True) -> np.ndarray:
+    """Push state through layers[seq[0]], layers[seq[1]], ...
+
+    Returns every intermediate state stacked as (k + 1, *state.shape), or
+    only the last one when ``table`` is False.
+    """
+    if not table:
+        for s in seq:
+            state = _product(state, layers[s])
+        return state
+    tab = np.empty((len(seq) + 1,) + state.shape, dtype=np.int64)
+    tab[0] = state
+    for l, s in enumerate(seq, start=1):
+        _product(tab[l - 1], layers[s], out=tab[l])
+    return tab
 
 
-def _backward_avoid_loops(mem_num, mem_fin, seq, target):
-    # tab[l, p] = best weight of a node-0-avoiding walk from p at layer l
-    # to target at the final layer.  target must be nonzero.
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    tab_num = np.zeros((k + 1, n), dtype=np.int64)
-    tab_fin = np.zeros((k + 1, n), dtype=np.bool_)
-    if target != 0:
-        tab_fin[k, target] = True
-    for l in range(k - 1, -1, -1):
-        a_num = mem_num[seq[l]]
-        a_fin = mem_fin[seq[l]]
-        for p in range(1, n):
-            best = np.int64(0)
-            found = False
-            for q in range(1, n):
-                if a_fin[p, q] and tab_fin[l + 1, q]:
-                    s = a_num[p, q] + tab_num[l + 1, q]
-                    if (not found) or s > best:
-                        best = s
-                        found = True
-            if found:
-                tab_num[l, p] = best
-                tab_fin[l, p] = True
-    return tab_num, tab_fin
+def _units(n: int, rows) -> np.ndarray:
+    """Encoded state whose row r is 0 at node rows[r] and masked elsewhere."""
+    eye = np.full((n, n), MASKED, dtype=np.int64)
+    np.fill_diagonal(eye, 0)
+    return eye[rows]
 
 
-def _initial_to_anchor_loops(mem_num, mem_fin, seq):
-    # out[i] = best weight over walks from i at layer 0 that visit node 0
-    # exactly once, at their final position (any arrival layer).
-    # Backward recursion: tab[l, p] = best such weight starting at p, layer l.
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    tab_num = np.zeros((k + 1, n), dtype=np.int64)
-    tab_fin = np.zeros((k + 1, n), dtype=np.bool_)
-    for l in range(k - 1, -1, -1):
-        a_num = mem_num[seq[l]]
-        a_fin = mem_fin[seq[l]]
-        for p in range(1, n):
-            best = np.int64(0)
-            found = False
-            if a_fin[p, 0]:
-                best = a_num[p, 0]
-                found = True
-            for q in range(1, n):
-                if a_fin[p, q] and tab_fin[l + 1, q]:
-                    s = a_num[p, q] + tab_num[l + 1, q]
-                    if (not found) or s > best:
-                        best = s
-                        found = True
-            if found:
-                tab_num[l, p] = best
-                tab_fin[l, p] = True
-    out_num = np.zeros(n, dtype=np.int64)
-    out_fin = np.zeros(n, dtype=np.bool_)
-    out_fin[0] = True
-    for i in range(1, n):
-        out_num[i] = tab_num[0, i]
-        out_fin[i] = tab_fin[0, i]
-    return out_num, out_fin
+def _cut(mem: np.ndarray) -> np.ndarray:
+    """Encoded members with every edge at node 0 removed."""
+    out = mem.copy()
+    out[:, 0, :] = MASKED
+    out[:, :, 0] = MASKED
+    return out
 
 
-def _final_from_anchor_loops(mem_num, mem_fin, seq):
-    # out[j] = best weight over walks ending at j at the final layer that
-    # visit node 0 exactly once, at their initial position.
-    # Forward recursion: tab[l, q] = best such weight ending at q, layer l.
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    tab_num = np.zeros((k + 1, n), dtype=np.int64)
-    tab_fin = np.zeros((k + 1, n), dtype=np.bool_)
-    for l in range(1, k + 1):
-        a_num = mem_num[seq[l - 1]]
-        a_fin = mem_fin[seq[l - 1]]
-        for q in range(1, n):
-            best = np.int64(0)
-            found = False
-            if a_fin[0, q]:
-                best = a_num[0, q]
-                found = True
-            for p in range(1, n):
-                if a_fin[p, q] and tab_fin[l - 1, p]:
-                    s = tab_num[l - 1, p] + a_num[p, q]
-                    if (not found) or s > best:
-                        best = s
-                        found = True
-            if found:
-                tab_num[l, q] = best
-                tab_fin[l, q] = True
-    out_num = np.zeros(n, dtype=np.int64)
-    out_fin = np.zeros(n, dtype=np.bool_)
-    out_fin[0] = True
-    for j in range(1, n):
-        out_num[j] = tab_num[k, j]
-        out_fin[j] = tab_fin[k, j]
-    return out_num, out_fin
+def _matmul(a_num, a_fin, b_num, b_fin):
+    return decode(_product(encode(a_num, a_fin), encode(b_num, b_fin)))
 
 
-def _through_anchor_loops(mem_num, mem_fin, seq, start):
-    # Best weight of full walks from start that visit node 0 at least once
-    # (endpoints count).  Two states: nt = never touched 0, t = touched.
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    nt_num = np.zeros(n, dtype=np.int64)
-    nt_fin = np.zeros(n, dtype=np.bool_)
-    t_num = np.zeros(n, dtype=np.int64)
-    t_fin = np.zeros(n, dtype=np.bool_)
-    if start == 0:
-        t_fin[0] = True
-    else:
-        nt_fin[start] = True
-    for l in range(1, k + 1):
-        a_num = mem_num[seq[l - 1]]
-        a_fin = mem_fin[seq[l - 1]]
-        new_nt_num = np.zeros(n, dtype=np.int64)
-        new_nt_fin = np.zeros(n, dtype=np.bool_)
-        new_t_num = np.zeros(n, dtype=np.int64)
-        new_t_fin = np.zeros(n, dtype=np.bool_)
-        for j in range(n):
-            best = np.int64(0)
-            found = False
-            for p in range(n):
-                if t_fin[p] and a_fin[p, j]:
-                    s = t_num[p] + a_num[p, j]
-                    if (not found) or s > best:
-                        best = s
-                        found = True
-            if j == 0:
-                for p in range(1, n):
-                    if nt_fin[p] and a_fin[p, 0]:
-                        s = nt_num[p] + a_num[p, 0]
-                        if (not found) or s > best:
-                            best = s
-                            found = True
-            if found:
-                new_t_num[j] = best
-                new_t_fin[j] = True
-            if j != 0:
-                best = np.int64(0)
-                found = False
-                for p in range(1, n):
-                    if nt_fin[p] and a_fin[p, j]:
-                        s = nt_num[p] + a_num[p, j]
-                        if (not found) or s > best:
-                            best = s
-                            found = True
-                if found:
-                    new_nt_num[j] = best
-                    new_nt_fin[j] = True
-        nt_num, nt_fin = new_nt_num, new_nt_fin
-        t_num, t_fin = new_t_num, new_t_fin
-    return t_num, t_fin
+def _fold(mem_num, mem_fin, seq):
+    mem = encode(mem_num, mem_fin)
+    cur = mem[seq[0]]
+    for s in seq[1:]:
+        cur = _product(cur, mem[s])
+    return decode(cur)
 
 
-# ---------------------------------------------------------------------------
-# Vectorized numpy implementations
-# ---------------------------------------------------------------------------
-
-def _matmul_np(a_num, a_fin, b_num, b_fin):
-    s = a_num[:, :, None] + b_num[None, :, :]
-    ok = a_fin[:, :, None] & b_fin[None, :, :]
-    s = np.where(ok, s, _NEG)
-    fin = ok.any(axis=1)
-    num = s.max(axis=1, initial=_NEG)
-    return np.where(fin, num, np.int64(0)), fin
+def _forward_full(mem_num, mem_fin, seq, starts):
+    # tab[l, r, j]: best walk from starts[r] at layer 0 to j at layer l.
+    return _sweep(encode(mem_num, mem_fin), seq, _units(mem_num.shape[1], starts))
 
 
-def _step_np(vec_num, vec_fin, a_num, a_fin):
-    # One layer of a forward DP: vec (x) A.
-    s = vec_num[:, None] + a_num
-    ok = vec_fin[:, None] & a_fin
-    s = np.where(ok, s, _NEG)
-    fin = ok.any(axis=0)
-    num = s.max(axis=0, initial=_NEG)
-    return np.where(fin, num, np.int64(0)), fin
+def _forward_avoid(mem_num, mem_fin, seq, starts):
+    # As _forward_full over walks that never visit node 0.
+    state = _units(mem_num.shape[1], starts)
+    state[..., 0] = MASKED
+    return _sweep(_cut(encode(mem_num, mem_fin)), seq, state)
 
 
-def _step_back_np(a_num, a_fin, vec_num, vec_fin):
-    # One layer of a backward DP: A (x) vec.
-    s = a_num + vec_num[None, :]
-    ok = a_fin & vec_fin[None, :]
-    s = np.where(ok, s, _NEG)
-    fin = ok.any(axis=1)
-    num = s.max(axis=1, initial=_NEG)
-    return np.where(fin, num, np.int64(0)), fin
+def _backward_avoid(mem_num, mem_fin, seq, targets):
+    # tab[l, r, p]: best node-0-avoiding walk from p at layer l to
+    # targets[r] at the last layer; the transposed members run backwards.
+    state = _units(mem_num.shape[1], targets)
+    state[..., 0] = MASKED
+    back = np.ascontiguousarray(_cut(encode(mem_num, mem_fin)).transpose(0, 2, 1))
+    return _sweep(back, seq[::-1], state)[::-1]
 
 
-def _fold_np(mem_num, mem_fin, seq):
-    cur_num = mem_num[seq[0]].copy()
-    cur_fin = mem_fin[seq[0]].copy()
-    for t in range(1, seq.shape[0]):
-        cur_num, cur_fin = _matmul_np(cur_num, cur_fin, mem_num[seq[t]], mem_fin[seq[t]])
-    return cur_num, cur_fin
+def _initial_to_anchor(mem_num, mem_fin, seq):
+    # out[i]: best walk from i at layer 0 that visits node 0 exactly once,
+    # at its end, arriving at any layer.  Node 0 becomes absorbing with
+    # weight 0, and a backward sweep from it reads every start at once.
+    mem = encode(mem_num, mem_fin)
+    sink = _cut(mem)
+    sink[:, 1:, 0] = mem[:, 1:, 0]
+    sink[:, 0, 0] = 0
+    back = np.ascontiguousarray(sink.transpose(0, 2, 1))
+    return _sweep(back, seq[::-1], _units(mem.shape[1], 0), table=False)
 
 
-def _forward_full_np(mem_num, mem_fin, seq, start):
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    tab_num = np.zeros((k + 1, n), dtype=np.int64)
-    tab_fin = np.zeros((k + 1, n), dtype=np.bool_)
-    tab_fin[0, start] = True
-    for l in range(1, k + 1):
-        tab_num[l], tab_fin[l] = _step_np(
-            tab_num[l - 1], tab_fin[l - 1], mem_num[seq[l - 1]], mem_fin[seq[l - 1]]
-        )
-    return tab_num, tab_fin
+def _final_from_anchor(mem_num, mem_fin, seq):
+    # out[j]: best walk to j at the last layer that visits node 0 exactly
+    # once, at its start, departing at any layer (the mirror image).
+    mem = encode(mem_num, mem_fin)
+    source = _cut(mem)
+    source[:, 0, 1:] = mem[:, 0, 1:]
+    source[:, 0, 0] = 0
+    return _sweep(source, seq, _units(mem.shape[1], 0), table=False)
 
 
-def _forward_avoid_np(mem_num, mem_fin, seq, start):
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    tab_num = np.zeros((k + 1, n), dtype=np.int64)
-    tab_fin = np.zeros((k + 1, n), dtype=np.bool_)
-    if start != 0:
-        tab_fin[0, start] = True
-    blocked = np.zeros(n, dtype=np.bool_)
-    blocked[0] = True
-    for l in range(1, k + 1):
-        a_fin = mem_fin[seq[l - 1]] & ~blocked[:, None] & ~blocked[None, :]
-        num, fin = _step_np(tab_num[l - 1], tab_fin[l - 1], mem_num[seq[l - 1]], a_fin)
-        tab_num[l], tab_fin[l] = num, fin
-    return tab_num, tab_fin
+def _through_anchor(mem_num, mem_fin, seq, starts):
+    # out[r, j]: best full walk from starts[r] to j that visits node 0 at
+    # least once (endpoints count).  Node p < n is p not yet past node 0
+    # and node n + p is p after it; the only edges from the first copy to
+    # the second arrive at node 0.
+    mem = encode(mem_num, mem_fin)
+    m, n, _ = mem.shape
+    split = np.full((m, 2 * n, 2 * n), MASKED, dtype=np.int64)
+    split[:, :n, :n] = _cut(mem)
+    split[:, 1:n, n] = mem[:, 1:, 0]
+    split[:, n:, n:] = mem
+    entry = np.where(np.asarray(starts) == 0, n, starts)
+    return _sweep(split, seq, _units(2 * n, entry), table=False)[..., n:]
 
-
-def _backward_avoid_np(mem_num, mem_fin, seq, target):
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    tab_num = np.zeros((k + 1, n), dtype=np.int64)
-    tab_fin = np.zeros((k + 1, n), dtype=np.bool_)
-    if target != 0:
-        tab_fin[k, target] = True
-    blocked = np.zeros(n, dtype=np.bool_)
-    blocked[0] = True
-    for l in range(k - 1, -1, -1):
-        a_fin = mem_fin[seq[l]] & ~blocked[:, None] & ~blocked[None, :]
-        num, fin = _step_back_np(mem_num[seq[l]], a_fin, tab_num[l + 1], tab_fin[l + 1])
-        tab_num[l], tab_fin[l] = num, fin
-    return tab_num, tab_fin
-
-
-def _initial_to_anchor_np(mem_num, mem_fin, seq):
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    cur_num = np.zeros(n, dtype=np.int64)
-    cur_fin = np.zeros(n, dtype=np.bool_)
-    blocked = np.zeros(n, dtype=np.bool_)
-    blocked[0] = True
-    for l in range(k - 1, -1, -1):
-        a_num = mem_num[seq[l]]
-        a_fin = mem_fin[seq[l]]
-        inner_fin = a_fin & ~blocked[:, None] & ~blocked[None, :]
-        num, fin = _step_back_np(a_num, inner_fin, cur_num, cur_fin)
-        arr_num = a_num[:, 0]
-        arr_fin = a_fin[:, 0] & ~blocked
-        take_arr = arr_fin & (~fin | (arr_num > num))
-        num = np.where(take_arr, arr_num, num)
-        fin = fin | arr_fin
-        num = np.where(fin, num, np.int64(0))
-        cur_num, cur_fin = num, fin
-    cur_num = cur_num.copy()
-    cur_fin = cur_fin.copy()
-    cur_num[0] = 0
-    cur_fin[0] = True
-    return cur_num, cur_fin
-
-
-def _final_from_anchor_np(mem_num, mem_fin, seq):
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    cur_num = np.zeros(n, dtype=np.int64)
-    cur_fin = np.zeros(n, dtype=np.bool_)
-    blocked = np.zeros(n, dtype=np.bool_)
-    blocked[0] = True
-    for l in range(1, k + 1):
-        a_num = mem_num[seq[l - 1]]
-        a_fin = mem_fin[seq[l - 1]]
-        inner_fin = a_fin & ~blocked[:, None] & ~blocked[None, :]
-        num, fin = _step_np(cur_num, cur_fin, a_num, inner_fin)
-        dep_num = a_num[0, :]
-        dep_fin = a_fin[0, :] & ~blocked
-        take_dep = dep_fin & (~fin | (dep_num > num))
-        num = np.where(take_dep, dep_num, num)
-        fin = fin | dep_fin
-        num = np.where(fin, num, np.int64(0))
-        cur_num, cur_fin = num, fin
-    cur_num = cur_num.copy()
-    cur_fin = cur_fin.copy()
-    cur_num[0] = 0
-    cur_fin[0] = True
-    return cur_num, cur_fin
-
-
-def _through_anchor_np(mem_num, mem_fin, seq, start):
-    k = seq.shape[0]
-    n = mem_num.shape[1]
-    nt_num = np.zeros(n, dtype=np.int64)
-    nt_fin = np.zeros(n, dtype=np.bool_)
-    t_num = np.zeros(n, dtype=np.int64)
-    t_fin = np.zeros(n, dtype=np.bool_)
-    if start == 0:
-        t_fin[0] = True
-    else:
-        nt_fin[start] = True
-    blocked = np.zeros(n, dtype=np.bool_)
-    blocked[0] = True
-    for l in range(1, k + 1):
-        a_num = mem_num[seq[l - 1]]
-        a_fin = mem_fin[seq[l - 1]]
-        new_t_num, new_t_fin = _step_np(t_num, t_fin, a_num, a_fin)
-        # nt walks arriving at node 0 become touched.
-        arr_num = nt_num + a_num[:, 0]
-        arr_fin = nt_fin & a_fin[:, 0] & ~blocked
-        arr = np.where(arr_fin, arr_num, _NEG)
-        best_arr = arr.max(initial=_NEG)
-        if arr_fin.any() and (not new_t_fin[0] or best_arr > new_t_num[0]):
-            new_t_num[0] = best_arr
-            new_t_fin[0] = True
-        inner_fin = a_fin & ~blocked[:, None] & ~blocked[None, :]
-        new_nt_num, new_nt_fin = _step_np(nt_num, nt_fin, a_num, inner_fin)
-        nt_num, nt_fin = new_nt_num, new_nt_fin
-        t_num, t_fin = new_t_num, new_t_fin
-    return t_num, t_fin
-
-
-# ---------------------------------------------------------------------------
-# Backend assembly
-# ---------------------------------------------------------------------------
 
 class Backend(NamedTuple):
     name: str
@@ -473,45 +171,18 @@ class Backend(NamedTuple):
 
 NUMPY_BACKEND = Backend(
     name="numpy",
-    matmul=_matmul_np,
-    fold=_fold_np,
-    forward_full=_forward_full_np,
-    forward_avoid=_forward_avoid_np,
-    backward_avoid=_backward_avoid_np,
-    initial_to_anchor=_initial_to_anchor_np,
-    final_from_anchor=_final_from_anchor_np,
-    through_anchor=_through_anchor_np,
+    matmul=_matmul,
+    fold=_fold,
+    forward_full=_forward_full,
+    forward_avoid=_forward_avoid,
+    backward_avoid=_backward_avoid,
+    initial_to_anchor=_initial_to_anchor,
+    final_from_anchor=_final_from_anchor,
+    through_anchor=_through_anchor,
 )
 
+# There is no compiled backend; the name stays for callers that report
+# whether one is present.
+NUMBA_BACKEND: Optional[Backend] = None
 
-def _build_numba_backend() -> Optional[Backend]:
-    try:
-        from numba import njit
-    except ImportError:
-        return None
-    jit = lambda f: njit(f, cache=True, nogil=True)
-    return Backend(
-        name="numba",
-        matmul=jit(_matmul_loops),
-        fold=jit(_fold_loops),
-        forward_full=jit(_forward_full_loops),
-        forward_avoid=jit(_forward_avoid_loops),
-        backward_avoid=jit(_backward_avoid_loops),
-        initial_to_anchor=jit(_initial_to_anchor_loops),
-        final_from_anchor=jit(_final_from_anchor_loops),
-        through_anchor=jit(_through_anchor_loops),
-    )
-
-
-if os.environ.get(ENV_DISABLE_NUMBA):
-    NUMBA_BACKEND: Optional[Backend] = None
-else:
-    NUMBA_BACKEND = _build_numba_backend()
-
-ACTIVE: Backend = NUMBA_BACKEND if NUMBA_BACKEND is not None else NUMPY_BACKEND
-
-
-def available_backends() -> tuple[Backend, ...]:
-    if NUMBA_BACKEND is None:
-        return (NUMPY_BACKEND,)
-    return (NUMPY_BACKEND, NUMBA_BACKEND)
+ACTIVE: Backend = NUMPY_BACKEND

@@ -293,6 +293,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except OverflowError as exc:
+        print(f"overflow: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except TropicalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

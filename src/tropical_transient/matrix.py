@@ -22,13 +22,17 @@ from . import _kernels
 from .errors import DimensionError, PivotError
 from .semiring import EPSILON, Epsilon, Weight, as_weight
 
-# Headroom bound for int64 numerators.  Operations check that the largest
-# possible sum of magnitudes stays below this before running a kernel.
-_GUARD = 1 << 62
+# Headroom bounds for int64 numerators.  Stored numerators, and sums formed
+# by plain numpy arithmetic here, stay below _STORE_LIMIT.  Every magnitude
+# a kernel can form stays below _GUARD, which keeps finite sums apart from
+# the masked sentinel of ``_kernels``.  Operations check the largest
+# possible magnitude before running.
+_STORE_LIMIT = 1 << 62
+_GUARD = 1 << 61
 
 
-def _check_magnitude(total: int, context: str) -> None:
-    if total >= _GUARD:
+def _check_magnitude(total: int, context: str, limit: int = _GUARD) -> None:
+    if total >= limit:
         raise OverflowError(
             f"{context}: scaled integer magnitude {total} exceeds the int64 budget"
         )
@@ -84,7 +88,7 @@ class TropicalMatrix:
             for j, w in enumerate(row):
                 if not isinstance(w, Epsilon):
                     scaled = w.numerator * (den // w.denominator)
-                    _check_magnitude(abs(scaled), "matrix construction")
+                    _check_magnitude(abs(scaled), "matrix construction", _STORE_LIMIT)
                     num[i, j] = scaled
                     fin[i, j] = True
         return cls(num, fin, den)
@@ -178,7 +182,7 @@ class TropicalMatrix:
         factor = den // self._den
         if factor == 1:
             return self._num, self._fin
-        _check_magnitude(self.max_abs_numerator * factor, "rescaling")
+        _check_magnitude(self.max_abs_numerator * factor, "rescaling", _STORE_LIMIT)
         return self._num * np.int64(factor), self._fin
 
     @staticmethod
@@ -272,7 +276,7 @@ class TropicalMatrix:
         den = self._den * w.denominator // math.gcd(self._den, w.denominator)
         num, fin = (a.copy() for a in self.scaled(den))
         scaled = w.numerator * (den // w.denominator)
-        _check_magnitude(abs(scaled), "entry update")
+        _check_magnitude(abs(scaled), "entry update", _STORE_LIMIT)
         num[i, j] = scaled
         fin[i, j] = True
         return TropicalMatrix(num, fin, den)
@@ -321,7 +325,8 @@ def outer_product(x: TropicalMatrix, y: TropicalMatrix) -> TropicalMatrix:
     x_num, x_fin = x.scaled(den)
     y_num, y_fin = y.scaled(den)
     _check_magnitude(x.max_abs_numerator * (den // x.denominator)
-                     + y.max_abs_numerator * (den // y.denominator), "outer product")
+                     + y.max_abs_numerator * (den // y.denominator), "outer product",
+                     _STORE_LIMIT)
     num = x_num[:, 0][:, None] + y_num[:, 0][None, :]
     fin = x_fin[:, 0][:, None] & y_fin[:, 0][None, :]
     return TropicalMatrix(np.where(fin, num, np.int64(0)), fin, den)
@@ -343,7 +348,7 @@ def rank_one_factor(m: TropicalMatrix) -> Optional[tuple[TropicalMatrix, Tropica
     num, fin, den = m._num, m._fin, m._den
     if not fin[0, 0]:
         raise PivotError("rank-one pivot (1,1) is -inf")
-    _check_magnitude(3 * m.max_abs_numerator, "rank-one test")
+    _check_magnitude(3 * m.max_abs_numerator, "rank-one test", _STORE_LIMIT)
     expect_fin = fin[:, 0][:, None] & fin[0, :][None, :]
     if not np.array_equal(fin, expect_fin):
         return None

@@ -131,6 +131,11 @@ def _frac(num: int, den: int) -> Fraction:
     return Fraction(int(num), den)
 
 
+def _weight(x: np.int64, den: int) -> Weight:
+    """The exact weight of one encoded kernel entry."""
+    return _frac(x, den) if x > _kernels.FLOOR else EPSILON
+
+
 def optimal_full_walk(t: TrellisDigraph, i: int, j: int) -> WalkSummary:
     """Best full walk from node i (layer 0) to node j (layer k), 1-based.
 
@@ -142,12 +147,14 @@ def optimal_full_walk(t: TrellisDigraph, i: int, j: int) -> WalkSummary:
     _check_node(n, i)
     _check_node(n, j)
     mem_num, mem_fin, seq0, den = t._arrays()
-    tab_num, tab_fin = _kernels.ACTIVE.forward_full(mem_num, mem_fin, seq0, i - 1)
-    if not tab_fin[k, j - 1]:
+    tab = _kernels.ACTIVE.forward_full(mem_num, mem_fin, seq0, [i - 1])[:, 0]
+    best = tab[k, j - 1]
+    if best <= _kernels.FLOOR:
         return _EMPTY_SUMMARY
-    nodes = _backtrack_forward(mem_num, mem_fin, seq0, tab_num, tab_fin, k, j - 1, blocked0=False)
+    mem = _kernels.encode(mem_num, mem_fin)
+    nodes = _trace_back(mem, seq0, tab, k, j - 1, best)
     return WalkSummary(
-        weight=_frac(tab_num[k, j - 1], den),
+        weight=_frac(best, den),
         length=k,
         min_length_among_optima=k,
         witness=tuple(x + 1 for x in nodes),
@@ -163,39 +170,20 @@ def optimal_initial_walk(t: TrellisDigraph, i: int) -> WalkSummary:
     walk of weight 0.
     """
     n = t.node_size
-    k = t.layer_count
     _check_node(n, i)
     if i == 1:
         return WalkSummary(ZERO, 0, 0, (1,), 0)
     mem_num, mem_fin, seq0, den = t._arrays()
-    tab_num, tab_fin = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, i - 1)
-    best: Optional[int] = None
-    best_layer = -1
-    for m in range(1, k + 1):
-        a_num = mem_num[seq0[m - 1]]
-        a_fin = mem_fin[seq0[m - 1]]
-        for p in range(1, n):
-            if tab_fin[m - 1, p] and a_fin[p, 0]:
-                s = int(tab_num[m - 1, p] + a_num[p, 0])
-                if best is None or s > best:
-                    best = s
-                    best_layer = m
-    if best is None:
+    mem = _kernels.encode(mem_num, mem_fin)
+    tab = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, [i - 1])
+    best, layer = (int(x[0]) for x in _arrivals(mem, seq0, tab))
+    if best <= _kernels.FLOOR:
         return _EMPTY_SUMMARY
-    m = best_layer
-    a_num = mem_num[seq0[m - 1]]
-    a_fin = mem_fin[seq0[m - 1]]
-    arrival = -1
-    for p in range(1, n):
-        if tab_fin[m - 1, p] and a_fin[p, 0] and int(tab_num[m - 1, p] + a_num[p, 0]) == best:
-            arrival = p
-            break
-    nodes = _backtrack_forward(mem_num, mem_fin, seq0, tab_num, tab_fin, m - 1, arrival, blocked0=True)
-    nodes.append(0)
+    nodes = _trace_back(mem, seq0, tab[:, 0], layer, 0, best)
     return WalkSummary(
         weight=_frac(best, den),
-        length=m,
-        min_length_among_optima=m,
+        length=layer,
+        min_length_among_optima=layer,
         witness=tuple(x + 1 for x in nodes),
         start_layer=0,
     )
@@ -214,62 +202,31 @@ def optimal_final_walk(t: TrellisDigraph, j: int) -> WalkSummary:
     if j == 1:
         return WalkSummary(ZERO, 0, 0, (1,), k)
     mem_num, mem_fin, seq0, den = t._arrays()
-    tab_num, tab_fin = _kernels.ACTIVE.backward_avoid(mem_num, mem_fin, seq0, j - 1)
-    best: Optional[int] = None
-    best_layer = -1
-    for l in range(k - 1, -1, -1):
-        a_num = mem_num[seq0[l]]
-        a_fin = mem_fin[seq0[l]]
-        for q in range(1, n):
-            if a_fin[0, q] and tab_fin[l + 1, q]:
-                s = int(a_num[0, q] + tab_num[l + 1, q])
-                if best is None or s > best:
-                    best = s
-                    best_layer = l
-    if best is None:
+    mem = _kernels.encode(mem_num, mem_fin)
+    tab = _kernels.ACTIVE.backward_avoid(mem_num, mem_fin, seq0, [j - 1])
+    best, layer = (int(x[0]) for x in _departures(mem, seq0, tab))
+    if best <= _kernels.FLOOR:
         return _EMPTY_SUMMARY
-    l = best_layer
-    nodes = [0]
-    a_num = mem_num[seq0[l]]
-    a_fin = mem_fin[seq0[l]]
-    cur = -1
-    for q in range(1, n):
-        if a_fin[0, q] and tab_fin[l + 1, q] and int(a_num[0, q] + tab_num[l + 1, q]) == best:
-            cur = q
-            break
-    nodes.append(cur)
-    for step in range(l + 1, k):
-        a_num = mem_num[seq0[step]]
-        a_fin = mem_fin[seq0[step]]
-        target = int(tab_num[step, cur])
-        nxt = -1
-        for q in range(1, n):
-            if a_fin[cur, q] and tab_fin[step + 1, q] and int(a_num[cur, q] + tab_num[step + 1, q]) == target:
-                nxt = q
-                break
-        cur = nxt
-        nodes.append(cur)
+    nodes = _trace_forward(mem, seq0, tab[:, 0], layer, 0, best)
     return WalkSummary(
         weight=_frac(best, den),
-        length=k - l,
-        min_length_among_optima=k - l,
+        length=k - layer,
+        min_length_among_optima=k - layer,
         witness=tuple(x + 1 for x in nodes),
-        start_layer=l,
+        start_layer=layer,
     )
 
 
 def initial_weights_all(t: TrellisDigraph) -> TropicalMatrix:
     """Column vector of optimal initial-walk weights w* for every node."""
     mem_num, mem_fin, seq0, den = t._arrays()
-    num, fin = _kernels.ACTIVE.initial_to_anchor(mem_num, mem_fin, seq0)
-    return _column_from_scaled(num, fin, den)
+    return _column(_kernels.ACTIVE.initial_to_anchor(mem_num, mem_fin, seq0), den)
 
 
 def final_weights_all(t: TrellisDigraph) -> TropicalMatrix:
     """Column vector of optimal final-walk weights v* for every node."""
     mem_num, mem_fin, seq0, den = t._arrays()
-    num, fin = _kernels.ACTIVE.final_from_anchor(mem_num, mem_fin, seq0)
-    return _column_from_scaled(num, fin, den)
+    return _column(_kernels.ACTIVE.final_from_anchor(mem_num, mem_fin, seq0), den)
 
 
 def best_avoiding_full_weight(t: TrellisDigraph, i: int, j: int) -> Weight:
@@ -284,10 +241,8 @@ def best_avoiding_full_weight(t: TrellisDigraph, i: int, j: int) -> Weight:
     if i == 1 or j == 1:
         return EPSILON
     mem_num, mem_fin, seq0, den = t._arrays()
-    tab_num, tab_fin = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, i - 1)
-    if not tab_fin[k, j - 1]:
-        return EPSILON
-    return _frac(tab_num[k, j - 1], den)
+    tab = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, [i - 1])
+    return _weight(tab[k, 0, j - 1], den)
 
 
 def best_through_one_weight(t: TrellisDigraph, i: int, j: int) -> Weight:
@@ -297,10 +252,8 @@ def best_through_one_weight(t: TrellisDigraph, i: int, j: int) -> Weight:
     _check_node(n, i)
     _check_node(n, j)
     mem_num, mem_fin, seq0, den = t._arrays()
-    num, fin = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, i - 1)
-    if not fin[j - 1]:
-        return EPSILON
-    return _frac(num[j - 1], den)
+    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, [i - 1])
+    return _weight(through[0, j - 1], den)
 
 
 def _check_node(n: int, label: int) -> None:
@@ -308,31 +261,57 @@ def _check_node(n: int, label: int) -> None:
         raise IndexError(f"node label {label} out of range 1..{n}")
 
 
-def _column_from_scaled(num: np.ndarray, fin: np.ndarray, den: int) -> TropicalMatrix:
-    return TropicalMatrix(num[:, None].copy(), fin[:, None].copy(), den)
+def _column(x: np.ndarray, den: int) -> TropicalMatrix:
+    num, fin = _kernels.decode(x)
+    return TropicalMatrix(num[:, None], fin[:, None], den)
 
 
-def _backtrack_forward(mem_num, mem_fin, seq0, tab_num, tab_fin, layer: int,
-                       node: int, blocked0: bool) -> list[int]:
-    """Recover one optimal path to (layer, node) through a forward table,
-    taking the smallest predecessor at each step."""
-    lo = 1 if blocked0 else 0
+def _arrivals(mem, seq0, tab) -> tuple[np.ndarray, np.ndarray]:
+    """Best initial-walk weight into node 0 for each row of a forward
+    avoiding table (k + 1, r, n), and the earliest arrival layer attaining
+    it.  Encoded; a row with no such walk gets a masked weight."""
+    into = np.full(tab.shape[:2], _kernels.MASKED)
+    into[1:] = (tab[:-1] + mem[seq0, :, 0][:, None, :]).max(axis=2)
+    return into.max(axis=0), into.argmax(axis=0)
+
+
+def _departures(mem, seq0, tab) -> tuple[np.ndarray, np.ndarray]:
+    """Best final-walk weight out of node 0 for each row of a backward
+    avoiding table (k + 1, r, n), and the latest departure layer attaining
+    it."""
+    out = np.full(tab.shape[:2], _kernels.MASKED)
+    out[:-1] = (mem[seq0, 0, :][:, None, :] + tab[1:]).max(axis=2)
+    return out.max(axis=0), len(seq0) - out[::-1].argmax(axis=0)
+
+
+def _trace_back(mem, seq0, row, layer: int, node: int, target) -> list[int]:
+    """Nodes of one walk of weight ``target`` ending at (layer, node), where
+    row[l, p] is the best weight of a walk reaching p at layer l; takes the
+    smallest predecessor at each step."""
     nodes = [node]
-    cur = node
     for l in range(layer, 0, -1):
-        a_num = mem_num[seq0[l - 1]]
-        a_fin = mem_fin[seq0[l - 1]]
-        target = int(tab_num[l, cur])
-        prev = -1
-        for p in range(lo, a_num.shape[0]):
-            if tab_fin[l - 1, p] and a_fin[p, cur] and int(tab_num[l - 1, p] + a_num[p, cur]) == target:
-                prev = p
-                break
-        if prev < 0:
+        hits = row[l - 1] + mem[seq0[l - 1], :, node] == target
+        if not hits.any():
             raise RuntimeError("walk backtracking lost the optimum")
-        nodes.append(prev)
-        cur = prev
+        node = int(hits.argmax())
+        target = row[l - 1, node]
+        nodes.append(node)
     nodes.reverse()
+    return nodes
+
+
+def _trace_forward(mem, seq0, row, layer: int, node: int, target) -> list[int]:
+    """The mirror of :func:`_trace_back`: a walk of weight ``target`` from
+    (layer, node) to the last layer, where row[l, q] is the best weight of
+    a walk from q at layer l; takes the smallest successor at each step."""
+    nodes = [node]
+    for l in range(layer, len(seq0)):
+        hits = mem[seq0[l], node, :] + row[l + 1] == target
+        if not hits.any():
+            raise RuntimeError("walk tracing lost the optimum")
+        node = int(hits.argmax())
+        target = row[l + 1, node]
+        nodes.append(node)
     return nodes
 
 
@@ -499,6 +478,17 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     lam = derived.lambda_star.mean
     wstar = initial_weights_all(t)
     vstar = final_weights_all(t)
+    # One all-starts sweep per walk class; every pair reads its answer
+    # from these.  Node 1 has the empty initial and final walk.
+    nodes = np.arange(n)
+    mem_num, mem_fin, seq0, den = t._arrays()
+    mem = _kernels.encode(mem_num, mem_fin)
+    forward = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, nodes)
+    backward = _kernels.ACTIVE.backward_avoid(mem_num, mem_fin, seq0, nodes)
+    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, nodes)
+    initial_len = np.where(nodes == 0, 0, _arrivals(mem, seq0, forward)[1])
+    final_len = np.where(nodes == 0, 0, k - _departures(mem, seq0, backward)[1])
+    avoiding_all = forward[k]
 
     def q(x: Weight) -> Weight:
         if isinstance(x, Epsilon):
@@ -516,12 +506,11 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
             continue
         a_i = derived.alpha.entry(i - 1, 0)
         bound = q(_finite_sub(w_i, a_i)) + Fraction(n - 1)
-        summary = optimal_initial_walk(t, i)
+        length = int(initial_len[i - 1])
         init_checked += 1
-        if Fraction(summary.min_length_among_optima) > bound:
+        if Fraction(length) > bound:
             init_fail.append(
-                {"i": i, "min_length": summary.min_length_among_optima,
-                 "bound": weight_token(bound)}
+                {"i": i, "min_length": length, "bound": weight_token(bound)}
             )
 
     fin_fail = []
@@ -533,12 +522,11 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
             continue
         b_j = derived.beta.entry(j - 1, 0)
         bound = q(_finite_sub(v_j, b_j)) + Fraction(n - 1)
-        summary = optimal_final_walk(t, j)
+        length = int(final_len[j - 1])
         fin_checked += 1
-        if Fraction(summary.min_length_among_optima) > bound:
+        if Fraction(length) > bound:
             fin_fail.append(
-                {"j": j, "min_length": summary.min_length_among_optima,
-                 "bound": weight_token(bound)}
+                {"j": j, "min_length": length, "bound": weight_token(bound)}
             )
 
     thr_fail = []
@@ -559,10 +547,10 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
             t2 = q(_finite_sub(w_i, a_i) + _finite_sub(v_j, b_j)) + Fraction(2 * (n - 1))
             if Fraction(k) > t2:
                 thr_checked += 1
-                through = best_through_one_weight(t, i, j)
-                if through != target:
+                through_ij = _weight(through[i - 1, j - 1], den)
+                if through_ij != target:
                     thr_fail.append(
-                        {"i": i, "j": j, "through": weight_token(through),
+                        {"i": i, "j": j, "through": weight_token(through_ij),
                          "expected": weight_token(target)}
                     )
             else:
@@ -575,7 +563,7 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
                 t1_met = Fraction(k) > t1
             if t1_met:
                 avd_checked += 1
-                avoiding = best_avoiding_full_weight(t, i, j)
+                avoiding = _weight(avoiding_all[i - 1, j - 1], den)
                 ok = isinstance(avoiding, Epsilon) or avoiding < target
                 if not ok:
                     avd_fail.append(

@@ -49,7 +49,7 @@ def expected5():
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    """Trigger JIT compilation of every kernel before anything is timed."""
+    """Run every kernel once, so first-call costs stay out of timed tests."""
     rows = [
         [Fraction(0), Fraction(-1)],
         [Fraction(-1), Fraction(-2)],

@@ -1,5 +1,4 @@
 import json
-import os
 import shutil
 import subprocess
 import sys
@@ -287,6 +286,21 @@ class TestInputErrors:
         assert code == 1
         assert "row 1 column 2" in err
 
+    def test_int64_overflow_is_reported(self, capsys, tmp_path):
+        # A 2^61 magnitude is stored exactly but cannot be multiplied.
+        fam = tmp_path / "huge.json"
+        fam.write_text(
+            json.dumps({"members": [{"rows": [[0, -(2**61)], [-1, -2]]}]}),
+            encoding="utf-8",
+        )
+        seq = tmp_path / "three.json"
+        seq.write_text("[1, 1, 1]", encoding="utf-8")
+        code, out, err = run(capsys, "check", fam, seq)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("overflow: ")
+        assert "Traceback" not in err
+
 
 def console_script_command(name):
     """Argv prefix that runs console script ``name`` in a fresh process.
@@ -315,17 +329,3 @@ class TestProcessLevel:
         second = subprocess.run(cmd, capture_output=True)
         assert first.returncode == second.returncode == 0
         assert first.stdout and first.stdout == second.stdout
-
-    def test_backends_byte_identical(self, tmp_path):
-        cmd = [
-            sys.executable, "-m", "tropical_transient.cli",
-            "bound", FAMILY, SEQ44, "--format", "json",
-        ]
-        default = subprocess.run(cmd, capture_output=True, env=dict(os.environ))
-        forced = subprocess.run(
-            cmd,
-            capture_output=True,
-            env=dict(os.environ, TROPICAL_TRANSIENT_DISABLE_NUMBA="1"),
-        )
-        assert default.returncode == forced.returncode == 0
-        assert default.stdout == forced.stdout

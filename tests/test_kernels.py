@@ -1,20 +1,27 @@
-import os
-import subprocess
-import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from tropical_transient import _kernels
-from tropical_transient._kernels import (
-    ENV_DISABLE_NUMBA,
-    NUMPY_BACKEND,
-    available_backends,
-)
+from tropical_transient._kernels import NUMPY_BACKEND, decode
+from tropical_transient.family import MatrixFamily
+from tropical_transient.matrix import TropicalMatrix
+from tropical_transient.products import fold
+from tropical_transient.trellis import build_trellis, optimal_full_walk
 
-numba_backend = _kernels.NUMBA_BACKEND
-needs_numba = pytest.mark.skipif(
-    numba_backend is None, reason="numba backend unavailable"
+from oracles import (
+    grid,
+    masked_backward_avoid,
+    masked_final_from_anchor,
+    masked_fold,
+    masked_forward_avoid,
+    masked_forward_full,
+    masked_initial_to_anchor,
+    masked_matmul,
+    masked_through_anchor,
+    naive_fold,
+    naive_matmul,
 )
 
 
@@ -35,63 +42,81 @@ def assert_masked_equal(a, b):
     assert np.array_equal(a_num[a_fin], b_num[b_fin])
 
 
-@needs_numba
-class TestBackendAgreement:
-    """The jitted loops and the vectorized numpy path must agree exactly,
-    masked entries excluded (their numerators are unspecified filler)."""
+def oracle_cases():
+    """Seeded member stacks over n <= 8, three densities and the edge case
+    of members whose only edges touch node 0."""
+    rng = np.random.default_rng(77)
+    for n in range(1, 9):
+        for density in (0.0, 0.3, 1.0):
+            m = int(rng.integers(1, 4))
+            yield random_members(rng, m, n, density)
+        num, fin = random_members(rng, 2, n, 0.7)
+        fin[:, 1:, 1:] = False
+        yield num, fin
 
-    def setup_method(self):
-        self.rng = np.random.default_rng(77)
+
+class TestOracleAgreement:
+    """The sentinel kernels against the earlier masked numpy kernels, which
+    follow one start at a time; masked numerators are excluded."""
 
     def test_matmul(self):
-        for _ in range(50):
-            n = int(self.rng.integers(1, 7))
-            a_num, a_fin = random_members(self.rng, 1, n)
-            b_num, b_fin = random_members(self.rng, 1, n)
-            args = (a_num[0], a_fin[0], b_num[0], b_fin[0])
-            assert_masked_equal(
-                numba_backend.matmul(*args), NUMPY_BACKEND.matmul(*args)
-            )
+        for mem_num, mem_fin in oracle_cases():
+            args = (mem_num[0], mem_fin[0], mem_num[-1], mem_fin[-1])
+            assert_masked_equal(NUMPY_BACKEND.matmul(*args), masked_matmul(*args))
 
-    def test_fold_and_sweeps(self):
-        for _ in range(40):
-            m = int(self.rng.integers(1, 4))
-            n = int(self.rng.integers(2, 6))
-            k = int(self.rng.integers(1, 9))
-            mem_num, mem_fin = random_members(self.rng, m, n)
-            seq = random_seq(self.rng, m, k)
-            assert_masked_equal(
-                numba_backend.fold(mem_num, mem_fin, seq),
-                NUMPY_BACKEND.fold(mem_num, mem_fin, seq),
-            )
-            for start in range(n):
-                for name in ("forward_full", "forward_avoid", "through_anchor"):
-                    got = getattr(numba_backend, name)(mem_num, mem_fin, seq, start)
-                    want = getattr(NUMPY_BACKEND, name)(mem_num, mem_fin, seq, start)
-                    assert_masked_equal(got, want)
+    def test_fold(self):
+        rng = np.random.default_rng(5)
+        for mem_num, mem_fin in oracle_cases():
+            for k in (1, 2, 17):
+                seq = random_seq(rng, mem_num.shape[0], k)
                 assert_masked_equal(
-                    numba_backend.backward_avoid(mem_num, mem_fin, seq, start),
-                    NUMPY_BACKEND.backward_avoid(mem_num, mem_fin, seq, start),
-                )
-            for name in ("initial_to_anchor", "final_from_anchor"):
-                assert_masked_equal(
-                    getattr(numba_backend, name)(mem_num, mem_fin, seq),
-                    getattr(NUMPY_BACKEND, name)(mem_num, mem_fin, seq),
+                    NUMPY_BACKEND.fold(mem_num, mem_fin, seq),
+                    masked_fold(mem_num, mem_fin, seq),
                 )
 
-    def test_empty_sequence_sweeps(self):
-        mem_num, mem_fin = random_members(self.rng, 2, 3)
-        seq = np.array([], dtype=np.int64)
-        for start in range(3):
-            assert_masked_equal(
-                numba_backend.forward_full(mem_num, mem_fin, seq, start),
-                NUMPY_BACKEND.forward_full(mem_num, mem_fin, seq, start),
-            )
+    def test_sweeps_serve_every_start_in_one_pass(self):
+        rng = np.random.default_rng(6)
+        per_start = {
+            "forward_full": masked_forward_full,
+            "forward_avoid": masked_forward_avoid,
+            "backward_avoid": masked_backward_avoid,
+        }
+        for mem_num, mem_fin in oracle_cases():
+            n = mem_num.shape[1]
+            starts = np.arange(n)
+            for k in (0, 1, 2, 17):
+                seq = random_seq(rng, mem_num.shape[0], k)
+                for name, oracle in per_start.items():
+                    tab = getattr(NUMPY_BACKEND, name)(mem_num, mem_fin, seq, starts)
+                    assert tab.shape == (k + 1, n, n)
+                    for s in starts:
+                        want = oracle(mem_num, mem_fin, seq, s)
+                        assert_masked_equal(decode(tab[:, s]), want)
+                through = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, starts)
+                for s in starts:
+                    want = masked_through_anchor(mem_num, mem_fin, seq, s)
+                    assert_masked_equal(decode(through[s]), want)
+                assert_masked_equal(
+                    decode(NUMPY_BACKEND.initial_to_anchor(mem_num, mem_fin, seq)),
+                    masked_initial_to_anchor(mem_num, mem_fin, seq),
+                )
+                assert_masked_equal(
+                    decode(NUMPY_BACKEND.final_from_anchor(mem_num, mem_fin, seq)),
+                    masked_final_from_anchor(mem_num, mem_fin, seq),
+                )
+
+    def test_single_start_row_matches_all_starts(self):
+        rng = np.random.default_rng(8)
+        mem_num, mem_fin = random_members(rng, 3, 6)
+        seq = random_seq(rng, 3, 9)
+        every = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, np.arange(6))
+        for s in range(6):
+            one = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, [s])
+            assert np.array_equal(one[:, 0], every[:, s])
 
 
 class TestNumpyBackendSemantics:
-    """Pin down the numpy path against a tiny hand model; the numba path is
-    covered by the agreement tests above."""
+    """Pin down the kernels against a tiny hand model."""
 
     def test_matmul_all_masked_row(self):
         a_num = np.array([[0, 0], [0, 0]], dtype=np.int64)
@@ -117,34 +142,15 @@ class TestNumpyBackendSemantics:
         mem_num = np.zeros((1, 3, 3), dtype=np.int64)
         mem_fin = np.ones((1, 3, 3), dtype=bool)
         seq = np.array([0], dtype=np.int64)
-        num, fin = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, 1)
+        num, fin = decode(NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, 1))
         assert not fin[0, 0] and fin[0, 1] and not fin[0, 2]
         assert not fin[1, 0]
         assert fin[1, 1] and fin[1, 2]
 
 
-def test_both_backends_registered():
-    names = [b.name for b in available_backends()]
-    assert "numpy" in names
-    if numba_backend is not None:
-        assert "numba" in names
-
-
 def test_active_backend_selection():
-    assert _kernels.ACTIVE is (numba_backend or NUMPY_BACKEND)
-
-
-def test_env_flag_forces_numpy_backend():
-    code = (
-        "from tropical_transient import _kernels; "
-        "print(_kernels.ACTIVE.name, _kernels.NUMBA_BACKEND is None)"
-    )
-    env = dict(os.environ, **{ENV_DISABLE_NUMBA: "1"})
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["numpy", "True"]
+    assert _kernels.ACTIVE is NUMPY_BACKEND
+    assert _kernels.NUMBA_BACKEND is None
 
 
 def test_results_identical_across_backends_via_public_api(family5, seq44):
@@ -157,3 +163,90 @@ def test_results_identical_across_backends_via_public_api(family5, seq44):
     seq0 = np.array([i - 1 for i in seq44.indices], dtype=np.int64)
     num, fin = NUMPY_BACKEND.fold(mem_num, mem_fin, seq0)
     assert TropicalMatrix(num, fin, den) == product
+
+
+# -- the 2^61 guard ------------------------------------------------------------
+
+JUST_UNDER = (1 << 61) - 1
+REJECTED = (1 << 61, (1 << 62) - 1)
+
+
+def boundary_pair(total, seed):
+    """3x3 operands whose guarded magnitude sum is exactly ``total``: the
+    left holds +-(total - 1) beside masked entries, the right +-1."""
+    rng = np.random.default_rng(seed)
+    big = total - 1
+    left = [[rng.choice([big, -big, 0, None]) for _ in range(3)] for _ in range(3)]
+    right = [[rng.choice([1, -1, 0, None]) for _ in range(3)] for _ in range(3)]
+    left[0][0], left[1][1], right[0][0], right[2][2] = big, -big, 1, -1
+    to_int = lambda row: [None if x is None else int(x) for x in row]
+    return (TropicalMatrix.from_rows([to_int(r) for r in left]),
+            TropicalMatrix.from_rows([to_int(r) for r in right]))
+
+
+def boundary_family(total, length):
+    """Two 2x2 members of largest magnitude total // length, so folds of
+    ``length`` factors are guarded at just that total."""
+    p = total // length
+    return MatrixFamily([
+        TropicalMatrix.from_rows([[p, -p], [None, -p]]),
+        TropicalMatrix.from_rows([[-p, None], [p, 0]]),
+    ])
+
+
+SEQUENCES = [[a, b, c] for a in (1, 2) for b in (1, 2) for c in (1, 2)]
+
+
+class TestGuardBoundary:
+    """Magnitudes just under 2^61 compute exactly; 2^61 and above raise."""
+
+    def test_matmul_just_under_matches_fraction_oracle(self):
+        for seed in range(20):
+            a, b = boundary_pair(JUST_UNDER, seed)
+            assert grid(a @ b) == naive_matmul(grid(a), grid(b))
+
+    def test_fold_just_under_matches_fraction_oracle(self):
+        family = boundary_family(JUST_UNDER, 3)
+        grids = [grid(m) for m in family.members]
+        for seq in SEQUENCES:
+            product = fold(family, seq)
+            assert grid(product) == naive_fold([grids[i - 1] for i in seq])
+        # the extremes are reached: +-3p sits just inside +-2^61
+        cube = grid(fold(family, [1, 1, 1]))
+        assert cube[0][0] == 3 * (JUST_UNDER // 3)
+        assert cube[1][1] == -3 * (JUST_UNDER // 3)
+
+    def test_sweep_just_under_matches_fraction_oracle(self):
+        family = boundary_family(JUST_UNDER, 3)
+        grids = [grid(m) for m in family.members]
+        for seq in SEQUENCES:
+            want = naive_fold([grids[i - 1] for i in seq])
+            trellis = build_trellis(family, seq)
+            for i in (1, 2):
+                for j in (1, 2):
+                    walk = optimal_full_walk(trellis, i, j)
+                    got = walk.weight if walk.exists else None
+                    assert got == want[i - 1][j - 1]
+
+    @pytest.mark.parametrize("total", REJECTED)
+    def test_matmul_rejects(self, total):
+        a, b = boundary_pair(total, 0)
+        with pytest.raises(OverflowError):
+            a @ b
+
+    @pytest.mark.parametrize("total", REJECTED)
+    def test_fold_and_sweep_reject(self, total):
+        length = 2 if total == 1 << 61 else 3
+        family = boundary_family(total, length)
+        assert (total // length) * length == total
+        seq = [1] * length
+        with pytest.raises(OverflowError):
+            fold(family, seq)
+        with pytest.raises(OverflowError):
+            optimal_full_walk(build_trellis(family, seq), 1, 1)
+
+    def test_entries_below_the_storage_limit_are_kept_exactly(self):
+        big = (1 << 62) - 1
+        m = TropicalMatrix.from_rows([[big, None], [-big, 0]])
+        assert m.entry(0, 0) == Fraction(big)
+        assert m.entry(1, 0) == Fraction(-big)
