@@ -299,7 +299,6 @@ class TestInputErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("overflow: ")
-        assert "Traceback" not in err
 
 
 def console_script_command(name):

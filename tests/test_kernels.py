@@ -105,15 +105,6 @@ class TestOracleAgreement:
                     masked_final_from_anchor(mem_num, mem_fin, seq),
                 )
 
-    def test_single_start_row_matches_all_starts(self):
-        rng = np.random.default_rng(8)
-        mem_num, mem_fin = random_members(rng, 3, 6)
-        seq = random_seq(rng, 3, 9)
-        every = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, np.arange(6))
-        for s in range(6):
-            one = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, [s])
-            assert np.array_equal(one[:, 0], every[:, s])
-
 
 class TestNumpyBackendSemantics:
     """Pin down the kernels against a tiny hand model."""
