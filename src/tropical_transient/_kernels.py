@@ -25,6 +25,10 @@ sweep), so one pass serves every start.  Each trellis DP is such a sweep
 over members edited around node 0, the distinguished node (node 1 in the
 1-based labels of the public API): cut off, made absorbing, or split into
 a "not yet visited" and a "visited" copy.
+
+The family-side derivations use the same encoding: ``walk_table`` is a
+sweep through one matrix (Karp's table, cycle-mean potentials) and
+``closure`` is a Floyd-Warshall pass for best path weights.
 """
 
 from __future__ import annotations
@@ -70,6 +74,34 @@ def _sweep(layers: np.ndarray, seq: np.ndarray, state: np.ndarray,
     for l, s in enumerate(seq, start=1):
         _product(tab[l - 1], layers[s], out=tab[l])
     return tab
+
+
+def walk_table(a: np.ndarray, state: np.ndarray, k: int) -> np.ndarray:
+    """state, state (x) a, ..., state (x) a^k stacked as (k + 1, *state.shape).
+
+    Callers keep the magnitude of state plus k times that of a below
+    ``2**61``.
+    """
+    return _sweep(a[None], np.zeros(k, dtype=np.intp), state)
+
+
+def closure(a: np.ndarray) -> Optional[np.ndarray]:
+    """Kleene-plus closure a (+) a^2 (+) ... of an encoded square matrix.
+
+    Step k lets walks pass through node k, as one rank-1 max update.  The
+    pass stops with None as soon as a diagonal entry is nonnegative, that
+    is once some cycle has weight >= 0.  Until then every finite entry is
+    the weight of a simple path (of a simple cycle on the diagonal), so no
+    sum exceeds 2n times the largest input magnitude, which callers keep
+    below ``2**61``; sums with a masked term are reset to MASKED.
+    """
+    d = a.copy()
+    for k in range(d.shape[0]):
+        np.maximum(d, d[:, k, None] + d[k], out=d)
+        d[d <= FLOOR] = MASKED
+        if (d.diagonal() >= 0).any():
+            return None
+    return d
 
 
 def _units(n: int, rows) -> np.ndarray:

@@ -31,21 +31,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
+import numpy as np
+
+from . import _kernels
 from .errors import DimensionError
 from .family import MatrixFamily
-from .matrix import TropicalMatrix
-from .semiring import EPSILON, Epsilon, Weight, oplus
-
-
-def _quotient(numerator: Weight, lam: Weight) -> Weight:
-    """numerator / lam with the conventions used by the bound terms."""
-    if isinstance(numerator, Epsilon):
-        return EPSILON
-    if isinstance(lam, Epsilon):
-        return Fraction(0)
-    return numerator / lam
+from .matrix import TropicalMatrix, _check_magnitude
+from .semiring import Epsilon, Weight
 
 
 @dataclass(frozen=True)
@@ -88,72 +81,51 @@ def compute_bound_report(
     if not isinstance(lam, Epsilon) and lam >= 0:
         raise DimensionError("bound terms need a negative or -inf cycle mean")
 
-    const1 = Fraction(n - 1)
-    const2 = Fraction(2 * (n - 1))
-    t1_rows: list[list[Weight]] = []
-    t2_rows: list[list[Weight]] = []
-    per_rows: list[list[Weight]] = []
-    overall: Optional[Fraction] = None
-    argmax: Optional[tuple[int, int, str]] = None
-    for i in range(n):
-        w_i = w.entry(i, 0)
-        r_i = _sub(w_i, alpha.entry(i, 0))
-        t1_row: list[Weight] = []
-        t2_row: list[Weight] = []
-        per_row: list[Weight] = []
-        for j in range(n):
-            v_j = v.entry(j, 0)
-            t1_num = _sub(_add(w_i, v_j), gamma.entry(i, j))
-            t1 = _shift(_quotient(t1_num, lam), const1)
-            t2_num = _add(r_i, _sub(v_j, beta.entry(j, 0)))
-            t2 = _shift(_quotient(t2_num, lam), const2)
-            entry = oplus(t1, t2)
-            t1_row.append(t1)
-            t2_row.append(t2)
-            per_row.append(entry)
-            if not isinstance(entry, Epsilon):
-                if overall is None or entry > overall:
-                    overall = entry
-                    from_t1 = not isinstance(t1, Epsilon) and entry == t1
-                    argmax = (i + 1, j + 1, "term1" if from_t1 else "term2")
-        t1_rows.append(t1_row)
-        t2_rows.append(t2_row)
-        per_rows.append(per_row)
-    if overall is None:
+    vectors = (w, v, alpha, beta)
+    w_fin, v_fin, a_fin, b_fin = (m._fin[:, 0] for m in vectors)
+    fin1 = w_fin[:, None] & v_fin & gamma._fin
+    fin2 = (w_fin & a_fin)[:, None] & (v_fin & b_fin)
+    const1, const2 = n - 1, 2 * (n - 1)
+    if isinstance(lam, Epsilon):
+        # Every quotient is 0: the terms are the bare constants.
+        scale = 1
+        t1 = np.full((n, n), const1, dtype=np.int64)
+        t2 = np.full((n, n), const2, dtype=np.int64)
+    else:
+        # With lam = -p / q, a numerator N on the grid 1 / den gives
+        # N / lam + c = (c den p - q N) / (den p).
+        den = TropicalMatrix.common_denominator(vectors + (gamma,))
+        w_num, v_num, a_num, b_num = (m.scaled(den)[0][:, 0] for m in vectors)
+        g_num = gamma.scaled(den)[0]
+        p, q = -lam.numerator, lam.denominator
+        scale = den * p
+        mw, mv, ma, mb, mg = (int(np.abs(x).max()) for x in (w_num, v_num, a_num, b_num, g_num))
+        _check_magnitude(
+            max(q * (mw + mv + mg) + const1 * scale, q * (mw + ma + mv + mb) + const2 * scale),
+            "bound terms",
+        )
+        t1 = const1 * scale - q * (w_num[:, None] + v_num - g_num)
+        t2 = const2 * scale - q * ((w_num - a_num)[:, None] + (v_num - b_num))
+    both = fin1 & fin2
+    per_fin = fin1 | fin2
+    if not per_fin.any():
         raise DimensionError("no entry pair yields a finite bound")
+    per = np.where(both, np.maximum(t1, t2), np.where(fin1, t1, t2))
+    # The first row-major entry attaining the maximum; term1 wins ties.
+    i, j = divmod(int(np.argmax(np.where(per_fin, per, _kernels.MASKED))), n)
+    overall = Fraction(int(per[i, j]), scale)
+    from_t1 = bool(fin1[i, j]) and t1[i, j] == per[i, j]
     return BoundReport(
         mode=mode,
-        term1=TropicalMatrix.from_rows(t1_rows),
-        term2=TropicalMatrix.from_rows(t2_rows),
-        per_entry=TropicalMatrix.from_rows(per_rows),
+        term1=TropicalMatrix(t1, fin1, scale),
+        term2=TropicalMatrix(t2, fin2, scale),
+        per_entry=TropicalMatrix(per, per_fin, scale),
         overall=overall,
-        argmax=argmax,
+        argmax=(i + 1, j + 1, "term1" if from_t1 else "term2"),
         min_sufficient_length=math.floor(overall) + 1,
         lambda_star=lam,
         lambda_star_undefined=isinstance(lam, Epsilon),
     )
-
-
-def _add(a: Weight, b: Weight) -> Weight:
-    if isinstance(a, Epsilon) or isinstance(b, Epsilon):
-        return EPSILON
-    return a + b
-
-
-def _sub(a: Weight, b: Weight) -> Weight:
-    # a - b where b = -inf makes the combined term unconstrained: the
-    # callers only subtract path weights that are finite whenever a is.
-    if isinstance(a, Epsilon):
-        return EPSILON
-    if isinstance(b, Epsilon):
-        return EPSILON
-    return a - b
-
-
-def _shift(q: Weight, c: Fraction) -> Weight:
-    if isinstance(q, Epsilon):
-        return EPSILON
-    return q + c
 
 
 def explicit_bound(family: MatrixFamily) -> BoundReport:
@@ -183,8 +155,9 @@ def implicit_bound(family: MatrixFamily, product: TropicalMatrix) -> BoundReport
     if product.shape != (family.size, family.size):
         raise DimensionError("product must match the family dimension")
     derived = family.sup_derived
-    w = TropicalMatrix.from_rows([[product.entry(i, 0)] for i in range(product.rows)])
-    v = TropicalMatrix.from_rows([[product.entry(0, j)] for j in range(product.cols)])
+    num, fin = product.scaled(product.denominator)
+    w = TropicalMatrix(num[:, :1], fin[:, :1], product.denominator)
+    v = TropicalMatrix(num[:1].T, fin[:1].T, product.denominator)
     return compute_bound_report(
         w=w,
         v=v,

@@ -14,15 +14,17 @@ matrix convention; array indices are 0-based internally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
 import numpy as np
 
+from . import _kernels
 from .errors import AssumptionError, DimensionError
-from .matrix import TropicalMatrix, walk_closure
-from .semiring import EPSILON, Epsilon, Weight, ZERO
+from .matrix import TropicalMatrix, _check_magnitude, kleene_plus
+from .semiring import EPSILON, Epsilon, Weight
 
 
 @dataclass(frozen=True)
@@ -145,46 +147,42 @@ class CycleMeanResult:
 
 def _karp_component(num: np.ndarray, fin: np.ndarray, den: int,
                     comp: list[int]) -> Optional[Fraction]:
-    ns = len(comp)
-    pos = {v: t for t, v in enumerate(comp)}
-    edges = [
-        (pos[u], pos[v], int(num[u, v]))
-        for u in comp
-        for v in np.nonzero(fin[u])[0]
-        if int(v) in pos
-    ]
-    if not edges:
+    idx = np.asarray(comp)
+    sub_num = num[np.ix_(idx, idx)]
+    sub_fin = fin[np.ix_(idx, idx)]
+    if not sub_fin.any():
         return None
-    # F[k][v] = best weight of a length-k walk from the source inside the
-    # component; None where no such walk exists.
-    F: list[list[Optional[int]]] = [[None] * ns for _ in range(ns + 1)]
-    F[0][0] = 0
-    for k in range(1, ns + 1):
-        prev = F[k - 1]
-        cur = F[k]
-        for u, v, w in edges:
-            pu = prev[u]
-            if pu is None:
-                continue
-            s = pu + w
-            if cur[v] is None or s > cur[v]:
-                cur[v] = s
-    best: Optional[Fraction] = None
-    for v in range(ns):
-        top = F[ns][v]
-        if top is None:
-            continue
-        inner: Optional[Fraction] = None
-        for k in range(ns):
-            fk = F[k][v]
-            if fk is None:
-                continue
-            cand = Fraction(top - fk, den * (ns - k))
-            if inner is None or cand < inner:
-                inner = cand
-        if inner is not None and (best is None or inner > best):
-            best = inner
-    return best
+    ns = len(comp)
+    # Table entries stay within ns * big; the cross-multiplied quotients
+    # below reach (2 ns - 1) * ns * big.
+    big = int(np.abs(sub_num).max())
+    _check_magnitude((2 * ns - 1) * ns * big, "cycle mean")
+    # F[k, v] = best weight of a length-k walk from the source comp[0] to v
+    # inside the component.
+    source = np.full(ns, _kernels.MASKED)
+    source[0] = 0
+    F = _kernels.walk_table(_kernels.encode(sub_num, sub_fin), source, ns)
+    walked = F > _kernels.FLOOR
+    top = F[ns]
+    # Per node v, the smallest (top - F[k]) / (ns - k) as a numerator and
+    # denominator pair; a denominator of 0 means no quotient yet.
+    q_num = np.zeros(ns, dtype=np.int64)
+    q_den = np.zeros(ns, dtype=np.int64)
+    for k in range(ns):
+        ok = walked[k] & walked[ns]
+        c_num = np.where(ok, top - F[k], 0)
+        c_den = ns - k
+        better = ok & ((q_den == 0) | (c_num * q_den < q_num * c_den))
+        q_num[better] = c_num[better]
+        q_den[better] = c_den
+    best: Optional[tuple[int, int]] = None
+    has = q_den > 0
+    for p, q in zip(q_num[has].tolist(), q_den[has].tolist()):
+        if best is None or p * best[1] > best[0] * q:
+            best = (p, q)
+    if best is None:
+        return None
+    return Fraction(best[0], den * best[1])
 
 
 def _critical_cycle(num: np.ndarray, fin: np.ndarray, den: int,
@@ -192,30 +190,19 @@ def _critical_cycle(num: np.ndarray, fin: np.ndarray, den: int,
     """A canonical cycle of mean lam: the one that is lexicographically
     smallest among critical cycles written from their smallest node."""
     n = fin.shape[0]
-    weights: dict[tuple[int, int], Fraction] = {}
-    for u in range(n):
-        for v in np.nonzero(fin[u])[0]:
-            weights[(u, int(v))] = Fraction(int(num[u, v]), den) - lam
+    # Edge weights a_uv - lam, scaled to integers by lcm(den, q) for
+    # lam = p / q.
+    g = math.gcd(den, lam.denominator)
+    scale, shift = lam.denominator // g, lam.numerator * (den // g)
+    _check_magnitude(max(int(np.abs(num).max()) * scale, abs(shift)), "critical cycle")
+    w = np.where(fin, num * scale - shift, 0)
+    top = int(np.abs(w).max())
+    _check_magnitude(n * top, "critical cycle")
     # Longest-path potentials from a virtual source: after normalization no
-    # cycle is positive, so the relaxation reaches a fixed point.
-    d = [ZERO] * n
-    for _ in range(n + 2):
-        changed = False
-        for (u, v), w in weights.items():
-            cand = d[u] + w
-            if cand > d[v]:
-                d[v] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        raise RuntimeError("cycle mean potentials failed to converge")
-    tight = [[] for _ in range(n)]
-    for (u, v), w in weights.items():
-        if d[u] + w == d[v]:
-            tight[u].append(v)
-    for u in range(n):
-        tight[u].sort()
+    # cycle is positive, so best walks are paths of at most n - 1 edges.
+    d = _kernels.walk_table(_kernels.encode(w, fin), np.zeros(n, dtype=np.int64), n - 1)
+    d = d.max(axis=0)
+    tight = [row.tolist() for row in map(np.flatnonzero, fin & (d[:, None] + w == d))]
 
     def reaches(target: int, frontier: int, banned: set[int]) -> bool:
         seen = {frontier}
@@ -230,10 +217,7 @@ def _critical_cycle(num: np.ndarray, fin: np.ndarray, den: int,
                     stack.append(y)
         return False
 
-    on_cycle = [
-        u for u in range(n) if tight[u] and reaches(u, u, set())
-    ]
-    start = min(on_cycle)
+    start = next(u for u in range(n) if tight[u] and reaches(u, u, set()))
     # Greedy lexicographic walk through the tight subgraph; every tight
     # cycle has mean lam, so any simple cycle found here is critical.
     # Nodes below start cannot lie on a cycle through start (start is the
@@ -307,6 +291,36 @@ def _require_negative_lambda(a_sup: TropicalMatrix, what: str) -> None:
         )
 
 
+def _avoiding_closure(m: TropicalMatrix, what: str) -> TropicalMatrix:
+    """Kleene-plus closure of m, none of whose cycles touches node 1.
+
+    The closure itself notices a cycle of weight >= 0; only then does Karp
+    run, to name the maximum off-1 cycle mean in the error.
+    """
+    closed = kleene_plus(m)
+    if closed is None:
+        _require_negative_lambda(m, what)
+        raise RuntimeError("closure and cycle mean disagree on an off-1 cycle")
+    return closed
+
+
+def one_anchored_paths(m: TropicalMatrix, to_one: bool, what: str) -> TropicalMatrix:
+    """Column vector of best path weights on D_m into node 1 (to_one) or
+    out of it, touching node 1 only at that end; entry 1 is 0.
+
+    Node 1 is made absorbing (no edge leaves it, or none enters it), so
+    the remaining cycles are the off-1 ones, which must be negative.
+    """
+    absorbed = m.with_row_eps(0) if to_one else m.with_col_eps(0)
+    closed = _avoiding_closure(absorbed, what)
+    if not to_one:
+        closed = closed.transpose()
+    num, fin = closed._num[:, :1].copy(), closed._fin[:, :1].copy()
+    num[0] = 0
+    fin[0] = True
+    return TropicalMatrix(num, fin, closed.denominator)
+
+
 def best_paths_to_one(a_sup: TropicalMatrix) -> TropicalMatrix:
     """Column vector of best path weights from each node into node 1.
 
@@ -315,14 +329,7 @@ def best_paths_to_one(a_sup: TropicalMatrix) -> TropicalMatrix:
     off-1 maximum cycle mean to be negative (else suprema need not be
     attained by paths).
     """
-    _require_negative_lambda(a_sup, "best paths into node 1")
-    n = a_sup.rows
-    if n == 1:
-        return TropicalMatrix.from_rows([[0]])
-    absorbed = a_sup.with_row_eps(0)
-    closure = walk_closure(absorbed, n - 1)
-    col = [[ZERO]] + [[closure.entry(i, 0)] for i in range(1, n)]
-    return TropicalMatrix.from_rows(col)
+    return one_anchored_paths(a_sup, True, "best paths into node 1")
 
 
 def best_paths_from_one(a_sup: TropicalMatrix) -> TropicalMatrix:
@@ -332,14 +339,7 @@ def best_paths_from_one(a_sup: TropicalMatrix) -> TropicalMatrix:
     its start; entry 1 is 0.  Same precondition as
     :func:`best_paths_to_one`.
     """
-    _require_negative_lambda(a_sup, "best paths out of node 1")
-    n = a_sup.rows
-    if n == 1:
-        return TropicalMatrix.from_rows([[0]])
-    absorbed = a_sup.with_col_eps(0)
-    closure = walk_closure(absorbed, n - 1)
-    col = [[ZERO]] + [[closure.entry(0, j)] for j in range(1, n)]
-    return TropicalMatrix.from_rows(col)
+    return one_anchored_paths(a_sup, False, "best paths out of node 1")
 
 
 def avoiding_walk_weights(a_sup: TropicalMatrix) -> TropicalMatrix:
@@ -347,17 +347,12 @@ def avoiding_walk_weights(a_sup: TropicalMatrix) -> TropicalMatrix:
 
     Entry (i, j) is the maximum weight over walks i -> j of length at
     least one that never touch node 1; row 1 and column 1 are -inf, and
-    the diagonal ranges over cycles.  Computed as the walk closure of the
-    node-1-deleted submatrix up to length n - 1, which is exhaustive when
-    all avoiding cycles are negative.
+    the diagonal ranges over cycles.  Computed as the closure of a_sup
+    with every edge at node 1 removed, which requires all avoiding cycles
+    to be negative.
     """
-    _require_negative_lambda(a_sup, "avoiding walk weights")
-    n = a_sup.rows
-    if n == 1:
-        return TropicalMatrix.eps(1, 1)
-    sub = a_sup.delete_node(0)
-    closure = walk_closure(sub, n - 1)
-    return closure.embed(n, 1)
+    cut = a_sup.with_row_eps(0).with_col_eps(0)
+    return _avoiding_closure(cut, "avoiding walk weights")
 
 
 def validation_witness(kind: str, **fields) -> Mapping[str, object]:

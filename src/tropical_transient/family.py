@@ -32,11 +32,12 @@ from .digraph import (
     is_irreducible,
     lambda_star,
     max_cycle_mean,
+    one_anchored_paths,
     validation_witness,
 )
 from .errors import AssumptionError, DimensionError
-from .matrix import TropicalMatrix, walk_closure
-from .semiring import EPSILON, Epsilon, ZERO, weight_token
+from .matrix import TropicalMatrix
+from .semiring import EPSILON, Epsilon, weight_token
 
 
 @dataclass(frozen=True)
@@ -234,39 +235,21 @@ class MatrixFamily:
             gamma=avoiding_walk_weights(a_sup),
         )
 
-    def inf_walk_to_one(self, cap: Optional[int] = None) -> TropicalMatrix:
+    def inf_walk_to_one(self) -> TropicalMatrix:
         """Column vector w: entry i is the best weight of a walk i -> 1 in
         D_{A_inf} touching node 1 only at its end (entry 1 is 0).
 
-        Walks longer than n - 1 edges cannot improve on shorter ones when
-        off-1 cycles are negative, so the default cap n - 1 is exhaustive;
-        a larger cap is accepted for cross-checking.
+        Off-1 cycles are negative, so best walks are paths and the closure
+        over all lengths is exact.
         """
         self.require_valid("walk weights on A_inf")
-        return self._inf_vector(to_one=True, cap=cap)
+        return one_anchored_paths(self.a_inf, True, "walk weights on A_inf")
 
-    def inf_walk_from_one(self, cap: Optional[int] = None) -> TropicalMatrix:
+    def inf_walk_from_one(self) -> TropicalMatrix:
         """Column vector v: entry j is the best weight of a walk 1 -> j in
         D_{A_inf} touching node 1 only at its start (entry 1 is 0)."""
         self.require_valid("walk weights on A_inf")
-        return self._inf_vector(to_one=False, cap=cap)
-
-    def _inf_vector(self, to_one: bool, cap: Optional[int]) -> TropicalMatrix:
-        n = self._n
-        if cap is None:
-            cap = n - 1
-        if cap < 0:
-            raise ValueError("walk length cap must be nonnegative")
-        if n == 1:
-            return TropicalMatrix.from_rows([[0]])
-        a_inf = self.a_inf
-        absorbed = a_inf.with_row_eps(0) if to_one else a_inf.with_col_eps(0)
-        closure = walk_closure(absorbed, cap)
-        if to_one:
-            col = [[ZERO]] + [[closure.entry(i, 0)] for i in range(1, n)]
-        else:
-            col = [[ZERO]] + [[closure.entry(0, j)] for j in range(1, n)]
-        return TropicalMatrix.from_rows(col)
+        return one_anchored_paths(self.a_inf, False, "walk weights on A_inf")
 
     # -- kernel staging -----------------------------------------------------
 
@@ -286,6 +269,12 @@ class MatrixFamily:
         mem_fin.setflags(write=False)
         return mem_num, mem_fin, den
 
+    @cached_property
+    def layer_magnitude(self) -> int:
+        """Largest scaled |entry| over all members: the most one layer of
+        a walk can add to its weight on the ``stacked`` grid."""
+        return int(np.abs(self.stacked[0]).max())
+
     def __repr__(self) -> str:
         return f"MatrixFamily(n={self._n}, members={len(self._members)})"
 
@@ -300,10 +289,4 @@ def max_walk_magnitude(family: MatrixFamily, length: int) -> int:
 
     Used to guard the int64 budget before long folds or DP sweeps.
     """
-    mem_num, mem_fin, _ = family.stacked
-    per_layer = 0
-    for t in range(mem_num.shape[0]):
-        fin = mem_fin[t]
-        if fin.any():
-            per_layer = max(per_layer, int(np.abs(mem_num[t][fin]).max()))
-    return per_layer * max(length, 0)
+    return family.layer_magnitude * max(length, 0)

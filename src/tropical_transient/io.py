@@ -27,13 +27,17 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from .errors import FamilyFileError
 from .family import MatrixFamily
 from .matrix import TropicalMatrix
 from .products import ProductSequence
-from .semiring import Weight, weight_from_token, weight_token
+from .semiring import Weight, weight_from_token
 
 PathLike = Union[str, Path]
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _load_json(path: PathLike):
@@ -141,11 +145,27 @@ def load_expected(path: PathLike) -> dict:
     return data
 
 
+def _reduced(num: np.ndarray, fin: np.ndarray, den: int) -> tuple[list, list, list]:
+    """Numerators, denominators and finiteness of num / den in lowest
+    terms, as nested Python lists."""
+    if den > _INT64_MAX:
+        num = num.astype(object)
+    g = np.gcd(num, den)
+    return (num // g).tolist(), (den // g).tolist(), fin.tolist()
+
+
+def _token_row(p: list, q: list, fin: list) -> list:
+    # The tokens of semiring.weight_token, from reduced pairs.
+    return [(a if b == 1 else f"{a}/{b}") if f else "-inf" for a, b, f in zip(p, q, fin)]
+
+
 def matrix_tokens(m: TropicalMatrix) -> list[list]:
     """Matrix entries as JSON-ready tokens, row by row."""
-    return [[weight_token(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    num, fin = m.scaled(m.denominator)
+    return [_token_row(*row) for row in zip(*_reduced(num, fin, m.denominator))]
 
 
 def column_tokens(m: TropicalMatrix) -> list:
     """Column-vector entries as JSON-ready tokens."""
-    return [weight_token(m.entry(i, 0)) for i in range(m.rows)]
+    num, fin = m.scaled(m.denominator)
+    return _token_row(*_reduced(num[:, 0], fin[:, 0], m.denominator))

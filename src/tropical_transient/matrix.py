@@ -375,3 +375,20 @@ def walk_closure(m: TropicalMatrix, max_len: int) -> TropicalMatrix:
         cur = cur @ m
         acc = acc.oplus(cur)
     return acc
+
+
+def kleene_plus(m: TropicalMatrix) -> Optional[TropicalMatrix]:
+    """The walk closure over all lengths, or None when a cycle of D_m has
+    weight >= 0.
+
+    With every cycle negative, best walks are simple paths and simple
+    cycles, so the result equals ``walk_closure(m, n)``; it is computed by
+    n Floyd-Warshall steps instead of n matrix products.
+    """
+    if not m.is_square:
+        raise DimensionError("walk closure needs a square matrix")
+    _check_magnitude(2 * m.rows * m.max_abs_numerator, "walk closure")
+    closed = _kernels.closure(_kernels.encode(m._num, m._fin))
+    if closed is None:
+        return None
+    return TropicalMatrix(*_kernels.decode(closed), m.denominator)

@@ -11,11 +11,16 @@ explicit finiteness masks.  They are the reference for the sentinel
 kernels in ``tropical_transient._kernels``.
 """
 
+import math
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
-from tropical_transient.semiring import EPSILON, Epsilon
+from tropical_transient.bounds import BoundReport
+from tropical_transient.errors import DimensionError
+from tropical_transient.matrix import TropicalMatrix
+from tropical_transient.semiring import EPSILON, Epsilon, Weight, oplus
 
 
 def grid(matrix):
@@ -425,3 +430,199 @@ def masked_through_anchor(mem_num, mem_fin, seq, start):
         nt_num, nt_fin = new_nt_num, new_nt_fin
         t_num, t_fin = new_t_num, new_t_fin
     return t_num, t_fin
+
+
+# ---------------------------------------------------------------------------
+# Bound terms one entry pair at a time, in Fraction arithmetic (the package's
+# earlier compute_bound_report, kept as the reference for the integer grid)
+# ---------------------------------------------------------------------------
+
+def _quotient(numerator: Weight, lam: Weight) -> Weight:
+    """numerator / lam with the conventions used by the bound terms."""
+    if isinstance(numerator, Epsilon):
+        return EPSILON
+    if isinstance(lam, Epsilon):
+        return Fraction(0)
+    return numerator / lam
+
+
+def fraction_bound_report(
+    w: TropicalMatrix,
+    v: TropicalMatrix,
+    alpha: TropicalMatrix,
+    beta: TropicalMatrix,
+    gamma: TropicalMatrix,
+    lam: Weight,
+    mode: str,
+) -> BoundReport:
+    """Evaluate both bound terms from already derived vectors.
+
+    w, v, alpha and beta are n x 1 column vectors, gamma is n x n, and lam
+    is the off-1 maximum cycle mean.  The argmax is the first entry pair
+    in row-major order attaining the overall bound, preferring term1 when
+    both terms attain it at that entry.
+    """
+    n = w.rows
+    for vec in (v, alpha, beta):
+        if vec.shape != (n, 1):
+            raise DimensionError("bound vectors must be matching n x 1 columns")
+    if gamma.shape != (n, n):
+        raise DimensionError("gamma must be n x n")
+    if not isinstance(lam, Epsilon) and lam >= 0:
+        raise DimensionError("bound terms need a negative or -inf cycle mean")
+
+    const1 = Fraction(n - 1)
+    const2 = Fraction(2 * (n - 1))
+    t1_rows: list[list[Weight]] = []
+    t2_rows: list[list[Weight]] = []
+    per_rows: list[list[Weight]] = []
+    overall: Optional[Fraction] = None
+    argmax: Optional[tuple[int, int, str]] = None
+    for i in range(n):
+        w_i = w.entry(i, 0)
+        r_i = _sub(w_i, alpha.entry(i, 0))
+        t1_row: list[Weight] = []
+        t2_row: list[Weight] = []
+        per_row: list[Weight] = []
+        for j in range(n):
+            v_j = v.entry(j, 0)
+            t1_num = _sub(_add(w_i, v_j), gamma.entry(i, j))
+            t1 = _shift(_quotient(t1_num, lam), const1)
+            t2_num = _add(r_i, _sub(v_j, beta.entry(j, 0)))
+            t2 = _shift(_quotient(t2_num, lam), const2)
+            entry = oplus(t1, t2)
+            t1_row.append(t1)
+            t2_row.append(t2)
+            per_row.append(entry)
+            if not isinstance(entry, Epsilon):
+                if overall is None or entry > overall:
+                    overall = entry
+                    from_t1 = not isinstance(t1, Epsilon) and entry == t1
+                    argmax = (i + 1, j + 1, "term1" if from_t1 else "term2")
+        t1_rows.append(t1_row)
+        t2_rows.append(t2_row)
+        per_rows.append(per_row)
+    if overall is None:
+        raise DimensionError("no entry pair yields a finite bound")
+    return BoundReport(
+        mode=mode,
+        term1=TropicalMatrix.from_rows(t1_rows),
+        term2=TropicalMatrix.from_rows(t2_rows),
+        per_entry=TropicalMatrix.from_rows(per_rows),
+        overall=overall,
+        argmax=argmax,
+        min_sufficient_length=math.floor(overall) + 1,
+        lambda_star=lam,
+        lambda_star_undefined=isinstance(lam, Epsilon),
+    )
+
+
+def _add(a: Weight, b: Weight) -> Weight:
+    if isinstance(a, Epsilon) or isinstance(b, Epsilon):
+        return EPSILON
+    return a + b
+
+
+def _sub(a: Weight, b: Weight) -> Weight:
+    # a - b where b = -inf makes the combined term unconstrained: the
+    # callers only subtract path weights that are finite whenever a is.
+    if isinstance(a, Epsilon):
+        return EPSILON
+    if isinstance(b, Epsilon):
+        return EPSILON
+    return a - b
+
+
+def _shift(q: Weight, c: Fraction) -> Weight:
+    if isinstance(q, Epsilon):
+        return EPSILON
+    return q + c
+
+
+# ---------------------------------------------------------------------------
+# Maximum cycle mean by Howard policy iteration (Cochet-Terrasson, Cohen,
+# Gaubert, McGettrick and Quadrat, 1998), independent of Karp's algorithm
+# ---------------------------------------------------------------------------
+
+def _policy_values(g, policy, old_bias):
+    """Cycle mean reached (eta) and bias of every node under a policy.
+
+    On each policy cycle the smallest node keeps its previous bias (0 the
+    first time), the normalisation under which policy iteration settles.
+    """
+    eta, bias = {}, {}
+    for root in policy:
+        path, node = [], root
+        while node not in eta and node not in path:
+            path.append(node)
+            node = policy[node]
+        if node not in eta:
+            # path ends in a new cycle starting at node.
+            cycle = path[path.index(node):]
+            mean = Fraction(sum(g[u][policy[u]] for u in cycle), len(cycle))
+            k = cycle.index(min(cycle))
+            anchor = cycle[k]
+            eta[anchor] = mean
+            bias[anchor] = old_bias.get(anchor, Fraction(0))
+            path = path[:path.index(node)] + cycle[k + 1:] + cycle[:k]
+        for u in reversed(path):
+            nxt = policy[u]
+            eta[u] = eta[nxt]
+            bias[u] = g[u][nxt] - eta[u] + bias[nxt]
+    return eta, bias
+
+
+def howard_max_cycle_mean(g, forbidden=()):
+    """(best mean, one cycle attaining it) or (None, None) when acyclic.
+
+    The cycle is a tuple of 0-based nodes starting at its smallest one.
+    Before returning, the final policy's values are checked as a
+    certificate: no edge leads to a larger reached mean, and within a
+    mean class no edge improves the bias, so no cycle beats the returned
+    one.
+    """
+    n = len(g)
+    alive = {v for v in range(n) if v not in forbidden}
+    while True:
+        # Nodes without a successor lie on no cycle.
+        succ = {v: [u for u in range(n) if u in alive and g[v][u] is not None]
+                for v in alive}
+        dead = {v for v, out in succ.items() if not out}
+        if not dead:
+            break
+        alive -= dead
+    if not alive:
+        return None, None
+    policy = {v: max(succ[v], key=lambda u: (g[v][u], -u)) for v in sorted(alive)}
+    bias = {}
+    for _ in range(100 * n):
+        eta, bias = _policy_values(g, policy, bias)
+        new = dict(policy)
+        for v in policy:
+            best = max(succ[v], key=lambda u: eta[u])
+            if eta[best] > eta[v]:
+                new[v] = best
+        if new == policy:
+            for v in policy:
+                same = [u for u in succ[v] if eta[u] == eta[v]]
+                best = max(same, key=lambda u: g[v][u] + bias[u])
+                if g[v][best] - eta[v] + bias[best] > bias[v]:
+                    new[v] = best
+        if new == policy:
+            break
+        policy = new
+    else:
+        raise RuntimeError("policy iteration did not settle")
+    for v in policy:
+        for u in succ[v]:
+            assert eta[u] <= eta[v]
+            assert eta[u] < eta[v] or g[v][u] - eta[v] + bias[u] <= bias[v]
+    lam = max(eta.values())
+    node = min(v for v in policy if eta[v] == lam)
+    seen = []
+    while node not in seen:
+        seen.append(node)
+        node = policy[node]
+    cycle = seen[seen.index(node):]
+    k = cycle.index(min(cycle))
+    return lam, tuple(cycle[k:] + cycle[:k])

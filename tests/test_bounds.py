@@ -12,6 +12,7 @@ from tropical_transient.bounds import (
     implicit_bound,
 )
 from tropical_transient.errors import AssumptionError, DimensionError
+from tropical_transient.family import MatrixFamily
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import fold
 from tropical_transient.semiring import EPSILON, Epsilon
@@ -37,29 +38,30 @@ def reference_bounds(w, v, alpha, beta, gamma, lam, n):
     return t1, t2
 
 
+def random_inputs(rng, n):
+    def vec(allow_eps=True):
+        return [
+            None if allow_eps and rng.random() < 0.2
+            else Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+            for _ in range(n)
+        ]
+
+    w, v, alpha, beta = vec(), vec(), vec(), vec()
+    gamma = [vec() for _ in range(n)]
+    lam = (
+        None
+        if rng.random() < 0.15
+        else Fraction(-rng.randint(1, 9), rng.randint(1, 3))
+    )
+    return w, v, alpha, beta, gamma, lam
+
+
 class TestComputeBoundReport:
-    def _random_inputs(self, rng, n):
-        def vec(allow_eps=True):
-            return [
-                None if allow_eps and rng.random() < 0.2
-                else Fraction(rng.randint(-12, 12), rng.randint(1, 3))
-                for _ in range(n)
-            ]
-
-        w, v, alpha, beta = vec(), vec(), vec(), vec()
-        gamma = [vec() for _ in range(n)]
-        lam = (
-            None
-            if rng.random() < 0.15
-            else Fraction(-rng.randint(1, 9), rng.randint(1, 3))
-        )
-        return w, v, alpha, beta, gamma, lam
-
     def test_matches_reference_formula(self):
         rng = random.Random(21)
         for _ in range(200):
             n = rng.randint(1, 5)
-            w, v, alpha, beta, gamma, lam = self._random_inputs(rng, n)
+            w, v, alpha, beta, gamma, lam = random_inputs(rng, n)
             t1_ref, t2_ref = reference_bounds(w, v, alpha, beta, gamma, lam, n)
             entries = [
                 x
@@ -144,6 +146,123 @@ class TestComputeBoundReport:
             isinstance(x, Epsilon) for row in report.term1.to_rows() for x in row
         )
         assert report.argmax[2] == "term2"
+
+
+def both_reports(w, v, alpha, beta, gamma, lam, mode="explicit"):
+    """(integer-grid report, Fraction oracle report), or the DimensionError
+    message each raised."""
+    out = []
+    for compute in (compute_bound_report, oracles.fraction_bound_report):
+        try:
+            out.append(compute(w, v, alpha, beta, gamma, lam, mode))
+        except DimensionError as exc:
+            out.append(str(exc))
+    return out
+
+
+def tie_family(rng, n, m, star=False):
+    """An admissible family whose non-loop weights are all -1/2 or -1.
+
+    The support is a cycle through node 1 plus a few extra edges, so
+    gamma has -inf entries; with star=True it is the edges into and out
+    of node 1 only, every cycle passes node 1 and lambda* is -inf.
+    """
+    if star:
+        support = {(0, 0)} | {(0, i) for i in range(1, n)} | {(i, 0) for i in range(1, n)}
+    else:
+        support = {(0, 0)} | {(i, (i + 1) % n) for i in range(n)}
+        for _ in range(rng.randint(0, n)):
+            support.add((rng.randrange(n), rng.randrange(n)))
+
+    def member():
+        rows = [[None] * n for _ in range(n)]
+        for i, j in support:
+            rows[i][j] = rng.choice((Fraction(-1, 2), Fraction(-1)))
+        rows[0][0] = Fraction(0)
+        return TropicalMatrix.from_rows(rows)
+
+    family = MatrixFamily([member() for _ in range(m)])
+    assert family.validate().passed
+    return family
+
+
+class TestFractionOracle:
+    """compute_bound_report against the Fraction loop it replaced."""
+
+    def _check_family(self, family, rng):
+        derived = family.sup_derived
+        args = (derived.alpha, derived.beta, derived.gamma, derived.lambda_star.mean)
+        w, v = family.inf_walk_to_one(), family.inf_walk_from_one()
+        fast, slow = both_reports(w, v, *args)
+        assert fast == slow
+        seq = [rng.randint(1, family.member_count) for _ in range(rng.randint(1, 12))]
+        product = fold(family, seq)
+        col0 = TropicalMatrix.from_rows([[product.entry(i, 0)] for i in range(family.size)])
+        row0 = TropicalMatrix.from_rows([[product.entry(0, j)] for j in range(family.size)])
+        fast, slow = both_reports(col0, row0, *args, mode="implicit")
+        assert fast == slow
+        assert implicit_bound(family, product) == slow
+
+    def test_admissible_families(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            n = rng.randint(2, 8)
+            self._check_family(random_valid_family(rng, n, rng.randint(1, 3)), rng)
+
+    def test_tie_heavy_families_with_missing_avoiding_walks(self):
+        rng = random.Random(32)
+        gaps = 0
+        for _ in range(40):
+            family = tie_family(rng, rng.randint(1, 8), rng.randint(1, 3))
+            gaps += not family.sup_derived.gamma._fin[1:, 1:].all()
+            self._check_family(family, rng)
+        assert gaps > 20
+
+    def test_every_cycle_through_node_one(self):
+        rng = random.Random(33)
+        for n in range(1, 9):
+            family = tie_family(rng, n, 2, star=True)
+            assert isinstance(family.sup_derived.lambda_star.mean, Epsilon)
+            report = explicit_bound(family)
+            assert report.lambda_star_undefined
+            self._check_family(family, rng)
+
+    def test_random_inputs_with_infinite_rows(self):
+        rng = random.Random(34)
+        infinite_rows = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            w, v, alpha, beta, gamma, lam = random_inputs(rng, n)
+            if rng.random() < 0.5:
+                w[rng.randrange(n)] = None
+            if rng.random() < 0.3:
+                # tie-heavy: every finite weight drawn from two values
+                pick = lambda x: None if x is None else rng.choice((Fraction(0), Fraction(-1, 2)))
+                w, v, alpha, beta = ([pick(x) for x in vec] for vec in (w, v, alpha, beta))
+                gamma = [[pick(x) for x in row] for row in gamma]
+            infinite_rows += None in w
+            fast, slow = both_reports(
+                col(w), col(v), col(alpha), col(beta), TropicalMatrix.from_rows(gamma),
+                EPSILON if lam is None else lam,
+            )
+            assert fast == slow
+        assert infinite_rows > 100
+
+    def test_guard_boundary(self):
+        # At lam = -1 on the integer grid, the largest magnitude formed is
+        # |w_2| + 2 (n - 1) = |w_2| + 2.
+        guard = 1 << 61
+        alpha = beta = col([0, 0])
+        gamma = TropicalMatrix.from_rows([[None, None], [None, 0]])
+        for w2, ok in ((guard - 3, True), (guard - 2, False)):
+            w, v = col([0, -w2]), col([0, 0])
+            if ok:
+                fast, slow = both_reports(w, v, alpha, beta, gamma, Fraction(-1))
+                assert fast == slow
+                assert fast.overall == w2 + 2
+            else:
+                with pytest.raises(OverflowError):
+                    compute_bound_report(w, v, alpha, beta, gamma, Fraction(-1), "explicit")
 
 
 class TestFamilyBounds:

@@ -300,6 +300,20 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("overflow: ")
 
+    def test_karp_table_overflow_is_reported(self, capsys, tmp_path):
+        # The 2-cycle off the loop puts 6 |weight| >= 2^61 into Karp's
+        # cross-multiplied quotients.
+        weight = (2**61) // 6 + 1
+        fam = tmp_path / "wide.json"
+        fam.write_text(
+            json.dumps({"members": [{"rows": [[0, -weight], [-weight, -weight]]}]}),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "validate", fam)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("overflow: cycle mean: ")
+
 
 def console_script_command(name):
     """Argv prefix that runs console script ``name`` in a fresh process.

@@ -166,6 +166,137 @@ class TestCycleMean:
         assert res.witness == (1, 2, 3)
 
 
+def block_grid(rng, n):
+    """A digraph of several strongly connected blocks, some of them single
+    nodes without a loop, joined by edges that only run forward between
+    blocks; weights have mixed denominators, node labels are shuffled."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.randint(1, 3), n - sum(sizes)))
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    label = list(range(n))
+    rng.shuffle(label)
+    rows = [[None] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            same = block[u] == block[v]
+            if (same and rng.random() < 0.6) or (block[u] < block[v] and rng.random() < 0.3):
+                if same and sizes[block[u]] == 1 and rng.random() < 0.5:
+                    continue  # an edgeless single-node component
+                rows[label[u]][label[v]] = Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 5, 7)))
+    return rows
+
+
+def assert_witness_attains(g, witness, mean):
+    cyc = tuple(v - 1 for v in witness)
+    total = Fraction(0)
+    for t, u in enumerate(cyc):
+        w = g[u][cyc[(t + 1) % len(cyc)]]
+        assert w is not None
+        total += w
+    assert Fraction(total, len(cyc)) == mean
+
+
+class TestKarpComponents:
+    def test_several_components_match_enumeration(self):
+        rng = random.Random(17)
+        multi = 0
+        for _ in range(150):
+            n = rng.randint(1, 7)
+            g = block_grid(rng, n)
+            m = TropicalMatrix.from_rows(g)
+            multi += len(strongly_connected_components(m._fin)) > 1
+            res = max_cycle_mean(m)
+            want, attaining = oracles.max_cycle_mean(g)
+            if want is None:
+                assert isinstance(res.mean, Epsilon) and res.witness is None
+                continue
+            assert res.mean == want
+            assert_witness_attains(g, res.witness, want)
+            assert canonical(tuple(v - 1 for v in res.witness)) in attaining
+        assert multi > 100
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_lambda_star_against_policy_iteration(self, n):
+        # Hamiltonian cycle through node 1 plus 0.1 n^2 extra edges, the
+        # (1,1) loop at 0 and every other weight -p/q.
+        rng = random.Random(n)
+        rows = [[None] * n for _ in range(n)]
+        edges = {(i, (i + 1) % n) for i in range(n)}
+        while len(edges) < n + n * n // 10:
+            edges.add((rng.randrange(n), rng.randrange(n)))
+        for i, j in edges:
+            rows[i][j] = Fraction(-rng.randint(1, 12), rng.randint(1, 3))
+        rows[0][0] = Fraction(0)
+        m = TropicalMatrix.from_rows(rows)
+        res = lambda_star(m)
+        want, cycle = oracles.howard_max_cycle_mean(rows, forbidden={0})
+        assert res.mean == want
+        assert_witness_attains(rows, res.witness, want)
+        assert 1 not in res.witness
+        assert_witness_attains(rows, tuple(v + 1 for v in cycle), want)
+
+
+class TestGuards:
+    """Each derivation checks the largest integer it can form against the
+    guard: the largest admissible input gives the exact answer, one more
+    unit raises OverflowError."""
+
+    GUARD = 1 << 61
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closure_boundary(self, n):
+        # Largest magnitude formed: 2 n times the largest entry.
+        big = (self.GUARD - 1) // (2 * n)
+        for weight, ok in ((big, True), (big + 1, False)):
+            rows = [[-weight] * n for _ in range(n)]
+            rows[0][0] = 0
+            m = TropicalMatrix.from_rows(rows)
+            if not ok:
+                for derive in (best_paths_to_one, best_paths_from_one, avoiding_walk_weights):
+                    with pytest.raises(OverflowError):
+                        derive(m)
+                continue
+            g = oracles.grid(m)
+            alpha, beta, gamma = best_paths_to_one(m), best_paths_from_one(m), avoiding_walk_weights(m)
+            for i in range(1, n):
+                assert alpha.entry(i, 0) == oracles.best_simple_path(g, i, 0)
+                assert beta.entry(i, 0) == oracles.best_simple_path(g, 0, i)
+                assert gamma.entry(i, i) == -weight
+                for j in range(1, n):
+                    if i != j:
+                        assert gamma.entry(i, j) == oracles.best_simple_path(g, i, j, forbidden={0})
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_karp_boundary(self, n):
+        # A cycle through every node; Karp's quotients reach
+        # (2n - 1) n times the largest entry, which is guard - 1 at n = 1.
+        big = (self.GUARD - 1) // ((2 * n - 1) * n)
+        for weight, ok in ((big, True), (big + 1, False)):
+            rows = [[None] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][(i + 1) % n] = -weight
+            m = TropicalMatrix.from_rows(rows)
+            if ok:
+                assert max_cycle_mean(m) == CycleMeanResult(Fraction(-weight), tuple(range(1, n + 1)))
+            else:
+                with pytest.raises(OverflowError):
+                    max_cycle_mean(m)
+
+    def test_critical_cycle_boundary(self):
+        # The loop at node 1 (mean -1) is the only cycle, so Karp sees no
+        # large entry; the potentials on the whole digraph reach
+        # n |a_12 + 1| = 2 (weight - 1).
+        big = (self.GUARD - 1) // 2 + 1
+        for weight, ok in ((big, True), (big + 1, False)):
+            m = TropicalMatrix.from_rows([[-1, -weight], [None, None]])
+            if ok:
+                assert max_cycle_mean(m) == CycleMeanResult(Fraction(-1), (1,))
+            else:
+                with pytest.raises(OverflowError):
+                    max_cycle_mean(m)
+
+
 class TestLambdaStar:
     def test_excludes_node_one(self):
         rng = random.Random(8)

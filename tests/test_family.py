@@ -11,7 +11,7 @@ from tropical_transient.family import (
     derive_boundaries,
     max_walk_magnitude,
 )
-from tropical_transient.matrix import TropicalMatrix
+from tropical_transient.matrix import TropicalMatrix, walk_closure
 from tropical_transient.semiring import EPSILON, Epsilon
 
 
@@ -190,13 +190,20 @@ class TestInfWalks:
             assert v.entry(i, 0) == oracles.best_simple_path(g, 0, i)
 
     def test_longer_cap_changes_nothing(self, family5):
-        # negative off-1 cycles: n - 1 steps already reach the optimum
-        assert family5.inf_walk_to_one(cap=12) == family5.inf_walk_to_one()
-        assert family5.inf_walk_from_one(cap=12) == family5.inf_walk_from_one()
-
-    def test_cap_validation(self, family5):
-        with pytest.raises(ValueError):
-            family5.inf_walk_to_one(cap=-1)
+        # negative off-1 cycles: the capped walk closure of the old
+        # derivation, run well past n - 1 steps, agrees with the default
+        a_inf = family5.a_inf
+        to_one = walk_closure(a_inf.with_row_eps(0), 12)
+        from_one = walk_closure(a_inf.with_col_eps(0), 12)
+        n = family5.size
+        w = family5.inf_walk_to_one()
+        v = family5.inf_walk_from_one()
+        assert w == TropicalMatrix.from_rows(
+            [[0]] + [[to_one.entry(i, 0)] for i in range(1, n)]
+        )
+        assert v == TropicalMatrix.from_rows(
+            [[0]] + [[from_one.entry(0, j)] for j in range(1, n)]
+        )
 
 
 def test_stacked_layout(family5):
@@ -220,3 +227,15 @@ def test_max_walk_magnitude(family5):
     assert per_layer == 6  # largest |entry| in the fixture members
     assert max_walk_magnitude(family5, 10) == 60
     assert max_walk_magnitude(family5, 0) == 0
+
+
+def test_layer_magnitude_is_cached_on_the_stacked_grid():
+    a = TropicalMatrix.from_rows([[0, Fraction(-7, 2)], [Fraction(1, 3), None]])
+    b = TropicalMatrix.from_rows([[Fraction(-5), 0], [None, 2]])
+    family = MatrixFamily([a, b])
+    num, fin, den = family.stacked
+    assert den == 6
+    # -5 is the largest |entry|; on the grid 1/6 it is 30
+    assert family.layer_magnitude == 30
+    assert family.layer_magnitude is family.layer_magnitude
+    assert max_walk_magnitude(family, 4) == 120

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from tropical_transient.io import (
     save_family,
 )
 from tropical_transient.matrix import TropicalMatrix
-from tropical_transient.semiring import EPSILON
+from tropical_transient.semiring import EPSILON, weight_token
 
 
 def write(tmp_path, name, payload):
@@ -178,6 +179,34 @@ class TestTokens:
     def test_column_tokens(self):
         c = TropicalMatrix.from_rows([[Fraction(1, 3)], [EPSILON], [-2]])
         assert column_tokens(c) == ["1/3", "-inf", -2]
+
+    def test_tokens_match_weight_token(self):
+        rng = random.Random(41)
+        kinds = {"den1": 0, "mixed": 0}
+        for _ in range(200):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            dens = (1,) if rng.random() < 0.3 else (1, 2, 3, 4, 6, 9, 10)
+            kinds["den1" if dens == (1,) else "mixed"] += 1
+            m = TropicalMatrix.from_rows([
+                [
+                    EPSILON if rng.random() < 0.25
+                    else Fraction(rng.randint(-40, 40), rng.choice(dens))
+                    for _ in range(cols)
+                ]
+                for _ in range(rows)
+            ])
+            want = [[weight_token(m.entry(i, j)) for j in range(cols)] for i in range(rows)]
+            got = matrix_tokens(m)
+            assert got == want
+            assert all(type(t) in (int, str) for row in got for t in row)
+            column = [weight_token(m.entry(i, 0)) for i in range(rows)]
+            assert column_tokens(m) == column
+            assert all(type(t) in (int, str) for t in column_tokens(m))
+        assert min(kinds.values()) > 40
+
+    def test_tokens_with_denominator_past_int64(self):
+        c = TropicalMatrix.from_rows([[Fraction(1, 2**70)], [Fraction(-3, 2**69)], [0], [EPSILON]])
+        assert column_tokens(c) == [f"1/{2**70}", f"-3/{2**69}", 0, "-inf"]
 
     def test_family_to_dict_layout(self, family5_loaded):
         family, names = family5_loaded
