@@ -2,7 +2,10 @@
 
 Runs the hot kernels (matrix product, sequence fold and the trellis
 sweeps, the start-indexed ones with every node as a start) on random
-scaled-integer inputs and prints the best wall time per call.
+scaled-integer inputs and prints the best wall time per call.  At sizes
+up to 16 it also times the transient scan's stacked kernels: one fold of
+100 sequences of length 20, and one exhaustive level step from the m^4
+products of length 4 to the m^5 of length 5.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --sizes 5,16,64 --length 500
@@ -13,7 +16,12 @@ import time
 
 import numpy as np
 
-from tropical_transient._kernels import ACTIVE
+from tropical_transient._kernels import ACTIVE, encode, extend
+
+STACK_ROWS = 100
+STACK_LENGTH = 20
+STACK_MAX_SIZE = 16
+LEVEL_LENGTH = 4
 
 
 def random_inputs(rng, m, n, k, density=0.7):
@@ -63,6 +71,16 @@ def main() -> int:
         for name in ("forward_full", "forward_avoid", "backward_avoid", "through_anchor"):
             sweep = getattr(ACTIVE, name)
             cases.append((name, lambda sweep=sweep: sweep(num, fin, seq, every), args.length, n))
+        if n <= STACK_MAX_SIZE:
+            stack = rng.integers(0, args.members, size=(STACK_ROWS, STACK_LENGTH))
+            mem = encode(num, fin)
+            level = mem
+            for _ in range(LEVEL_LENGTH - 1):
+                level = extend(level, mem)
+            cases += [
+                (f"fold x{STACK_ROWS}", lambda: ACTIVE.fold(num, fin, stack), STACK_LENGTH, 1),
+                (f"extend x{len(level)}", lambda: extend(level, mem), LEVEL_LENGTH + 1, 1),
+            ]
         for name, call, k, starts in cases:
             t = best_time(call, args.repeats)
             print(f"{name:<18}{n:>5}{k:>6}{starts:>8}{t * 1e3:>14.3f}")

@@ -19,6 +19,12 @@ range.  ``matmul`` and ``fold`` return (numerator, mask) pairs with 0 in
 masked slots; the trellis sweeps return encoded tables, which their
 callers reduce further.
 
+Products broadcast over leading batch dimensions, so one call folds a
+whole stack of sequences, and ``extend`` grows every product of a level
+by every member at once.  Stacked calls run on chunks of rows whose
+(rows, n, n, n) broadcast temporary holds at most ``CHUNK_ELEMENTS``
+int64 values.
+
 A sweep pushes a state through the layer matrices of a sequence.  The
 state has one row per start node (per target node for the backward
 sweep), so one pass serves every start.  Each trellis DP is such a sweep
@@ -39,6 +45,7 @@ import numpy as np
 
 MASKED = np.int64(-(1 << 62))
 FLOOR = -(1 << 61)
+CHUNK_ELEMENTS = 1 << 16
 
 
 def encode(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
@@ -53,9 +60,17 @@ def decode(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _product(x: np.ndarray, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """x (x) a for an encoded (r, n) or (n,) state x and an (n, c) matrix a."""
+    """x (x) a for an encoded (n,) state x and an (n, c) matrix a, or for
+    x of shape (..., r, n) and a of shape (..., n, c), batch dimensions
+    broadcast."""
+    if x.ndim > 1:
+        a = a[..., None, :, :]
     out = (x[..., :, None] + a).max(axis=-2, out=out)
     return np.maximum(out, MASKED, out=out)
+
+
+def _chunk_rows(n: int) -> int:
+    return max(1, CHUNK_ELEMENTS // n**3)
 
 
 def _sweep(layers: np.ndarray, seq: np.ndarray, state: np.ndarray,
@@ -123,12 +138,38 @@ def _matmul(a_num, a_fin, b_num, b_fin):
     return decode(_product(encode(a_num, a_fin), encode(b_num, b_fin)))
 
 
+def extend(level: np.ndarray, mem: np.ndarray) -> np.ndarray:
+    """Every product of an encoded (B, n, n) level times every one of m
+    encoded members, as (B * m, n, n): row p * m + j is level[p] (x) mem[j].
+    """
+    b, (m, n, _) = len(level), mem.shape
+    out = np.empty((b, m, n, n), dtype=np.int64)
+    rows = _chunk_rows(n)
+    for s in range(0, b, rows):
+        for j in range(m):
+            _product(level[s:s + rows], mem[j], out=out[s:s + rows, j])
+    return out.reshape(b * m, n, n)
+
+
+def _fold_rows(mem, seq):
+    # seq is (k,) for one product or (B, k) for a stack of B products.
+    steps = seq.T
+    cur = mem[steps[0]]
+    for s in steps[1:]:
+        cur = _product(cur, mem[s])
+    return cur
+
+
 def _fold(mem_num, mem_fin, seq):
     mem = encode(mem_num, mem_fin)
-    cur = mem[seq[0]]
-    for s in seq[1:]:
-        cur = _product(cur, mem[s])
-    return decode(cur)
+    if seq.ndim == 1:
+        return decode(_fold_rows(mem, seq))
+    n = mem.shape[1]
+    out = np.empty((len(seq), n, n), dtype=np.int64)
+    rows = _chunk_rows(n)
+    for s in range(0, len(seq), rows):
+        out[s:s + rows] = _fold_rows(mem, seq[s:s + rows])
+    return decode(out)
 
 
 def _forward_full(mem_num, mem_fin, seq, starts):
@@ -190,6 +231,11 @@ def _through_anchor(mem_num, mem_fin, seq, starts):
 
 
 class Backend(NamedTuple):
+    """Kernel entry points, each taking members as (numerator, mask)
+    stacks.  ``fold`` takes a (k,) sequence of 0-based member indices and
+    returns one (n, n) product, or a (B, k) stack of sequences and
+    returns (B, n, n) products."""
+
     name: str
     matmul: Callable
     fold: Callable

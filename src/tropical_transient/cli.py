@@ -115,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--samples", type=int, default=100, help="sequences per length (sampled)")
     p.add_argument("--seed", type=int, default=0, help="generator seed (sampled)")
-    p.add_argument("--threads", type=int, default=1, help="fold worker threads")
     p.add_argument(
         "--budget",
         type=int,
@@ -244,8 +243,6 @@ def cmd_transient(args) -> tuple[int, dict]:
         raise UsageError("--horizon must be at least 1")
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
-    if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
     kwargs = {}
     if args.budget is not None:
         kwargs["max_products"] = args.budget
@@ -255,7 +252,6 @@ def cmd_transient(args) -> tuple[int, dict]:
         mode=args.mode,
         samples_per_length=args.samples,
         seed=args.seed,
-        threads=args.threads,
         **kwargs,
     )
     report["transient"] = transient_section(estimate)

@@ -186,10 +186,22 @@ def _karp_component(num: np.ndarray, fin: np.ndarray, den: int,
 
 
 def _critical_cycle(num: np.ndarray, fin: np.ndarray, den: int,
-                    lam: Fraction) -> tuple[int, ...]:
+                    lam: Fraction, comps: list[list[int]]) -> tuple[int, ...]:
     """A canonical cycle of mean lam: the one that is lexicographically
-    smallest among critical cycles written from their smallest node."""
-    n = fin.shape[0]
+    smallest among critical cycles written from their smallest node.
+
+    comps are the strongly connected components whose maximum cycle mean
+    is lam.  Every cycle lies inside one component, so the search runs on
+    their nodes alone, with the edges between components dropped.
+    """
+    nodes = np.array(sorted(v for comp in comps for v in comp))
+    label = np.empty(fin.shape[0], dtype=np.intp)
+    for c, comp in enumerate(comps):
+        label[comp] = c
+    sub = np.ix_(nodes, nodes)
+    fin = fin[sub] & (label[nodes][:, None] == label[nodes][None, :])
+    num = np.where(fin, num[sub], 0)
+    n = len(nodes)
     # Edge weights a_uv - lam, scaled to integers by lcm(den, q) for
     # lam = p / q.
     g = math.gcd(den, lam.denominator)
@@ -200,6 +212,8 @@ def _critical_cycle(num: np.ndarray, fin: np.ndarray, den: int,
     _check_magnitude(n * top, "critical cycle")
     # Longest-path potentials from a virtual source: after normalization no
     # cycle is positive, so best walks are paths of at most n - 1 edges.
+    # Every critical cycle is tight under any such potential, and every
+    # tight cycle is critical.
     d = _kernels.walk_table(_kernels.encode(w, fin), np.zeros(n, dtype=np.int64), n - 1)
     d = d.max(axis=0)
     tight = [row.tolist() for row in map(np.flatnonzero, fin & (d[:, None] + w == d))]
@@ -241,7 +255,7 @@ def _critical_cycle(num: np.ndarray, fin: np.ndarray, den: int,
         cycle.append(nxt)
         used.add(nxt)
         cur = nxt
-    return tuple(v + 1 for v in cycle)
+    return tuple(int(nodes[v]) + 1 for v in cycle)
 
 
 def max_cycle_mean(m: TropicalMatrix) -> CycleMeanResult:
@@ -255,14 +269,13 @@ def max_cycle_mean(m: TropicalMatrix) -> CycleMeanResult:
     if not m.is_square:
         raise DimensionError("cycle means are defined for square matrices")
     num, fin, den = m._num, m._fin, m._den
-    best: Optional[Fraction] = None
-    for comp in strongly_connected_components(fin):
-        cand = _karp_component(num, fin, den, comp)
-        if cand is not None and (best is None or cand > best):
-            best = cand
+    comps = strongly_connected_components(fin)
+    means = [_karp_component(num, fin, den, comp) for comp in comps]
+    best = max((mean for mean in means if mean is not None), default=None)
     if best is None:
         return CycleMeanResult(EPSILON, None)
-    return CycleMeanResult(best, _critical_cycle(num, fin, den, best))
+    critical = [comp for comp, mean in zip(comps, means) if mean == best]
+    return CycleMeanResult(best, _critical_cycle(num, fin, den, best, critical))
 
 
 def lambda_star(a_sup: TropicalMatrix) -> CycleMeanResult:

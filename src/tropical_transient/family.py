@@ -240,14 +240,23 @@ class MatrixFamily:
         D_{A_inf} touching node 1 only at its end (entry 1 is 0).
 
         Off-1 cycles are negative, so best walks are paths and the closure
-        over all lengths is exact.
+        over all lengths is exact.  Computed once per family.
         """
-        self.require_valid("walk weights on A_inf")
-        return one_anchored_paths(self.a_inf, True, "walk weights on A_inf")
+        return self._inf_walk_to_one
 
     def inf_walk_from_one(self) -> TropicalMatrix:
         """Column vector v: entry j is the best weight of a walk 1 -> j in
-        D_{A_inf} touching node 1 only at its start (entry 1 is 0)."""
+        D_{A_inf} touching node 1 only at its start (entry 1 is 0).
+        Computed once per family."""
+        return self._inf_walk_from_one
+
+    @cached_property
+    def _inf_walk_to_one(self) -> TropicalMatrix:
+        self.require_valid("walk weights on A_inf")
+        return one_anchored_paths(self.a_inf, True, "walk weights on A_inf")
+
+    @cached_property
+    def _inf_walk_from_one(self) -> TropicalMatrix:
         self.require_valid("walk weights on A_inf")
         return one_anchored_paths(self.a_inf, False, "walk weights on A_inf")
 

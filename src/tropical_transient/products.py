@@ -6,22 +6,24 @@ first length at which every examined product of that length is rank-one,
 either exhaustively (all m^k sequences, budget-guarded) or by seeded
 sampling with a named, portable generator (numpy PCG64), so runs are
 reproducible across platforms.
+
+The scan works one length at a time on a stack of products: sampled mode
+folds a length's draws in one kernel call, and exhaustive mode builds
+level k as level k - 1 times every member, so each product costs one
+matrix product instead of k - 1.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
-
-import itertools
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceededError, PivotError
+from .errors import BudgetExceededError
 from .family import MatrixFamily, max_walk_magnitude
-from .matrix import TropicalMatrix, _check_magnitude, rank_one_factor
+from .matrix import TropicalMatrix, _check_magnitude, rank_one_mask
 
 DEFAULT_PRODUCT_BUDGET = 2_000_000
 
@@ -94,12 +96,33 @@ class TransientEstimate:
     seed: Optional[int]
 
 
-def _is_rank_one(family: MatrixFamily, indices: tuple[int, ...]) -> bool:
-    product = fold(family, indices)
-    try:
-        return rank_one_factor(product) is not None
-    except PivotError:
-        return False
+# Each scan yields, per length, the number of products examined and the
+# 1-based sequences of those that are not rank-one, as a (failed, k) array.
+
+def _sampled_scan(family: MatrixFamily, horizon: int, samples: int,
+                  seed: int) -> Iterator[tuple[int, np.ndarray]]:
+    mem_num, mem_fin, den = family.stacked
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for k in range(1, horizon + 1):
+        draws = rng.integers(1, family.member_count + 1, size=(samples, k))
+        _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
+        num, fin = _kernels.ACTIVE.fold(mem_num, mem_fin, draws - 1)
+        yield samples, draws[~rank_one_mask(num, fin, den)]
+
+
+def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
+    mem_num, mem_fin, den = family.stacked
+    mem = _kernels.encode(mem_num, mem_fin)
+    m = len(mem)
+    level = mem
+    for k in range(1, horizon + 1):
+        _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
+        if k > 1:
+            level = _kernels.extend(level, mem)
+        failed = np.flatnonzero(~rank_one_mask(*_kernels.decode(level), den))
+        # Row r is the sequence whose 0-based indices are the k base-m
+        # digits of r, most significant first: itertools.product order.
+        yield len(level), failed[:, None] // m ** np.arange(k - 1, -1, -1) % m + 1
 
 
 def estimate_transient(
@@ -109,25 +132,23 @@ def estimate_transient(
     samples_per_length: int = 100,
     seed: int = 0,
     max_products: int = DEFAULT_PRODUCT_BUDGET,
-    threads: int = 1,
 ) -> TransientEstimate:
     """Scan lengths 1..horizon and report where rank-one sets in.
 
     Exhaustive mode enumerates all m^k sequences per length and raises
     :class:`BudgetExceededError` up front when the total exceeds
-    ``max_products``.  Sampled mode draws ``samples_per_length`` seeded
-    sequences per length; all draws come from one generator in a fixed
-    order, so the result does not depend on ``threads``.
+    ``max_products``; it holds at most two lengths of products at once.
+    Sampled mode draws ``samples_per_length`` seeded sequences per length,
+    all from one generator in a fixed order.  Before each length the int64
+    guard of :func:`fold` is checked, and every product goes through
+    :func:`matrix.rank_one_mask`.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     m = family.member_count
 
-    per_length: list[list[tuple[int, ...]]] = []
     if mode == "exhaustive":
         total = 0
         for k in range(1, horizon + 1):
@@ -136,10 +157,7 @@ def estimate_transient(
                 raise BudgetExceededError(
                     f"exhaustive scan needs {total}+ products, budget is {max_products}"
                 )
-        for k in range(1, horizon + 1):
-            per_length.append(
-                [tuple(p) for p in itertools.product(range(1, m + 1), repeat=k)]
-            )
+        levels = _exhaustive_scan(family, horizon)
         samples_recorded = None
     else:
         if samples_per_length < 1:
@@ -149,25 +167,14 @@ def estimate_transient(
                 f"sampled scan needs {horizon * samples_per_length} products, "
                 f"budget is {max_products}"
             )
-        rng = np.random.Generator(np.random.PCG64(seed))
-        for k in range(1, horizon + 1):
-            draws = rng.integers(1, m + 1, size=(samples_per_length, k))
-            per_length.append([tuple(int(x) for x in row) for row in draws])
+        levels = _sampled_scan(family, horizon, samples_per_length, seed)
         samples_recorded = samples_per_length
 
     examined = 0
     counterexamples: list[tuple[int, tuple[int, ...]]] = []
-    check = lambda idx: _is_rank_one(family, idx)
-    for k, batch in enumerate(per_length, start=1):
-        examined += len(batch)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                flags = list(pool.map(check, batch))
-        else:
-            flags = [check(idx) for idx in batch]
-        for idx, ok in zip(batch, flags):
-            if not ok:
-                counterexamples.append((k, idx))
+    for k, (count, failed) in enumerate(levels, start=1):
+        examined += count
+        counterexamples.extend((k, tuple(idx)) for idx in failed.tolist())
 
     failed_lengths = {k for k, _ in counterexamples}
     first: Optional[int] = None

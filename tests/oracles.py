@@ -1,16 +1,18 @@
 """Independent brute-force reference implementations for the test suite.
 
-Everything here except the last section works on plain ``list[list]``
-grids of ``Fraction`` with ``None`` for the absent entry, uses no numpy,
-and favors obviousness over speed.  Conversions from the package types go
+The first sections work on plain ``list[list]`` grids of ``Fraction``
+with ``None`` for the absent entry, use no numpy, and favor obviousness
+over speed.  Conversions from the package types go
 through ``grid()`` so test comparisons never reuse the code under test.
 
-The last section keeps the package's earlier numpy kernels: masked
+The later sections keep code the package has replaced: masked numpy
 products and trellis DPs that follow one start node at a time with
-explicit finiteness masks.  They are the reference for the sentinel
-kernels in ``tropical_transient._kernels``.
+explicit finiteness masks (the reference for the sentinel kernels in
+``tropical_transient._kernels``), the bound terms in ``Fraction``
+arithmetic, and the transient scan one sequence at a time.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional
@@ -18,8 +20,13 @@ from typing import Optional
 import numpy as np
 
 from tropical_transient.bounds import BoundReport
-from tropical_transient.errors import DimensionError
-from tropical_transient.matrix import TropicalMatrix
+from tropical_transient.errors import BudgetExceededError, DimensionError, PivotError
+from tropical_transient.matrix import _STORE_LIMIT, TropicalMatrix, _check_magnitude
+from tropical_transient.products import (
+    DEFAULT_PRODUCT_BUDGET,
+    TransientEstimate,
+    fold,
+)
 from tropical_transient.semiring import EPSILON, Epsilon, Weight, oplus
 
 
@@ -626,3 +633,99 @@ def howard_max_cycle_mean(g, forbidden=()):
     cycle = seen[seen.index(node):]
     k = cycle.index(min(cycle))
     return lam, tuple(cycle[k:] + cycle[:k])
+
+
+# ---------------------------------------------------------------------------
+# The transient scan one sequence at a time (the package's earlier
+# estimate_transient and rank_one_factor test, kept as the reference for
+# the stacked scan)
+# ---------------------------------------------------------------------------
+
+def _rank_one_test(m: TropicalMatrix) -> Optional[bool]:
+    num, fin = m._num, m._fin
+    if not fin[0, 0]:
+        raise PivotError("rank-one pivot (1,1) is -inf")
+    _check_magnitude(3 * m.max_abs_numerator, "rank-one test", _STORE_LIMIT)
+    expect_fin = fin[:, 0][:, None] & fin[0, :][None, :]
+    if not np.array_equal(fin, expect_fin):
+        return None
+    expect_num = num[:, 0][:, None] + num[0, :][None, :] - num[0, 0]
+    if not np.array_equal(num[fin], expect_num[fin]):
+        return None
+    return True
+
+
+def _is_rank_one(family, indices: tuple[int, ...]) -> bool:
+    product = fold(family, indices)
+    try:
+        return _rank_one_test(product) is not None
+    except PivotError:
+        return False
+
+
+def per_sequence_estimate(
+    family,
+    horizon: int,
+    mode: str = "sampled",
+    samples_per_length: int = 100,
+    seed: int = 0,
+    max_products: int = DEFAULT_PRODUCT_BUDGET,
+) -> TransientEstimate:
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    m = family.member_count
+
+    per_length: list[list[tuple[int, ...]]] = []
+    if mode == "exhaustive":
+        total = 0
+        for k in range(1, horizon + 1):
+            total += m**k
+            if total > max_products:
+                raise BudgetExceededError(
+                    f"exhaustive scan needs {total}+ products, budget is {max_products}"
+                )
+        for k in range(1, horizon + 1):
+            per_length.append(
+                [tuple(p) for p in itertools.product(range(1, m + 1), repeat=k)]
+            )
+        samples_recorded = None
+    else:
+        if samples_per_length < 1:
+            raise ValueError("samples_per_length must be at least 1")
+        if horizon * samples_per_length > max_products:
+            raise BudgetExceededError(
+                f"sampled scan needs {horizon * samples_per_length} products, "
+                f"budget is {max_products}"
+            )
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for k in range(1, horizon + 1):
+            draws = rng.integers(1, m + 1, size=(samples_per_length, k))
+            per_length.append([tuple(int(x) for x in row) for row in draws])
+        samples_recorded = samples_per_length
+
+    examined = 0
+    counterexamples: list[tuple[int, tuple[int, ...]]] = []
+    for k, batch in enumerate(per_length, start=1):
+        examined += len(batch)
+        flags = [_is_rank_one(family, idx) for idx in batch]
+        for idx, ok in zip(batch, flags):
+            if not ok:
+                counterexamples.append((k, idx))
+
+    failed_lengths = {k for k, _ in counterexamples}
+    first: Optional[int] = None
+    for k in range(horizon, 0, -1):
+        if k in failed_lengths:
+            break
+        first = k
+    return TransientEstimate(
+        mode=mode,
+        horizon=horizon,
+        first_all_rank_one=first,
+        counterexamples=tuple(counterexamples),
+        examined=examined,
+        samples_per_length=samples_recorded,
+        seed=seed if mode == "sampled" else None,
+    )

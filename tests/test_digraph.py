@@ -285,15 +285,29 @@ class TestGuards:
 
     def test_critical_cycle_boundary(self):
         # The loop at node 1 (mean -1) is the only cycle, so Karp sees no
-        # large entry; the potentials on the whole digraph reach
-        # n |a_12 + 1| = 2 (weight - 1).
+        # large entry, and the potentials cover only its component: the
+        # edge a_12 leaving it does not count, however large.
         big = (self.GUARD - 1) // 2 + 1
-        for weight, ok in ((big, True), (big + 1, False)):
+        for weight in (big, big + 1):
             m = TropicalMatrix.from_rows([[-1, -weight], [None, None]])
+            assert max_cycle_mean(m) == CycleMeanResult(Fraction(-1), (1,))
+
+    def test_critical_cycle_boundary_inside_the_component(self):
+        # Critical cycle 1 -> 2 -> 1 of mean big - 1/2, so the potentials
+        # run on the grid 1/2, where the loop at node 2 becomes
+        # 2 (-big) - (2 big - 1).  Over the two critical nodes they reach
+        # 2 (4 big - 1), which binds before Karp's 6 big; node 3, outside
+        # the critical component, does not count.
+        big = (self.GUARD + 1) // 8
+        for weight, ok in ((big, True), (big + 1, False)):
+            rows = [[None, weight, None], [weight - 1, -weight, 0], [None, None, None]]
+            m = TropicalMatrix.from_rows(rows)
             if ok:
-                assert max_cycle_mean(m) == CycleMeanResult(Fraction(-1), (1,))
+                want, attaining = oracles.max_cycle_mean(oracles.grid(m))
+                assert attaining == [(0, 1)]
+                assert max_cycle_mean(m) == CycleMeanResult(want, (1, 2))
             else:
-                with pytest.raises(OverflowError):
+                with pytest.raises(OverflowError, match="critical cycle"):
                     max_cycle_mean(m)
 
 

@@ -74,6 +74,24 @@ class TestOracleAgreement:
                     masked_fold(mem_num, mem_fin, seq),
                 )
 
+    def test_stacked_fold_and_level_step(self):
+        # A (B, k) stack folds row by row, and one level step extends
+        # product p by member j in row p * m + j.  At n = 8 a chunk holds
+        # 2**16 // 8**3 = 128 rows, so B = 300 spans three chunks.
+        rng = np.random.default_rng(8)
+        for mem_num, mem_fin in oracle_cases():
+            m, n, _ = mem_num.shape
+            seqs = rng.integers(0, m, size=(300, 3))
+            num, fin = NUMPY_BACKEND.fold(mem_num, mem_fin, seqs)
+            assert num.shape == fin.shape == (300, n, n)
+            level = _kernels.extend(_kernels.encode(num, fin), _kernels.encode(mem_num, mem_fin))
+            assert level.shape == (300 * m, n, n)
+            for b in range(0, 300, 7):
+                assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seqs[b]))
+                for j in range(m):
+                    want = masked_fold(mem_num, mem_fin, np.append(seqs[b], j))
+                    assert_masked_equal(decode(level[b * m + j]), want)
+
     def test_sweeps_serve_every_start_in_one_pass(self):
         rng = np.random.default_rng(6)
         per_start = {

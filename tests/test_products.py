@@ -130,12 +130,6 @@ class TestEstimateTransient:
         c = estimate_transient(family5, **{**kw, "seed": 6})
         assert c != a
 
-    def test_threads_do_not_change_results(self, family5):
-        kw = dict(horizon=12, mode="sampled", samples_per_length=6, seed=9)
-        assert estimate_transient(family5, **kw) == estimate_transient(
-            family5, threads=4, **kw
-        )
-
     def test_exhaustive_budget(self, family5):
         with pytest.raises(BudgetExceededError):
             estimate_transient(family5, horizon=20, mode="exhaustive")
@@ -159,8 +153,6 @@ class TestEstimateTransient:
             estimate_transient(family5, horizon=1, mode="both")
         with pytest.raises(ValueError):
             estimate_transient(family5, horizon=1, samples_per_length=0)
-        with pytest.raises(ValueError):
-            estimate_transient(family5, horizon=1, threads=0)
 
     def test_counterexamples_in_scan_order(self, family5):
         est = estimate_transient(
@@ -170,3 +162,113 @@ class TestEstimateTransient:
         assert lengths == sorted(lengths)
         for k, idx in est.counterexamples:
             assert len(idx) == k
+
+
+def _scan_family(rng: random.Random, n: int, m: int) -> MatrixFamily:
+    """Members with -inf entries (the pivot included) and weights on the
+    denominators 1, 2 and 3; no admissibility assumed."""
+    def member():
+        return TropicalMatrix.from_rows([
+            [None if rng.random() < 0.25 else Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+             for _ in range(n)]
+            for _ in range(n)
+        ])
+    return MatrixFamily([member() for _ in range(m)])
+
+
+def _outcome(scan, *args, **kwargs):
+    """The estimate, or the type and message of the exception raised."""
+    try:
+        return scan(*args, **kwargs)
+    except (OverflowError, BudgetExceededError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_matches_oracle(*args, **kwargs):
+    got = _outcome(estimate_transient, *args, **kwargs)
+    assert got == _outcome(oracles.per_sequence_estimate, *args, **kwargs)
+    return got
+
+
+class TestStackedScanOracle:
+    """The stacked scan against the earlier per-sequence scan."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 9173])
+    def test_fixture_sampled(self, family5, seed):
+        est = _assert_matches_oracle(family5, horizon=40, samples_per_length=100, seed=seed)
+        assert est.examined == 4000
+
+    def test_fixture_exhaustive(self, family5):
+        est = _assert_matches_oracle(family5, horizon=8, mode="exhaustive")
+        assert est.examined == sum(3**k for k in range(1, 9))
+
+    def test_random_families(self):
+        rng = random.Random(2024)
+        pivots_inf = 0
+        for _ in range(240):
+            n, m = rng.randint(1, 6), rng.randint(1, 4)
+            fam = _scan_family(rng, n, m)
+            pivots_inf += sum(not x._fin[0, 0] for x in fam.members)
+            horizon = max(h for h in range(1, 9) if sum(m**k for k in range(1, h + 1)) <= 90)
+            _assert_matches_oracle(fam, horizon=horizon, mode="exhaustive")
+            _assert_matches_oracle(fam, horizon=rng.randint(1, 6),
+                                   samples_per_length=rng.randint(1, 8),
+                                   seed=rng.randrange(1 << 32))
+        assert pivots_inf > 50
+
+    def test_levels_span_several_chunks(self):
+        # At n = 5 a kernel chunk holds 2**16 // 5**3 = 524 products, so
+        # level 6 (4,096 products) and 1,100 draws span several chunks.
+        fam = _scan_family(random.Random(5), 5, 4)
+        _assert_matches_oracle(fam, horizon=6, mode="exhaustive")
+        _assert_matches_oracle(fam, horizon=3, samples_per_length=1100, seed=3)
+
+
+class TestScanOverflow:
+    """Each int64 guard raises where the per-sequence scan raised, with the
+    same message, and nowhere else."""
+
+    STORE = 1 << 62
+    GUARD = 1 << 61
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_fold_guard_at_the_same_length(self, mode):
+        # One layer adds at most big, so lengths 1 and 2 are scanned and
+        # length 3 reaches 3 big >= 2**61.
+        big = self.GUARD // 3 + 1
+        a = TropicalMatrix.from_rows([[0, -big], [-1, -1]])
+        b = TropicalMatrix.from_rows([[0, -1], [-2, -1]])
+        fam = MatrixFamily([a, b])
+        _assert_matches_oracle(fam, horizon=2, mode=mode, samples_per_length=5)
+        got = _assert_matches_oracle(fam, horizon=3, mode=mode, samples_per_length=5)
+        assert got == (OverflowError, f"sequence fold: scaled integer magnitude {3 * big} "
+                                      "exceeds the int64 budget")
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_rank_one_guard_on_reduced_numerators(self, mode):
+        # The common denominator is 2.  Member 2 has the scaled numerator
+        # 2 w, in [ceil(2**62 / 3), 2**61), but all its numerators are even,
+        # so it reduces to w and passes; member 3 has the odd numerator
+        # 2 w + 1 and fails, as does member 4 with 2 w + 3, after it in
+        # exhaustive order.  Members 1 and 2 are not rank-one.
+        w = 3 << 58
+        half = TropicalMatrix.from_rows([[0, Fraction(1, 2)], [-1, 0]])
+        even = TropicalMatrix.from_rows([[0, -w], [-1, -1]])
+        odd = [TropicalMatrix.from_rows([[0, Fraction(-2 * w - c, 2)], [-1, -1]]) for c in (1, 3)]
+        assert 3 * 2 * w >= self.STORE and 2 * w + 3 < self.GUARD
+        ok = _assert_matches_oracle(MatrixFamily([half, even]), horizon=1, mode=mode,
+                                    samples_per_length=4)
+        assert ok.first_all_rank_one is None
+        got = _assert_matches_oracle(MatrixFamily([half, even, *odd]), horizon=1, mode=mode,
+                                     samples_per_length=30)
+        assert got[0] is OverflowError and got[1].startswith("rank-one test: ")
+        if mode == "exhaustive":
+            assert str(3 * (2 * w + 1)) in got[1]
+
+    def test_minus_inf_pivot_skips_the_rank_one_guard(self):
+        big = -(-self.STORE // 3)
+        fam = MatrixFamily([TropicalMatrix.from_rows([[None, -big], [-big, -big]])])
+        for mode in ("exhaustive", "sampled"):
+            est = _assert_matches_oracle(fam, horizon=1, mode=mode, samples_per_length=2)
+            assert est.first_all_rank_one is None
+            assert est.counterexamples[0] == (1, (1,))
