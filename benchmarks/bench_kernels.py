@@ -7,6 +7,12 @@ up to 16 it also times the transient scan's stacked kernels: one fold of
 100 sequences of length 20, and one exhaustive level step from the m^4
 products of length 4 to the m^5 of length 5.
 
+A second table times the single fold at k = 200 and n = 20, 40, 80 on
+two sequences: one over admissible-style members, whose prefix turns
+rank-one early so the fold finishes as a vector sweep, and one over
+weighted permutation matrices, which never turn rank-one, so the fold
+pays for every rank-one probe on top of every matrix product.
+
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --sizes 5,16,64 --length 500
 """
@@ -16,12 +22,15 @@ import time
 
 import numpy as np
 
-from tropical_transient._kernels import ACTIVE, encode, extend
+from tropical_transient._kernels import (ACTIVE, FLOOR, PROBE_STRIDE, _product, encode, extend,
+                                          rank_one)
 
 STACK_ROWS = 100
 STACK_LENGTH = 20
 STACK_MAX_SIZE = 16
 LEVEL_LENGTH = 4
+ONSET_SIZES = (20, 40, 80)
+ONSET_LENGTH = 200
 
 
 def random_inputs(rng, m, n, k, density=0.7):
@@ -29,6 +38,37 @@ def random_inputs(rng, m, n, k, density=0.7):
     fin = rng.random(size=(m, n, n)) < density
     seq = rng.integers(0, m, size=k).astype(np.int64)
     return num, fin, seq
+
+
+def onset_inputs(rng, m, n):
+    """Members on one support: the cycle 0 -> 1 -> ... -> 0, a weight-0 loop
+    at node 0 and 0.1 n^2 extra edges, every other weight negative."""
+    fin = rng.random(size=(n, n)) < 0.1
+    fin[np.arange(n), (np.arange(n) + 1) % n] = True
+    fin[0, 0] = True
+    num = -rng.integers(1, 13, size=(m, n, n)).astype(np.int64)
+    num[:, 0, 0] = 0
+    return num, np.broadcast_to(fin, (m, n, n)).copy()
+
+
+def permutation_inputs(rng, m, n):
+    """Weighted permutation matrices: their products are never rank-one."""
+    num = rng.integers(-1000, 1001, size=(m, n, n)).astype(np.int64)
+    fin = np.zeros((m, n, n), dtype=bool)
+    for j in range(m):
+        fin[j, np.arange(n), rng.permutation(n)] = True
+    return num, fin
+
+
+def onset_layer(num, fin, seq):
+    """The first layer the single fold probes and finds rank-one, or None."""
+    mem = encode(num, fin)
+    cur = mem[seq[0]]
+    for l in range(1, len(seq)):
+        if l % PROBE_STRIDE == 0 and rank_one(cur, cur > FLOOR):
+            return l
+        cur = _product(cur, mem[seq[l]])
+    return None
 
 
 def best_time(fn, repeats):
@@ -84,6 +124,20 @@ def main() -> int:
         for name, call, k, starts in cases:
             t = best_time(call, args.repeats)
             print(f"{name:<18}{n:>5}{k:>6}{starts:>8}{t * 1e3:>14.3f}")
+
+    header = f"{'single fold':<18}{'n':>5}{'k':>6}{'onset':>8}{ACTIVE.name + ' (ms)':>14}"
+    print()
+    print(header)
+    print("-" * len(header))
+    # A generator of its own keeps these inputs independent of --sizes.
+    rng = np.random.default_rng(args.seed)
+    for n in ONSET_SIZES:
+        seq = rng.integers(0, args.members, size=ONSET_LENGTH).astype(np.int64)
+        for name, make in (("rank-one onset", onset_inputs), ("never rank-one", permutation_inputs)):
+            num, fin = make(rng, args.members, n)
+            onset = onset_layer(num, fin, seq)
+            t = best_time(lambda: ACTIVE.fold(num, fin, seq), args.repeats)
+            print(f"{name:<18}{n:>5}{ONSET_LENGTH:>6}{str(onset):>8}{t * 1e3:>14.3f}")
     return 0
 
 

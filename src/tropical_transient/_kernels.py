@@ -23,7 +23,8 @@ Products broadcast over leading batch dimensions, so one call folds a
 whole stack of sequences, and ``extend`` grows every product of a level
 by every member at once.  Stacked calls run on chunks of rows whose
 (rows, n, n, n) broadcast temporary holds at most ``CHUNK_ELEMENTS``
-int64 values.
+int64 values.  A single fold instead finishes as a vector sweep once its
+running product is rank-one.
 
 A sweep pushes a state through the layer matrices of a sequence.  The
 state has one row per start node (per target node for the backward
@@ -46,6 +47,9 @@ import numpy as np
 MASKED = np.int64(-(1 << 62))
 FLOOR = -(1 << 61)
 CHUNK_ELEMENTS = 1 << 16
+# A single fold tests its running product for rank-one every this many
+# layers; testing every layer costs more than it saves at small n.
+PROBE_STRIDE = 4
 
 
 def encode(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
@@ -151,8 +155,24 @@ def extend(level: np.ndarray, mem: np.ndarray) -> np.ndarray:
     return out.reshape(b * m, n, n)
 
 
+def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
+    """Which matrices of a (..., n, n) stack are rank-one, pivoting on (1, 1).
+
+    A matrix passes when its pivot is finite, its finiteness pattern is
+    the outer pattern of column 1 and row 1, and m_ij - m_1j = m_i1 - m_11
+    wherever finite, so that m = x (x) y^T with x = m_:1 - m_11 and
+    y = m_1:.  Masked slots of num hold 0 with finite |num| < 2**62 (a
+    decoded stack) or MASKED with finite |num| < 2**61 (an encoded one);
+    either way no difference formed leaves int64, and masked slots are
+    left out of the value test.
+    """
+    pattern = fin == (fin[..., :, :1] & fin[..., :1, :])
+    values = (num - num[..., :1, :] == num[..., :, :1] - num[..., :1, :1]) | ~fin
+    return fin[..., 0, 0] & (pattern & values).all(axis=(-2, -1))
+
+
 def _fold_rows(mem, seq):
-    # seq is (k,) for one product or (B, k) for a stack of B products.
+    # seq is a (B, k) stack of sequences.
     steps = seq.T
     cur = mem[steps[0]]
     for s in steps[1:]:
@@ -160,10 +180,28 @@ def _fold_rows(mem, seq):
     return cur
 
 
+def _fold_one(mem, seq):
+    # Once the prefix P of the first l factors is rank-one, P = x (x) y^T
+    # with x = P_:1 - P_11 and y = P_1:, and by associativity the rest of
+    # the fold is x (x) (y^T (x) A_{l+1} (x) ... (x) A_k): a vector sweep.
+    # The result is rebuilt with explicit masks, since x can reach twice
+    # the prefix magnitude and x + MASKED could then pass FLOOR.
+    cur = mem[seq[0]]
+    for l in range(1, len(seq)):
+        if l % PROBE_STRIDE == 0 and rank_one(cur, cur > FLOOR):
+            xfin = cur[:, 0] > FLOOR
+            x = np.where(xfin, cur[:, 0] - cur[0, 0], np.int64(0))
+            y, yfin = decode(_sweep(mem, seq[l:], cur[0], table=False))
+            fin = xfin[:, None] & yfin[None, :]
+            return np.where(fin, x[:, None] + y[None, :], np.int64(0)), fin
+        cur = _product(cur, mem[seq[l]])
+    return decode(cur)
+
+
 def _fold(mem_num, mem_fin, seq):
     mem = encode(mem_num, mem_fin)
     if seq.ndim == 1:
-        return decode(_fold_rows(mem, seq))
+        return _fold_one(mem, seq)
     n = mem.shape[1]
     out = np.empty((len(seq), n, n), dtype=np.int64)
     rows = _chunk_rows(n)

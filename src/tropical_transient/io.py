@@ -51,13 +51,6 @@ def _load_json(path: PathLike):
         ) from exc
 
 
-def _entry_weight(token, where: str) -> Weight:
-    try:
-        return weight_from_token(token)
-    except ValueError as exc:
-        raise FamilyFileError(f"{exc}", position=where) from exc
-
-
 def load_family(path: PathLike) -> tuple[MatrixFamily, tuple[str, ...]]:
     """Parse a family file; returns the family and the member names."""
     data = _load_json(path)
@@ -90,12 +83,15 @@ def load_family(path: PathLike) -> tuple[MatrixFamily, tuple[str, ...]]:
                 raise FamilyFileError(
                     f"{path}: member {name} row {ri} must have {n} entries"
                 )
-            weights.append(
-                [
-                    _entry_weight(tok, f"{path}: member {name} row {ri} column {ci}")
-                    for ci, tok in enumerate(row, start=1)
-                ]
-            )
+            parsed: list[Weight] = []
+            try:
+                for tok in row:
+                    parsed.append(weight_from_token(tok))
+            except ValueError as exc:
+                # The position is only formatted for the token that failed.
+                where = f"{path}: member {name} row {ri} column {len(parsed) + 1}"
+                raise FamilyFileError(f"{exc}", position=where) from exc
+            weights.append(parsed)
         members.append(TropicalMatrix.from_rows(weights))
         names.append(str(name))
     return MatrixFamily(members), tuple(names)

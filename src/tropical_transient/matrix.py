@@ -340,7 +340,8 @@ def rank_one_mask(num: np.ndarray, fin: np.ndarray, den: int) -> np.ndarray:
     m_11 wherever finite.  The identity is invariant under scaling, so it
     is tested on the stack's common grid, as m_ij - m_1j = m_i1 - m_11:
     differences of two stored numerators (|num| < 2**62, 0 in masked
-    slots) cannot overflow.
+    slots) cannot overflow.  That test is ``_kernels.rank_one``, which a
+    single fold also runs on its running product.
 
     Where the pivot is finite, each matrix reduced to lowest terms must
     also keep three times its largest |numerator| below ``_STORE_LIMIT``;
@@ -353,9 +354,7 @@ def rank_one_mask(num: np.ndarray, fin: np.ndarray, den: int) -> np.ndarray:
     for b in np.flatnonzero(pivot & (big >= -(-_STORE_LIMIT // 3))):
         g = math.gcd(int(np.gcd.reduce(np.abs(num[b]), axis=None)), den)
         _check_magnitude(3 * (int(big[b]) // g), "rank-one test", _STORE_LIMIT)
-    pattern = (fin == (fin[:, :, :1] & fin[:, :1, :])).all(axis=(1, 2))
-    values = (num - num[:, :1, :] == num[:, :, :1] - num[:, :1, :1]) | ~fin
-    return pivot & pattern & values.all(axis=(1, 2))
+    return _kernels.rank_one(num, fin)
 
 
 def rank_one_factor(m: TropicalMatrix) -> Optional[tuple[TropicalMatrix, TropicalMatrix]]:

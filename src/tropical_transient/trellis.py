@@ -55,6 +55,10 @@ class TrellisDigraph:
         self._family = family
         self._indices = indices
         self._seq0 = np.array([i - 1 for i in indices], dtype=np.int64)
+        # w* and v*, filled by the first initial_weights_all and
+        # final_weights_all call.
+        self._wstar: Optional[TropicalMatrix] = None
+        self._vstar: Optional[TropicalMatrix] = None
 
     @property
     def family(self) -> MatrixFamily:
@@ -218,15 +222,21 @@ def optimal_final_walk(t: TrellisDigraph, j: int) -> WalkSummary:
 
 
 def initial_weights_all(t: TrellisDigraph) -> TropicalMatrix:
-    """Column vector of optimal initial-walk weights w* for every node."""
-    mem_num, mem_fin, seq0, den = t._arrays()
-    return _column(_kernels.ACTIVE.initial_to_anchor(mem_num, mem_fin, seq0), den)
+    """Column vector of optimal initial-walk weights w* for every node,
+    computed once per trellis."""
+    if t._wstar is None:
+        mem_num, mem_fin, seq0, den = t._arrays()
+        t._wstar = _column(_kernels.ACTIVE.initial_to_anchor(mem_num, mem_fin, seq0), den)
+    return t._wstar
 
 
 def final_weights_all(t: TrellisDigraph) -> TropicalMatrix:
-    """Column vector of optimal final-walk weights v* for every node."""
-    mem_num, mem_fin, seq0, den = t._arrays()
-    return _column(_kernels.ACTIVE.final_from_anchor(mem_num, mem_fin, seq0), den)
+    """Column vector of optimal final-walk weights v* for every node,
+    computed once per trellis."""
+    if t._vstar is None:
+        mem_num, mem_fin, seq0, den = t._arrays()
+        t._vstar = _column(_kernels.ACTIVE.final_from_anchor(mem_num, mem_fin, seq0), den)
+    return t._vstar
 
 
 def best_avoiding_full_weight(t: TrellisDigraph, i: int, j: int) -> Weight:

@@ -193,6 +193,23 @@ class TestCheck:
         assert lemmas["through_one_decomposition"]["checked"] == 25
         assert lemmas["avoiding_strictly_below"]["skipped"] == 0
 
+    def test_anchor_vectors_are_derived_once(self, capsys, monkeypatch):
+        # The report and the lemma checks both read w* and v*.
+        calls = []
+        base = _kernels.ACTIVE
+
+        def counted(name):
+            kernel = getattr(base, name)
+            return lambda *args: calls.append(name) or kernel(*args)
+
+        monkeypatch.setattr(_kernels, "ACTIVE", base._replace(
+            initial_to_anchor=counted("initial_to_anchor"),
+            final_from_anchor=counted("final_from_anchor"),
+        ))
+        code, _, _ = run(capsys, "check", FAMILY, SEQ44, "--lemmas")
+        assert code == 0
+        assert sorted(calls) == ["final_from_anchor", "initial_to_anchor"]
+
     def test_short_product_not_rank_one(self, capsys, tmp_path):
         seq = tmp_path / "one.json"
         seq.write_text("[1]", encoding="utf-8")

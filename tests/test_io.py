@@ -109,6 +109,22 @@ class TestLoadFamily:
             load_family(p)
         assert "member A1 row 1 column 2" in exc.value.position
 
+    def test_bad_token_message_and_position_are_exact(self, tmp_path):
+        # A later member and row, so the column counts from the failing row.
+        good = [[0, -1], [-1, 0]]
+        p = write(
+            tmp_path,
+            "f.json",
+            {"members": [{"name": "A1", "rows": good},
+                         {"name": "B", "rows": [[0, -1], [-2, "1/0"]]}]},
+        )
+        with pytest.raises(FamilyFileError) as exc:
+            load_family(p)
+        where = f"{p}: member B row 2 column 2"
+        assert exc.value.position == where
+        assert str(exc.value) == f"unreadable weight token '1/0' (at {where})"
+        assert isinstance(exc.value.__cause__, ValueError)
+
     def test_second_member_shape_checked_against_first(self, tmp_path):
         p = write(
             tmp_path,

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from tropical_transient import _kernels
-from tropical_transient._kernels import NUMPY_BACKEND, decode
+from tropical_transient._kernels import FLOOR, MASKED, NUMPY_BACKEND, PROBE_STRIDE, decode
 from tropical_transient.family import MatrixFamily
-from tropical_transient.matrix import TropicalMatrix
+from tropical_transient.matrix import TropicalMatrix, rank_one_mask
 from tropical_transient.products import fold
 from tropical_transient.trellis import build_trellis, optimal_full_walk
 
 from oracles import (
     grid,
+    is_rank_one,
     masked_backward_avoid,
     masked_final_from_anchor,
     masked_fold,
@@ -55,6 +56,40 @@ def oracle_cases():
         yield num, fin
 
 
+def admissible_members(rng, m, n):
+    """m members on one support: the cycle 0 -> 1 -> ... -> n-1 -> 0, a
+    weight-0 loop at node 0 and about 0.1 n^2 extra edges, every other
+    weight in -12..-1.  Every other cycle is negative, so long products
+    over them become rank-one."""
+    fin = rng.random(size=(n, n)) < 0.1
+    fin[np.arange(n), (np.arange(n) + 1) % n] = True
+    fin[0, 0] = True
+    num = -rng.integers(1, 13, size=(m, n, n))
+    num[:, 0, 0] = 0
+    return num.astype(np.int64), np.broadcast_to(fin, (m, n, n)).copy()
+
+
+def onset_layer(mem_num, mem_fin, seq):
+    """The first layer below len(seq) that the single fold probes and whose
+    prefix is rank-one by the oracle's definition, or None."""
+    for l in range(PROBE_STRIDE, len(seq), PROBE_STRIDE):
+        num, fin = masked_fold(mem_num, mem_fin, seq[:l])
+        rows = np.where(fin, num, None).tolist()
+        if is_rank_one(rows):
+            return l
+    return None
+
+
+def stage_members(n):
+    """Members for prefixes with a chosen rank-one onset: D is diagonal, so
+    its powers are not rank-one, and R is rank-one, so D^t (x) R is."""
+    d = np.diag(np.arange(1, n + 1))
+    r = np.add.outer(np.arange(n), -np.arange(n))
+    num = np.stack([d, r]).astype(np.int64)
+    fin = np.stack([np.eye(n, dtype=bool), np.ones((n, n), dtype=bool)])
+    return num, fin
+
+
 class TestOracleAgreement:
     """The sentinel kernels against the earlier masked numpy kernels, which
     follow one start at a time; masked numerators are excluded."""
@@ -73,6 +108,120 @@ class TestOracleAgreement:
                     NUMPY_BACKEND.fold(mem_num, mem_fin, seq),
                     masked_fold(mem_num, mem_fin, seq),
                 )
+
+    def test_factored_fold_on_synthetic_sequences(self):
+        # Long sequences over admissible members turn rank-one early, so
+        # most of each fold is the vector sweep.
+        for seed, n in enumerate((5, 12, 24, 5, 12, 24)):
+            rng = np.random.default_rng(100 + seed)
+            mem_num, mem_fin = admissible_members(rng, 3, n)
+            seq = random_seq(rng, 3, 200)
+            assert onset_layer(mem_num, mem_fin, seq) is not None
+            assert_masked_equal(
+                NUMPY_BACKEND.fold(mem_num, mem_fin, seq),
+                masked_fold(mem_num, mem_fin, seq),
+            )
+
+    def test_fold_of_one_to_five_factors(self):
+        rng = np.random.default_rng(9)
+        cases = list(oracle_cases()) + [admissible_members(rng, 2, n) for n in (1, 3, 6)]
+        cases.append(stage_members(4))
+        for mem_num, mem_fin in cases:
+            for k in range(1, 6):
+                for _ in range(3):
+                    seq = random_seq(rng, mem_num.shape[0], k)
+                    assert_masked_equal(
+                        NUMPY_BACKEND.fold(mem_num, mem_fin, seq),
+                        masked_fold(mem_num, mem_fin, seq),
+                    )
+
+    @pytest.mark.parametrize("onset", [PROBE_STRIDE, PROBE_STRIDE + 1,
+                                       2 * PROBE_STRIDE, 2 * PROBE_STRIDE + 1])
+    def test_prefix_rank_one_on_and_after_a_probe_layer(self, onset):
+        # D^(onset - 1) (x) R is the first rank-one prefix; random members
+        # follow, with and without a -inf (1, 1) entry.
+        rng = np.random.default_rng(onset)
+        n = 5
+        stage_num, stage_fin = stage_members(n)
+        rand_num, rand_fin = random_members(rng, 3, n, 0.6)
+        rand_fin[0, 0, 0] = False
+        mem_num = np.concatenate([stage_num, rand_num])
+        mem_fin = np.concatenate([stage_fin, rand_fin])
+        for tail in (0, 1, 2, 7):
+            seq = np.concatenate([np.zeros(onset - 1, np.int64), [1],
+                                  rng.integers(0, 5, size=tail)])
+            want = -(-onset // PROBE_STRIDE) * PROBE_STRIDE
+            assert onset_layer(mem_num, mem_fin, seq) == (want if want < len(seq) else None)
+            assert_masked_equal(
+                NUMPY_BACKEND.fold(mem_num, mem_fin, seq),
+                masked_fold(mem_num, mem_fin, seq),
+            )
+
+    def test_fold_that_never_turns_rank_one(self):
+        rng = np.random.default_rng(12)
+        n = 6
+        # Non-admissible members: the diagonal of stage_members, and
+        # weighted permutation matrices, whose products stay permutations.
+        diag_num, diag_fin = stage_members(n)
+        perm_num = rng.integers(-9, 10, size=(3, n, n)).astype(np.int64)
+        perm_fin = np.zeros((3, n, n), dtype=bool)
+        for j in range(3):
+            perm_fin[j, np.arange(n), rng.permutation(n)] = True
+        # A -inf pivot: row 0 of member 0 is masked, so every product that
+        # starts with it keeps a masked row 0.
+        pivot_num, pivot_fin = admissible_members(rng, 2, n)
+        pivot_fin[0, 0, :] = False
+        for (mem_num, mem_fin), first in (((diag_num[:1], diag_fin[:1]), None),
+                                          ((perm_num, perm_fin), None),
+                                          ((pivot_num, pivot_fin), 0)):
+            for k in (4, 9, 16, 33):
+                seq = random_seq(rng, mem_num.shape[0], k)
+                if first is not None:
+                    seq[0] = first
+                assert onset_layer(mem_num, mem_fin, seq) is None
+                assert_masked_equal(
+                    NUMPY_BACKEND.fold(mem_num, mem_fin, seq),
+                    masked_fold(mem_num, mem_fin, seq),
+                )
+
+    def test_masked_pivot_member_after_a_rank_one_prefix(self):
+        rng = np.random.default_rng(13)
+        for n in (3, 8):
+            mem_num, mem_fin = admissible_members(rng, 3, n)
+            mem_fin[2, 0, 0] = False
+            prefix = random_seq(rng, 2, 40)
+            onset = onset_layer(mem_num, mem_fin, prefix)
+            assert onset is not None
+            for position in (onset, onset + 1, 39):
+                seq = prefix.copy()
+                seq[position:position + 2] = 2
+                assert onset_layer(mem_num, mem_fin, seq) == onset
+                assert_masked_equal(
+                    NUMPY_BACKEND.fold(mem_num, mem_fin, seq),
+                    masked_fold(mem_num, mem_fin, seq),
+                )
+
+    def test_fold_probe_is_the_rank_one_mask_test(self):
+        # The probe reads the encoded running product; the scan passes the
+        # decoded stack.  Both must decide every matrix the same way.
+        rng = np.random.default_rng(14)
+        for n in (1, 2, 3, 6):
+            x_num, x_fin = random_members(rng, 200, n, 0.8)
+            y_num, y_fin = random_members(rng, 200, n, 0.8)
+            outer = x_num[:, :, :1] + y_num[:, :1, :]
+            outer_fin = x_fin[:, :, :1] & y_fin[:, :1, :]
+            num = np.concatenate([outer, random_members(rng, 200, n, 0.9)[0]])
+            fin = np.concatenate([outer_fin, rng.random(size=(200, n, n)) < 0.9])
+            fin[::5, rng.integers(0, n), :] = False
+            fin[1::5, :, rng.integers(0, n)] = False
+            num[2::7] += 1 - 2 * (rng.random(size=num[2::7].shape) < 0.1)
+            enc = _kernels.encode(num, fin)
+            probe = _kernels.rank_one(enc, enc > FLOOR)
+            mask = rank_one_mask(*decode(enc), 1)
+            assert np.array_equal(probe, mask)
+            want = [is_rank_one(np.where(f, a, None).tolist()) for a, f in zip(num, fin)]
+            assert probe.tolist() == want
+            assert 0 < probe.sum() < len(probe)
 
     def test_stacked_fold_and_level_step(self):
         # A (B, k) stack folds row by row, and one level step extends
@@ -236,6 +385,30 @@ class TestGuardBoundary:
                     walk = optimal_full_walk(trellis, i, j)
                     got = walk.weight if walk.exists else None
                     assert got == want[i - 1][j - 1]
+
+    def test_factored_fold_just_under_matches_fraction_oracle(self):
+        # D^3 (x) R is rank-one at the first probe layer, with column
+        # (-3p, 4p, -4p), so x = (0, 7p, -p) and y = (-3p, -3p, -3p).  E
+        # then masks column 2.  Five layers of magnitude p reach the guard,
+        # and 7p + MASKED lies above FLOOR: only explicit masks keep the
+        # masked column masked.
+        k = 5
+        p = JUST_UNDER // k
+        assert 7 * p + int(MASKED) > FLOOR
+        d = TropicalMatrix.from_rows([[-p, None, None], [None, p, None], [None, None, -p]])
+        r = TropicalMatrix.from_rows([[0, 0, 0], [p, p, p], [-p, -p, -p]])
+        e = TropicalMatrix.from_rows([[p, None, 0], [-p, None, None], [0, None, p]])
+        family = MatrixFamily([d, r, e])
+        assert family.layer_magnitude * k <= JUST_UNDER
+        grids = [grid(m) for m in family.members]
+        seq = [1, 1, 1, 2, 3]
+        assert PROBE_STRIDE == 4
+        assert is_rank_one(naive_fold([grids[i - 1] for i in seq[:4]]))
+        assert not is_rank_one(naive_fold([grids[i - 1] for i in seq[:3]]))
+        got = grid(fold(family, seq))
+        assert got == naive_fold([grids[i - 1] for i in seq])
+        assert [row[0] for row in got] == [-2 * p, 5 * p, -3 * p]
+        assert [row[1] for row in got] == [None] * 3
 
     @pytest.mark.parametrize("total", REJECTED)
     def test_matmul_rejects(self, total):
