@@ -64,7 +64,6 @@ from .trellis import (
     best_through_one_weight,
     build_trellis,
     check_lemma_bounds,
-    enumerate_walks,
     final_weights_all,
     initial_weights_all,
     optimal_final_walk,

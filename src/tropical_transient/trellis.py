@@ -16,8 +16,11 @@ analysis:
 
 The DP operations return a :class:`WalkSummary` carrying the optimal
 weight, a witness, and the minimum length among optimal walks.
-:func:`enumerate_walks` recomputes the same summaries by exhaustive
-search for small instances and serves as the oracle for the DPs.
+
+:func:`check_lemma_bounds` verifies the walk facts behind the transient
+bound: its pair thresholds are the bound terms term1 and term2 of
+:mod:`bounds`, evaluated with the trellis vectors w*, v* (the optimal
+initial- and final-walk weights) in place of A_inf's w, v.
 """
 
 from __future__ import annotations
@@ -29,13 +32,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .errors import BudgetExceededError, DimensionError
+from .bounds import compute_bound_report
 from .family import MatrixFamily, max_walk_magnitude
 from .matrix import TropicalMatrix, _check_magnitude
 from .semiring import EPSILON, Epsilon, Weight, ZERO, weight_token
-
-_ENUM_MAX_NODES = 6
-_ENUM_MAX_LAYERS = 12
 
 
 class TrellisDigraph:
@@ -112,9 +112,9 @@ class WalkSummary:
 
     ``witness`` lists 1-based node labels from layer ``start_layer``
     onward; ``length`` is its edge count.  The witness returned by the
-    DPs and the enumerator has minimum length among optimal walks, so
-    ``length`` equals ``min_length_among_optima``.  For an empty walk
-    class every optional field is None and the weight is -inf.
+    DPs has minimum length among optimal walks, so ``length`` equals
+    ``min_length_among_optima``.  For an empty walk class every optional
+    field is None and the weight is -inf.
     """
 
     weight: Weight
@@ -326,111 +326,6 @@ def _trace_forward(mem, seq0, row, layer: int, node: int, target) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration (oracle for the DPs)
-# ---------------------------------------------------------------------------
-
-def enumerate_walks(t: TrellisDigraph, i: int, j: int, walk_class: str) -> WalkSummary:
-    """Brute-force the optimal walk of a class by searching every walk.
-
-    Intended as an independent oracle for the DP operations on small
-    instances; raises :class:`BudgetExceededError` beyond n = 6 nodes or
-    k = 12 layers.  ``walk_class`` is "full", "initial" (i to j with j
-    touched exactly once, at the end) or "final" (the mirror).
-    """
-    n = t.node_size
-    k = t.layer_count
-    _check_node(n, i)
-    _check_node(n, j)
-    if n > _ENUM_MAX_NODES or k > _ENUM_MAX_LAYERS:
-        raise BudgetExceededError(
-            f"enumeration budget is n <= {_ENUM_MAX_NODES}, k <= {_ENUM_MAX_LAYERS}; "
-            f"got n = {n}, k = {k}"
-        )
-    if walk_class not in ("full", "initial", "final"):
-        raise ValueError(f"unknown walk class {walk_class!r}")
-    mem_num, mem_fin, seq0, den = t._arrays()
-    layers_num = [mem_num[s] for s in seq0]
-    layers_fin = [mem_fin[s] for s in seq0]
-    i0 = i - 1
-    j0 = j - 1
-
-    best: dict = {"weight": None, "length": None, "nodes": None, "start": None}
-
-    def offer(weight: int, nodes: list[int], start: int) -> None:
-        length = len(nodes) - 1
-        if best["weight"] is None or weight > best["weight"] or (
-            weight == best["weight"] and length < best["length"]
-        ):
-            best.update(weight=weight, length=length, nodes=tuple(nodes), start=start)
-
-    if walk_class == "full":
-        def walk_full(u: int, l: int, wt: int, nodes: list[int]) -> None:
-            if l == k:
-                if u == j0:
-                    offer(wt, nodes, 0)
-                return
-            a_num = layers_num[l]
-            a_fin = layers_fin[l]
-            for v in range(n):
-                if a_fin[u, v]:
-                    nodes.append(v)
-                    walk_full(v, l + 1, wt + int(a_num[u, v]), nodes)
-                    nodes.pop()
-
-        walk_full(i0, 0, 0, [i0])
-    elif walk_class == "initial":
-        if i0 == j0:
-            offer(0, [i0], 0)
-        else:
-            def walk_initial(u: int, l: int, wt: int, nodes: list[int]) -> None:
-                if l == k:
-                    return
-                a_num = layers_num[l]
-                a_fin = layers_fin[l]
-                for v in range(n):
-                    if not a_fin[u, v]:
-                        continue
-                    if v == j0:
-                        offer(wt + int(a_num[u, v]), nodes + [v], 0)
-                    else:
-                        nodes.append(v)
-                        walk_initial(v, l + 1, wt + int(a_num[u, v]), nodes)
-                        nodes.pop()
-
-            walk_initial(i0, 0, 0, [i0])
-    else:
-        if i0 == j0:
-            offer(0, [j0], k)
-        else:
-            def walk_final(u: int, l: int, wt: int, nodes: list[int]) -> None:
-                if l == k:
-                    if u == j0:
-                        offer(wt, nodes, start_layer)
-                    return
-                a_num = layers_num[l]
-                a_fin = layers_fin[l]
-                for v in range(n):
-                    if a_fin[u, v] and v != i0:
-                        nodes.append(v)
-                        walk_final(v, l + 1, wt + int(a_num[u, v]), nodes)
-                        nodes.pop()
-
-            # Shorter walks first so equal-weight ties keep the minimum length.
-            for start_layer in range(k - 1, -1, -1):
-                walk_final(i0, start_layer, 0, [i0])
-
-    if best["weight"] is None:
-        return _EMPTY_SUMMARY
-    return WalkSummary(
-        weight=_frac(best["weight"], den),
-        length=best["length"],
-        min_length_among_optima=best["length"],
-        witness=tuple(x + 1 for x in best["nodes"]),
-        start_layer=best["start"],
-    )
-
-
-# ---------------------------------------------------------------------------
 # Walk-length and decomposition checks
 # ---------------------------------------------------------------------------
 
@@ -470,15 +365,16 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     * initial_length: some optimal initial walk into node 1 has length at
       most (w*_i - alpha_i) / lambda* + (n - 1);
     * final_length: the mirror statement for final walks;
-    * through_one_decomposition: once k exceeds
-      (w*_i - alpha_i + v*_j - beta_j) / lambda* + 2(n - 1), the best
-      full walk through node 1 has weight exactly w*_i + v*_j;
-    * avoiding_strictly_below: once k exceeds
-      (w*_i + v*_j - gamma_ij) / lambda* + (n - 1) (met at every length
-      when gamma_ij is -inf), every node-1-avoiding full walk weighs
-      strictly less than w*_i + v*_j.
+    * through_one_decomposition: once k exceeds term2(i, j), the best full
+      walk through node 1 has weight exactly w*_i + v*_j;
+    * avoiding_strictly_below: once k exceeds term1(i, j) (met at every
+      length when gamma_ij is -inf), every node-1-avoiding full walk
+      weighs strictly less than w*_i + v*_j.
 
-    Pairs whose walk classes are empty are counted as skipped.
+    term1 and term2 are the bound terms of :mod:`bounds` evaluated with
+    the trellis vectors w*, v* in place of w, v; one
+    :func:`compute_bound_report` call gives both for every pair.  Pairs
+    whose walk classes are empty are counted as skipped.
     """
     family = t.family
     family.require_valid("walk-structure checks")
@@ -488,6 +384,9 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     lam = derived.lambda_star.mean
     wstar = initial_weights_all(t)
     vstar = final_weights_all(t)
+    terms = compute_bound_report(
+        wstar, vstar, derived.alpha, derived.beta, derived.gamma, lam, "trellis"
+    )
     # One all-starts sweep per walk class; every pair reads its answer
     # from these.  Node 1 has the empty initial and final walk.
     nodes = np.arange(n)
@@ -498,110 +397,73 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, nodes)
     initial_len = np.where(nodes == 0, 0, _arrivals(mem, seq0, forward)[1])
     final_len = np.where(nodes == 0, 0, k - _departures(mem, seq0, backward)[1])
-    avoiding_all = forward[k]
 
-    def q(x: Weight) -> Weight:
-        if isinstance(x, Epsilon):
-            return EPSILON
-        if isinstance(lam, Epsilon):
-            return Fraction(0)
-        return x / lam
-
-    init_fail = []
-    init_checked = init_skipped = 0
-    for i in range(1, n + 1):
-        w_i = wstar.entry(i - 1, 0)
-        if isinstance(w_i, Epsilon):
-            init_skipped += 1
-            continue
-        a_i = derived.alpha.entry(i - 1, 0)
-        bound = q(_finite_sub(w_i, a_i)) + Fraction(n - 1)
-        length = int(initial_len[i - 1])
-        init_checked += 1
-        if Fraction(length) > bound:
-            init_fail.append(
-                {"i": i, "min_length": length, "bound": weight_token(bound)}
-            )
-
-    fin_fail = []
-    fin_checked = fin_skipped = 0
-    for j in range(1, n + 1):
-        v_j = vstar.entry(j - 1, 0)
-        if isinstance(v_j, Epsilon):
-            fin_skipped += 1
-            continue
-        b_j = derived.beta.entry(j - 1, 0)
-        bound = q(_finite_sub(v_j, b_j)) + Fraction(n - 1)
-        length = int(final_len[j - 1])
-        fin_checked += 1
-        if Fraction(length) > bound:
-            fin_fail.append(
-                {"j": j, "min_length": length, "bound": weight_token(bound)}
-            )
-
-    thr_fail = []
-    thr_checked = thr_skipped = 0
-    avd_fail = []
-    avd_checked = avd_skipped = 0
-    for i in range(1, n + 1):
-        w_i = wstar.entry(i - 1, 0)
-        a_i = derived.alpha.entry(i - 1, 0)
-        for j in range(1, n + 1):
-            v_j = vstar.entry(j - 1, 0)
-            if isinstance(w_i, Epsilon) or isinstance(v_j, Epsilon):
-                thr_skipped += 1
-                avd_skipped += 1
-                continue
-            target = w_i + v_j
-            b_j = derived.beta.entry(j - 1, 0)
-            t2 = q(_finite_sub(w_i, a_i) + _finite_sub(v_j, b_j)) + Fraction(2 * (n - 1))
-            if Fraction(k) > t2:
-                thr_checked += 1
-                through_ij = _weight(through[i - 1, j - 1], den)
-                if through_ij != target:
-                    thr_fail.append(
-                        {"i": i, "j": j, "through": weight_token(through_ij),
-                         "expected": weight_token(target)}
-                    )
-            else:
-                thr_skipped += 1
-            g_ij = derived.gamma.entry(i - 1, j - 1)
-            if isinstance(g_ij, Epsilon):
-                t1_met = True
-            else:
-                t1 = q(w_i + v_j - g_ij) + Fraction(n - 1)
-                t1_met = Fraction(k) > t1
-            if t1_met:
-                avd_checked += 1
-                avoiding = _weight(avoiding_all[i - 1, j - 1], den)
-                ok = isinstance(avoiding, Epsilon) or avoiding < target
-                if not ok:
-                    avd_fail.append(
-                        {"i": i, "j": j, "avoiding": weight_token(avoiding),
-                         "target": weight_token(target)}
-                    )
-            else:
-                avd_skipped += 1
+    w_num, w_fin = (x[:, 0] for x in wstar.scaled(den))
+    v_num, v_fin = (x[:, 0] for x in vstar.scaled(den))
+    pairs = w_fin[:, None] & v_fin
+    target = w_num[:, None] + v_num
+    through_on = pairs & _exceeded(terms.term2, k)
+    through_bad = through_on & ~((through > _kernels.FLOOR) & (through == target))
+    avoiding = forward[k]
+    avoiding_on = pairs & _exceeded(terms.term1, k)
+    avoiding_bad = avoiding_on & (avoiding > _kernels.FLOOR) & (avoiding >= target)
 
     return LemmaReport(
-        initial_length=LemmaCheck(
-            "initial_length", not init_fail, init_checked, init_skipped, tuple(init_fail)
+        initial_length=_length_check(
+            "initial_length", "i", wstar, derived.alpha, initial_len, lam
         ),
-        final_length=LemmaCheck(
-            "final_length", not fin_fail, fin_checked, fin_skipped, tuple(fin_fail)
+        final_length=_length_check(
+            "final_length", "j", vstar, derived.beta, final_len, lam
         ),
-        through_one_decomposition=LemmaCheck(
-            "through_one_decomposition", not thr_fail, thr_checked, thr_skipped, tuple(thr_fail)
+        through_one_decomposition=_pair_check(
+            "through_one_decomposition", through_on, through_bad,
+            ("through", "expected"), through, target, den,
         ),
-        avoiding_strictly_below=LemmaCheck(
-            "avoiding_strictly_below", not avd_fail, avd_checked, avd_skipped, tuple(avd_fail)
+        avoiding_strictly_below=_pair_check(
+            "avoiding_strictly_below", avoiding_on, avoiding_bad,
+            ("avoiding", "target"), avoiding, target, den,
         ),
     )
 
 
-def _finite_sub(a: Fraction, b: Weight) -> Fraction:
-    # Validated families have finite alpha and beta everywhere, so a -inf
-    # here means the caller is off the supported path.
-    if isinstance(b, Epsilon):
-        raise DimensionError("subtracting -inf in a length bound")
-    return a - b
+def _exceeded(term: TropicalMatrix, k: int) -> np.ndarray:
+    """Where k > term, true where the term is -inf.  For integer k and a
+    positive denominator d, k > x / d exactly when x // d < k."""
+    num, fin = term.scaled(term.denominator)
+    return ~fin | (num // term.denominator < k)
+
+
+def _length_check(name: str, key: str, weights: TropicalMatrix, anchor: TropicalMatrix,
+                  lengths: np.ndarray, lam: Weight) -> LemmaCheck:
+    """Per node with a finite walk weight: its minimum optimal walk length
+    is at most (weight - anchor path weight) / lambda* + (n - 1)."""
+    n = weights.rows
+    failures = []
+    checked = 0
+    for x in range(n):
+        weight = weights.entry(x, 0)
+        if isinstance(weight, Epsilon):
+            continue
+        checked += 1
+        quotient = 0 if isinstance(lam, Epsilon) else (weight - anchor.entry(x, 0)) / lam
+        bound = quotient + Fraction(n - 1)
+        if int(lengths[x]) > bound:
+            failures.append(
+                {key: x + 1, "min_length": int(lengths[x]), "bound": weight_token(bound)}
+            )
+    return LemmaCheck(name, not failures, checked, n - checked, tuple(failures))
+
+
+def _pair_check(name: str, on: np.ndarray, bad: np.ndarray, keys: tuple[str, str],
+                walks: np.ndarray, target: np.ndarray, den: int) -> LemmaCheck:
+    """A check over the pairs where ``on`` holds, failing where ``bad``
+    holds; each failure reports the encoded walk weight and the target
+    under ``keys``, in row-major order."""
+    walk_key, target_key = keys
+    failures = tuple(
+        {"i": i + 1, "j": j + 1, walk_key: weight_token(_weight(walks[i, j], den)),
+         target_key: weight_token(_frac(target[i, j], den))}
+        for i, j in np.argwhere(bad).tolist()
+    )
+    checked = int(on.sum())
+    return LemmaCheck(name, not failures, checked, on.size - checked, failures)

@@ -8,8 +8,9 @@ through ``grid()`` so test comparisons never reuse the code under test.
 The later sections keep code the package has replaced: masked numpy
 products and trellis DPs that follow one start node at a time with
 explicit finiteness masks (the reference for the sentinel kernels in
-``tropical_transient._kernels``), the bound terms in ``Fraction``
-arithmetic, and the transient scan one sequence at a time.
+``tropical_transient._kernels``), the bound terms and the walk-structure
+checks in ``Fraction`` arithmetic, and the transient scan one sequence at
+a time.
 """
 
 import itertools
@@ -27,7 +28,17 @@ from tropical_transient.products import (
     TransientEstimate,
     fold,
 )
-from tropical_transient.semiring import EPSILON, Epsilon, Weight, oplus
+from tropical_transient.semiring import EPSILON, Epsilon, Weight, oplus, weight_token
+from tropical_transient.trellis import (
+    LemmaCheck,
+    LemmaReport,
+    best_avoiding_full_weight,
+    best_through_one_weight,
+    final_weights_all,
+    initial_weights_all,
+    optimal_final_walk,
+    optimal_initial_walk,
+)
 
 
 def grid(matrix):
@@ -544,6 +555,118 @@ def _shift(q: Weight, c: Fraction) -> Weight:
     if isinstance(q, Epsilon):
         return EPSILON
     return q + c
+
+
+# ---------------------------------------------------------------------------
+# Walk-structure checks one pair at a time, in Fraction arithmetic (the
+# package's earlier check_lemma_bounds, kept as the reference for the
+# thresholds read off the bound terms)
+# ---------------------------------------------------------------------------
+
+def fraction_lemma_report(trellis) -> LemmaReport:
+    """The four walk-structure checks of ``trellis.check_lemma_bounds``,
+    each threshold evaluated per node or pair from w*, v*, alpha, beta,
+    gamma and lambda*, each walk fact read from a single-start DP."""
+    family = trellis.family
+    family.require_valid("walk-structure checks")
+    n = trellis.node_size
+    k = trellis.layer_count
+    derived = family.sup_derived
+    lam = derived.lambda_star.mean
+    wstar = initial_weights_all(trellis)
+    vstar = final_weights_all(trellis)
+
+    def q(x: Weight) -> Weight:
+        if isinstance(x, Epsilon):
+            return EPSILON
+        if isinstance(lam, Epsilon):
+            return Fraction(0)
+        return x / lam
+
+    def length_check(name, key, weights, anchor, walk):
+        failures = []
+        checked = skipped = 0
+        for x in range(1, n + 1):
+            w_x = weights.entry(x - 1, 0)
+            if isinstance(w_x, Epsilon):
+                skipped += 1
+                continue
+            bound = q(_finite_sub(w_x, anchor.entry(x - 1, 0))) + Fraction(n - 1)
+            length = walk(trellis, x).min_length_among_optima
+            checked += 1
+            if Fraction(length) > bound:
+                failures.append(
+                    {key: x, "min_length": length, "bound": weight_token(bound)}
+                )
+        return LemmaCheck(name, not failures, checked, skipped, tuple(failures))
+
+    thr_fail = []
+    thr_checked = thr_skipped = 0
+    avd_fail = []
+    avd_checked = avd_skipped = 0
+    for i in range(1, n + 1):
+        w_i = wstar.entry(i - 1, 0)
+        a_i = derived.alpha.entry(i - 1, 0)
+        for j in range(1, n + 1):
+            v_j = vstar.entry(j - 1, 0)
+            if isinstance(w_i, Epsilon) or isinstance(v_j, Epsilon):
+                thr_skipped += 1
+                avd_skipped += 1
+                continue
+            target = w_i + v_j
+            b_j = derived.beta.entry(j - 1, 0)
+            t2 = q(_finite_sub(w_i, a_i) + _finite_sub(v_j, b_j)) + Fraction(2 * (n - 1))
+            if Fraction(k) > t2:
+                thr_checked += 1
+                through_ij = best_through_one_weight(trellis, i, j)
+                if through_ij != target:
+                    thr_fail.append(
+                        {"i": i, "j": j, "through": weight_token(through_ij),
+                         "expected": weight_token(target)}
+                    )
+            else:
+                thr_skipped += 1
+            g_ij = derived.gamma.entry(i - 1, j - 1)
+            if isinstance(g_ij, Epsilon):
+                t1_met = True
+            else:
+                t1 = q(w_i + v_j - g_ij) + Fraction(n - 1)
+                t1_met = Fraction(k) > t1
+            if t1_met:
+                avd_checked += 1
+                avoiding = best_avoiding_full_weight(trellis, i, j)
+                if not (isinstance(avoiding, Epsilon) or avoiding < target):
+                    avd_fail.append(
+                        {"i": i, "j": j, "avoiding": weight_token(avoiding),
+                         "target": weight_token(target)}
+                    )
+            else:
+                avd_skipped += 1
+
+    return LemmaReport(
+        initial_length=length_check(
+            "initial_length", "i", wstar, derived.alpha, optimal_initial_walk
+        ),
+        final_length=length_check(
+            "final_length", "j", vstar, derived.beta, optimal_final_walk
+        ),
+        through_one_decomposition=LemmaCheck(
+            "through_one_decomposition", not thr_fail, thr_checked, thr_skipped,
+            tuple(thr_fail),
+        ),
+        avoiding_strictly_below=LemmaCheck(
+            "avoiding_strictly_below", not avd_fail, avd_checked, avd_skipped,
+            tuple(avd_fail),
+        ),
+    )
+
+
+def _finite_sub(a: Fraction, b: Weight) -> Fraction:
+    # Validated families have finite alpha and beta everywhere, so a -inf
+    # here means the caller is off the supported path.
+    if isinstance(b, Epsilon):
+        raise DimensionError("subtracting -inf in a length bound")
+    return a - b
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,23 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("overflow: ")
 
+    def test_lemma_threshold_overflow_is_reported(self, capsys, tmp_path):
+        # The lemma checks share the bound terms' int64 guard; lambda* with
+        # a 2^31 denominator scales their thresholds past it.
+        fam = tmp_path / "fine.json"
+        fam.write_text(
+            json.dumps({"members": [{"rows": [[0, -5], [-5, f"-1/{2**31}"]]}]}),
+            encoding="utf-8",
+        )
+        seq = tmp_path / "ten.json"
+        seq.write_text(json.dumps([1] * 10), encoding="utf-8")
+        code, _, _ = run(capsys, "check", fam, seq)
+        assert code == 3  # reported: the product is not yet rank-one
+        code, out, err = run(capsys, "check", fam, seq, "--lemmas")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("overflow: bound terms: ")
+
     def test_karp_table_overflow_is_reported(self, capsys, tmp_path):
         # The 2-cycle off the loop puts 6 |weight| >= 2^61 into Karp's
         # cross-multiplied quotients.

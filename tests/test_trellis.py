@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 import oracles
 from conftest import random_valid_family
-from tropical_transient.errors import BudgetExceededError
+from tropical_transient.family import MatrixFamily
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import fold
 from tropical_transient.semiring import EPSILON, Epsilon, is_eps
@@ -15,7 +16,6 @@ from tropical_transient.trellis import (
     best_through_one_weight,
     build_trellis,
     check_lemma_bounds,
-    enumerate_walks,
     final_weights_all,
     initial_weights_all,
     optimal_final_walk,
@@ -83,7 +83,6 @@ class TestStructure:
             lambda: optimal_final_walk(t, 0),
             lambda: best_avoiding_full_weight(t, 9, 1),
             lambda: best_through_one_weight(t, 1, 9),
-            lambda: enumerate_walks(t, 0, 1, "full"),
         ):
             with pytest.raises(IndexError):
                 fn()
@@ -141,30 +140,26 @@ class TestAnchoredWalks:
             grids = [oracles.grid(fam.member(s)) for s in seq]
             for node in range(1, fam.size + 1):
                 dp = optimal_initial_walk(t, node)
-                enum = enumerate_walks(t, node, 1, "initial")
-                assert dp.weight == enum.weight
-                assert dp.min_length_among_optima == enum.min_length_among_optima
                 want_w, want_len = oracles.trellis_best_initial(grids, node - 1)
                 if want_w is None:
                     assert not dp.exists
                 else:
                     assert dp.weight == want_w
                     assert dp.length == want_len
+                    assert dp.min_length_among_optima == want_len
                     if node != 1:
                         assert witness_weight(t, dp) == want_w
                         assert dp.witness[-1] == 1
                         assert all(v != 1 for v in dp.witness[:-1])
 
                 dp = optimal_final_walk(t, node)
-                enum = enumerate_walks(t, 1, node, "final")
-                assert dp.weight == enum.weight
-                assert dp.min_length_among_optima == enum.min_length_among_optima
                 want_w, want_len = oracles.trellis_best_final(grids, node - 1)
                 if want_w is None:
                     assert not dp.exists
                 else:
                     assert dp.weight == want_w
                     assert dp.length == want_len
+                    assert dp.min_length_among_optima == want_len
                     if node != 1:
                         assert witness_weight(t, dp) == want_w
                         assert dp.witness[0] == 1
@@ -247,39 +242,6 @@ class TestSplitWalks:
         assert best_through_one_weight(t, 1, 2) == full
 
 
-class TestEnumerator:
-    def test_budget(self):
-        rng = random.Random(36)
-        fam = random_valid_family(rng, n=2)
-        t = build_trellis(fam, [1] * 13)
-        with pytest.raises(BudgetExceededError):
-            enumerate_walks(t, 1, 1, "full")
-        big = random_valid_family(rng, n=7)
-        t2 = build_trellis(big, [1])
-        with pytest.raises(BudgetExceededError):
-            enumerate_walks(t2, 1, 1, "full")
-
-    def test_unknown_class(self, family5):
-        t = build_trellis(family5, [1])
-        with pytest.raises(ValueError):
-            enumerate_walks(t, 1, 1, "walks")
-
-    def test_full_class_against_tuples(self):
-        rng = random.Random(37)
-        for _ in range(25):
-            fam, seq = random_case(rng)
-            t = build_trellis(fam, seq)
-            grids = [oracles.grid(fam.member(s)) for s in seq]
-            for i in range(1, fam.size + 1):
-                for j in range(1, fam.size + 1):
-                    s = enumerate_walks(t, i, j, "full")
-                    want, want_len = oracles.trellis_best_full(grids, i - 1, j - 1)
-                    assert (want is None) == (not s.exists)
-                    if want is not None:
-                        assert s.weight == want
-                        assert s.min_length_among_optima == want_len == t.layer_count
-
-
 class TestLemmaChecks:
     def test_fixture_sequence(self, family5, seq44):
         report = check_lemma_bounds(build_trellis(family5, seq44))
@@ -311,3 +273,72 @@ class TestLemmaChecks:
             seq = [rng.randint(1, fam.member_count) for _ in range(k)]
             report = check_lemma_bounds(build_trellis(fam, seq))
             assert report.all_hold, (fam, seq, report)
+
+
+def shifted(m, delta):
+    """m with every finite entry moved by delta."""
+    num, fin = m.scaled(m.denominator)
+    return TropicalMatrix(num + delta * m.denominator, fin, m.denominator)
+
+
+class TestLemmaOracle:
+    """check_lemma_bounds against the per-pair Fraction reference."""
+
+    def assert_matches(self, trellis):
+        got = check_lemma_bounds(trellis)
+        assert got == oracles.fraction_lemma_report(trellis)
+        return got
+
+    def test_fixture(self, family5, seq44):
+        self.assert_matches(build_trellis(family5, seq44))
+        self.assert_matches(build_trellis(family5, [1]))
+
+    def test_random_families(self):
+        rng = random.Random(39)
+        no_extras = 0
+        for case in range(60):
+            fam = random_valid_family(rng)
+            no_extras += is_eps(fam.sup_derived.lambda_star.mean)
+            k = 0 if case % 10 == 0 else rng.randint(1, 20)
+            seq = [rng.randint(1, fam.member_count) for _ in range(k)]
+            self.assert_matches(build_trellis(fam, seq))
+        assert no_extras > 0  # some cases have lambda* = -inf
+
+    def test_perturbed_sup_derived_fails_every_check(self):
+        # Shifting alpha, beta and gamma down by 50 lowers every threshold
+        # below what the walks achieve on short sequences.  With lambda* =
+        # -inf the thresholds ignore the shift, so those families are left
+        # out.
+        rng = random.Random(40)
+        failing = {"initial": 0, "final": 0, "through": 0, "avoiding": 0}
+        cases = 0
+        while cases < 40:
+            fam = random_valid_family(rng)
+            d = fam.sup_derived
+            if is_eps(d.lambda_star.mean):
+                continue
+            cases += 1
+            fam.__dict__["sup_derived"] = dataclasses.replace(
+                d, alpha=shifted(d.alpha, -50), beta=shifted(d.beta, -50),
+                gamma=shifted(d.gamma, -50),
+            )
+            k = rng.randint(1, 8)
+            seq = [rng.randint(1, fam.member_count) for _ in range(k)]
+            got = self.assert_matches(build_trellis(fam, seq))
+            failing["initial"] += len(got.initial_length.failures)
+            failing["final"] += len(got.final_length.failures)
+            failing["through"] += len(got.through_one_decomposition.failures)
+            failing["avoiding"] += len(got.avoiding_strictly_below.failures)
+        assert all(count > 0 for count in failing.values()), failing
+
+    def test_thresholds_beyond_int64_are_rejected(self):
+        # The checks share the bound terms' int64 guard: a lambda* with a
+        # 2^31 denominator scales these thresholds past it, although the
+        # walk facts themselves hold.
+        tiny = Fraction(-1, 2**31)
+        fam = MatrixFamily([TropicalMatrix.from_rows([[0, -5], [-5, tiny]])])
+        assert fam.validate().passed
+        trellis = build_trellis(fam, [1] * 10)
+        assert oracles.fraction_lemma_report(trellis).all_hold
+        with pytest.raises(OverflowError, match="^bound terms: "):
+            check_lemma_bounds(trellis)
