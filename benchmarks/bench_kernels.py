@@ -13,17 +13,27 @@ rank-one early so the fold finishes as a vector sweep, and one over
 weighted permutation matrices, which never turn rank-one, so the fold
 pays for every rank-one probe on top of every matrix product.
 
+A third table times the transient scan's own work: one stacked fold of
+100 sequences of length 20 and 40 at n = 5 and 16, over the same two kinds
+of members (the onset column counts the rows that leave the matrix fold
+for a vector sweep), and the exhaustive scan of the bundled five-node
+family up to horizons 8 and 12, whose levels extend only their failing
+products.
+
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --sizes 5,16,64 --length 500
 """
 
 import argparse
 import time
+from importlib import resources
 
 import numpy as np
 
 from tropical_transient._kernels import (ACTIVE, FLOOR, PROBE_STRIDE, _product, encode, extend,
                                           rank_one)
+from tropical_transient.io import load_family
+from tropical_transient.products import estimate_transient
 
 STACK_ROWS = 100
 STACK_LENGTH = 20
@@ -31,6 +41,9 @@ STACK_MAX_SIZE = 16
 LEVEL_LENGTH = 4
 ONSET_SIZES = (20, 40, 80)
 ONSET_LENGTH = 200
+SCAN_SIZES = (5, 16)
+SCAN_LENGTHS = (20, 40)
+SCAN_HORIZONS = (8, 12)
 
 
 def random_inputs(rng, m, n, k, density=0.7):
@@ -138,6 +151,26 @@ def main() -> int:
             onset = onset_layer(num, fin, seq)
             t = best_time(lambda: ACTIVE.fold(num, fin, seq), args.repeats)
             print(f"{name:<18}{n:>5}{ONSET_LENGTH:>6}{str(onset):>8}{t * 1e3:>14.3f}")
+
+    header = f"{'scan':<18}{'n':>5}{'k':>6}{'onset':>8}{ACTIVE.name + ' (ms)':>14}"
+    print()
+    print(header)
+    print("-" * len(header))
+    rng = np.random.default_rng(args.seed)
+    for n in SCAN_SIZES:
+        for k in SCAN_LENGTHS:
+            stack = rng.integers(0, args.members, size=(STACK_ROWS, k)).astype(np.int64)
+            for name, make in (("onset", onset_inputs), ("never", permutation_inputs)):
+                num, fin = make(rng, args.members, n)
+                onsets = sum(onset_layer(num, fin, seq) is not None for seq in stack)
+                t = best_time(lambda: ACTIVE.fold(num, fin, stack), args.repeats)
+                label = f"fold x{STACK_ROWS} {name}"
+                print(f"{label:<18}{n:>5}{k:>6}{onsets:>8}{t * 1e3:>14.3f}")
+    path = resources.files("tropical_transient").joinpath("fixtures/five_node_family.json")
+    family = load_family(str(path))[0]
+    for horizon in SCAN_HORIZONS:
+        t = best_time(lambda: estimate_transient(family, horizon, "exhaustive"), args.repeats)
+        print(f"{'exhaustive':<18}{family.size:>5}{horizon:>6}{'':>8}{t * 1e3:>14.3f}")
     return 0
 
 

@@ -21,10 +21,13 @@ callers reduce further.
 
 Products broadcast over leading batch dimensions, so one call folds a
 whole stack of sequences, and ``extend`` grows every product of a level
-by every member at once.  Stacked calls run on chunks of rows whose
-(rows, n, n, n) broadcast temporary holds at most ``CHUNK_ELEMENTS``
-int64 values.  A single fold instead finishes as a vector sweep once its
-running product is rank-one.
+by every member at once.  A stack of many matrices multiplies by n rank-1
+max updates instead of one broadcast.  Stacked calls run on chunks of
+rows whose (rows, n, n, n) broadcast temporary holds at most
+``CHUNK_ELEMENTS`` int64 values.  A fold tests its running products for
+rank-one every ``PROBE_STRIDE`` layers and finishes each product that
+passes as a vector sweep (rank-one absorption); a single sequence is a
+one-row stack.
 
 A sweep pushes a state through the layer matrices of a sequence.  The
 state has one row per start node (per target node for the backward
@@ -47,9 +50,12 @@ import numpy as np
 MASKED = np.int64(-(1 << 62))
 FLOOR = -(1 << 61)
 CHUNK_ELEMENTS = 1 << 16
-# A single fold tests its running product for rank-one every this many
-# layers; testing every layer costs more than it saves at small n.
+# A fold tests its running products for rank-one every this many layers;
+# testing every layer costs more than it saves at small n.
 PROBE_STRIDE = 4
+# Stacks of at least this many matrices multiply by rank-1 max updates;
+# smaller stacks are faster as one broadcast (measured at n = 3 to 32).
+RANK1_MIN_STACK = 16
 
 
 def encode(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
@@ -66,7 +72,20 @@ def decode(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _product(x: np.ndarray, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """x (x) a for an encoded (n,) state x and an (n, c) matrix a, or for
     x of shape (..., r, n) and a of shape (..., n, c), batch dimensions
-    broadcast."""
+    broadcast.
+
+    A stack of at least ``RANK1_MIN_STACK`` matrices (along its leading
+    axis) with more than one row each runs as n rank-1 max updates of
+    the (..., r, c) result: numpy reduces the (..., r, n, c) broadcast
+    over its middle axis in many short strided loops.  Single matrices,
+    vector stacks and small stacks keep the broadcast, which is faster
+    there.  Both add then max, so the results are identical.
+    """
+    if x.ndim > 2 and len(x) >= RANK1_MIN_STACK and x.shape[-2] > 1:
+        out = np.add(x[..., :, :1], a[..., :1, :], out=out)
+        for t in range(1, x.shape[-1]):
+            np.maximum(out, x[..., :, t:t + 1] + a[..., t:t + 1, :], out=out)
+        return np.maximum(out, MASKED, out=out)
     if x.ndim > 1:
         a = a[..., None, :, :]
     out = (x[..., :, None] + a).max(axis=-2, out=out)
@@ -171,43 +190,73 @@ def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
     return fin[..., 0, 0] & (pattern & values).all(axis=(-2, -1))
 
 
-def _fold_rows(mem, seq):
-    # seq is a (B, k) stack of sequences.
+def _layer_members(steps, rows):
+    # Member indices of the given stack rows per layer, for mem[...]: a
+    # single row gets plain indices, which read (n, n) views of mem
+    # instead of copies and broadcast against its (1, r, n) state.
+    if len(rows) == 1:
+        return steps[:, rows[0]]
+    return steps[:, rows]
+
+
+def _fold_rows(mem, seq, num, fin):
+    # Fold a (B, k) stack of sequences into the (B, n, n) outputs num, fin.
+    # Every PROBE_STRIDE layers the rows still folded as matrices are
+    # tested with rank_one.  Once the prefix P of a row's first l factors
+    # passes, P = x (x) y^T with x = P_:1 - P_11 and y = P_1:, and by
+    # associativity the rest of its fold is
+    # x (x) (y^T (x) A_{l+1} (x) ... (x) A_k): a vector sweep of y.  Such a
+    # row keeps col = P_:1 and sweeps y as a (1, n) matrix; once no matrix
+    # row is left, the remaining layers are one sweep.  The vector rows
+    # are rebuilt with explicit masks, since x can reach twice the prefix
+    # magnitude and x + MASKED could then pass FLOOR.
     steps = seq.T
+    live = np.arange(len(seq))
     cur = mem[steps[0]]
-    for s in steps[1:]:
-        cur = _product(cur, mem[s])
-    return cur
-
-
-def _fold_one(mem, seq):
-    # Once the prefix P of the first l factors is rank-one, P = x (x) y^T
-    # with x = P_:1 - P_11 and y = P_1:, and by associativity the rest of
-    # the fold is x (x) (y^T (x) A_{l+1} (x) ... (x) A_k): a vector sweep.
-    # The result is rebuilt with explicit masks, since x can reach twice
-    # the prefix magnitude and x + MASKED could then pass FLOOR.
-    cur = mem[seq[0]]
-    for l in range(1, len(seq)):
-        if l % PROBE_STRIDE == 0 and rank_one(cur, cur > FLOOR):
-            xfin = cur[:, 0] > FLOOR
-            x = np.where(xfin, cur[:, 0] - cur[0, 0], np.int64(0))
-            y, yfin = decode(_sweep(mem, seq[l:], cur[0], table=False))
-            fin = xfin[:, None] & yfin[None, :]
-            return np.where(fin, x[:, None] + y[None, :], np.int64(0)), fin
-        cur = _product(cur, mem[seq[l]])
-    return decode(cur)
+    ids, col, row = live[:0], cur[:0, :, 0], cur[:0, :1]
+    live_steps, vec_steps = _layer_members(steps, live), steps[:, :0]
+    for l in range(1, len(steps)):
+        if l % PROBE_STRIDE == 0:
+            hit = rank_one(cur, cur > FLOOR)
+            if hit.any():
+                ids = np.concatenate([ids, live[hit]])
+                col = np.concatenate([col, cur[hit, :, 0]])
+                row = np.concatenate([row, cur[hit, :1]])
+                cur, live = cur[~hit], live[~hit]
+                live_steps, vec_steps = _layer_members(steps, live), _layer_members(steps, ids)
+                if not len(live):
+                    # The remaining layers are one sweep; a single row
+                    # sweeps its (n,) vector.
+                    state = row[0, 0] if len(ids) == 1 else row
+                    row = _sweep(mem, vec_steps[l:], state, table=False).reshape(row.shape)
+                    break
+        cur = _product(cur, mem[live_steps[l]])
+        if len(ids):
+            row = _product(row, mem[vec_steps[l]])
+    if len(live):
+        num[live], fin[live] = decode(cur)
+    if len(ids):
+        xfin = col > FLOOR
+        x = np.where(xfin, col - col[:, :1], np.int64(0))
+        y, yfin = decode(row)
+        both = xfin[:, :, None] & yfin
+        num[ids] = np.where(both, x[:, :, None] + y, np.int64(0))
+        fin[ids] = both
 
 
 def _fold(mem_num, mem_fin, seq):
+    # A 1-D sequence folds as a one-row stack.
     mem = encode(mem_num, mem_fin)
-    if seq.ndim == 1:
-        return _fold_one(mem, seq)
+    stack = seq.reshape(-1, seq.shape[-1])
     n = mem.shape[1]
-    out = np.empty((len(seq), n, n), dtype=np.int64)
+    num = np.empty((len(stack), n, n), dtype=np.int64)
+    fin = np.empty((len(stack), n, n), dtype=np.bool_)
     rows = _chunk_rows(n)
-    for s in range(0, len(seq), rows):
-        out[s:s + rows] = _fold_rows(mem, seq[s:s + rows])
-    return decode(out)
+    for s in range(0, len(stack), rows):
+        _fold_rows(mem, stack[s:s + rows], num[s:s + rows], fin[s:s + rows])
+    if seq.ndim == 1:
+        return num[0], fin[0]
+    return num, fin
 
 
 def _forward_full(mem_num, mem_fin, seq, starts):

@@ -11,6 +11,14 @@ The scan works one length at a time on a stack of products: sampled mode
 folds a length's draws in one kernel call, and exhaustive mode builds
 level k as level k - 1 times every member, so each product costs one
 matrix product instead of k - 1.
+
+Both modes use rank-one absorption.  Once a prefix P = x (x) y^T is
+rank-one, the rest of a fold only changes y, so the stacked fold finishes
+such products as vector sweeps; that rests on associativity alone and
+gives the exact products.  If every member also has a finite (1, 1)
+entry, every extension of a rank-one product is rank-one, so exhaustive
+mode extends only the failing products of each level.  It still reports
+all m^k products of a length as examined, in the same order.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ import numpy as np
 from . import _kernels
 from .errors import BudgetExceededError
 from .family import MatrixFamily, max_walk_magnitude
-from .matrix import TropicalMatrix, _check_magnitude, rank_one_mask
+from .matrix import _STORE_LIMIT, TropicalMatrix, _check_magnitude, rank_one_mask
 
 DEFAULT_PRODUCT_BUDGET = 2_000_000
 
@@ -114,15 +122,28 @@ def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, 
     mem_num, mem_fin, den = family.stacked
     mem = _kernels.encode(mem_num, mem_fin)
     m = len(mem)
-    level = mem
+    # Rank-one absorption: if P = x (x) y^T and every member has a finite
+    # (1, 1) entry, then P (x) A = x (x) (y^T (x) A) is rank-one, with a
+    # pivot of at least P_11 + A_11.  So only the failing products of a
+    # level need extending.  A skipped product is never put through the
+    # rank-one test guard, so pruning also needs every product up to the
+    # horizon to pass it: three times the walk magnitude below
+    # _STORE_LIMIT.
+    prune = bool(mem_fin[:, 0, 0].all()) and 3 * max_walk_magnitude(family, horizon) < _STORE_LIMIT
+    # Level row r is the sequence whose 0-based indices are the k base-m
+    # digits of r, most significant first: itertools.product order.  A
+    # pruned scan can reach lengths whose indices leave int64.
+    level, rows = mem, np.arange(m, dtype=np.int64 if m**horizon < 1 << 63 else object)
     for k in range(1, horizon + 1):
         _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
         if k > 1:
             level = _kernels.extend(level, mem)
-        failed = np.flatnonzero(~rank_one_mask(*_kernels.decode(level), den))
-        # Row r is the sequence whose 0-based indices are the k base-m
-        # digits of r, most significant first: itertools.product order.
-        yield len(level), failed[:, None] // m ** np.arange(k - 1, -1, -1) % m + 1
+            rows = (rows[:, None] * m + np.arange(m)).ravel()
+        failed = ~rank_one_mask(*_kernels.decode(level), den)
+        bad = rows[failed]
+        if prune:
+            level, rows = level[failed], bad
+        yield m**k, bad[:, None] // m ** np.arange(k - 1, -1, -1, dtype=rows.dtype) % m + 1
 
 
 def estimate_transient(
@@ -135,13 +156,18 @@ def estimate_transient(
 ) -> TransientEstimate:
     """Scan lengths 1..horizon and report where rank-one sets in.
 
-    Exhaustive mode enumerates all m^k sequences per length and raises
+    Exhaustive mode decides all m^k sequences per length and raises
     :class:`BudgetExceededError` up front when the total exceeds
     ``max_products``; it holds at most two lengths of products at once.
-    Sampled mode draws ``samples_per_length`` seeded sequences per length,
-    all from one generator in a fixed order.  Before each length the int64
-    guard of :func:`fold` is checked, and every product goes through
-    :func:`matrix.rank_one_mask`.
+    When every member has a finite (1, 1) entry and three times the walk
+    magnitude at ``horizon`` stays below the storage limit, it extends
+    only the products that are not rank-one: their extensions are the
+    only candidates, and the skipped ones could not have tripped the
+    rank-one test guard.  Otherwise it extends every product.  Sampled
+    mode draws ``samples_per_length`` seeded sequences per length, all
+    from one generator in a fixed order.  Before each length the int64
+    guard of :func:`fold` is checked, and every product that is folded
+    goes through :func:`matrix.rank_one_mask`.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")

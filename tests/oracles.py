@@ -9,8 +9,8 @@ The later sections keep code the package has replaced: masked numpy
 products and trellis DPs that follow one start node at a time with
 explicit finiteness masks (the reference for the sentinel kernels in
 ``tropical_transient._kernels``), the bound terms and the walk-structure
-checks in ``Fraction`` arithmetic, and the transient scan one sequence at
-a time.
+checks in ``Fraction`` arithmetic, the transient scan one sequence at a
+time, and the exhaustive scan that extends every product of each level.
 """
 
 import itertools
@@ -20,9 +20,11 @@ from typing import Optional
 
 import numpy as np
 
+from tropical_transient import _kernels
 from tropical_transient.bounds import BoundReport
 from tropical_transient.errors import BudgetExceededError, DimensionError, PivotError
-from tropical_transient.matrix import _STORE_LIMIT, TropicalMatrix, _check_magnitude
+from tropical_transient.family import max_walk_magnitude
+from tropical_transient.matrix import _STORE_LIMIT, TropicalMatrix, _check_magnitude, rank_one_mask
 from tropical_transient.products import (
     DEFAULT_PRODUCT_BUDGET,
     TransientEstimate,
@@ -761,7 +763,8 @@ def howard_max_cycle_mean(g, forbidden=()):
 # ---------------------------------------------------------------------------
 # The transient scan one sequence at a time (the package's earlier
 # estimate_transient and rank_one_factor test, kept as the reference for
-# the stacked scan)
+# the stacked scan), and the exhaustive scan over full levels (the
+# reference for the pruned one)
 # ---------------------------------------------------------------------------
 
 def _rank_one_test(m: TropicalMatrix) -> Optional[bool]:
@@ -828,14 +831,22 @@ def per_sequence_estimate(
             per_length.append([tuple(int(x) for x in row) for row in draws])
         samples_recorded = samples_per_length
 
+    return _estimate(
+        mode, horizon,
+        ((len(batch), [idx for idx in batch if not _is_rank_one(family, idx)])
+         for batch in per_length),
+        samples_recorded, seed,
+    )
+
+
+def _estimate(mode, horizon, levels, samples_recorded, seed) -> TransientEstimate:
+    # levels yields, per length, the number of products examined and the
+    # sequences of those that are not rank-one.
     examined = 0
     counterexamples: list[tuple[int, tuple[int, ...]]] = []
-    for k, batch in enumerate(per_length, start=1):
-        examined += len(batch)
-        flags = [_is_rank_one(family, idx) for idx in batch]
-        for idx, ok in zip(batch, flags):
-            if not ok:
-                counterexamples.append((k, idx))
+    for k, (count, failed) in enumerate(levels, start=1):
+        examined += count
+        counterexamples.extend((k, tuple(idx)) for idx in failed)
 
     failed_lengths = {k for k, _ in counterexamples}
     first: Optional[int] = None
@@ -852,3 +863,35 @@ def per_sequence_estimate(
         samples_per_length=samples_recorded,
         seed=seed if mode == "sampled" else None,
     )
+
+
+def _full_levels(family, horizon):
+    mem_num, mem_fin, den = family.stacked
+    mem = _kernels.encode(mem_num, mem_fin)
+    m = len(mem)
+    level = mem
+    for k in range(1, horizon + 1):
+        _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
+        if k > 1:
+            level = _kernels.extend(level, mem)
+        failed = np.flatnonzero(~rank_one_mask(*_kernels.decode(level), den))
+        # Row r is the sequence whose 0-based indices are the k base-m
+        # digits of r, most significant first: itertools.product order.
+        yield len(level), (failed[:, None] // m ** np.arange(k - 1, -1, -1) % m + 1).tolist()
+
+
+def full_level_estimate(family, horizon: int,
+                        max_products: int = DEFAULT_PRODUCT_BUDGET) -> TransientEstimate:
+    """Exhaustive ``estimate_transient`` that extends every product of each
+    level, rank-one or not, and tests all of them."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    m = family.member_count
+    total = 0
+    for k in range(1, horizon + 1):
+        total += m**k
+        if total > max_products:
+            raise BudgetExceededError(
+                f"exhaustive scan needs {total}+ products, budget is {max_products}"
+            )
+    return _estimate("exhaustive", horizon, _full_levels(family, horizon), None, 0)

@@ -241,6 +241,69 @@ class TestOracleAgreement:
                     want = masked_fold(mem_num, mem_fin, np.append(seqs[b], j))
                     assert_masked_equal(decode(level[b * m + j]), want)
 
+    def test_stacked_rows_turn_rank_one_at_different_probes(self):
+        # Row t of the stack has the first rank-one prefix D^(t-1) (x) R,
+        # so rows leave the matrix fold at different probe layers; the tail
+        # mixes every member, member 2 with a -inf (1, 1) entry included.
+        # The last row is D^k, which never turns rank-one.
+        rng = np.random.default_rng(21)
+        n, k = 5, 24
+        stage_num, stage_fin = stage_members(n)
+        rand_num, rand_fin = random_members(rng, 3, n, 0.6)
+        rand_fin[0, 0, 0] = False
+        mem_num = np.concatenate([stage_num, rand_num])
+        mem_fin = np.concatenate([stage_fin, rand_fin])
+        onsets = (1, 4, 5, 8, 9, 12, 13, 20, 23)
+        rows = []
+        for onset in onsets:
+            tail = rng.integers(0, 5, size=k - onset)
+            tail[:2] = 2
+            rows.append(np.concatenate([np.zeros(onset - 1, np.int64), [1], tail]))
+        seqs = np.stack(rows + [np.zeros(k, np.int64)])
+        for seq, onset in zip(seqs, onsets + (None,)):
+            want = None if onset is None else max(PROBE_STRIDE, -(-onset // PROBE_STRIDE) * PROBE_STRIDE)
+            assert onset_layer(mem_num, mem_fin, seq) == (want if want and want < k else None)
+        num, fin = NUMPY_BACKEND.fold(mem_num, mem_fin, seqs)
+        for b, seq in enumerate(seqs):
+            assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seq))
+
+    def test_stacked_factored_fold_across_chunks(self):
+        # At n = 8 a chunk holds 128 rows, so 300 rows span three chunks.
+        # Two rows in three draw admissible members and turn rank-one; the
+        # others draw weighted permutations and never do.  Member 3 has a
+        # -inf (1, 1) entry and appears after the onset.
+        rng = np.random.default_rng(22)
+        n, k = 8, 24
+        adm_num, adm_fin = admissible_members(rng, 4, n)
+        adm_fin[3, 0, 0] = False
+        perm_num = rng.integers(-9, 10, size=(2, n, n)).astype(np.int64)
+        perm_fin = np.zeros((2, n, n), dtype=bool)
+        for j in range(2):
+            perm_fin[j, np.arange(n), rng.permutation(n)] = True
+        mem_num = np.concatenate([adm_num, perm_num])
+        mem_fin = np.concatenate([adm_fin, perm_fin])
+        seqs = rng.integers(0, 3, size=(300, k))
+        seqs[:, k - 3] = 3
+        seqs[::3] = rng.integers(4, 6, size=(100, k))
+        num, fin = NUMPY_BACKEND.fold(mem_num, mem_fin, seqs)
+        for b in range(300):
+            assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seqs[b]))
+        for b in (0, 1, 127, 128, 299):
+            onset = onset_layer(mem_num, mem_fin, seqs[b])
+            assert (onset is None) == (b % 3 == 0)
+
+    def test_one_row_stack_is_the_single_fold(self):
+        rng = np.random.default_rng(23)
+        cases = [admissible_members(rng, 3, n) for n in (1, 4, 9)] + list(oracle_cases())[::5]
+        for mem_num, mem_fin in cases:
+            for k in (1, 4, 5, 30):
+                seq = random_seq(rng, mem_num.shape[0], k)
+                num, fin = NUMPY_BACKEND.fold(mem_num, mem_fin, seq[None])
+                assert num.shape == fin.shape == (1,) + mem_num.shape[1:]
+                want = masked_fold(mem_num, mem_fin, seq)
+                assert_masked_equal((num[0], fin[0]), want)
+                assert_masked_equal(NUMPY_BACKEND.fold(mem_num, mem_fin, seq), want)
+
     def test_sweeps_serve_every_start_in_one_pass(self):
         rng = np.random.default_rng(6)
         per_start = {

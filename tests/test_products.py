@@ -272,3 +272,65 @@ class TestScanOverflow:
             est = _assert_matches_oracle(fam, horizon=1, mode=mode, samples_per_length=2)
             assert est.first_all_rank_one is None
             assert est.counterexamples[0] == (1, (1,))
+
+
+class TestPrunedExhaustive:
+    """Exhaustive levels extend only their failing products when every
+    member has a finite (1, 1) entry and the rank-one test guard cannot
+    trip up to the horizon; the scan over full levels is the reference."""
+
+    STORE = 1 << 62
+
+    def test_exact_transient_of_the_fixture(self, family5):
+        est = estimate_transient(family5, 15, "exhaustive", max_products=22_000_000)
+        counts = [sum(1 for k, _ in est.counterexamples if k == length)
+                  for length in range(1, 16)]
+        assert counts == [3, 9, 27, 81, 174, 291, 599, 759, 1025, 1299, 784, 732, 576, 0, 0]
+        assert est.first_all_rank_one == 14
+        assert est.examined == 21_523_359
+
+    @pytest.mark.parametrize("horizon", [1, 2, 5, 10])
+    def test_fixture_matches_full_levels(self, family5, horizon):
+        got = estimate_transient(family5, horizon, "exhaustive")
+        assert got == oracles.full_level_estimate(family5, horizon)
+
+    def test_random_families_match_full_levels(self):
+        # The families of TestStackedScanOracle, -inf pivots included, so
+        # the full extension runs too, and admissible ones, which prune.
+        rng = random.Random(2024)
+        pivots_inf = 0
+        for case in range(160):
+            n, m = rng.randint(2, 6), rng.randint(1, 4)
+            fam = _scan_family(rng, n, m) if case % 2 else random_valid_family(rng, n, m)
+            pivots_inf += any(not x._fin[0, 0] for x in fam.members)
+            horizon = max(h for h in range(1, 11) if sum(m**k for k in range(1, h + 1)) <= 3000)
+            assert (_outcome(estimate_transient, fam, horizon, "exhaustive")
+                    == _outcome(oracles.full_level_estimate, fam, horizon))
+        assert pivots_inf > 20
+
+    def test_prune_gate_keeps_the_rank_one_guard(self):
+        # Every pivot is finite and A is rank-one, but A (x) A has the
+        # magnitude 2 w with 3 * 2 w >= 2**62, so the rank-one test guard
+        # trips on the extension of a rank-one product.  The fold guard
+        # (2 w < 2**61) does not.
+        w = self.STORE // 5
+        a = TropicalMatrix.from_rows([[-w, -w], [-w, -w]])
+        c = TropicalMatrix.from_rows([[0, -1], [-2, 0]])
+        fam = MatrixFamily([a, c])
+        ok = _assert_matches_oracle(fam, horizon=1, mode="exhaustive")
+        assert ok.counterexamples == ((1, (2,)),)
+        got = _assert_matches_oracle(fam, horizon=2, mode="exhaustive")
+        assert got == (OverflowError, f"rank-one test: scaled integer magnitude {6 * w} "
+                                      "exceeds the int64 budget")
+
+    def test_level_indices_beyond_int64(self):
+        # R is rank-one and D is diagonal, so the only failing product of
+        # length k is D^k, whose level index 2^k - 1 leaves int64 at k = 63.
+        r = TropicalMatrix.from_rows([[0, 0], [0, 0]])
+        d = TropicalMatrix.from_rows([[0, None], [None, -1]])
+        horizon = 70
+        est = estimate_transient(MatrixFamily([r, d]), horizon, "exhaustive",
+                                 max_products=1 << 71)
+        assert est.counterexamples == tuple((k, (2,) * k) for k in range(1, horizon + 1))
+        assert est.examined == (1 << horizon + 1) - 2
+        assert est.first_all_rank_one is None
