@@ -1,7 +1,8 @@
 """Timing of the max-plus kernels.
 
 Runs the hot kernels (matrix product, sequence fold and the trellis
-sweeps, the start-indexed ones with every node as a start) on random
+sweeps, the start-indexed ones with every node as a start; the through
+sweep given the avoiding sweep's table) on random
 scaled-integer inputs and prints the best wall time per call.  At sizes
 up to 16 it also times the transient scan's stacked kernels: one fold of
 100 sequences of length 20, and one exhaustive level step from the m^4
@@ -20,20 +21,35 @@ for a vector sweep), and the exhaustive scan of the bundled five-node
 family up to horizons 8 and 12, whose levels extend only their failing
 products.
 
+A fourth table times the text boundary and the lemma checks on the
+benchmark's seed-0 synthetic inputs (``perfbench/bench_inputs.py``):
+``load_family``, ``matrix_tokens`` of gamma and ``render_json`` of the
+``bound FAM SEQ`` report at n = 20, 40, 80, and ``check_lemma_bounds`` at
+n = 80, k = 200.
+
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --sizes 5,16,64 --length 500
 """
 
 import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import tempfile
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from tropical_transient._kernels import (ACTIVE, FLOOR, PROBE_STRIDE, _product, encode, extend,
                                           rank_one)
-from tropical_transient.io import load_family
+from tropical_transient.cli import main as cli_main
+from tropical_transient.io import load_family, load_sequence, matrix_tokens
 from tropical_transient.products import estimate_transient
+from tropical_transient.report import render_json
+from tropical_transient.trellis import build_trellis, check_lemma_bounds
 
 STACK_ROWS = 100
 STACK_LENGTH = 20
@@ -44,6 +60,9 @@ ONSET_LENGTH = 200
 SCAN_SIZES = (5, 16)
 SCAN_LENGTHS = (20, 40)
 SCAN_HORIZONS = (8, 12)
+IO_SIZES = (20, 40, 80)
+IO_LENGTH = 200
+LEMMA_SIZE = 80
 
 
 def random_inputs(rng, m, n, k, density=0.7):
@@ -84,6 +103,35 @@ def onset_layer(num, fin, seq):
     return None
 
 
+def synthetic_files(workdir, n):
+    """The benchmark's seed-0 family and sequence files (k = IO_LENGTH) at size n."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "bench_inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    bench_inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_inputs)
+    return bench_inputs.write_synthetic(Path(workdir), 0, n, IO_LENGTH)
+
+
+def io_rows(n, fam, seq, repeats):
+    """(name, k, ms) rows of the text-boundary table at size n."""
+    family = load_family(fam)[0]
+    gamma = family.sup_derived.gamma
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli_main(["bound", str(fam), str(seq), "--format", "json"])
+    report = json.loads(out.getvalue())
+    rows = [
+        ("load_family", "", best_time(lambda: load_family(fam), repeats)),
+        ("matrix_tokens", "", best_time(lambda: matrix_tokens(gamma), repeats)),
+        ("render_json", "", best_time(lambda: render_json(report), repeats)),
+    ]
+    if n == LEMMA_SIZE:
+        sequence = load_sequence(seq)
+        lemmas = best_time(lambda: check_lemma_bounds(build_trellis(family, sequence)), repeats)
+        rows.append(("check_lemma_bounds", IO_LENGTH, lemmas))
+    return rows
+
+
 def best_time(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
@@ -121,9 +169,13 @@ def main() -> int:
             ("final_from_anchor", lambda: ACTIVE.final_from_anchor(num, fin, seq),
              args.length, n),
         ]
-        for name in ("forward_full", "forward_avoid", "backward_avoid", "through_anchor"):
+        for name in ("forward_full", "forward_avoid", "backward_avoid"):
             sweep = getattr(ACTIVE, name)
             cases.append((name, lambda sweep=sweep: sweep(num, fin, seq, every), args.length, n))
+        # The through sweep reads the avoiding table, which is not timed here.
+        forward = ACTIVE.forward_avoid(num, fin, seq, every)
+        cases.append(("through_anchor",
+                      lambda: ACTIVE.through_anchor(num, fin, seq, every, forward), args.length, n))
         if n <= STACK_MAX_SIZE:
             stack = rng.integers(0, args.members, size=(STACK_ROWS, STACK_LENGTH))
             mem = encode(num, fin)
@@ -171,6 +223,16 @@ def main() -> int:
     for horizon in SCAN_HORIZONS:
         t = best_time(lambda: estimate_transient(family, horizon, "exhaustive"), args.repeats)
         print(f"{'exhaustive':<18}{family.size:>5}{horizon:>6}{'':>8}{t * 1e3:>14.3f}")
+
+    header = f"{'io and lemmas':<18}{'n':>5}{'k':>6}{'':>8}{ACTIVE.name + ' (ms)':>14}"
+    print()
+    print(header)
+    print("-" * len(header))
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in IO_SIZES:
+            fam, seq = synthetic_files(workdir, n)
+            for name, k, t in io_rows(n, fam, seq, args.repeats):
+                print(f"{name:<18}{n:>5}{k:>6}{'':>8}{t * 1e3:>14.3f}")
     return 0
 
 

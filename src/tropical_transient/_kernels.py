@@ -33,8 +33,9 @@ A sweep pushes a state through the layer matrices of a sequence.  The
 state has one row per start node (per target node for the backward
 sweep), so one pass serves every start.  Each trellis DP is such a sweep
 over members edited around node 0, the distinguished node (node 1 in the
-1-based labels of the public API): cut off, made absorbing, or split into
-a "not yet visited" and a "visited" copy.
+1-based labels of the public API): cut off or made absorbing.  The sweep
+of walks through node 0 reads the walks that have not reached it yet
+from the avoiding sweep's table.
 
 The family-side derivations use the same encoding: ``walk_table`` is a
 sweep through one matrix (Karp's table, cycle-mean potentials) and
@@ -302,19 +303,21 @@ def _final_from_anchor(mem_num, mem_fin, seq):
     return _sweep(source, seq, _units(mem.shape[1], 0), table=False)
 
 
-def _through_anchor(mem_num, mem_fin, seq, starts):
+def _through_anchor(mem_num, mem_fin, seq, starts, forward):
     # out[r, j]: best full walk from starts[r] to j that visits node 0 at
-    # least once (endpoints count).  Node p < n is p not yet past node 0
-    # and node n + p is p after it; the only edges from the first copy to
-    # the second arrive at node 0.
+    # least once (endpoints count).  Until a walk reaches node 0 it avoids
+    # it, so its best weights are forward[l, r], the _forward_avoid table
+    # from the same starts.  Only the walks past node 0 are swept: at each
+    # layer, the best arrival from forward enters column 0.
     mem = encode(mem_num, mem_fin)
-    m, n, _ = mem.shape
-    split = np.full((m, 2 * n, 2 * n), MASKED, dtype=np.int64)
-    split[:, :n, :n] = _cut(mem)
-    split[:, 1:n, n] = mem[:, 1:, 0]
-    split[:, n:, n:] = mem
-    entry = np.where(np.asarray(starts) == 0, n, starts)
-    return _sweep(split, seq, _units(2 * n, entry), table=False)[..., n:]
+    arrive = (forward[:-1] + mem[seq, :, 0][:, None, :]).max(axis=2)
+    starts = np.asarray(starts)
+    state = np.full((len(starts), mem.shape[1]), MASKED, dtype=np.int64)
+    state[starts == 0, 0] = 0
+    for l, s in enumerate(seq):
+        state = _product(state, mem[s])
+        np.maximum(state[:, 0], arrive[l], out=state[:, 0])
+    return state
 
 
 class Backend(NamedTuple):

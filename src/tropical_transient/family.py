@@ -12,7 +12,9 @@ and minimum A_inf.  The transient analysis requires the family to be
      weight, so that loop is the unique critical cycle.
 
 Check 3 is decided by two exact tests per matrix: entry (1,1) equals 0,
-and the maximum cycle mean after deleting the (1,1) edge is negative.
+and after deleting the (1,1) edge no cycle has weight >= 0, which the
+walk closure decides; the maximum cycle mean is computed only for the
+witness of a failure.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .digraph import (
     validation_witness,
 )
 from .errors import AssumptionError, DimensionError
-from .matrix import TropicalMatrix
+from .matrix import TropicalMatrix, kleene_plus
 from .semiring import EPSILON, Epsilon, weight_token
 
 
@@ -198,6 +200,13 @@ class MatrixFamily:
                 value=weight_token(loop),
             )
         pruned = m.with_entry(0, 0, EPSILON)
+        # The closure decides the sign; Karp runs only for the witness, or
+        # in place of the closure past its guard.
+        try:
+            if kleene_plus(pruned) is not None:
+                return None
+        except OverflowError:
+            pass
         other = max_cycle_mean(pruned)
         if not isinstance(other.mean, Epsilon) and other.mean >= 0:
             return validation_witness(

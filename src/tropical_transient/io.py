@@ -29,11 +29,12 @@ from typing import Union
 
 import numpy as np
 
+from . import _kernels
 from .errors import FamilyFileError
 from .family import MatrixFamily
-from .matrix import TropicalMatrix
+from .matrix import TokenTable, TropicalMatrix
 from .products import ProductSequence
-from .semiring import Weight, weight_from_token
+from .semiring import weight_from_token
 
 PathLike = Union[str, Path]
 
@@ -62,6 +63,8 @@ def load_family(path: PathLike) -> tuple[MatrixFamily, tuple[str, ...]]:
     n = data.get("n")
     members = []
     names = []
+    # One table for the whole family: each distinct token is parsed once.
+    table = TokenTable(weight_from_token)
     for mi, raw in enumerate(raw_members, start=1):
         if not isinstance(raw, dict) or "rows" not in raw:
             raise FamilyFileError(
@@ -77,24 +80,30 @@ def load_family(path: PathLike) -> tuple[MatrixFamily, tuple[str, ...]]:
             raise FamilyFileError(
                 f"{path}: member {name} has {len(rows)} rows, expected {n}"
             )
-        weights = []
+        grid = []
         for ri, row in enumerate(rows, start=1):
             if not isinstance(row, list) or len(row) != n:
                 raise FamilyFileError(
                     f"{path}: member {name} row {ri} must have {n} entries"
                 )
-            parsed: list[Weight] = []
             try:
-                for tok in row:
-                    parsed.append(weight_from_token(tok))
+                grid.append(table.ids(row))
             except ValueError as exc:
-                # The position is only formatted for the token that failed.
-                where = f"{path}: member {name} row {ri} column {len(parsed) + 1}"
+                # Only a failing row pays for finding its first unreadable token.
+                column = next(c for c, tok in enumerate(row, start=1) if not _readable(tok))
+                where = f"{path}: member {name} row {ri} column {column}"
                 raise FamilyFileError(f"{exc}", position=where) from exc
-            weights.append(parsed)
-        members.append(TropicalMatrix.from_rows(weights))
+        members.append(table.matrix(grid))
         names.append(str(name))
     return MatrixFamily(members), tuple(names)
+
+
+def _readable(tok) -> bool:
+    try:
+        weight_from_token(tok)
+    except ValueError:
+        return False
+    return True
 
 
 def family_to_dict(family: MatrixFamily, names=None) -> dict:
@@ -111,9 +120,72 @@ def family_to_dict(family: MatrixFamily, names=None) -> dict:
 
 
 def save_family(family: MatrixFamily, path: PathLike, names=None) -> None:
-    Path(path).write_text(
-        json.dumps(family_to_dict(family, names), indent=2) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json_text(family_to_dict(family, names)) + "\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# JSON text, as json.dumps(obj, indent=2) writes it
+# ---------------------------------------------------------------------------
+
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+# One C encoder per depth: with this item separator, a container whose
+# values are all scalars encodes as its indented body in one call.
+_FLAT_ENCODERS: list = []
+
+
+class _Unhandled(Exception):
+    """A value json_text leaves to json.dumps."""
+
+
+def _flat_encoder(depth: int):
+    while len(_FLAT_ENCODERS) <= depth:
+        indent = "  " * len(_FLAT_ENCODERS)
+        _FLAT_ENCODERS.append(json.JSONEncoder(separators=(",\n" + indent, ": ")).encode)
+    return _FLAT_ENCODERS[depth]
+
+
+def _json_text(o, depth: int) -> str:
+    t = type(o)
+    if t in _SCALARS:
+        return _flat_encoder(0)(o)
+    if t is dict:
+        values = o.values()
+        if any(type(key) is not str for key in o):
+            raise _Unhandled
+    elif t is list or t is tuple:
+        values = o
+    else:
+        raise _Unhandled
+    if not o:
+        return "{}" if t is dict else "[]"
+    inner = "  " * (depth + 1)
+    if all(type(v) in _SCALARS for v in values):
+        # Encoded strings hold no raw newline, so the separator is the
+        # only one.
+        body = _flat_encoder(depth + 1)(o)[1:-1]
+    elif t is dict:
+        key = _flat_encoder(0)
+        body = (",\n" + inner).join(
+            key(k) + ": " + _json_text(v, depth + 1) for k, v in o.items()
+        )
+    else:
+        body = (",\n" + inner).join(_json_text(v, depth + 1) for v in o)
+    close = "}" if t is dict else "]"
+    return ("{" if t is dict else "[") + "\n" + inner + body + "\n" + "  " * depth + close
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte.
+
+    Every list or dict whose values are all scalars is written by one
+    call of the C encoder, which ``json.dumps`` only uses without an
+    indent; other containers recurse.  A value of any other type (or a
+    non-string key) leaves the whole object to ``json.dumps``.
+    """
+    try:
+        return _json_text(obj, 0)
+    except _Unhandled:
+        return json.dumps(obj, indent=2)
 
 
 def load_sequence(path: PathLike) -> ProductSequence:
@@ -155,13 +227,24 @@ def _token_row(p: list, q: list, fin: list) -> list:
     return [(a if b == 1 else f"{a}/{b}") if f else "-inf" for a, b, f in zip(p, q, fin)]
 
 
+def _tokens(num: np.ndarray, fin: np.ndarray, den: int) -> list:
+    """Tokens of the entries num / den, nested like num: each distinct
+    value is formatted once and the token list is indexed by the grid."""
+    # Stored numerators stay below 2**62 in magnitude, so the sentinel
+    # cannot collide with a finite entry.
+    values, inverse = np.unique(np.where(fin, num, _kernels.MASKED), return_inverse=True)
+    finite = values != _kernels.MASKED
+    table = np.array(_token_row(*_reduced(values, finite, den)), dtype=object)
+    return table[inverse.reshape(num.shape)].tolist()
+
+
 def matrix_tokens(m: TropicalMatrix) -> list[list]:
     """Matrix entries as JSON-ready tokens, row by row."""
     num, fin = m.scaled(m.denominator)
-    return [_token_row(*row) for row in zip(*_reduced(num, fin, m.denominator))]
+    return _tokens(num, fin, m.denominator)
 
 
 def column_tokens(m: TropicalMatrix) -> list:
     """Column-vector entries as JSON-ready tokens."""
     num, fin = m.scaled(m.denominator)
-    return _token_row(*_reduced(num[:, 0], fin[:, 0], m.denominator))
+    return _tokens(num[:, 0], fin[:, 0], m.denominator)

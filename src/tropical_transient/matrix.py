@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,85 @@ def _check_magnitude(total: int, context: str, limit: int = _GUARD) -> None:
         raise OverflowError(
             f"{context}: scaled integer magnitude {total} exceeds the int64 budget"
         )
+
+
+class TokenTable:
+    """Weight tokens, each parsed once, and matrices written as grids of
+    their ids.
+
+    A token's id is keyed by its type and value, so ``True`` never shares
+    an id with ``1``.  A matrix is built from one small table of scaled
+    numerators, indexed by its id grid, so parsing and scaling cost one
+    step per distinct token, not per entry.
+    """
+
+    __slots__ = ("_parse", "_ids", "_weights")
+
+    def __init__(self, parse: Callable[[object], Weight]):
+        self._parse = parse
+        self._ids: dict = {}
+        self._weights: list[Weight] = []
+
+    def _id(self, tok) -> int:
+        key = (type(tok), tok)
+        try:
+            i = self._ids.get(key)
+        except TypeError:  # unhashable: parsed, nearly always to an error
+            key = None
+            i = None
+        if i is None:
+            self._weights.append(self._parse(tok))
+            i = len(self._weights) - 1
+            if key is not None:
+                self._ids[key] = i
+        return i
+
+    def ids(self, row: Iterable) -> list[int]:
+        """The ids of one row's tokens, in order.  A token not seen before
+        is parsed; the first one that fails raises the parser's error."""
+        if type(row) is not list:
+            row = list(row)
+        get = self._ids.get
+        try:
+            out = [get((type(tok), tok)) for tok in row]
+        except TypeError:
+            return [self._id(tok) for tok in row]
+        if None in out:
+            for c, i in enumerate(out):
+                if i is None:
+                    out[c] = self._id(row[c])
+        return out
+
+    def matrix(self, grid: list[list[int]]) -> "TropicalMatrix":
+        """The matrix whose entry (i, j) is the weight of token grid[i][j].
+
+        Its denominator is the lcm over the distinct finite weights.  A
+        scaled magnitude at or past ``_STORE_LIMIT`` raises OverflowError
+        for the first such entry in row-major order.
+        """
+        r = len(grid)
+        if r == 0:
+            raise DimensionError("matrix needs at least one row")
+        c = len(grid[0])
+        if c == 0 or any(len(row) != c for row in grid):
+            raise DimensionError("rows must be nonempty and of equal length")
+        ids = np.array(grid, dtype=np.intp)
+        used = np.zeros(len(self._weights), dtype=np.bool_)
+        used[ids] = True
+        # Ids this matrix does not use count as -inf.
+        weights = [w if u else EPSILON for w, u in zip(self._weights, used.tolist())]
+        den = math.lcm(*(w.denominator for w in weights if not isinstance(w, Epsilon)))
+        scaled = [
+            None if isinstance(w, Epsilon) else w.numerator * (den // w.denominator)
+            for w in weights
+        ]
+        too_big = np.array([s is not None and abs(s) >= _STORE_LIMIT for s in scaled])
+        if too_big.any():
+            first = ids.flat[too_big[ids].argmax()]  # in row-major order
+            _check_magnitude(abs(scaled[first]), "matrix construction", _STORE_LIMIT)
+        fin = np.array([s is not None for s in scaled], dtype=np.bool_)
+        num = np.array([s or 0 for s in scaled], dtype=np.int64)
+        return TropicalMatrix(num[ids], fin[ids], den)
 
 
 class TropicalMatrix:
@@ -69,29 +148,10 @@ class TropicalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "TropicalMatrix":
-        """Build from nested values accepted by :func:`semiring.as_weight`."""
-        weights = [[as_weight(v) for v in row] for row in rows]
-        r = len(weights)
-        if r == 0:
-            raise DimensionError("matrix needs at least one row")
-        c = len(weights[0])
-        if c == 0 or any(len(row) != c for row in weights):
-            raise DimensionError("rows must be nonempty and of equal length")
-        den = 1
-        for row in weights:
-            for w in row:
-                if not isinstance(w, Epsilon):
-                    den = den * w.denominator // math.gcd(den, w.denominator)
-        num = np.zeros((r, c), dtype=np.int64)
-        fin = np.zeros((r, c), dtype=np.bool_)
-        for i, row in enumerate(weights):
-            for j, w in enumerate(row):
-                if not isinstance(w, Epsilon):
-                    scaled = w.numerator * (den // w.denominator)
-                    _check_magnitude(abs(scaled), "matrix construction", _STORE_LIMIT)
-                    num[i, j] = scaled
-                    fin[i, j] = True
-        return cls(num, fin, den)
+        """Build from nested values accepted by :func:`semiring.as_weight`,
+        through a :class:`TokenTable` of their own."""
+        table = TokenTable(as_weight)
+        return table.matrix([table.ids(row) for row in rows])
 
     @classmethod
     def from_column(cls, weights: Iterable) -> "TropicalMatrix":

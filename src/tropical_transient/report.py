@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 from . import __version__
 from .bounds import BoundReport, check_length_sufficient
 from .family import MatrixFamily, SupDerived, ValidationReport
-from .io import column_tokens, matrix_tokens
+from .io import column_tokens, json_text, matrix_tokens
 from .matrix import TropicalMatrix
 from .products import TransientEstimate
 from .semiring import weight_from_token, weight_token
@@ -228,7 +228,7 @@ def attach_deviations(report: dict, expected: Optional[Mapping]) -> dict:
 # ---------------------------------------------------------------------------
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    return json_text(report) + "\n"
 
 
 def _fmt_matrix(rows: list[list], indent: str = "  ") -> list[str]:

@@ -262,7 +262,8 @@ def best_through_one_weight(t: TrellisDigraph, i: int, j: int) -> Weight:
     _check_node(n, i)
     _check_node(n, j)
     mem_num, mem_fin, seq0, den = t._arrays()
-    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, [i - 1])
+    forward = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, [i - 1])
+    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, [i - 1], forward)
     return _weight(through[0, j - 1], den)
 
 
@@ -394,7 +395,7 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     mem = _kernels.encode(mem_num, mem_fin)
     forward = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, nodes)
     backward = _kernels.ACTIVE.backward_avoid(mem_num, mem_fin, seq0, nodes)
-    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, nodes)
+    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, nodes, forward)
     initial_len = np.where(nodes == 0, 0, _arrivals(mem, seq0, forward)[1])
     final_len = np.where(nodes == 0, 0, k - _departures(mem, seq0, backward)[1])
 

@@ -10,7 +10,9 @@ products and trellis DPs that follow one start node at a time with
 explicit finiteness masks (the reference for the sentinel kernels in
 ``tropical_transient._kernels``), the bound terms and the walk-structure
 checks in ``Fraction`` arithmetic, the transient scan one sequence at a
-time, and the exhaustive scan that extends every product of each level.
+time, the exhaustive scan that extends every product of each level, the
+loader that converts one entry at a time, and validation's loop check by
+Karp's cycle mean.
 """
 
 import itertools
@@ -20,17 +22,35 @@ from typing import Optional
 
 import numpy as np
 
-from tropical_transient import _kernels
+from tropical_transient import _kernels, digraph, io
 from tropical_transient.bounds import BoundReport
-from tropical_transient.errors import BudgetExceededError, DimensionError, PivotError
-from tropical_transient.family import max_walk_magnitude
+from tropical_transient.errors import (
+    BudgetExceededError,
+    DimensionError,
+    FamilyFileError,
+    PivotError,
+)
+from tropical_transient.family import (
+    AssumptionCheck,
+    MatrixFamily,
+    ValidationReport,
+    max_walk_magnitude,
+)
 from tropical_transient.matrix import _STORE_LIMIT, TropicalMatrix, _check_magnitude, rank_one_mask
 from tropical_transient.products import (
     DEFAULT_PRODUCT_BUDGET,
     TransientEstimate,
     fold,
 )
-from tropical_transient.semiring import EPSILON, Epsilon, Weight, oplus, weight_token
+from tropical_transient.semiring import (
+    EPSILON,
+    Epsilon,
+    Weight,
+    as_weight,
+    oplus,
+    weight_from_token,
+    weight_token,
+)
 from tropical_transient.trellis import (
     LemmaCheck,
     LemmaReport,
@@ -895,3 +915,118 @@ def full_level_estimate(family, horizon: int,
                 f"exhaustive scan needs {total}+ products, budget is {max_products}"
             )
     return _estimate("exhaustive", horizon, _full_levels(family, horizon), None, 0)
+
+
+# ---------------------------------------------------------------------------
+# The per-entry Fraction loader and from_rows (the package's earlier
+# construction path, kept as the reference for the token table) and the
+# validation loop check that decided the side-cycle sign with Karp
+# ---------------------------------------------------------------------------
+
+def fraction_from_rows(rows) -> TropicalMatrix:
+    """``TropicalMatrix.from_rows``, converting and checking one entry at a
+    time."""
+    weights = [[as_weight(v) for v in row] for row in rows]
+    r = len(weights)
+    if r == 0:
+        raise DimensionError("matrix needs at least one row")
+    c = len(weights[0])
+    if c == 0 or any(len(row) != c for row in weights):
+        raise DimensionError("rows must be nonempty and of equal length")
+    den = 1
+    for row in weights:
+        for w in row:
+            if not isinstance(w, Epsilon):
+                den = den * w.denominator // math.gcd(den, w.denominator)
+    num = np.zeros((r, c), dtype=np.int64)
+    fin = np.zeros((r, c), dtype=np.bool_)
+    for i, row in enumerate(weights):
+        for j, w in enumerate(row):
+            if not isinstance(w, Epsilon):
+                scaled = w.numerator * (den // w.denominator)
+                _check_magnitude(abs(scaled), "matrix construction", _STORE_LIMIT)
+                num[i, j] = scaled
+                fin[i, j] = True
+    return TropicalMatrix(num, fin, den)
+
+
+def fraction_load_family(path):
+    """``io.load_family``, parsing every token with ``weight_from_token``
+    and building each member with :func:`fraction_from_rows`."""
+    data = io._load_json(path)
+    if not isinstance(data, dict) or "members" not in data:
+        raise FamilyFileError(f"{path}: expected an object with a 'members' list")
+    raw_members = data["members"]
+    if not isinstance(raw_members, list) or not raw_members:
+        raise FamilyFileError(f"{path}: 'members' must be a nonempty list")
+    n = data.get("n")
+    members = []
+    names = []
+    for mi, raw in enumerate(raw_members, start=1):
+        if not isinstance(raw, dict) or "rows" not in raw:
+            raise FamilyFileError(f"{path}: member {mi} must be an object with 'rows'")
+        name = raw.get("name", f"A{mi}")
+        rows = raw["rows"]
+        if not isinstance(rows, list) or not rows:
+            raise FamilyFileError(f"{path}: member {name}: 'rows' must be a nonempty list")
+        if n is None:
+            n = len(rows)
+        if len(rows) != n:
+            raise FamilyFileError(f"{path}: member {name} has {len(rows)} rows, expected {n}")
+        weights = []
+        for ri, row in enumerate(rows, start=1):
+            if not isinstance(row, list) or len(row) != n:
+                raise FamilyFileError(f"{path}: member {name} row {ri} must have {n} entries")
+            parsed = []
+            try:
+                for tok in row:
+                    parsed.append(weight_from_token(tok))
+            except ValueError as exc:
+                where = f"{path}: member {name} row {ri} column {len(parsed) + 1}"
+                raise FamilyFileError(f"{exc}", position=where) from exc
+            weights.append(parsed)
+        members.append(fraction_from_rows(weights))
+        names.append(str(name))
+    return MatrixFamily(members), tuple(names)
+
+
+def matrix_token_rows(m: TropicalMatrix) -> list:
+    """``io.matrix_tokens``, one ``weight_token`` per entry."""
+    return [[weight_token(w) for w in row] for row in m.to_rows()]
+
+
+def karp_loop_check(m: TropicalMatrix, label: str):
+    """``MatrixFamily._loop_check`` with the side-cycle sign read off
+    ``max_cycle_mean``."""
+    loop = m.entry(0, 0)
+    if isinstance(loop, Epsilon) or loop != 0:
+        return digraph.validation_witness(
+            "node1_loop_weight", matrix=label, entry=[1, 1], value=weight_token(loop)
+        )
+    other = digraph.max_cycle_mean(m.with_entry(0, 0, EPSILON))
+    if not isinstance(other.mean, Epsilon) and other.mean >= 0:
+        return digraph.validation_witness(
+            "nonnegative_side_cycle",
+            matrix=label,
+            cycle=list(other.witness),
+            mean=weight_token(other.mean),
+        )
+    return None
+
+
+def karp_validation(family: MatrixFamily) -> ValidationReport:
+    """``family.validation`` with both loop checks run by :func:`karp_loop_check`."""
+    def loops(name, labeled):
+        for label, m in labeled:
+            witness = karp_loop_check(m, label)
+            if witness is not None:
+                return AssumptionCheck(name, False, witness)
+        return AssumptionCheck(name, True)
+
+    members = [(f"member {i}", m) for i, m in enumerate(family.members, start=1)]
+    return ValidationReport((
+        family._check_equivalence(),
+        family._check_irreducibility(),
+        loops("members_node1_critical_loop", members),
+        loops("sup_node1_critical_loop", [("A_sup", family.a_sup)]),
+    ))

@@ -147,13 +147,14 @@ class TestBound:
 
     def test_a_inf_vectors_are_derived_once(self, capsys, monkeypatch):
         # One closure each for alpha, beta and gamma on A_sup and for w and
-        # v on A_inf, although the report and the bound both read w and v.
+        # v on A_inf, although the report and the bound both read w and v;
+        # validation adds one per member (three) and one for A_sup.
         calls = []
         closure = _kernels.closure
         monkeypatch.setattr(_kernels, "closure", lambda a: calls.append(a) or closure(a))
         code, _, _ = run(capsys, "bound", FAMILY, SEQ44)
         assert code == 0
-        assert len(calls) == 5
+        assert len(calls) == 9
 
     def test_expected_logs_bound_disagreements(self, capsys):
         code, report, _ = run_json(
@@ -343,15 +344,36 @@ class TestInputErrors:
         assert err.startswith("overflow: bound terms: ")
 
     def test_karp_table_overflow_is_reported(self, capsys, tmp_path):
-        # The 2-cycle off the loop puts 6 |weight| >= 2^61 into Karp's
-        # cross-multiplied quotients.
-        weight = (2**61) // 6 + 1
-        fam = tmp_path / "wide.json"
-        fam.write_text(
-            json.dumps({"members": [{"rows": [[0, -weight], [-weight, -weight]]}]}),
-            encoding="utf-8",
-        )
-        code, out, err = run(capsys, "validate", fam)
+        # Validation decides the side cycles with the closure, whose guard
+        # is 2n |weight|; Karp's cross-multiplied quotients reach
+        # (2n - 1) n |weight| on an n-node component.  On the 2-node family
+        # Karp used to overflow (6 |weight| >= 2^61) where the closure
+        # (4 |weight|) decides, so validation now passes.  On the 4-node
+        # family lambda* in derive still runs Karp on the 3-cycle off node
+        # 1 (15 |weight| >= 2^61; the closures need 8 |weight|).
+        def write(name, rows):
+            path = tmp_path / name
+            path.write_text(json.dumps({"members": [{"rows": rows}]}), encoding="utf-8")
+            return path
+
+        w = (2**61) // 6 + 1
+        two = write("wide2.json", [[0, -w], [-w, -w]])
+        code, report, _ = run_json(capsys, "validate", two)
+        assert code == 0
+        assert report["validation"]["passed"] is True
+
+        w = (2**61) // 15 + 1
+        inf = "-inf"
+        four = write("wide4.json", [
+            [0, -w, inf, inf],
+            [inf, inf, -w, inf],
+            [inf, inf, inf, -w],
+            [-w, -w, inf, inf],
+        ])
+        code, report, _ = run_json(capsys, "validate", four)
+        assert code == 0
+        assert report["validation"]["passed"] is True
+        code, out, err = run(capsys, "derive", four)
         assert code == 1
         assert out == ""
         assert err.startswith("overflow: cycle mean: ")

@@ -157,6 +157,47 @@ def test_random_generated_families_validate():
         assert fam.validate().passed
 
 
+class TestLoopCheckAgainstKarp:
+    """The closure decides the side-cycle sign; the report, failing
+    witnesses included, matches the check that ran Karp on every matrix."""
+
+    def test_random_valid_families(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            fam = random_valid_family(rng, rng.randint(2, 6), rng.randint(1, 3))
+            assert fam.validation == oracles.karp_validation(fam)
+
+    def test_nonnegative_side_cycles(self):
+        rng = random.Random(12)
+        failing = 0
+        for _ in range(60):
+            fam = random_valid_family(rng, rng.randint(2, 6), rng.randint(1, 3))
+            members = list(fam.members)
+            n = fam.size
+            # Raise one edge and its way back in one member, or spread the
+            # cycle over two members so only A_sup carries it.
+            i, j = rng.randrange(n), rng.randrange(n)
+            weight = Fraction(rng.randint(-2, 3), rng.choice([1, 2]))
+            t = rng.randrange(len(members))
+            members[t] = members[t].with_entry(i, j, weight)
+            members[-1 - t] = members[-1 - t].with_entry(j, i, -weight + rng.randint(-1, 1))
+            edited = MatrixFamily(members)
+            report = edited.validation
+            failing += not report.passed
+            assert report == oracles.karp_validation(edited)
+        assert failing > 10
+
+    def test_karp_decides_past_the_closure_guard(self):
+        # A large edge between the two components of a reducible member
+        # trips the closure's guard (2n |entry|), not Karp's per-component
+        # one, so validation reports instead of raising.
+        member = TropicalMatrix.from_rows([[0, -(2**60)], [None, -1]])
+        fam = MatrixFamily([member])
+        report = fam.validation
+        assert report == oracles.karp_validation(fam)
+        assert report.failing() == (report.check("irreducibility"),)
+
+
 class TestSupDerived:
     def test_lambda_and_vectors_against_oracle(self, family5):
         derived = family5.sup_derived

@@ -322,7 +322,8 @@ class TestOracleAgreement:
                     for s in starts:
                         want = oracle(mem_num, mem_fin, seq, s)
                         assert_masked_equal(decode(tab[:, s]), want)
-                through = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, starts)
+                forward = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, starts)
+                through = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, starts, forward)
                 for s in starts:
                     want = masked_through_anchor(mem_num, mem_fin, seq, s)
                     assert_masked_equal(decode(through[s]), want)
