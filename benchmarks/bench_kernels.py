@@ -2,7 +2,7 @@
 
 Runs the hot kernels (matrix product, sequence fold and the trellis
 sweeps, the start-indexed ones with every node as a start; the through
-sweep given the avoiding sweep's table) on random
+sweep given the arrivals read off the avoiding sweep's table) on random
 scaled-integer inputs and prints the best wall time per call.  At sizes
 up to 16 it also times the transient scan's stacked kernels: one fold of
 100 sequences of length 20, and one exhaustive level step from the m^4
@@ -27,6 +27,14 @@ benchmark's seed-0 synthetic inputs (``perfbench/bench_inputs.py``):
 ``bound FAM SEQ`` report at n = 20, 40, 80, and ``check_lemma_bounds`` at
 n = 80, k = 200.
 
+A fifth table times the same text boundary where tokens and values do not
+repeat: families of m = 3 and 12 dense members whose entries are nearly
+all distinct rationals.  The synthetic inputs above repeat heavily (about
+40 distinct tokens over 3 n^2 entries), which the token table and the
+writer's per-value formatting exploit; these rows show the cost without
+that.  ``matrix_tokens`` runs on one member, ``family_to_dict`` on the
+whole family, and ``render_json`` writes the dict it returns.
+
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --sizes 5,16,64 --length 500
 """
@@ -36,6 +44,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import random
 import tempfile
 import time
 from importlib import resources
@@ -43,10 +52,10 @@ from pathlib import Path
 
 import numpy as np
 
-from tropical_transient._kernels import (ACTIVE, FLOOR, PROBE_STRIDE, _product, encode, extend,
-                                          rank_one)
+from tropical_transient._kernels import (ACTIVE, FLOOR, PROBE_STRIDE, _product, arrivals, encode,
+                                          extend, rank_one)
 from tropical_transient.cli import main as cli_main
-from tropical_transient.io import load_family, load_sequence, matrix_tokens
+from tropical_transient.io import family_to_dict, load_family, load_sequence, matrix_tokens
 from tropical_transient.products import estimate_transient
 from tropical_transient.report import render_json
 from tropical_transient.trellis import build_trellis, check_lemma_bounds
@@ -63,6 +72,8 @@ SCAN_HORIZONS = (8, 12)
 IO_SIZES = (20, 40, 80)
 IO_LENGTH = 200
 LEMMA_SIZE = 80
+DISTINCT_SIZES = (20, 40, 80)
+DISTINCT_MEMBERS = (3, 12)
 
 
 def random_inputs(rng, m, n, k, density=0.7):
@@ -132,6 +143,35 @@ def io_rows(n, fam, seq, repeats):
     return rows
 
 
+def distinct_family(rng, n, m):
+    """A family file's contents with nearly all tokens distinct: every entry
+    is -p/q, p uniform in 1..10^9 and q in 1..4 (the lcm stays 12)."""
+    members = []
+    for t in range(m):
+        rows = []
+        for _ in range(n):
+            row = []
+            for _ in range(n):
+                p, q = -rng.randint(1, 10**9), rng.randint(1, 4)
+                row.append(p if q == 1 else f"{p}/{q}")
+            rows.append(row)
+        members.append({"name": f"A{t + 1}", "rows": rows})
+    return {"n": n, "members": members}
+
+
+def distinct_rows(fam, repeats):
+    """(name, ms) rows of the distinct-token table for one family file."""
+    family = load_family(fam)[0]
+    member = family.members[0]
+    contents = family_to_dict(family)
+    return [
+        ("load_family", best_time(lambda: load_family(fam), repeats)),
+        ("matrix_tokens", best_time(lambda: matrix_tokens(member), repeats)),
+        ("family_to_dict", best_time(lambda: family_to_dict(family), repeats)),
+        ("render_json", best_time(lambda: render_json(contents), repeats)),
+    ]
+
+
 def best_time(fn, repeats):
     best = float("inf")
     for _ in range(repeats):
@@ -172,10 +212,11 @@ def main() -> int:
         for name in ("forward_full", "forward_avoid", "backward_avoid"):
             sweep = getattr(ACTIVE, name)
             cases.append((name, lambda sweep=sweep: sweep(num, fin, seq, every), args.length, n))
-        # The through sweep reads the avoiding table, which is not timed here.
-        forward = ACTIVE.forward_avoid(num, fin, seq, every)
+        # The through sweep reads the arrivals off the avoiding table, which
+        # are not timed here.
+        into = arrivals(encode(num, fin), seq, ACTIVE.forward_avoid(num, fin, seq, every))
         cases.append(("through_anchor",
-                      lambda: ACTIVE.through_anchor(num, fin, seq, every, forward), args.length, n))
+                      lambda: ACTIVE.through_anchor(num, fin, seq, every, into), args.length, n))
         if n <= STACK_MAX_SIZE:
             stack = rng.integers(0, args.members, size=(STACK_ROWS, STACK_LENGTH))
             mem = encode(num, fin)
@@ -233,6 +274,19 @@ def main() -> int:
             fam, seq = synthetic_files(workdir, n)
             for name, k, t in io_rows(n, fam, seq, args.repeats):
                 print(f"{name:<18}{n:>5}{k:>6}{'':>8}{t * 1e3:>14.3f}")
+
+    header = f"{'distinct tokens':<18}{'n':>5}{'m':>6}{'':>8}{ACTIVE.name + ' (ms)':>14}"
+    print()
+    print(header)
+    print("-" * len(header))
+    rng = random.Random(args.seed)
+    with tempfile.TemporaryDirectory() as workdir:
+        for m in DISTINCT_MEMBERS:
+            for n in DISTINCT_SIZES:
+                fam = Path(workdir) / f"distinct_n{n}_m{m}.json"
+                fam.write_text(json.dumps(distinct_family(rng, n, m)), encoding="utf-8")
+                for name, t in distinct_rows(fam, args.repeats):
+                    print(f"{name:<18}{n:>5}{m:>6}{'':>8}{t * 1e3:>14.3f}")
     return 0
 
 

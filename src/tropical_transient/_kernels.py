@@ -34,8 +34,8 @@ state has one row per start node (per target node for the backward
 sweep), so one pass serves every start.  Each trellis DP is such a sweep
 over members edited around node 0, the distinguished node (node 1 in the
 1-based labels of the public API): cut off or made absorbing.  The sweep
-of walks through node 0 reads the walks that have not reached it yet
-from the avoiding sweep's table.
+of walks through node 0 takes their first arrivals there from the
+avoiding sweep's table (``arrivals``).
 
 The family-side derivations use the same encoding: ``walk_table`` is a
 sweep through one matrix (Karp's table, cycle-mean potentials) and
@@ -303,20 +303,29 @@ def _final_from_anchor(mem_num, mem_fin, seq):
     return _sweep(source, seq, _units(mem.shape[1], 0), table=False)
 
 
-def _through_anchor(mem_num, mem_fin, seq, starts, forward):
+def arrivals(mem, seq, forward):
+    """into[l, r]: best weight of a walk from starts[r] that avoids node 0
+    until it arrives there at layer l, read off a _forward_avoid table
+    (k + 1, r, n) from those starts; ``mem`` is encoded.  Layer 0 is
+    masked: a walk that starts at node 0 has not arrived there."""
+    into = np.full(forward.shape[:2], MASKED)
+    into[1:] = (forward[:-1] + mem[seq, :, 0][:, None, :]).max(axis=2)
+    return into
+
+
+def _through_anchor(mem_num, mem_fin, seq, starts, into):
     # out[r, j]: best full walk from starts[r] to j that visits node 0 at
     # least once (endpoints count).  Until a walk reaches node 0 it avoids
-    # it, so its best weights are forward[l, r], the _forward_avoid table
-    # from the same starts.  Only the walks past node 0 are swept: at each
-    # layer, the best arrival from forward enters column 0.
+    # it, so its first arrival there is into[l, r] from arrivals().  Only
+    # the walks past node 0 are swept: at each layer that arrival enters
+    # column 0.
     mem = encode(mem_num, mem_fin)
-    arrive = (forward[:-1] + mem[seq, :, 0][:, None, :]).max(axis=2)
     starts = np.asarray(starts)
     state = np.full((len(starts), mem.shape[1]), MASKED, dtype=np.int64)
     state[starts == 0, 0] = 0
-    for l, s in enumerate(seq):
+    for l, s in enumerate(seq, start=1):
         state = _product(state, mem[s])
-        np.maximum(state[:, 0], arrive[l], out=state[:, 0])
+        np.maximum(state[:, 0], into[l], out=state[:, 0])
     return state
 
 

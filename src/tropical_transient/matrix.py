@@ -42,29 +42,38 @@ class TokenTable:
     """Weight tokens, each parsed once, and matrices written as grids of
     their ids.
 
-    A token's id is keyed by its type and value, so ``True`` never shares
-    an id with ``1``.  A matrix is built from one small table of scaled
-    numerators, indexed by its id grid, so parsing and scaling cost one
-    step per distinct token, not per entry.
+    A string token is its own key, as a string only equals strings; any
+    other token is keyed by its type and value, so ``True`` never shares
+    an id with ``1``.  Each id keeps the weight's numerator, denominator
+    and finiteness.  A matrix reads only the ids it uses, so parsing costs
+    one step per distinct token and scaling one per distinct token of the
+    matrix, not per entry.
     """
 
-    __slots__ = ("_parse", "_ids", "_weights")
+    __slots__ = ("_parse", "_ids", "_num", "_den", "_fin")
 
     def __init__(self, parse: Callable[[object], Weight]):
         self._parse = parse
         self._ids: dict = {}
-        self._weights: list[Weight] = []
+        # -inf is kept as 0/1 and not finite.
+        self._num: list[int] = []
+        self._den: list[int] = []
+        self._fin: list[bool] = []
 
     def _id(self, tok) -> int:
-        key = (type(tok), tok)
+        key = tok if type(tok) is str else (type(tok), tok)
         try:
             i = self._ids.get(key)
         except TypeError:  # unhashable: parsed, nearly always to an error
             key = None
             i = None
         if i is None:
-            self._weights.append(self._parse(tok))
-            i = len(self._weights) - 1
+            w = self._parse(tok)
+            finite = not isinstance(w, Epsilon)
+            self._num.append(w.numerator if finite else 0)
+            self._den.append(w.denominator if finite else 1)
+            self._fin.append(finite)
+            i = len(self._fin) - 1
             if key is not None:
                 self._ids[key] = i
         return i
@@ -72,18 +81,7 @@ class TokenTable:
     def ids(self, row: Iterable) -> list[int]:
         """The ids of one row's tokens, in order.  A token not seen before
         is parsed; the first one that fails raises the parser's error."""
-        if type(row) is not list:
-            row = list(row)
-        get = self._ids.get
-        try:
-            out = [get((type(tok), tok)) for tok in row]
-        except TypeError:
-            return [self._id(tok) for tok in row]
-        if None in out:
-            for c, i in enumerate(out):
-                if i is None:
-                    out[c] = self._id(row[c])
-        return out
+        return [self._id(tok) for tok in row]
 
     def matrix(self, grid: list[list[int]]) -> "TropicalMatrix":
         """The matrix whose entry (i, j) is the weight of token grid[i][j].
@@ -99,21 +97,24 @@ class TokenTable:
         if c == 0 or any(len(row) != c for row in grid):
             raise DimensionError("rows must be nonempty and of equal length")
         ids = np.array(grid, dtype=np.intp)
-        used = np.zeros(len(self._weights), dtype=np.bool_)
+        # Renumber the ids this matrix uses into a compact table, so its
+        # lcm, scaling and checks see only its own tokens, however many
+        # the table holds for the rest of the family.
+        used = np.zeros(len(self._fin), dtype=np.bool_)
         used[ids] = True
-        # Ids this matrix does not use count as -inf.
-        weights = [w if u else EPSILON for w, u in zip(self._weights, used.tolist())]
-        den = math.lcm(*(w.denominator for w in weights if not isinstance(w, Epsilon)))
-        scaled = [
-            None if isinstance(w, Epsilon) else w.numerator * (den // w.denominator)
-            for w in weights
-        ]
-        too_big = np.array([s is not None and abs(s) >= _STORE_LIMIT for s in scaled])
-        if too_big.any():
+        keep = np.flatnonzero(used)
+        local = np.zeros(len(self._fin), dtype=np.intp)
+        local[keep] = np.arange(len(keep))
+        ids = local[ids]
+        keep = keep.tolist()
+        den = math.lcm(*(self._den[i] for i in keep))
+        scaled = [self._num[i] * (den // self._den[i]) for i in keep]
+        if max(map(abs, scaled)) >= _STORE_LIMIT:
+            too_big = np.array([abs(s) >= _STORE_LIMIT for s in scaled])
             first = ids.flat[too_big[ids].argmax()]  # in row-major order
             _check_magnitude(abs(scaled[first]), "matrix construction", _STORE_LIMIT)
-        fin = np.array([s is not None for s in scaled], dtype=np.bool_)
-        num = np.array([s or 0 for s in scaled], dtype=np.int64)
+        num = np.array(scaled, dtype=np.int64)
+        fin = np.array([self._fin[i] for i in keep], dtype=np.bool_)
         return TropicalMatrix(num[ids], fin[ids], den)
 
 

@@ -180,7 +180,8 @@ def optimal_initial_walk(t: TrellisDigraph, i: int) -> WalkSummary:
     mem_num, mem_fin, seq0, den = t._arrays()
     mem = _kernels.encode(mem_num, mem_fin)
     tab = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, [i - 1])
-    best, layer = (int(x[0]) for x in _arrivals(mem, seq0, tab))
+    into = _kernels.arrivals(mem, seq0, tab)[:, 0]
+    best, layer = int(into.max()), int(into.argmax())
     if best <= _kernels.FLOOR:
         return _EMPTY_SUMMARY
     nodes = _trace_back(mem, seq0, tab[:, 0], layer, 0, best)
@@ -262,8 +263,10 @@ def best_through_one_weight(t: TrellisDigraph, i: int, j: int) -> Weight:
     _check_node(n, i)
     _check_node(n, j)
     mem_num, mem_fin, seq0, den = t._arrays()
+    mem = _kernels.encode(mem_num, mem_fin)
     forward = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, [i - 1])
-    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, [i - 1], forward)
+    into = _kernels.arrivals(mem, seq0, forward)
+    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, [i - 1], into)
     return _weight(through[0, j - 1], den)
 
 
@@ -275,15 +278,6 @@ def _check_node(n: int, label: int) -> None:
 def _column(x: np.ndarray, den: int) -> TropicalMatrix:
     num, fin = _kernels.decode(x)
     return TropicalMatrix(num[:, None], fin[:, None], den)
-
-
-def _arrivals(mem, seq0, tab) -> tuple[np.ndarray, np.ndarray]:
-    """Best initial-walk weight into node 0 for each row of a forward
-    avoiding table (k + 1, r, n), and the earliest arrival layer attaining
-    it.  Encoded; a row with no such walk gets a masked weight."""
-    into = np.full(tab.shape[:2], _kernels.MASKED)
-    into[1:] = (tab[:-1] + mem[seq0, :, 0][:, None, :]).max(axis=2)
-    return into.max(axis=0), into.argmax(axis=0)
 
 
 def _departures(mem, seq0, tab) -> tuple[np.ndarray, np.ndarray]:
@@ -395,8 +389,9 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     mem = _kernels.encode(mem_num, mem_fin)
     forward = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, nodes)
     backward = _kernels.ACTIVE.backward_avoid(mem_num, mem_fin, seq0, nodes)
-    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, nodes, forward)
-    initial_len = np.where(nodes == 0, 0, _arrivals(mem, seq0, forward)[1])
+    into = _kernels.arrivals(mem, seq0, forward)
+    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, nodes, into)
+    initial_len = np.where(nodes == 0, 0, into.argmax(axis=0))
     final_len = np.where(nodes == 0, 0, k - _departures(mem, seq0, backward)[1])
 
     w_num, w_fin = (x[:, 0] for x in wstar.scaled(den))

@@ -160,6 +160,22 @@ class TestTokenTableLoader:
                        for _ in range(rng.randint(1, 3))]
             assert_same_load(write_family(tmp_path, members, name=f"r{case}.json"))
 
+    def test_members_read_only_their_own_tokens(self, tmp_path):
+        # The file's table holds 1/2^40, but member 2 never uses it: its
+        # denominator stays 1 and 2^30 does not overflow as 2^70 / 2^40.
+        path = write_family(tmp_path, [
+            [[0, "1/1099511627776"], ["-inf", -1]],
+            [[0, 2**30], ["-inf", -1]],
+        ])
+        assert_same_load(path)
+        assert [m.denominator for m in load_family(path)[0].members] == [2**40, 1]
+
+    def test_many_members_of_distinct_tokens(self, tmp_path):
+        rng = random.Random(11)
+        members = [[[f"{-rng.randint(1, 10**9)}/{rng.randint(1, 4)}" for _ in range(4)]
+                    for _ in range(4)] for _ in range(40)]
+        assert_same_load(write_family(tmp_path, members))
+
     def test_random_valid_families_round_trip(self, tmp_path, make_family):
         rng = random.Random(7)
         for case in range(30):
@@ -189,6 +205,9 @@ class TestFromRows:
         [[Fraction(1, 2**33), Fraction(-1, 2**33 + 1)]],
         [[Fraction(2**61, 3), Fraction(2**61, 2)]],
         [["1/2", "2/4", 1, 1.0, True]],
+        [[Fraction(1, 2), 0.5]],
+        [[Fraction(1), True], [1, 0]],
+        [["1", 1, 1.0, Fraction(1)]],
         ((x for x in (0, "1/3")), iter([None, 2])),
     ], ids=repr)
     def test_against_fraction_oracle(self, rows):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tropical_transient import _kernels
-from tropical_transient._kernels import FLOOR, MASKED, NUMPY_BACKEND, PROBE_STRIDE, decode
+from tropical_transient._kernels import (FLOOR, MASKED, NUMPY_BACKEND, PROBE_STRIDE, arrivals, decode,
+                                          encode)
 from tropical_transient.family import MatrixFamily
 from tropical_transient.matrix import TropicalMatrix, rank_one_mask
 from tropical_transient.products import fold
@@ -323,7 +324,8 @@ class TestOracleAgreement:
                         want = oracle(mem_num, mem_fin, seq, s)
                         assert_masked_equal(decode(tab[:, s]), want)
                 forward = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, starts)
-                through = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, starts, forward)
+                into = arrivals(encode(mem_num, mem_fin), seq, forward)
+                through = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, starts, into)
                 for s in starts:
                     want = masked_through_anchor(mem_num, mem_fin, seq, s)
                     assert_masked_equal(decode(through[s]), want)
