@@ -35,6 +35,12 @@ writer's per-value formatting exploit; these rows show the cost without
 that.  ``matrix_tokens`` runs on one member, ``family_to_dict`` on the
 whole family, and ``render_json`` writes the dict it returns.
 
+A sixth table times the family side on the seed-0 synthetic inputs at
+n = 20, 40, 80: a fresh ``load_family`` followed by validation,
+``sup_derived`` and the A_inf vectors w and v (the closures and Karp runs
+of ``bound FAM SEQ``), and the graph structure of one member
+(``is_irreducible`` and ``strongly_connected_components``).
+
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --sizes 5,16,64 --length 500
 """
@@ -55,6 +61,7 @@ import numpy as np
 from tropical_transient._kernels import (ACTIVE, FLOOR, PROBE_STRIDE, _product, arrivals, encode,
                                           extend, rank_one)
 from tropical_transient.cli import main as cli_main
+from tropical_transient.digraph import is_irreducible, strongly_connected_components
 from tropical_transient.io import family_to_dict, load_family, load_sequence, matrix_tokens
 from tropical_transient.products import estimate_transient
 from tropical_transient.report import render_json
@@ -72,6 +79,7 @@ SCAN_HORIZONS = (8, 12)
 IO_SIZES = (20, 40, 80)
 IO_LENGTH = 200
 LEMMA_SIZE = 80
+FAMILY_SIZES = (20, 40, 80)
 DISTINCT_SIZES = (20, 40, 80)
 DISTINCT_MEMBERS = (3, 12)
 
@@ -141,6 +149,27 @@ def io_rows(n, fam, seq, repeats):
         lemmas = best_time(lambda: check_lemma_bounds(build_trellis(family, sequence)), repeats)
         rows.append(("check_lemma_bounds", IO_LENGTH, lemmas))
     return rows
+
+
+def family_rows(fam, repeats):
+    """(name, ms) rows of the family-side table for one family file."""
+    def derive():
+        family = load_family(fam)[0]
+        assert family.validation.passed
+        family.sup_derived
+        family.inf_walk_to_one()
+        family.inf_walk_from_one()
+
+    member = load_family(fam)[0].members[0]
+
+    def structure():
+        is_irreducible(member)
+        strongly_connected_components(member._fin)
+
+    return [
+        ("load and derive", best_time(derive, repeats)),
+        ("graph structure", best_time(structure, repeats)),
+    ]
 
 
 def distinct_family(rng, n, m):
@@ -274,6 +303,16 @@ def main() -> int:
             fam, seq = synthetic_files(workdir, n)
             for name, k, t in io_rows(n, fam, seq, args.repeats):
                 print(f"{name:<18}{n:>5}{k:>6}{'':>8}{t * 1e3:>14.3f}")
+
+    header = f"{'family side':<18}{'n':>5}{'':>6}{'':>8}{ACTIVE.name + ' (ms)':>14}"
+    print()
+    print(header)
+    print("-" * len(header))
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in FAMILY_SIZES:
+            fam, _ = synthetic_files(workdir, n)
+            for name, t in family_rows(fam, args.repeats):
+                print(f"{name:<18}{n:>5}{'':>6}{'':>8}{t * 1e3:>14.3f}")
 
     header = f"{'distinct tokens':<18}{'n':>5}{'m':>6}{'':>8}{ACTIVE.name + ' (ms)':>14}"
     print()

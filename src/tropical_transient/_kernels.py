@@ -39,7 +39,8 @@ avoiding sweep's table (``arrivals``).
 
 The family-side derivations use the same encoding: ``walk_table`` is a
 sweep through one matrix (Karp's table, cycle-mean potentials) and
-``closure`` is a Floyd-Warshall pass for best path weights.
+``closure`` is a Floyd-Warshall pass that never pivots on node 0, so one
+table holds the best walks into node 0, out of it and around it.
 """
 
 from __future__ import annotations
@@ -125,22 +126,26 @@ def walk_table(a: np.ndarray, state: np.ndarray, k: int) -> np.ndarray:
 
 
 def closure(a: np.ndarray) -> Optional[np.ndarray]:
-    """Kleene-plus closure a (+) a^2 (+) ... of an encoded square matrix.
+    """Best weights of walks of length >= 1 whose inner nodes avoid node 0,
+    for an encoded square matrix.
 
-    Step k lets walks pass through node k, as one rank-1 max update.  The
-    pass stops with None as soon as a diagonal entry is nonnegative, that
-    is once some cycle has weight >= 0.  Until then every finite entry is
-    the weight of a simple path (of a simple cycle on the diagonal), so no
-    sum exceeds 2n times the largest input magnitude, which callers keep
-    below ``2**61``; sums with a masked term are reset to MASKED.
+    Step k = 1, ..., n - 1 lets walks pass through node k, as one rank-1
+    max update; node 0 is never a pivot, so walks touch it only at their
+    ends.  The pass stops with None once a diagonal entry is nonnegative,
+    which happens exactly when some cycle has weight >= 0: a cycle through
+    node 0 splits at its visits there into walks from node 0 back to
+    itself, one of which has weight >= 0.  Until then every finite entry
+    is the weight of a simple path (of a simple cycle on the diagonal), so
+    no sum exceeds 2n times the largest input magnitude, which callers
+    keep below ``2**61``; sums with a masked term are reset to MASKED.
     """
     d = a.copy()
-    for k in range(d.shape[0]):
-        np.maximum(d, d[:, k, None] + d[k], out=d)
-        d[d <= FLOOR] = MASKED
+    for k in range(1, d.shape[0]):
         if (d.diagonal() >= 0).any():
             return None
-    return d
+        np.maximum(d, d[:, k, None] + d[k], out=d)
+        d[d <= FLOOR] = MASKED
+    return None if (d.diagonal() >= 0).any() else d
 
 
 def _units(n: int, rows) -> np.ndarray:

@@ -8,6 +8,13 @@ witness, and the classical path quantities around the distinguished
 node 1: best path weights into and out of it and best weights of walks
 avoiding it.
 
+Graph structure comes from one boolean reachability closure: a digraph
+is irreducible when every node reaches every other, and its strongly
+connected components are the classes of mutual reachability.  The path quantities are three views
+of one weighted closure that never pivots on node 1
+(:func:`node_one_paths`), so a single closure of a matrix gives all of
+them.
+
 Node labels in public inputs and outputs are 1-based, matching the usual
 matrix convention; array indices are 0-based internally.
 """
@@ -23,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import AssumptionError, DimensionError
-from .matrix import TropicalMatrix, _check_magnitude, kleene_plus
+from .matrix import TropicalMatrix, _check_magnitude, node_one_closure
 from .semiring import EPSILON, Epsilon, Weight
 
 
@@ -59,77 +66,32 @@ def geometrically_equivalent(a: TropicalMatrix, b: TropicalMatrix) -> bool:
     return bool(np.array_equal(a._fin, b._fin))
 
 
-def _reachable(fin: np.ndarray, start: int) -> np.ndarray:
-    n = fin.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(fin[u])[0]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return seen
+def _reachability(fin: np.ndarray) -> np.ndarray:
+    """r[i, j]: node j is reachable from node i by a walk of length >= 0.
+
+    A boolean Floyd-Warshall pass: step k lets walks pass through node k.
+    """
+    r = fin | np.eye(fin.shape[0], dtype=bool)
+    for k in range(len(r)):
+        r |= r[:, k, None] & r[k]
+    return r
 
 
 def is_irreducible(m: TropicalMatrix) -> bool:
     """True when D_m is strongly connected (trivially so for n = 1)."""
     if not m.is_square:
         raise DimensionError("irreducibility is defined for square matrices")
-    fin = m._fin
-    if m.rows == 1:
-        return True
-    return bool(_reachable(fin, 0).all() and _reachable(fin.T, 0).all())
+    return bool(_reachability(m._fin).all())
 
 
 def strongly_connected_components(fin: np.ndarray) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components in a deterministic order."""
-    n = fin.shape[0]
-    succ = [list(map(int, np.nonzero(fin[u])[0])) for u in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            u, pi = work[-1]
-            if pi == 0:
-                index[u] = low[u] = counter
-                counter += 1
-                stack.append(u)
-                on_stack[u] = True
-            advanced = False
-            for k in range(pi, len(succ[u])):
-                v = succ[u][k]
-                if index[v] == -1:
-                    work[-1] = (u, k + 1)
-                    work.append((v, 0))
-                    advanced = True
-                    break
-                if on_stack[v]:
-                    low[u] = min(low[u], index[v])
-            if advanced:
-                continue
-            if low[u] == index[u]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    on_stack[v] = False
-                    comp.append(v)
-                    if v == u:
-                        break
-                comps.append(sorted(comp))
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[u])
-    return comps
+    """The classes of mutual reachability, each sorted, ordered by their
+    smallest node."""
+    r = _reachability(fin)
+    mutual = r & r.T
+    # Row v of mutual starts at the smallest node of v's class.
+    roots = np.flatnonzero(mutual.argmax(axis=1) == np.arange(len(r)))
+    return [np.flatnonzero(mutual[v]).tolist() for v in roots]
 
 
 @dataclass(frozen=True)
@@ -295,43 +257,39 @@ def lambda_star(a_sup: TropicalMatrix) -> CycleMeanResult:
     return CycleMeanResult(res.mean, tuple(v + 1 for v in res.witness))
 
 
-def _require_negative_lambda(a_sup: TropicalMatrix, what: str) -> None:
-    lam = lambda_star(a_sup).mean
-    if not isinstance(lam, Epsilon) and lam >= 0:
-        raise AssumptionError(
-            f"{what} needs every node-1-avoiding cycle strictly negative; "
-            f"the maximum off-1 cycle mean is {lam}"
-        )
+def node_one_paths(a: TropicalMatrix, closed: Optional[TropicalMatrix], what: str
+                   ) -> tuple[TropicalMatrix, TropicalMatrix, TropicalMatrix]:
+    """Path data around node 1 read off ``closed``, the
+    :func:`~tropical_transient.matrix.node_one_closure` of a with some of
+    its edges at node 1 removed.
 
-
-def _avoiding_closure(m: TropicalMatrix, what: str) -> TropicalMatrix:
-    """Kleene-plus closure of m, none of whose cycles touches node 1.
-
-    The closure itself notices a cycle of weight >= 0; only then does Karp
-    run, to name the maximum off-1 cycle mean in the error.
+    Returns column 1 (best paths into node 1) and row 1 as a column (best
+    paths out of it), both with entry 1 set to 0 for the empty path, and
+    the table with row and column 1 masked (best walks avoiding node 1).
+    closed is None when some cycle has weight >= 0; Karp then names the
+    maximum off-1 cycle mean of a in the error.
     """
-    closed = kleene_plus(m)
     if closed is None:
-        _require_negative_lambda(m, what)
+        lam = lambda_star(a).mean
+        if not isinstance(lam, Epsilon) and lam >= 0:
+            raise AssumptionError(
+                f"{what} needs every node-1-avoiding cycle strictly negative; "
+                f"the maximum off-1 cycle mean is {lam}"
+            )
         raise RuntimeError("closure and cycle mean disagree on an off-1 cycle")
-    return closed
+    num, fin, den = closed._num, closed._fin, closed.denominator
 
+    def anchored(num_line, fin_line):
+        num_line, fin_line = num_line[:, None].copy(), fin_line[:, None].copy()
+        num_line[0] = 0
+        fin_line[0] = True
+        return TropicalMatrix(num_line, fin_line, den)
 
-def one_anchored_paths(m: TropicalMatrix, to_one: bool, what: str) -> TropicalMatrix:
-    """Column vector of best path weights on D_m into node 1 (to_one) or
-    out of it, touching node 1 only at that end; entry 1 is 0.
-
-    Node 1 is made absorbing (no edge leaves it, or none enters it), so
-    the remaining cycles are the off-1 ones, which must be negative.
-    """
-    absorbed = m.with_row_eps(0) if to_one else m.with_col_eps(0)
-    closed = _avoiding_closure(absorbed, what)
-    if not to_one:
-        closed = closed.transpose()
-    num, fin = closed._num[:, :1].copy(), closed._fin[:, :1].copy()
-    num[0] = 0
-    fin[0] = True
-    return TropicalMatrix(num, fin, closed.denominator)
+    avoiding = fin.copy()
+    avoiding[0] = False
+    avoiding[:, 0] = False
+    return (anchored(num[:, 0], fin[:, 0]), anchored(num[0], fin[0]),
+            TropicalMatrix(num, avoiding, den))
 
 
 def best_paths_to_one(a_sup: TropicalMatrix) -> TropicalMatrix:
@@ -342,7 +300,8 @@ def best_paths_to_one(a_sup: TropicalMatrix) -> TropicalMatrix:
     off-1 maximum cycle mean to be negative (else suprema need not be
     attained by paths).
     """
-    return one_anchored_paths(a_sup, True, "best paths into node 1")
+    absorbed = a_sup.with_row_eps(0)
+    return node_one_paths(a_sup, node_one_closure(absorbed), "best paths into node 1")[0]
 
 
 def best_paths_from_one(a_sup: TropicalMatrix) -> TropicalMatrix:
@@ -352,7 +311,8 @@ def best_paths_from_one(a_sup: TropicalMatrix) -> TropicalMatrix:
     its start; entry 1 is 0.  Same precondition as
     :func:`best_paths_to_one`.
     """
-    return one_anchored_paths(a_sup, False, "best paths out of node 1")
+    absorbed = a_sup.with_col_eps(0)
+    return node_one_paths(a_sup, node_one_closure(absorbed), "best paths out of node 1")[1]
 
 
 def avoiding_walk_weights(a_sup: TropicalMatrix) -> TropicalMatrix:
@@ -365,7 +325,7 @@ def avoiding_walk_weights(a_sup: TropicalMatrix) -> TropicalMatrix:
     to be negative.
     """
     cut = a_sup.with_row_eps(0).with_col_eps(0)
-    return _avoiding_closure(cut, "avoiding walk weights")
+    return node_one_paths(a_sup, node_one_closure(cut), "avoiding walk weights")[2]
 
 
 def validation_witness(kind: str, **fields) -> Mapping[str, object]:

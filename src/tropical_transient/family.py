@@ -13,32 +13,34 @@ and minimum A_inf.  The transient analysis requires the family to be
 
 Check 3 is decided by two exact tests per matrix: entry (1,1) equals 0,
 and after deleting the (1,1) edge no cycle has weight >= 0, which the
-walk closure decides; the maximum cycle mean is computed only for the
-witness of a failure.
+closure around node 1 decides; the maximum cycle mean is computed only
+for the witness of a failure.
+
+Each boundary matrix is closed once.  The closure of A_sup without its
+loop decides check 3 for A_sup and then gives alpha (column 1), beta
+(row 1) and gamma (the rest); the closure of A_inf without its loop
+gives w and v.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .digraph import (
     CycleMeanResult,
-    avoiding_walk_weights,
-    best_paths_from_one,
-    best_paths_to_one,
     geometrically_equivalent,
     is_irreducible,
     lambda_star,
     max_cycle_mean,
-    one_anchored_paths,
+    node_one_paths,
     validation_witness,
 )
 from .errors import AssumptionError, DimensionError
-from .matrix import TropicalMatrix, kleene_plus
+from .matrix import TropicalMatrix, _check_magnitude, node_one_closure
 from .semiring import EPSILON, Epsilon, weight_token
 
 
@@ -190,7 +192,10 @@ class MatrixFamily:
         return AssumptionCheck("irreducibility", True)
 
     @staticmethod
-    def _loop_check(m: TropicalMatrix, label: str) -> Optional[Mapping[str, object]]:
+    def _loop_check(m: TropicalMatrix, label: str,
+                    closure: Callable[[], Optional[TropicalMatrix]]
+                    ) -> Optional[Mapping[str, object]]:
+        """closure() is the node-1 closure of m without its loop."""
         loop = m.entry(0, 0)
         if isinstance(loop, Epsilon) or loop != 0:
             return validation_witness(
@@ -199,15 +204,14 @@ class MatrixFamily:
                 entry=[1, 1],
                 value=weight_token(loop),
             )
-        pruned = m.with_entry(0, 0, EPSILON)
         # The closure decides the sign; Karp runs only for the witness, or
         # in place of the closure past its guard.
         try:
-            if kleene_plus(pruned) is not None:
+            if closure() is not None:
                 return None
         except OverflowError:
             pass
-        other = max_cycle_mean(pruned)
+        other = max_cycle_mean(_without_loop(m))
         if not isinstance(other.mean, Epsilon) and other.mean >= 0:
             return validation_witness(
                 "nonnegative_side_cycle",
@@ -219,13 +223,15 @@ class MatrixFamily:
 
     def _check_member_loops(self) -> AssumptionCheck:
         for idx, m in enumerate(self._members, start=1):
-            witness = self._loop_check(m, f"member {idx}")
+            witness = self._loop_check(
+                m, f"member {idx}", lambda: node_one_closure(_without_loop(m))
+            )
             if witness is not None:
                 return AssumptionCheck("members_node1_critical_loop", False, witness)
         return AssumptionCheck("members_node1_critical_loop", True)
 
     def _check_sup_loop(self) -> AssumptionCheck:
-        witness = self._loop_check(self.a_sup, "A_sup")
+        witness = self._loop_check(self.a_sup, "A_sup", lambda: self._sup_closure)
         if witness is not None:
             return AssumptionCheck("sup_node1_critical_loop", False, witness)
         return AssumptionCheck("sup_node1_critical_loop", True)
@@ -233,16 +239,18 @@ class MatrixFamily:
     # -- derived data -------------------------------------------------------
 
     @cached_property
+    def _sup_closure(self) -> Optional[TropicalMatrix]:
+        """Node-1 closure of A_sup without its loop, shared by validation
+        and ``sup_derived``."""
+        return node_one_closure(_without_loop(self.a_sup))
+
+    @cached_property
     def sup_derived(self) -> SupDerived:
         """Path data on D_{A_sup}; requires a validated family."""
         self.require_valid("derivation on A_sup")
-        a_sup = self.a_sup
-        return SupDerived(
-            lambda_star=lambda_star(a_sup),
-            alpha=best_paths_to_one(a_sup),
-            beta=best_paths_from_one(a_sup),
-            gamma=avoiding_walk_weights(a_sup),
-        )
+        lam = lambda_star(self.a_sup)
+        alpha, beta, gamma = node_one_paths(self.a_sup, self._sup_closure, "derivation on A_sup")
+        return SupDerived(lam, alpha, beta, gamma)
 
     def inf_walk_to_one(self) -> TropicalMatrix:
         """Column vector w: entry i is the best weight of a walk i -> 1 in
@@ -251,23 +259,20 @@ class MatrixFamily:
         Off-1 cycles are negative, so best walks are paths and the closure
         over all lengths is exact.  Computed once per family.
         """
-        return self._inf_walk_to_one
+        return self._inf_vectors[0]
 
     def inf_walk_from_one(self) -> TropicalMatrix:
         """Column vector v: entry j is the best weight of a walk 1 -> j in
         D_{A_inf} touching node 1 only at its start (entry 1 is 0).
         Computed once per family."""
-        return self._inf_walk_from_one
+        return self._inf_vectors[1]
 
     @cached_property
-    def _inf_walk_to_one(self) -> TropicalMatrix:
+    def _inf_vectors(self) -> tuple[TropicalMatrix, TropicalMatrix]:
         self.require_valid("walk weights on A_inf")
-        return one_anchored_paths(self.a_inf, True, "walk weights on A_inf")
-
-    @cached_property
-    def _inf_walk_from_one(self) -> TropicalMatrix:
-        self.require_valid("walk weights on A_inf")
-        return one_anchored_paths(self.a_inf, False, "walk weights on A_inf")
+        closed = node_one_closure(_without_loop(self.a_inf))
+        w, v, _ = node_one_paths(self.a_inf, closed, "walk weights on A_inf")
+        return w, v
 
     # -- kernel staging -----------------------------------------------------
 
@@ -287,6 +292,22 @@ class MatrixFamily:
         mem_fin.setflags(write=False)
         return mem_num, mem_fin, den
 
+    def stage(self, indices: Sequence[int], context: str) -> np.ndarray:
+        """The 0-based int64 member indices of a 1-based product sequence.
+
+        Checks every index against the family and that walks of the
+        sequence's length stay within the int64 guard; ``context`` names
+        the caller in the ``OverflowError``.
+        """
+        m = len(self._members)
+        for pos, idx in enumerate(indices, start=1):
+            if not 1 <= idx <= m:
+                raise IndexError(
+                    f"factor {pos} references member {idx}, valid range is 1..{m}"
+                )
+        _check_magnitude(max_walk_magnitude(self, max(len(indices), 1)), context)
+        return np.array([i - 1 for i in indices], dtype=np.int64)
+
     @cached_property
     def layer_magnitude(self) -> int:
         """Largest scaled |entry| over all members: the most one layer of
@@ -295,6 +316,10 @@ class MatrixFamily:
 
     def __repr__(self) -> str:
         return f"MatrixFamily(n={self._n}, members={len(self._members)})"
+
+
+def _without_loop(m: TropicalMatrix) -> TropicalMatrix:
+    return m.with_entry(0, 0, EPSILON)
 
 
 def derive_boundaries(family: MatrixFamily) -> tuple[TropicalMatrix, TropicalMatrix]:

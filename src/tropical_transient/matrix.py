@@ -457,13 +457,15 @@ def walk_closure(m: TropicalMatrix, max_len: int) -> TropicalMatrix:
     return acc
 
 
-def kleene_plus(m: TropicalMatrix) -> Optional[TropicalMatrix]:
-    """The walk closure over all lengths, or None when a cycle of D_m has
-    weight >= 0.
+def node_one_closure(m: TropicalMatrix) -> Optional[TropicalMatrix]:
+    """Best weights of walks of length >= 1 whose inner nodes avoid node 1,
+    or None when some cycle of D_m has weight >= 0.
 
-    With every cycle negative, best walks are simple paths and simple
-    cycles, so the result equals ``walk_closure(m, n)``; it is computed by
-    n Floyd-Warshall steps instead of n matrix products.
+    Entry (i, j) ranges over walks that touch node 1 at most at their
+    ends: column 1 holds the best walks into node 1, row 1 those out of
+    it, and the rest the walks avoiding it.  With every cycle negative,
+    best walks are simple paths and simple cycles, so n - 1 Floyd-Warshall
+    steps (none on node 1) give the exact table.
     """
     if not m.is_square:
         raise DimensionError("walk closure needs a square matrix")

@@ -62,15 +62,8 @@ def fold(family: MatrixFamily, sequence) -> TropicalMatrix:
     indices = tuple(getattr(sequence, "indices", sequence))
     if not indices:
         raise ValueError("cannot fold an empty sequence")
-    m = family.member_count
-    for pos, idx in enumerate(indices, start=1):
-        if not 1 <= idx <= m:
-            raise IndexError(
-                f"factor {pos} references member {idx}, valid range is 1..{m}"
-            )
-    _check_magnitude(max_walk_magnitude(family, len(indices)), "sequence fold")
+    seq0 = family.stage(indices, "sequence fold")
     mem_num, mem_fin, den = family.stacked
-    seq0 = np.array([i - 1 for i in indices], dtype=np.int64)
     num, fin = _kernels.ACTIVE.fold(mem_num, mem_fin, seq0)
     return TropicalMatrix(num, fin, den)
 

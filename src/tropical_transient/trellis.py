@@ -33,8 +33,8 @@ import numpy as np
 
 from . import _kernels
 from .bounds import compute_bound_report
-from .family import MatrixFamily, max_walk_magnitude
-from .matrix import TropicalMatrix, _check_magnitude
+from .family import MatrixFamily
+from .matrix import TropicalMatrix
 from .semiring import EPSILON, Epsilon, Weight, ZERO, weight_token
 
 
@@ -43,18 +43,9 @@ class TrellisDigraph:
 
     def __init__(self, family: MatrixFamily, indices: Sequence[int]):
         indices = tuple(int(x) for x in indices)
-        m = family.member_count
-        for pos, idx in enumerate(indices, start=1):
-            if not 1 <= idx <= m:
-                raise IndexError(
-                    f"factor {pos} references member {idx}, valid range is 1..{m}"
-                )
-        _check_magnitude(
-            max_walk_magnitude(family, max(len(indices), 1)), "trellis construction"
-        )
+        self._seq0 = family.stage(indices, "trellis construction")
         self._family = family
         self._indices = indices
-        self._seq0 = np.array([i - 1 for i in indices], dtype=np.int64)
         # w* and v*, filled by the first initial_weights_all and
         # final_weights_all call.
         self._wstar: Optional[TropicalMatrix] = None
@@ -89,8 +80,14 @@ class TrellisDigraph:
         return self._family.member(self._indices[l - 1])
 
     def has_edge(self, i: int, l: int, j: int) -> bool:
-        """True when node i at layer l - 1 connects to node j at layer l."""
-        return not isinstance(self.layer(l).entry(i - 1, j - 1), Epsilon)
+        """True when node i at layer l - 1 connects to node j at layer l.
+
+        Labels are 1-based; one outside 1..n raises ``IndexError``.
+        """
+        member = self.layer(l)
+        _check_node(self.node_size, i)
+        _check_node(self.node_size, j)
+        return not isinstance(member.entry(i - 1, j - 1), Epsilon)
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         mem_num, mem_fin, den = self._family.stacked

@@ -146,15 +146,16 @@ class TestBound:
         assert implicit["length_sufficient"] is True
 
     def test_a_inf_vectors_are_derived_once(self, capsys, monkeypatch):
-        # One closure each for alpha, beta and gamma on A_sup and for w and
-        # v on A_inf, although the report and the bound both read w and v;
-        # validation adds one per member (three) and one for A_sup.
+        # Validation closes each member (three) and A_sup, each without its
+        # (1,1) loop; alpha, beta and gamma are read off that A_sup closure,
+        # and one closure of A_inf gives both w and v, although the report
+        # and the bound both read them.
         calls = []
         closure = _kernels.closure
         monkeypatch.setattr(_kernels, "closure", lambda a: calls.append(a) or closure(a))
         code, _, _ = run(capsys, "bound", FAMILY, SEQ44)
         assert code == 0
-        assert len(calls) == 9
+        assert len(calls) == 5
 
     def test_expected_logs_bound_disagreements(self, capsys):
         code, report, _ = run_json(

@@ -87,6 +87,9 @@ class TestConnectivity:
             # partition property
             flat = sorted(v for comp in comps for v in comp)
             assert flat == list(range(n))
+            # each component sorted, components ordered by smallest node
+            assert all(comp == sorted(comp) for comp in comps)
+            assert [comp[0] for comp in comps] == sorted(comp[0] for comp in comps)
             # mutual reachability oracle
             reach = [[i == j for j in range(n)] for i in range(n)]
             for i in range(n):

@@ -5,6 +5,11 @@ import pytest
 
 import oracles
 from conftest import random_valid_family
+from tropical_transient.digraph import (
+    avoiding_walk_weights,
+    best_paths_from_one,
+    best_paths_to_one,
+)
 from tropical_transient.errors import AssumptionError, DimensionError
 from tropical_transient.family import (
     MatrixFamily,
@@ -217,6 +222,29 @@ class TestSupDerived:
 
     def test_cached(self, family5):
         assert family5.sup_derived is family5.sup_derived
+
+    def test_one_closure_per_boundary_matches_the_public_derivations(self):
+        # sup_derived reads alpha, beta and gamma off one closure of A_sup
+        # without its loop; the public functions close A_sup with the
+        # edges at node 1 masked, one closure each.  w and v come from one
+        # closure of A_inf; the oracle is the capped walk closure of A_inf
+        # with node 1 made absorbing.
+        rng = random.Random(23)
+        for _ in range(40):
+            fam = random_valid_family(rng, rng.randint(2, 6), rng.randint(1, 3))
+            a_sup, a_inf, n = fam.a_sup, fam.a_inf, fam.size
+            derived = fam.sup_derived
+            assert derived.alpha == best_paths_to_one(a_sup)
+            assert derived.beta == best_paths_from_one(a_sup)
+            assert derived.gamma == avoiding_walk_weights(a_sup)
+            to_one = walk_closure(a_inf.with_row_eps(0), n)
+            from_one = walk_closure(a_inf.with_col_eps(0), n)
+            assert fam.inf_walk_to_one() == TropicalMatrix.from_rows(
+                [[0]] + [[to_one.entry(i, 0)] for i in range(1, n)]
+            )
+            assert fam.inf_walk_from_one() == TropicalMatrix.from_rows(
+                [[0]] + [[from_one.entry(0, j)] for j in range(1, n)]
+            )
 
 
 class TestInfWalks:

@@ -9,6 +9,7 @@ import oracles
 from tropical_transient.errors import DimensionError, PivotError
 from tropical_transient.matrix import (
     TropicalMatrix,
+    node_one_closure,
     outer_product,
     rank_one_factor,
     walk_closure,
@@ -272,3 +273,62 @@ class TestWalkClosure:
                     for ra, rb in zip(best, pk)
                 ]
             assert got == best
+
+
+class TestNodeOneClosure:
+    """The closure never pivots on node 1, so its entries range over walks
+    touching node 1 only at their ends.  Oracle: the walk closure of the
+    digraph with node 1 split into a sink, which keeps its in-edges, and
+    a source, which keeps its out-edges."""
+
+    @staticmethod
+    def split_closure(rows):
+        n = len(rows)
+        # node 0 of the split digraph is the sink, node n the source
+        split = [[None] * (n + 1) for _ in range(n + 1)]
+        for i in range(n):
+            split[n if i == 0 else i][:n] = rows[i]
+        closed = oracles.grid(walk_closure(TropicalMatrix.from_rows(split), n + 1))
+        return [closed[n if i == 0 else i][:n] for i in range(n)]
+
+    def test_negative_cycles_match_split_oracle(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            rows = [
+                [rng.choice([None, Fraction(-rng.randint(1, 9), rng.randint(1, 2))])
+                 for _ in range(n)]
+                for _ in range(n)
+            ]
+            got = node_one_closure(TropicalMatrix.from_rows(rows))
+            assert oracles.grid(got) == self.split_closure(rows)
+
+    def test_none_exactly_on_a_nonnegative_cycle(self):
+        rng = random.Random(22)
+        seen = 0
+        for _ in range(80):
+            n = rng.randint(1, 4)
+            rows = [
+                [rng.choice([None, Fraction(rng.randint(-9, 3))]) for _ in range(n)]
+                for _ in range(n)
+            ]
+            mean, _ = oracles.max_cycle_mean(rows)
+            got = node_one_closure(TropicalMatrix.from_rows(rows))
+            cyclic = mean is not None and mean >= 0
+            seen += cyclic
+            assert (got is None) == cyclic
+            if not cyclic:
+                assert oracles.grid(got) == self.split_closure(rows)
+        assert seen > 10
+
+    def test_single_node(self):
+        assert node_one_closure(TropicalMatrix.from_rows([[0]])) is None
+        assert node_one_closure(TropicalMatrix.from_rows([[-1]])) == TropicalMatrix.from_rows([[-1]])
+        assert node_one_closure(TropicalMatrix.from_rows([[None]])) == TropicalMatrix.eps(1, 1)
+
+    def test_cycle_through_node_one_only(self):
+        # The only cycle, 1 -> 2 -> 1, has weight 0: node 1 is never a
+        # pivot, yet the diagonal still sees it.
+        assert node_one_closure(TropicalMatrix.from_rows([[None, 1], [-1, None]])) is None
+        closed = node_one_closure(TropicalMatrix.from_rows([[None, 1], [-2, None]]))
+        assert oracles.grid(closed) == [[-1, 1], [-2, None]]

@@ -64,6 +64,12 @@ class TestStructure:
         assert t.has_edge(1, 1, 2)
         assert not t.has_edge(1, 1, 4)
 
+    def test_has_edge_checks_node_labels(self, family5, seq44):
+        t = build_trellis(family5, seq44)
+        for i, j in ((0, 1), (1, 0), (6, 1), (1, 6)):
+            with pytest.raises(IndexError, match="node label"):
+                t.has_edge(i, 1, j)
+
     def test_accepts_sequence_object_or_list(self, family5, seq44):
         a = build_trellis(family5, seq44)
         b = build_trellis(family5, list(seq44.indices))
