@@ -17,9 +17,9 @@ pays for every rank-one probe on top of every matrix product.
 A third table times the transient scan's own work: one stacked fold of
 100 sequences of length 20 and 40 at n = 5 and 16, over the same two kinds
 of members (the onset column counts the rows that leave the matrix fold
-for a vector sweep), and the exhaustive scan of the bundled five-node
-family up to horizons 8 and 12, whose levels extend only their failing
-products.
+for a vector sweep), the sampled scan of the bundled five-node family
+(horizon 40, 100 draws per length, seed 0), and its exhaustive scan up to
+horizons 8 and 12, whose levels extend only their failing products.
 
 A fourth table times the text boundary and the lemma checks on the
 benchmark's seed-0 synthetic inputs (``perfbench/bench_inputs.py``):
@@ -38,7 +38,8 @@ whole family, and ``render_json`` writes the dict it returns.
 A sixth table times the family side on the seed-0 synthetic inputs at
 n = 20, 40, 80: a fresh ``load_family`` followed by validation,
 ``sup_derived`` and the A_inf vectors w and v (the closures and Karp runs
-of ``bound FAM SEQ``), and the graph structure of one member
+of ``bound FAM SEQ``), one ``closure`` kernel call on A_sup without its
+node-1 loop (validation's closure), and the graph structure of one member
 (``is_irreducible`` and ``strongly_connected_components``).
 
     python3 benchmarks/bench_kernels.py
@@ -58,8 +59,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tropical_transient._kernels import (ACTIVE, FLOOR, PROBE_STRIDE, _product, arrivals, encode,
-                                          extend, rank_one)
+from tropical_transient._kernels import (ACTIVE, FLOOR, MASKED, PROBE_STRIDE, _product, arrivals,
+                                          closure, encode, extend, rank_one)
 from tropical_transient.cli import main as cli_main
 from tropical_transient.digraph import is_irreducible, strongly_connected_components
 from tropical_transient.io import family_to_dict, load_family, load_sequence, matrix_tokens
@@ -76,6 +77,8 @@ ONSET_LENGTH = 200
 SCAN_SIZES = (5, 16)
 SCAN_LENGTHS = (20, 40)
 SCAN_HORIZONS = (8, 12)
+SAMPLED_HORIZON = 40
+SAMPLED_DRAWS = 100
 IO_SIZES = (20, 40, 80)
 IO_LENGTH = 200
 LEMMA_SIZE = 80
@@ -160,7 +163,10 @@ def family_rows(fam, repeats):
         family.inf_walk_to_one()
         family.inf_walk_from_one()
 
-    member = load_family(fam)[0].members[0]
+    family = load_family(fam)[0]
+    member = family.members[0]
+    a_sup = encode(family.a_sup._num, family.a_sup._fin)
+    a_sup[0, 0] = MASKED
 
     def structure():
         is_irreducible(member)
@@ -168,6 +174,7 @@ def family_rows(fam, repeats):
 
     return [
         ("load and derive", best_time(derive, repeats)),
+        ("closure", best_time(lambda: closure(a_sup), repeats)),
         ("graph structure", best_time(structure, repeats)),
     ]
 
@@ -290,6 +297,10 @@ def main() -> int:
                 print(f"{label:<18}{n:>5}{k:>6}{onsets:>8}{t * 1e3:>14.3f}")
     path = resources.files("tropical_transient").joinpath("fixtures/five_node_family.json")
     family = load_family(str(path))[0]
+    t = best_time(lambda: estimate_transient(family, SAMPLED_HORIZON,
+                                             samples_per_length=SAMPLED_DRAWS), args.repeats)
+    label = f"sampled x{SAMPLED_DRAWS}"
+    print(f"{label:<18}{family.size:>5}{SAMPLED_HORIZON:>6}{'':>8}{t * 1e3:>14.3f}")
     for horizon in SCAN_HORIZONS:
         t = best_time(lambda: estimate_transient(family, horizon, "exhaustive"), args.repeats)
         print(f"{'exhaustive':<18}{family.size:>5}{horizon:>6}{'':>8}{t * 1e3:>14.3f}")

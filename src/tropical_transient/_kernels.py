@@ -21,13 +21,19 @@ callers reduce further.
 
 Products broadcast over leading batch dimensions, so one call folds a
 whole stack of sequences, and ``extend`` grows every product of a level
-by every member at once.  A stack of many matrices multiplies by n rank-1
-max updates instead of one broadcast.  Stacked calls run on chunks of
-rows whose (rows, n, n, n) broadcast temporary holds at most
-``CHUNK_ELEMENTS`` int64 values.  A fold tests its running products for
-rank-one every ``PROBE_STRIDE`` layers and finishes each product that
-passes as a vector sweep (rank-one absorption); a single sequence is a
-one-row stack.
+by every member at once.  A stack of many matrices, or of several whose
+broadcast would pass ``CHUNK_ELEMENTS`` int64 values, multiplies by n
+rank-1 max updates instead of one broadcast.  Stacked calls run on chunks
+of rows whose rank-1 working arrays, four of (rows, n, n), hold at most
+``CHUNK_ELEMENTS`` values.
+
+One fold loop serves a single sequence (a one-row stack), a stack of one
+length, and the ragged stacks of the sampled transient scan, whose rows
+have many lengths and end at their own last layers (``fold_stack``).  It
+tests its running products for rank-one every ``PROBE_STRIDE`` layers
+and finishes each product that passes as a vector sweep (rank-one
+absorption), or leaves it out when the caller knows that every extension
+of it is rank-one.
 
 A sweep pushes a state through the layer matrices of a sequence.  The
 state has one row per start node (per target node for the backward
@@ -76,14 +82,17 @@ def _product(x: np.ndarray, a: np.ndarray, out: Optional[np.ndarray] = None) -> 
     x of shape (..., r, n) and a of shape (..., n, c), batch dimensions
     broadcast.
 
-    A stack of at least ``RANK1_MIN_STACK`` matrices (along its leading
-    axis) with more than one row each runs as n rank-1 max updates of
-    the (..., r, c) result: numpy reduces the (..., r, n, c) broadcast
-    over its middle axis in many short strided loops.  Single matrices,
-    vector stacks and small stacks keep the broadcast, which is faster
-    there.  Both add then max, so the results are identical.
+    A stack of matrices with more than one row each runs as n rank-1 max
+    updates of the (..., r, c) result when it holds at least
+    ``RANK1_MIN_STACK`` matrices (along its leading axis), or at least
+    two whose (..., r, n, c) broadcast would pass ``CHUNK_ELEMENTS``:
+    numpy reduces that broadcast over its middle axis in many short
+    strided loops.  Single matrices, vector stacks and small stacks of
+    small matrices keep the broadcast, which is faster there.  Both add
+    then max, so the results are identical.
     """
-    if x.ndim > 2 and len(x) >= RANK1_MIN_STACK and x.shape[-2] > 1:
+    if x.ndim > 2 and x.shape[-2] > 1 and (len(x) >= RANK1_MIN_STACK or len(x) > 1
+                                           and x.size * a.shape[-1] > CHUNK_ELEMENTS):
         out = np.add(x[..., :, :1], a[..., :1, :], out=out)
         for t in range(1, x.shape[-1]):
             np.maximum(out, x[..., :, t:t + 1] + a[..., t:t + 1, :], out=out)
@@ -95,7 +104,10 @@ def _product(x: np.ndarray, a: np.ndarray, out: Optional[np.ndarray] = None) -> 
 
 
 def _chunk_rows(n: int) -> int:
-    return max(1, CHUNK_ELEMENTS // n**3)
+    # A stack whose broadcast would pass CHUNK_ELEMENTS takes the rank-1
+    # path, where a product touches four (rows, n, n) arrays: the state,
+    # the members, the result and one rank-1 term.
+    return max(1, CHUNK_ELEMENTS // (4 * n * n))
 
 
 def _sweep(layers: np.ndarray, seq: np.ndarray, state: np.ndarray,
@@ -136,16 +148,27 @@ def closure(a: np.ndarray) -> Optional[np.ndarray]:
     node 0 splits at its visits there into walks from node 0 back to
     itself, one of which has weight >= 0.  Until then every finite entry
     is the weight of a simple path (of a simple cycle on the diagonal), so
-    no sum exceeds 2n times the largest input magnitude, which callers
-    keep below ``2**61``; sums with a masked term are reset to MASKED.
+    it lies within n times the largest input magnitude, which callers keep
+    below ``2**60`` (2n times it below ``2**61``).
+
+    A sum with a masked term can lift a masked entry above MASKED, but
+    not past FLOOR, so the pass resets masked entries to MASKED only once,
+    at the end.  Entries only grow from MASKED, and only one masked term
+    can win a max, so a masked entry d[i, j] is at most MASKED plus the
+    weights of a walk out of i and a walk into j: with every cycle
+    negative, at most 2 (n - 1) times the largest positive input, below
+    ``2**61``.  A step that closes a nonnegative cycle can lift it
+    further, but the diagonal check ends the pass before any later use.
     """
     d = a.copy()
     for k in range(1, d.shape[0]):
         if (d.diagonal() >= 0).any():
             return None
         np.maximum(d, d[:, k, None] + d[k], out=d)
-        d[d <= FLOOR] = MASKED
-    return None if (d.diagonal() >= 0).any() else d
+    if (d.diagonal() >= 0).any():
+        return None
+    d[d <= FLOOR] = MASKED
+    return d
 
 
 def _units(n: int, rows) -> np.ndarray:
@@ -196,70 +219,127 @@ def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
     return fin[..., 0, 0] & (pattern & values).all(axis=(-2, -1))
 
 
-def _layer_members(steps, rows):
-    # Member indices of the given stack rows per layer, for mem[...]: a
-    # single row gets plain indices, which read (n, n) views of mem
-    # instead of copies and broadcast against its (1, r, n) state.
-    if len(rows) == 1:
-        return steps[:, rows[0]]
-    return steps[:, rows]
+def _members(steps, rows):
+    # Member indices of the given stack rows at one layer (steps[l]) or at
+    # a run of layers (steps[l:e]), for mem[...]: a single row gets plain
+    # indices, which read (n, n) views of mem instead of copies and
+    # broadcast against its (1, r, n) state.
+    return steps[..., rows[0]] if len(rows) == 1 else steps[..., rows]
 
 
-def _fold_rows(mem, seq, num, fin):
-    # Fold a (B, k) stack of sequences into the (B, n, n) outputs num, fin.
-    # Every PROBE_STRIDE layers the rows still folded as matrices are
-    # tested with rank_one.  Once the prefix P of a row's first l factors
-    # passes, P = x (x) y^T with x = P_:1 - P_11 and y = P_1:, and by
-    # associativity the rest of its fold is
+def _outer(col, row):
+    # Decoded x (x) y^T of vector rows, x = col - col[:, 0] and y = row.
+    # The masks are explicit, since x can reach twice the prefix magnitude
+    # and x + MASKED could then pass FLOOR.
+    xfin = col > FLOOR
+    x = np.where(xfin, col - col[:, :1], np.int64(0))
+    y, yfin = decode(row)
+    both = xfin[:, :, None] & yfin
+    return np.where(both, x[:, :, None] + y, np.int64(0)), both
+
+
+def _fold_rows(mem, seq, lens, finish, drop):
+    # Fold row b of a (B, K) stack over its first lens[b] layers (lens
+    # non-increasing, so lens[0] = K) and pass the rows that end at each
+    # layer to finish(ids, num, fin): stack rows in ascending order and
+    # their decoded products.  Every PROBE_STRIDE layers the rows still
+    # folded as matrices are tested with rank_one.  Once the prefix P of a
+    # row's first l factors passes, P = x (x) y^T with x = P_:1 - P_11 and
+    # y = P_1:, and by associativity the rest of its fold is
     # x (x) (y^T (x) A_{l+1} (x) ... (x) A_k): a vector sweep of y.  Such a
-    # row keeps col = P_:1 and sweeps y as a (1, n) matrix; once no matrix
-    # row is left, the remaining layers are one sweep.  The vector rows
-    # are rebuilt with explicit masks, since x can reach twice the prefix
-    # magnitude and x + MASKED could then pass FLOOR.
+    # row keeps col = P_:1 and sweeps y as a (1, n) matrix; once only
+    # vector rows of one length are left, their remaining layers are one
+    # sweep.  With drop, a row that passes is left out instead, and finish
+    # never sees it.  (No sort or search here: numpy's sorting code would
+    # add to the resident size of a process that never sorts otherwise.)
     steps = seq.T
+    # over[l]: how many rows are longer than l, so the rows of length l
+    # are the stack rows over[l]..over[l - 1] - 1.
+    over = (len(lens) - np.cumsum(np.bincount(lens, minlength=len(steps) + 1))).tolist()
     live = np.arange(len(seq))
     cur = mem[steps[0]]
     ids, col, row = live[:0], cur[:0, :, 0], cur[:0, :1]
-    live_steps, vec_steps = _layer_members(steps, live), steps[:, :0]
-    for l in range(1, len(steps)):
-        if l % PROBE_STRIDE == 0:
+
+    def emit(lo, hi):
+        # The rows of length l end here: the tail of live (in order) and
+        # the vector rows from lo on.  Without drop all hi - lo of them
+        # are left; with drop there are no vector rows.
+        a, vend = int((live < lo).sum()), ids >= lo
+        if not vend.any():
+            if a < len(live):
+                finish(live[a:], *decode(cur[a:]))
+            return a, ~vend
+        num = np.empty((hi - lo,) + cur.shape[1:], dtype=np.int64)
+        fin = np.empty(num.shape, dtype=np.bool_)
+        num[live[a:] - lo], fin[live[a:] - lo] = decode(cur[a:])
+        num[ids[vend] - lo], fin[ids[vend] - lo] = _outer(col[vend], row[vend])
+        finish(np.arange(lo, hi), num, fin)
+        return a, ~vend
+
+    for l in range(1, len(steps) + 1):
+        if over[l] < over[l - 1]:
+            a, keep = emit(over[l], over[l - 1])
+            cur, live = cur[:a], live[:a]
+            ids, col, row = ids[keep], col[keep], row[keep]
+        if not (len(live) or len(ids)):
+            return
+        if len(live) and l % PROBE_STRIDE == 0:
             hit = rank_one(cur, cur > FLOOR)
             if hit.any():
-                ids = np.concatenate([ids, live[hit]])
-                col = np.concatenate([col, cur[hit, :, 0]])
-                row = np.concatenate([row, cur[hit, :1]])
+                if not drop:
+                    ids = np.concatenate([ids, live[hit]])
+                    col = np.concatenate([col, cur[hit, :, 0]])
+                    row = np.concatenate([row, cur[hit, :1]])
                 cur, live = cur[~hit], live[~hit]
-                live_steps, vec_steps = _layer_members(steps, live), _layer_members(steps, ids)
-                if not len(live):
-                    # The remaining layers are one sweep; a single row
-                    # sweeps its (n,) vector.
-                    state = row[0, 0] if len(ids) == 1 else row
-                    row = _sweep(mem, vec_steps[l:], state, table=False).reshape(row.shape)
-                    break
-        cur = _product(cur, mem[live_steps[l]])
+        if len(live):
+            cur = _product(cur, mem[_members(steps[l], live)])
+        elif len(ids) and lens[ids.min()] == lens[ids.max()]:
+            # Only vector rows of one length are left: the rest is one
+            # sweep, and a single row sweeps its (n,) vector.
+            end = lens[ids[0]]
+            state = row[0, 0] if len(ids) == 1 else row
+            row = _sweep(mem, _members(steps[l:end], ids), state, table=False).reshape(row.shape)
+            emit(over[end], over[end - 1])
+            return
         if len(ids):
-            row = _product(row, mem[vec_steps[l]])
-    if len(live):
-        num[live], fin[live] = decode(cur)
-    if len(ids):
-        xfin = col > FLOOR
-        x = np.where(xfin, col - col[:, :1], np.int64(0))
-        y, yfin = decode(row)
-        both = xfin[:, :, None] & yfin
-        num[ids] = np.where(both, x[:, :, None] + y, np.int64(0))
-        fin[ids] = both
+            row = _product(row, mem[_members(steps[l], ids)])
+
+
+def fold_stack(mem, seq, lens, finish, drop=False):
+    """Fold every row of a (B, K) stack of 0-based member indices, row b
+    over its first ``lens[b]`` layers, on encoded members ``mem``.
+
+    ``lens`` must be non-increasing with ``lens[0] = K``, so rows run
+    longest first and the rows still being folded at any layer are a
+    prefix of the stack.  The rows that end at a layer are passed to
+    ``finish(ids, num, fin)``: their stack rows in ascending order and
+    their (numerator, mask) products.  A stack of one length is a stacked
+    fold; a ragged one folds sequences of many lengths in one pass.
+
+    Running products are tested for rank-one every ``PROBE_STRIDE``
+    layers.  A row whose prefix passes finishes as a vector sweep, or,
+    with ``drop``, is left out and never reaches ``finish``: callers pass
+    it only when every extension of a rank-one prefix is known to be
+    rank-one.  The stack runs in chunks of ``_chunk_rows`` rows.
+    """
+    rows = _chunk_rows(mem.shape[1])
+    for s in range(0, len(seq), rows):
+        part = lens[s:s + rows]
+        _fold_rows(mem, seq[s:s + rows, :part[0]], part,
+                   lambda ids, num, fin: finish(ids + s, num, fin), drop)
 
 
 def _fold(mem_num, mem_fin, seq):
     # A 1-D sequence folds as a one-row stack.
-    mem = encode(mem_num, mem_fin)
     stack = seq.reshape(-1, seq.shape[-1])
-    n = mem.shape[1]
+    n = mem_num.shape[1]
     num = np.empty((len(stack), n, n), dtype=np.int64)
     fin = np.empty((len(stack), n, n), dtype=np.bool_)
-    rows = _chunk_rows(n)
-    for s in range(0, len(stack), rows):
-        _fold_rows(mem, stack[s:s + rows], num[s:s + rows], fin[s:s + rows])
+
+    def store(ids, part_num, part_fin):
+        num[ids], fin[ids] = part_num, part_fin
+
+    fold_stack(encode(mem_num, mem_fin), stack, np.full(len(stack), stack.shape[1]), store)
     if seq.ndim == 1:
         return num[0], fin[0]
     return num, fin

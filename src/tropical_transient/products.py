@@ -7,18 +7,24 @@ either exhaustively (all m^k sequences, budget-guarded) or by seeded
 sampling with a named, portable generator (numpy PCG64), so runs are
 reproducible across platforms.
 
-The scan works one length at a time on a stack of products: sampled mode
-folds a length's draws in one kernel call, and exhaustive mode builds
-level k as level k - 1 times every member, so each product costs one
-matrix product instead of k - 1.
+Exhaustive mode works one length at a time on a stack of products: it
+builds level k as level k - 1 times every member, so each product costs
+one matrix product instead of k - 1.  Sampled mode folds the draws of
+consecutive lengths in one ragged stack, longest first, and decides each
+product at its own last layer, so a block of lengths costs as many layer
+steps as its longest length.
 
 Both modes use rank-one absorption.  Once a prefix P = x (x) y^T is
 rank-one, the rest of a fold only changes y, so the stacked fold finishes
 such products as vector sweeps; that rests on associativity alone and
 gives the exact products.  If every member also has a finite (1, 1)
-entry, every extension of a rank-one product is rank-one, so exhaustive
-mode extends only the failing products of each level.  It still reports
-all m^k products of a length as examined, in the same order.
+entry, every extension of a rank-one product is rank-one, and if no
+product up to the horizon can trip the rank-one test guard
+(``_absorbing``), a product that turns rank-one needs no more work:
+exhaustive mode extends only the failing products of each level, and
+sampled mode records a draw whose prefix turns rank-one as rank-one and
+stops folding it.  Both still report every product as examined, in the
+same order.
 """
 
 from __future__ import annotations
@@ -31,9 +37,11 @@ import numpy as np
 from . import _kernels
 from .errors import BudgetExceededError
 from .family import MatrixFamily, max_walk_magnitude
-from .matrix import _STORE_LIMIT, TropicalMatrix, _check_magnitude, rank_one_mask
+from .matrix import _GUARD, _STORE_LIMIT, TropicalMatrix, _check_magnitude, rank_one_mask
 
 DEFAULT_PRODUCT_BUDGET = 2_000_000
+# Draws held in one padded block of the sampled scan (at least one length).
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,29 +108,79 @@ class TransientEstimate:
 # Each scan yields, per length, the number of products examined and the
 # 1-based sequences of those that are not rank-one, as a (failed, k) array.
 
+def _absorbing(family: MatrixFamily, horizon: int) -> bool:
+    """Whether a product that turns rank-one within ``horizon`` factors
+    stays rank-one, and passes the rank-one test guard, up to the horizon.
+
+    If P = x (x) y^T and every member has a finite (1, 1) entry, then
+    P (x) A = x (x) (y^T (x) A) is rank-one, with a pivot of at least
+    P_11 + A_11.  A product that is skipped once it turns rank-one is
+    never put through the rank-one test guard, so every product up to the
+    horizon must also pass it: three times the walk magnitude below
+    _STORE_LIMIT.
+    """
+    pivots = family.stacked[1][:, 0, 0]
+    return bool(pivots.all()) and 3 * max_walk_magnitude(family, horizon) < _STORE_LIMIT
+
+
 def _sampled_scan(family: MatrixFamily, horizon: int, samples: int,
                   seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    mem_num, mem_fin, den = family.stacked
+    # Lengths are drawn in order from one generator and folded in blocks
+    # of consecutive lengths, whose padded stack holds at most
+    # _BLOCK_ELEMENTS draws (at least one length), each block in one
+    # ragged pass.
+    m = family.member_count
     rng = np.random.Generator(np.random.PCG64(seed))
+    dtype = np.min_scalar_type(m)
+    drop = _absorbing(family, horizon)
+    block: list[np.ndarray] = []
     for k in range(1, horizon + 1):
-        draws = rng.integers(1, family.member_count + 1, size=(samples, k))
-        _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
-        num, fin = _kernels.ACTIVE.fold(mem_num, mem_fin, draws - 1)
-        yield samples, draws[~rank_one_mask(num, fin, den)]
+        magnitude = max_walk_magnitude(family, k)
+        if block and (magnitude >= _GUARD or samples * (len(block) + 1) * k > _BLOCK_ELEMENTS):
+            yield from _block_verdicts(family, block, drop)
+            block = []
+        _check_magnitude(magnitude, "sequence fold")
+        block.append(rng.integers(1, m + 1, size=(samples, k)).astype(dtype))
+    yield from _block_verdicts(family, block, drop)
+
+
+def _block_verdicts(family: MatrixFamily, block: list[np.ndarray],
+                    drop: bool) -> Iterator[tuple[int, np.ndarray]]:
+    # block holds the 1-based draws of consecutive lengths, shortest first.
+    # They fold as one stack, longest first, and every row that reaches
+    # its end goes through rank_one_mask.  With drop (_absorbing), a row
+    # whose prefix turns rank-one is rank-one and is not folded further.
+    # A rank-one test guard that trips raises as in a scan by length: at
+    # the shortest length, and there at the first draw.
+    mem_num, mem_fin, den = family.stacked
+    samples, top = block[-1].shape
+    lens = np.repeat(np.arange(top, top - len(block), -1), samples)
+    stack = np.zeros((len(lens), top), dtype=block[-1].dtype)
+    for i, draws in enumerate(reversed(block)):
+        stack[i * samples:(i + 1) * samples, :draws.shape[1]] = draws - 1
+    rank_one = np.ones(len(stack), dtype=bool)
+    trips = []
+
+    def decide(ids, num, fin):
+        try:
+            rank_one[ids] = rank_one_mask(num, fin, den)
+        except OverflowError as exc:
+            trips.append((lens[ids[0]], ids[0], exc))
+
+    _kernels.fold_stack(_kernels.encode(mem_num, mem_fin), stack, lens, decide, drop)
+    if trips:
+        raise min(trips, key=lambda trip: trip[:2])[2]
+    for draws, ok in zip(block, rank_one.reshape(len(block), samples)[::-1]):
+        yield samples, draws[~ok]
 
 
 def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
     mem_num, mem_fin, den = family.stacked
     mem = _kernels.encode(mem_num, mem_fin)
     m = len(mem)
-    # Rank-one absorption: if P = x (x) y^T and every member has a finite
-    # (1, 1) entry, then P (x) A = x (x) (y^T (x) A) is rank-one, with a
-    # pivot of at least P_11 + A_11.  So only the failing products of a
-    # level need extending.  A skipped product is never put through the
-    # rank-one test guard, so pruning also needs every product up to the
-    # horizon to pass it: three times the walk magnitude below
-    # _STORE_LIMIT.
-    prune = bool(mem_fin[:, 0, 0].all()) and 3 * max_walk_magnitude(family, horizon) < _STORE_LIMIT
+    # With _absorbing, only the failing products of a level need
+    # extending: the extensions of a rank-one product are rank-one.
+    prune = _absorbing(family, horizon)
     # Level row r is the sequence whose 0-based indices are the k base-m
     # digits of r, most significant first: itertools.product order.  A
     # pruned scan can reach lengths whose indices leave int64.
@@ -158,9 +216,12 @@ def estimate_transient(
     only candidates, and the skipped ones could not have tripped the
     rank-one test guard.  Otherwise it extends every product.  Sampled
     mode draws ``samples_per_length`` seeded sequences per length, all
-    from one generator in a fixed order.  Before each length the int64
-    guard of :func:`fold` is checked, and every product that is folded
-    goes through :func:`matrix.rank_one_mask`.
+    from one generator in a fixed order; under the same condition a draw
+    whose prefix turns rank-one is counted as rank-one without folding it
+    to its end.  Before each length the int64 guard of :func:`fold` is
+    checked, and every product that is folded to its end goes through
+    :func:`matrix.rank_one_mask`.  A guard that trips raises where a scan
+    length by length, draw by draw, would have raised first.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")

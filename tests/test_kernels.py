@@ -227,7 +227,7 @@ class TestOracleAgreement:
     def test_stacked_fold_and_level_step(self):
         # A (B, k) stack folds row by row, and one level step extends
         # product p by member j in row p * m + j.  At n = 8 a chunk holds
-        # 2**16 // 8**3 = 128 rows, so B = 300 spans three chunks.
+        # 2**16 // (4 * 8**2) = 256 rows, so B = 300 spans two chunks.
         rng = np.random.default_rng(8)
         for mem_num, mem_fin in oracle_cases():
             m, n, _ = mem_num.shape
@@ -269,7 +269,7 @@ class TestOracleAgreement:
             assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seq))
 
     def test_stacked_factored_fold_across_chunks(self):
-        # At n = 8 a chunk holds 128 rows, so 300 rows span three chunks.
+        # At n = 8 a chunk holds 256 rows, so 300 rows span two chunks.
         # Two rows in three draw admissible members and turn rank-one; the
         # others draw weighted permutations and never do.  Member 3 has a
         # -inf (1, 1) entry and appears after the onset.
@@ -289,9 +289,51 @@ class TestOracleAgreement:
         num, fin = NUMPY_BACKEND.fold(mem_num, mem_fin, seqs)
         for b in range(300):
             assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seqs[b]))
-        for b in (0, 1, 127, 128, 299):
+        assert _kernels._chunk_rows(n) == 256
+        for b in (0, 1, 255, 256, 299):
             onset = onset_layer(mem_num, mem_fin, seqs[b])
             assert (onset is None) == (b % 3 == 0)
+
+    @pytest.mark.parametrize("drop", [False, True])
+    @pytest.mark.parametrize("chunk", [None, 4 * 6 * 6 * 9])
+    def test_ragged_stack_ends_each_row_at_its_own_length(self, monkeypatch, drop, chunk):
+        # 200 rows of lengths 1..23, longest first, over admissible members
+        # (whose prefixes turn rank-one, one with a -inf (1, 1) entry) and,
+        # in every third row, weighted permutations (which never do).
+        # Each row reaches finish once, at its own last layer, with the
+        # product of its own sequence; with drop, exactly the rows whose
+        # prefix passes a probe before their end never reach it.  The
+        # second case runs in chunks of 9 rows.
+        if chunk:
+            monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
+        rng = np.random.default_rng(31)
+        n, k, b = 6, 23, 200
+        adm_num, adm_fin = admissible_members(rng, 3, n)
+        adm_fin[2, 0, 0] = False
+        perm_num = rng.integers(-9, 10, size=(2, n, n)).astype(np.int64)
+        perm_fin = np.zeros((2, n, n), dtype=bool)
+        for j in range(2):
+            perm_fin[j, np.arange(n), rng.permutation(n)] = True
+        mem_num = np.concatenate([adm_num, perm_num])
+        mem_fin = np.concatenate([adm_fin, perm_fin])
+        lens = np.sort(rng.integers(1, k + 1, size=b))[::-1]
+        lens[0] = k
+        seqs = rng.integers(0, 3, size=(b, k)).astype(np.uint8)
+        seqs[::3] = rng.integers(3, 5, size=(len(seqs[::3]), k))
+        seen = []
+
+        def finish(ids, num, fin):
+            assert (np.diff(ids) > 0).all() and len(set(lens[ids])) == 1
+            for row, part_num, part_fin in zip(ids, num, fin):
+                want = masked_fold(mem_num, mem_fin, seqs[row, :lens[row]].astype(np.int64))
+                assert_masked_equal((part_num, part_fin), want)
+            seen.extend(ids.tolist())
+
+        _kernels.fold_stack(encode(mem_num, mem_fin), seqs, lens, finish, drop)
+        absorbed = {row for row in range(b)
+                    if onset_layer(mem_num, mem_fin, seqs[row, :lens[row]].astype(np.int64))}
+        assert 30 < len(absorbed) < b - 30
+        assert sorted(seen) == sorted(set(range(b)) - absorbed if drop else range(b))
 
     def test_one_row_stack_is_the_single_fold(self):
         rng = np.random.default_rng(23)

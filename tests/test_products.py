@@ -6,6 +6,8 @@ import pytest
 
 import oracles
 from conftest import random_valid_family
+from tropical_transient import _kernels, products
+from tropical_transient._kernels import PROBE_STRIDE
 from tropical_transient.errors import BudgetExceededError
 from tropical_transient.family import MatrixFamily
 from tropical_transient.matrix import TropicalMatrix
@@ -217,11 +219,153 @@ class TestStackedScanOracle:
         assert pivots_inf > 50
 
     def test_levels_span_several_chunks(self):
-        # At n = 5 a kernel chunk holds 2**16 // 5**3 = 524 products, so
-        # level 6 (4,096 products) and 1,100 draws span several chunks.
+        # Level 6 (4,096 products) and every length of the sampled scan
+        # span several kernel chunks at n = 5.
+        rows = _kernels._chunk_rows(5)
+        assert 4**6 > 4 * rows
         fam = _scan_family(random.Random(5), 5, 4)
         _assert_matches_oracle(fam, horizon=6, mode="exhaustive")
-        _assert_matches_oracle(fam, horizon=3, samples_per_length=1100, seed=3)
+        _assert_matches_oracle(fam, horizon=3, samples_per_length=rows + 1, seed=3)
+
+
+class _ScanSpy:
+    """Counts what the ragged sampled scan does: fold_stack calls (one per
+    block of lengths), chunk folds, rows decided by rank_one_mask, and
+    rank-one rows finished as vector sweeps."""
+
+    def __init__(self, monkeypatch):
+        self.blocks = self.chunks = self.decided = self.swept = 0
+        fold_stack, fold_rows = _kernels.fold_stack, _kernels._fold_rows
+        outer, mask = _kernels._outer, products.rank_one_mask
+
+        def count_blocks(*args, **kwargs):
+            self.blocks += 1
+            return fold_stack(*args, **kwargs)
+
+        def count_chunks(*args, **kwargs):
+            self.chunks += 1
+            return fold_rows(*args, **kwargs)
+
+        def count_swept(col, row):
+            self.swept += len(col)
+            return outer(col, row)
+
+        def count_decided(num, fin, den):
+            self.decided += len(num)
+            return mask(num, fin, den)
+
+        monkeypatch.setattr(_kernels, "fold_stack", count_blocks)
+        monkeypatch.setattr(_kernels, "_fold_rows", count_chunks)
+        monkeypatch.setattr(_kernels, "_outer", count_swept)
+        monkeypatch.setattr(products, "rank_one_mask", count_decided)
+
+
+def _spied_scan(monkeypatch, *args, **kwargs):
+    """The sampled scan, checked against the per-sequence scan, and a spy
+    on the scan alone."""
+    want = _outcome(oracles.per_sequence_estimate, *args, **kwargs)
+    spy = _ScanSpy(monkeypatch)
+    got = _outcome(estimate_transient, *args, **kwargs)
+    assert got == want
+    return got, spy
+
+
+def _pruned_off_family(rng: random.Random, n: int) -> MatrixFamily:
+    """Two admissible members, the second with its (1, 1) entry set to
+    -inf, so pruning is off and rank-one prefixes finish as sweeps."""
+    fam = random_valid_family(rng, n, 2)
+    rows = oracles.grid(fam.member(2))
+    rows[0][0] = None
+    return MatrixFamily([fam.member(1), TropicalMatrix.from_rows(rows)])
+
+
+class TestRaggedSampledScan:
+    """The sampled scan folds a block of lengths as one ragged stack and
+    decides each draw at its own last layer; the per-sequence scan is the
+    reference."""
+
+    def test_absorbed_rows_are_dropped_when_pruning(self, family5, monkeypatch):
+        # Every pivot of the fixture is finite and its magnitudes are
+        # small, so rows that turn rank-one at a probe are dropped: fewer
+        # rows reach rank_one_mask than were drawn, and none is swept.
+        # Lengths below PROBE_STRIDE end before any probe.
+        assert products._absorbing(family5, 40)
+        est, spy = _spied_scan(monkeypatch, family5, horizon=40, samples_per_length=100, seed=4)
+        assert est.first_all_rank_one is not None and est.counterexamples
+        assert (PROBE_STRIDE - 1) * 100 < spy.decided < est.examined // 2
+        assert spy.swept == 0
+
+    def test_absorbed_rows_are_swept_without_pruning(self, monkeypatch):
+        # A -inf pivot turns pruning off: rows whose prefix turns rank-one
+        # finish as vector sweeps, and every row is decided at its end.
+        rng = random.Random(8)
+        swept = 0
+        for case in range(6):
+            fam = _pruned_off_family(rng, rng.randint(2, 5))
+            assert not products._absorbing(fam, 20)
+            est, spy = _spied_scan(monkeypatch, fam, horizon=20, samples_per_length=15, seed=case)
+            assert spy.decided == est.examined
+            swept += spy.swept
+        assert swept > 100
+
+    def test_near_guard_magnitudes_turn_pruning_off(self):
+        # Finite pivots, but three times the walk magnitude at the horizon
+        # reaches the storage limit, so no row is dropped; the fold guard
+        # still passes at every length.
+        rng = random.Random(12)
+        horizon = 8
+        big = (1 << 62) // (3 * horizon) + 1
+        assert horizon * big < 1 << 61
+        for case in range(4):
+            fam = random_valid_family(rng, 4, 3)
+            rows = oracles.grid(fam.member(3))
+            rows[1][1] = -big
+            fam = MatrixFamily([fam.member(1), fam.member(2), TropicalMatrix.from_rows(rows)])
+            assert not products._absorbing(fam, horizon)
+            _assert_matches_oracle(fam, horizon=horizon, samples_per_length=40, seed=case)
+
+    def test_prune_gate_keeps_the_rank_one_guard(self):
+        # A is rank-one with finite pivots, so every draw A A A A x is
+        # rank-one at the first probe; but A^5 has the magnitude 5 w, which
+        # trips the rank-one test guard (A^4 at 4 w does not).  The scan
+        # must fold those draws to their end.
+        store = 1 << 62
+        w = 5 << 56
+        assert 3 * 4 * w < store <= 3 * 5 * w and 5 * w < 1 << 61
+        a = TropicalMatrix.from_rows([[-w, -w], [-w, -w]])
+        c = TropicalMatrix.from_rows([[0, -1], [-2, 0]])
+        fam = MatrixFamily([a, c])
+        assert not products._absorbing(fam, 5)
+        got = _assert_matches_oracle(fam, horizon=5, samples_per_length=100, seed=0)
+        assert got == (OverflowError, f"rank-one test: scaled integer magnitude {15 * w} "
+                                      "exceeds the int64 budget")
+
+    @pytest.mark.parametrize("chunk, block", [(4 * 25 * 7, 300), (4 * 25 * 64, 1200)])
+    def test_several_chunks_and_blocks(self, family5, monkeypatch, chunk, block):
+        # Small chunks and blocks: at n = 5 a chunk holds chunk // 100 rows,
+        # and a block at most block padded draws.
+        monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(products, "_BLOCK_ELEMENTS", block)
+        rng = random.Random(chunk)
+        cases = [family5, _pruned_off_family(rng, 5), _scan_family(rng, 5, 3)]
+        for seed, fam in enumerate(cases):
+            _, spy = _spied_scan(monkeypatch, fam, horizon=16, samples_per_length=20, seed=seed)
+            assert spy.blocks >= 3 and spy.chunks > spy.blocks
+
+    @pytest.mark.parametrize("horizon, samples", [(1, 1), (1, 50), (30, 1), (5, 1)])
+    def test_smallest_scans(self, family5, horizon, samples):
+        rng = random.Random(horizon * samples)
+        for fam in (family5, _pruned_off_family(rng, 3), _scan_family(rng, 4, 2)):
+            est = _assert_matches_oracle(fam, horizon=horizon, samples_per_length=samples, seed=7)
+            assert est.examined == horizon * samples
+
+    def test_member_indices_past_one_byte(self):
+        # 300 members store their draws as uint16; 1-based indices up to
+        # 300 come back unchanged.
+        rng = random.Random(3)
+        fam = MatrixFamily([_scan_family(rng, 2, 1).member(1) for _ in range(300)])
+        est = _assert_matches_oracle(fam, horizon=3, samples_per_length=40, seed=1)
+        assert max(max(idx) for _, idx in est.counterexamples) > 255
 
 
 class TestScanOverflow:
@@ -264,6 +408,26 @@ class TestScanOverflow:
         assert got[0] is OverflowError and got[1].startswith("rank-one test: ")
         if mode == "exhaustive":
             assert str(3 * (2 * w + 1)) in got[1]
+
+    @pytest.mark.parametrize("chunk", [None, 4 * 4 * 3])
+    def test_rank_one_guard_at_the_shortest_length_first(self, monkeypatch, chunk):
+        # D_c = diag(0, -w - c): a product of three factors D reaches
+        # 3 w + (their c), which trips the rank-one test guard, and so do
+        # the length-4 products with three or four of them, at other
+        # magnitudes (X adds 1 or 2); 4 w stays below the fold guard.
+        # Length 4 comes first in the ragged stack, in the first chunks
+        # when they hold 3 rows, yet the scan raises at the first length-3
+        # draw of three factors D, as a scan by length does.
+        if chunk:
+            monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
+        w = 15 << 55
+        assert 3 * 2 * (w + 10) < self.STORE <= 3 * 3 * w and 4 * (w + 10) < self.GUARD
+        d0, d1 = (TropicalMatrix.from_rows([[0, None], [None, -w - c]]) for c in (0, 10))
+        x = TropicalMatrix.from_rows([[0, -1], [-2, -1]])
+        fam = MatrixFamily([d0, d1, x])
+        got = _assert_matches_oracle(fam, horizon=4, samples_per_length=60, seed=0)
+        assert got[0] is OverflowError and got[1].startswith("rank-one test: ")
+        assert (int(got[1].split()[5]) - 9 * w) in (0, 30, 60, 90)
 
     def test_minus_inf_pivot_skips_the_rank_one_guard(self):
         big = -(-self.STORE // 3)
