@@ -1,9 +1,10 @@
 """Timing of the max-plus kernels.
 
 Runs the hot kernels (matrix product, sequence fold and the trellis
-sweeps, the start-indexed ones with every node as a start; the through
-sweep given the arrivals read off the avoiding sweep's table) on random
-scaled-integer inputs and prints the best wall time per call.  At sizes
+sweeps, the start-indexed ones with every node as a start; the all-starts
+avoiding sweep with rank-one absorption that the lemma checks run, and the
+through sweep given its arrivals) on random scaled-integer inputs and
+prints the best wall time per call.  At sizes
 up to 16 it also times the transient scan's stacked kernels: one fold of
 100 sequences of length 20, and one exhaustive level step from the m^4
 products of length 4 to the m^5 of length 5.
@@ -21,11 +22,13 @@ for a vector sweep), the sampled scan of the bundled five-node family
 (horizon 40, 100 draws per length, seed 0), and its exhaustive scan up to
 horizons 8 and 12, whose levels extend only their failing products.
 
-A fourth table times the text boundary and the lemma checks on the
-benchmark's seed-0 synthetic inputs (``perfbench/bench_inputs.py``):
-``load_family``, ``matrix_tokens`` of gamma and ``render_json`` of the
-``bound FAM SEQ`` report at n = 20, 40, 80, and ``check_lemma_bounds`` at
-n = 80, k = 200.
+A fourth table times the text boundary, the implicit bound and the lemma
+checks on the benchmark's seed-0 synthetic inputs
+(``perfbench/bench_inputs.py``) at n = 20, 40, 80 and k = 200:
+``load_family``, ``matrix_tokens`` of gamma, ``render_json`` of the
+``bound FAM SEQ`` report, ``implicit_sequence_bound`` (two vector sweeps),
+``implicit_bound`` of the folded product (the path it replaces) and
+``check_lemma_bounds``.
 
 A fifth table times the same text boundary where tokens and values do not
 repeat: families of m = 3 and 12 dense members whose entries are nearly
@@ -59,12 +62,13 @@ from pathlib import Path
 
 import numpy as np
 
-from tropical_transient._kernels import (ACTIVE, FLOOR, MASKED, PROBE_STRIDE, _product, arrivals,
-                                          closure, encode, extend, rank_one)
+from tropical_transient._kernels import (ACTIVE, FLOOR, MASKED, PROBE_STRIDE, _product,
+                                          avoiding_sweep, closure, encode, extend, rank_one)
+from tropical_transient.bounds import implicit_bound, implicit_sequence_bound
 from tropical_transient.cli import main as cli_main
 from tropical_transient.digraph import is_irreducible, strongly_connected_components
 from tropical_transient.io import family_to_dict, load_family, load_sequence, matrix_tokens
-from tropical_transient.products import estimate_transient
+from tropical_transient.products import estimate_transient, fold
 from tropical_transient.report import render_json
 from tropical_transient.trellis import build_trellis, check_lemma_bounds
 
@@ -81,7 +85,6 @@ SAMPLED_HORIZON = 40
 SAMPLED_DRAWS = 100
 IO_SIZES = (20, 40, 80)
 IO_LENGTH = 200
-LEMMA_SIZE = 80
 FAMILY_SIZES = (20, 40, 80)
 DISTINCT_SIZES = (20, 40, 80)
 DISTINCT_MEMBERS = (3, 12)
@@ -135,23 +138,25 @@ def synthetic_files(workdir, n):
 
 
 def io_rows(n, fam, seq, repeats):
-    """(name, k, ms) rows of the text-boundary table at size n."""
+    """(name, k, ms) rows of the text-boundary and lemma table at size n."""
     family = load_family(fam)[0]
+    sequence = load_sequence(seq)
     gamma = family.sup_derived.gamma
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         cli_main(["bound", str(fam), str(seq), "--format", "json"])
     report = json.loads(out.getvalue())
-    rows = [
+    return [
         ("load_family", "", best_time(lambda: load_family(fam), repeats)),
         ("matrix_tokens", "", best_time(lambda: matrix_tokens(gamma), repeats)),
         ("render_json", "", best_time(lambda: render_json(report), repeats)),
+        ("implicit sweeps", IO_LENGTH,
+         best_time(lambda: implicit_sequence_bound(family, sequence), repeats)),
+        ("implicit of fold", IO_LENGTH,
+         best_time(lambda: implicit_bound(family, fold(family, sequence)), repeats)),
+        ("check_lemma_bounds", IO_LENGTH,
+         best_time(lambda: check_lemma_bounds(build_trellis(family, sequence)), repeats)),
     ]
-    if n == LEMMA_SIZE:
-        sequence = load_sequence(seq)
-        lemmas = best_time(lambda: check_lemma_bounds(build_trellis(family, sequence)), repeats)
-        rows.append(("check_lemma_bounds", IO_LENGTH, lemmas))
-    return rows
 
 
 def family_rows(fam, repeats):
@@ -248,14 +253,17 @@ def main() -> int:
         for name in ("forward_full", "forward_avoid", "backward_avoid"):
             sweep = getattr(ACTIVE, name)
             cases.append((name, lambda sweep=sweep: sweep(num, fin, seq, every), args.length, n))
-        # The through sweep reads the arrivals off the avoiding table, which
-        # are not timed here.
-        into = arrivals(encode(num, fin), seq, ACTIVE.forward_avoid(num, fin, seq, every))
-        cases.append(("through_anchor",
-                      lambda: ACTIVE.through_anchor(num, fin, seq, every, into), args.length, n))
+        # The lemma checks' avoiding sweep, and the through sweep given the
+        # arrivals it returns (not timed with it).
+        mem = encode(num, fin)
+        into = avoiding_sweep(mem, seq)[0]
+        cases += [
+            ("avoiding_sweep", lambda: avoiding_sweep(mem, seq), args.length, n),
+            ("through_anchor", lambda: ACTIVE.through_anchor(num, fin, seq, every, into),
+             args.length, n),
+        ]
         if n <= STACK_MAX_SIZE:
             stack = rng.integers(0, args.members, size=(STACK_ROWS, STACK_LENGTH))
-            mem = encode(num, fin)
             level = mem
             for _ in range(LEVEL_LENGTH - 1):
                 level = extend(level, mem)

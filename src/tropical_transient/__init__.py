@@ -17,6 +17,7 @@ from .bounds import (
     compute_bound_report,
     explicit_bound,
     implicit_bound,
+    implicit_sequence_bound,
 )
 from .digraph import (
     CycleMeanResult,

@@ -40,8 +40,15 @@ state has one row per start node (per target node for the backward
 sweep), so one pass serves every start.  Each trellis DP is such a sweep
 over members edited around node 0, the distinguished node (node 1 in the
 1-based labels of the public API): cut off or made absorbing.  The sweep
-of walks through node 0 takes their first arrivals there from the
-avoiding sweep's table (``arrivals``).
+of walks through node 0 takes their first arrivals there from an
+avoiding sweep.  The single-start DPs keep every layer's state, which
+their witnesses are traced back through (``arrivals`` reads the first
+arrivals off such a table).  The all-starts sweeps of the lemma checks
+(``avoiding_sweep`` and the through sweep) keep only what the checks
+read, and use rank-one absorption as the fold does: once a probed state
+is x (x) y^T, only y moves on (``_absorbing_sweep``).  Column 0 and row 0
+of a product are two vector sweeps (``anchor_lines``), which is all the
+implicit bound reads.
 
 The family-side derivations use the same encoding: ``walk_table`` is a
 sweep through one matrix (Karp's table, cycle-mean potentials) and
@@ -214,9 +221,14 @@ def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
     either way no difference formed leaves int64, and masked slots are
     left out of the value test.
     """
+    pivot = fin[..., 0, 0]
     pattern = fin == (fin[..., :, :1] & fin[..., :1, :])
+    if pivot.size == 1 and not (pivot.all() and pattern.all()):
+        # One matrix (alone or a one-row stack) that fails on its pivot or
+        # its pattern skips the value test.
+        return np.zeros(pivot.shape, dtype=np.bool_)
     values = (num - num[..., :1, :] == num[..., :, :1] - num[..., :1, :1]) | ~fin
-    return fin[..., 0, 0] & (pattern & values).all(axis=(-2, -1))
+    return pivot & (pattern & values).all(axis=(-2, -1))
 
 
 def _members(steps, rows):
@@ -345,6 +357,21 @@ def _fold(mem_num, mem_fin, seq):
     return num, fin
 
 
+def anchor_lines(mem_num, mem_fin, seq):
+    """Column 0 and row 0 of the product over a (k,) sequence, as
+    (numerator, mask) pairs, from two vector sweeps and no matrix product.
+
+    Row 0 is e_0^T (x) A_{s1} (x) ... (x) A_{sk}; column 0 is row 0 of
+    the transposed product, the transposed members over the reversed
+    sequence.
+    """
+    mem = encode(mem_num, mem_fin)
+    unit = _units(mem.shape[1], 0)
+    back = np.ascontiguousarray(mem.transpose(0, 2, 1))
+    col = _sweep(back, seq[::-1], unit, table=False)
+    return decode(col), decode(_sweep(mem, seq, unit, table=False))
+
+
 def _forward_full(mem_num, mem_fin, seq, starts):
     # tab[l, r, j]: best walk from starts[r] at layer 0 to j at layer l.
     return _sweep(encode(mem_num, mem_fin), seq, _units(mem_num.shape[1], starts))
@@ -398,20 +425,87 @@ def arrivals(mem, seq, forward):
     return into
 
 
+def _expand(col, y):
+    # Encoded x (x) y^T of a state absorbed with column col and row y.
+    return encode(*_outer(col[None], y[None, None]))[0]
+
+
+def _absorbing_sweep(layers, seq, state, tap=None, inject=None):
+    # Push an encoded (r, c) state through layers[seq[0]], layers[seq[1]],
+    # ... and return (out, final).  With tap, out[l] = max_p(S[:, p] +
+    # tap[seq[l - 1], p]) for the state S before layer l, and out[0] is
+    # masked; with inject, inject[l] enters column 0 after layer l.
+    #
+    # Every PROBE_STRIDE layers a matrix state is tested with rank_one.
+    # Once it passes, S = x (x) y^T with x = S_:1 - S_11 and y = S_1:, and
+    # by associativity only y moves on, as a vector sweep: out[l] is then
+    # x + max_p(y_p + tap_p), and column 0 of the state is x + y_1.  An
+    # injected arrival above that column breaks the factorisation, so the
+    # matrix is rebuilt and the sweep goes on as a matrix sweep.  Where x_i
+    # and y_j are both finite, x_i + y_j is an entry of the exact state,
+    # but x alone can reach twice the walk magnitude, so every slot with a
+    # masked factor is masked explicitly, as in _outer.
+    out = None if tap is None else np.full((len(seq) + 1, len(state)), MASKED)
+    y = None
+    for l, s in enumerate(seq, start=1):
+        if y is None:
+            if tap is not None:
+                out[l] = (state + tap[s]).max(axis=1)
+            state = _product(state, layers[s])
+        else:
+            if tap is not None:
+                best = (y + tap[s]).max()
+                if best > FLOOR:
+                    out[l] = np.where(xfin, x + best, MASKED)
+            y = _product(y, layers[s])
+            if inject is not None:
+                kept = xfin & (y[0] > FLOOR) & (inject[l] <= x + y[0])
+                if ((inject[l] > FLOOR) & ~kept).any():
+                    state, y = _expand(col, y), None
+        if y is None:
+            if inject is not None:
+                np.maximum(state[:, 0], inject[l], out=state[:, 0])
+            if l % PROBE_STRIDE == 0 and l < len(seq) and rank_one(state, state > FLOOR):
+                col, y = state[:, 0], state[0]
+                xfin = col > FLOOR
+                x = np.where(xfin, col - col[0], np.int64(0))
+    return out, (state if y is None else _expand(col, y))
+
+
+def avoiding_sweep(mem, seq):
+    """(into, final) for walks that avoid node 0 from every start, on
+    encoded members.
+
+    into[l, r] is the best weight of a walk from node r that avoids node 0
+    until it arrives there at layer l (layer 0 and start 0 masked: such a
+    walk has not arrived), as ``arrivals`` reads it off a ``_forward_avoid``
+    table; final[r, j] is the best node-0-avoiding full walk from r to j.
+    The sweep runs on the block of nodes 1..n-1 with rank-one absorption
+    (``_absorbing_sweep``), pivoting on node 1.  On the transposed members
+    over the reversed sequence, into read backwards is the departure table:
+    row t is the best walk out of node 0 at layer k - t to each target.
+    """
+    n = mem.shape[1]
+    into = np.full((len(seq) + 1, n), MASKED)
+    final = np.full((n, n), MASKED)
+    if n > 1:
+        into[:, 1:], final[1:, 1:] = _absorbing_sweep(
+            np.ascontiguousarray(mem[:, 1:, 1:]), seq, _units(n - 1, np.arange(n - 1)),
+            tap=np.ascontiguousarray(mem[:, 1:, 0]))
+    return into, final
+
+
 def _through_anchor(mem_num, mem_fin, seq, starts, into):
     # out[r, j]: best full walk from starts[r] to j that visits node 0 at
     # least once (endpoints count).  Until a walk reaches node 0 it avoids
-    # it, so its first arrival there is into[l, r] from arrivals().  Only
-    # the walks past node 0 are swept: at each layer that arrival enters
-    # column 0.
+    # it, so its first arrival there is into[l, r] (arrivals() or
+    # avoiding_sweep()).  Only the walks past node 0 are swept: at each
+    # layer that arrival enters column 0.
     mem = encode(mem_num, mem_fin)
     starts = np.asarray(starts)
     state = np.full((len(starts), mem.shape[1]), MASKED, dtype=np.int64)
     state[starts == 0, 0] = 0
-    for l, s in enumerate(seq, start=1):
-        state = _product(state, mem[s])
-        np.maximum(state[:, 0], into[l], out=state[:, 0])
-    return state
+    return _absorbing_sweep(mem, seq, state, inject=into)[1]
 
 
 class Backend(NamedTuple):

@@ -38,6 +38,7 @@ from . import _kernels
 from .errors import DimensionError
 from .family import MatrixFamily
 from .matrix import TropicalMatrix, _check_magnitude
+from .products import _staged_sequence
 from .semiring import Epsilon, Weight
 
 
@@ -149,15 +150,39 @@ def implicit_bound(family: MatrixFamily, product: TropicalMatrix) -> BoundReport
     Column 1 and row 1 of the product play the roles of w and v: they are
     the best initial-walk and final-walk weights of its factor sequence
     once the product is long enough to be rank-one, and in general they
-    bound those weights from above.
+    bound those weights from above.  For a factor sequence,
+    :func:`implicit_sequence_bound` gives the same report without forming
+    the product.
     """
     family.require_valid("implicit transient bound")
     if product.shape != (family.size, family.size):
         raise DimensionError("product must match the family dimension")
-    derived = family.sup_derived
     num, fin = product.scaled(product.denominator)
     w = TropicalMatrix(num[:, :1], fin[:, :1], product.denominator)
     v = TropicalMatrix(num[:1].T, fin[:1].T, product.denominator)
+    return _implicit_report(family, w, v)
+
+
+def implicit_sequence_bound(family: MatrixFamily, sequence) -> BoundReport:
+    """``implicit_bound(family, fold(family, sequence))``, from two vector
+    sweeps in place of the fold.
+
+    The bound reads only column 1 and row 1 of the product, and each is
+    one O(k n^2) sweep over the sequence (1-based member indices), where
+    the fold runs n x n products until its running product turns
+    rank-one.  Index and int64 errors are those of the fold.
+    """
+    seq0 = _staged_sequence(family, sequence)
+    family.require_valid("implicit transient bound")
+    mem_num, mem_fin, den = family.stacked
+    (w_num, w_fin), (v_num, v_fin) = _kernels.anchor_lines(mem_num, mem_fin, seq0)
+    w = TropicalMatrix(w_num[:, None], w_fin[:, None], den)
+    v = TropicalMatrix(v_num[:, None], v_fin[:, None], den)
+    return _implicit_report(family, w, v)
+
+
+def _implicit_report(family: MatrixFamily, w: TropicalMatrix, v: TropicalMatrix) -> BoundReport:
+    derived = family.sup_derived
     return compute_bound_report(
         w=w,
         v=v,

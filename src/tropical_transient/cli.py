@@ -18,7 +18,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .bounds import explicit_bound, implicit_bound
+from .bounds import explicit_bound, implicit_sequence_bound
 from .errors import (
     AssumptionError,
     BudgetExceededError,
@@ -180,10 +180,10 @@ def cmd_bound(args) -> tuple[int, dict]:
     bounds = {}
     if args.sequence:
         seq = load_sequence(args.sequence)
-        product = fold(family, seq)
+        implicit = implicit_sequence_bound(family, seq)
         k = len(seq)
         bounds["explicit"] = bound_section(explicit, k)
-        bounds["implicit"] = bound_section(implicit_bound(family, product), k)
+        bounds["implicit"] = bound_section(implicit, k)
     else:
         bounds["explicit"] = bound_section(explicit)
     report["bounds"] = bounds

@@ -159,7 +159,7 @@ def _json_text(o, depth: int) -> str:
     if not o:
         return "{}" if t is dict else "[]"
     inner = "  " * (depth + 1)
-    if all(type(v) in _SCALARS for v in values):
+    if _SCALARS.issuperset(map(type, values)):
         # Encoded strings hold no raw newline, so the separator is the
         # only one.
         body = _flat_encoder(depth + 1)(o)[1:-1]

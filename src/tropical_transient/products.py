@@ -67,13 +67,19 @@ def fold(family: MatrixFamily, sequence) -> TropicalMatrix:
     The sequence must be nonempty; member indices are validated against
     the family.
     """
-    indices = tuple(getattr(sequence, "indices", sequence))
-    if not indices:
-        raise ValueError("cannot fold an empty sequence")
-    seq0 = family.stage(indices, "sequence fold")
+    seq0 = _staged_sequence(family, sequence)
     mem_num, mem_fin, den = family.stacked
     num, fin = _kernels.ACTIVE.fold(mem_num, mem_fin, seq0)
     return TropicalMatrix(num, fin, den)
+
+
+def _staged_sequence(family: MatrixFamily, sequence) -> np.ndarray:
+    """The 0-based member indices of a nonempty sequence, checked as
+    :func:`fold` checks them (see :meth:`MatrixFamily.stage`)."""
+    indices = tuple(getattr(sequence, "indices", sequence))
+    if not indices:
+        raise ValueError("cannot fold an empty sequence")
+    return family.stage(indices, "sequence fold")
 
 
 def random_sequence(family: MatrixFamily, length: int, seed: int) -> ProductSequence:

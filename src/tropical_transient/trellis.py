@@ -367,6 +367,12 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     the trellis vectors w*, v* in place of w, v; one
     :func:`compute_bound_report` call gives both for every pair.  Pairs
     whose walk classes are empty are counted as skipped.
+
+    The walk facts come from three sweeps over the sequence, each serving
+    every start at once: walks avoiding node 1 forward (with their
+    arrivals at node 1) and backward (with their departures), and walks
+    through node 1.  Each finishes as a vector sweep once its state is
+    rank-one, which is exact for any family.
     """
     family = t.family
     family.require_valid("walk-structure checks")
@@ -379,17 +385,19 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     terms = compute_bound_report(
         wstar, vstar, derived.alpha, derived.beta, derived.gamma, lam, "trellis"
     )
-    # One all-starts sweep per walk class; every pair reads its answer
-    # from these.  Node 1 has the empty initial and final walk.
+    # One all-starts sweep per walk class, each with rank-one absorption;
+    # every pair reads its answer from these.  The departures are the
+    # avoiding sweep of the transposed members over the reversed
+    # sequence, read backwards, so the latest departure is the first
+    # maximum.  Node 1 has the empty initial and final walk.
     nodes = np.arange(n)
     mem_num, mem_fin, seq0, den = t._arrays()
     mem = _kernels.encode(mem_num, mem_fin)
-    forward = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, nodes)
-    backward = _kernels.ACTIVE.backward_avoid(mem_num, mem_fin, seq0, nodes)
-    into = _kernels.arrivals(mem, seq0, forward)
+    into, avoiding = _kernels.avoiding_sweep(mem, seq0)
+    departures, _ = _kernels.avoiding_sweep(mem.transpose(0, 2, 1), seq0[::-1])
     through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, nodes, into)
     initial_len = np.where(nodes == 0, 0, into.argmax(axis=0))
-    final_len = np.where(nodes == 0, 0, k - _departures(mem, seq0, backward)[1])
+    final_len = np.where(nodes == 0, 0, departures.argmax(axis=0))
 
     w_num, w_fin = (x[:, 0] for x in wstar.scaled(den))
     v_num, v_fin = (x[:, 0] for x in vstar.scaled(den))
@@ -397,7 +405,6 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     target = w_num[:, None] + v_num
     through_on = pairs & _exceeded(terms.term2, k)
     through_bad = through_on & ~((through > _kernels.FLOOR) & (through == target))
-    avoiding = forward[k]
     avoiding_on = pairs & _exceeded(terms.term1, k)
     avoiding_bad = avoiding_on & (avoiding > _kernels.FLOOR) & (avoiding >= target)
 

@@ -4,6 +4,7 @@ from importlib import resources
 
 import pytest
 
+from tropical_transient import _kernels
 from tropical_transient.family import MatrixFamily
 from tropical_transient.io import load_expected, load_family, load_sequence
 from tropical_transient.matrix import TropicalMatrix
@@ -103,6 +104,67 @@ def random_valid_family(rng: random.Random, n: int | None = None,
     return family
 
 
+def late_arrival_family(rng: random.Random, n: int) -> MatrixFamily:
+    """An admissible family of two members on one dense support whose walks
+    arrive at node 1 late: every node has a loop of weight -1, its edge
+    into node 1 weighs -20 in member 1 and -1 in member 2, and every other
+    edge weighs -30..-25, the same in both members for edges out of node 1.
+
+    Over member 1 alone, every start arrives at node 1 best at layer 1, so
+    the walks through node 1 soon form a rank-one state.  A later member 2
+    at layer l lets each start loop until l - 1 and arrive with weight -l,
+    above the -20 of its first arrival: the state stops being rank-one.
+    """
+    top = [0] + [rng.randint(-30, -25) for _ in range(n - 1)]
+    rest = [[-1 if i == j else rng.randint(-30, -25) for j in range(n)] for i in range(1, n)]
+
+    def member(into_one: int) -> TropicalMatrix:
+        return TropicalMatrix.from_rows([top] + [[into_one] + row[1:] for row in rest])
+
+    family = MatrixFamily([member(-20), member(-1)])
+    assert family.validate().passed
+    return family
+
+
 @pytest.fixture
 def make_family():
     return random_valid_family
+
+
+class BranchSpy:
+    """Counts the branches taken by ``_kernels._absorbing_sweep``.
+
+    Within one sweep, every layer pushes either the matrix state (a 2-d
+    array) or, once the state is absorbed as x (x) y^T, the vector y (1-d)
+    through ``_product``.  A matrix step followed by a vector step is an
+    absorption; a vector step followed by a matrix step is a rebuild.
+    """
+
+    def __init__(self, monkeypatch):
+        self.absorbs = self.rebuilds = self.sweeps = 0
+        self._steps = None
+        product, sweep = _kernels._product, _kernels._absorbing_sweep
+
+        def spied_product(x, a, out=None):
+            if self._steps is not None:
+                self._steps.append(str(x.ndim))
+            return product(x, a, out)
+
+        def spied_sweep(*args, **kwargs):
+            self._steps = []
+            try:
+                return sweep(*args, **kwargs)
+            finally:
+                path = "".join(self._steps)
+                self._steps = None
+                self.sweeps += 1
+                self.absorbs += path.count("21")
+                self.rebuilds += path.count("12")
+
+        monkeypatch.setattr(_kernels, "_product", spied_product)
+        monkeypatch.setattr(_kernels, "_absorbing_sweep", spied_sweep)
+
+
+@pytest.fixture
+def branch_spy(monkeypatch):
+    return BranchSpy(monkeypatch)

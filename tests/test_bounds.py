@@ -10,6 +10,7 @@ from tropical_transient.bounds import (
     compute_bound_report,
     explicit_bound,
     implicit_bound,
+    implicit_sequence_bound,
 )
 from tropical_transient.errors import AssumptionError, DimensionError
 from tropical_transient.family import MatrixFamily
@@ -295,6 +296,31 @@ class TestFamilyBounds:
             exp = explicit_bound(fam)
             imp = implicit_bound(fam, product)
             assert imp.overall <= exp.overall
+
+    def test_sequence_bound_is_the_bound_of_the_fold(self, family5, seq44):
+        # Column 1 and row 1 from two vector sweeps give the report the
+        # folded product gives, on n = 1 and 2 and on random families.
+        rng = random.Random(46)
+        one = MatrixFamily([TropicalMatrix.from_rows([[0]])] * 2)
+        cases = [(family5, seq44)]
+        for fam in [one] + [random_valid_family(rng, n=2 + c % 5) for c in range(30)]:
+            cases.append((fam, [rng.randint(1, fam.member_count) for _ in range(rng.randint(1, 60))]))
+        for fam, seq in cases:
+            assert implicit_sequence_bound(fam, seq) == implicit_bound(fam, fold(fam, seq))
+
+    def test_sequence_bound_errors_are_those_of_the_fold(self, family5):
+        for bad in ([], [0], [1, 4]):
+            with pytest.raises(Exception) as folded:
+                fold(family5, bad)
+            with pytest.raises(folded.type, match=str(folded.value)):
+                implicit_sequence_bound(family5, bad)
+        p = (1 << 61) // 3
+        big = MatrixFamily([TropicalMatrix.from_rows([[0, -p], [-p, -p]])])
+        with pytest.raises(OverflowError, match="^sequence fold: "):
+            implicit_sequence_bound(big, [1] * 4)
+        bad = MatrixFamily([TropicalMatrix.from_rows([[None, -1], [-1, -2]])])
+        with pytest.raises(AssumptionError):
+            implicit_sequence_bound(bad, [1])
 
     def test_requires_valid_family(self):
         from tropical_transient.family import MatrixFamily

@@ -1,4 +1,5 @@
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -8,10 +9,13 @@ from pathlib import Path
 import pytest
 
 from tropical_transient import _kernels
+from tropical_transient.bounds import implicit_bound
 from tropical_transient.cli import main
-from tropical_transient.report import schema_text
+from tropical_transient.io import save_family
+from tropical_transient.products import fold
+from tropical_transient.report import bound_section, schema_text
 
-from conftest import fixture_path
+from conftest import fixture_path, random_valid_family
 
 FAMILY = fixture_path("five_node_family.json")
 SEQ44 = fixture_path("product_len44.json")
@@ -144,6 +148,31 @@ class TestBound:
         assert implicit["argmax"] == {"i": 4, "j": 4, "term": "term2"}
         assert implicit["min_sufficient_length"] == 28
         assert implicit["length_sufficient"] is True
+
+    def test_implicit_bound_runs_no_fold(self, capsys, monkeypatch):
+        # The implicit bound reads column 1 and row 1 from two sweeps.
+        def no_fold(*args, **kwargs):
+            raise AssertionError("bound FAM SEQ folded its sequence")
+
+        monkeypatch.setattr(_kernels, "_fold", no_fold)
+        monkeypatch.setattr(_kernels, "fold_stack", no_fold)
+        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.ACTIVE._replace(fold=no_fold))
+        code, report, _ = run_json(capsys, "bound", FAMILY, SEQ44)
+        assert code == 0
+        assert report["bounds"]["implicit"]["overall"] == "55/2"
+
+    def test_implicit_section_is_the_bound_of_the_fold(self, capsys, tmp_path):
+        rng = random.Random(47)
+        for case in range(8):
+            fam = random_valid_family(rng, n=2 + case % 4)
+            seq = [rng.randint(1, fam.member_count) for _ in range(rng.randint(1, 60))]
+            fam_path, seq_path = tmp_path / f"fam{case}.json", tmp_path / f"seq{case}.json"
+            save_family(fam, fam_path)
+            seq_path.write_text(json.dumps(seq), encoding="utf-8")
+            code, report, _ = run_json(capsys, "bound", fam_path, seq_path)
+            assert code == 0
+            want = bound_section(implicit_bound(fam, fold(fam, seq)), len(seq))
+            assert report["bounds"]["implicit"] == json.loads(json.dumps(want))
 
     def test_a_inf_vectors_are_derived_once(self, capsys, monkeypatch):
         # Validation closes each member (three) and A_sup, each without its

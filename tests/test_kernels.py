@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from tropical_transient.matrix import TropicalMatrix, rank_one_mask
 from tropical_transient.products import fold
 from tropical_transient.trellis import build_trellis, optimal_full_walk
 
+from conftest import late_arrival_family
 from oracles import (
     grid,
     is_rank_one,
@@ -222,6 +224,11 @@ class TestOracleAgreement:
             assert np.array_equal(probe, mask)
             want = [is_rank_one(np.where(f, a, None).tolist()) for a, f in zip(num, fin)]
             assert probe.tolist() == want
+            # A single matrix, alone or as a one-row stack, stops early on a
+            # failed pivot or pattern; the verdict is the same.
+            for one, verdict in zip(enc, want):
+                assert _kernels.rank_one(one, one > FLOOR) == verdict
+                assert _kernels.rank_one(one[None], one[None] > FLOOR).tolist() == [verdict]
             assert 0 < probe.sum() < len(probe)
 
     def test_stacked_fold_and_level_step(self):
@@ -379,6 +386,143 @@ class TestOracleAgreement:
                     decode(NUMPY_BACKEND.final_from_anchor(mem_num, mem_fin, seq)),
                     masked_final_from_anchor(mem_num, mem_fin, seq),
                 )
+
+
+def masked_taps(tab_num, tab_fin, tap_num, tap_fin):
+    """Row l of a single-start masked table (l < k) plus the tap vector of
+    layer l + 1, maximised over nodes, as a (numerator, mask) pair."""
+    ok = tab_fin & tap_fin
+    big = np.where(ok, tab_num + tap_num, np.iinfo(np.int64).min)
+    return np.where(ok.any(axis=1), big.max(axis=1), 0), ok.any(axis=1)
+
+
+def absorption_cases():
+    """Member stacks for the absorbing sweeps: the oracle cases (random
+    members, none of them rank-one prone, and members whose only edges
+    touch node 0, so the cut block is empty), admissible members, which
+    turn rank-one, admissible members whose node 1 leaves only to node 0,
+    so the cut block's pivot is -inf at every layer, weighted permutations
+    that fix node 0, whose cut block never turns rank-one, and the members
+    of ``late_arrival_family``."""
+    rng = np.random.default_rng(41)
+    yield from (("random", case) for case in oracle_cases())
+    for n in (1, 2, 3, 5, 8):
+        yield "admissible", admissible_members(rng, 3, n)
+    for n in (3, 6):
+        num, fin = admissible_members(rng, 3, n)
+        fin[:, 1, 1:] = False
+        yield "masked pivot", (num, fin)
+    for n in (3, 5):
+        # Permutations that fix node 0: the cut block stays a permutation.
+        num = rng.integers(-9, 10, size=(2, n, n)).astype(np.int64)
+        fin = np.zeros((2, n, n), dtype=bool)
+        for j in range(2):
+            fin[j, np.arange(n), np.append(0, 1 + rng.permutation(n - 1))] = True
+        yield "permutation", (num, fin)
+    for n in (2, 4, 7):
+        num, fin, _ = late_arrival_family(random.Random(n), n).stacked
+        yield "late arrival", (num, fin)
+
+
+class TestRankOneAbsorption:
+    """The absorbing sweeps against the single-start masked oracles, with
+    the absorb and rebuild branches counted."""
+
+    LENGTHS = (0, 1, 2, 4, 5, 8, 9, 17, 40, 60)
+
+    def test_avoiding_sweeps_match_masked_oracles(self, branch_spy):
+        rng = np.random.default_rng(42)
+        absorbs = {}
+        for kind, (mem_num, mem_fin) in absorption_cases():
+            n = mem_num.shape[1]
+            mem = encode(mem_num, mem_fin)
+            before = branch_spy.absorbs
+            for k in self.LENGTHS:
+                seq = random_seq(rng, mem_num.shape[0], k)
+                into, final = _kernels.avoiding_sweep(mem, seq)
+                departures, _ = _kernels.avoiding_sweep(mem.transpose(0, 2, 1), seq[::-1])
+                assert into.shape == departures.shape == (k + 1, n)
+                assert (into[0] <= FLOOR).all() and (departures[0] <= FLOOR).all()
+                for r in range(n):
+                    tab = masked_forward_avoid(mem_num, mem_fin, seq, r)
+                    assert_masked_equal(decode(final[r]), (tab[0][k], tab[1][k]))
+                    want = masked_taps(tab[0][:-1], tab[1][:-1],
+                                       mem_num[seq, :, 0], mem_fin[seq, :, 0])
+                    assert_masked_equal(decode(into[1:, r]), want)
+                    tab = masked_backward_avoid(mem_num, mem_fin, seq, r)
+                    want = masked_taps(tab[0][1:], tab[1][1:],
+                                       mem_num[seq, 0, :], mem_fin[seq, 0, :])
+                    assert_masked_equal(decode(departures[:0:-1, r]), want)
+            absorbs[kind] = absorbs.get(kind, 0) + branch_spy.absorbs - before
+        assert absorbs["admissible"] > 0
+        assert absorbs["masked pivot"] == absorbs["permutation"] == 0
+
+    def test_through_sweep_matches_masked_oracle(self, branch_spy):
+        rng = np.random.default_rng(43)
+        rebuilds = 0
+        for kind, (mem_num, mem_fin) in absorption_cases():
+            n = mem_num.shape[1]
+            starts = np.arange(n)
+            mem = encode(mem_num, mem_fin)
+            for k in self.LENGTHS:
+                seq = random_seq(rng, mem_num.shape[0], k)
+                if kind == "late arrival":
+                    # Member 1 until layer 9, so the through state is
+                    # absorbed before member 2 lets every start arrive.
+                    seq[:9] = 0
+                    seq[9:10] = 1
+                into, _ = _kernels.avoiding_sweep(mem, seq)
+                before = branch_spy.rebuilds
+                through = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, starts, into)
+                rebuilds += branch_spy.rebuilds - before
+                for s in starts:
+                    want = masked_through_anchor(mem_num, mem_fin, seq, s)
+                    assert_masked_equal(decode(through[s]), want)
+                # One start at a time, from the avoiding table's arrivals.
+                s = int(rng.integers(0, n))
+                forward = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, [s])
+                one = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, [s],
+                                                   arrivals(mem, seq, forward))
+                assert_masked_equal(decode(one[0]), decode(through[s]))
+        assert branch_spy.absorbs > 0 and rebuilds > 0
+
+    def test_anchor_lines_are_column_and_row_one_of_the_fold(self):
+        rng = np.random.default_rng(44)
+        cases = list(oracle_cases()) + [admissible_members(rng, 3, n) for n in (1, 2, 6)]
+        for mem_num, mem_fin in cases:
+            for k in (1, 2, 5, 17, 60):
+                seq = random_seq(rng, mem_num.shape[0], k)
+                num, fin = masked_fold(mem_num, mem_fin, seq)
+                col, row = _kernels.anchor_lines(mem_num, mem_fin, seq)
+                assert_masked_equal(col, (num[:, 0], fin[:, 0]))
+                assert_masked_equal(row, (num[0], fin[0]))
+
+    def test_absorbed_state_near_the_guard_keeps_masked_slots(self):
+        # Layer magnitude p with 5 layers sits just under 2**61.  At the
+        # probe after layer 4 the avoiding block is rank-one with column
+        # (-4p, 4p) around the pivot, so x reaches 8p and x + MASKED lies
+        # above FLOOR: only explicit masks keep the masked slots masked.
+        p = JUST_UNDER // 5
+        assert 8 * p + int(MASKED) > FLOOR
+        node = [[0, None, None], [None, -p, None], [None, None, p]]
+        spread = [[0, None, None], [p, -p, -p], [p, p, p]]
+        last = [[0, p, p], [-p, -p, None], [-p, None, None]]
+        mem_num = np.array([[[0 if x is None else x for x in row] for row in m]
+                            for m in (node, spread, last)], dtype=np.int64)
+        mem_fin = np.array([[[x is not None for x in row] for row in m]
+                            for m in (node, spread, last)])
+        seq = np.array([0, 0, 0, 1, 2], dtype=np.int64)
+        mem = encode(mem_num, mem_fin)
+        into, final = _kernels.avoiding_sweep(mem, seq)
+        for r in range(3):
+            tab = masked_forward_avoid(mem_num, mem_fin, seq, r)
+            assert_masked_equal(decode(final[r]), (tab[0][5], tab[1][5]))
+            want = masked_taps(tab[0][:-1], tab[1][:-1], mem_num[seq, :, 0], mem_fin[seq, :, 0])
+            assert_masked_equal(decode(into[1:, r]), want)
+        block = _kernels._sweep(np.ascontiguousarray(mem[:, 1:, 1:]), seq[:4],
+                                _kernels._units(2, [0, 1]), table=False)
+        assert _kernels.rank_one(block, block > FLOOR)
+        assert not decode(final)[1][1:, 2].any()
 
 
 class TestNumpyBackendSemantics:

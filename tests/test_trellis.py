@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from conftest import random_valid_family
+from conftest import late_arrival_family, random_valid_family
 from tropical_transient.family import MatrixFamily
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import fold
@@ -309,6 +309,32 @@ class TestLemmaOracle:
             seq = [rng.randint(1, fam.member_count) for _ in range(k)]
             self.assert_matches(build_trellis(fam, seq))
         assert no_extras > 0  # some cases have lambda* = -inf
+
+    def test_long_sequences_absorb_and_rebuild(self, branch_spy):
+        # Up to 60 factors, so the three all-starts sweeps turn rank-one
+        # and finish as vector sweeps.  n = 1 has no cut block at all, and
+        # n = 2 families without a loop at node 2 have a -inf cut pivot at
+        # every layer.  In the late-arrival families member 2 at layer 10
+        # breaks the through state's factorisation, so it is rebuilt.
+        rng = random.Random(45)
+        one = MatrixFamily([TropicalMatrix.from_rows([[0]])] * 2)
+        cases = [(one, [rng.randint(1, 2) for _ in range(k)]) for k in (1, 7, 60)]
+        for case in range(40):
+            fam = random_valid_family(rng, n=2 if case % 4 == 0 else rng.randint(3, 6))
+            k = rng.randint(1, 60)
+            cases.append((fam, [rng.randint(1, fam.member_count) for _ in range(k)]))
+        for n in (2, 3, 5):
+            tail = [rng.randint(1, 2) for _ in range(rng.randint(0, 50))]
+            cases.append((late_arrival_family(random.Random(n), n), [1] * 9 + [2] + tail))
+        absorbs = rebuilds = 0
+        for fam, seq in cases:
+            trellis = build_trellis(fam, seq)
+            before = branch_spy.absorbs, branch_spy.rebuilds
+            got = check_lemma_bounds(trellis)
+            absorbs += branch_spy.absorbs - before[0]
+            rebuilds += branch_spy.rebuilds - before[1]
+            assert got == oracles.fraction_lemma_report(trellis)
+        assert absorbs > 0 and rebuilds > 0
 
     def test_perturbed_sup_derived_fails_every_check(self):
         # Shifting alpha, beta and gamma down by 50 lowers every threshold
