@@ -2,9 +2,11 @@
 
 Runs the hot kernels (matrix product, sequence fold and the trellis
 sweeps, the start-indexed ones with every node as a start; the all-starts
-avoiding sweep with rank-one absorption that the lemma checks run, and the
-through sweep given its arrivals) on random scaled-integer inputs and
-prints the best wall time per call.  At sizes
+avoiding sweep with rank-one absorption that the lemma checks run, the
+through sweep given its arrivals, and the through table that the lemma
+checks join from the arrivals and departures of two avoiding sweeps) on
+random scaled-integer inputs and prints the best wall time per call.  At
+sizes
 up to 16 it also times the transient scan's stacked kernels: one fold of
 100 sequences of length 20, and one exhaustive level step from the m^4
 products of length 4 to the m^5 of length 5.
@@ -62,8 +64,9 @@ from pathlib import Path
 
 import numpy as np
 
-from tropical_transient._kernels import (ACTIVE, FLOOR, MASKED, PROBE_STRIDE, _product,
-                                          avoiding_sweep, closure, encode, extend, rank_one)
+from tropical_transient._kernels import (ACTIVE, FLOOR, MASKED, PROBE_STRIDE, _mirror, _product,
+                                          _through_table, avoiding_sweep, closure, encode,
+                                          extend, rank_one)
 from tropical_transient.bounds import implicit_bound, implicit_sequence_bound
 from tropical_transient.cli import main as cli_main
 from tropical_transient.digraph import is_irreducible, strongly_connected_components
@@ -253,14 +256,17 @@ def main() -> int:
         for name in ("forward_full", "forward_avoid", "backward_avoid"):
             sweep = getattr(ACTIVE, name)
             cases.append((name, lambda sweep=sweep: sweep(num, fin, seq, every), args.length, n))
-        # The lemma checks' avoiding sweep, and the through sweep given the
-        # arrivals it returns (not timed with it).
+        # The lemma checks' avoiding sweep, and the through sweep and the
+        # through table given the arrivals and departures it returns (not
+        # timed with them).
         mem = encode(num, fin)
         into = avoiding_sweep(mem, seq)[0]
+        departures = avoiding_sweep(*_mirror(mem, seq))[0]
         cases += [
             ("avoiding_sweep", lambda: avoiding_sweep(mem, seq), args.length, n),
             ("through_anchor", lambda: ACTIVE.through_anchor(num, fin, seq, every, into),
              args.length, n),
+            ("through_table", lambda: _through_table(into, departures), args.length, n),
         ]
         if n <= STACK_MAX_SIZE:
             stack = rng.integers(0, args.members, size=(STACK_ROWS, STACK_LENGTH))

@@ -36,19 +36,25 @@ absorption), or leaves it out when the caller knows that every extension
 of it is rank-one.
 
 A sweep pushes a state through the layer matrices of a sequence.  The
-state has one row per start node (per target node for the backward
-sweep), so one pass serves every start.  Each trellis DP is such a sweep
-over members edited around node 0, the distinguished node (node 1 in the
-1-based labels of the public API): cut off or made absorbing.  The sweep
+state has one row per start node, so one pass serves every start.  Each
+trellis DP is such a forward sweep over members edited around node 0,
+the distinguished node (node 1 in the 1-based labels of the public API):
+cut off, or made a source.  A quantity of walks that end somewhere fixed
+(final walks out of node 0, walks backward from a target) is the forward
+quantity of the mirrored trellis, members transposed and sequence
+reversed (``_mirror``), so no DP sweeps backward on its own.  The sweep
 of walks through node 0 takes their first arrivals there from an
 avoiding sweep.  The single-start DPs keep every layer's state, which
 their witnesses are traced back through (``arrivals`` reads the first
-arrivals off such a table).  The all-starts sweeps of the lemma checks
-(``avoiding_sweep`` and the through sweep) keep only what the checks
-read, and use rank-one absorption as the fold does: once a probed state
-is x (x) y^T, only y moves on (``_absorbing_sweep``).  Column 0 and row 0
-of a product are two vector sweeps (``anchor_lines``), which is all the
-implicit bound reads.
+arrivals off such a table).  The lemma checks run ``avoiding_sweep`` on
+the trellis and on its mirror; each keeps only the arrivals at node 0
+and the final state, and uses rank-one absorption as the fold does: once
+a probed state is x (x) y^T, only y moves on (``_absorbing_sweep``).  In
+an admissible family node 0's weight-0 loop is the only critical cycle,
+so a best walk through node 0 is a best arrival, the loop and a best
+departure, joined from those two tables (``_through_table``).  Column 0
+and row 0 of a product are two vector sweeps of row 0 (``anchor_lines``),
+which is all the implicit bound reads.
 
 The family-side derivations use the same encoding: ``walk_table`` is a
 sweep through one matrix (Karp's table, cycle-mean potentials) and
@@ -357,19 +363,31 @@ def _fold(mem_num, mem_fin, seq):
     return num, fin
 
 
+def _mirror(*trellis):
+    """The mirrored trellis of member stacks and a sequence (the last
+    argument): every member transposed, the sequence reversed.  A walk from
+    p at layer l to q at layer l' of a k-layer trellis is, reversed, a walk
+    of the same weight from q at layer k - l' to p at layer k - l of its
+    mirror, so a final-walk quantity is the initial-walk quantity of the
+    mirror."""
+    *mems, seq = trellis
+    return (*(np.ascontiguousarray(m.transpose(0, 2, 1)) for m in mems), seq[::-1])
+
+
+def _row0(mem, seq):
+    # Row 0 of the product over seq of encoded members: e_0^T pushed
+    # through every layer as one vector sweep.
+    return _sweep(mem, seq, _units(mem.shape[1], 0), table=False)
+
+
 def anchor_lines(mem_num, mem_fin, seq):
     """Column 0 and row 0 of the product over a (k,) sequence, as
     (numerator, mask) pairs, from two vector sweeps and no matrix product.
 
-    Row 0 is e_0^T (x) A_{s1} (x) ... (x) A_{sk}; column 0 is row 0 of
-    the transposed product, the transposed members over the reversed
-    sequence.
+    Column 0 is row 0 of the product over the mirror.
     """
     mem = encode(mem_num, mem_fin)
-    unit = _units(mem.shape[1], 0)
-    back = np.ascontiguousarray(mem.transpose(0, 2, 1))
-    col = _sweep(back, seq[::-1], unit, table=False)
-    return decode(col), decode(_sweep(mem, seq, unit, table=False))
+    return decode(_row0(*_mirror(mem, seq))), decode(_row0(mem, seq))
 
 
 def _forward_full(mem_num, mem_fin, seq, starts):
@@ -386,33 +404,26 @@ def _forward_avoid(mem_num, mem_fin, seq, starts):
 
 def _backward_avoid(mem_num, mem_fin, seq, targets):
     # tab[l, r, p]: best node-0-avoiding walk from p at layer l to
-    # targets[r] at the last layer; the transposed members run backwards.
-    state = _units(mem_num.shape[1], targets)
-    state[..., 0] = MASKED
-    back = np.ascontiguousarray(_cut(encode(mem_num, mem_fin)).transpose(0, 2, 1))
-    return _sweep(back, seq[::-1], state)[::-1]
-
-
-def _initial_to_anchor(mem_num, mem_fin, seq):
-    # out[i]: best walk from i at layer 0 that visits node 0 exactly once,
-    # at its end, arriving at any layer.  Node 0 becomes absorbing with
-    # weight 0, and a backward sweep from it reads every start at once.
-    mem = encode(mem_num, mem_fin)
-    sink = _cut(mem)
-    sink[:, 1:, 0] = mem[:, 1:, 0]
-    sink[:, 0, 0] = 0
-    back = np.ascontiguousarray(sink.transpose(0, 2, 1))
-    return _sweep(back, seq[::-1], _units(mem.shape[1], 0), table=False)
+    # targets[r] at the last layer: the mirror's forward table, read
+    # backwards.
+    return _forward_avoid(*_mirror(mem_num, mem_fin, seq), targets)[::-1]
 
 
 def _final_from_anchor(mem_num, mem_fin, seq):
     # out[j]: best walk to j at the last layer that visits node 0 exactly
-    # once, at its start, departing at any layer (the mirror image).
+    # once, at its start, departing at any layer.  Node 0 becomes a source
+    # with a weight-0 loop, and row 0 reads every target at once.
     mem = encode(mem_num, mem_fin)
     source = _cut(mem)
     source[:, 0, 1:] = mem[:, 0, 1:]
     source[:, 0, 0] = 0
-    return _sweep(source, seq, _units(mem.shape[1], 0), table=False)
+    return _row0(source, seq)
+
+
+def _initial_to_anchor(mem_num, mem_fin, seq):
+    # out[i]: best walk from i at layer 0 that visits node 0 exactly once,
+    # at its end, arriving at any layer: the mirror's final walks.
+    return _final_from_anchor(*_mirror(mem_num, mem_fin, seq))
 
 
 def arrivals(mem, seq, forward):
@@ -421,7 +432,7 @@ def arrivals(mem, seq, forward):
     (k + 1, r, n) from those starts; ``mem`` is encoded.  Layer 0 is
     masked: a walk that starts at node 0 has not arrived there."""
     into = np.full(forward.shape[:2], MASKED)
-    into[1:] = (forward[:-1] + mem[seq, :, 0][:, None, :]).max(axis=2)
+    np.maximum((forward[:-1] + mem[seq, :, 0][:, None, :]).max(axis=2), MASKED, out=into[1:])
     return into
 
 
@@ -430,46 +441,33 @@ def _expand(col, y):
     return encode(*_outer(col[None], y[None, None]))[0]
 
 
-def _absorbing_sweep(layers, seq, state, tap=None, inject=None):
+def _absorbing_sweep(layers, seq, state, tap):
     # Push an encoded (r, c) state through layers[seq[0]], layers[seq[1]],
-    # ... and return (out, final).  With tap, out[l] = max_p(S[:, p] +
+    # ... and return (out, final), where out[l] = max_p(S[:, p] +
     # tap[seq[l - 1], p]) for the state S before layer l, and out[0] is
-    # masked; with inject, inject[l] enters column 0 after layer l.
+    # masked.
     #
-    # Every PROBE_STRIDE layers a matrix state is tested with rank_one.
-    # Once it passes, S = x (x) y^T with x = S_:1 - S_11 and y = S_1:, and
-    # by associativity only y moves on, as a vector sweep: out[l] is then
-    # x + max_p(y_p + tap_p), and column 0 of the state is x + y_1.  An
-    # injected arrival above that column breaks the factorisation, so the
-    # matrix is rebuilt and the sweep goes on as a matrix sweep.  Where x_i
-    # and y_j are both finite, x_i + y_j is an entry of the exact state,
-    # but x alone can reach twice the walk magnitude, so every slot with a
-    # masked factor is masked explicitly, as in _outer.
-    out = None if tap is None else np.full((len(seq) + 1, len(state)), MASKED)
-    y = None
+    # Every PROBE_STRIDE layers the state is tested with rank_one.  Once it
+    # passes, S = x (x) y^T with x = S_:1 - S_11 and y = S_1:, and by
+    # associativity only y moves on: the rest is one vector sweep, out[l]
+    # is x + max_p(y_p + tap_p) for each later y, and the final state is
+    # x (x) y^T.  Where x_i and y_j are both finite, x_i + y_j is an entry
+    # of the exact state, but x alone can reach twice the walk magnitude,
+    # so every slot with a masked factor is masked explicitly, as in
+    # _outer.
+    out = np.full((len(seq) + 1, len(state)), MASKED)
     for l, s in enumerate(seq, start=1):
-        if y is None:
-            if tap is not None:
-                out[l] = (state + tap[s]).max(axis=1)
-            state = _product(state, layers[s])
-        else:
-            if tap is not None:
-                best = (y + tap[s]).max()
-                if best > FLOOR:
-                    out[l] = np.where(xfin, x + best, MASKED)
-            y = _product(y, layers[s])
-            if inject is not None:
-                kept = xfin & (y[0] > FLOOR) & (inject[l] <= x + y[0])
-                if ((inject[l] > FLOOR) & ~kept).any():
-                    state, y = _expand(col, y), None
-        if y is None:
-            if inject is not None:
-                np.maximum(state[:, 0], inject[l], out=state[:, 0])
-            if l % PROBE_STRIDE == 0 and l < len(seq) and rank_one(state, state > FLOOR):
-                col, y = state[:, 0], state[0]
-                xfin = col > FLOOR
-                x = np.where(xfin, col - col[0], np.int64(0))
-    return out, (state if y is None else _expand(col, y))
+        np.maximum((state + tap[s]).max(axis=1), MASKED, out=out[l])
+        state = _product(state, layers[s])
+        if l % PROBE_STRIDE == 0 and l < len(seq) and rank_one(state, state > FLOOR):
+            col = state[:, 0]
+            xfin = col > FLOOR
+            x = np.where(xfin, col - col[0], np.int64(0))
+            ys = _sweep(layers, seq[l:], state[0])
+            best = np.maximum((ys[:-1] + tap[seq[l:]]).max(axis=1), MASKED)[:, None]
+            out[l + 1:] = np.where(xfin & (best > FLOOR), x + best, MASKED)
+            return out, _expand(col, ys[-1])
+    return out, state
 
 
 def avoiding_sweep(mem, seq):
@@ -481,9 +479,9 @@ def avoiding_sweep(mem, seq):
     walk has not arrived), as ``arrivals`` reads it off a ``_forward_avoid``
     table; final[r, j] is the best node-0-avoiding full walk from r to j.
     The sweep runs on the block of nodes 1..n-1 with rank-one absorption
-    (``_absorbing_sweep``), pivoting on node 1.  On the transposed members
-    over the reversed sequence, into read backwards is the departure table:
-    row t is the best walk out of node 0 at layer k - t to each target.
+    (``_absorbing_sweep``), pivoting on node 1.  On the mirror
+    (``_mirror``), into read backwards is the departure table: row t is the
+    best walk out of node 0 at layer k - t to each target.
     """
     n = mem.shape[1]
     into = np.full((len(seq) + 1, n), MASKED)
@@ -495,17 +493,45 @@ def avoiding_sweep(mem, seq):
     return into, final
 
 
+def _through_table(into, departures):
+    """through[i, j]: best full walk from i to j that visits node 0 (end
+    points count), for an admissible family, from the ``avoiding_sweep``
+    arrivals ``into`` and the departures of the same sweep on the mirror.
+
+    Node 0's weight-0 loop is then its only critical cycle, so every
+    closed walk at node 0 weighs at most 0 and the loop weighs exactly 0.
+    A walk through node 0 that first arrives there at layer a and last
+    departs at layer b >= a is therefore best as the best arrival, the
+    loop and the best departure:
+
+        through[i, j] = max_b (max_{a <= b} into[a, i]) + departures[k - b, j].
+
+    Start 0 arrives at layer 0 and target 0 departs at layer k, each with
+    weight 0.  The max over b runs as a running max of (n, n) layers.
+    """
+    arrived = np.maximum.accumulate(into, axis=0)
+    arrived[:, 0] = 0
+    out = np.full((into.shape[1],) * 2, MASKED)
+    for first, last in zip(arrived, departures[::-1]):
+        np.maximum(out, first[:, None] + last, out=out)
+    out[:, 0] = arrived[-1]
+    return out
+
+
 def _through_anchor(mem_num, mem_fin, seq, starts, into):
     # out[r, j]: best full walk from starts[r] to j that visits node 0 at
-    # least once (endpoints count).  Until a walk reaches node 0 it avoids
-    # it, so its first arrival there is into[l, r] (arrivals() or
-    # avoiding_sweep()).  Only the walks past node 0 are swept: at each
-    # layer that arrival enters column 0.
+    # least once (endpoints count), for any family.  Until a walk reaches
+    # node 0 it avoids it, so its first arrival there is into[l, r]
+    # (arrivals() or avoiding_sweep()).  Only the walks past node 0 are
+    # swept: at each layer that arrival enters column 0.
     mem = encode(mem_num, mem_fin)
     starts = np.asarray(starts)
     state = np.full((len(starts), mem.shape[1]), MASKED, dtype=np.int64)
     state[starts == 0, 0] = 0
-    return _absorbing_sweep(mem, seq, state, inject=into)[1]
+    for l, s in enumerate(seq, start=1):
+        state = _product(state, mem[s])
+        np.maximum(state[:, 0], into[l], out=state[:, 0])
+    return state
 
 
 class Backend(NamedTuple):

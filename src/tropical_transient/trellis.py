@@ -167,21 +167,19 @@ def optimal_initial_walk(t: TrellisDigraph, i: int) -> WalkSummary:
     """Best initial walk from node i into node 1, over all arrival layers.
 
     The summary's walk has the earliest arrival layer among optima, so
-    its length is minimal.  From node 1 the class holds exactly the empty
-    walk of weight 0.
+    its length is minimal; among those it traces back the smallest
+    predecessor at each step.  From node 1 the class holds exactly the
+    empty walk of weight 0.
     """
     n = t.node_size
     _check_node(n, i)
     if i == 1:
         return WalkSummary(ZERO, 0, 0, (1,), 0)
     mem_num, mem_fin, seq0, den = t._arrays()
-    mem = _kernels.encode(mem_num, mem_fin)
-    tab = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, [i - 1])
-    into = _kernels.arrivals(mem, seq0, tab)[:, 0]
-    best, layer = int(into.max()), int(into.argmax())
-    if best <= _kernels.FLOOR:
+    walk = _arrival(mem_num, mem_fin, seq0, i - 1)
+    if walk is None:
         return _EMPTY_SUMMARY
-    nodes = _trace_back(mem, seq0, tab[:, 0], layer, 0, best)
+    best, layer, nodes = walk
     return WalkSummary(
         weight=_frac(best, den),
         length=layer,
@@ -194,9 +192,12 @@ def optimal_initial_walk(t: TrellisDigraph, i: int) -> WalkSummary:
 def optimal_final_walk(t: TrellisDigraph, j: int) -> WalkSummary:
     """Best final walk from node 1 to node j, over all departure layers.
 
-    The summary's walk has the latest departure layer among optima, so
-    its length is minimal.  Into node 1 the class holds exactly the empty
-    walk of weight 0, positioned at the last layer.
+    This is the initial walk from j of the mirrored trellis (members
+    transposed, sequence reversed), read backwards: the summary's walk has
+    the latest departure layer among optima, so its length is minimal;
+    among those it takes the smallest successor at each step.  Into node
+    1 the class holds exactly the empty walk of weight 0, positioned at
+    the last layer.
     """
     n = t.node_size
     k = t.layer_count
@@ -204,18 +205,16 @@ def optimal_final_walk(t: TrellisDigraph, j: int) -> WalkSummary:
     if j == 1:
         return WalkSummary(ZERO, 0, 0, (1,), k)
     mem_num, mem_fin, seq0, den = t._arrays()
-    mem = _kernels.encode(mem_num, mem_fin)
-    tab = _kernels.ACTIVE.backward_avoid(mem_num, mem_fin, seq0, [j - 1])
-    best, layer = (int(x[0]) for x in _departures(mem, seq0, tab))
-    if best <= _kernels.FLOOR:
+    walk = _arrival(*_kernels._mirror(mem_num, mem_fin, seq0), j - 1)
+    if walk is None:
         return _EMPTY_SUMMARY
-    nodes = _trace_forward(mem, seq0, tab[:, 0], layer, 0, best)
+    best, length, nodes = walk
     return WalkSummary(
         weight=_frac(best, den),
-        length=k - layer,
-        min_length_among_optima=k - layer,
-        witness=tuple(x + 1 for x in nodes),
-        start_layer=layer,
+        length=length,
+        min_length_among_optima=length,
+        witness=tuple(x + 1 for x in reversed(nodes)),
+        start_layer=k - length,
     )
 
 
@@ -277,13 +276,17 @@ def _column(x: np.ndarray, den: int) -> TropicalMatrix:
     return TropicalMatrix(num[:, None], fin[:, None], den)
 
 
-def _departures(mem, seq0, tab) -> tuple[np.ndarray, np.ndarray]:
-    """Best final-walk weight out of node 0 for each row of a backward
-    avoiding table (k + 1, r, n), and the latest departure layer attaining
-    it."""
-    out = np.full(tab.shape[:2], _kernels.MASKED)
-    out[:-1] = (mem[seq0, 0, :][:, None, :] + tab[1:]).max(axis=2)
-    return out.max(axis=0), len(seq0) - out[::-1].argmax(axis=0)
+def _arrival(mem_num, mem_fin, seq0, start: int):
+    """(weight, layer, nodes) of the best walk from 0-based node ``start``
+    at layer 0 that avoids node 0 until it arrives there, at the earliest
+    arrival layer among optima, or None when no such walk exists."""
+    mem = _kernels.encode(mem_num, mem_fin)
+    tab = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, [start])
+    into = _kernels.arrivals(mem, seq0, tab)[:, 0]
+    best, layer = int(into.max()), int(into.argmax())
+    if best <= _kernels.FLOOR:
+        return None
+    return best, layer, _trace_back(mem, seq0, tab[:, 0], layer, 0, best)
 
 
 def _trace_back(mem, seq0, row, layer: int, node: int, target) -> list[int]:
@@ -299,21 +302,6 @@ def _trace_back(mem, seq0, row, layer: int, node: int, target) -> list[int]:
         target = row[l - 1, node]
         nodes.append(node)
     nodes.reverse()
-    return nodes
-
-
-def _trace_forward(mem, seq0, row, layer: int, node: int, target) -> list[int]:
-    """The mirror of :func:`_trace_back`: a walk of weight ``target`` from
-    (layer, node) to the last layer, where row[l, q] is the best weight of
-    a walk from q at layer l; takes the smallest successor at each step."""
-    nodes = [node]
-    for l in range(layer, len(seq0)):
-        hits = mem[seq0[l], node, :] + row[l + 1] == target
-        if not hits.any():
-            raise RuntimeError("walk tracing lost the optimum")
-        node = int(hits.argmax())
-        target = row[l + 1, node]
-        nodes.append(node)
     return nodes
 
 
@@ -368,11 +356,14 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     :func:`compute_bound_report` call gives both for every pair.  Pairs
     whose walk classes are empty are counted as skipped.
 
-    The walk facts come from three sweeps over the sequence, each serving
-    every start at once: walks avoiding node 1 forward (with their
-    arrivals at node 1) and backward (with their departures), and walks
-    through node 1.  Each finishes as a vector sweep once its state is
-    rank-one, which is exact for any family.
+    The walk facts come from two sweeps over the sequence, each serving
+    every start at once: walks avoiding node 1 (with their arrivals at
+    node 1) on the trellis and on its mirror (whose arrivals are the
+    departures from node 1).  Each finishes as a vector sweep once its
+    state is rank-one, which is exact for any family.  Node 1's loop is
+    the only critical cycle of an admissible family, so the best walk
+    through node 1 is a best arrival, the loop and a best departure, and
+    its table is joined from the two sweeps without a third.
     """
     family = t.family
     family.require_valid("walk-structure checks")
@@ -385,17 +376,16 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     terms = compute_bound_report(
         wstar, vstar, derived.alpha, derived.beta, derived.gamma, lam, "trellis"
     )
-    # One all-starts sweep per walk class, each with rank-one absorption;
-    # every pair reads its answer from these.  The departures are the
-    # avoiding sweep of the transposed members over the reversed
-    # sequence, read backwards, so the latest departure is the first
+    # Two all-starts avoiding sweeps with rank-one absorption; every pair
+    # reads its answer from these.  The departures are the arrivals of
+    # the mirror, read backwards, so the latest departure is the first
     # maximum.  Node 1 has the empty initial and final walk.
     nodes = np.arange(n)
     mem_num, mem_fin, seq0, den = t._arrays()
     mem = _kernels.encode(mem_num, mem_fin)
     into, avoiding = _kernels.avoiding_sweep(mem, seq0)
-    departures, _ = _kernels.avoiding_sweep(mem.transpose(0, 2, 1), seq0[::-1])
-    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, nodes, into)
+    departures, _ = _kernels.avoiding_sweep(*_kernels._mirror(mem, seq0))
+    through = _kernels._through_table(into, departures)
     initial_len = np.where(nodes == 0, 0, into.argmax(axis=0))
     final_len = np.where(nodes == 0, 0, departures.argmax(axis=0))
 

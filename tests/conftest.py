@@ -132,16 +132,16 @@ def make_family():
 
 
 class BranchSpy:
-    """Counts the branches taken by ``_kernels._absorbing_sweep``.
+    """Counts the absorptions of ``_kernels._absorbing_sweep``.
 
     Within one sweep, every layer pushes either the matrix state (a 2-d
     array) or, once the state is absorbed as x (x) y^T, the vector y (1-d)
     through ``_product``.  A matrix step followed by a vector step is an
-    absorption; a vector step followed by a matrix step is a rebuild.
+    absorption.
     """
 
     def __init__(self, monkeypatch):
-        self.absorbs = self.rebuilds = self.sweeps = 0
+        self.absorbs = self.sweeps = 0
         self._steps = None
         product, sweep = _kernels._product, _kernels._absorbing_sweep
 
@@ -159,7 +159,6 @@ class BranchSpy:
                 self._steps = None
                 self.sweeps += 1
                 self.absorbs += path.count("21")
-                self.rebuilds += path.count("12")
 
         monkeypatch.setattr(_kernels, "_product", spied_product)
         monkeypatch.setattr(_kernels, "_absorbing_sweep", spied_sweep)

@@ -425,8 +425,8 @@ def absorption_cases():
 
 
 class TestRankOneAbsorption:
-    """The absorbing sweeps against the single-start masked oracles, with
-    the absorb and rebuild branches counted."""
+    """The absorbing sweeps and the through sweep and table against the
+    single-start masked oracles, with absorptions counted."""
 
     LENGTHS = (0, 1, 2, 4, 5, 8, 9, 17, 40, 60)
 
@@ -459,7 +459,6 @@ class TestRankOneAbsorption:
 
     def test_through_sweep_matches_masked_oracle(self, branch_spy):
         rng = np.random.default_rng(43)
-        rebuilds = 0
         for kind, (mem_num, mem_fin) in absorption_cases():
             n = mem_num.shape[1]
             starts = np.arange(n)
@@ -467,14 +466,12 @@ class TestRankOneAbsorption:
             for k in self.LENGTHS:
                 seq = random_seq(rng, mem_num.shape[0], k)
                 if kind == "late arrival":
-                    # Member 1 until layer 9, so the through state is
-                    # absorbed before member 2 lets every start arrive.
+                    # Member 1 until layer 9, then member 2 lets every
+                    # start arrive above its first arrival.
                     seq[:9] = 0
                     seq[9:10] = 1
                 into, _ = _kernels.avoiding_sweep(mem, seq)
-                before = branch_spy.rebuilds
                 through = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, starts, into)
-                rebuilds += branch_spy.rebuilds - before
                 for s in starts:
                     want = masked_through_anchor(mem_num, mem_fin, seq, s)
                     assert_masked_equal(decode(through[s]), want)
@@ -484,7 +481,54 @@ class TestRankOneAbsorption:
                 one = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, [s],
                                                    arrivals(mem, seq, forward))
                 assert_masked_equal(decode(one[0]), decode(through[s]))
-        assert branch_spy.absorbs > 0 and rebuilds > 0
+        assert branch_spy.absorbs > 0
+
+    def test_through_table_matches_masked_oracle(self, family5, seq44):
+        # For admissible members node 0's weight-0 loop is the only
+        # critical cycle, so the table joined from the two avoiding sweeps
+        # is the best walk through node 0 from every start.  The late
+        # arrivals (member 1 until layer 9, then member 2) rise above the
+        # first arrival of every start.
+        rng = np.random.default_rng(46)
+        cases = [(kind, stack) for kind, stack in absorption_cases()
+                 if kind in ("admissible", "masked pivot", "late arrival")]
+        cases.append(("fixture", family5.stacked[:2]))
+        for kind, (mem_num, mem_fin) in cases:
+            n = mem_num.shape[1]
+            mem = encode(mem_num, mem_fin)
+            seqs = [random_seq(rng, mem_num.shape[0], k) for k in self.LENGTHS]
+            if kind == "late arrival":
+                for seq in seqs[-3:]:
+                    seq[:9] = 0
+                    seq[9] = 1
+            if kind == "fixture":
+                seqs.append(np.array(seq44.indices, dtype=np.int64) - 1)
+            for seq in seqs:
+                into, _ = _kernels.avoiding_sweep(mem, seq)
+                departures, _ = _kernels.avoiding_sweep(*_kernels._mirror(mem, seq))
+                through = _kernels._through_table(into, departures)
+                assert through.shape == (n, n) and (through >= MASKED).all()
+                for s in range(n):
+                    want = masked_through_anchor(mem_num, mem_fin, seq, s)
+                    assert_masked_equal(decode(through[s]), want)
+
+    def test_tap_tables_are_clamped_to_masked(self, family5, seq44):
+        # Every tap reduction is clamped back up to MASKED, so two of these
+        # tables can be added without leaving int64.
+        rng = np.random.default_rng(48)
+        fixture = np.array(seq44.indices, dtype=np.int64) - 1
+        cases = [(stack, []) for _, stack in absorption_cases()]
+        cases.append((family5.stacked[:2], [fixture]))
+        for (mem_num, mem_fin), extra in cases:
+            n = mem_num.shape[1]
+            mem = encode(mem_num, mem_fin)
+            for seq in [random_seq(rng, mem_num.shape[0], k) for k in self.LENGTHS] + extra:
+                forward = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, np.arange(n))
+                tables = (*_kernels.avoiding_sweep(mem, seq),
+                          *_kernels.avoiding_sweep(mem.transpose(0, 2, 1), seq[::-1]),
+                          arrivals(mem, seq, forward))
+                for table in tables:
+                    assert (table >= MASKED).all()
 
     def test_anchor_lines_are_column_and_row_one_of_the_fold(self):
         rng = np.random.default_rng(44)

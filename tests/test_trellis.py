@@ -40,6 +40,18 @@ def witness_weight(trellis, summary):
     return total
 
 
+def walks_from(grids, layer, node, steps):
+    """Every walk of ``steps`` edges from (layer, node) over finite edges,
+    as (weight, 0-based nodes)."""
+    if steps == 0:
+        yield Fraction(0), (node,)
+        return
+    for succ, w in enumerate(grids[layer][node]):
+        if w is not None:
+            for rest_w, rest in walks_from(grids, layer + 1, succ, steps - 1):
+                yield w + rest_w, (node,) + rest
+
+
 def random_case(rng, n_max=3, k_max=5):
     fam = random_valid_family(rng, n=rng.randint(2, n_max))
     k = rng.randint(1, k_max)
@@ -171,6 +183,55 @@ class TestAnchoredWalks:
                         assert dp.witness[0] == 1
                         assert all(v != 1 for v in dp.witness[1:])
                         assert dp.start_layer + dp.length == t.layer_count
+
+    def test_witness_tie_breaks_against_enumeration(self):
+        # Every walk of both classes, enumerated.  The initial witness is
+        # the optimal walk at the earliest arrival layer whose reversed
+        # node list is smallest; the final witness is the forward
+        # lexicographically smallest optimal walk at the latest departure
+        # layer.  Dense members with weights in {-1, 0} tie heavily.
+        rng = random.Random(47)
+        for case in range(50):
+            if case % 2:
+                fam, seq = random_case(rng, n_max=4, k_max=5)
+            else:
+                n = rng.randint(2, 4)
+                fam = MatrixFamily([
+                    TropicalMatrix.from_rows(
+                        [[rng.choice((-1, 0, 0, None)) for _ in range(n)] for _ in range(n)])
+                    for _ in range(rng.randint(1, 3))
+                ])
+                seq = [rng.randint(1, fam.member_count) for _ in range(rng.randint(0, 5))]
+            t = build_trellis(fam, seq)
+            grids = layer_grids(t)
+            k = len(seq)
+            for node in range(2, fam.size + 1):
+                initial = [(w, nodes) for a in range(1, k + 1)
+                           for w, nodes in walks_from(grids, 0, node - 1, a)
+                           if nodes[-1] == 0 and 0 not in nodes[:-1]]
+                want = None
+                if initial:
+                    best = max(w for w, _ in initial)
+                    layer = min(len(nodes) - 1 for w, nodes in initial if w == best)
+                    nodes = min((nodes for w, nodes in initial
+                                 if w == best and len(nodes) == layer + 1),
+                                key=lambda nodes: nodes[::-1])
+                    want = WalkSummary(best, layer, layer, tuple(x + 1 for x in nodes), 0)
+                got = optimal_initial_walk(t, node)
+                assert got == (want or WalkSummary(EPSILON, None, None, None, None))
+
+                final = [(w, b, nodes) for b in range(k)
+                         for w, nodes in walks_from(grids, b, 0, k - b)
+                         if nodes[-1] == node - 1 and 0 not in nodes[1:]]
+                want = None
+                if final:
+                    best = max(w for w, _, _ in final)
+                    layer = max(b for w, b, _ in final if w == best)
+                    nodes = min(nodes for w, b, nodes in final if w == best and b == layer)
+                    want = WalkSummary(best, k - layer, k - layer,
+                                       tuple(x + 1 for x in nodes), layer)
+                got = optimal_final_walk(t, node)
+                assert got == (want or WalkSummary(EPSILON, None, None, None, None))
 
     def test_unreachable_gives_empty_summary(self, family5):
         # a single factor cannot take node 3 to node 1 (no 3 -> 1 edge)
@@ -310,12 +371,12 @@ class TestLemmaOracle:
             self.assert_matches(build_trellis(fam, seq))
         assert no_extras > 0  # some cases have lambda* = -inf
 
-    def test_long_sequences_absorb_and_rebuild(self, branch_spy):
-        # Up to 60 factors, so the three all-starts sweeps turn rank-one
-        # and finish as vector sweeps.  n = 1 has no cut block at all, and
-        # n = 2 families without a loop at node 2 have a -inf cut pivot at
-        # every layer.  In the late-arrival families member 2 at layer 10
-        # breaks the through state's factorisation, so it is rebuilt.
+    def test_long_sequences_absorb(self, branch_spy):
+        # Up to 60 factors, so the two all-starts avoiding sweeps turn
+        # rank-one and finish as vector sweeps.  n = 1 has no cut block at
+        # all, and n = 2 families without a loop at node 2 have a -inf cut
+        # pivot at every layer.  In the late-arrival families member 2 at
+        # layer 10 lets every start arrive at node 1 late.
         rng = random.Random(45)
         one = MatrixFamily([TropicalMatrix.from_rows([[0]])] * 2)
         cases = [(one, [rng.randint(1, 2) for _ in range(k)]) for k in (1, 7, 60)]
@@ -326,15 +387,14 @@ class TestLemmaOracle:
         for n in (2, 3, 5):
             tail = [rng.randint(1, 2) for _ in range(rng.randint(0, 50))]
             cases.append((late_arrival_family(random.Random(n), n), [1] * 9 + [2] + tail))
-        absorbs = rebuilds = 0
+        absorbs = 0
         for fam, seq in cases:
             trellis = build_trellis(fam, seq)
-            before = branch_spy.absorbs, branch_spy.rebuilds
+            before = branch_spy.absorbs
             got = check_lemma_bounds(trellis)
-            absorbs += branch_spy.absorbs - before[0]
-            rebuilds += branch_spy.rebuilds - before[1]
+            absorbs += branch_spy.absorbs - before
             assert got == oracles.fraction_lemma_report(trellis)
-        assert absorbs > 0 and rebuilds > 0
+        assert absorbs > 0
 
     def test_perturbed_sup_derived_fails_every_check(self):
         # Shifting alpha, beta and gamma down by 50 lowers every threshold
