@@ -6,10 +6,9 @@ avoiding sweep with rank-one absorption that the lemma checks run, the
 through sweep given its arrivals, and the through table that the lemma
 checks join from the arrivals and departures of two avoiding sweeps) on
 random scaled-integer inputs and prints the best wall time per call.  At
-sizes
-up to 16 it also times the transient scan's stacked kernels: one fold of
-100 sequences of length 20, and one exhaustive level step from the m^4
-products of length 4 to the m^5 of length 5.
+sizes up to 16 it also times the transient scan's stacked kernels: one
+``fold_stack`` of 100 sequences of length 20, and one exhaustive level
+step from the m^4 products of length 4 to the m^5 of length 5.
 
 A second table times the single fold at k = 200 and n = 20, 40, 80 on
 two sequences: one over admissible-style members, whose prefix turns
@@ -17,10 +16,11 @@ rank-one early so the fold finishes as a vector sweep, and one over
 weighted permutation matrices, which never turn rank-one, so the fold
 pays for every rank-one probe on top of every matrix product.
 
-A third table times the transient scan's own work: one stacked fold of
+A third table times the transient scan's own work: one ``fold_stack`` of
 100 sequences of length 20 and 40 at n = 5 and 16, over the same two kinds
-of members (the onset column counts the rows that leave the matrix fold
-for a vector sweep), the sampled scan of the bundled five-node family
+of members, without drop, so every row is folded to its end as a matrix
+(the onset column counts the rows whose prefix a pruned scan would drop
+at a probe), the sampled scan of the bundled five-node family
 (horizon 40, 100 draws per length, seed 0), and its exhaustive scan up to
 horizons 8 and 12, whose levels extend only their failing products.
 
@@ -66,7 +66,7 @@ import numpy as np
 
 from tropical_transient._kernels import (ACTIVE, FLOOR, MASKED, PROBE_STRIDE, _mirror, _product,
                                           _through_table, avoiding_sweep, closure, encode,
-                                          extend, rank_one)
+                                          extend, fold_stack, rank_one)
 from tropical_transient.bounds import implicit_bound, implicit_sequence_bound
 from tropical_transient.cli import main as cli_main
 from tropical_transient.digraph import is_irreducible, strongly_connected_components
@@ -129,6 +129,12 @@ def onset_layer(num, fin, seq):
             return l
         cur = _product(cur, mem[seq[l]])
     return None
+
+
+def stacked_fold(mem, stack):
+    """The sampled scan's fold of a (B, k) stack on encoded members, without
+    drop; the products are discarded."""
+    fold_stack(mem, stack, np.full(len(stack), stack.shape[1]), lambda ids, num, fin: None)
 
 
 def synthetic_files(workdir, n):
@@ -274,7 +280,7 @@ def main() -> int:
             for _ in range(LEVEL_LENGTH - 1):
                 level = extend(level, mem)
             cases += [
-                (f"fold x{STACK_ROWS}", lambda: ACTIVE.fold(num, fin, stack), STACK_LENGTH, 1),
+                (f"fold x{STACK_ROWS}", lambda: stacked_fold(mem, stack), STACK_LENGTH, 1),
                 (f"extend x{len(level)}", lambda: extend(level, mem), LEVEL_LENGTH + 1, 1),
             ]
         for name, call, k, starts in cases:
@@ -306,7 +312,8 @@ def main() -> int:
             for name, make in (("onset", onset_inputs), ("never", permutation_inputs)):
                 num, fin = make(rng, args.members, n)
                 onsets = sum(onset_layer(num, fin, seq) is not None for seq in stack)
-                t = best_time(lambda: ACTIVE.fold(num, fin, stack), args.repeats)
+                mem = encode(num, fin)
+                t = best_time(lambda: stacked_fold(mem, stack), args.repeats)
                 label = f"fold x{STACK_ROWS} {name}"
                 print(f"{label:<18}{n:>5}{k:>6}{onsets:>8}{t * 1e3:>14.3f}")
     path = resources.files("tropical_transient").joinpath("fixtures/five_node_family.json")

@@ -27,13 +27,13 @@ rank-1 max updates instead of one broadcast.  Stacked calls run on chunks
 of rows whose rank-1 working arrays, four of (rows, n, n), hold at most
 ``CHUNK_ELEMENTS`` values.
 
-One fold loop serves a single sequence (a one-row stack), a stack of one
-length, and the ragged stacks of the sampled transient scan, whose rows
-have many lengths and end at their own last layers (``fold_stack``).  It
-tests its running products for rank-one every ``PROBE_STRIDE`` layers
-and finishes each product that passes as a vector sweep (rank-one
-absorption), or leaves it out when the caller knows that every extension
-of it is rank-one.
+A fold tests its running product for rank-one every ``PROBE_STRIDE``
+layers.  A single sequence whose prefix passes finishes as one vector
+sweep (rank-one absorption, ``_fold_one``).  Stacks, of one length or the
+ragged ones of the sampled transient scan, whose rows have many lengths
+and end at their own last layers (``fold_stack``), fold every row as a
+matrix; they probe only when the caller knows that every extension of a
+rank-one product is rank-one, and then leave out the rows that pass.
 
 A sweep pushes a state through the layer matrices of a sequence.  The
 state has one row per start node, so one pass serves every start.  Each
@@ -52,9 +52,7 @@ and the final state, and uses rank-one absorption as the fold does: once
 a probed state is x (x) y^T, only y moves on (``_absorbing_sweep``).  In
 an admissible family node 0's weight-0 loop is the only critical cycle,
 so a best walk through node 0 is a best arrival, the loop and a best
-departure, joined from those two tables (``_through_table``).  Column 0
-and row 0 of a product are two vector sweeps of row 0 (``anchor_lines``),
-which is all the implicit bound reads.
+departure, joined from those two tables (``_through_table``).
 
 The family-side derivations use the same encoding: ``walk_table`` is a
 sweep through one matrix (Karp's table, cycle-mean potentials) and
@@ -237,90 +235,60 @@ def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
     return pivot & (pattern & values).all(axis=(-2, -1))
 
 
-def _members(steps, rows):
-    # Member indices of the given stack rows at one layer (steps[l]) or at
-    # a run of layers (steps[l:e]), for mem[...]: a single row gets plain
-    # indices, which read (n, n) views of mem instead of copies and
-    # broadcast against its (1, r, n) state.
-    return steps[..., rows[0]] if len(rows) == 1 else steps[..., rows]
-
-
-def _outer(col, row):
-    # Decoded x (x) y^T of vector rows, x = col - col[:, 0] and y = row.
-    # The masks are explicit, since x can reach twice the prefix magnitude
-    # and x + MASKED could then pass FLOOR.
+def _outer(col, y):
+    # Decoded x (x) y^T for x = col - col[0] and an encoded row y.  The
+    # masks are explicit, since x can reach twice the prefix magnitude and
+    # x + MASKED could then pass FLOOR.
     xfin = col > FLOOR
-    x = np.where(xfin, col - col[:, :1], np.int64(0))
-    y, yfin = decode(row)
-    both = xfin[:, :, None] & yfin
-    return np.where(both, x[:, :, None] + y, np.int64(0)), both
+    x = np.where(xfin, col - col[0], np.int64(0))
+    y, yfin = decode(y)
+    both = xfin[:, None] & yfin
+    return np.where(both, x[:, None] + y, np.int64(0)), both
+
+
+def _fold_one(mem, seq):
+    # Decoded product of a (k,) sequence of encoded members.  Every
+    # PROBE_STRIDE layers the running product is tested with rank_one.
+    # Once the prefix P of the first l factors passes, P = x (x) y^T with
+    # x = P_:1 - P_11 and y = P_1:, and by associativity the rest of the
+    # fold is x (x) (y^T (x) A_{l+1} (x) ... (x) A_k): one vector sweep of y.
+    cur = mem[seq[0]]
+    for l in range(1, len(seq)):
+        if l % PROBE_STRIDE == 0 and rank_one(cur, cur > FLOOR):
+            return _outer(cur[:, 0], _sweep(mem, seq[l:], cur[0], table=False))
+        cur = _product(cur, mem[seq[l]])
+    return decode(cur)
 
 
 def _fold_rows(mem, seq, lens, finish, drop):
     # Fold row b of a (B, K) stack over its first lens[b] layers (lens
     # non-increasing, so lens[0] = K) and pass the rows that end at each
     # layer to finish(ids, num, fin): stack rows in ascending order and
-    # their decoded products.  Every PROBE_STRIDE layers the rows still
-    # folded as matrices are tested with rank_one.  Once the prefix P of a
-    # row's first l factors passes, P = x (x) y^T with x = P_:1 - P_11 and
-    # y = P_1:, and by associativity the rest of its fold is
-    # x (x) (y^T (x) A_{l+1} (x) ... (x) A_k): a vector sweep of y.  Such a
-    # row keeps col = P_:1 and sweeps y as a (1, n) matrix; once only
-    # vector rows of one length are left, their remaining layers are one
-    # sweep.  With drop, a row that passes is left out instead, and finish
-    # never sees it.  (No sort or search here: numpy's sorting code would
-    # add to the resident size of a process that never sorts otherwise.)
+    # their decoded products.  With drop, the rows still being folded are
+    # tested with rank_one every PROBE_STRIDE layers and those that pass
+    # are left out; without it every row is folded to its end.  (No sort
+    # or search here: numpy's sorting code would add to the resident size
+    # of a process that never sorts otherwise.)
     steps = seq.T
     # over[l]: how many rows are longer than l, so the rows of length l
     # are the stack rows over[l]..over[l - 1] - 1.
     over = (len(lens) - np.cumsum(np.bincount(lens, minlength=len(steps) + 1))).tolist()
     live = np.arange(len(seq))
     cur = mem[steps[0]]
-    ids, col, row = live[:0], cur[:0, :, 0], cur[:0, :1]
-
-    def emit(lo, hi):
-        # The rows of length l end here: the tail of live (in order) and
-        # the vector rows from lo on.  Without drop all hi - lo of them
-        # are left; with drop there are no vector rows.
-        a, vend = int((live < lo).sum()), ids >= lo
-        if not vend.any():
-            if a < len(live):
-                finish(live[a:], *decode(cur[a:]))
-            return a, ~vend
-        num = np.empty((hi - lo,) + cur.shape[1:], dtype=np.int64)
-        fin = np.empty(num.shape, dtype=np.bool_)
-        num[live[a:] - lo], fin[live[a:] - lo] = decode(cur[a:])
-        num[ids[vend] - lo], fin[ids[vend] - lo] = _outer(col[vend], row[vend])
-        finish(np.arange(lo, hi), num, fin)
-        return a, ~vend
-
     for l in range(1, len(steps) + 1):
         if over[l] < over[l - 1]:
-            a, keep = emit(over[l], over[l - 1])
+            # The rows of length l end here: the tail of live, in order.
+            a = int((live < over[l]).sum())
+            if a < len(live):
+                finish(live[a:], *decode(cur[a:]))
             cur, live = cur[:a], live[:a]
-            ids, col, row = ids[keep], col[keep], row[keep]
-        if not (len(live) or len(ids)):
+        if not len(live):
             return
-        if len(live) and l % PROBE_STRIDE == 0:
+        if drop and l % PROBE_STRIDE == 0:
             hit = rank_one(cur, cur > FLOOR)
             if hit.any():
-                if not drop:
-                    ids = np.concatenate([ids, live[hit]])
-                    col = np.concatenate([col, cur[hit, :, 0]])
-                    row = np.concatenate([row, cur[hit, :1]])
                 cur, live = cur[~hit], live[~hit]
-        if len(live):
-            cur = _product(cur, mem[_members(steps[l], live)])
-        elif len(ids) and lens[ids.min()] == lens[ids.max()]:
-            # Only vector rows of one length are left: the rest is one
-            # sweep, and a single row sweeps its (n,) vector.
-            end = lens[ids[0]]
-            state = row[0, 0] if len(ids) == 1 else row
-            row = _sweep(mem, _members(steps[l:end], ids), state, table=False).reshape(row.shape)
-            emit(over[end], over[end - 1])
-            return
-        if len(ids):
-            row = _product(row, mem[_members(steps[l], ids)])
+        cur = _product(cur, mem[steps[l, live]])
 
 
 def fold_stack(mem, seq, lens, finish, drop=False):
@@ -334,11 +302,12 @@ def fold_stack(mem, seq, lens, finish, drop=False):
     their (numerator, mask) products.  A stack of one length is a stacked
     fold; a ragged one folds sequences of many lengths in one pass.
 
-    Running products are tested for rank-one every ``PROBE_STRIDE``
-    layers.  A row whose prefix passes finishes as a vector sweep, or,
-    with ``drop``, is left out and never reaches ``finish``: callers pass
-    it only when every extension of a rank-one prefix is known to be
-    rank-one.  The stack runs in chunks of ``_chunk_rows`` rows.
+    Without ``drop`` every row is folded as a matrix to its end and
+    reaches ``finish``.  With ``drop``, running products are tested for
+    rank-one every ``PROBE_STRIDE`` layers, and a row whose prefix passes
+    is left out and never reaches ``finish``: callers pass it only when
+    every extension of a rank-one prefix is known to be rank-one.  The
+    stack runs in chunks of ``_chunk_rows`` rows.
     """
     rows = _chunk_rows(mem.shape[1])
     for s in range(0, len(seq), rows):
@@ -348,19 +317,7 @@ def fold_stack(mem, seq, lens, finish, drop=False):
 
 
 def _fold(mem_num, mem_fin, seq):
-    # A 1-D sequence folds as a one-row stack.
-    stack = seq.reshape(-1, seq.shape[-1])
-    n = mem_num.shape[1]
-    num = np.empty((len(stack), n, n), dtype=np.int64)
-    fin = np.empty((len(stack), n, n), dtype=np.bool_)
-
-    def store(ids, part_num, part_fin):
-        num[ids], fin[ids] = part_num, part_fin
-
-    fold_stack(encode(mem_num, mem_fin), stack, np.full(len(stack), stack.shape[1]), store)
-    if seq.ndim == 1:
-        return num[0], fin[0]
-    return num, fin
+    return _fold_one(encode(mem_num, mem_fin), seq)
 
 
 def _mirror(*trellis):
@@ -372,22 +329,6 @@ def _mirror(*trellis):
     mirror."""
     *mems, seq = trellis
     return (*(np.ascontiguousarray(m.transpose(0, 2, 1)) for m in mems), seq[::-1])
-
-
-def _row0(mem, seq):
-    # Row 0 of the product over seq of encoded members: e_0^T pushed
-    # through every layer as one vector sweep.
-    return _sweep(mem, seq, _units(mem.shape[1], 0), table=False)
-
-
-def anchor_lines(mem_num, mem_fin, seq):
-    """Column 0 and row 0 of the product over a (k,) sequence, as
-    (numerator, mask) pairs, from two vector sweeps and no matrix product.
-
-    Column 0 is row 0 of the product over the mirror.
-    """
-    mem = encode(mem_num, mem_fin)
-    return decode(_row0(*_mirror(mem, seq))), decode(_row0(mem, seq))
 
 
 def _forward_full(mem_num, mem_fin, seq, starts):
@@ -417,7 +358,7 @@ def _final_from_anchor(mem_num, mem_fin, seq):
     source = _cut(mem)
     source[:, 0, 1:] = mem[:, 0, 1:]
     source[:, 0, 0] = 0
-    return _row0(source, seq)
+    return _sweep(source, seq, _units(mem.shape[1], 0), table=False)
 
 
 def _initial_to_anchor(mem_num, mem_fin, seq):
@@ -434,11 +375,6 @@ def arrivals(mem, seq, forward):
     into = np.full(forward.shape[:2], MASKED)
     np.maximum((forward[:-1] + mem[seq, :, 0][:, None, :]).max(axis=2), MASKED, out=into[1:])
     return into
-
-
-def _expand(col, y):
-    # Encoded x (x) y^T of a state absorbed with column col and row y.
-    return encode(*_outer(col[None], y[None, None]))[0]
 
 
 def _absorbing_sweep(layers, seq, state, tap):
@@ -466,7 +402,7 @@ def _absorbing_sweep(layers, seq, state, tap):
             ys = _sweep(layers, seq[l:], state[0])
             best = np.maximum((ys[:-1] + tap[seq[l:]]).max(axis=1), MASKED)[:, None]
             out[l + 1:] = np.where(xfin & (best > FLOOR), x + best, MASKED)
-            return out, _expand(col, ys[-1])
+            return out, encode(*_outer(col, ys[-1]))
     return out, state
 
 
@@ -537,8 +473,8 @@ def _through_anchor(mem_num, mem_fin, seq, starts, into):
 class Backend(NamedTuple):
     """Kernel entry points, each taking members as (numerator, mask)
     stacks.  ``fold`` takes a (k,) sequence of 0-based member indices and
-    returns one (n, n) product, or a (B, k) stack of sequences and
-    returns (B, n, n) products."""
+    returns its (n, n) product; stacks of sequences fold through
+    ``fold_stack``."""
 
     name: str
     matmul: Callable

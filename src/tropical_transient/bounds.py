@@ -167,15 +167,19 @@ def implicit_sequence_bound(family: MatrixFamily, sequence) -> BoundReport:
     """``implicit_bound(family, fold(family, sequence))``, from two vector
     sweeps in place of the fold.
 
-    The bound reads only column 1 and row 1 of the product, and each is
-    one O(k n^2) sweep over the sequence (1-based member indices), where
-    the fold runs n x n products until its running product turns
-    rank-one.  Index and int64 errors are those of the fold.
+    The bound reads only column 1 and row 1 of the product.  In an
+    admissible family they are the best initial-walk and final-walk
+    weights w* and v* of the sequence (1-based member indices): a walk
+    into node 1 can wait there on the weight-0 loop, and every other
+    closed walk at node 1 weighs at most 0.  Each is one O(k n^2) sweep,
+    the kernel behind ``trellis.initial_weights_all`` and
+    ``final_weights_all``.  Index and int64 errors are those of the fold.
     """
     seq0 = _staged_sequence(family, sequence)
     family.require_valid("implicit transient bound")
     mem_num, mem_fin, den = family.stacked
-    (w_num, w_fin), (v_num, v_fin) = _kernels.anchor_lines(mem_num, mem_fin, seq0)
+    w_num, w_fin = _kernels.decode(_kernels.ACTIVE.initial_to_anchor(mem_num, mem_fin, seq0))
+    v_num, v_fin = _kernels.decode(_kernels.ACTIVE.final_from_anchor(mem_num, mem_fin, seq0))
     w = TropicalMatrix(w_num[:, None], w_fin[:, None], den)
     v = TropicalMatrix(v_num[:, None], v_fin[:, None], den)
     return _implicit_report(family, w, v)

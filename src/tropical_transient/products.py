@@ -14,16 +14,16 @@ consecutive lengths in one ragged stack, longest first, and decides each
 product at its own last layer, so a block of lengths costs as many layer
 steps as its longest length.
 
-Both modes use rank-one absorption.  Once a prefix P = x (x) y^T is
-rank-one, the rest of a fold only changes y, so the stacked fold finishes
-such products as vector sweeps; that rests on associativity alone and
-gives the exact products.  If every member also has a finite (1, 1)
-entry, every extension of a rank-one product is rank-one, and if no
-product up to the horizon can trip the rank-one test guard
-(``_absorbing``), a product that turns rank-one needs no more work:
-exhaustive mode extends only the failing products of each level, and
-sampled mode records a draw whose prefix turns rank-one as rank-one and
-stops folding it.  Both still report every product as examined, in the
+A single fold uses rank-one absorption: once a prefix P = x (x) y^T is
+rank-one, the rest of the fold only changes y, so it finishes as a vector
+sweep; that rests on associativity alone and gives the exact product.
+The scans fold every product in full unless every member has a finite
+(1, 1) entry, so that every extension of a rank-one product is rank-one,
+and no product up to the horizon can trip the rank-one test guard
+(``_absorbing``).  Then a product that turns rank-one needs no more
+work: exhaustive mode extends only the failing products of each level,
+and sampled mode records a draw whose prefix turns rank-one as rank-one
+and stops folding it.  Both still report every product as examined, in the
 same order.
 """
 

@@ -132,36 +132,45 @@ def make_family():
 
 
 class BranchSpy:
-    """Counts the absorptions of ``_kernels._absorbing_sweep``.
+    """Counts the absorptions of ``_kernels._absorbing_sweep`` and
+    ``_kernels._fold_one``.
 
-    Within one sweep, every layer pushes either the matrix state (a 2-d
+    Within one call, every layer pushes either the matrix state (a 2-d
     array) or, once the state is absorbed as x (x) y^T, the vector y (1-d)
     through ``_product``.  A matrix step followed by a vector step is an
-    absorption.
+    absorption.  ``sweeps`` and ``absorbs`` count the absorbing sweeps and
+    their absorptions; ``folds`` holds the absorption count of each fold.
     """
 
     def __init__(self, monkeypatch):
         self.absorbs = self.sweeps = 0
+        self.folds = []
         self._steps = None
-        product, sweep = _kernels._product, _kernels._absorbing_sweep
+        product = _kernels._product
 
         def spied_product(x, a, out=None):
             if self._steps is not None:
                 self._steps.append(str(x.ndim))
             return product(x, a, out)
 
-        def spied_sweep(*args, **kwargs):
-            self._steps = []
-            try:
-                return sweep(*args, **kwargs)
-            finally:
-                path = "".join(self._steps)
-                self._steps = None
-                self.sweeps += 1
-                self.absorbs += path.count("21")
+        def spied(fn, record):
+            def call(*args, **kwargs):
+                self._steps = []
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    path = "".join(self._steps)
+                    self._steps = None
+                    record(path.count("21"))
+            return call
+
+        def swept(absorbs):
+            self.sweeps += 1
+            self.absorbs += absorbs
 
         monkeypatch.setattr(_kernels, "_product", spied_product)
-        monkeypatch.setattr(_kernels, "_absorbing_sweep", spied_sweep)
+        monkeypatch.setattr(_kernels, "_absorbing_sweep", spied(_kernels._absorbing_sweep, swept))
+        monkeypatch.setattr(_kernels, "_fold_one", spied(_kernels._fold_one, self.folds.append))
 
 
 @pytest.fixture

@@ -83,6 +83,25 @@ def onset_layer(mem_num, mem_fin, seq):
     return None
 
 
+def stacked_fold(mem_num, mem_fin, seqs):
+    """Products of a (B, k) stack of sequences as (B, n, n) (numerator,
+    mask) arrays, from one ``fold_stack`` call without drop; every row
+    must reach ``finish`` exactly once."""
+    n = mem_num.shape[1]
+    num = np.empty((len(seqs), n, n), dtype=np.int64)
+    fin = np.empty(num.shape, dtype=bool)
+    seen = np.zeros(len(seqs), dtype=np.int64)
+
+    def store(ids, part_num, part_fin):
+        num[ids], fin[ids] = part_num, part_fin
+        seen[ids] += 1
+
+    lens = np.full(len(seqs), seqs.shape[1])
+    _kernels.fold_stack(encode(mem_num, mem_fin), seqs, lens, store)
+    assert (seen == 1).all()
+    return num, fin
+
+
 def stage_members(n):
     """Members for prefixes with a chosen rank-one onset: D is diagonal, so
     its powers are not rank-one, and R is rank-one, so D^t (x) R is."""
@@ -112,9 +131,9 @@ class TestOracleAgreement:
                     masked_fold(mem_num, mem_fin, seq),
                 )
 
-    def test_factored_fold_on_synthetic_sequences(self):
+    def test_factored_fold_on_synthetic_sequences(self, branch_spy):
         # Long sequences over admissible members turn rank-one early, so
-        # most of each fold is the vector sweep.
+        # most of each fold is the vector sweep: each fold absorbs once.
         for seed, n in enumerate((5, 12, 24, 5, 12, 24)):
             rng = np.random.default_rng(100 + seed)
             mem_num, mem_fin = admissible_members(rng, 3, n)
@@ -124,6 +143,7 @@ class TestOracleAgreement:
                 NUMPY_BACKEND.fold(mem_num, mem_fin, seq),
                 masked_fold(mem_num, mem_fin, seq),
             )
+        assert branch_spy.folds == [1] * 6
 
     def test_fold_of_one_to_five_factors(self):
         rng = np.random.default_rng(9)
@@ -232,14 +252,15 @@ class TestOracleAgreement:
             assert 0 < probe.sum() < len(probe)
 
     def test_stacked_fold_and_level_step(self):
-        # A (B, k) stack folds row by row, and one level step extends
-        # product p by member j in row p * m + j.  At n = 8 a chunk holds
-        # 2**16 // (4 * 8**2) = 256 rows, so B = 300 spans two chunks.
+        # A (B, k) stack folds row by row through fold_stack, and one level
+        # step extends product p by member j in row p * m + j.  At n = 8 a
+        # chunk holds 2**16 // (4 * 8**2) = 256 rows, so B = 300 spans two
+        # chunks.
         rng = np.random.default_rng(8)
         for mem_num, mem_fin in oracle_cases():
             m, n, _ = mem_num.shape
             seqs = rng.integers(0, m, size=(300, 3))
-            num, fin = NUMPY_BACKEND.fold(mem_num, mem_fin, seqs)
+            num, fin = stacked_fold(mem_num, mem_fin, seqs)
             assert num.shape == fin.shape == (300, n, n)
             level = _kernels.extend(_kernels.encode(num, fin), _kernels.encode(mem_num, mem_fin))
             assert level.shape == (300 * m, n, n)
@@ -251,7 +272,7 @@ class TestOracleAgreement:
 
     def test_stacked_rows_turn_rank_one_at_different_probes(self):
         # Row t of the stack has the first rank-one prefix D^(t-1) (x) R,
-        # so rows leave the matrix fold at different probe layers; the tail
+        # so rows turn rank-one at different probe layers; the tail
         # mixes every member, member 2 with a -inf (1, 1) entry included.
         # The last row is D^k, which never turns rank-one.
         rng = np.random.default_rng(21)
@@ -271,7 +292,7 @@ class TestOracleAgreement:
         for seq, onset in zip(seqs, onsets + (None,)):
             want = None if onset is None else max(PROBE_STRIDE, -(-onset // PROBE_STRIDE) * PROBE_STRIDE)
             assert onset_layer(mem_num, mem_fin, seq) == (want if want and want < k else None)
-        num, fin = NUMPY_BACKEND.fold(mem_num, mem_fin, seqs)
+        num, fin = stacked_fold(mem_num, mem_fin, seqs)
         for b, seq in enumerate(seqs):
             assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seq))
 
@@ -293,7 +314,7 @@ class TestOracleAgreement:
         seqs = rng.integers(0, 3, size=(300, k))
         seqs[:, k - 3] = 3
         seqs[::3] = rng.integers(4, 6, size=(100, k))
-        num, fin = NUMPY_BACKEND.fold(mem_num, mem_fin, seqs)
+        num, fin = stacked_fold(mem_num, mem_fin, seqs)
         for b in range(300):
             assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seqs[b]))
         assert _kernels._chunk_rows(n) == 256
@@ -348,7 +369,7 @@ class TestOracleAgreement:
         for mem_num, mem_fin in cases:
             for k in (1, 4, 5, 30):
                 seq = random_seq(rng, mem_num.shape[0], k)
-                num, fin = NUMPY_BACKEND.fold(mem_num, mem_fin, seq[None])
+                num, fin = stacked_fold(mem_num, mem_fin, seq[None])
                 assert num.shape == fin.shape == (1,) + mem_num.shape[1:]
                 want = masked_fold(mem_num, mem_fin, seq)
                 assert_masked_equal((num[0], fin[0]), want)
@@ -530,14 +551,20 @@ class TestRankOneAbsorption:
                 for table in tables:
                     assert (table >= MASKED).all()
 
-    def test_anchor_lines_are_column_and_row_one_of_the_fold(self):
+    def test_anchor_walks_are_column_and_row_one_of_the_fold(self, family5):
+        # For admissible members node 0's weight-0 loop is the only
+        # critical cycle: a walk into node 0 can wait there on the loop,
+        # and every other closed walk at node 0 weighs at most 0.  So
+        # column 0 of a product is w* and row 0 is v*, which is what the
+        # implicit bound reads.
         rng = np.random.default_rng(44)
-        cases = list(oracle_cases()) + [admissible_members(rng, 3, n) for n in (1, 2, 6)]
+        cases = [family5.stacked[:2]] + [admissible_members(rng, 3, n) for n in (1, 2, 6)]
         for mem_num, mem_fin in cases:
-            for k in (1, 2, 5, 17, 60):
+            for k in range(1, 61):
                 seq = random_seq(rng, mem_num.shape[0], k)
                 num, fin = masked_fold(mem_num, mem_fin, seq)
-                col, row = _kernels.anchor_lines(mem_num, mem_fin, seq)
+                col = decode(NUMPY_BACKEND.initial_to_anchor(mem_num, mem_fin, seq))
+                row = decode(NUMPY_BACKEND.final_from_anchor(mem_num, mem_fin, seq))
                 assert_masked_equal(col, (num[:, 0], fin[:, 0]))
                 assert_masked_equal(row, (num[0], fin[0]))
 

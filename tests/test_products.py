@@ -230,13 +230,17 @@ class TestStackedScanOracle:
 
 class _ScanSpy:
     """Counts what the ragged sampled scan does: fold_stack calls (one per
-    block of lengths), chunk folds, rows decided by rank_one_mask, and
-    rank-one rows finished as vector sweeps."""
+    block of lengths), chunk folds, rank-one probes of running products
+    (``_kernels.rank_one`` calls outside rank_one_mask), rows decided by
+    rank_one_mask, and rank-one products finished as vector sweeps
+    (``_outer`` calls), which only single folds and the lemma sweeps
+    make."""
 
     def __init__(self, monkeypatch):
-        self.blocks = self.chunks = self.decided = self.swept = 0
+        self.blocks = self.chunks = self.probes = self.decided = self.swept = 0
+        self._deciding = False
         fold_stack, fold_rows = _kernels.fold_stack, _kernels._fold_rows
-        outer, mask = _kernels._outer, products.rank_one_mask
+        probe, outer, mask = _kernels.rank_one, _kernels._outer, products.rank_one_mask
 
         def count_blocks(*args, **kwargs):
             self.blocks += 1
@@ -246,16 +250,25 @@ class _ScanSpy:
             self.chunks += 1
             return fold_rows(*args, **kwargs)
 
-        def count_swept(col, row):
-            self.swept += len(col)
-            return outer(col, row)
+        def count_probes(num, fin):
+            self.probes += not self._deciding
+            return probe(num, fin)
+
+        def count_swept(col, y):
+            self.swept += 1
+            return outer(col, y)
 
         def count_decided(num, fin, den):
             self.decided += len(num)
-            return mask(num, fin, den)
+            self._deciding = True
+            try:
+                return mask(num, fin, den)
+            finally:
+                self._deciding = False
 
         monkeypatch.setattr(_kernels, "fold_stack", count_blocks)
         monkeypatch.setattr(_kernels, "_fold_rows", count_chunks)
+        monkeypatch.setattr(_kernels, "rank_one", count_probes)
         monkeypatch.setattr(_kernels, "_outer", count_swept)
         monkeypatch.setattr(products, "rank_one_mask", count_decided)
 
@@ -272,7 +285,7 @@ def _spied_scan(monkeypatch, *args, **kwargs):
 
 def _pruned_off_family(rng: random.Random, n: int) -> MatrixFamily:
     """Two admissible members, the second with its (1, 1) entry set to
-    -inf, so pruning is off and rank-one prefixes finish as sweeps."""
+    -inf, so pruning is off and every draw is folded in full."""
     fam = random_valid_family(rng, n, 2)
     rows = oracles.grid(fam.member(2))
     rows[0][0] = None
@@ -293,20 +306,19 @@ class TestRaggedSampledScan:
         est, spy = _spied_scan(monkeypatch, family5, horizon=40, samples_per_length=100, seed=4)
         assert est.first_all_rank_one is not None and est.counterexamples
         assert (PROBE_STRIDE - 1) * 100 < spy.decided < est.examined // 2
-        assert spy.swept == 0
+        assert spy.probes > 0 and spy.swept == 0
 
-    def test_absorbed_rows_are_swept_without_pruning(self, monkeypatch):
-        # A -inf pivot turns pruning off: rows whose prefix turns rank-one
-        # finish as vector sweeps, and every row is decided at its end.
+    def test_every_row_is_decided_without_pruning(self, monkeypatch):
+        # A -inf pivot turns pruning off: every row, rank-one prefix or
+        # not, is folded as a matrix and decided at its end: no running
+        # product is probed and none is finished as a vector sweep.
         rng = random.Random(8)
-        swept = 0
         for case in range(6):
             fam = _pruned_off_family(rng, rng.randint(2, 5))
             assert not products._absorbing(fam, 20)
             est, spy = _spied_scan(monkeypatch, fam, horizon=20, samples_per_length=15, seed=case)
             assert spy.decided == est.examined
-            swept += spy.swept
-        assert swept > 100
+            assert spy.probes == spy.swept == 0
 
     def test_near_guard_magnitudes_turn_pruning_off(self):
         # Finite pivots, but three times the walk magnitude at the horizon
