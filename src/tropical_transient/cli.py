@@ -8,6 +8,13 @@ Subcommands: validate, derive, bound, check, transient.  Exit codes:
     3  rank-one check failure
     4  work budget exceeded
 
+Every subcommand runs one pipeline: load the family, report it and its
+validation, then add the subcommand's sections (and a deviations section
+under --expected).  Validation is a gate: on a family that fails it, a
+subcommand stops after the validation section with exit code 2.  Only
+``transient``, whose scan assumes nothing of the family, and ``derive
+--force``, which then reports the boundary matrices alone, go on.
+
 Reports print to stdout as pretty text or JSON (--format); error
 messages go to stderr.
 """
@@ -26,7 +33,6 @@ from .errors import (
     PivotError,
     TropicalError,
 )
-from .family import MatrixFamily
 from .io import column_tokens, load_expected, load_family, load_sequence, matrix_tokens
 from .matrix import rank_one_factor
 from .products import estimate_transient, fold
@@ -125,57 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> tuple[MatrixFamily, tuple[str, ...]]:
-    return load_family(args.family)
-
-
-def _expected(args):
-    path = getattr(args, "expected", None)
-    return load_expected(path) if path else None
-
-
-def cmd_validate(args) -> tuple[int, dict]:
-    family, names = _load(args)
-    report = base_report("validate", family, names)
-    validation = family.validate()
-    report["validation"] = validation_section(validation)
-    return (EXIT_OK if validation.passed else EXIT_ASSUMPTION), report
-
-
-def cmd_derive(args) -> tuple[int, dict]:
-    family, names = _load(args)
-    report = base_report("derive", family, names)
-    validation = family.validate()
-    report["validation"] = validation_section(validation)
-    if not validation.passed and not args.force:
-        return EXIT_ASSUMPTION, report
-    if validation.passed:
-        report["derived"] = derived_section(
-            family,
-            family.sup_derived,
-            family.inf_walk_to_one(),
-            family.inf_walk_from_one(),
-        )
+def cmd_derive(args, family, report) -> int:
+    if report["validation"]["passed"]:
+        report["derived"] = derived_section(family)
     else:
         # Forced: only the assumption-free boundary data.
         report["derived"] = boundary_section(family)
-    attach_deviations(report, _expected(args))
-    return EXIT_OK, report
+    return EXIT_OK
 
 
-def cmd_bound(args) -> tuple[int, dict]:
-    family, names = _load(args)
-    report = base_report("bound", family, names)
-    validation = family.validate()
-    report["validation"] = validation_section(validation)
-    if not validation.passed:
-        return EXIT_ASSUMPTION, report
-    report["derived"] = derived_section(
-        family,
-        family.sup_derived,
-        family.inf_walk_to_one(),
-        family.inf_walk_from_one(),
-    )
+def cmd_bound(args, family, report) -> int:
+    report["derived"] = derived_section(family)
     explicit = explicit_bound(family)
     bounds = {}
     if args.sequence:
@@ -187,17 +153,10 @@ def cmd_bound(args) -> tuple[int, dict]:
     else:
         bounds["explicit"] = bound_section(explicit)
     report["bounds"] = bounds
-    attach_deviations(report, _expected(args))
-    return EXIT_OK, report
+    return EXIT_OK
 
 
-def cmd_check(args) -> tuple[int, dict]:
-    family, names = _load(args)
-    report = base_report("check", family, names)
-    validation = family.validate()
-    report["validation"] = validation_section(validation)
-    if not validation.passed:
-        return EXIT_ASSUMPTION, report
+def cmd_check(args, family, report) -> int:
     seq = load_sequence(args.sequence)
     product = fold(family, seq)
     trellis = build_trellis(family, seq)
@@ -229,16 +188,11 @@ def cmd_check(args) -> tuple[int, dict]:
     report["check"] = section
     if args.lemmas:
         report["lemma_checks"] = lemma_section(check_lemma_bounds(trellis))
-    attach_deviations(report, _expected(args))
     ok = factors is not None and section["consistent"]
-    return (EXIT_OK if ok else EXIT_RANK_ONE), report
+    return EXIT_OK if ok else EXIT_RANK_ONE
 
 
-def cmd_transient(args) -> tuple[int, dict]:
-    family, names = _load(args)
-    report = base_report("transient", family, names)
-    validation = family.validate()
-    report["validation"] = validation_section(validation)
+def cmd_transient(args, family, report) -> int:
     if args.horizon < 1:
         raise UsageError("--horizon must be at least 1")
     if args.samples < 1:
@@ -255,11 +209,13 @@ def cmd_transient(args) -> tuple[int, dict]:
         **kwargs,
     )
     report["transient"] = transient_section(estimate)
-    return EXIT_OK, report
+    return EXIT_OK
 
 
+# Each handler adds its sections to a report that already holds the
+# header and the validation, and returns the exit code.
 _HANDLERS = {
-    "validate": cmd_validate,
+    "validate": lambda args, family, report: EXIT_OK,
     "derive": cmd_derive,
     "bound": cmd_bound,
     "check": cmd_check,
@@ -267,20 +223,30 @@ _HANDLERS = {
 }
 
 
+def _run(args) -> tuple[int, dict]:
+    family, names = load_family(args.family)
+    report = base_report(args.command, family, names)
+    validation = family.validate()
+    report["validation"] = validation_section(validation)
+    if not (validation.passed or args.command == "transient" or getattr(args, "force", False)):
+        return EXIT_ASSUMPTION, report
+    code = _HANDLERS[args.command](args, family, report)
+    expected = getattr(args, "expected", None)
+    attach_deviations(report, load_expected(expected) if expected else None)
+    return code, report
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code, report = _HANDLERS[args.command](args)
+        code, report = _run(args)
         sys.stdout.write(render(report, args.format))
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FamilyFileError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (IndexError, ValueError, OSError) as exc:
+    except (FamilyFileError, IndexError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssumptionError as exc:

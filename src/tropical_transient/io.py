@@ -61,6 +61,11 @@ def load_family(path: PathLike) -> tuple[MatrixFamily, tuple[str, ...]]:
     if not isinstance(raw_members, list) or not raw_members:
         raise FamilyFileError(f"{path}: 'members' must be a nonempty list")
     n = data.get("n")
+    # Decimals read as Fractions: 5 and 5.0 are integral, true and "5" are not.
+    if n is not None and (
+        isinstance(n, bool) or not isinstance(n, (int, Fraction)) or n.denominator != 1 or n < 1
+    ):
+        raise FamilyFileError(f"{path}: 'n' must be a positive integer")
     members = []
     names = []
     # One table for the whole family: each distinct token is parsed once.

@@ -14,9 +14,8 @@ from typing import Mapping, Optional
 
 from . import __version__
 from .bounds import BoundReport, check_length_sufficient
-from .family import MatrixFamily, SupDerived, ValidationReport
+from .family import MatrixFamily, ValidationReport
 from .io import column_tokens, json_text, matrix_tokens
-from .matrix import TropicalMatrix
 from .products import TransientEstimate
 from .semiring import weight_from_token, weight_token
 from .trellis import LemmaReport
@@ -57,12 +56,9 @@ def boundary_section(family: MatrixFamily) -> dict:
     return {"a_sup": matrix_tokens(a_sup), "a_inf": matrix_tokens(a_inf)}
 
 
-def derived_section(
-    family: MatrixFamily,
-    derived: SupDerived,
-    w: TropicalMatrix,
-    v: TropicalMatrix,
-) -> dict:
+def derived_section(family: MatrixFamily) -> dict:
+    derived = family.sup_derived
+    w, v = family.inf_walk_to_one(), family.inf_walk_from_one()
     lam = derived.lambda_star
     return {
         **boundary_section(family),
@@ -152,7 +148,9 @@ def deviations_between(computed: Mapping, expected: Mapping) -> list[dict]:
 
     ``computed`` maps field names to token scalars, vectors or matrices.
     Fields of ``expected`` missing from ``computed`` are ignored (they
-    belong to other commands); positions are 1-based.
+    belong to other commands); positions are 1-based.  A field whose shape
+    differs (length, row count, row length, or a matrix row that is not a
+    list on either side) is one deviation at position ``[]``.
     """
     out: list[dict] = []
     for field, exp in expected.items():
@@ -163,7 +161,10 @@ def deviations_between(computed: Mapping, expected: Mapping) -> list[dict]:
             if (
                 not isinstance(got, list)
                 or len(got) != len(exp)
-                or any(len(gr) != len(er) for gr, er in zip(got, exp))
+                or any(
+                    not isinstance(gr, list) or not isinstance(er, list) or len(gr) != len(er)
+                    for gr, er in zip(got, exp)
+                )
             ):
                 out.append({"field": field, "position": [], "computed": got, "expected": exp})
                 continue

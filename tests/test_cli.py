@@ -113,6 +113,23 @@ class TestDerive:
             ("v", [2]),
         ]
 
+    @pytest.mark.parametrize(
+        "expected",
+        [
+            {"w": [[0], [1], [2], [3], [4]]},
+            {"lambda_star_witness": [[2], [5], [4]]},
+            {"gamma": [[0] * 5, 2, [0] * 5, [0] * 5, [0] * 5]},
+        ],
+    )
+    def test_expected_shape_mismatch_is_one_deviation(self, capsys, tmp_path, expected):
+        path = tmp_path / "expected.json"
+        path.write_text(json.dumps(expected), encoding="utf-8")
+        code, report, _ = run_json(capsys, "derive", FAMILY, "--expected", path)
+        assert code == 0
+        [(field, exp)] = expected.items()
+        devs = [(d["field"], d["position"], d["expected"]) for d in report["deviations"]]
+        assert devs == [(field, [], exp)]
+
     def test_invalid_family_stops(self, capsys, invalid_family):
         code, report, _ = run_json(capsys, "derive", invalid_family)
         assert code == 2
@@ -122,6 +139,33 @@ class TestDerive:
         code, report, _ = run_json(capsys, "derive", invalid_family, "--force")
         assert code == 0
         assert set(report["derived"]) == {"a_sup", "a_inf"}
+
+
+HEADER = {"command", "tool", "format_version", "family"}
+
+
+class TestValidationGate:
+    @pytest.mark.parametrize("command", ["bound", "check"])
+    def test_sequence_commands_stop_after_validation(self, capsys, invalid_family, command):
+        code, report, _ = run_json(capsys, command, invalid_family, SEQ44)
+        assert code == 2
+        assert set(report) == HEADER | {"validation"}
+
+    def test_transient_scans_an_invalid_family(self, capsys, invalid_family):
+        code, report, _ = run_json(capsys, "transient", invalid_family, "--horizon", 4)
+        assert code == 0
+        assert report["validation"]["passed"] is False
+        assert report["transient"]["examined"] == 400
+
+    def test_forced_derive_attaches_deviations(self, capsys, invalid_family):
+        code, report, _ = run_json(
+            capsys, "derive", invalid_family, "--force", "--expected", EXPECTED
+        )
+        assert code == 0
+        assert [(d["field"], d["position"]) for d in report["deviations"]] == [
+            ("a_sup", []),
+            ("a_inf", []),
+        ]
 
 
 class TestBound:

@@ -90,6 +90,18 @@ class TestLoadFamily:
         with pytest.raises(FamilyFileError, match="member B has 2 rows, expected 3"):
             load_family(p)
 
+    @pytest.mark.parametrize("n", [True, "2", 2.5, 0, -1, [2]])
+    def test_n_must_be_a_positive_integer(self, tmp_path, n):
+        p = write(tmp_path, "f.json", {"n": n, "members": [{"rows": [[0]]}]})
+        with pytest.raises(FamilyFileError, match="'n' must be a positive integer"):
+            load_family(p)
+
+    @pytest.mark.parametrize("n", ["2", "2.0"])
+    def test_integral_n_is_accepted(self, tmp_path, n):
+        # Written as text, so that 2.0 stays a JSON decimal.
+        text = f'{{"n": {n}, "members": [{{"rows": [[0, -1], [-1, -2]]}}]}}'
+        assert load_family(write(tmp_path, "f.json", text))[0].size == 2
+
     def test_ragged_row(self, tmp_path):
         p = write(
             tmp_path,

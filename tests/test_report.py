@@ -29,12 +29,7 @@ from tropical_transient.products import TransientEstimate
 def derive_report(family5, names5):
     report = base_report("derive", family5, names5)
     report["validation"] = validation_section(family5.validate())
-    report["derived"] = derived_section(
-        family5,
-        family5.sup_derived,
-        family5.inf_walk_to_one(),
-        family5.inf_walk_from_one(),
-    )
+    report["derived"] = derived_section(family5)
     return report
 
 
@@ -95,6 +90,18 @@ class TestDeviations:
         out = deviations_between({"m": [[0]]}, {"m": [[0, 1]]})
         assert len(out) == 1
         assert out[0]["position"] == []
+
+    @pytest.mark.parametrize(
+        "got, exp",
+        [
+            ([0, -5, -14], [[0], [-5], [-14]]),
+            (["-inf", "1/2"], [["-", "i", "n", "f"], ["1", "/", "2"]]),
+            ([[0, 0], [0, 0]], [[0, 0], 2]),
+        ],
+    )
+    def test_row_that_is_not_a_list_is_a_shape_mismatch(self, got, exp):
+        out = deviations_between({"m": got}, {"m": exp})
+        assert out == [{"field": "m", "position": [], "computed": got, "expected": exp}]
 
     def test_expected_fields_missing_from_computed_are_skipped(self):
         assert deviations_between({}, {"w": [0], "description": "notes"}) == []
