@@ -222,8 +222,9 @@ def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
     wherever finite, so that m = x (x) y^T with x = m_:1 - m_11 and
     y = m_1:.  Masked slots of num hold 0 with finite |num| < 2**62 (a
     decoded stack) or MASKED with finite |num| < 2**61 (an encoded one);
-    either way no difference formed leaves int64, and masked slots are
-    left out of the value test.
+    either way each side of the value test is a difference of two values
+    in [-2**62, 2**62), which lies strictly inside int64.  So the test
+    needs no magnitude guard, and masked slots are left out of it.
     """
     pivot = fin[..., 0, 0]
     pattern = fin == (fin[..., :, :1] & fin[..., :1, :])

@@ -393,37 +393,17 @@ def outer_product(x: TropicalMatrix, y: TropicalMatrix) -> TropicalMatrix:
     return TropicalMatrix(np.where(fin, num, np.int64(0)), fin, den)
 
 
-def rank_one_mask(num: np.ndarray, fin: np.ndarray, den: int) -> np.ndarray:
-    """Which matrices of a (B, n, n) stack on denominator den are rank-one.
-
-    Matrix b passes when its pivot (1,1) is finite, its finiteness pattern
-    is the outer pattern of column 1 and row 1, and m_ij = m_i1 + m_1j -
-    m_11 wherever finite.  The identity is invariant under scaling, so it
-    is tested on the stack's common grid, as m_ij - m_1j = m_i1 - m_11:
-    differences of two stored numerators (|num| < 2**62, 0 in masked
-    slots) cannot overflow.  That test is ``_kernels.rank_one``, which a
-    single fold also runs on its running product.
-
-    Where the pivot is finite, each matrix reduced to lowest terms must
-    also keep three times its largest |numerator| below ``_STORE_LIMIT``;
-    the first matrix in stack order that does not raises OverflowError.
-    """
-    pivot = fin[:, 0, 0]
-    big = np.abs(num).max(axis=(1, 2))
-    # Reducing only shrinks a magnitude, so only matrices whose grid
-    # magnitude already fails need their reduced one.
-    for b in np.flatnonzero(pivot & (big >= -(-_STORE_LIMIT // 3))):
-        g = math.gcd(int(np.gcd.reduce(np.abs(num[b]), axis=None)), den)
-        _check_magnitude(3 * (int(big[b]) // g), "rank-one test", _STORE_LIMIT)
-    return _kernels.rank_one(num, fin)
-
-
 def rank_one_factor(m: TropicalMatrix) -> Optional[tuple[TropicalMatrix, TropicalMatrix]]:
     """Factor m as x (x) y^T pivoting on entry (1,1), or None.
 
     Returns column vectors (x, y) with x_1 = m_{1,1} and y_1 = 0, so that
     m_ij = x_i + y_j wherever finite and the finiteness patterns agree.
-    The test is :func:`rank_one_mask` on a one-matrix stack.  A general
+    The test is ``_kernels.rank_one``, which forms only differences of two
+    stored numerators and so cannot leave int64.  The row factor
+    y = row 1 - m_11 is the one value formed here: it fits in int64, and
+    in lowest terms it must stay below ``_STORE_LIMIT`` like any stored
+    matrix, or OverflowError is raised.  A product of a guarded fold
+    (every |entry| < 2**61) always passes, as then |y| < 2**62.  A general
     search over other pivots is out of scope.
 
     Raises :class:`PivotError` when the pivot m_{1,1} is -inf.
@@ -433,11 +413,11 @@ def rank_one_factor(m: TropicalMatrix) -> Optional[tuple[TropicalMatrix, Tropica
     num, fin, den = m._num, m._fin, m._den
     if not fin[0, 0]:
         raise PivotError("rank-one pivot (1,1) is -inf")
-    if not rank_one_mask(num[None], fin[None], den)[0]:
+    if not _kernels.rank_one(num, fin):
         return None
     x = TropicalMatrix(num[:, 0][:, None].copy(), fin[:, 0][:, None].copy(), den)
-    y_num = (num[0, :] - num[0, 0])[:, None].copy()
-    y = TropicalMatrix(y_num, fin[0, :][:, None].copy(), den)
+    y = TropicalMatrix((num[0, :] - num[0, 0])[:, None], fin[0, :][:, None].copy(), den)
+    _check_magnitude(y.max_abs_numerator, "rank-one factor", _STORE_LIMIT)
     return x, y
 
 

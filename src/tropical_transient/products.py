@@ -18,8 +18,7 @@ A single fold uses rank-one absorption: once a prefix P = x (x) y^T is
 rank-one, the rest of the fold only changes y, so it finishes as a vector
 sweep; that rests on associativity alone and gives the exact product.
 The scans fold every product in full unless every member has a finite
-(1, 1) entry, so that every extension of a rank-one product is rank-one,
-and no product up to the horizon can trip the rank-one test guard
+(1, 1) entry, so that every extension of a rank-one product is rank-one
 (``_absorbing``).  Then a product that turns rank-one needs no more
 work: exhaustive mode extends only the failing products of each level,
 and sampled mode records a draw whose prefix turns rank-one as rank-one
@@ -37,7 +36,7 @@ import numpy as np
 from . import _kernels
 from .errors import BudgetExceededError
 from .family import MatrixFamily, max_walk_magnitude
-from .matrix import _GUARD, _STORE_LIMIT, TropicalMatrix, _check_magnitude, rank_one_mask
+from .matrix import TropicalMatrix, _check_magnitude
 
 DEFAULT_PRODUCT_BUDGET = 2_000_000
 # Draws held in one padded block of the sampled scan (at least one length).
@@ -114,19 +113,16 @@ class TransientEstimate:
 # Each scan yields, per length, the number of products examined and the
 # 1-based sequences of those that are not rank-one, as a (failed, k) array.
 
-def _absorbing(family: MatrixFamily, horizon: int) -> bool:
-    """Whether a product that turns rank-one within ``horizon`` factors
-    stays rank-one, and passes the rank-one test guard, up to the horizon.
+def _absorbing(family: MatrixFamily) -> bool:
+    """Whether every extension of a rank-one product is rank-one: every
+    member has a finite (1, 1) entry.
 
-    If P = x (x) y^T and every member has a finite (1, 1) entry, then
-    P (x) A = x (x) (y^T (x) A) is rank-one, with a pivot of at least
-    P_11 + A_11.  A product that is skipped once it turns rank-one is
-    never put through the rank-one test guard, so every product up to the
-    horizon must also pass it: three times the walk magnitude below
-    _STORE_LIMIT.
+    If P = x (x) y^T and A_11 is finite, then P (x) A = x (x) (y^T (x) A)
+    is rank-one, with a pivot of at least P_11 + A_11.  Skipping such a
+    product loses nothing else: the rank-one test (``_kernels.rank_one``)
+    forms no value that can leave int64, so it raises for no product.
     """
-    pivots = family.stacked[1][:, 0, 0]
-    return bool(pivots.all()) and 3 * max_walk_magnitude(family, horizon) < _STORE_LIMIT
+    return bool(family.stacked[1][:, 0, 0].all())
 
 
 def _sampled_scan(family: MatrixFamily, horizon: int, samples: int,
@@ -138,14 +134,13 @@ def _sampled_scan(family: MatrixFamily, horizon: int, samples: int,
     m = family.member_count
     rng = np.random.Generator(np.random.PCG64(seed))
     dtype = np.min_scalar_type(m)
-    drop = _absorbing(family, horizon)
+    drop = _absorbing(family)
     block: list[np.ndarray] = []
     for k in range(1, horizon + 1):
-        magnitude = max_walk_magnitude(family, k)
-        if block and (magnitude >= _GUARD or samples * (len(block) + 1) * k > _BLOCK_ELEMENTS):
+        if block and samples * (len(block) + 1) * k > _BLOCK_ELEMENTS:
             yield from _block_verdicts(family, block, drop)
             block = []
-        _check_magnitude(magnitude, "sequence fold")
+        _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
         block.append(rng.integers(1, m + 1, size=(samples, k)).astype(dtype))
     yield from _block_verdicts(family, block, drop)
 
@@ -154,39 +149,31 @@ def _block_verdicts(family: MatrixFamily, block: list[np.ndarray],
                     drop: bool) -> Iterator[tuple[int, np.ndarray]]:
     # block holds the 1-based draws of consecutive lengths, shortest first.
     # They fold as one stack, longest first, and every row that reaches
-    # its end goes through rank_one_mask.  With drop (_absorbing), a row
-    # whose prefix turns rank-one is rank-one and is not folded further.
-    # A rank-one test guard that trips raises as in a scan by length: at
-    # the shortest length, and there at the first draw.
-    mem_num, mem_fin, den = family.stacked
+    # its end is decided by _kernels.rank_one.  With drop (_absorbing), a
+    # row whose prefix turns rank-one is rank-one and is not folded further.
+    mem_num, mem_fin, _ = family.stacked
     samples, top = block[-1].shape
     lens = np.repeat(np.arange(top, top - len(block), -1), samples)
     stack = np.zeros((len(lens), top), dtype=block[-1].dtype)
     for i, draws in enumerate(reversed(block)):
         stack[i * samples:(i + 1) * samples, :draws.shape[1]] = draws - 1
     rank_one = np.ones(len(stack), dtype=bool)
-    trips = []
 
     def decide(ids, num, fin):
-        try:
-            rank_one[ids] = rank_one_mask(num, fin, den)
-        except OverflowError as exc:
-            trips.append((lens[ids[0]], ids[0], exc))
+        rank_one[ids] = _kernels.rank_one(num, fin)
 
     _kernels.fold_stack(_kernels.encode(mem_num, mem_fin), stack, lens, decide, drop)
-    if trips:
-        raise min(trips, key=lambda trip: trip[:2])[2]
     for draws, ok in zip(block, rank_one.reshape(len(block), samples)[::-1]):
         yield samples, draws[~ok]
 
 
 def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
-    mem_num, mem_fin, den = family.stacked
+    mem_num, mem_fin, _ = family.stacked
     mem = _kernels.encode(mem_num, mem_fin)
     m = len(mem)
     # With _absorbing, only the failing products of a level need
     # extending: the extensions of a rank-one product are rank-one.
-    prune = _absorbing(family, horizon)
+    prune = _absorbing(family)
     # Level row r is the sequence whose 0-based indices are the k base-m
     # digits of r, most significant first: itertools.product order.  A
     # pruned scan can reach lengths whose indices leave int64.
@@ -196,7 +183,7 @@ def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, 
         if k > 1:
             level = _kernels.extend(level, mem)
             rows = (rows[:, None] * m + np.arange(m)).ravel()
-        failed = ~rank_one_mask(*_kernels.decode(level), den)
+        failed = ~_kernels.rank_one(level, level > _kernels.FLOOR)
         bad = rows[failed]
         if prune:
             level, rows = level[failed], bad
@@ -216,18 +203,14 @@ def estimate_transient(
     Exhaustive mode decides all m^k sequences per length and raises
     :class:`BudgetExceededError` up front when the total exceeds
     ``max_products``; it holds at most two lengths of products at once.
-    When every member has a finite (1, 1) entry and three times the walk
-    magnitude at ``horizon`` stays below the storage limit, it extends
-    only the products that are not rank-one: their extensions are the
-    only candidates, and the skipped ones could not have tripped the
-    rank-one test guard.  Otherwise it extends every product.  Sampled
-    mode draws ``samples_per_length`` seeded sequences per length, all
-    from one generator in a fixed order; under the same condition a draw
-    whose prefix turns rank-one is counted as rank-one without folding it
-    to its end.  Before each length the int64 guard of :func:`fold` is
-    checked, and every product that is folded to its end goes through
-    :func:`matrix.rank_one_mask`.  A guard that trips raises where a scan
-    length by length, draw by draw, would have raised first.
+    When every member has a finite (1, 1) entry, it extends only the
+    products that are not rank-one: their extensions are the only
+    candidates.  Otherwise it extends every product.  Sampled mode draws
+    ``samples_per_length`` seeded sequences per length, all from one
+    generator in a fixed order; when every pivot is finite, a draw whose
+    prefix turns rank-one is counted as rank-one without folding it to its
+    end.  Before each length the int64 guard of :func:`fold` is checked,
+    and raises at the first length it fails.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")

@@ -149,8 +149,9 @@ def deviations_between(computed: Mapping, expected: Mapping) -> list[dict]:
     ``computed`` maps field names to token scalars, vectors or matrices.
     Fields of ``expected`` missing from ``computed`` are ignored (they
     belong to other commands); positions are 1-based.  A field whose shape
-    differs (length, row count, row length, or a matrix row that is not a
-    list on either side) is one deviation at position ``[]``.
+    differs (length, row count, row length, a matrix row that is not a
+    list or a vector entry that is one, on either side) is one deviation
+    at position ``[]``.
     """
     out: list[dict] = []
     for field, exp in expected.items():
@@ -175,7 +176,11 @@ def deviations_between(computed: Mapping, expected: Mapping) -> list[dict]:
                             {"field": field, "position": [i, j], "computed": g, "expected": e}
                         )
         elif isinstance(exp, list):
-            if not isinstance(got, list) or len(got) != len(exp):
+            if (
+                not isinstance(got, list)
+                or len(got) != len(exp)
+                or any(isinstance(x, list) for x in got + exp)
+            ):
                 out.append({"field": field, "position": [], "computed": got, "expected": exp})
                 continue
             for i, (g, e) in enumerate(zip(got, exp), start=1):

@@ -28,7 +28,6 @@ from tropical_transient.errors import (
     BudgetExceededError,
     DimensionError,
     FamilyFileError,
-    PivotError,
 )
 from tropical_transient.family import (
     AssumptionCheck,
@@ -36,7 +35,7 @@ from tropical_transient.family import (
     ValidationReport,
     max_walk_magnitude,
 )
-from tropical_transient.matrix import _STORE_LIMIT, TropicalMatrix, _check_magnitude, rank_one_mask
+from tropical_transient.matrix import _STORE_LIMIT, TropicalMatrix, _check_magnitude
 from tropical_transient.products import (
     DEFAULT_PRODUCT_BUDGET,
     TransientEstimate,
@@ -781,32 +780,27 @@ def howard_max_cycle_mean(g, forbidden=()):
 
 
 # ---------------------------------------------------------------------------
-# The transient scan one sequence at a time (the package's earlier
-# estimate_transient and rank_one_factor test, kept as the reference for
-# the stacked scan), and the exhaustive scan over full levels (the
-# reference for the pruned one)
+# The rank-one definition in Python ints, the transient scan one sequence
+# at a time (the package's earlier estimate_transient, kept as the
+# reference for the stacked scan), and the exhaustive scan over full
+# levels (the reference for the pruned one)
 # ---------------------------------------------------------------------------
 
-def _rank_one_test(m: TropicalMatrix) -> Optional[bool]:
-    num, fin = m._num, m._fin
-    if not fin[0, 0]:
-        raise PivotError("rank-one pivot (1,1) is -inf")
-    _check_magnitude(3 * m.max_abs_numerator, "rank-one test", _STORE_LIMIT)
-    expect_fin = fin[:, 0][:, None] & fin[0, :][None, :]
-    if not np.array_equal(fin, expect_fin):
-        return None
-    expect_num = num[:, 0][:, None] + num[0, :][None, :] - num[0, 0]
-    if not np.array_equal(num[fin], expect_num[fin]):
-        return None
-    return True
+def exact_rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
+    """Which matrices of a decoded (B, n, n) stack are rank-one: a finite
+    pivot, the outer finiteness pattern of column 1 and row 1, and
+    m_ij = m_i1 + m_1j - m_11 wherever finite.  The sums are Python ints
+    (an object array), so no magnitude needs headroom."""
+    num = num.astype(object)
+    expect_fin = fin[:, :, :1] & fin[:, :1, :]
+    expect_num = num[:, :, :1] + num[:, :1, :] - num[:, :1, :1]
+    same = (fin == expect_fin) & ((num == expect_num) | ~fin)
+    return fin[:, 0, 0] & same.all(axis=(1, 2))
 
 
 def _is_rank_one(family, indices: tuple[int, ...]) -> bool:
     product = fold(family, indices)
-    try:
-        return _rank_one_test(product) is not None
-    except PivotError:
-        return False
+    return bool(exact_rank_one(product._num[None], product._fin[None])[0])
 
 
 def per_sequence_estimate(
@@ -886,7 +880,7 @@ def _estimate(mode, horizon, levels, samples_recorded, seed) -> TransientEstimat
 
 
 def _full_levels(family, horizon):
-    mem_num, mem_fin, den = family.stacked
+    mem_num, mem_fin, _ = family.stacked
     mem = _kernels.encode(mem_num, mem_fin)
     m = len(mem)
     level = mem
@@ -894,7 +888,7 @@ def _full_levels(family, horizon):
         _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
         if k > 1:
             level = _kernels.extend(level, mem)
-        failed = np.flatnonzero(~rank_one_mask(*_kernels.decode(level), den))
+        failed = np.flatnonzero(~exact_rank_one(*_kernels.decode(level)))
         # Row r is the sequence whose 0-based indices are the k base-m
         # digits of r, most significant first: itertools.product order.
         yield len(level), (failed[:, None] // m ** np.arange(k - 1, -1, -1) % m + 1).tolist()

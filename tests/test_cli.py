@@ -119,6 +119,7 @@ class TestDerive:
             {"w": [[0], [1], [2], [3], [4]]},
             {"lambda_star_witness": [[2], [5], [4]]},
             {"gamma": [[0] * 5, 2, [0] * 5, [0] * 5, [0] * 5]},
+            {"gamma": [0] * 5},
         ],
     )
     def test_expected_shape_mismatch_is_one_deviation(self, capsys, tmp_path, expected):

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropical_transient import _kernels
 from tropical_transient._kernels import (FLOOR, MASKED, NUMPY_BACKEND, PROBE_STRIDE, arrivals, decode,
                                           encode)
 from tropical_transient.family import MatrixFamily
-from tropical_transient.matrix import TropicalMatrix, rank_one_mask
+from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import fold
 from tropical_transient.trellis import build_trellis, optimal_full_walk
 
@@ -110,6 +112,62 @@ def stage_members(n):
     num = np.stack([d, r]).astype(np.int64)
     fin = np.stack([np.eye(n, dtype=bool), np.ones((n, n), dtype=bool)])
     return num, fin
+
+
+@st.composite
+def rank_one_stacks(draw, limit, masked):
+    """A (B, n, n) stack of numerators with finite |num| < limit and
+    ``masked`` in masked slots, and its mask.  Each matrix is an outer sum
+    x_i + y_j on an outer pattern, or one with an entry moved by one or a
+    slot's finiteness flipped, or arbitrary; -inf pivots come from the
+    patterns.  Extreme values are drawn on purpose."""
+    def values(bound, size):
+        extreme = st.sampled_from([-(bound - 1), bound - 1, 0])
+        return np.array(draw(st.lists(st.one_of(st.integers(-(bound - 1), bound - 1), extreme),
+                                      min_size=size, max_size=size)), dtype=np.int64)
+
+    def flags(size):
+        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+
+    n = draw(st.integers(1, 4))
+    nums, fins = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["outer", "moved", "flipped", "arbitrary"]))
+        if kind == "arbitrary":
+            num, fin = values(limit, n * n).reshape(n, n), flags(n * n).reshape(n, n)
+        else:
+            num = values(limit // 2, n)[:, None] + values(limit // 2, n)[None, :]
+            fin = flags(n)[:, None] & flags(n)[None, :]
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if kind == "moved":
+                num[i, j] += 1 if num[i, j] < limit - 1 else -1
+            elif kind == "flipped":
+                fin[i, j] = not fin[i, j]
+        nums.append(np.where(fin, num, np.int64(masked)))
+        fins.append(fin)
+    return np.stack(nums), np.stack(fins)
+
+
+class TestRankOneWithoutGuard:
+    """``_kernels.rank_one`` forms only differences of two stored values,
+    so it decides every stack its callers pass exactly, at any magnitude:
+    decoded ones (|num| < 2**62, 0 in masked slots) and encoded ones
+    (|num| < 2**61, MASKED slots).  The definition oracle decides in
+    Python ints."""
+
+    @pytest.mark.parametrize("limit, masked", [(1 << 62, 0), (1 << 61, MASKED)],
+                             ids=["decoded", "encoded"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_agrees_with_the_definition(self, limit, masked, data):
+        num, fin = data.draw(rank_one_stacks(limit, masked))
+        if masked:
+            assert np.array_equal(num > FLOOR, fin)
+        want = [is_rank_one([[int(v) if ok else None for v, ok in zip(row, oks)]
+                             for row, oks in zip(a, f)]) for a, f in zip(num, fin)]
+        assert _kernels.rank_one(num, fin).tolist() == want
+        for one, one_fin, verdict in zip(num, fin, want):
+            assert _kernels.rank_one(one, one_fin) == verdict
 
 
 class TestOracleAgreement:
@@ -225,8 +283,9 @@ class TestOracleAgreement:
                 )
 
     def test_fold_probe_is_the_rank_one_mask_test(self):
-        # The probe reads the encoded running product; the scan passes the
-        # decoded stack.  Both must decide every matrix the same way.
+        # The probe reads the encoded running product; the scan decides the
+        # decoded products of fold_stack.  Both must decide every matrix
+        # the same way.
         rng = np.random.default_rng(14)
         for n in (1, 2, 3, 6):
             x_num, x_fin = random_members(rng, 200, n, 0.8)
@@ -240,7 +299,7 @@ class TestOracleAgreement:
             num[2::7] += 1 - 2 * (rng.random(size=num[2::7].shape) < 0.1)
             enc = _kernels.encode(num, fin)
             probe = _kernels.rank_one(enc, enc > FLOOR)
-            mask = rank_one_mask(*decode(enc), 1)
+            mask = _kernels.rank_one(*decode(enc))
             assert np.array_equal(probe, mask)
             want = [is_rank_one(np.where(f, a, None).tolist()) for a, f in zip(num, fin)]
             assert probe.tolist() == want

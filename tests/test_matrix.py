@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from tropical_transient.errors import DimensionError, PivotError
+from tropical_transient.family import MatrixFamily
 from tropical_transient.matrix import (
     TropicalMatrix,
     node_one_closure,
@@ -14,6 +15,7 @@ from tropical_transient.matrix import (
     rank_one_factor,
     walk_closure,
 )
+from tropical_transient.products import fold
 from tropical_transient.semiring import EPSILON, Epsilon
 
 finite = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -227,6 +229,45 @@ class TestRankOne:
         m = TropicalMatrix.from_rows([[None, 0], [0, 0]])
         with pytest.raises(PivotError):
             rank_one_factor(m)
+
+    def test_row_factor_just_below_the_storage_limit(self):
+        # y_2 = m_12 - m_11 = 2**62 - 1 is stored exactly, with pivot 0 so
+        # that outer_product can rebuild m; with pivot -2**61 the same y_2
+        # is the difference of two entries of opposite sign.
+        top = (1 << 62) - 1
+        m = TropicalMatrix.from_rows([[0, top, None], [0, top, None], [None, None, None]])
+        x, y = rank_one_factor(m)
+        assert oracles.column(y) == [0, top, None]
+        assert outer_product(x, y) == m
+        half = 1 << 61
+        m = TropicalMatrix.from_rows([[-half, half - 1], [0, top]])
+        x, y = rank_one_factor(m)
+        assert oracles.column(x) == [-half, 0] and oracles.column(y) == [0, top]
+        assert oracles.is_rank_one(oracles.grid(m))
+
+    def test_row_factor_at_the_storage_limit_raises(self):
+        half = 1 << 61
+        m = TropicalMatrix.from_rows([[-half, half], [-half, half]])
+        assert oracles.is_rank_one(oracles.grid(m))
+        with pytest.raises(OverflowError, match=f"^rank-one factor: scaled integer magnitude "
+                                                f"{1 << 62} exceeds"):
+            rank_one_factor(m)
+        # On the denominator 2 the same difference reduces to 2**61.
+        m = TropicalMatrix.from_rows([[Fraction(1 - half, 2), Fraction(1 + half, 2)]] * 2)
+        x, y = rank_one_factor(m)
+        assert oracles.column(y) == [0, half]
+
+    def test_product_past_a_third_of_the_storage_limit_factors(self):
+        # A (x) A has entries down to -2 w, inside the fold guard, with
+        # 3 * 2 w >= 2**62; it factors exactly.
+        w = int(0.7 * 2**60)
+        assert 2 * w < 1 << 61 and 3 * 2 * w >= 1 << 62
+        product = fold(MatrixFamily([TropicalMatrix.from_rows([[0, -w], [-w, -w]])]), [1, 1])
+        g = oracles.grid(product)
+        assert g == [[0, -w], [-w, -2 * w]] and oracles.is_rank_one(g)
+        x, y = rank_one_factor(product)
+        assert oracles.column(x) == [0, -w] and oracles.column(y) == [0, -w]
+        assert outer_product(x, y) == product
 
     @settings(max_examples=60, deadline=None)
     @given(square(3))

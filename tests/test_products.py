@@ -9,11 +9,12 @@ from conftest import random_valid_family
 from tropical_transient import _kernels, products
 from tropical_transient._kernels import PROBE_STRIDE
 from tropical_transient.errors import BudgetExceededError
-from tropical_transient.family import MatrixFamily
+from tropical_transient.family import MatrixFamily, max_walk_magnitude
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import (
     DEFAULT_PRODUCT_BUDGET,
     ProductSequence,
+    TransientEstimate,
     estimate_transient,
     fold,
     random_sequence,
@@ -231,20 +232,29 @@ class TestStackedScanOracle:
 class _ScanSpy:
     """Counts what the ragged sampled scan does: fold_stack calls (one per
     block of lengths), chunk folds, rank-one probes of running products
-    (``_kernels.rank_one`` calls outside rank_one_mask), rows decided by
-    rank_one_mask, and rank-one products finished as vector sweeps
-    (``_outer`` calls), which only single folds and the lemma sweeps
-    make."""
+    (``_kernels.rank_one`` calls outside the finish callback), rows that
+    reach the finish callback of ``fold_stack``, and rank-one products
+    finished as vector sweeps (``_outer`` calls), which only single folds
+    and the lemma sweeps make."""
 
     def __init__(self, monkeypatch):
         self.blocks = self.chunks = self.probes = self.decided = self.swept = 0
         self._deciding = False
         fold_stack, fold_rows = _kernels.fold_stack, _kernels._fold_rows
-        probe, outer, mask = _kernels.rank_one, _kernels._outer, products.rank_one_mask
+        probe, outer = _kernels.rank_one, _kernels._outer
 
-        def count_blocks(*args, **kwargs):
+        def count_blocks(mem, seq, lens, finish, drop=False):
             self.blocks += 1
-            return fold_stack(*args, **kwargs)
+
+            def count_decided(ids, num, fin):
+                self.decided += len(ids)
+                self._deciding = True
+                try:
+                    return finish(ids, num, fin)
+                finally:
+                    self._deciding = False
+
+            return fold_stack(mem, seq, lens, count_decided, drop)
 
         def count_chunks(*args, **kwargs):
             self.chunks += 1
@@ -258,19 +268,10 @@ class _ScanSpy:
             self.swept += 1
             return outer(col, y)
 
-        def count_decided(num, fin, den):
-            self.decided += len(num)
-            self._deciding = True
-            try:
-                return mask(num, fin, den)
-            finally:
-                self._deciding = False
-
         monkeypatch.setattr(_kernels, "fold_stack", count_blocks)
         monkeypatch.setattr(_kernels, "_fold_rows", count_chunks)
         monkeypatch.setattr(_kernels, "rank_one", count_probes)
         monkeypatch.setattr(_kernels, "_outer", count_swept)
-        monkeypatch.setattr(products, "rank_one_mask", count_decided)
 
 
 def _spied_scan(monkeypatch, *args, **kwargs):
@@ -298,11 +299,11 @@ class TestRaggedSampledScan:
     reference."""
 
     def test_absorbed_rows_are_dropped_when_pruning(self, family5, monkeypatch):
-        # Every pivot of the fixture is finite and its magnitudes are
-        # small, so rows that turn rank-one at a probe are dropped: fewer
-        # rows reach rank_one_mask than were drawn, and none is swept.
-        # Lengths below PROBE_STRIDE end before any probe.
-        assert products._absorbing(family5, 40)
+        # Every pivot of the fixture is finite, so rows that turn rank-one
+        # at a probe are dropped: fewer rows are decided at their end than
+        # were drawn, and none is swept.  Lengths below PROBE_STRIDE end
+        # before any probe.
+        assert products._absorbing(family5)
         est, spy = _spied_scan(monkeypatch, family5, horizon=40, samples_per_length=100, seed=4)
         assert est.first_all_rank_one is not None and est.counterexamples
         assert (PROBE_STRIDE - 1) * 100 < spy.decided < est.examined // 2
@@ -315,15 +316,16 @@ class TestRaggedSampledScan:
         rng = random.Random(8)
         for case in range(6):
             fam = _pruned_off_family(rng, rng.randint(2, 5))
-            assert not products._absorbing(fam, 20)
+            assert not products._absorbing(fam)
             est, spy = _spied_scan(monkeypatch, fam, horizon=20, samples_per_length=15, seed=case)
             assert spy.decided == est.examined
             assert spy.probes == spy.swept == 0
 
-    def test_near_guard_magnitudes_turn_pruning_off(self):
-        # Finite pivots, but three times the walk magnitude at the horizon
-        # reaches the storage limit, so no row is dropped; the fold guard
-        # still passes at every length.
+    def test_near_guard_magnitudes_keep_pruning(self):
+        # Finite pivots, and three times the walk magnitude at the horizon
+        # reaches the storage limit: rows are dropped once rank-one,
+        # and every verdict is the exact one.  The fold guard passes at
+        # every length.
         rng = random.Random(12)
         horizon = 8
         big = (1 << 62) // (3 * horizon) + 1
@@ -333,24 +335,27 @@ class TestRaggedSampledScan:
             rows = oracles.grid(fam.member(3))
             rows[1][1] = -big
             fam = MatrixFamily([fam.member(1), fam.member(2), TropicalMatrix.from_rows(rows)])
-            assert not products._absorbing(fam, horizon)
-            _assert_matches_oracle(fam, horizon=horizon, samples_per_length=40, seed=case)
+            assert products._absorbing(fam)
+            assert 3 * max_walk_magnitude(fam, horizon) >= 1 << 62
+            est = _assert_matches_oracle(fam, horizon=horizon, samples_per_length=40, seed=case)
+            assert isinstance(est, TransientEstimate)
 
-    def test_prune_gate_keeps_the_rank_one_guard(self):
-        # A is rank-one with finite pivots, so every draw A A A A x is
-        # rank-one at the first probe; but A^5 has the magnitude 5 w, which
-        # trips the rank-one test guard (A^4 at 4 w does not).  The scan
-        # must fold those draws to their end.
+    def test_prune_gate_keeps_the_rank_one_guard(self, monkeypatch):
+        # A is rank-one and all finite, so every draw with a factor A is
+        # rank-one and only the draws C^k fail.  A^5 has the magnitude 5 w,
+        # with three times it past the storage limit; such draws are
+        # dropped at their first passing probe like any other.
         store = 1 << 62
         w = 5 << 56
         assert 3 * 4 * w < store <= 3 * 5 * w and 5 * w < 1 << 61
         a = TropicalMatrix.from_rows([[-w, -w], [-w, -w]])
         c = TropicalMatrix.from_rows([[0, -1], [-2, 0]])
         fam = MatrixFamily([a, c])
-        assert not products._absorbing(fam, 5)
-        got = _assert_matches_oracle(fam, horizon=5, samples_per_length=100, seed=0)
-        assert got == (OverflowError, f"rank-one test: scaled integer magnitude {15 * w} "
-                                      "exceeds the int64 budget")
+        assert products._absorbing(fam)
+        est, spy = _spied_scan(monkeypatch, fam, horizon=5, samples_per_length=100, seed=0)
+        assert isinstance(est, TransientEstimate) and est.examined == 500
+        assert est.counterexamples and all(set(idx) == {2} for _, idx in est.counterexamples)
+        assert spy.decided < est.examined
 
     @pytest.mark.parametrize("chunk, block", [(4 * 25 * 7, 300), (4 * 25 * 64, 1200)])
     def test_several_chunks_and_blocks(self, family5, monkeypatch, chunk, block):
@@ -381,8 +386,11 @@ class TestRaggedSampledScan:
 
 
 class TestScanOverflow:
-    """Each int64 guard raises where the per-sequence scan raised, with the
-    same message, and nowhere else."""
+    """The fold guard raises where the per-sequence scan raised, with the
+    same message, and nowhere else.  The rank-one test has no guard:
+    products with three times their magnitude past the storage limit get
+    the exact verdicts of the per-sequence scan, which decides in Python
+    ints."""
 
     STORE = 1 << 62
     GUARD = 1 << 61
@@ -402,34 +410,30 @@ class TestScanOverflow:
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_rank_one_guard_on_reduced_numerators(self, mode):
-        # The common denominator is 2.  Member 2 has the scaled numerator
-        # 2 w, in [ceil(2**62 / 3), 2**61), but all its numerators are even,
-        # so it reduces to w and passes; member 3 has the odd numerator
-        # 2 w + 1 and fails, as does member 4 with 2 w + 3, after it in
-        # exhaustive order.  Members 1 and 2 are not rank-one.
+        # The common denominator is 2, and members 2 to 4 have scaled
+        # numerators in [ceil(2**62 / 3), 2**61): member 2's are even (it
+        # reduces to w), members 3 and 4 have the odd ones 2 w + 1 and
+        # 2 w + 3.  Only member 3 is rank-one, whatever its magnitude.
         w = 3 << 58
         half = TropicalMatrix.from_rows([[0, Fraction(1, 2)], [-1, 0]])
         even = TropicalMatrix.from_rows([[0, -w], [-1, -1]])
-        odd = [TropicalMatrix.from_rows([[0, Fraction(-2 * w - c, 2)], [-1, -1]]) for c in (1, 3)]
+        odd_rank_one = TropicalMatrix.from_rows(
+            [[0, Fraction(-2 * w - 1, 2)], [-1, Fraction(-2 * w - 3, 2)]])
+        odd = TropicalMatrix.from_rows([[0, Fraction(-2 * w - 3, 2)], [-1, -1]])
         assert 3 * 2 * w >= self.STORE and 2 * w + 3 < self.GUARD
-        ok = _assert_matches_oracle(MatrixFamily([half, even]), horizon=1, mode=mode,
-                                    samples_per_length=4)
-        assert ok.first_all_rank_one is None
-        got = _assert_matches_oracle(MatrixFamily([half, even, *odd]), horizon=1, mode=mode,
-                                     samples_per_length=30)
-        assert got[0] is OverflowError and got[1].startswith("rank-one test: ")
-        if mode == "exhaustive":
-            assert str(3 * (2 * w + 1)) in got[1]
+        fam = MatrixFamily([half, even, odd_rank_one, odd])
+        est = _assert_matches_oracle(fam, horizon=1, mode=mode, samples_per_length=30)
+        assert isinstance(est, TransientEstimate) and est.first_all_rank_one is None
+        assert {idx for _, idx in est.counterexamples} == {(1,), (2,), (4,)}
+        assert est.examined == (4 if mode == "exhaustive" else 30)
 
     @pytest.mark.parametrize("chunk", [None, 4 * 4 * 3])
     def test_rank_one_guard_at_the_shortest_length_first(self, monkeypatch, chunk):
-        # D_c = diag(0, -w - c): a product of three factors D reaches
-        # 3 w + (their c), which trips the rank-one test guard, and so do
-        # the length-4 products with three or four of them, at other
-        # magnitudes (X adds 1 or 2); 4 w stays below the fold guard.
-        # Length 4 comes first in the ragged stack, in the first chunks
-        # when they hold 3 rows, yet the scan raises at the first length-3
-        # draw of three factors D, as a scan by length does.
+        # D_c = diag(0, -w - c): a product of three or four factors D
+        # reaches 3 w or more, with three times it past the storage limit,
+        # and is diagonal, so not rank-one; 4 w stays below the fold guard.
+        # Length 4 comes first in the ragged stack, in the first chunks when
+        # they hold 3 rows; every draw gets its exact verdict, in scan order.
         if chunk:
             monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
         w = 15 << 55
@@ -437,11 +441,12 @@ class TestScanOverflow:
         d0, d1 = (TropicalMatrix.from_rows([[0, None], [None, -w - c]]) for c in (0, 10))
         x = TropicalMatrix.from_rows([[0, -1], [-2, -1]])
         fam = MatrixFamily([d0, d1, x])
-        got = _assert_matches_oracle(fam, horizon=4, samples_per_length=60, seed=0)
-        assert got[0] is OverflowError and got[1].startswith("rank-one test: ")
-        assert (int(got[1].split()[5]) - 9 * w) in (0, 30, 60, 90)
+        est = _assert_matches_oracle(fam, horizon=4, samples_per_length=60, seed=0)
+        assert isinstance(est, TransientEstimate) and est.examined == 240
+        for k in (3, 4):
+            assert any(len(idx) == k and 3 not in idx for _, idx in est.counterexamples)
 
-    def test_minus_inf_pivot_skips_the_rank_one_guard(self):
+    def test_minus_inf_pivot_is_not_rank_one(self):
         big = -(-self.STORE // 3)
         fam = MatrixFamily([TropicalMatrix.from_rows([[None, -big], [-big, -big]])])
         for mode in ("exhaustive", "sampled"):
@@ -452,8 +457,8 @@ class TestScanOverflow:
 
 class TestPrunedExhaustive:
     """Exhaustive levels extend only their failing products when every
-    member has a finite (1, 1) entry and the rank-one test guard cannot
-    trip up to the horizon; the scan over full levels is the reference."""
+    member has a finite (1, 1) entry; the scan over full levels is the
+    reference."""
 
     STORE = 1 << 62
 
@@ -485,19 +490,19 @@ class TestPrunedExhaustive:
         assert pivots_inf > 20
 
     def test_prune_gate_keeps_the_rank_one_guard(self):
-        # Every pivot is finite and A is rank-one, but A (x) A has the
-        # magnitude 2 w with 3 * 2 w >= 2**62, so the rank-one test guard
-        # trips on the extension of a rank-one product.  The fold guard
-        # (2 w < 2**61) does not.
+        # Every pivot is finite and A is rank-one, so the level-2 products
+        # with a factor A are not extended from level 1, although A (x) A
+        # has the magnitude 2 w with 3 * 2 w >= 2**62 (below the fold
+        # guard's 2**61).  Only C and C (x) C fail.
         w = self.STORE // 5
         a = TropicalMatrix.from_rows([[-w, -w], [-w, -w]])
         c = TropicalMatrix.from_rows([[0, -1], [-2, 0]])
         fam = MatrixFamily([a, c])
-        ok = _assert_matches_oracle(fam, horizon=1, mode="exhaustive")
-        assert ok.counterexamples == ((1, (2,)),)
-        got = _assert_matches_oracle(fam, horizon=2, mode="exhaustive")
-        assert got == (OverflowError, f"rank-one test: scaled integer magnitude {6 * w} "
-                                      "exceeds the int64 budget")
+        assert products._absorbing(fam) and 2 * w < 1 << 61 <= 3 * 2 * w
+        est = _assert_matches_oracle(fam, horizon=2, mode="exhaustive")
+        assert est == oracles.full_level_estimate(fam, 2)
+        assert est.counterexamples == ((1, (2,)), (2, (2, 2)))
+        assert est.first_all_rank_one is None and est.examined == 6
 
     def test_level_indices_beyond_int64(self):
         # R is rank-one and D is diagonal, so the only failing product of

@@ -97,6 +97,7 @@ class TestDeviations:
             ([0, -5, -14], [[0], [-5], [-14]]),
             (["-inf", "1/2"], [["-", "i", "n", "f"], ["1", "/", "2"]]),
             ([[0, 0], [0, 0]], [[0, 0], 2]),
+            ([[0, 0], [0, 0]], [0, 0]),
         ],
     )
     def test_row_that_is_not_a_list_is_a_shape_mismatch(self, got, exp):
