@@ -29,11 +29,12 @@ of rows whose rank-1 working arrays, four of (rows, n, n), hold at most
 
 A fold tests its running product for rank-one every ``PROBE_STRIDE``
 layers.  A single sequence whose prefix passes finishes as one vector
-sweep (rank-one absorption, ``_fold_one``).  Stacks, of one length or the
-ragged ones of the sampled transient scan, whose rows have many lengths
-and end at their own last layers (``fold_stack``), fold every row as a
-matrix; they probe only when the caller knows that every extension of a
-rank-one product is rank-one, and then leave out the rows that pass.
+sweep (rank-one absorption, ``_absorbing_sweep``).  Stacks, of one
+length or the ragged ones of the sampled transient scan, whose rows have
+many lengths and end at their own last layers (``fold_stack``), fold
+every row as a matrix; they probe only when the caller knows that every
+extension of a rank-one product is rank-one, and then leave out the rows
+that pass.
 
 A sweep pushes a state through the layer matrices of a sequence.  The
 state has one row per start node, so one pass serves every start.  Each
@@ -48,8 +49,8 @@ avoiding sweep.  The single-start DPs keep every layer's state, which
 their witnesses are traced back through (``arrivals`` reads the first
 arrivals off such a table).  The lemma checks run ``avoiding_sweep`` on
 the trellis and on its mirror; each keeps only the arrivals at node 0
-and the final state, and uses rank-one absorption as the fold does: once
-a probed state is x (x) y^T, only y moves on (``_absorbing_sweep``).  In
+and the final state, and runs through the fold's absorption loop: once
+a probed state is x (x) y^T, only y moves on.  In
 an admissible family node 0's weight-0 loop is the only critical cycle,
 so a best walk through node 0 is a best arrival, the loop and a best
 departure, joined from those two tables (``_through_table``).
@@ -247,20 +248,6 @@ def _outer(col, y):
     return np.where(both, x[:, None] + y, np.int64(0)), both
 
 
-def _fold_one(mem, seq):
-    # Decoded product of a (k,) sequence of encoded members.  Every
-    # PROBE_STRIDE layers the running product is tested with rank_one.
-    # Once the prefix P of the first l factors passes, P = x (x) y^T with
-    # x = P_:1 - P_11 and y = P_1:, and by associativity the rest of the
-    # fold is x (x) (y^T (x) A_{l+1} (x) ... (x) A_k): one vector sweep of y.
-    cur = mem[seq[0]]
-    for l in range(1, len(seq)):
-        if l % PROBE_STRIDE == 0 and rank_one(cur, cur > FLOOR):
-            return _outer(cur[:, 0], _sweep(mem, seq[l:], cur[0], table=False))
-        cur = _product(cur, mem[seq[l]])
-    return decode(cur)
-
-
 def _fold_rows(mem, seq, lens, finish, drop):
     # Fold row b of a (B, K) stack over its first lens[b] layers (lens
     # non-increasing, so lens[0] = K) and pass the rows that end at each
@@ -318,7 +305,7 @@ def fold_stack(mem, seq, lens, finish, drop=False):
 
 
 def _fold(mem_num, mem_fin, seq):
-    return _fold_one(encode(mem_num, mem_fin), seq)
+    return _absorbing_sweep(encode(mem_num, mem_fin), seq)[1]
 
 
 def _mirror(*trellis):
@@ -378,33 +365,35 @@ def arrivals(mem, seq, forward):
     return into
 
 
-def _absorbing_sweep(layers, seq, state, tap):
-    # Push an encoded (r, c) state through layers[seq[0]], layers[seq[1]],
-    # ... and return (out, final), where out[l] = max_p(S[:, p] +
-    # tap[seq[l - 1], p]) for the state S before layer l, and out[0] is
-    # masked.
+def _absorbing_sweep(layers, seq, tap=None):
+    # The product P of layers[seq[0]], layers[seq[1]], ... for a nonempty
+    # sequence of encoded square layers, returned as (out, P) with P
+    # decoded.  With a tap, out[l] = max_p(S[:, p] + tap[seq[l - 1], p])
+    # for the product S of the first l - 1 layers (the identity for
+    # l = 1), and out[0] is masked; without one, out is None.
     #
-    # Every PROBE_STRIDE layers the state is tested with rank_one.  Once it
-    # passes, S = x (x) y^T with x = S_:1 - S_11 and y = S_1:, and by
-    # associativity only y moves on: the rest is one vector sweep, out[l]
-    # is x + max_p(y_p + tap_p) for each later y, and the final state is
-    # x (x) y^T.  Where x_i and y_j are both finite, x_i + y_j is an entry
-    # of the exact state, but x alone can reach twice the walk magnitude,
-    # so every slot with a masked factor is masked explicitly, as in
-    # _outer.
-    out = np.full((len(seq) + 1, len(state)), MASKED)
-    for l, s in enumerate(seq, start=1):
-        np.maximum((state + tap[s]).max(axis=1), MASKED, out=out[l])
+    # Every PROBE_STRIDE factors the running product S is tested with
+    # rank_one.  Once it passes, S = x (x) y^T with x = S_:1 - S_11 and
+    # y = S_1:, and by associativity only y moves on: the rest is one
+    # vector sweep, out[l] is x + max_p(y_p + tap_p) for each later y, and
+    # P is x (x) y^T, both rebuilt by _outer.
+    state = layers[seq[0]]
+    out = None
+    if tap is not None:
+        out = np.full((len(seq) + 1, len(state)), MASKED)
+        out[1] = tap[seq[0]]
+    for l, s in enumerate(seq[1:], start=1):
+        if l % PROBE_STRIDE == 0 and rank_one(state, state > FLOOR):
+            ys = _sweep(layers, seq[l:], state[0], table=tap is not None)
+            if tap is not None:
+                best = np.maximum((ys[:-1] + tap[seq[l:]]).max(axis=1), MASKED)
+                out[l + 1:] = encode(*_outer(state[:, 0], best)).T
+                ys = ys[-1]
+            return out, _outer(state[:, 0], ys)
+        if tap is not None:
+            np.maximum((state + tap[s]).max(axis=1), MASKED, out=out[l + 1])
         state = _product(state, layers[s])
-        if l % PROBE_STRIDE == 0 and l < len(seq) and rank_one(state, state > FLOOR):
-            col = state[:, 0]
-            xfin = col > FLOOR
-            x = np.where(xfin, col - col[0], np.int64(0))
-            ys = _sweep(layers, seq[l:], state[0])
-            best = np.maximum((ys[:-1] + tap[seq[l:]]).max(axis=1), MASKED)[:, None]
-            out[l + 1:] = np.where(xfin & (best > FLOOR), x + best, MASKED)
-            return out, encode(*_outer(col, ys[-1]))
-    return out, state
+    return out, decode(state)
 
 
 def avoiding_sweep(mem, seq):
@@ -422,11 +411,13 @@ def avoiding_sweep(mem, seq):
     """
     n = mem.shape[1]
     into = np.full((len(seq) + 1, n), MASKED)
-    final = np.full((n, n), MASKED)
-    if n > 1:
-        into[:, 1:], final[1:, 1:] = _absorbing_sweep(
-            np.ascontiguousarray(mem[:, 1:, 1:]), seq, _units(n - 1, np.arange(n - 1)),
-            tap=np.ascontiguousarray(mem[:, 1:, 0]))
+    # With no layer, every node but 0 has its empty walk.
+    final = _units(n, np.arange(n))
+    final[0, 0] = MASKED
+    if n > 1 and len(seq):
+        into[:, 1:], block = _absorbing_sweep(
+            np.ascontiguousarray(mem[:, 1:, 1:]), seq, np.ascontiguousarray(mem[:, 1:, 0]))
+        final[1:, 1:] = encode(*block)
     return into, final
 
 

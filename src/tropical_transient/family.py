@@ -24,6 +24,7 @@ gives w and v.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -295,18 +296,27 @@ class MatrixFamily:
     def stage(self, indices: Sequence[int], context: str) -> np.ndarray:
         """The 0-based int64 member indices of a 1-based product sequence.
 
-        Checks every index against the family and that walks of the
-        sequence's length stay within the int64 guard; ``context`` names
-        the caller in the ``OverflowError``.
+        Checks that every index is an integer (``operator.index``: a float
+        or a string raises TypeError, never truncates) within the family,
+        and that walks of the sequence's length stay within the int64
+        guard; ``context`` names the caller in the ``OverflowError``.
         """
         m = len(self._members)
+        seq0 = []
         for pos, idx in enumerate(indices, start=1):
+            try:
+                idx = operator.index(idx)
+            except TypeError:
+                raise TypeError(
+                    f"factor {pos} is not an integer member index: {idx!r}"
+                ) from None
             if not 1 <= idx <= m:
                 raise IndexError(
                     f"factor {pos} references member {idx}, valid range is 1..{m}"
                 )
+            seq0.append(idx - 1)
         _check_magnitude(max_walk_magnitude(self, max(len(indices), 1)), context)
-        return np.array([i - 1 for i in indices], dtype=np.int64)
+        return np.array(seq0, dtype=np.int64)
 
     @cached_property
     def layer_magnitude(self) -> int:

@@ -378,19 +378,20 @@ class TropicalMatrix:
 def outer_product(x: TropicalMatrix, y: TropicalMatrix) -> TropicalMatrix:
     """The rank-one matrix x (x) y^T with entries x_i + y_j.
 
-    Both arguments are column vectors of the same length.
+    Both arguments are column vectors of the same length.  Each scaled
+    factor lies below ``_STORE_LIMIT`` = 2**62, so every sum fits in
+    int64; the finite sums, in lowest terms, must stay below it as well,
+    or OverflowError is raised.
     """
     if x.cols != 1 or y.cols != 1 or x.rows != y.rows:
         raise DimensionError("outer product needs two equal-length column vectors")
     den = TropicalMatrix.common_denominator([x, y])
     x_num, x_fin = x.scaled(den)
     y_num, y_fin = y.scaled(den)
-    _check_magnitude(x.max_abs_numerator * (den // x.denominator)
-                     + y.max_abs_numerator * (den // y.denominator), "outer product",
-                     _STORE_LIMIT)
-    num = x_num[:, 0][:, None] + y_num[:, 0][None, :]
-    fin = x_fin[:, 0][:, None] & y_fin[:, 0][None, :]
-    return TropicalMatrix(np.where(fin, num, np.int64(0)), fin, den)
+    out = TropicalMatrix(x_num[:, 0][:, None] + y_num[:, 0][None, :],
+                         x_fin[:, 0][:, None] & y_fin[:, 0][None, :], den)
+    _check_magnitude(out.max_abs_numerator, "outer product", _STORE_LIMIT)
+    return out
 
 
 def rank_one_factor(m: TropicalMatrix) -> Optional[tuple[TropicalMatrix, TropicalMatrix]]:

@@ -28,6 +28,7 @@ same order.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -51,7 +52,7 @@ class ProductSequence:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(x) for x in self.indices))
+        object.__setattr__(self, "indices", tuple(map(operator.index, self.indices)))
 
     def __len__(self) -> int:
         return len(self.indices)

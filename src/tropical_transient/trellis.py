@@ -42,14 +42,9 @@ class TrellisDigraph:
     """The layered digraph of one factor sequence over a family."""
 
     def __init__(self, family: MatrixFamily, indices: Sequence[int]):
-        indices = tuple(int(x) for x in indices)
-        self._seq0 = family.stage(indices, "trellis construction")
+        self._seq0 = family.stage(tuple(indices), "trellis construction")
         self._family = family
-        self._indices = indices
-        # w* and v*, filled by the first initial_weights_all and
-        # final_weights_all call.
-        self._wstar: Optional[TropicalMatrix] = None
-        self._vstar: Optional[TropicalMatrix] = None
+        self._indices = tuple((self._seq0 + 1).tolist())
 
     @property
     def family(self) -> MatrixFamily:
@@ -219,21 +214,15 @@ def optimal_final_walk(t: TrellisDigraph, j: int) -> WalkSummary:
 
 
 def initial_weights_all(t: TrellisDigraph) -> TropicalMatrix:
-    """Column vector of optimal initial-walk weights w* for every node,
-    computed once per trellis."""
-    if t._wstar is None:
-        mem_num, mem_fin, seq0, den = t._arrays()
-        t._wstar = _column(_kernels.ACTIVE.initial_to_anchor(mem_num, mem_fin, seq0), den)
-    return t._wstar
+    """Column vector of optimal initial-walk weights w* for every node."""
+    mem_num, mem_fin, seq0, den = t._arrays()
+    return _column(_kernels.ACTIVE.initial_to_anchor(mem_num, mem_fin, seq0), den)
 
 
 def final_weights_all(t: TrellisDigraph) -> TropicalMatrix:
-    """Column vector of optimal final-walk weights v* for every node,
-    computed once per trellis."""
-    if t._vstar is None:
-        mem_num, mem_fin, seq0, den = t._arrays()
-        t._vstar = _column(_kernels.ACTIVE.final_from_anchor(mem_num, mem_fin, seq0), den)
-    return t._vstar
+    """Column vector of optimal final-walk weights v* for every node."""
+    mem_num, mem_fin, seq0, den = t._arrays()
+    return _column(_kernels.ACTIVE.final_from_anchor(mem_num, mem_fin, seq0), den)
 
 
 def best_avoiding_full_weight(t: TrellisDigraph, i: int, j: int) -> Weight:
@@ -360,37 +349,39 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     every start at once: walks avoiding node 1 (with their arrivals at
     node 1) on the trellis and on its mirror (whose arrivals are the
     departures from node 1).  Each finishes as a vector sweep once its
-    state is rank-one, which is exact for any family.  Node 1's loop is
-    the only critical cycle of an admissible family, so the best walk
-    through node 1 is a best arrival, the loop and a best departure, and
-    its table is joined from the two sweeps without a third.
+    state is rank-one, which is exact for any family.  w* and v* are the
+    best arrivals and departures over all layers, read off the same two
+    tables as the walk lengths.  Node 1's loop is the only critical cycle
+    of an admissible family, so the best walk through node 1 is a best
+    arrival, the loop and a best departure, and its table is joined from
+    the two sweeps without a third.
     """
     family = t.family
     family.require_valid("walk-structure checks")
-    n = t.node_size
     k = t.layer_count
     derived = family.sup_derived
     lam = derived.lambda_star.mean
-    wstar = initial_weights_all(t)
-    vstar = final_weights_all(t)
-    terms = compute_bound_report(
-        wstar, vstar, derived.alpha, derived.beta, derived.gamma, lam, "trellis"
-    )
     # Two all-starts avoiding sweeps with rank-one absorption; every pair
     # reads its answer from these.  The departures are the arrivals of
     # the mirror, read backwards, so the latest departure is the first
-    # maximum.  Node 1 has the empty initial and final walk.
-    nodes = np.arange(n)
+    # maximum.  w* and v* are the best arrival and departure of each node
+    # over all layers; node 1 has the empty initial and final walk.
     mem_num, mem_fin, seq0, den = t._arrays()
     mem = _kernels.encode(mem_num, mem_fin)
     into, avoiding = _kernels.avoiding_sweep(mem, seq0)
     departures, _ = _kernels.avoiding_sweep(*_kernels._mirror(mem, seq0))
     through = _kernels._through_table(into, departures)
-    initial_len = np.where(nodes == 0, 0, into.argmax(axis=0))
-    final_len = np.where(nodes == 0, 0, departures.argmax(axis=0))
+    initial_len, final_len = into.argmax(axis=0), departures.argmax(axis=0)
+    initial_len[0] = final_len[0] = 0
+    w, v = into.max(axis=0), departures.max(axis=0)
+    w[0] = v[0] = 0
+    wstar, vstar = _column(w, den), _column(v, den)
+    terms = compute_bound_report(
+        wstar, vstar, derived.alpha, derived.beta, derived.gamma, lam, "trellis"
+    )
 
-    w_num, w_fin = (x[:, 0] for x in wstar.scaled(den))
-    v_num, v_fin = (x[:, 0] for x in vstar.scaled(den))
+    w_num, w_fin = _kernels.decode(w)
+    v_num, v_fin = _kernels.decode(v)
     pairs = w_fin[:, None] & v_fin
     target = w_num[:, None] + v_num
     through_on = pairs & _exceeded(terms.term2, k)

@@ -132,14 +132,15 @@ def make_family():
 
 
 class BranchSpy:
-    """Counts the absorptions of ``_kernels._absorbing_sweep`` and
-    ``_kernels._fold_one``.
+    """Counts the absorptions of ``_kernels._absorbing_sweep``.
 
     Within one call, every layer pushes either the matrix state (a 2-d
     array) or, once the state is absorbed as x (x) y^T, the vector y (1-d)
     through ``_product``.  A matrix step followed by a vector step is an
-    absorption.  ``sweeps`` and ``absorbs`` count the absorbing sweeps and
-    their absorptions; ``folds`` holds the absorption count of each fold.
+    absorption.  Calls without a tap are folds: ``folds`` holds the
+    absorption count of each.  Calls with one are the lemma checks'
+    avoiding sweeps: ``sweeps`` and ``absorbs`` count them and their
+    absorptions.
     """
 
     def __init__(self, monkeypatch):
@@ -153,24 +154,23 @@ class BranchSpy:
                 self._steps.append(str(x.ndim))
             return product(x, a, out)
 
-        def spied(fn, record):
-            def call(*args, **kwargs):
-                self._steps = []
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    path = "".join(self._steps)
-                    self._steps = None
-                    record(path.count("21"))
-            return call
+        sweep = _kernels._absorbing_sweep
 
-        def swept(absorbs):
-            self.sweeps += 1
-            self.absorbs += absorbs
+        def spied_sweep(layers, seq, tap=None):
+            self._steps = []
+            try:
+                return sweep(layers, seq, tap)
+            finally:
+                absorbs = "".join(self._steps).count("21")
+                self._steps = None
+                if tap is None:
+                    self.folds.append(absorbs)
+                else:
+                    self.sweeps += 1
+                    self.absorbs += absorbs
 
         monkeypatch.setattr(_kernels, "_product", spied_product)
-        monkeypatch.setattr(_kernels, "_absorbing_sweep", spied(_kernels._absorbing_sweep, swept))
-        monkeypatch.setattr(_kernels, "_fold_one", spied(_kernels._fold_one, self.folds.append))
+        monkeypatch.setattr(_kernels, "_absorbing_sweep", spied_sweep)
 
 
 @pytest.fixture

@@ -1,8 +1,10 @@
-"""Every package name the benchmark tracer patches still exists.
+"""Every package name the benchmark tracer patches still exists, and a
+traced CLI run prints what an untraced one prints.
 
 ``perfbench/bench_trace.py`` wraps package functions by name.  A rename
-or deletion there would only surface when the benchmark runs; this test
-reads the tracer's tables and resolves each name in the package.
+or deletion there would only surface when the benchmark runs; these tests
+read the tracer's tables, resolve each name in the package, and run the
+CLI in process with the tracer installed.
 """
 
 import importlib
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from tropical_transient import _kernels
+from conftest import fixture_path
+from tropical_transient import _kernels, cli
 
 BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
 
@@ -49,3 +52,26 @@ def test_matmul_counter_target_resolves():
     from tropical_transient.matrix import TropicalMatrix
 
     assert "__matmul__" in vars(TropicalMatrix)
+
+
+@pytest.mark.parametrize("argv", [("check", "FAMILY", "SEQ44", "--lemmas"),
+                                  ("bound", "FAMILY", "SEQ44")])
+def test_traced_cli_output_is_byte_identical(argv, capsys):
+    paths = {"FAMILY": fixture_path("five_node_family.json"),
+             "SEQ44": fixture_path("product_len44.json")}
+    argv = [paths.get(a, a) for a in argv]
+    code = cli.main(argv)
+    plain = capsys.readouterr().out
+    tracer = bench_trace.Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._undo)
+        traced_code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert (traced_code, capsys.readouterr().out) == (code, plain)
+    assert {name for name, *_ in tracer.spans} >= {"cli.main", "kernels.sweep"}
+    assert patched and tracer._undo == []
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original
+    assert _kernels.ACTIVE is _kernels.NUMPY_BACKEND

@@ -270,7 +270,8 @@ class TestCheck:
         assert lemmas["avoiding_strictly_below"]["skipped"] == 0
 
     def test_anchor_vectors_are_derived_once(self, capsys, monkeypatch):
-        # The report and the lemma checks both read w* and v*.
+        # The report's w_star and v_star fields each take one anchor
+        # sweep; the lemma checks read w* and v* off their own tables.
         calls = []
         base = _kernels.ACTIVE
 

@@ -592,6 +592,29 @@ class TestRankOneAbsorption:
                     want = masked_through_anchor(mem_num, mem_fin, seq, s)
                     assert_masked_equal(decode(through[s]), want)
 
+    def test_anchor_vectors_are_the_table_maxima(self):
+        # check_lemma_bounds reads w* and v* off the two avoiding sweeps:
+        # the best arrival at node 0 over all layers, and the best
+        # departure from it, with node 0's empty walk (weight 0) in entry
+        # 0.  This holds for any members, admissible or not.
+        rng = np.random.default_rng(47)
+        minus_inf_pivot = 0
+        for _, (mem_num, mem_fin) in absorption_cases():
+            if mem_num.shape[1] > 6:
+                continue
+            minus_inf_pivot += not mem_fin[:, 0, 0].all()
+            mem = encode(mem_num, mem_fin)
+            for k in (0, 1, 2, 3, 4, 5, 8, 9, 17, 40):
+                seq = random_seq(rng, mem_num.shape[0], k)
+                into, _ = _kernels.avoiding_sweep(mem, seq)
+                departures, _ = _kernels.avoiding_sweep(*_kernels._mirror(mem, seq))
+                for table, kernel in ((into, NUMPY_BACKEND.initial_to_anchor),
+                                      (departures, NUMPY_BACKEND.final_from_anchor)):
+                    best = table.max(axis=0)
+                    best[0] = 0
+                    assert_masked_equal(decode(best), decode(kernel(mem_num, mem_fin, seq)))
+        assert minus_inf_pivot > 0
+
     def test_tap_tables_are_clamped_to_masked(self, family5, seq44):
         # Every tap reduction is clamped back up to MASKED, so two of these
         # tables can be added without leaving int64.

@@ -231,9 +231,11 @@ class TestRankOne:
             rank_one_factor(m)
 
     def test_row_factor_just_below_the_storage_limit(self):
-        # y_2 = m_12 - m_11 = 2**62 - 1 is stored exactly, with pivot 0 so
-        # that outer_product can rebuild m; with pivot -2**61 the same y_2
-        # is the difference of two entries of opposite sign.
+        # y_2 = m_12 - m_11 = 2**62 - 1 is stored exactly, with pivot 0;
+        # with pivot -2**61 the same y_2 is the difference of two entries
+        # of opposite sign.  outer_product rebuilds m in both cases: each
+        # x_i + y_j it forms is an entry of m, though max |x| + max |y|
+        # passes 2**62.
         top = (1 << 62) - 1
         m = TropicalMatrix.from_rows([[0, top, None], [0, top, None], [None, None, None]])
         x, y = rank_one_factor(m)
@@ -244,6 +246,19 @@ class TestRankOne:
         x, y = rank_one_factor(m)
         assert oracles.column(x) == [-half, 0] and oracles.column(y) == [0, top]
         assert oracles.is_rank_one(oracles.grid(m))
+        assert outer_product(x, y) == m
+
+    def test_outer_product_checks_the_sums_it_forms(self):
+        half = 1 << 61
+        for xs, ys in (([0, half], [0, half]), ([-half, 0], [-half, None])):
+            x, y = TropicalMatrix.from_column(xs), TropicalMatrix.from_column(ys)
+            with pytest.raises(OverflowError, match=f"^outer product: scaled integer "
+                                                    f"magnitude {1 << 62} exceeds"):
+                outer_product(x, y)
+        # A sum past the limit on the common denominator that reduces
+        # below it in lowest terms is stored, like any other entry.
+        x = TropicalMatrix.from_column([Fraction(1 + half, 2)])
+        assert oracles.grid(outer_product(x, x)) == [[1 + half]]
 
     def test_row_factor_at_the_storage_limit_raises(self):
         half = 1 << 61

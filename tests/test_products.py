@@ -1,13 +1,16 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
 from conftest import random_valid_family
 from tropical_transient import _kernels, products
 from tropical_transient._kernels import PROBE_STRIDE
+from tropical_transient.bounds import implicit_sequence_bound
 from tropical_transient.errors import BudgetExceededError
 from tropical_transient.family import MatrixFamily, max_walk_magnitude
 from tropical_transient.matrix import TropicalMatrix
@@ -19,6 +22,7 @@ from tropical_transient.products import (
     fold,
     random_sequence,
 )
+from tropical_transient.trellis import build_trellis
 
 
 class TestProductSequence:
@@ -30,10 +34,44 @@ class TestProductSequence:
         assert seq.seed is None
 
     def test_numpy_ints_become_plain_ints(self):
-        import numpy as np
-
         seq = ProductSequence(np.array([2, 1], dtype=np.int64))
         assert all(type(x) is int for x in seq.indices)
+
+
+class TestMemberIndicesAreIntegers:
+    """Member indices are checked with ``operator.index`` where every
+    sequence is staged: a float or a string is refused, never truncated."""
+
+    ENTRY_POINTS = {
+        "fold": fold,
+        "implicit_sequence_bound": implicit_sequence_bound,
+        "build_trellis": build_trellis,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("seq, pos, token", [
+        ([1.7], 1, "1.7"),
+        ([2, 2.5], 2, "2.5"),
+        ([1, 2, 2.0], 3, "2.0"),
+        (["1"], 1, "'1'"),
+    ])
+    def test_non_integers_are_refused(self, family5, entry, seq, pos, token):
+        with pytest.raises(TypeError, match=f"^factor {pos} is not an integer member "
+                                            f"index: {re.escape(token)}$"):
+            self.ENTRY_POINTS[entry](family5, seq)
+
+    def test_integer_arrays_are_accepted(self, family5):
+        seq = np.array([2, 1, 3], dtype=np.int32)
+        assert fold(family5, seq) == fold(family5, [2, 1, 3])
+        t = build_trellis(family5, seq)
+        assert t.indices == (2, 1, 3) and all(type(x) is int for x in t.indices)
+        assert implicit_sequence_bound(family5, seq) == implicit_sequence_bound(family5, [2, 1, 3])
+
+    def test_product_sequence_refuses_non_integers(self):
+        with pytest.raises(TypeError):
+            ProductSequence((1.9, 2.2))
+        with pytest.raises(TypeError):
+            ProductSequence(("1",))
 
 
 class TestFold:

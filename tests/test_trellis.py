@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import late_arrival_family, random_valid_family
+from tropical_transient import _kernels
 from tropical_transient.family import MatrixFamily
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import fold
@@ -331,6 +332,28 @@ class TestLemmaChecks:
         assert report.through_one_decomposition.checked == 0
         assert report.avoiding_strictly_below.checked <= 25
         assert report.all_hold
+
+    def test_calls_no_anchor_kernel(self, family5, seq44, monkeypatch):
+        # w* and v* come off the avoiding sweeps' own tables.
+        one = MatrixFamily([TropicalMatrix.from_rows([[0]])] * 2)
+        trellises = [build_trellis(family5, seq44), build_trellis(family5, []),
+                     build_trellis(one, [1, 2, 1])]
+        rng = random.Random(44)
+        for _ in range(10):
+            fam = random_valid_family(rng, n=rng.randint(2, 6))
+            k = rng.randint(0, 40)
+            trellises.append(build_trellis(fam, [rng.randint(1, fam.member_count)
+                                                 for _ in range(k)]))
+        want = [oracles.fraction_lemma_report(t) for t in trellises]
+
+        def refuse(*args):
+            raise AssertionError("anchor kernel called")
+
+        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.ACTIVE._replace(
+            initial_to_anchor=refuse, final_from_anchor=refuse))
+        # Fresh trellises, so nothing the oracle computed is reused.
+        assert [check_lemma_bounds(build_trellis(t.family, t.indices))
+                for t in trellises] == want
 
     def test_random_families_hold(self):
         rng = random.Random(38)
