@@ -4,9 +4,13 @@ For an admissible family, any product of more than B factors is tropically
 rank-one, where B is the maximum over entry pairs (i, j) of two terms:
 
     term1(i, j) = (w_i + v_j - gamma_ij) / lambda* + (n - 1)
-    term2(i, j) = (w_i - alpha_i + v_j - beta_j) / lambda* + 2(n - 1)
+    term2(i, j) = L_i + L'_j
 
-and the per-entry bound is max(term1, term2).  There are two modes:
+and the per-entry bound is max(term1, term2).  term2 is the sum of two
+walk-length bounds, L_i = (w_i - alpha_i) / lambda* + (n - 1) for the
+optimal initial walk from i and L'_j = (v_j - beta_j) / lambda* + (n - 1)
+for the final walk into j; the report keeps both parts.  There are two
+modes:
 
 * explicit: w and v are the best walk weights on A_inf into and out of
   node 1, computable from the family alone;
@@ -16,8 +20,8 @@ and the per-entry bound is max(term1, term2).  There are two modes:
 
 lambda* is the maximum cycle mean of A_sup off node 1 and is negative for
 admissible families.  When it is -inf (every cycle passes through node 1)
-the quotients are taken as 0 and the report flags it: the terms then
-degenerate to the constants n - 1 and 2(n - 1).
+the quotients are taken as 0 and the report flags it: the terms and
+both parts then degenerate to the constants n - 1 and 2(n - 1).
 
 A term with numerator -inf contributes -inf: its condition is met at
 every length (for gamma_ij = -inf there is no avoiding walk to beat).
@@ -44,11 +48,17 @@ from .semiring import Epsilon, Weight
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Per-entry and overall transient bounds for one mode."""
+    """Per-entry and overall transient bounds for one mode.
+
+    ``initial_lengths`` and ``final_lengths`` are the n x 1 parts of
+    term2: term2(i, j) is entry i of the first plus entry j of the second.
+    """
 
     mode: str
     term1: TropicalMatrix
     term2: TropicalMatrix
+    initial_lengths: TropicalMatrix
+    final_lengths: TropicalMatrix
     per_entry: TropicalMatrix
     overall: Fraction
     argmax: tuple[int, int, str]
@@ -85,13 +95,14 @@ def compute_bound_report(
     vectors = (w, v, alpha, beta)
     w_fin, v_fin, a_fin, b_fin = (m._fin[:, 0] for m in vectors)
     fin1 = w_fin[:, None] & v_fin & gamma._fin
-    fin2 = (w_fin & a_fin)[:, None] & (v_fin & b_fin)
-    const1, const2 = n - 1, 2 * (n - 1)
+    init_fin, final_fin = w_fin & a_fin, v_fin & b_fin
+    fin2 = init_fin[:, None] & final_fin
+    const = n - 1
     if isinstance(lam, Epsilon):
         # Every quotient is 0: the terms are the bare constants.
         scale = 1
-        t1 = np.full((n, n), const1, dtype=np.int64)
-        t2 = np.full((n, n), const2, dtype=np.int64)
+        t1 = np.full((n, n), const, dtype=np.int64)
+        initial = final = np.full(n, const, dtype=np.int64)
     else:
         # With lam = -p / q, a numerator N on the grid 1 / den gives
         # N / lam + c = (c den p - q N) / (den p).
@@ -102,11 +113,13 @@ def compute_bound_report(
         scale = den * p
         mw, mv, ma, mb, mg = (int(np.abs(x).max()) for x in (w_num, v_num, a_num, b_num, g_num))
         _check_magnitude(
-            max(q * (mw + mv + mg) + const1 * scale, q * (mw + ma + mv + mb) + const2 * scale),
+            max(q * (mw + mv + mg) + const * scale, q * (mw + ma + mv + mb) + 2 * const * scale),
             "bound terms",
         )
-        t1 = const1 * scale - q * (w_num[:, None] + v_num - g_num)
-        t2 = const2 * scale - q * ((w_num - a_num)[:, None] + (v_num - b_num))
+        t1 = const * scale - q * (w_num[:, None] + v_num - g_num)
+        initial = const * scale - q * (w_num - a_num)
+        final = const * scale - q * (v_num - b_num)
+    t2 = initial[:, None] + final
     both = fin1 & fin2
     per_fin = fin1 | fin2
     if not per_fin.any():
@@ -120,6 +133,8 @@ def compute_bound_report(
         mode=mode,
         term1=TropicalMatrix(t1, fin1, scale),
         term2=TropicalMatrix(t2, fin2, scale),
+        initial_lengths=TropicalMatrix(initial[:, None], init_fin[:, None], scale),
+        final_lengths=TropicalMatrix(final[:, None], final_fin[:, None], scale),
         per_entry=TropicalMatrix(per, per_fin, scale),
         overall=overall,
         argmax=(i + 1, j + 1, "term1" if from_t1 else "term2"),
@@ -129,18 +144,21 @@ def compute_bound_report(
     )
 
 
+def family_bound_report(family: MatrixFamily, w: TropicalMatrix, v: TropicalMatrix,
+                        mode: str) -> BoundReport:
+    """:func:`compute_bound_report` for the n x 1 vectors w, v against the
+    family's A_sup data (alpha, beta, gamma and lambda*)."""
+    derived = family.sup_derived
+    return compute_bound_report(
+        w, v, derived.alpha, derived.beta, derived.gamma, derived.lambda_star.mean, mode
+    )
+
+
 def explicit_bound(family: MatrixFamily) -> BoundReport:
     """The a-priori bound from the family alone (w, v on A_inf)."""
     family.require_valid("explicit transient bound")
-    derived = family.sup_derived
-    return compute_bound_report(
-        w=family.inf_walk_to_one(),
-        v=family.inf_walk_from_one(),
-        alpha=derived.alpha,
-        beta=derived.beta,
-        gamma=derived.gamma,
-        lam=derived.lambda_star.mean,
-        mode="explicit",
+    return family_bound_report(
+        family, family.inf_walk_to_one(), family.inf_walk_from_one(), "explicit"
     )
 
 
@@ -160,7 +178,7 @@ def implicit_bound(family: MatrixFamily, product: TropicalMatrix) -> BoundReport
     num, fin = product.scaled(product.denominator)
     w = TropicalMatrix(num[:, :1], fin[:, :1], product.denominator)
     v = TropicalMatrix(num[:1].T, fin[:1].T, product.denominator)
-    return _implicit_report(family, w, v)
+    return family_bound_report(family, w, v, "implicit")
 
 
 def implicit_sequence_bound(family: MatrixFamily, sequence) -> BoundReport:
@@ -182,20 +200,7 @@ def implicit_sequence_bound(family: MatrixFamily, sequence) -> BoundReport:
     v_num, v_fin = _kernels.decode(_kernels.ACTIVE.final_from_anchor(mem_num, mem_fin, seq0))
     w = TropicalMatrix(w_num[:, None], w_fin[:, None], den)
     v = TropicalMatrix(v_num[:, None], v_fin[:, None], den)
-    return _implicit_report(family, w, v)
-
-
-def _implicit_report(family: MatrixFamily, w: TropicalMatrix, v: TropicalMatrix) -> BoundReport:
-    derived = family.sup_derived
-    return compute_bound_report(
-        w=w,
-        v=v,
-        alpha=derived.alpha,
-        beta=derived.beta,
-        gamma=derived.gamma,
-        lam=derived.lambda_star.mean,
-        mode="implicit",
-    )
+    return family_bound_report(family, w, v, "implicit")
 
 
 def check_length_sufficient(report: BoundReport, k: int) -> bool:

@@ -5,7 +5,8 @@ it are bracketed by two boundary matrices: the entrywise maximum A_sup
 and minimum A_inf.  The transient analysis requires the family to be
 *admissible*:
 
-  1. all members, and A_inf, share one support (geometric equivalence);
+  1. all members share one support (geometric equivalence), which is then
+     A_inf's as well: its support is the intersection of theirs;
   2. every member is irreducible;
   3. node 1 carries a loop of weight 0 in every member (hence in A_sup),
      and every other cycle of every member and of A_sup has negative
@@ -163,10 +164,9 @@ class MatrixFamily:
 
     def _check_equivalence(self) -> AssumptionCheck:
         base = self._members[0]
-        labeled = [(f"member {i + 1}", m) for i, m in enumerate(self._members[1:], start=1)]
-        labeled.append(("A_inf", self.a_inf))
-        for label, m in labeled:
+        for idx, m in enumerate(self._members[1:], start=2):
             if not geometrically_equivalent(base, m):
+                label = f"member {idx}"
                 diff = np.nonzero(base._fin != m._fin)
                 i, j = int(diff[0][0]), int(diff[1][0])
                 return AssumptionCheck(
@@ -296,20 +296,15 @@ class MatrixFamily:
     def stage(self, indices: Sequence[int], context: str) -> np.ndarray:
         """The 0-based int64 member indices of a 1-based product sequence.
 
-        Checks that every index is an integer (``operator.index``: a float
-        or a string raises TypeError, never truncates) within the family,
+        Checks that every index is an integer (see :func:`member_index`: a
+        bool, a float or a string raises TypeError) within the family,
         and that walks of the sequence's length stay within the int64
         guard; ``context`` names the caller in the ``OverflowError``.
         """
         m = len(self._members)
         seq0 = []
         for pos, idx in enumerate(indices, start=1):
-            try:
-                idx = operator.index(idx)
-            except TypeError:
-                raise TypeError(
-                    f"factor {pos} is not an integer member index: {idx!r}"
-                ) from None
+            idx = member_index(pos, idx)
             if not 1 <= idx <= m:
                 raise IndexError(
                     f"factor {pos} references member {idx}, valid range is 1..{m}"
@@ -326,6 +321,20 @@ class MatrixFamily:
 
     def __repr__(self) -> str:
         return f"MatrixFamily(n={self._n}, members={len(self._members)})"
+
+
+def member_index(pos: int, idx) -> int:
+    """Factor ``pos`` of a sequence as an int member index.
+
+    ``operator.index`` refuses a float or a string, never truncating; a
+    Python bool is refused too, as ``True`` is no name for member 1.
+    """
+    if not isinstance(idx, bool):
+        try:
+            return operator.index(idx)
+        except TypeError:
+            pass
+    raise TypeError(f"factor {pos} is not an integer member index: {idx!r}")
 
 
 def _without_loop(m: TropicalMatrix) -> TropicalMatrix:

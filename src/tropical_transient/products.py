@@ -28,7 +28,6 @@ same order.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BudgetExceededError
-from .family import MatrixFamily, max_walk_magnitude
+from .family import MatrixFamily, max_walk_magnitude, member_index
 from .matrix import TropicalMatrix, _check_magnitude
 
 DEFAULT_PRODUCT_BUDGET = 2_000_000
@@ -52,7 +51,8 @@ class ProductSequence:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(map(operator.index, self.indices)))
+        indices = tuple(member_index(pos, x) for pos, x in enumerate(self.indices, start=1))
+        object.__setattr__(self, "indices", indices)
 
     def __len__(self) -> int:
         return len(self.indices)

@@ -135,11 +135,13 @@ def lemma_section(report: LemmaReport) -> dict:
 # ---------------------------------------------------------------------------
 
 def _tokens_equal(a, b) -> bool:
+    """Equal weights, or equal non-weight tokens of one type (``False``
+    is not the weight 0)."""
     try:
         wa = weight_from_token(a)
         wb = weight_from_token(b)
     except ValueError:
-        return a == b
+        return type(a) is type(b) and a == b
     return wa is wb or wa == wb
 
 

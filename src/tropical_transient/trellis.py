@@ -18,9 +18,11 @@ The DP operations return a :class:`WalkSummary` carrying the optimal
 weight, a witness, and the minimum length among optimal walks.
 
 :func:`check_lemma_bounds` verifies the walk facts behind the transient
-bound: its pair thresholds are the bound terms term1 and term2 of
+bound.  All four of its thresholds come from one bound report of
 :mod:`bounds`, evaluated with the trellis vectors w*, v* (the optimal
-initial- and final-walk weights) in place of A_inf's w, v.
+initial- and final-walk weights) in place of A_inf's w, v: the two
+walk-length checks read the parts of term2, the two pair checks term2 and
+term1.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _kernels
-from .bounds import compute_bound_report
+from .bounds import family_bound_report
 from .family import MatrixFamily
 from .matrix import TropicalMatrix
 from .semiring import EPSILON, Epsilon, Weight, ZERO, weight_token
@@ -332,18 +334,20 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     On the trellis of an admissible family:
 
     * initial_length: some optimal initial walk into node 1 has length at
-      most (w*_i - alpha_i) / lambda* + (n - 1);
-    * final_length: the mirror statement for final walks;
+      most (w*_i - alpha_i) / lambda* + (n - 1), the initial part of
+      term2;
+    * final_length: the mirror statement for final walks, against the
+      final part (v*_j - beta_j) / lambda* + (n - 1);
     * through_one_decomposition: once k exceeds term2(i, j), the best full
       walk through node 1 has weight exactly w*_i + v*_j;
     * avoiding_strictly_below: once k exceeds term1(i, j) (met at every
       length when gamma_ij is -inf), every node-1-avoiding full walk
       weighs strictly less than w*_i + v*_j.
 
-    term1 and term2 are the bound terms of :mod:`bounds` evaluated with
-    the trellis vectors w*, v* in place of w, v; one
-    :func:`compute_bound_report` call gives both for every pair.  Pairs
-    whose walk classes are empty are counted as skipped.
+    All four thresholds are read off one bound report of :mod:`bounds`,
+    evaluated with the trellis vectors w*, v* in place of w, v: term1,
+    term2 and term2's two parts, for every node and pair at once.  Nodes
+    and pairs whose walk classes are empty are counted as skipped.
 
     The walk facts come from two sweeps over the sequence, each serving
     every start at once: walks avoiding node 1 (with their arrivals at
@@ -359,8 +363,6 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     family = t.family
     family.require_valid("walk-structure checks")
     k = t.layer_count
-    derived = family.sup_derived
-    lam = derived.lambda_star.mean
     # Two all-starts avoiding sweeps with rank-one absorption; every pair
     # reads its answer from these.  The departures are the arrivals of
     # the mirror, read backwards, so the latest departure is the first
@@ -375,10 +377,7 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     initial_len[0] = final_len[0] = 0
     w, v = into.max(axis=0), departures.max(axis=0)
     w[0] = v[0] = 0
-    wstar, vstar = _column(w, den), _column(v, den)
-    terms = compute_bound_report(
-        wstar, vstar, derived.alpha, derived.beta, derived.gamma, lam, "trellis"
-    )
+    terms = family_bound_report(family, _column(w, den), _column(v, den), "trellis")
 
     w_num, w_fin = _kernels.decode(w)
     v_num, v_fin = _kernels.decode(v)
@@ -390,12 +389,8 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     avoiding_bad = avoiding_on & (avoiding > _kernels.FLOOR) & (avoiding >= target)
 
     return LemmaReport(
-        initial_length=_length_check(
-            "initial_length", "i", wstar, derived.alpha, initial_len, lam
-        ),
-        final_length=_length_check(
-            "final_length", "j", vstar, derived.beta, final_len, lam
-        ),
+        initial_length=_length_check("initial_length", "i", terms.initial_lengths, initial_len),
+        final_length=_length_check("final_length", "j", terms.final_lengths, final_len),
         through_one_decomposition=_pair_check(
             "through_one_decomposition", through_on, through_bad,
             ("through", "expected"), through, target, den,
@@ -407,32 +402,26 @@ def check_lemma_bounds(t: TrellisDigraph) -> LemmaReport:
     )
 
 
-def _exceeded(term: TropicalMatrix, k: int) -> np.ndarray:
-    """Where k > term, true where the term is -inf.  For integer k and a
+def _exceeded(term: TropicalMatrix, k) -> np.ndarray:
+    """Where k > term, true where the term is -inf; k is an integer or an
+    integer array that broadcasts against the term.  For integer k and a
     positive denominator d, k > x / d exactly when x // d < k."""
     num, fin = term.scaled(term.denominator)
     return ~fin | (num // term.denominator < k)
 
 
-def _length_check(name: str, key: str, weights: TropicalMatrix, anchor: TropicalMatrix,
-                  lengths: np.ndarray, lam: Weight) -> LemmaCheck:
-    """Per node with a finite walk weight: its minimum optimal walk length
-    is at most (weight - anchor path weight) / lambda* + (n - 1)."""
-    n = weights.rows
-    failures = []
-    checked = 0
-    for x in range(n):
-        weight = weights.entry(x, 0)
-        if isinstance(weight, Epsilon):
-            continue
-        checked += 1
-        quotient = 0 if isinstance(lam, Epsilon) else (weight - anchor.entry(x, 0)) / lam
-        bound = quotient + Fraction(n - 1)
-        if int(lengths[x]) > bound:
-            failures.append(
-                {key: x + 1, "min_length": int(lengths[x]), "bound": weight_token(bound)}
-            )
-    return LemmaCheck(name, not failures, checked, n - checked, tuple(failures))
+def _length_check(name: str, key: str, bounds: TropicalMatrix,
+                  lengths: np.ndarray) -> LemmaCheck:
+    """Per node with a finite length bound (an n x 1 part of term2): its
+    minimum optimal walk length is at most that bound."""
+    on = bounds._fin[:, 0]
+    bad = on & _exceeded(bounds, lengths[:, None])[:, 0]
+    failures = tuple(
+        {key: x + 1, "min_length": int(lengths[x]), "bound": weight_token(bounds.entry(x, 0))}
+        for x in np.flatnonzero(bad).tolist()
+    )
+    checked = int(on.sum())
+    return LemmaCheck(name, not failures, checked, on.size - checked, failures)
 
 
 def _pair_check(name: str, on: np.ndarray, bad: np.ndarray, keys: tuple[str, str],

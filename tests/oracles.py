@@ -515,6 +515,12 @@ def fraction_bound_report(
     t1_rows: list[list[Weight]] = []
     t2_rows: list[list[Weight]] = []
     per_rows: list[list[Weight]] = []
+    # term2's parts, each on its own: the walk-length bounds from w, alpha
+    # and from v, beta.
+    initial = [_shift(_quotient(_sub(w.entry(i, 0), alpha.entry(i, 0)), lam), const1)
+               for i in range(n)]
+    final = [_shift(_quotient(_sub(v.entry(j, 0), beta.entry(j, 0)), lam), const1)
+             for j in range(n)]
     overall: Optional[Fraction] = None
     argmax: Optional[tuple[int, int, str]] = None
     for i in range(n):
@@ -547,6 +553,8 @@ def fraction_bound_report(
         mode=mode,
         term1=TropicalMatrix.from_rows(t1_rows),
         term2=TropicalMatrix.from_rows(t2_rows),
+        initial_lengths=TropicalMatrix.from_column(initial),
+        final_lengths=TropicalMatrix.from_column(final),
         per_entry=TropicalMatrix.from_rows(per_rows),
         overall=overall,
         argmax=argmax,

@@ -336,6 +336,29 @@ class TestFamilyBounds:
             implicit_bound(family5, TropicalMatrix.identity(3))
 
 
+class TestTermTwoParts:
+    """term2 is the outer sum of the report's two walk-length columns."""
+
+    @staticmethod
+    def outer_sum(report):
+        initial = report.initial_lengths.column_weights()
+        final = report.final_lengths.column_weights()
+        return TropicalMatrix.from_rows([[oracles._add(a, b) for b in final] for a in initial])
+
+    def test_random_families(self):
+        rng = random.Random(47)
+        undefined = 0
+        for case in range(60):
+            fam = (tie_family(rng, rng.randint(1, 6), 2, star=True) if case % 6 == 0
+                   else random_valid_family(rng, n=rng.randint(2, 6)))
+            seq = [rng.randint(1, fam.member_count) for _ in range(rng.randint(1, 15))]
+            for report in (explicit_bound(fam), implicit_sequence_bound(fam, seq)):
+                assert report.initial_lengths.shape == report.final_lengths.shape == (fam.size, 1)
+                assert report.term2 == self.outer_sum(report)
+                undefined += report.lambda_star_undefined
+        assert undefined > 20
+
+
 class TestLengthSufficiency:
     def test_strict_comparison(self, family5):
         report = explicit_bound(family5)

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -20,6 +21,7 @@ from conftest import fixture_path, random_valid_family
 FAMILY = fixture_path("five_node_family.json")
 SEQ44 = fixture_path("product_len44.json")
 EXPECTED = fixture_path("expected_five_node.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 jsonschema = pytest.importorskip("jsonschema")
 VALIDATOR = jsonschema.Draft202012Validator(json.loads(schema_text()))
@@ -130,6 +132,15 @@ class TestDerive:
         [(field, exp)] = expected.items()
         devs = [(d["field"], d["position"], d["expected"]) for d in report["deviations"]]
         assert devs == [(field, [], exp)]
+
+    def test_expected_boolean_is_a_deviation(self, capsys, tmp_path):
+        path = tmp_path / "expected.json"
+        path.write_text(json.dumps({"w": [False, -5, -14, -10, -6]}), encoding="utf-8")
+        code, report, _ = run_json(capsys, "derive", FAMILY, "--expected", path)
+        assert code == 0
+        assert report["deviations"] == [
+            {"field": "w", "position": [1], "computed": 0, "expected": False}
+        ]
 
     def test_invalid_family_stops(self, capsys, invalid_family):
         code, report, _ = run_json(capsys, "derive", invalid_family)
@@ -478,7 +489,11 @@ class TestProcessLevel:
     def test_console_script_deterministic(self):
         script = console_script_command("tropical-transient")
         cmd = [*script, "derive", FAMILY, "--format", "json"]
-        first = subprocess.run(cmd, capture_output=True)
-        second = subprocess.run(cmd, capture_output=True)
+        # The checkout's src on the path, for the fresh interpreter of the
+        # fallback when nothing is installed.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        first = subprocess.run(cmd, capture_output=True, env=env)
+        second = subprocess.run(cmd, capture_output=True, env=env)
         assert first.returncode == second.returncode == 0
         assert first.stdout and first.stdout == second.stdout

@@ -94,6 +94,24 @@ class TestValidationFailures:
         assert check.witness["edge"] == [1, 2]
         assert not report.passed
 
+    def test_validation_does_not_build_a_inf(self, family5):
+        # A_inf's support is the intersection of the members' supports, so
+        # comparing the members with member 1 decides it too.
+        family = MatrixFamily(family5.members)
+        assert family.validation.passed
+        assert "a_inf" not in family.__dict__
+
+    def test_support_mismatch_names_the_first_differing_member(self):
+        a = TropicalMatrix.from_rows([[0, -1], [-1, -2]])
+        b = TropicalMatrix.from_rows([[0, -1], [None, -2]])
+        check = MatrixFamily([a, a, b, a.with_entry(0, 1, None)]).validate().check(
+            "geometric_equivalence"
+        )
+        assert check.witness == {
+            "kind": "support_mismatch", "matrix": "member 3", "edge": [2, 1],
+            "present_in": "member 1",
+        }
+
     def test_reducible_member(self):
         member = TropicalMatrix.from_rows([[0, None], [-1, -2]])
         report = MatrixFamily([member]).validate()

@@ -40,7 +40,8 @@ class TestProductSequence:
 
 class TestMemberIndicesAreIntegers:
     """Member indices are checked with ``operator.index`` where every
-    sequence is staged: a float or a string is refused, never truncated."""
+    sequence is staged: a float or a string is refused, never truncated,
+    and a bool is refused although ``operator.index(True)`` is 1."""
 
     ENTRY_POINTS = {
         "fold": fold,
@@ -54,6 +55,7 @@ class TestMemberIndicesAreIntegers:
         ([2, 2.5], 2, "2.5"),
         ([1, 2, 2.0], 3, "2.0"),
         (["1"], 1, "'1'"),
+        ([True, 2], 1, "True"),
     ])
     def test_non_integers_are_refused(self, family5, entry, seq, pos, token):
         with pytest.raises(TypeError, match=f"^factor {pos} is not an integer member "
@@ -72,6 +74,8 @@ class TestMemberIndicesAreIntegers:
             ProductSequence((1.9, 2.2))
         with pytest.raises(TypeError):
             ProductSequence(("1",))
+        with pytest.raises(TypeError, match=r"^factor 2 is not an integer member index: False$"):
+            ProductSequence((1, False))
 
 
 class TestFold:

@@ -72,6 +72,14 @@ class TestDeviations:
     def test_scalar_equivalent_tokens_do_not_deviate(self):
         assert deviations_between({"x": 2}, {"x": "2"}) == []
 
+    def test_booleans_are_not_weights(self):
+        out = deviations_between({"w": [0, 1, -4]}, {"w": [False, True, -4]})
+        assert out == [
+            {"field": "w", "position": [1], "computed": 0, "expected": False},
+            {"field": "w", "position": [2], "computed": 1, "expected": True},
+        ]
+        assert deviations_between({"x": True}, {"x": True}) == []
+
     def test_vector_positions_are_one_based(self):
         out = deviations_between({"w": [0, -5, -14]}, {"w": [0, -4, -14]})
         assert out == [

@@ -446,6 +446,34 @@ class TestLemmaOracle:
             failing["avoiding"] += len(got.avoiding_strictly_below.failures)
         assert all(count > 0 for count in failing.values()), failing
 
+    @pytest.mark.parametrize("check, key, anchor, walk", [
+        ("initial_length", "i", "alpha", optimal_initial_walk),
+        ("final_length", "j", "beta", optimal_final_walk),
+    ])
+    def test_fractional_length_bound_boundary(self, family5, seq44, check, key, anchor, walk):
+        # One node's alpha (or beta) moves so that its length bound is
+        # ell + 1/2, then ell - 1/2, for its minimum optimal walk length
+        # ell: the length floor(bound) passes and floor(bound) + 1 fails.
+        fam = MatrixFamily(family5.members)
+        derived = fam.sup_derived
+        lam, n = derived.lambda_star.mean, fam.size
+        trellis = build_trellis(fam, seq44.indices[:12])
+        x = max(range(2, n + 1), key=lambda x: walk(trellis, x).min_length_among_optima)
+        summary = walk(trellis, x)
+        ell = summary.min_length_among_optima
+        assert ell >= 2
+        for bound, fails in ((ell + Fraction(1, 2), False), (ell - Fraction(1, 2), True)):
+            moved = summary.weight - (bound - (n - 1)) * lam
+            vec = getattr(derived, anchor).with_entry(x - 1, 0, moved)
+            fam.__dict__["sup_derived"] = dataclasses.replace(derived, **{anchor: vec})
+            got = check_lemma_bounds(trellis)
+            assert got == oracles.fraction_lemma_report(trellis)
+            failures = {f[key]: f for f in getattr(got, check).failures}
+            if fails:
+                assert failures[x] == {key: x, "min_length": ell, "bound": f"{2 * ell - 1}/2"}
+            else:
+                assert x not in failures
+
     def test_thresholds_beyond_int64_are_rejected(self):
         # The checks share the bound terms' int64 guard: a lambda* with a
         # 2^31 denominator scales these thresholds past it, although the
