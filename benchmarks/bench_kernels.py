@@ -6,9 +6,9 @@ avoiding sweep with rank-one absorption that the lemma checks run, the
 through sweep given its arrivals, and the through table that the lemma
 checks join from the arrivals and departures of two avoiding sweeps) on
 random scaled-integer inputs and prints the best wall time per call.  At
-sizes up to 16 it also times the transient scan's stacked kernels: one
-``fold_stack`` of 100 sequences of length 20, and one exhaustive level
-step from the m^4 products of length 4 to the m^5 of length 5.
+sizes up to 16 it also times one exhaustive level step of the transient
+scan's level kernel ``extend``, from the m^4 products of length 4 to the
+m^5 of length 5.
 
 A second table times the single fold at k = 200 and n = 20, 40, 80 on
 two sequences: one over admissible-style members, whose prefix turns
@@ -16,13 +16,16 @@ rank-one early so the fold finishes as a vector sweep, and one over
 weighted permutation matrices, which never turn rank-one, so the fold
 pays for every rank-one probe on top of every matrix product.
 
-A third table times the transient scan's own work: one ``fold_stack`` of
-100 sequences of length 20 and 40 at n = 5 and 16, over the same two kinds
-of members, without drop, so every row is folded to its end as a matrix
-(the onset column counts the rows whose prefix a pruned scan would drop
-at a probe), the sampled scan of the bundled five-node family
-(horizon 40, 100 draws per length, seed 0), and its exhaustive scan up to
-horizons 8 and 12, whose levels extend only their failing products.
+A third table times the transient scan's own work, all of whose matrix
+products the level kernel ``extend`` forms; the ``formed`` column counts
+them.  It folds 100 draws of length 20 and 40 at n = 5 and 16, over the
+same two kinds of members, as the sampled scan's tree of distinct prefixes
+(the onset members have finite (1, 1) entries, so rank-one prefixes leave
+the tree).  Then it runs the sampled scan of the bundled five-node family
+(horizon 40, 100 draws per length, seed 0), the same scan with member 1's
+(1, 1) entry set to -inf, which turns pruning off so every distinct prefix
+is formed, and the exhaustive scan up to horizons 8 and 12, whose levels
+extend only their failing products.
 
 A fourth table times the text boundary, the implicit bound and the lemma
 checks on the benchmark's seed-0 synthetic inputs
@@ -64,19 +67,21 @@ from pathlib import Path
 
 import numpy as np
 
+from tropical_transient import _kernels
 from tropical_transient._kernels import (ACTIVE, FLOOR, MASKED, PROBE_STRIDE, _mirror, _product,
                                           _through_table, avoiding_sweep, closure, encode,
-                                          extend, fold_stack, rank_one)
+                                          extend, rank_one)
 from tropical_transient.bounds import implicit_bound, implicit_sequence_bound
 from tropical_transient.cli import main as cli_main
 from tropical_transient.digraph import is_irreducible, strongly_connected_components
+from tropical_transient.family import MatrixFamily
 from tropical_transient.io import family_to_dict, load_family, load_sequence, matrix_tokens
-from tropical_transient.products import estimate_transient, fold
+from tropical_transient.matrix import TropicalMatrix
+from tropical_transient.products import _prefix_tree_verdicts, estimate_transient, fold
 from tropical_transient.report import render_json
 from tropical_transient.trellis import build_trellis, check_lemma_bounds
 
 STACK_ROWS = 100
-STACK_LENGTH = 20
 STACK_MAX_SIZE = 16
 LEVEL_LENGTH = 4
 ONSET_SIZES = (20, 40, 80)
@@ -131,10 +136,45 @@ def onset_layer(num, fin, seq):
     return None
 
 
-def stacked_fold(mem, stack):
-    """The sampled scan's fold of a (B, k) stack on encoded members, without
-    drop; the products are discarded."""
-    fold_stack(mem, stack, np.full(len(stack), stack.shape[1]), lambda ids, num, fin: None)
+def level_step(level, mem):
+    """The exhaustive scan's level step: product p times member j in row
+    p * m + j."""
+    keys = np.arange(len(level) * len(mem))
+    return extend(level, mem, keys // len(mem), keys % len(mem))
+
+
+def prefix_tree(mem, draws):
+    """Which of one length's 1-based draws are rank-one, folded as a tree
+    of their distinct prefixes on encoded members."""
+    prune = bool((mem[:, 0, 0] > FLOOR).all())
+    return _prefix_tree_verdicts(mem, [draws], prune)[0]
+
+
+def formed(call):
+    """The number of matrix products ``extend`` forms in one call."""
+    count = 0
+    kernel = _kernels.extend
+
+    def counting(level, mem, parents, members):
+        nonlocal count
+        count += len(parents)
+        return kernel(level, mem, parents, members)
+
+    _kernels.extend = counting
+    try:
+        call()
+    finally:
+        _kernels.extend = kernel
+    return count
+
+
+def pivot_removed(family):
+    """The family with member 1's (1, 1) entry set to -inf."""
+    first = family.members[0]
+    fin = first._fin.copy()
+    fin[0, 0] = False
+    num = np.where(fin, first._num, 0)
+    return MatrixFamily([TropicalMatrix(num, fin, first._den)] + list(family.members[1:]))
 
 
 def synthetic_files(workdir, n):
@@ -275,14 +315,11 @@ def main() -> int:
             ("through_table", lambda: _through_table(into, departures), args.length, n),
         ]
         if n <= STACK_MAX_SIZE:
-            stack = rng.integers(0, args.members, size=(STACK_ROWS, STACK_LENGTH))
             level = mem
             for _ in range(LEVEL_LENGTH - 1):
-                level = extend(level, mem)
-            cases += [
-                (f"fold x{STACK_ROWS}", lambda: stacked_fold(mem, stack), STACK_LENGTH, 1),
-                (f"extend x{len(level)}", lambda: extend(level, mem), LEVEL_LENGTH + 1, 1),
-            ]
+                level = level_step(level, mem)
+            cases.append((f"extend x{len(level)}", lambda: level_step(level, mem),
+                          LEVEL_LENGTH + 1, 1))
         for name, call, k, starts in cases:
             t = best_time(call, args.repeats)
             print(f"{name:<18}{n:>5}{k:>6}{starts:>8}{t * 1e3:>14.3f}")
@@ -301,30 +338,33 @@ def main() -> int:
             t = best_time(lambda: ACTIVE.fold(num, fin, seq), args.repeats)
             print(f"{name:<18}{n:>5}{ONSET_LENGTH:>6}{str(onset):>8}{t * 1e3:>14.3f}")
 
-    header = f"{'scan':<18}{'n':>5}{'k':>6}{'onset':>8}{ACTIVE.name + ' (ms)':>14}"
+    header = f"{'scan':<18}{'n':>5}{'k':>6}{'formed':>8}{ACTIVE.name + ' (ms)':>14}"
     print()
     print(header)
     print("-" * len(header))
     rng = np.random.default_rng(args.seed)
+    scans = []
     for n in SCAN_SIZES:
         for k in SCAN_LENGTHS:
-            stack = rng.integers(0, args.members, size=(STACK_ROWS, k)).astype(np.int64)
+            draws = rng.integers(1, args.members + 1, size=(STACK_ROWS, k)).astype(np.uint8)
             for name, make in (("onset", onset_inputs), ("never", permutation_inputs)):
-                num, fin = make(rng, args.members, n)
-                onsets = sum(onset_layer(num, fin, seq) is not None for seq in stack)
-                mem = encode(num, fin)
-                t = best_time(lambda: stacked_fold(mem, stack), args.repeats)
-                label = f"fold x{STACK_ROWS} {name}"
-                print(f"{label:<18}{n:>5}{k:>6}{onsets:>8}{t * 1e3:>14.3f}")
+                mem = encode(*make(rng, args.members, n))
+                scans.append((f"tree x{STACK_ROWS} {name}", n, k,
+                              lambda mem=mem, draws=draws: prefix_tree(mem, draws)))
     path = resources.files("tropical_transient").joinpath("fixtures/five_node_family.json")
     family = load_family(str(path))[0]
-    t = best_time(lambda: estimate_transient(family, SAMPLED_HORIZON,
-                                             samples_per_length=SAMPLED_DRAWS), args.repeats)
-    label = f"sampled x{SAMPLED_DRAWS}"
-    print(f"{label:<18}{family.size:>5}{SAMPLED_HORIZON:>6}{'':>8}{t * 1e3:>14.3f}")
+    for label, fam in ((f"sampled x{SAMPLED_DRAWS}", family),
+                       (f"unpruned x{SAMPLED_DRAWS}", pivot_removed(family))):
+        scans.append((label, fam.size, SAMPLED_HORIZON,
+                      lambda fam=fam: estimate_transient(fam, SAMPLED_HORIZON,
+                                                         samples_per_length=SAMPLED_DRAWS)))
     for horizon in SCAN_HORIZONS:
-        t = best_time(lambda: estimate_transient(family, horizon, "exhaustive"), args.repeats)
-        print(f"{'exhaustive':<18}{family.size:>5}{horizon:>6}{'':>8}{t * 1e3:>14.3f}")
+        scans.append(("exhaustive", family.size, horizon,
+                      lambda horizon=horizon: estimate_transient(family, horizon, "exhaustive")))
+    for label, n, k, call in scans:
+        count = formed(call)
+        t = best_time(call, args.repeats)
+        print(f"{label:<18}{n:>5}{k:>6}{count:>8}{t * 1e3:>14.3f}")
 
     header = f"{'io and lemmas':<18}{'n':>5}{'k':>6}{'':>8}{ACTIVE.name + ' (ms)':>14}"
     print()

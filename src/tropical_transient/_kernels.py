@@ -19,22 +19,18 @@ range.  ``matmul`` and ``fold`` return (numerator, mask) pairs with 0 in
 masked slots; the trellis sweeps return encoded tables, which their
 callers reduce further.
 
-Products broadcast over leading batch dimensions, so one call folds a
-whole stack of sequences, and ``extend`` grows every product of a level
-by every member at once.  A stack of many matrices, or of several whose
-broadcast would pass ``CHUNK_ELEMENTS`` int64 values, multiplies by n
-rank-1 max updates instead of one broadcast.  Stacked calls run on chunks
-of rows whose rank-1 working arrays, four of (rows, n, n), hold at most
-``CHUNK_ELEMENTS`` values.
+Products broadcast over leading batch dimensions, and ``extend`` grows
+a level of products by one factor each: row i is a chosen product of the
+level times a chosen member.  Both transient scans build their products
+that way, one length at a time.  A stack of many matrices, or of several
+whose broadcast would pass ``CHUNK_ELEMENTS`` int64 values, multiplies by
+n rank-1 max updates instead of one broadcast.  Stacked calls run on
+chunks of rows whose rank-1 working arrays, four of (rows, n, n), hold
+at most ``CHUNK_ELEMENTS`` values.
 
-A fold tests its running product for rank-one every ``PROBE_STRIDE``
-layers.  A single sequence whose prefix passes finishes as one vector
-sweep (rank-one absorption, ``_absorbing_sweep``).  Stacks, of one
-length or the ragged ones of the sampled transient scan, whose rows have
-many lengths and end at their own last layers (``fold_stack``), fold
-every row as a matrix; they probe only when the caller knows that every
-extension of a rank-one product is rank-one, and then leave out the rows
-that pass.
+A single fold tests its running product for rank-one every
+``PROBE_STRIDE`` layers, and once a prefix passes it finishes as one
+vector sweep (rank-one absorption, ``_absorbing_sweep``).
 
 A sweep pushes a state through the layer matrices of a sequence.  The
 state has one row per start node, so one pass serves every start.  Each
@@ -202,17 +198,23 @@ def _matmul(a_num, a_fin, b_num, b_fin):
     return decode(_product(encode(a_num, a_fin), encode(b_num, b_fin)))
 
 
-def extend(level: np.ndarray, mem: np.ndarray) -> np.ndarray:
-    """Every product of an encoded (B, n, n) level times every one of m
-    encoded members, as (B * m, n, n): row p * m + j is level[p] (x) mem[j].
+def extend(level: np.ndarray, mem: np.ndarray, parents: np.ndarray,
+           members: np.ndarray) -> np.ndarray:
+    """Row i is level[parents[i]] (x) mem[members[i]], for an encoded
+    (B, n, n) level, m encoded members and index arrays of one length.
+
+    The transient scans grow their levels with it: the exhaustive scan
+    pairs every product with every member (row p * m + j), the sampled
+    scan only the distinct prefixes of its draws.  It runs in chunks of
+    ``_chunk_rows`` rows, each gathering its factors once.
     """
-    b, (m, n, _) = len(level), mem.shape
-    out = np.empty((b, m, n, n), dtype=np.int64)
+    n = level.shape[-1]
+    out = np.empty((len(parents), n, n), dtype=np.int64)
     rows = _chunk_rows(n)
-    for s in range(0, b, rows):
-        for j in range(m):
-            _product(level[s:s + rows], mem[j], out=out[s:s + rows, j])
-    return out.reshape(b * m, n, n)
+    for s in range(0, len(parents), rows):
+        part = slice(s, s + rows)
+        _product(level[parents[part]], mem[members[part]], out=out[part])
+    return out
 
 
 def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
@@ -246,62 +248,6 @@ def _outer(col, y):
     y, yfin = decode(y)
     both = xfin[:, None] & yfin
     return np.where(both, x[:, None] + y, np.int64(0)), both
-
-
-def _fold_rows(mem, seq, lens, finish, drop):
-    # Fold row b of a (B, K) stack over its first lens[b] layers (lens
-    # non-increasing, so lens[0] = K) and pass the rows that end at each
-    # layer to finish(ids, num, fin): stack rows in ascending order and
-    # their decoded products.  With drop, the rows still being folded are
-    # tested with rank_one every PROBE_STRIDE layers and those that pass
-    # are left out; without it every row is folded to its end.  (No sort
-    # or search here: numpy's sorting code would add to the resident size
-    # of a process that never sorts otherwise.)
-    steps = seq.T
-    # over[l]: how many rows are longer than l, so the rows of length l
-    # are the stack rows over[l]..over[l - 1] - 1.
-    over = (len(lens) - np.cumsum(np.bincount(lens, minlength=len(steps) + 1))).tolist()
-    live = np.arange(len(seq))
-    cur = mem[steps[0]]
-    for l in range(1, len(steps) + 1):
-        if over[l] < over[l - 1]:
-            # The rows of length l end here: the tail of live, in order.
-            a = int((live < over[l]).sum())
-            if a < len(live):
-                finish(live[a:], *decode(cur[a:]))
-            cur, live = cur[:a], live[:a]
-        if not len(live):
-            return
-        if drop and l % PROBE_STRIDE == 0:
-            hit = rank_one(cur, cur > FLOOR)
-            if hit.any():
-                cur, live = cur[~hit], live[~hit]
-        cur = _product(cur, mem[steps[l, live]])
-
-
-def fold_stack(mem, seq, lens, finish, drop=False):
-    """Fold every row of a (B, K) stack of 0-based member indices, row b
-    over its first ``lens[b]`` layers, on encoded members ``mem``.
-
-    ``lens`` must be non-increasing with ``lens[0] = K``, so rows run
-    longest first and the rows still being folded at any layer are a
-    prefix of the stack.  The rows that end at a layer are passed to
-    ``finish(ids, num, fin)``: their stack rows in ascending order and
-    their (numerator, mask) products.  A stack of one length is a stacked
-    fold; a ragged one folds sequences of many lengths in one pass.
-
-    Without ``drop`` every row is folded as a matrix to its end and
-    reaches ``finish``.  With ``drop``, running products are tested for
-    rank-one every ``PROBE_STRIDE`` layers, and a row whose prefix passes
-    is left out and never reaches ``finish``: callers pass it only when
-    every extension of a rank-one prefix is known to be rank-one.  The
-    stack runs in chunks of ``_chunk_rows`` rows.
-    """
-    rows = _chunk_rows(mem.shape[1])
-    for s in range(0, len(seq), rows):
-        part = lens[s:s + rows]
-        _fold_rows(mem, seq[s:s + rows, :part[0]], part,
-                   lambda ids, num, fin: finish(ids + s, num, fin), drop)
 
 
 def _fold(mem_num, mem_fin, seq):
@@ -465,8 +411,8 @@ def _through_anchor(mem_num, mem_fin, seq, starts, into):
 class Backend(NamedTuple):
     """Kernel entry points, each taking members as (numerator, mask)
     stacks.  ``fold`` takes a (k,) sequence of 0-based member indices and
-    returns its (n, n) product; stacks of sequences fold through
-    ``fold_stack``."""
+    returns its (n, n) product; the transient scans build stacks of
+    products level by level through ``extend``."""
 
     name: str
     matmul: Callable

@@ -7,12 +7,16 @@ either exhaustively (all m^k sequences, budget-guarded) or by seeded
 sampling with a named, portable generator (numpy PCG64), so runs are
 reproducible across platforms.
 
-Exhaustive mode works one length at a time on a stack of products: it
-builds level k as level k - 1 times every member, so each product costs
-one matrix product instead of k - 1.  Sampled mode folds the draws of
-consecutive lengths in one ragged stack, longest first, and decides each
-product at its own last layer, so a block of lengths costs as many layer
-steps as its longest length.
+Both scans work level by level: each product of length l is a product
+of length l - 1 times one member (``_kernels.extend``), so it costs one
+matrix product instead of l - 1.  Exhaustive mode builds level l as level
+l - 1 times every member.  Sampled mode folds the draws of consecutive
+lengths as a tree of their distinct prefixes: level l holds one product
+per distinct prefix of length l, and each draw reads its verdict at its
+own last layer.  Draws that share a prefix share its products, so a tree
+costs one matrix product per distinct prefix, not one per draw and layer.
+A tree is kept within a fixed element budget (``_BLOCK_ELEMENTS``), so
+large lengths fold as several trees of fewer draws.
 
 A single fold uses rank-one absorption: once a prefix P = x (x) y^T is
 rank-one, the rest of the fold only changes y, so it finishes as a vector
@@ -21,9 +25,9 @@ The scans fold every product in full unless every member has a finite
 (1, 1) entry, so that every extension of a rank-one product is rank-one
 (``_absorbing``).  Then a product that turns rank-one needs no more
 work: exhaustive mode extends only the failing products of each level,
-and sampled mode records a draw whose prefix turns rank-one as rank-one
-and stops folding it.  Both still report every product as examined, in the
-same order.
+and sampled mode drops a rank-one prefix from its tree and counts every
+draw under it as rank-one.  Both still report every product as examined,
+in the same order.
 """
 
 from __future__ import annotations
@@ -39,8 +43,11 @@ from .family import MatrixFamily, max_walk_magnitude, member_index
 from .matrix import TropicalMatrix, _check_magnitude
 
 DEFAULT_PRODUCT_BUDGET = 2_000_000
-# Draws held in one padded block of the sampled scan (at least one length).
-_BLOCK_ELEMENTS = 1 << 16
+# Elements held by one prefix tree of the sampled scan, counting
+# max(k, n^2, m) per draw of length k: its padded draw, its product and
+# its m child marks.  A level of int64 products stays within 2 MB unless
+# one draw alone passes the budget (n > 512).
+_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -129,43 +136,87 @@ def _absorbing(family: MatrixFamily) -> bool:
 def _sampled_scan(family: MatrixFamily, horizon: int, samples: int,
                   seed: int) -> Iterator[tuple[int, np.ndarray]]:
     # Lengths are drawn in order from one generator and folded in blocks
-    # of consecutive lengths, whose padded stack holds at most
-    # _BLOCK_ELEMENTS draws (at least one length), each block in one
-    # ragged pass.
-    m = family.member_count
+    # of consecutive lengths.  A block takes the next length while its
+    # draws fit _BLOCK_ELEMENTS, counting max(k, n^2, m) per draw of
+    # length k; a length that does not fit alone is a block of its own.
+    m, n = family.member_count, family.size
     rng = np.random.Generator(np.random.PCG64(seed))
     dtype = np.min_scalar_type(m)
-    drop = _absorbing(family)
+    mem = _kernels.encode(*family.stacked[:2])
+    prune = _absorbing(family)
     block: list[np.ndarray] = []
     for k in range(1, horizon + 1):
-        if block and samples * (len(block) + 1) * k > _BLOCK_ELEMENTS:
-            yield from _block_verdicts(family, block, drop)
+        if block and samples * (len(block) + 1) * max(k, n * n, m) > _BLOCK_ELEMENTS:
+            yield from _block_scan(mem, block, prune)
             block = []
         _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
         block.append(rng.integers(1, m + 1, size=(samples, k)).astype(dtype))
-    yield from _block_verdicts(family, block, drop)
+    yield from _block_scan(mem, block, prune)
 
 
-def _block_verdicts(family: MatrixFamily, block: list[np.ndarray],
-                    drop: bool) -> Iterator[tuple[int, np.ndarray]]:
-    # block holds the 1-based draws of consecutive lengths, shortest first.
-    # They fold as one stack, longest first, and every row that reaches
-    # its end is decided by _kernels.rank_one.  With drop (_absorbing), a
-    # row whose prefix turns rank-one is rank-one and is not folded further.
-    mem_num, mem_fin, _ = family.stacked
+def _block_scan(mem: np.ndarray, block: list[np.ndarray],
+                prune: bool) -> Iterator[tuple[int, np.ndarray]]:
+    # A block's draws fold as prefix trees of at most _BLOCK_ELEMENTS
+    # elements: one tree, or for a block of one length too large for the
+    # budget, one tree per slice of its draws (at least one draw each).
     samples, top = block[-1].shape
-    lens = np.repeat(np.arange(top, top - len(block), -1), samples)
-    stack = np.zeros((len(lens), top), dtype=block[-1].dtype)
+    n = mem.shape[-1]
+    width = max(1, _BLOCK_ELEMENTS // (len(block) * max(top, n * n, len(mem))))
+    rank_one = np.concatenate([
+        _prefix_tree_verdicts(mem, [draws[s:s + width] for draws in block], prune)
+        for s in range(0, samples, width)], axis=1)
+    for draws, ok in zip(block, rank_one):
+        yield samples, draws[~ok]
+
+
+def _prefix_tree_verdicts(mem: np.ndarray, block: list[np.ndarray],
+                          prune: bool) -> np.ndarray:
+    # block holds the 1-based draws of consecutive lengths, shortest first,
+    # and the result says which are rank-one, one row per length.  They
+    # fold as a tree of their distinct prefixes: layer l holds one encoded
+    # product per distinct prefix of length l still being folded, and
+    # node[d] is the product of draw live[d].  A draw of length l reads its
+    # verdict from its node.  With prune (_absorbing), a rank-one node is
+    # dropped and every draw under it is rank-one.  The children of a
+    # layer are the distinct keys node * m + next member, found with a mark
+    # array in key order; no sort, which would add numpy's sorting code to
+    # the resident size of a process that never sorts otherwise.
+    m = len(mem)
+    samples, top = block[-1].shape
+    # Draws run longest first, so the draws longer than l are the first
+    # longer[l] of the stack.
+    stack = np.zeros((samples * len(block), top), dtype=block[-1].dtype)
     for i, draws in enumerate(reversed(block)):
         stack[i * samples:(i + 1) * samples, :draws.shape[1]] = draws - 1
+    longer = [samples * min(len(block), top - l) for l in range(top + 1)]
     rank_one = np.ones(len(stack), dtype=bool)
-
-    def decide(ids, num, fin):
-        rank_one[ids] = _kernels.rank_one(num, fin)
-
-    _kernels.fold_stack(_kernels.encode(mem_num, mem_fin), stack, lens, decide, drop)
-    for draws, ok in zip(block, rank_one.reshape(len(block), samples)[::-1]):
-        yield samples, draws[~ok]
+    live = np.arange(len(stack))
+    # Layer 0 is the empty prefix, one node; its children are the first
+    # members drawn, whose products are the members themselves.
+    node = np.zeros(len(stack), dtype=np.intp)
+    level = mem[:1]
+    for l in range(top + 1):
+        # live is ascending, so the draws that end here are its tail.
+        end = int((live < longer[l]).sum())
+        if l and prune:
+            hit = _kernels.rank_one(level, level > _kernels.FLOOR)
+            rank_one[live[end:]] = hit[node[end:]]
+            keep = ~hit[node[:end]]
+            live, node = live[:end][keep], node[:end][keep]
+        elif l and end < len(live):
+            # Without pruning only the draws that end here need a verdict.
+            ends = level[node[end:]]
+            rank_one[live[end:]] = _kernels.rank_one(ends, ends > _kernels.FLOOR)
+            live, node = live[:end], node[:end]
+        if not len(live):
+            break
+        key = node * m + stack[live, l]
+        mark = np.zeros(len(level) * m, dtype=bool)
+        mark[key] = True
+        children = np.flatnonzero(mark)
+        node = np.cumsum(mark)[key] - 1
+        level = _kernels.extend(level, mem, children // m, children % m) if l else mem[children]
+    return rank_one.reshape(len(block), samples)[::-1]
 
 
 def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
@@ -182,7 +233,9 @@ def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, 
     for k in range(1, horizon + 1):
         _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
         if k > 1:
-            level = _kernels.extend(level, mem)
+            # Row p * m + j extends product p by member j.
+            keys = np.arange(len(level) * m)
+            level = _kernels.extend(level, mem, keys // m, keys % m)
             rows = (rows[:, None] * m + np.arange(m)).ravel()
         failed = ~_kernels.rank_one(level, level > _kernels.FLOOR)
         bad = rows[failed]

@@ -94,7 +94,9 @@ def random_valid_family(rng: random.Random, n: int | None = None,
             rows[i][j] = Fraction(0 if (i, j) == (0, 0) else rng.randint(-6, 0))
         # every non-loop cycle must be strictly negative, including the
         # backbone cycle through node 1: make its re-entry edge negative
-        rows[n - 1][0] = Fraction(rng.randint(-6, -1))
+        # (for n = 1 that edge is the loop at node 1 itself, which stays 0)
+        if n > 1:
+            rows[n - 1][0] = Fraction(rng.randint(-6, -1))
         for i, j in extras:
             rows[i][j] = Fraction(rng.randint(-6, -1))
         return TropicalMatrix.from_rows(rows)

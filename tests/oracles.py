@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from tropical_transient import _kernels, digraph, io
+from tropical_transient import digraph, io
 from tropical_transient.bounds import BoundReport
 from tropical_transient.errors import (
     BudgetExceededError,
@@ -887,19 +887,35 @@ def _estimate(mode, horizon, levels, samples_recorded, seed) -> TransientEstimat
     )
 
 
+def _level_products(num, fin, mem_num, mem_fin):
+    # Every product of a (B, n, n) level times every member, as (B m, n, n)
+    # (numerator, mask) arrays with row p m + j = level[p] (x) member j:
+    # the masked_matmul broadcast over a stack, a few hundred rows at a time.
+    b, (m, n, _) = len(num), mem_num.shape
+    out_num = np.empty((b, m, n, n), dtype=np.int64)
+    out_fin = np.empty((b, m, n, n), dtype=bool)
+    for s in range(0, b, 256):
+        x_num, x_fin = num[s:s + 256, :, :, None], fin[s:s + 256, :, :, None]
+        for j in range(m):
+            ok = x_fin & mem_fin[j]
+            out_fin[s:s + 256, j] = ok.any(axis=2)
+            best = np.where(ok, x_num + mem_num[j], _NEG).max(axis=2)
+            out_num[s:s + 256, j] = np.where(out_fin[s:s + 256, j], best, np.int64(0))
+    return out_num.reshape(b * m, n, n), out_fin.reshape(b * m, n, n)
+
+
 def _full_levels(family, horizon):
     mem_num, mem_fin, _ = family.stacked
-    mem = _kernels.encode(mem_num, mem_fin)
-    m = len(mem)
-    level = mem
+    m = len(mem_num)
+    num, fin = mem_num, mem_fin
     for k in range(1, horizon + 1):
         _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
         if k > 1:
-            level = _kernels.extend(level, mem)
-        failed = np.flatnonzero(~exact_rank_one(*_kernels.decode(level)))
+            num, fin = _level_products(num, fin, mem_num, mem_fin)
+        failed = np.flatnonzero(~exact_rank_one(num, fin))
         # Row r is the sequence whose 0-based indices are the k base-m
         # digits of r, most significant first: itertools.product order.
-        yield len(level), (failed[:, None] // m ** np.arange(k - 1, -1, -1) % m + 1).tolist()
+        yield len(num), (failed[:, None] // m ** np.arange(k - 1, -1, -1) % m + 1).tolist()
 
 
 def full_level_estimate(family, horizon: int,

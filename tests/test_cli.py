@@ -211,7 +211,7 @@ class TestBound:
             raise AssertionError("bound FAM SEQ folded its sequence")
 
         monkeypatch.setattr(_kernels, "_fold", no_fold)
-        monkeypatch.setattr(_kernels, "fold_stack", no_fold)
+        monkeypatch.setattr(_kernels, "extend", no_fold)
         monkeypatch.setattr(_kernels, "ACTIVE", _kernels.ACTIVE._replace(fold=no_fold))
         code, report, _ = run_json(capsys, "bound", FAMILY, SEQ44)
         assert code == 0

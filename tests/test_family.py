@@ -180,6 +180,16 @@ def test_random_generated_families_validate():
         assert fam.validate().passed
 
 
+def test_random_one_node_families_validate():
+    # With one node the backbone is the weight-0 loop alone.
+    rng = random.Random(1)
+    for m in (1, 2, 3):
+        fam = random_valid_family(rng, 1, m)
+        assert fam.size == 1 and fam.member_count == m
+        assert fam.validate().passed
+        assert all(oracles.grid(x) == [[0]] for x in fam.members)
+
+
 class TestLoopCheckAgainstKarp:
     """The closure decides the side-cycle sign; the report, failing
     witnesses included, matches the check that ran Karp on every matrix."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropical_transient import _kernels
+from tropical_transient import _kernels, products
 from tropical_transient._kernels import (FLOOR, MASKED, NUMPY_BACKEND, PROBE_STRIDE, arrivals, decode,
                                           encode)
 from tropical_transient.family import MatrixFamily
@@ -87,21 +87,13 @@ def onset_layer(mem_num, mem_fin, seq):
 
 def stacked_fold(mem_num, mem_fin, seqs):
     """Products of a (B, k) stack of sequences as (B, n, n) (numerator,
-    mask) arrays, from one ``fold_stack`` call without drop; every row
-    must reach ``finish`` exactly once."""
-    n = mem_num.shape[1]
-    num = np.empty((len(seqs), n, n), dtype=np.int64)
-    fin = np.empty(num.shape, dtype=bool)
-    seen = np.zeros(len(seqs), dtype=np.int64)
-
-    def store(ids, part_num, part_fin):
-        num[ids], fin[ids] = part_num, part_fin
-        seen[ids] += 1
-
-    lens = np.full(len(seqs), seqs.shape[1])
-    _kernels.fold_stack(encode(mem_num, mem_fin), seqs, lens, store)
-    assert (seen == 1).all()
-    return num, fin
+    mask) arrays, grown one layer at a time by ``extend``: at layer l row b
+    times member seqs[b, l]."""
+    mem = encode(mem_num, mem_fin)
+    level, rows = mem[seqs[:, 0]], np.arange(len(seqs))
+    for column in seqs.T[1:]:
+        level = _kernels.extend(level, mem, rows, column)
+    return decode(level)
 
 
 def stage_members(n):
@@ -283,9 +275,9 @@ class TestOracleAgreement:
                 )
 
     def test_fold_probe_is_the_rank_one_mask_test(self):
-        # The probe reads the encoded running product; the scan decides the
-        # decoded products of fold_stack.  Both must decide every matrix
-        # the same way.
+        # The fold probe and the scans read encoded products;
+        # rank_one_factor decides decoded ones.  Both must decide every
+        # matrix the same way.
         rng = np.random.default_rng(14)
         for n in (1, 2, 3, 6):
             x_num, x_fin = random_members(rng, 200, n, 0.8)
@@ -311,23 +303,32 @@ class TestOracleAgreement:
             assert 0 < probe.sum() < len(probe)
 
     def test_stacked_fold_and_level_step(self):
-        # A (B, k) stack folds row by row through fold_stack, and one level
-        # step extends product p by member j in row p * m + j.  At n = 8 a
-        # chunk holds 2**16 // (4 * 8**2) = 256 rows, so B = 300 spans two
-        # chunks.
+        # A (B, k) stack folds row by row through extend, and one level
+        # step of the exhaustive scan extends product p by member j in row
+        # p * m + j.  At n = 8 a chunk holds 2**16 // (4 * 8**2) = 256 rows,
+        # so B = 300 spans two chunks, and so do 400 arbitrary pairs.
         rng = np.random.default_rng(8)
         for mem_num, mem_fin in oracle_cases():
             m, n, _ = mem_num.shape
             seqs = rng.integers(0, m, size=(300, 3))
             num, fin = stacked_fold(mem_num, mem_fin, seqs)
             assert num.shape == fin.shape == (300, n, n)
-            level = _kernels.extend(_kernels.encode(num, fin), _kernels.encode(mem_num, mem_fin))
+            keys = np.arange(300 * m)
+            level = _kernels.extend(_kernels.encode(num, fin), _kernels.encode(mem_num, mem_fin),
+                                    keys // m, keys % m)
             assert level.shape == (300 * m, n, n)
             for b in range(0, 300, 7):
                 assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seqs[b]))
                 for j in range(m):
                     want = masked_fold(mem_num, mem_fin, np.append(seqs[b], j))
                     assert_masked_equal(decode(level[b * m + j]), want)
+            # The sampled scan's pairs repeat parents in any order.
+            parents, members = rng.integers(0, 300, size=400), rng.integers(0, m, size=400)
+            level = _kernels.extend(_kernels.encode(num, fin), _kernels.encode(mem_num, mem_fin),
+                                    parents, members)
+            for i in range(0, 400, 9):
+                want = masked_fold(mem_num, mem_fin, np.append(seqs[parents[i]], members[i]))
+                assert_masked_equal(decode(level[i]), want)
 
     def test_stacked_rows_turn_rank_one_at_different_probes(self):
         # Row t of the stack has the first rank-one prefix D^(t-1) (x) R,
@@ -384,43 +385,43 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("drop", [False, True])
     @pytest.mark.parametrize("chunk", [None, 4 * 6 * 6 * 9])
     def test_ragged_stack_ends_each_row_at_its_own_length(self, monkeypatch, drop, chunk):
-        # 200 rows of lengths 1..23, longest first, over admissible members
-        # (whose prefixes turn rank-one, one with a -inf (1, 1) entry) and,
-        # in every third row, weighted permutations (which never do).
-        # Each row reaches finish once, at its own last layer, with the
-        # product of its own sequence; with drop, exactly the rows whose
-        # prefix passes a probe before their end never reach it.  The
-        # second case runs in chunks of 9 rows.
+        # The sampled scan's prefix tree over a block of 9 draws of each
+        # length 1..23, over admissible members (whose prefixes turn
+        # rank-one) and, in every third draw, weighted permutations (which
+        # never do).  Each draw gets the verdict of its own full product,
+        # read at its own last layer.  With drop every pivot is finite, so
+        # rank-one prefixes leave the tree; without it member 3 has a -inf
+        # (1, 1) entry.  The second case runs in chunks of 9 rows.
         if chunk:
             monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
         rng = np.random.default_rng(31)
-        n, k, b = 6, 23, 200
+        n, k, samples = 6, 23, 9
         adm_num, adm_fin = admissible_members(rng, 3, n)
-        adm_fin[2, 0, 0] = False
+        adm_fin[2, 0, 0] = drop
         perm_num = rng.integers(-9, 10, size=(2, n, n)).astype(np.int64)
         perm_fin = np.zeros((2, n, n), dtype=bool)
         for j in range(2):
-            perm_fin[j, np.arange(n), rng.permutation(n)] = True
+            perm_fin[j, np.arange(n), np.concatenate([[0], 1 + rng.permutation(n - 1)])] = True
         mem_num = np.concatenate([adm_num, perm_num])
         mem_fin = np.concatenate([adm_fin, perm_fin])
-        lens = np.sort(rng.integers(1, k + 1, size=b))[::-1]
-        lens[0] = k
-        seqs = rng.integers(0, 3, size=(b, k)).astype(np.uint8)
-        seqs[::3] = rng.integers(3, 5, size=(len(seqs[::3]), k))
-        seen = []
-
-        def finish(ids, num, fin):
-            assert (np.diff(ids) > 0).all() and len(set(lens[ids])) == 1
-            for row, part_num, part_fin in zip(ids, num, fin):
-                want = masked_fold(mem_num, mem_fin, seqs[row, :lens[row]].astype(np.int64))
-                assert_masked_equal((part_num, part_fin), want)
-            seen.extend(ids.tolist())
-
-        _kernels.fold_stack(encode(mem_num, mem_fin), seqs, lens, finish, drop)
-        absorbed = {row for row in range(b)
-                    if onset_layer(mem_num, mem_fin, seqs[row, :lens[row]].astype(np.int64))}
-        assert 30 < len(absorbed) < b - 30
-        assert sorted(seen) == sorted(set(range(b)) - absorbed if drop else range(b))
+        block = []
+        for length in range(1, k + 1):
+            draws = rng.integers(1, 4, size=(samples, length)).astype(np.uint8)
+            draws[::3] = rng.integers(4, 6, size=(len(draws[::3]), length))
+            block.append(draws)
+        verdicts = list(products._block_scan(encode(mem_num, mem_fin), block, drop))
+        assert len(verdicts) == k
+        absorbed = 0
+        for draws, (count, failed) in zip(block, verdicts):
+            want = []
+            for draw in draws:
+                seq = draw.astype(np.int64) - 1
+                absorbed += bool(onset_layer(mem_num, mem_fin, seq))
+                num, fin = masked_fold(mem_num, mem_fin, seq)
+                if not is_rank_one(np.where(fin, num, None).tolist()):
+                    want.append(draw.tolist())
+            assert count == samples and failed.tolist() == want
+        assert 30 < absorbed < k * samples - 30
 
     def test_one_row_stack_is_the_single_fold(self):
         rng = np.random.default_rng(23)

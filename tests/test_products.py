@@ -9,7 +9,6 @@ import pytest
 import oracles
 from conftest import random_valid_family
 from tropical_transient import _kernels, products
-from tropical_transient._kernels import PROBE_STRIDE
 from tropical_transient.bounds import implicit_sequence_bound
 from tropical_transient.errors import BudgetExceededError
 from tropical_transient.family import MatrixFamily, max_walk_magnitude
@@ -261,74 +260,111 @@ class TestStackedScanOracle:
                                    seed=rng.randrange(1 << 32))
         assert pivots_inf > 50
 
-    def test_levels_span_several_chunks(self):
-        # Level 6 (4,096 products) and every length of the sampled scan
-        # span several kernel chunks at n = 5.
+    def test_levels_span_several_chunks(self, monkeypatch):
+        # Level 6 (4,096 products) spans several kernel chunks at n = 5,
+        # and so do the sampled scan's widest levels of distinct prefixes.
         rows = _kernels._chunk_rows(5)
         assert 4**6 > 4 * rows
         fam = _scan_family(random.Random(5), 5, 4)
         _assert_matches_oracle(fam, horizon=6, mode="exhaustive")
-        _assert_matches_oracle(fam, horizon=3, samples_per_length=rows + 1, seed=3)
+        spy = _spied_scan(monkeypatch, fam, horizon=6, samples_per_length=rows + 1, seed=3)[1]
+        assert max(spy.sizes) > rows
 
 
-class _ScanSpy:
-    """Counts what the ragged sampled scan does: fold_stack calls (one per
-    block of lengths), chunk folds, rank-one probes of running products
-    (``_kernels.rank_one`` calls outside the finish callback), rows that
-    reach the finish callback of ``fold_stack``, and rank-one products
-    finished as vector sweeps (``_outer`` calls), which only single folds
-    and the lemma sweeps make."""
+class _ExtendSpy:
+    """Records the calls of ``_kernels.extend``, through which both scans
+    form every matrix product: ``sizes`` holds the number of products of
+    each call and ``levels`` the number of rows of its input level."""
 
     def __init__(self, monkeypatch):
-        self.blocks = self.chunks = self.probes = self.decided = self.swept = 0
-        self._deciding = False
-        fold_stack, fold_rows = _kernels.fold_stack, _kernels._fold_rows
-        probe, outer = _kernels.rank_one, _kernels._outer
+        self.sizes = []
+        self.levels = []
+        extend = _kernels.extend
 
-        def count_blocks(mem, seq, lens, finish, drop=False):
-            self.blocks += 1
+        def spied_extend(level, mem, parents, members):
+            self.sizes.append(len(parents))
+            self.levels.append(len(level))
+            return extend(level, mem, parents, members)
 
-            def count_decided(ids, num, fin):
-                self.decided += len(ids)
-                self._deciding = True
-                try:
-                    return finish(ids, num, fin)
-                finally:
-                    self._deciding = False
+        monkeypatch.setattr(_kernels, "extend", spied_extend)
 
-            return fold_stack(mem, seq, lens, count_decided, drop)
+    @property
+    def products(self) -> int:
+        return sum(self.sizes)
 
-        def count_chunks(*args, **kwargs):
-            self.chunks += 1
-            return fold_rows(*args, **kwargs)
 
-        def count_probes(num, fin):
-            self.probes += not self._deciding
-            return probe(num, fin)
+class _TreeSpy:
+    """Records the draws of every prefix tree the sampled scan folds, as
+    1-based tuples, shortest first."""
 
-        def count_swept(col, y):
-            self.swept += 1
-            return outer(col, y)
+    def __init__(self, monkeypatch):
+        self.trees = []
+        fold_tree = products._prefix_tree_verdicts
 
-        monkeypatch.setattr(_kernels, "fold_stack", count_blocks)
-        monkeypatch.setattr(_kernels, "_fold_rows", count_chunks)
-        monkeypatch.setattr(_kernels, "rank_one", count_probes)
-        monkeypatch.setattr(_kernels, "_outer", count_swept)
+        def spied_tree(mem, block, prune):
+            self.trees.append([tuple(int(x) for x in row) for draws in block for row in draws])
+            return fold_tree(mem, block, prune)
+
+        monkeypatch.setattr(products, "_prefix_tree_verdicts", spied_tree)
 
 
 def _spied_scan(monkeypatch, *args, **kwargs):
     """The sampled scan, checked against the per-sequence scan, and a spy
     on the scan alone."""
     want = _outcome(oracles.per_sequence_estimate, *args, **kwargs)
-    spy = _ScanSpy(monkeypatch)
+    spy = _ExtendSpy(monkeypatch)
     got = _outcome(estimate_transient, *args, **kwargs)
     assert got == want
     return got, spy
 
 
+def _draw_trees(family, horizon, samples, seed):
+    """The sampled scan's draws as 1-based tuples, grouped into its prefix
+    trees.  A block of consecutive lengths takes the next length while its
+    draws, counted at max(k, n^2, m) elements each, fit
+    ``products._BLOCK_ELEMENTS``; a block folds as one tree, or, when one
+    length alone passes the budget, as one tree per slice of as many draws
+    as fit it (at least one)."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    n, m = family.size, family.member_count
+    blocks = []
+    for k in range(1, horizon + 1):
+        if not blocks or samples * (len(blocks[-1]) + 1) * max(k, n * n, m) > products._BLOCK_ELEMENTS:
+            blocks.append([])
+        draws = rng.integers(1, m + 1, size=(samples, k))
+        blocks[-1].append([tuple(int(x) for x in row) for row in draws])
+    trees = []
+    for block in blocks:
+        width = max(1, products._BLOCK_ELEMENTS // (len(block) * max(len(block[-1][0]), n * n, m)))
+        for s in range(0, samples, width):
+            trees.append([draw for length in block for draw in length[s:s + width]])
+    return trees
+
+
+def _live_prefixes(family, horizon, samples, seed):
+    """The products a prefix-tree scan must form, tree by tree: every
+    distinct prefix of length >= 2 of a tree's draws, except, when the
+    scan prunes, those whose parent prefix is rank-one (its extensions are
+    rank-one and need no product)."""
+    prune = products._absorbing(family)
+    rank_one = {}
+    formed = set()
+    for b, tree in enumerate(_draw_trees(family, horizon, samples, seed)):
+        for draw in tree:
+            for l in range(1, len(draw)):
+                parent = draw[:l]
+                if prune:
+                    if parent not in rank_one:
+                        rank_one[parent] = oracles._is_rank_one(family, parent)
+                    if rank_one[parent]:
+                        break
+                formed.add((b, draw[:l + 1]))
+    return len(formed)
+
+
 def _pruned_off_family(rng: random.Random, n: int) -> MatrixFamily:
     """Two admissible members, the second with its (1, 1) entry set to
-    -inf, so pruning is off and every draw is folded in full."""
+    -inf, so pruning is off and every distinct prefix is formed."""
     fam = random_valid_family(rng, n, 2)
     rows = oracles.grid(fam.member(2))
     rows[0][0] = None
@@ -336,32 +372,33 @@ def _pruned_off_family(rng: random.Random, n: int) -> MatrixFamily:
 
 
 class TestRaggedSampledScan:
-    """The sampled scan folds a block of lengths as one ragged stack and
-    decides each draw at its own last layer; the per-sequence scan is the
-    reference."""
+    """The sampled scan folds a block of draws of several lengths as a tree
+    of their distinct prefixes and decides each draw at its own last layer;
+    the per-sequence scan is the reference, and a spy on
+    ``_kernels.extend`` checks that exactly one product is formed per
+    distinct live prefix."""
 
     def test_absorbed_rows_are_dropped_when_pruning(self, family5, monkeypatch):
-        # Every pivot of the fixture is finite, so rows that turn rank-one
-        # at a probe are dropped: fewer rows are decided at their end than
-        # were drawn, and none is swept.  Lengths below PROBE_STRIDE end
-        # before any probe.
+        # Every pivot of the fixture is finite, so a rank-one prefix is
+        # dropped with every draw under it.  Its 4,000 draws (one block)
+        # need 2,901 products, where folding each draw on its own takes
+        # 78,000.
         assert products._absorbing(family5)
-        est, spy = _spied_scan(monkeypatch, family5, horizon=40, samples_per_length=100, seed=4)
+        est, spy = _spied_scan(monkeypatch, family5, horizon=40, samples_per_length=100, seed=0)
         assert est.first_all_rank_one is not None and est.counterexamples
-        assert (PROBE_STRIDE - 1) * 100 < spy.decided < est.examined // 2
-        assert spy.probes > 0 and spy.swept == 0
+        assert len(_draw_trees(family5, 40, 100, 0)) == 1
+        assert spy.products == _live_prefixes(family5, 40, 100, 0) == 2901
 
     def test_every_row_is_decided_without_pruning(self, monkeypatch):
-        # A -inf pivot turns pruning off: every row, rank-one prefix or
-        # not, is folded as a matrix and decided at its end: no running
-        # product is probed and none is finished as a vector sweep.
+        # A -inf pivot turns pruning off: every distinct prefix is formed,
+        # rank-one or not, and shared prefixes only once.
         rng = random.Random(8)
         for case in range(6):
             fam = _pruned_off_family(rng, rng.randint(2, 5))
             assert not products._absorbing(fam)
-            est, spy = _spied_scan(monkeypatch, fam, horizon=20, samples_per_length=15, seed=case)
-            assert spy.decided == est.examined
-            assert spy.probes == spy.swept == 0
+            spy = _spied_scan(monkeypatch, fam, horizon=20, samples_per_length=15, seed=case)[1]
+            assert spy.products == _live_prefixes(fam, 20, 15, case)
+            assert spy.products < 15 * sum(k - 1 for k in range(1, 21))
 
     def test_near_guard_magnitudes_keep_pruning(self):
         # Finite pivots, and three times the walk magnitude at the horizon
@@ -385,8 +422,8 @@ class TestRaggedSampledScan:
     def test_prune_gate_keeps_the_rank_one_guard(self, monkeypatch):
         # A is rank-one and all finite, so every draw with a factor A is
         # rank-one and only the draws C^k fail.  A^5 has the magnitude 5 w,
-        # with three times it past the storage limit; such draws are
-        # dropped at their first passing probe like any other.
+        # with three times it past the storage limit; such prefixes leave
+        # the tree once rank-one like any other.
         store = 1 << 62
         w = 5 << 56
         assert 3 * 4 * w < store <= 3 * 5 * w and 5 * w < 1 << 61
@@ -397,19 +434,52 @@ class TestRaggedSampledScan:
         est, spy = _spied_scan(monkeypatch, fam, horizon=5, samples_per_length=100, seed=0)
         assert isinstance(est, TransientEstimate) and est.examined == 500
         assert est.counterexamples and all(set(idx) == {2} for _, idx in est.counterexamples)
-        assert spy.decided < est.examined
+        # Only prefixes C^l are extended: two products per layer.
+        assert spy.products == _live_prefixes(fam, 5, 100, 0) == 2 * 4
 
-    @pytest.mark.parametrize("chunk, block", [(4 * 25 * 7, 300), (4 * 25 * 64, 1200)])
-    def test_several_chunks_and_blocks(self, family5, monkeypatch, chunk, block):
-        # Small chunks and blocks: at n = 5 a chunk holds chunk // 100 rows,
-        # and a block at most block padded draws.
+    @pytest.mark.parametrize("chunk, block, trees, splits", [
+        pytest.param(4 * 25 * 7, 300, 32, True, id="700-300"),
+        pytest.param(4 * 25 * 64, 1200, 8, False, id="6400-1200"),
+    ])
+    def test_several_chunks_and_blocks(self, family5, monkeypatch, chunk, block, trees, splits):
+        # Small chunks and blocks: at n = 5 a chunk holds chunk // 100 rows
+        # and a tree's level at most block // 25.  With 20 draws per length,
+        # a block of 300 elements holds one length, which passes it alone
+        # and folds as two trees of 12 and 8 draws, whose levels span
+        # several 7-row chunks; a block of 1200 holds two lengths and folds
+        # as one tree, whose levels of at most 48 fit one 64-row chunk.
         monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
         monkeypatch.setattr(products, "_BLOCK_ELEMENTS", block)
+        rows = _kernels._chunk_rows(5)
         rng = random.Random(chunk)
         cases = [family5, _pruned_off_family(rng, 5), _scan_family(rng, 5, 3)]
         for seed, fam in enumerate(cases):
-            _, spy = _spied_scan(monkeypatch, fam, horizon=16, samples_per_length=20, seed=seed)
-            assert spy.blocks >= 3 and spy.chunks > spy.blocks
+            tree_spy = _TreeSpy(monkeypatch)
+            spy = _spied_scan(monkeypatch, fam, horizon=16, samples_per_length=20, seed=seed)[1]
+            assert tree_spy.trees == _draw_trees(fam, 16, 20, seed)
+            assert len(tree_spy.trees) == trees
+            assert spy.products == _live_prefixes(fam, 16, 20, seed)
+            assert (max(spy.sizes) > rows) == splits
+            assert max(spy.levels) <= block // 25
+
+    def test_large_lengths_fold_in_slices_within_the_budget(self, monkeypatch):
+        # At n = 20 one length of 2,000 draws passes the budget alone
+        # (2,000 x 400 > 2^18 elements), so it folds as four trees of at
+        # most 655 draws: no level, input or output of the level kernel,
+        # holds more than _BLOCK_ELEMENTS // n^2 products.  With 30 members
+        # the 900 prefixes of length 2 can fill a tree's level, and a -inf
+        # pivot keeps every one of them in the tree.
+        fam = _scan_family(random.Random(20), 20, 30)
+        assert not products._absorbing(fam)
+        samples, cap = 2000, products._BLOCK_ELEMENTS // 400
+        assert samples * 400 > products._BLOCK_ELEMENTS and cap == 655
+        tree_spy = _TreeSpy(monkeypatch)
+        spy = _ExtendSpy(monkeypatch)
+        est = estimate_transient(fam, horizon=3, samples_per_length=samples, seed=1)
+        assert est.examined == 3 * samples
+        assert tree_spy.trees == _draw_trees(fam, 3, samples, 1) and len(tree_spy.trees) == 3 * 4
+        assert max(spy.levels) <= cap and cap // 2 < max(spy.sizes) <= cap
+        assert spy.products == _live_prefixes(fam, 3, samples, 1)
 
     @pytest.mark.parametrize("horizon, samples", [(1, 1), (1, 50), (30, 1), (5, 1)])
     def test_smallest_scans(self, family5, horizon, samples):
@@ -474,8 +544,8 @@ class TestScanOverflow:
         # D_c = diag(0, -w - c): a product of three or four factors D
         # reaches 3 w or more, with three times it past the storage limit,
         # and is diagonal, so not rank-one; 4 w stays below the fold guard.
-        # Length 4 comes first in the ragged stack, in the first chunks when
-        # they hold 3 rows; every draw gets its exact verdict, in scan order.
+        # Lengths 1 to 4 fold as one tree, its levels in chunks of 3 rows in
+        # the second case; every draw gets its exact verdict, in scan order.
         if chunk:
             monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
         w = 15 << 55
