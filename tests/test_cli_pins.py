@@ -27,6 +27,7 @@ REPORTS = [
     ("transient", "FAM", "--horizon", "12", "--samples", "20", "--seed", "3"),
     ("transient", "FAM", "--horizon", "6", "--mode", "exhaustive"),
     ("derive", "FAM", "--expected", "EXP"),
+    ("derive", "FAM", "--expected", "SHAPES"),
     ("bound", "FAM", "SEQ", "--expected", "EXP"),
     ("check", "FAM", "SEQ", "--expected", "EXP"),
     ("validate", "BAD"),
@@ -98,6 +99,10 @@ PINS = {
         (0, "06b1f18a456be85b0afd8b823ec19641236ed005a133231965e2291875fc673a"),
     "derive FAM --expected EXP --format pretty":
         (0, "aeb27ef2b340a459b26bcb5f3c2a2368b42c14bae353cfe811265c055905a4b8"),
+    "derive FAM --expected SHAPES --format json":
+        (0, "acde384754b8a3208d46b3bb4b1d38c887aea691ea0fefaae198cde8f18766f3"),
+    "derive FAM --expected SHAPES --format pretty":
+        (0, "50443d119fbc41184e49c7d4cdcdf1dbb083e32ca59531a509230511885dc9b4"),
     "bound FAM SEQ --expected EXP --format json":
         (0, "ba381623e5a36da135e01528d6101b3346fd49e8a84d930ed687a34dfcd01549"),
     "bound FAM SEQ --expected EXP --format pretty":
@@ -173,6 +178,17 @@ def files(tmp_path_factory):
         "ONE": write("one.json", [1]),
         "SEVEN": write("seven.json", [1, 7]),
         "THREE": write("three.json", [1, 1, 1]),
+        # A vector of the wrong length, a matrix given as a vector, a
+        # matrix row that is not a list, and one wrong matrix cell.
+        "SHAPES": write("shapes.json", {
+            "alpha": [0, -3, -6, -4],
+            "gamma": [0, 0, 0, 0, 0],
+            "a_sup": [[0, 2, -2, "-inf", "-inf"], -3, ["-inf", "-inf", "-inf", -2, "-inf"],
+                      ["-inf", -1, "-inf", "-inf", "-inf"], [-1, "-inf", "-inf", 2, "-inf"]],
+            "a_inf": [[0, -3, -4, "-inf", "-inf"], [-5, "-inf", "-inf", "-inf", -6],
+                      ["-inf", "-inf", "-inf", -4, "-inf"], ["-inf", -5, "-inf", "-inf", "-inf"],
+                      [-6, "-inf", "-inf", -5, "-inf"]],
+        }),
         "HUGE": write("huge.json", {"members": [{"rows": [[0, -(2**61)], [-1, -2]]}]}),
         "BROKEN": write("broken.json", "{"),
         "BADTOKEN": write("token.json", {"members": [{"rows": [[0, "x"], [-1, -2]]}]}),
