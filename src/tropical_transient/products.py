@@ -226,22 +226,21 @@ def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, 
     # With _absorbing, only the failing products of a level need
     # extending: the extensions of a rank-one product are rank-one.
     prune = _absorbing(family)
-    # Level row r is the sequence whose 0-based indices are the k base-m
-    # digits of r, most significant first: itertools.product order.  A
-    # pruned scan can reach lengths whose indices leave int64.
-    level, rows = mem, np.arange(m, dtype=np.int64 if m**horizon < 1 << 63 else object)
+    # Level row r is the product of the 1-based sequence seqs[r]; rows run
+    # in itertools.product order.
+    level, seqs = mem, np.arange(1, m + 1, dtype=np.min_scalar_type(m))[:, None]
     for k in range(1, horizon + 1):
         _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
         if k > 1:
             # Row p * m + j extends product p by member j.
-            keys = np.arange(len(level) * m)
-            level = _kernels.extend(level, mem, keys // m, keys % m)
-            rows = (rows[:, None] * m + np.arange(m)).ravel()
+            parents, members = np.divmod(np.arange(len(level) * m), m)
+            level = _kernels.extend(level, mem, parents, members)
+            seqs = np.column_stack((seqs[parents], (members + 1).astype(seqs.dtype)))
         failed = ~_kernels.rank_one(level, level > _kernels.FLOOR)
-        bad = rows[failed]
+        bad = seqs[failed]
         if prune:
-            level, rows = level[failed], bad
-        yield m**k, bad[:, None] // m ** np.arange(k - 1, -1, -1, dtype=rows.dtype) % m + 1
+            level, seqs = level[failed], bad
+        yield m**k, bad
 
 
 def estimate_transient(

@@ -145,83 +145,68 @@ def _tokens_equal(a, b) -> bool:
     return wa is wb or wa == wb
 
 
+def _nesting(value):
+    """The list structure of a value, with every non-list leaf as ``None``."""
+    return [_nesting(v) for v in value] if isinstance(value, list) else None
+
+
+def _leaves(value, position=()):
+    """(1-based position, leaf) pairs of a nested list, row-major."""
+    if not isinstance(value, list):
+        yield list(position), value
+        return
+    for i, v in enumerate(value, start=1):
+        yield from _leaves(v, position + (i,))
+
+
 def deviations_between(computed: Mapping, expected: Mapping) -> list[dict]:
     """Per-position differences between computed fields and expectations.
 
-    ``computed`` maps field names to token scalars, vectors or matrices.
-    Fields of ``expected`` missing from ``computed`` are ignored (they
-    belong to other commands); positions are 1-based.  A field whose shape
-    differs (length, row count, row length, a matrix row that is not a
-    list or a vector entry that is one, on either side) is one deviation
-    at position ``[]``.
+    ``computed`` maps field names to token scalars or nested lists of
+    tokens.  Fields of ``expected`` missing from ``computed`` are ignored
+    (they belong to other commands).  A field whose list nesting differs
+    from the computed one (a length, or a list where a token is expected
+    or the reverse, at any depth) is one deviation at position ``[]``;
+    otherwise each differing token is one deviation at its 1-based
+    position.
     """
     out: list[dict] = []
     for field, exp in expected.items():
         if field not in computed:
             continue
         got = computed[field]
-        if isinstance(exp, list) and exp and isinstance(exp[0], list):
-            if (
-                not isinstance(got, list)
-                or len(got) != len(exp)
-                or any(
-                    not isinstance(gr, list) or not isinstance(er, list) or len(gr) != len(er)
-                    for gr, er in zip(got, exp)
-                )
-            ):
-                out.append({"field": field, "position": [], "computed": got, "expected": exp})
-                continue
-            for i, (gr, er) in enumerate(zip(got, exp), start=1):
-                for j, (g, e) in enumerate(zip(gr, er), start=1):
-                    if not _tokens_equal(g, e):
-                        out.append(
-                            {"field": field, "position": [i, j], "computed": g, "expected": e}
-                        )
-        elif isinstance(exp, list):
-            if (
-                not isinstance(got, list)
-                or len(got) != len(exp)
-                or any(isinstance(x, list) for x in got + exp)
-            ):
-                out.append({"field": field, "position": [], "computed": got, "expected": exp})
-                continue
-            for i, (g, e) in enumerate(zip(got, exp), start=1):
-                if not _tokens_equal(g, e):
-                    out.append(
-                        {"field": field, "position": [i], "computed": g, "expected": e}
-                    )
-        else:
-            if not _tokens_equal(got, exp):
-                out.append({"field": field, "position": [], "computed": got, "expected": exp})
+        if _nesting(got) != _nesting(exp):
+            out.append({"field": field, "position": [], "computed": got, "expected": exp})
+            continue
+        for (pos, g), (_, e) in zip(_leaves(got), _leaves(exp)):
+            if not _tokens_equal(g, e):
+                out.append({"field": field, "position": pos, "computed": g, "expected": e})
     return out
 
 
+# Expected-file field name -> key path into the report.
+_FIELD_PATHS = {
+    **{key: ("derived", key) for key in ("a_sup", "a_inf", "alpha", "beta", "gamma", "w", "v")},
+    "lambda_star": ("derived", "lambda_star", "value"),
+    "lambda_star_witness": ("derived", "lambda_star", "witness"),
+    **{f"{mode}_{key}": ("bounds", mode, key)
+       for mode in ("explicit", "implicit") for key in ("term1", "term2", "overall")},
+    **{key: ("check", key) for key in ("product", "w_star", "v_star")},
+}
+
+
 def comparable_fields(report: dict) -> dict:
-    """Flatten a report into the field names expected files refer to."""
+    """The report's values under the field names expected files refer to;
+    a field is left out only when its section or key is missing."""
     fields: dict = {}
-    derived = report.get("derived")
-    if derived:
-        for key in ("a_sup", "a_inf", "alpha", "beta", "gamma", "w", "v"):
-            if key in derived:
-                fields[key] = derived[key]
-        lam = derived.get("lambda_star")
-        if lam:
-            fields["lambda_star"] = lam["value"]
-            if lam.get("witness") is not None:
-                fields["lambda_star_witness"] = lam["witness"]
-    bounds = report.get("bounds")
-    if bounds:
-        for mode in ("explicit", "implicit"):
-            sect = bounds.get(mode)
-            if sect:
-                fields[f"{mode}_term1"] = sect["term1"]
-                fields[f"{mode}_term2"] = sect["term2"]
-                fields[f"{mode}_overall"] = sect["overall"]
-    check = report.get("check")
-    if check:
-        fields["product"] = check["product"]
-        fields["w_star"] = check["w_star"]
-        fields["v_star"] = check["v_star"]
+    for name, path in _FIELD_PATHS.items():
+        node = report
+        for key in path:
+            if key not in node:
+                break
+            node = node[key]
+        else:
+            fields[name] = node
     return fields
 
 
@@ -286,28 +271,21 @@ def render_pretty(report: dict) -> str:
         if "gamma" in derived:
             lines.append("gamma:")
             lines.extend(_fmt_matrix(derived["gamma"]))
-    bounds = report.get("bounds")
-    if bounds:
-        for mode in ("explicit", "implicit"):
-            sect = bounds.get(mode)
-            if not sect:
-                continue
-            lines.append("")
-            lines.append(f"{mode} bound: {sect['overall']}"
-                         f" (argmax entry ({sect['argmax']['i']},{sect['argmax']['j']})"
-                         f" via {sect['argmax']['term']})")
-            lines.append(f"  sufficient length: k >= {sect['min_sufficient_length']}")
-            if sect.get("lambda_star_undefined"):
-                lines.append("  note: no cycle avoids node 1; quotients taken as 0")
-            if "length_sufficient" in sect:
-                verdict = "guaranteed" if sect["length_sufficient"] else "not guaranteed"
-                lines.append(
-                    f"  sequence length {sect['sequence_length']}: rank-one {verdict}"
-                )
-            lines.append("  term1:")
-            lines.extend(_fmt_matrix(sect["term1"], indent="    "))
-            lines.append("  term2:")
-            lines.extend(_fmt_matrix(sect["term2"], indent="    "))
+    for mode, sect in report.get("bounds", {}).items():
+        lines.append("")
+        lines.append(f"{mode} bound: {sect['overall']}"
+                     f" (argmax entry ({sect['argmax']['i']},{sect['argmax']['j']})"
+                     f" via {sect['argmax']['term']})")
+        lines.append(f"  sufficient length: k >= {sect['min_sufficient_length']}")
+        if sect.get("lambda_star_undefined"):
+            lines.append("  note: no cycle avoids node 1; quotients taken as 0")
+        if "length_sufficient" in sect:
+            verdict = "guaranteed" if sect["length_sufficient"] else "not guaranteed"
+            lines.append(f"  sequence length {sect['sequence_length']}: rank-one {verdict}")
+        lines.append("  term1:")
+        lines.extend(_fmt_matrix(sect["term1"], indent="    "))
+        lines.append("  term2:")
+        lines.extend(_fmt_matrix(sect["term2"], indent="    "))
     check = report.get("check")
     if check:
         lines.append("")
@@ -345,9 +323,9 @@ def render_pretty(report: dict) -> str:
     if lemmas:
         lines.append("")
         lines.append(f"walk-structure checks: {'all hold' if lemmas['all_hold'] else 'FAILURES'}")
-        for key in ("initial_length", "final_length", "through_one_decomposition",
-                    "avoiding_strictly_below"):
-            sect = lemmas[key]
+        for key, sect in lemmas.items():
+            if key == "all_hold":
+                continue
             mark = "ok" if sect["holds"] else "FAIL"
             lines.append(
                 f"  [{mark}] {key}: {sect['checked']} checked, {sect['skipped']} skipped"

@@ -28,6 +28,7 @@ REPORTS = [
     ("transient", "FAM", "--horizon", "6", "--mode", "exhaustive"),
     ("derive", "FAM", "--expected", "EXP"),
     ("derive", "FAM", "--expected", "SHAPES"),
+    ("derive", "ACYCLIC", "--expected", "WITNESS"),
     ("bound", "FAM", "SEQ", "--expected", "EXP"),
     ("check", "FAM", "SEQ", "--expected", "EXP"),
     ("validate", "BAD"),
@@ -103,6 +104,10 @@ PINS = {
         (0, "acde384754b8a3208d46b3bb4b1d38c887aea691ea0fefaae198cde8f18766f3"),
     "derive FAM --expected SHAPES --format pretty":
         (0, "50443d119fbc41184e49c7d4cdcdf1dbb083e32ca59531a509230511885dc9b4"),
+    "derive ACYCLIC --expected WITNESS --format json":
+        (0, "cadeb8a168c1d3d1cc7266425cc3552a4868b70783e4140f3720b064e7b2f96b"),
+    "derive ACYCLIC --expected WITNESS --format pretty":
+        (0, "cd96a9cd5e509fdc27a693c970220e93a9eb6a09182856e5dce7e5cfe5ca7607"),
     "bound FAM SEQ --expected EXP --format json":
         (0, "ba381623e5a36da135e01528d6101b3346fd49e8a84d930ed687a34dfcd01549"),
     "bound FAM SEQ --expected EXP --format pretty":
@@ -189,6 +194,10 @@ def files(tmp_path_factory):
                       ["-inf", "-inf", "-inf", -4, "-inf"], ["-inf", -5, "-inf", "-inf", "-inf"],
                       [-6, "-inf", "-inf", -5, "-inf"]],
         }),
+        # No cycle avoids node 1: lambda* is -inf and its witness null.
+        "ACYCLIC": write("acyclic.json", {"members": [{"rows": [[0, -1], [-1, "-inf"]]},
+                                                      {"rows": [[0, -2], [-1, "-inf"]]}]}),
+        "WITNESS": write("witness.json", {"lambda_star_witness": [2]}),
         "HUGE": write("huge.json", {"members": [{"rows": [[0, -(2**61)], [-1, -2]]}]}),
         "BROKEN": write("broken.json", "{"),
         "BADTOKEN": write("token.json", {"members": [{"rows": [[0, "x"], [-1, -2]]}]}),

@@ -5,6 +5,8 @@ import pytest
 
 from tropical_transient import __version__
 from tropical_transient.bounds import explicit_bound
+from tropical_transient.family import MatrixFamily
+from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.report import (
     FORMAT_VERSION,
     MAX_REPORTED_COUNTEREXAMPLES,
@@ -112,6 +114,11 @@ class TestDeviations:
         out = deviations_between({"m": got}, {"m": exp})
         assert out == [{"field": "m", "position": [], "computed": got, "expected": exp}]
 
+    def test_list_in_a_matrix_cell_is_a_shape_mismatch(self):
+        got, exp = [[0, 0], [0, 0]], [[0, [0]], [0, 0]]
+        out = deviations_between({"m": got}, {"m": exp})
+        assert out == [{"field": "m", "position": [], "computed": got, "expected": exp}]
+
     def test_expected_fields_missing_from_computed_are_skipped(self):
         assert deviations_between({}, {"w": [0], "description": "notes"}) == []
 
@@ -143,6 +150,22 @@ class TestComparableFields:
         fields = comparable_fields(derive_report)
         assert fields["explicit_overall"] == 34
         assert "implicit_overall" not in fields
+
+    def test_null_witness_is_compared(self):
+        # No cycle avoids node 1, so lambda* is -inf with no witness; an
+        # expected witness must still be compared against that null.
+        family = MatrixFamily([
+            TropicalMatrix.from_rows([[0, -1], [-1, None]]),
+            TropicalMatrix.from_rows([[0, -2], [-1, None]]),
+        ])
+        report = base_report("derive", family, ["A1", "A2"])
+        report["derived"] = derived_section(family)
+        assert report["derived"]["lambda_star"] == {"value": "-inf", "witness": None}
+        assert comparable_fields(report)["lambda_star_witness"] is None
+        attach_deviations(report, {"lambda_star_witness": [2]})
+        assert report["deviations"] == [
+            {"field": "lambda_star_witness", "position": [], "computed": None, "expected": [2]}
+        ]
 
     def test_empty_report_has_no_fields(self):
         assert comparable_fields({"command": "validate"}) == {}
