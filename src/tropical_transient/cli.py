@@ -197,6 +197,10 @@ def cmd_transient(args, family, report) -> int:
         raise UsageError("--horizon must be at least 1")
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if args.budget is not None and args.budget < 1:
+        raise UsageError("--budget must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be non-negative")
     kwargs = {}
     if args.budget is not None:
         kwargs["max_products"] = args.budget

@@ -237,6 +237,11 @@ def _fmt_vector(tokens: list) -> str:
     return "(" + ", ".join(str(t) for t in tokens) + ")"
 
 
+def _fmt_value(value) -> str:
+    """A deviation value: a token as itself, a list or null as JSON."""
+    return json.dumps(value) if value is None or isinstance(value, list) else str(value)
+
+
 def render_pretty(report: dict) -> str:
     lines: list[str] = []
     fam = report["family"]
@@ -336,9 +341,8 @@ def render_pretty(report: dict) -> str:
         lines.append(f"deviations from expected values: {len(deviations)}")
         for d in deviations:
             pos = "".join(f"[{p}]" for p in d["position"])
-            lines.append(
-                f"  {d['field']}{pos}: computed {d['computed']}, expected {d['expected']}"
-            )
+            lines.append(f"  {d['field']}{pos}: computed {_fmt_value(d['computed'])}, "
+                         f"expected {_fmt_value(d['expected'])}")
     lines.append("")
     return "\n".join(lines)
 

@@ -17,6 +17,12 @@ analysis:
 The DP operations return a :class:`WalkSummary` carrying the optimal
 weight, a witness, and the minimum length among optimal walks.
 
+The single-start DPs each sweep from one start.  A final walk out of
+node 1 is an initial walk of the mirrored trellis (members transposed,
+sequence reversed) read backwards, so both classes run through one body,
+on one node-1-avoiding table and its arrivals at node 1; the best walk
+through node 1 extends the same arrivals.
+
 :func:`check_lemma_bounds` verifies the walk facts behind the transient
 bound.  All four of its thresholds come from one bound report of
 :mod:`bounds`, evaluated with the trellis vectors w*, v* (the optimal
@@ -140,24 +146,14 @@ def optimal_full_walk(t: TrellisDigraph, i: int, j: int) -> WalkSummary:
     Its weight is entry (i, j) of the folded product; the witness takes
     the smallest predecessor at each step among optimal choices.
     """
-    n = t.node_size
     k = t.layer_count
-    _check_node(n, i)
-    _check_node(n, j)
-    mem_num, mem_fin, seq0, den = t._arrays()
+    mem_num, mem_fin, seq0, den = _staged(t, i, j)
     tab = _kernels.ACTIVE.forward_full(mem_num, mem_fin, seq0, [i - 1])[:, 0]
     best = tab[k, j - 1]
     if best <= _kernels.FLOOR:
         return _EMPTY_SUMMARY
-    mem = _kernels.encode(mem_num, mem_fin)
-    nodes = _trace_back(mem, seq0, tab, k, j - 1, best)
-    return WalkSummary(
-        weight=_frac(best, den),
-        length=k,
-        min_length_among_optima=k,
-        witness=tuple(x + 1 for x in nodes),
-        start_layer=0,
-    )
+    nodes = _trace_back(_kernels.encode(mem_num, mem_fin), seq0, tab, k, j - 1, best)
+    return _summary(best, den, nodes, 0)
 
 
 def optimal_initial_walk(t: TrellisDigraph, i: int) -> WalkSummary:
@@ -168,22 +164,7 @@ def optimal_initial_walk(t: TrellisDigraph, i: int) -> WalkSummary:
     predecessor at each step.  From node 1 the class holds exactly the
     empty walk of weight 0.
     """
-    n = t.node_size
-    _check_node(n, i)
-    if i == 1:
-        return WalkSummary(ZERO, 0, 0, (1,), 0)
-    mem_num, mem_fin, seq0, den = t._arrays()
-    walk = _arrival(mem_num, mem_fin, seq0, i - 1)
-    if walk is None:
-        return _EMPTY_SUMMARY
-    best, layer, nodes = walk
-    return WalkSummary(
-        weight=_frac(best, den),
-        length=layer,
-        min_length_among_optima=layer,
-        witness=tuple(x + 1 for x in nodes),
-        start_layer=0,
-    )
+    return _anchored_walk(t, i, mirrored=False)
 
 
 def optimal_final_walk(t: TrellisDigraph, j: int) -> WalkSummary:
@@ -196,23 +177,7 @@ def optimal_final_walk(t: TrellisDigraph, j: int) -> WalkSummary:
     1 the class holds exactly the empty walk of weight 0, positioned at
     the last layer.
     """
-    n = t.node_size
-    k = t.layer_count
-    _check_node(n, j)
-    if j == 1:
-        return WalkSummary(ZERO, 0, 0, (1,), k)
-    mem_num, mem_fin, seq0, den = t._arrays()
-    walk = _arrival(*_kernels._mirror(mem_num, mem_fin, seq0), j - 1)
-    if walk is None:
-        return _EMPTY_SUMMARY
-    best, length, nodes = walk
-    return WalkSummary(
-        weight=_frac(best, den),
-        length=length,
-        min_length_among_optima=length,
-        witness=tuple(x + 1 for x in reversed(nodes)),
-        start_layer=k - length,
-    )
+    return _anchored_walk(t, j, mirrored=True)
 
 
 def initial_weights_all(t: TrellisDigraph) -> TropicalMatrix:
@@ -232,27 +197,18 @@ def best_avoiding_full_weight(t: TrellisDigraph, i: int, j: int) -> Weight:
 
     The class is empty when i or j is node 1 itself.
     """
-    n = t.node_size
-    k = t.layer_count
-    _check_node(n, i)
-    _check_node(n, j)
+    mem_num, mem_fin, seq0, den = _staged(t, i, j)
     if i == 1 or j == 1:
         return EPSILON
-    mem_num, mem_fin, seq0, den = t._arrays()
     tab = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, [i - 1])
-    return _weight(tab[k, 0, j - 1], den)
+    return _weight(tab[t.layer_count, 0, j - 1], den)
 
 
 def best_through_one_weight(t: TrellisDigraph, i: int, j: int) -> Weight:
     """Best weight of a full walk i -> j that touches node 1 at least once
     (endpoints count)."""
-    n = t.node_size
-    _check_node(n, i)
-    _check_node(n, j)
-    mem_num, mem_fin, seq0, den = t._arrays()
-    mem = _kernels.encode(mem_num, mem_fin)
-    forward = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, [i - 1])
-    into = _kernels.arrivals(mem, seq0, forward)
+    mem_num, mem_fin, seq0, den = _staged(t, i, j)
+    _, _, into = _avoiding(mem_num, mem_fin, seq0, i - 1)
     through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, [i - 1], into)
     return _weight(through[0, j - 1], den)
 
@@ -262,22 +218,53 @@ def _check_node(n: int, label: int) -> None:
         raise IndexError(f"node label {label} out of range 1..{n}")
 
 
+def _staged(t: TrellisDigraph, *labels: int):
+    """The staged (mem_num, mem_fin, seq0, den) of ``t``, once every
+    1-based node label is checked."""
+    for label in labels:
+        _check_node(t.node_size, label)
+    return t._arrays()
+
+
 def _column(x: np.ndarray, den: int) -> TropicalMatrix:
     num, fin = _kernels.decode(x)
     return TropicalMatrix(num[:, None], fin[:, None], den)
 
 
-def _arrival(mem_num, mem_fin, seq0, start: int):
-    """(weight, layer, nodes) of the best walk from 0-based node ``start``
-    at layer 0 that avoids node 0 until it arrives there, at the earliest
-    arrival layer among optima, or None when no such walk exists."""
+def _summary(best, den: int, nodes: list[int], start_layer: int) -> WalkSummary:
+    """The summary of a traced optimal walk of encoded weight ``best``;
+    the trace has minimum length among optima."""
+    length = len(nodes) - 1
+    return WalkSummary(_frac(best, den), length, length, tuple(x + 1 for x in nodes), start_layer)
+
+
+def _avoiding(mem_num, mem_fin, seq0, start: int):
+    """(mem, tab, into): the encoded members, the node-1-avoiding table
+    from 0-based node ``start`` at layer 0, and its arrivals at node 1."""
     mem = _kernels.encode(mem_num, mem_fin)
     tab = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, [start])
-    into = _kernels.arrivals(mem, seq0, tab)[:, 0]
-    best, layer = int(into.max()), int(into.argmax())
+    return mem, tab, _kernels.arrivals(mem, seq0, tab)
+
+
+def _anchored_walk(t: TrellisDigraph, node: int, mirrored: bool) -> WalkSummary:
+    """The best initial walk from ``node`` into node 1 or, mirrored, the
+    best final walk from node 1 to ``node``: the initial walk of the
+    mirrored trellis read backwards.  The arrival is the earliest among
+    optima, so the walk is a shortest optimal one."""
+    k = t.layer_count
+    *trellis, den = _staged(t, node)
+    if node == 1:
+        return WalkSummary(ZERO, 0, 0, (1,), k if mirrored else 0)
+    if mirrored:
+        trellis = _kernels._mirror(*trellis)
+    mem, tab, into = _avoiding(*trellis, node - 1)
+    best, layer = int(into[:, 0].max()), int(into[:, 0].argmax())
     if best <= _kernels.FLOOR:
-        return None
-    return best, layer, _trace_back(mem, seq0, tab[:, 0], layer, 0, best)
+        return _EMPTY_SUMMARY
+    nodes = _trace_back(mem, trellis[-1], tab[:, 0], layer, 0, best)
+    if mirrored:
+        nodes.reverse()
+    return _summary(best, den, nodes, k - layer if mirrored else 0)
 
 
 def _trace_back(mem, seq0, row, layer: int, node: int, target) -> list[int]:

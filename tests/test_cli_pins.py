@@ -47,6 +47,8 @@ ERRORS = [
     ("validate", "FAM", "--walrus"),
     ("transient", "FAM", "--horizon", "0"),
     ("transient", "FAM", "--horizon", "4", "--samples", "0"),
+    ("transient", "FAM", "--horizon", "4", "--budget", "0"),
+    ("transient", "FAM", "--horizon", "4", "--seed", "-1"),
     ("validate", "MISSING"),
     ("validate", "BROKEN"),
     ("validate", "BADTOKEN"),
@@ -103,11 +105,11 @@ PINS = {
     "derive FAM --expected SHAPES --format json":
         (0, "acde384754b8a3208d46b3bb4b1d38c887aea691ea0fefaae198cde8f18766f3"),
     "derive FAM --expected SHAPES --format pretty":
-        (0, "50443d119fbc41184e49c7d4cdcdf1dbb083e32ca59531a509230511885dc9b4"),
+        (0, "dd63f3ce0f4047aecf1b31e2431e29cdc1b21fcc2f732e640c9a9381c1ee84a2"),
     "derive ACYCLIC --expected WITNESS --format json":
         (0, "cadeb8a168c1d3d1cc7266425cc3552a4868b70783e4140f3720b064e7b2f96b"),
     "derive ACYCLIC --expected WITNESS --format pretty":
-        (0, "cd96a9cd5e509fdc27a693c970220e93a9eb6a09182856e5dce7e5cfe5ca7607"),
+        (0, "2365b6b30fd56984bc4722ea223be194ad6117b87aec0256631b8d278ecab1f0"),
     "bound FAM SEQ --expected EXP --format json":
         (0, "ba381623e5a36da135e01528d6101b3346fd49e8a84d930ed687a34dfcd01549"),
     "bound FAM SEQ --expected EXP --format pretty":
@@ -131,7 +133,7 @@ PINS = {
     "derive BAD --force --expected EXP --format json":
         (0, "bd2322996847cce07dbaf0541e77043ee2057b9d805be91e4ba0c72c0d736d1c"),
     "derive BAD --force --expected EXP --format pretty":
-        (0, "bf1725ca8a3f90f12b9974d7668613559d685765401382707abb118d5bbfaa1e"),
+        (0, "8702fbcff97840fabc05bfe2c91e3f30819bf33c47bb2eb8f216d6329c8def00"),
     "bound BAD --format json":
         (2, "9ae723285eee9f52a5948b122e65147e64ad65c7c8fb07aa1f7bb59a6407012a"),
     "bound BAD --format pretty":
@@ -153,6 +155,8 @@ PINS = {
     "validate FAM --walrus": (1, "usage error:"),
     "transient FAM --horizon 0": (1, "usage error:"),
     "transient FAM --horizon 4 --samples 0": (1, "usage error:"),
+    "transient FAM --horizon 4 --budget 0": (1, "usage error:"),
+    "transient FAM --horizon 4 --seed -1": (1, "usage error:"),
     "validate MISSING": (1, "input error:"),
     "validate BROKEN": (1, "input error:"),
     "validate BADTOKEN": (1, "input error:"),

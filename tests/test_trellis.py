@@ -94,17 +94,48 @@ class TestStructure:
                 build_trellis(family5, bad)
 
     def test_node_label_validation(self, family5):
+        # Labels 0 and n + 1 in every position of every public DP, next to
+        # node 1 too, whose shortcuts come after the check.
         t = build_trellis(family5, [1, 2])
-        for fn in (
-            lambda: optimal_full_walk(t, 0, 1),
-            lambda: optimal_full_walk(t, 1, 6),
-            lambda: optimal_initial_walk(t, 6),
-            lambda: optimal_final_walk(t, 0),
-            lambda: best_avoiding_full_weight(t, 9, 1),
-            lambda: best_through_one_weight(t, 1, 9),
-        ):
-            with pytest.raises(IndexError):
-                fn()
+        for bad in (0, 6):
+            calls = [(dp, (bad,)) for dp in (optimal_initial_walk, optimal_final_walk)]
+            calls += [
+                (dp, args)
+                for dp in (optimal_full_walk, best_avoiding_full_weight, best_through_one_weight)
+                for good in (1, 2)
+                for args in ((bad, good), (good, bad))
+            ]
+            for dp, args in calls:
+                with pytest.raises(IndexError, match="node label"):
+                    dp(t, *args)
+
+    @pytest.mark.parametrize("dp, args, kernels", [
+        (optimal_full_walk, (2, 3), ["forward_full"]),
+        (optimal_full_walk, (1, 1), ["forward_full"]),
+        (optimal_initial_walk, (3,), ["forward_avoid"]),
+        (optimal_final_walk, (3,), ["forward_avoid"]),
+        (best_avoiding_full_weight, (2, 3), ["forward_avoid"]),
+        (best_through_one_weight, (2, 3), ["forward_avoid", "through_anchor"]),
+        (best_through_one_weight, (1, 1), ["forward_avoid", "through_anchor"]),
+        (optimal_initial_walk, (1,), []),
+        (optimal_final_walk, (1,), []),
+        (best_avoiding_full_weight, (1, 3), []),
+        (best_avoiding_full_weight, (3, 1), []),
+    ])
+    def test_kernel_calls_per_query(self, family5, seq44, monkeypatch, dp, args, kernels):
+        # Each single-start DP runs one sweep of its kind (through node 1
+        # adds the anchor join); the node-1 shortcuts run none.
+        calls = []
+        base = _kernels.ACTIVE
+
+        def counted(name):
+            kernel = getattr(base, name)
+            return lambda *a: calls.append(name) or kernel(*a)
+
+        fields = [f for f in _kernels.Backend._fields if f != "name"]
+        monkeypatch.setattr(_kernels, "ACTIVE", base._replace(**{f: counted(f) for f in fields}))
+        dp(build_trellis(family5, seq44), *args)
+        assert calls == kernels
 
 
 class TestFullWalks:
