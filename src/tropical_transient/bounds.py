@@ -41,7 +41,7 @@ import numpy as np
 from . import _kernels
 from .errors import DimensionError
 from .family import MatrixFamily
-from .matrix import TropicalMatrix, _check_magnitude
+from .matrix import TropicalMatrix, _check_magnitude, common_grid
 from .products import _staged_sequence
 from .semiring import Epsilon, Weight
 
@@ -92,34 +92,34 @@ def compute_bound_report(
     if not isinstance(lam, Epsilon) and lam >= 0:
         raise DimensionError("bound terms need a negative or -inf cycle mean")
 
-    vectors = (w, v, alpha, beta)
-    w_fin, v_fin, a_fin, b_fin = (m._fin[:, 0] for m in vectors)
-    fin1 = w_fin[:, None] & v_fin & gamma._fin
+    # Vectors stay n x 1 columns; a transposed one spans the n x n grid.
+    w_fin, v_fin, a_fin, b_fin = (m._fin for m in (w, v, alpha, beta))
+    fin1 = w_fin & v_fin.T & gamma._fin
     init_fin, final_fin = w_fin & a_fin, v_fin & b_fin
-    fin2 = init_fin[:, None] & final_fin
+    fin2 = init_fin & final_fin.T
     const = n - 1
     if isinstance(lam, Epsilon):
         # Every quotient is 0: the terms are the bare constants.
         scale = 1
         t1 = np.full((n, n), const, dtype=np.int64)
-        initial = final = np.full(n, const, dtype=np.int64)
+        initial = final = np.full((n, 1), const, dtype=np.int64)
     else:
         # With lam = -p / q, a numerator N on the grid 1 / den gives
         # N / lam + c = (c den p - q N) / (den p).
-        den = TropicalMatrix.common_denominator(vectors + (gamma,))
-        w_num, v_num, a_num, b_num = (m.scaled(den)[0][:, 0] for m in vectors)
-        g_num = gamma.scaled(den)[0]
+        den, grid = common_grid(w, v, alpha, beta, gamma)
+        nums = [num for num, _ in grid]
+        w_num, v_num, a_num, b_num, g_num = nums
         p, q = -lam.numerator, lam.denominator
         scale = den * p
-        mw, mv, ma, mb, mg = (int(np.abs(x).max()) for x in (w_num, v_num, a_num, b_num, g_num))
+        mw, mv, ma, mb, mg = (int(np.abs(x).max()) for x in nums)
         _check_magnitude(
             max(q * (mw + mv + mg) + const * scale, q * (mw + ma + mv + mb) + 2 * const * scale),
             "bound terms",
         )
-        t1 = const * scale - q * (w_num[:, None] + v_num - g_num)
+        t1 = const * scale - q * (w_num + v_num.T - g_num)
         initial = const * scale - q * (w_num - a_num)
         final = const * scale - q * (v_num - b_num)
-    t2 = initial[:, None] + final
+    t2 = initial + final.T
     both = fin1 & fin2
     per_fin = fin1 | fin2
     if not per_fin.any():
@@ -133,8 +133,8 @@ def compute_bound_report(
         mode=mode,
         term1=TropicalMatrix(t1, fin1, scale),
         term2=TropicalMatrix(t2, fin2, scale),
-        initial_lengths=TropicalMatrix(initial[:, None], init_fin[:, None], scale),
-        final_lengths=TropicalMatrix(final[:, None], final_fin[:, None], scale),
+        initial_lengths=TropicalMatrix(initial, init_fin, scale),
+        final_lengths=TropicalMatrix(final, final_fin, scale),
         per_entry=TropicalMatrix(per, per_fin, scale),
         overall=overall,
         argmax=(i + 1, j + 1, "term1" if from_t1 else "term2"),

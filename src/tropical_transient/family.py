@@ -42,7 +42,7 @@ from .digraph import (
     validation_witness,
 )
 from .errors import AssumptionError, DimensionError
-from .matrix import TropicalMatrix, _check_magnitude, node_one_closure
+from .matrix import TropicalMatrix, _check_magnitude, common_grid, node_one_closure
 from .semiring import EPSILON, Epsilon, weight_token
 
 
@@ -280,15 +280,8 @@ class MatrixFamily:
     @cached_property
     def stacked(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Members stacked as (m, n, n) scaled arrays on a common denominator."""
-        den = TropicalMatrix.common_denominator(self._members)
-        nums = []
-        fins = []
-        for m in self._members:
-            num, fin = m.scaled(den)
-            nums.append(num)
-            fins.append(fin)
-        mem_num = np.ascontiguousarray(np.stack(nums))
-        mem_fin = np.ascontiguousarray(np.stack(fins))
+        den, grid = common_grid(*self._members)
+        mem_num, mem_fin = (np.stack(arrays) for arrays in zip(*grid))
         mem_num.setflags(write=False)
         mem_fin.setflags(write=False)
         return mem_num, mem_fin, den

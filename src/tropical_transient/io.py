@@ -17,7 +17,9 @@ Family file layout::
 Sequence files are JSON arrays of 1-based member indices, or an object
 {"indices": [...]}.  Expected-value files map report field names to
 scalars, vectors or matrices in the same token syntax; they drive the
-deviations section of reports.
+deviations section of reports.  A decimal there becomes its exact token
+(1.5 -> "3/2"), and an object or a boolean inside a field's value is
+refused.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import FamilyFileError
 from .family import MatrixFamily
 from .matrix import TokenTable, TropicalMatrix
 from .products import ProductSequence
-from .semiring import weight_from_token
+from .semiring import weight_from_token, weight_token
 
 PathLike = Union[str, Path]
 
@@ -211,11 +213,27 @@ def load_sequence(path: PathLike) -> ProductSequence:
 
 
 def load_expected(path: PathLike) -> dict:
-    """Parse an expected-value file: a flat mapping of report fields."""
+    """Parse an expected-value file: a flat mapping of report fields.
+
+    Decimals become their exact weight tokens (32.5 -> "65/2", 2.0 -> 2),
+    so the file's values are JSON-ready like a report's.  An object or a
+    boolean anywhere in a field's value raises :class:`FamilyFileError`.
+    """
     data = _load_json(path)
     if not isinstance(data, dict):
         raise FamilyFileError(f"{path}: expected an object of field values")
-    return data
+    return {field: _expected_value(path, field, value) for field, value in data.items()}
+
+
+def _expected_value(path: PathLike, field: str, value):
+    if isinstance(value, list):
+        return [_expected_value(path, field, v) for v in value]
+    if isinstance(value, Fraction):
+        return weight_token(value)
+    if isinstance(value, (dict, bool)):
+        kind = "an object" if isinstance(value, dict) else "a boolean"
+        raise FamilyFileError(f"{path}: field {field!r} holds {kind}, not a weight token")
+    return value
 
 
 def _reduced(num: np.ndarray, fin: np.ndarray, den: int) -> tuple[list, list, list]:

@@ -5,7 +5,9 @@ a single common denominator, plus a boolean finiteness mask for -inf
 entries.  Max-plus arithmetic only adds and compares entries, so products
 of matrices on a common grid stay on that grid and every operation here is
 exact.  Results are reduced to the smallest denominator, which makes
-equality a plain array comparison.
+equality a plain array comparison.  Every operation that combines matrices
+takes its operands from :func:`common_grid`, which puts them on their least
+common denominator.
 
 Instances are immutable; all operations return new matrices.
 """
@@ -262,9 +264,7 @@ class TropicalMatrix:
             raise DimensionError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        den = self.common_denominator([self, other])
-        a_num, a_fin = self.scaled(den)
-        b_num, b_fin = other.scaled(den)
+        den, ((a_num, a_fin), (b_num, b_fin)) = common_grid(self, other)
         _check_magnitude(
             self.max_abs_numerator * (den // self._den)
             + other.max_abs_numerator * (den // other._den),
@@ -286,36 +286,26 @@ class TropicalMatrix:
             out = out @ self
         return out
 
+    def _entrywise(self, other: "TropicalMatrix", what: str):
+        """:func:`common_grid` of two matrices of equal shape."""
+        if self.shape != other.shape:
+            raise DimensionError(f"entrywise {what} needs equal shapes")
+        return common_grid(self, other)
+
     def oplus(self, other: "TropicalMatrix") -> "TropicalMatrix":
         """Entrywise max."""
-        if self.shape != other.shape:
-            raise DimensionError("entrywise max needs equal shapes")
-        den = self.common_denominator([self, other])
-        a_num, a_fin = self.scaled(den)
-        b_num, b_fin = other.scaled(den)
+        den, ((a_num, a_fin), (b_num, b_fin)) = self._entrywise(other, "max")
         take_b = b_fin & (~a_fin | (b_num > a_num))
-        num = np.where(take_b, b_num, a_num)
-        fin = a_fin | b_fin
-        return TropicalMatrix(np.where(fin, num, np.int64(0)), fin, den)
+        return TropicalMatrix(np.where(take_b, b_num, a_num), a_fin | b_fin, den)
 
     def emin(self, other: "TropicalMatrix") -> "TropicalMatrix":
         """Entrywise min (-inf absorbs)."""
-        if self.shape != other.shape:
-            raise DimensionError("entrywise min needs equal shapes")
-        den = self.common_denominator([self, other])
-        a_num, a_fin = self.scaled(den)
-        b_num, b_fin = other.scaled(den)
-        fin = a_fin & b_fin
-        num = np.where(fin, np.minimum(a_num, b_num), np.int64(0))
-        return TropicalMatrix(num, fin, den)
+        den, ((a_num, a_fin), (b_num, b_fin)) = self._entrywise(other, "min")
+        return TropicalMatrix(np.minimum(a_num, b_num), a_fin & b_fin, den)
 
     def le(self, other: "TropicalMatrix") -> bool:
         """Entrywise order: every entry of self at most the matching entry."""
-        if self.shape != other.shape:
-            raise DimensionError("entrywise comparison needs equal shapes")
-        den = self.common_denominator([self, other])
-        a_num, a_fin = self.scaled(den)
-        b_num, b_fin = other.scaled(den)
+        _, ((a_num, a_fin), (b_num, b_fin)) = self._entrywise(other, "comparison")
         if (a_fin & ~b_fin).any():
             return False
         both = a_fin & b_fin
@@ -326,14 +316,16 @@ class TropicalMatrix:
 
     # -- structural edits (returning new instances) -------------------------
 
+    def _masked(self, where) -> "TropicalMatrix":
+        """This matrix with the entries at index ``where`` set to -inf."""
+        fin = self._fin.copy()
+        fin[where] = False
+        return TropicalMatrix(self._num, fin, self._den)
+
     def with_entry(self, i: int, j: int, value) -> "TropicalMatrix":
         w = as_weight(value)
-        num = self._num.copy()
-        fin = self._fin.copy()
         if isinstance(w, Epsilon):
-            num[i, j] = 0
-            fin[i, j] = False
-            return TropicalMatrix(num, fin, self._den)
+            return self._masked((i, j))
         den = self._den * w.denominator // math.gcd(self._den, w.denominator)
         num, fin = (a.copy() for a in self.scaled(den))
         scaled = w.numerator * (den // w.denominator)
@@ -343,18 +335,10 @@ class TropicalMatrix:
         return TropicalMatrix(num, fin, den)
 
     def with_row_eps(self, i: int) -> "TropicalMatrix":
-        num = self._num.copy()
-        fin = self._fin.copy()
-        num[i, :] = 0
-        fin[i, :] = False
-        return TropicalMatrix(num, fin, self._den)
+        return self._masked(np.s_[i, :])
 
     def with_col_eps(self, j: int) -> "TropicalMatrix":
-        num = self._num.copy()
-        fin = self._fin.copy()
-        num[:, j] = 0
-        fin[:, j] = False
-        return TropicalMatrix(num, fin, self._den)
+        return self._masked(np.s_[:, j])
 
     def delete_node(self, idx: int) -> "TropicalMatrix":
         """Remove row and column idx (for node-deleted subdigraphs)."""
@@ -375,6 +359,13 @@ class TropicalMatrix:
         return TropicalMatrix(num, fin, self._den)
 
 
+def common_grid(*matrices: TropicalMatrix) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
+    """The least common denominator of the matrices, and each one's
+    numerator grid and mask rescaled to it (see :meth:`TropicalMatrix.scaled`)."""
+    den = TropicalMatrix.common_denominator(matrices)
+    return den, [m.scaled(den) for m in matrices]
+
+
 def outer_product(x: TropicalMatrix, y: TropicalMatrix) -> TropicalMatrix:
     """The rank-one matrix x (x) y^T with entries x_i + y_j.
 
@@ -385,11 +376,8 @@ def outer_product(x: TropicalMatrix, y: TropicalMatrix) -> TropicalMatrix:
     """
     if x.cols != 1 or y.cols != 1 or x.rows != y.rows:
         raise DimensionError("outer product needs two equal-length column vectors")
-    den = TropicalMatrix.common_denominator([x, y])
-    x_num, x_fin = x.scaled(den)
-    y_num, y_fin = y.scaled(den)
-    out = TropicalMatrix(x_num[:, 0][:, None] + y_num[:, 0][None, :],
-                         x_fin[:, 0][:, None] & y_fin[:, 0][None, :], den)
+    den, ((x_num, x_fin), (y_num, y_fin)) = common_grid(x, y)
+    out = TropicalMatrix(x_num + y_num.T, x_fin & y_fin.T, den)
     _check_magnitude(out.max_abs_numerator, "outer product", _STORE_LIMIT)
     return out
 

@@ -937,8 +937,9 @@ def full_level_estimate(family, horizon: int,
 
 # ---------------------------------------------------------------------------
 # The per-entry Fraction loader and from_rows (the package's earlier
-# construction path, kept as the reference for the token table) and the
-# validation loop check that decided the side-cycle sign with Karp
+# construction path, kept as the reference for the token table), and
+# validation with its support and connectivity checks read off ``grid`` and
+# its loop check deciding the side-cycle sign with Karp
 # ---------------------------------------------------------------------------
 
 def fraction_from_rows(rows) -> TropicalMatrix:
@@ -1032,8 +1033,57 @@ def karp_loop_check(m: TropicalMatrix, label: str):
     return None
 
 
+def support_check(family: MatrixFamily) -> AssumptionCheck:
+    """The geometric-equivalence check, comparing the -inf entries of each
+    member with member 1's one entry at a time; the witness is the first
+    differing entry of the first differing member, in row-major order."""
+    grids = [grid(m) for m in family.members]
+    n = family.size
+    for idx, g in enumerate(grids[1:], start=2):
+        for i, j in itertools.product(range(n), repeat=2):
+            if (grids[0][i][j] is None) != (g[i][j] is None):
+                label = f"member {idx}"
+                return AssumptionCheck("geometric_equivalence", False, digraph.validation_witness(
+                    "support_mismatch",
+                    matrix=label,
+                    edge=[i + 1, j + 1],
+                    present_in="member 1" if g[i][j] is None else label,
+                ))
+    return AssumptionCheck("geometric_equivalence", True)
+
+
+def _reaches_all(n: int, edge) -> bool:
+    """Whether a depth-first search from node 0 along ``edge(u, v)`` visits
+    all n nodes."""
+    seen, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in range(n):
+            if v not in seen and edge(u, v):
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == n
+
+
+def connectivity_check(family: MatrixFamily) -> AssumptionCheck:
+    """The irreducibility check: a member is strongly connected when node
+    0 reaches every node and every node reaches node 0; the witness names
+    the first member that is not."""
+    n = family.size
+    for idx, m in enumerate(family.members, start=1):
+        g = grid(m)
+        if not (_reaches_all(n, lambda u, v: g[u][v] is not None)
+                and _reaches_all(n, lambda u, v: g[v][u] is not None)):
+            return AssumptionCheck("irreducibility", False, digraph.validation_witness(
+                "not_strongly_connected", member=idx
+            ))
+    return AssumptionCheck("irreducibility", True)
+
+
 def karp_validation(family: MatrixFamily) -> ValidationReport:
-    """``family.validation`` with both loop checks run by :func:`karp_loop_check`."""
+    """``family.validation`` from the checks of this section: the support
+    and connectivity checks above, and both loop checks run by
+    :func:`karp_loop_check`."""
     def loops(name, labeled):
         for label, m in labeled:
             witness = karp_loop_check(m, label)
@@ -1043,8 +1093,8 @@ def karp_validation(family: MatrixFamily) -> ValidationReport:
 
     members = [(f"member {i}", m) for i, m in enumerate(family.members, start=1)]
     return ValidationReport((
-        family._check_equivalence(),
-        family._check_irreducibility(),
+        support_check(family),
+        connectivity_check(family),
         loops("members_node1_critical_loop", members),
         loops("sup_node1_critical_loop", [("A_sup", family.a_sup)]),
     ))

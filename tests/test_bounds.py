@@ -228,6 +228,36 @@ class TestFractionOracle:
             assert report.lambda_star_undefined
             self._check_family(family, rng)
 
+    def test_members_on_different_denominators(self):
+        # Dividing a member by a positive constant keeps its support, its
+        # 0 loop and the sign of every cycle, so the family stays
+        # admissible while its members sit on different grids: the
+        # stacked members and the bound terms rescale to a common one.
+        rng = random.Random(35)
+        rescaled = 0
+        for _ in range(40):
+            base = random_valid_family(rng, rng.randint(2, 7), rng.randint(2, 3))
+            family = MatrixFamily([
+                TropicalMatrix.from_rows([
+                    [x if isinstance(x, Epsilon) else x / q for x in row] for row in m.to_rows()
+                ])
+                for m, q in zip(base.members, (rng.choice((2, 3, 5)) for _ in base.members))
+            ])
+            assert family.validate().passed
+            rescaled += family.stacked[2] > min(m.denominator for m in family.members)
+            derived = family.sup_derived
+            assert explicit_bound(family) == oracles.fraction_bound_report(
+                family.inf_walk_to_one(), family.inf_walk_from_one(), derived.alpha,
+                derived.beta, derived.gamma, derived.lambda_star.mean, "explicit",
+            )
+            seq = [rng.randint(1, family.member_count) for _ in range(rng.randint(1, 12))]
+            grids = [oracles.grid(m) for m in family.members]
+            product = fold(family, seq)
+            assert oracles.grid(product) == oracles.naive_fold([grids[i - 1] for i in seq])
+            assert implicit_sequence_bound(family, seq) == implicit_bound(family, product)
+            self._check_family(family, rng)
+        assert rescaled > 20
+
     def test_random_inputs_with_infinite_rows(self):
         rng = random.Random(34)
         infinite_rows = 0

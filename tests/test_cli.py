@@ -133,14 +133,13 @@ class TestDerive:
         devs = [(d["field"], d["position"], d["expected"]) for d in report["deviations"]]
         assert devs == [(field, [], exp)]
 
-    def test_expected_boolean_is_a_deviation(self, capsys, tmp_path):
+    def test_expected_boolean_is_an_input_error(self, capsys, tmp_path):
+        # false is not the weight 0, and not a token at all: the file is refused.
         path = tmp_path / "expected.json"
         path.write_text(json.dumps({"w": [False, -5, -14, -10, -6]}), encoding="utf-8")
-        code, report, _ = run_json(capsys, "derive", FAMILY, "--expected", path)
-        assert code == 0
-        assert report["deviations"] == [
-            {"field": "w", "position": [1], "computed": 0, "expected": False}
-        ]
+        code, out, err = run(capsys, "derive", FAMILY, "--expected", path, "--format", "json")
+        assert (code, out) == (1, "")
+        assert err.startswith("input error:") and "'w' holds a boolean" in err
 
     def test_invalid_family_stops(self, capsys, invalid_family):
         code, report, _ = run_json(capsys, "derive", invalid_family)

@@ -29,6 +29,7 @@ REPORTS = [
     ("derive", "FAM", "--expected", "EXP"),
     ("derive", "FAM", "--expected", "SHAPES"),
     ("derive", "ACYCLIC", "--expected", "WITNESS"),
+    ("derive", "FAM", "--expected", "DECIMAL"),
     ("bound", "FAM", "SEQ", "--expected", "EXP"),
     ("check", "FAM", "SEQ", "--expected", "EXP"),
     ("validate", "BAD"),
@@ -56,6 +57,7 @@ ERRORS = [
     ("check", "FAM", "SEVEN"),
     ("bound", "FAM", "SEVEN"),
     ("derive", "FAM", "--expected", "BROKEN"),
+    ("derive", "FAM", "--expected", "OBJECT"),
     ("transient", "FAM", "--horizon", "20", "--mode", "exhaustive"),
     ("check", "HUGE", "THREE"),
 ]
@@ -110,6 +112,10 @@ PINS = {
         (0, "cadeb8a168c1d3d1cc7266425cc3552a4868b70783e4140f3720b064e7b2f96b"),
     "derive ACYCLIC --expected WITNESS --format pretty":
         (0, "2365b6b30fd56984bc4722ea223be194ad6117b87aec0256631b8d278ecab1f0"),
+    "derive FAM --expected DECIMAL --format json":
+        (0, "f22d14e33abfaa84da2e1b5a2b2c4794179c1027a7f4b336a756c00e3aee207b"),
+    "derive FAM --expected DECIMAL --format pretty":
+        (0, "897ae0cc9e59264327f7f038bd3f668ae8634ac6836eaac39a95c9ea42bd6cad"),
     "bound FAM SEQ --expected EXP --format json":
         (0, "ba381623e5a36da135e01528d6101b3346fd49e8a84d930ed687a34dfcd01549"),
     "bound FAM SEQ --expected EXP --format pretty":
@@ -164,6 +170,7 @@ PINS = {
     "check FAM SEVEN": (1, "input error:"),
     "bound FAM SEVEN": (1, "input error:"),
     "derive FAM --expected BROKEN": (1, "input error:"),
+    "derive FAM --expected OBJECT": (1, "input error:"),
     "transient FAM --horizon 20 --mode exhaustive": (4, "budget exceeded:"),
     "check HUGE THREE": (1, "overflow:"),
 }
@@ -202,6 +209,10 @@ def files(tmp_path_factory):
         "ACYCLIC": write("acyclic.json", {"members": [{"rows": [[0, -1], [-1, "-inf"]]},
                                                       {"rows": [[0, -2], [-1, "-inf"]]}]}),
         "WITNESS": write("witness.json", {"lambda_star_witness": [2]}),
+        # Decimals compare, and print, as their exact tokens: 2.0 is 2.
+        "DECIMAL": write("decimal.json", {"lambda_star": 1.5, "alpha": [0, 2.5, -6],
+                                          "beta": [0, 2.0, -2, 1, -1]}),
+        "OBJECT": write("object.json", {"alpha": {"x": 1}, "lambda_star": True}),
         "HUGE": write("huge.json", {"members": [{"rows": [[0, -(2**61)], [-1, -2]]}]}),
         "BROKEN": write("broken.json", "{"),
         "BADTOKEN": write("token.json", {"members": [{"rows": [[0, "x"], [-1, -2]]}]}),

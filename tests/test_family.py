@@ -192,7 +192,8 @@ def test_random_one_node_families_validate():
 
 class TestLoopCheckAgainstKarp:
     """The closure decides the side-cycle sign; the report, failing
-    witnesses included, matches the check that ran Karp on every matrix."""
+    witnesses included, matches the oracle that runs Karp on every matrix
+    and compares supports and searches reachability on plain grids."""
 
     def test_random_valid_families(self):
         rng = random.Random(11)
@@ -219,6 +220,35 @@ class TestLoopCheckAgainstKarp:
             failing += not report.passed
             assert report == oracles.karp_validation(edited)
         assert failing > 10
+
+    def test_equivalence_fails_first_at_member_3(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            fam = random_valid_family(rng, rng.randint(2, 6), 3)
+            members = list(fam.members)
+            n = fam.size
+            # Flip one entry of member 3 between -inf and a finite weight.
+            i, j = rng.randrange(n), rng.randrange(n)
+            flipped = -3 if isinstance(members[2].entry(i, j), Epsilon) else EPSILON
+            members[2] = members[2].with_entry(i, j, flipped)
+            edited = MatrixFamily(members)
+            report = edited.validation
+            assert report.check("geometric_equivalence").witness["matrix"] == "member 3"
+            assert report == oracles.karp_validation(edited)
+
+    def test_irreducibility_fails_first_at_member_2(self):
+        rng = random.Random(14)
+        for _ in range(30):
+            fam = random_valid_family(rng, rng.randint(2, 6), 3)
+            members = list(fam.members)
+            k = rng.randrange(1, fam.size)
+            # Nothing enters node k in member 2; nothing leaves it in member 3.
+            members[1] = members[1].with_col_eps(k)
+            members[2] = members[2].with_row_eps(k)
+            edited = MatrixFamily(members)
+            report = edited.validation
+            assert report.check("irreducibility").witness["member"] == 2
+            assert report == oracles.karp_validation(edited)
 
     def test_karp_decides_past_the_closure_guard(self):
         # A large edge between the two components of a reducible member

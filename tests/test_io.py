@@ -189,7 +189,19 @@ class TestLoadExpected:
 
     def test_decimals_stay_exact(self, tmp_path):
         p = write(tmp_path, "e.json", {"explicit_overall": 32.5})
-        assert load_expected(p)["explicit_overall"] == Fraction(65, 2)
+        assert load_expected(p)["explicit_overall"] == "65/2"
+
+    def test_nested_decimals_become_tokens(self, tmp_path):
+        p = write(tmp_path, "e.json", {"alpha": [0, 2.5, 2.0], "gamma": [[-0.25]]})
+        got = load_expected(p)
+        assert got == {"alpha": [0, "5/2", 2], "gamma": [["-1/4"]]}
+        assert type(got["alpha"][2]) is int
+
+    @pytest.mark.parametrize("value", [{"x": 1}, True, [0, [False]], [{"x": 1}]])
+    def test_object_or_boolean_rejected(self, tmp_path, value):
+        p = write(tmp_path, "e.json", {"description": "strings pass", "alpha": value})
+        with pytest.raises(FamilyFileError, match="'alpha' holds"):
+            load_expected(p)
 
     def test_non_object_rejected(self, tmp_path):
         p = write(tmp_path, "e.json", [1, 2])
