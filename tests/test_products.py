@@ -389,6 +389,13 @@ class TestRaggedSampledScan:
         assert len(_draw_trees(family5, 40, 100, 0)) == 1
         assert spy.products == _live_prefixes(family5, 40, 100, 0) == 2901
 
+    def test_benchmark_transient_op_work(self, family5, monkeypatch):
+        # The CLI benchmark's transient op scans horizon 12 with 50 draws
+        # per length, seed 0: one tree of 600 draws.
+        spy = _spied_scan(monkeypatch, family5, horizon=12, samples_per_length=50, seed=0)[1]
+        assert len(_draw_trees(family5, 12, 50, 0)) == 1
+        assert spy.products == _live_prefixes(family5, 12, 50, 0) == 766
+
     def test_every_row_is_decided_without_pruning(self, monkeypatch):
         # A -inf pivot turns pruning off: every distinct prefix is formed,
         # rank-one or not, and shared prefixes only once.
@@ -600,6 +607,15 @@ class TestPrunedExhaustive:
             assert (_outcome(estimate_transient, fam, horizon, "exhaustive")
                     == _outcome(oracles.full_level_estimate, fam, horizon))
         assert pivots_inf > 20
+
+    def test_benchmark_scan_work(self, family5, monkeypatch):
+        # The benchmark's exhaustive scan (horizon 8, 9,840 sequences)
+        # forms m products per failing product of lengths 1 to 7.
+        spy = _ExtendSpy(monkeypatch)
+        est = estimate_transient(family5, 8, "exhaustive")
+        failing = [sum(1 for k, _ in est.counterexamples if k == length) for length in range(1, 8)]
+        assert est.examined == 9840
+        assert spy.products == 3 * sum(failing) == 3552
 
     def test_prune_gate_keeps_the_rank_one_guard(self):
         # Every pivot is finite and A is rank-one, so the level-2 products
