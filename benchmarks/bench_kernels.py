@@ -8,7 +8,8 @@ checks join from the arrivals and departures of two avoiding sweeps) on
 random scaled-integer inputs and prints the best wall time per call.  At
 sizes up to 16 it also times one exhaustive level step of the transient
 scan's level kernel ``extend``, from the m^4 products of length 4 to the
-m^5 of length 5.
+m^5 of length 5, formed by rank-1 max updates with their rank-one
+verdicts.
 
 A second table times the single fold at k = 200 and n = 20, 40, 80 on
 two sequences: one over admissible-style members, whose prefix turns
@@ -17,9 +18,10 @@ weighted permutation matrices, which never turn rank-one, so the fold
 pays for every rank-one probe on top of every matrix product.
 
 A third table times the transient scan's own work, all of whose matrix
-products the level kernel ``extend`` forms; the ``formed`` column counts
-them.  It folds 100 draws of length 20 and 40 at n = 5 and 16, over the
-same two kinds of members, as the sampled scan's tree of distinct prefixes
+products the level kernel ``extend`` forms, from the empty product on;
+the ``formed`` column counts them.  It folds 100 draws of length 20 and
+40 at n = 5 and 16, over the same two kinds of members, as the sampled
+scan's tree of distinct prefixes
 (the onset members have finite (1, 1) entries, so rank-one prefixes leave
 the tree).  Then it runs the sampled scan of the bundled five-node family
 (horizon 40, 100 draws per length, seed 0), the same scan with member 1's
@@ -138,9 +140,11 @@ def onset_layer(num, fin, seq):
 
 def level_step(level, mem):
     """The exhaustive scan's level step: product p times member j in row
-    p * m + j."""
+    p * m + j.  Its rank-one verdicts are formed, as in the scan, and
+    dropped."""
     keys = np.arange(len(level) * len(mem))
-    return extend(level, mem, keys // len(mem), keys % len(mem))
+    level, _ = extend(level, mem, keys // len(mem), keys % len(mem))
+    return level
 
 
 def prefix_tree(mem, draws):

@@ -19,14 +19,14 @@ range.  ``matmul`` and ``fold`` return (numerator, mask) pairs with 0 in
 masked slots; the trellis sweeps return encoded tables, which their
 callers reduce further.
 
-Products broadcast over leading batch dimensions, and ``extend`` grows
-a level of products by one factor each: row i is a chosen product of the
-level times a chosen member.  Both transient scans build their products
-that way, one length at a time.  A stack of many matrices, or of several
-whose broadcast would pass ``CHUNK_ELEMENTS`` int64 values, multiplies by
-n rank-1 max updates instead of one broadcast.  Stacked calls run on
-chunks of rows whose rank-1 working arrays, four of (rows, n, n), hold
-at most ``CHUNK_ELEMENTS`` values.
+A single state, a vector or a stack of rows, multiplies by one matrix
+as one broadcast (``_product``).  A level of products grows by one factor
+each through ``extend``, by rank-1 max updates: row i is a chosen product
+of the level times a chosen member, and it comes back with its rank-one
+verdicts.  Both transient scans grow every level that way, one length at
+a time from the empty product (``identity_level``).  ``extend`` runs on
+chunks of rows whose working arrays, four of (rows, n, n), hold at most
+``CHUNK_ELEMENTS`` values.
 
 A single fold tests its running product for rank-one every
 ``PROBE_STRIDE`` layers, and once a prefix passes it finishes as one
@@ -69,9 +69,6 @@ CHUNK_ELEMENTS = 1 << 16
 # A fold tests its running products for rank-one every this many layers;
 # testing every layer costs more than it saves at small n.
 PROBE_STRIDE = 4
-# Stacks of at least this many matrices multiply by rank-1 max updates;
-# smaller stacks are faster as one broadcast (measured at n = 3 to 32).
-RANK1_MIN_STACK = 16
 
 
 def encode(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
@@ -86,34 +83,14 @@ def decode(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _product(x: np.ndarray, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """x (x) a for an encoded (n,) state x and an (n, c) matrix a, or for
-    x of shape (..., r, n) and a of shape (..., n, c), batch dimensions
-    broadcast.
-
-    A stack of matrices with more than one row each runs as n rank-1 max
-    updates of the (..., r, c) result when it holds at least
-    ``RANK1_MIN_STACK`` matrices (along its leading axis), or at least
-    two whose (..., r, n, c) broadcast would pass ``CHUNK_ELEMENTS``:
-    numpy reduces that broadcast over its middle axis in many short
-    strided loops.  Single matrices, vector stacks and small stacks of
-    small matrices keep the broadcast, which is faster there.  Both add
-    then max, so the results are identical.
-    """
-    if x.ndim > 2 and x.shape[-2] > 1 and (len(x) >= RANK1_MIN_STACK or len(x) > 1
-                                           and x.size * a.shape[-1] > CHUNK_ELEMENTS):
-        out = np.add(x[..., :, :1], a[..., :1, :], out=out)
-        for t in range(1, x.shape[-1]):
-            np.maximum(out, x[..., :, t:t + 1] + a[..., t:t + 1, :], out=out)
-        return np.maximum(out, MASKED, out=out)
-    if x.ndim > 1:
-        a = a[..., None, :, :]
+    """x (x) a for an encoded (n,) or (r, n) state x and an (n, c) matrix a,
+    as one broadcast: add, then max."""
     out = (x[..., :, None] + a).max(axis=-2, out=out)
     return np.maximum(out, MASKED, out=out)
 
 
 def _chunk_rows(n: int) -> int:
-    # A stack whose broadcast would pass CHUNK_ELEMENTS takes the rank-1
-    # path, where a product touches four (rows, n, n) arrays: the state,
+    # A chunk of extend touches four (rows, n, n) arrays: the products,
     # the members, the result and one rank-1 term.
     return max(1, CHUNK_ELEMENTS // (4 * n * n))
 
@@ -198,23 +175,35 @@ def _matmul(a_num, a_fin, b_num, b_fin):
     return decode(_product(encode(a_num, a_fin), encode(b_num, b_fin)))
 
 
-def extend(level: np.ndarray, mem: np.ndarray, parents: np.ndarray,
-           members: np.ndarray) -> np.ndarray:
-    """Row i is level[parents[i]] (x) mem[members[i]], for an encoded
-    (B, n, n) level, m encoded members and index arrays of one length.
+def identity_level(n: int) -> np.ndarray:
+    """The empty product as a one-row encoded level: the (n, n) identity."""
+    return _units(n, np.arange(n))[None]
 
-    The transient scans grow their levels with it: the exhaustive scan
-    pairs every product with every member (row p * m + j), the sampled
-    scan only the distinct prefixes of its draws.  It runs in chunks of
-    ``_chunk_rows`` rows, each gathering its factors once.
+
+def extend(level: np.ndarray, mem: np.ndarray, parents: np.ndarray,
+           members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(out, ok): out[i] is level[parents[i]] (x) mem[members[i]], for an
+    encoded (B, n, n) level, m encoded members and index arrays of one
+    length, and ok[i] says whether out[i] is rank-one (``rank_one``).
+
+    The transient scans grow their levels with it from ``identity_level``:
+    the exhaustive scan pairs every product with every member (row
+    p * m + j), the sampled scan only the distinct prefixes of its draws.
+    It runs in chunks of ``_chunk_rows`` rows, each gathering its factors
+    once and forming its products by n rank-1 max updates: numpy would
+    reduce their (rows, n, n, n) broadcast over its middle axis in many
+    short strided loops.
     """
     n = level.shape[-1]
     out = np.empty((len(parents), n, n), dtype=np.int64)
     rows = _chunk_rows(n)
     for s in range(0, len(parents), rows):
-        part = slice(s, s + rows)
-        _product(level[parents[part]], mem[members[part]], out=out[part])
-    return out
+        x, a, part = level[parents[s:s + rows]], mem[members[s:s + rows]], out[s:s + rows]
+        np.add(x[..., :1], a[:, :1], out=part)
+        for t in range(1, n):
+            np.maximum(part, x[..., t:t + 1] + a[:, t:t + 1], out=part)
+    np.maximum(out, MASKED, out=out)
+    return out, rank_one(out, out > FLOOR)
 
 
 def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:

@@ -7,10 +7,12 @@ either exhaustively (all m^k sequences, budget-guarded) or by seeded
 sampling with a named, portable generator (numpy PCG64), so runs are
 reproducible across platforms.
 
-Both scans work level by level: each product of length l is a product
-of length l - 1 times one member (``_kernels.extend``), so it costs one
-matrix product instead of l - 1.  Exhaustive mode builds level l as level
-l - 1 times every member.  Sampled mode folds the draws of consecutive
+Both scans work level by level from the empty product: each product of
+length l, length 1 included, is a product of length l - 1 times one
+member, so it costs one matrix product instead of l - 1.  The level
+kernel ``_kernels.extend`` forms every level and returns which of its
+products are rank-one.  Exhaustive mode builds level l as level l - 1
+times every member.  Sampled mode folds the draws of consecutive
 lengths as a tree of their distinct prefixes: level l holds one product
 per distinct prefix of length l, and each draw reads its verdict at its
 own last layer.  Draws that share a prefix share its products, so a tree
@@ -136,37 +138,32 @@ def _absorbing(family: MatrixFamily) -> bool:
 def _sampled_scan(family: MatrixFamily, horizon: int, samples: int,
                   seed: int) -> Iterator[tuple[int, np.ndarray]]:
     # Lengths are drawn in order from one generator and folded in blocks
-    # of consecutive lengths.  A block takes the next length while its
-    # draws fit _BLOCK_ELEMENTS, counting max(k, n^2, m) per draw of
-    # length k; a length that does not fit alone is a block of its own.
+    # of consecutive lengths, counting max(k, n^2, m) elements per draw of
+    # length k.  A block takes the next length while its draws fit
+    # _BLOCK_ELEMENTS, and folds as prefix trees within it: one tree, or
+    # for a length that does not fit alone, one tree per slice of its
+    # draws (at least one draw each).
     m, n = family.member_count, family.size
     rng = np.random.Generator(np.random.PCG64(seed))
     dtype = np.min_scalar_type(m)
     mem = _kernels.encode(*family.stacked[:2])
     prune = _absorbing(family)
     block: list[np.ndarray] = []
-    for k in range(1, horizon + 1):
-        if block and samples * (len(block) + 1) * max(k, n * n, m) > _BLOCK_ELEMENTS:
-            yield from _block_scan(mem, block, prune)
+    for k in range(1, horizon + 2):
+        # A block is cut before the first length that does not fit it,
+        # and after the last length.
+        size = samples * (len(block) + 1) * max(k, n * n, m)
+        if block and (k > horizon or size > _BLOCK_ELEMENTS):
+            width = max(1, _BLOCK_ELEMENTS // (len(block) * max(k - 1, n * n, m)))
+            rank_one = np.concatenate([
+                _prefix_tree_verdicts(mem, [draws[s:s + width] for draws in block], prune)
+                for s in range(0, samples, width)], axis=1)
+            for draws, ok in zip(block, rank_one):
+                yield samples, draws[~ok]
             block = []
-        _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
-        block.append(rng.integers(1, m + 1, size=(samples, k)).astype(dtype))
-    yield from _block_scan(mem, block, prune)
-
-
-def _block_scan(mem: np.ndarray, block: list[np.ndarray],
-                prune: bool) -> Iterator[tuple[int, np.ndarray]]:
-    # A block's draws fold as prefix trees of at most _BLOCK_ELEMENTS
-    # elements: one tree, or for a block of one length too large for the
-    # budget, one tree per slice of its draws (at least one draw each).
-    samples, top = block[-1].shape
-    n = mem.shape[-1]
-    width = max(1, _BLOCK_ELEMENTS // (len(block) * max(top, n * n, len(mem))))
-    rank_one = np.concatenate([
-        _prefix_tree_verdicts(mem, [draws[s:s + width] for draws in block], prune)
-        for s in range(0, samples, width)], axis=1)
-    for draws, ok in zip(block, rank_one):
-        yield samples, draws[~ok]
+        if k <= horizon:
+            _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
+            block.append(rng.integers(1, m + 1, size=(samples, k)).astype(dtype))
 
 
 def _prefix_tree_verdicts(mem: np.ndarray, block: list[np.ndarray],
@@ -191,55 +188,47 @@ def _prefix_tree_verdicts(mem: np.ndarray, block: list[np.ndarray],
     longer = [samples * min(len(block), top - l) for l in range(top + 1)]
     rank_one = np.ones(len(stack), dtype=bool)
     live = np.arange(len(stack))
-    # Layer 0 is the empty prefix, one node; its children are the first
-    # members drawn, whose products are the members themselves.
+    # Layer 0 is the empty prefix, one node.
     node = np.zeros(len(stack), dtype=np.intp)
-    level = mem[:1]
-    for l in range(top + 1):
-        # live is ascending, so the draws that end here are its tail.
-        end = int((live < longer[l]).sum())
-        if l and prune:
-            hit = _kernels.rank_one(level, level > _kernels.FLOOR)
-            rank_one[live[end:]] = hit[node[end:]]
-            keep = ~hit[node[:end]]
-            live, node = live[:end][keep], node[:end][keep]
-        elif l and end < len(live):
-            # Without pruning only the draws that end here need a verdict.
-            ends = level[node[end:]]
-            rank_one[live[end:]] = _kernels.rank_one(ends, ends > _kernels.FLOOR)
-            live, node = live[:end], node[:end]
-        if not len(live):
-            break
-        key = node * m + stack[live, l]
+    level = _kernels.identity_level(mem.shape[-1])
+    for l in range(1, top + 1):
+        key = node * m + stack[live, l - 1]
         mark = np.zeros(len(level) * m, dtype=bool)
         mark[key] = True
         children = np.flatnonzero(mark)
         node = np.cumsum(mark)[key] - 1
-        level = _kernels.extend(level, mem, children // m, children % m) if l else mem[children]
+        level, ok = _kernels.extend(level, mem, children // m, children % m)
+        # live is ascending, so the draws that end here are its tail.
+        end = int((live < longer[l]).sum())
+        rank_one[live[end:]] = ok[node[end:]]
+        live, node = live[:end], node[:end]
+        if prune:
+            keep = ~ok[node]
+            live, node = live[keep], node[keep]
+        if not len(live):
+            break
     return rank_one.reshape(len(block), samples)[::-1]
 
 
 def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
-    mem_num, mem_fin, _ = family.stacked
-    mem = _kernels.encode(mem_num, mem_fin)
+    mem = _kernels.encode(*family.stacked[:2])
     m = len(mem)
     # With _absorbing, only the failing products of a level need
     # extending: the extensions of a rank-one product are rank-one.
     prune = _absorbing(family)
     # Level row r is the product of the 1-based sequence seqs[r]; rows run
-    # in itertools.product order.
-    level, seqs = mem, np.arange(1, m + 1, dtype=np.min_scalar_type(m))[:, None]
+    # in itertools.product order, from the empty product.
+    level = _kernels.identity_level(family.size)
+    seqs = np.zeros((1, 0), dtype=np.min_scalar_type(m))
     for k in range(1, horizon + 1):
         _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
-        if k > 1:
-            # Row p * m + j extends product p by member j.
-            parents, members = np.divmod(np.arange(len(level) * m), m)
-            level = _kernels.extend(level, mem, parents, members)
-            seqs = np.column_stack((seqs[parents], (members + 1).astype(seqs.dtype)))
-        failed = ~_kernels.rank_one(level, level > _kernels.FLOOR)
-        bad = seqs[failed]
+        # Row p * m + j extends product p by member j.
+        parents, members = np.divmod(np.arange(len(level) * m), m)
+        level, ok = _kernels.extend(level, mem, parents, members)
+        seqs = np.column_stack((seqs[parents], (members + 1).astype(seqs.dtype)))
+        bad = seqs[~ok]
         if prune:
-            level, seqs = level[failed], bad
+            level, seqs = level[~ok], bad
         yield m**k, bad
 
 

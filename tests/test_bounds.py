@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import random_valid_family
+from test_bench_digests import load_bench_inputs
 from tropical_transient.bounds import (
     check_length_sufficient,
     compute_bound_report,
@@ -14,8 +16,9 @@ from tropical_transient.bounds import (
 )
 from tropical_transient.errors import AssumptionError, DimensionError
 from tropical_transient.family import MatrixFamily
+from tropical_transient.io import load_family, load_sequence
 from tropical_transient.matrix import TropicalMatrix
-from tropical_transient.products import fold
+from tropical_transient.products import estimate_transient, fold, random_sequence
 from tropical_transient.semiring import EPSILON, Epsilon
 
 
@@ -400,3 +403,109 @@ class TestLengthSufficiency:
         report = implicit_bound(family5, fold(family5, seq44))
         assert not check_length_sufficient(report, 27)
         assert check_length_sufficient(report, 28)
+
+
+class TestSoundnessAgainstExactScans:
+    """The explicit bound against exact transients.  The admissible
+    families of ``random_valid_family`` seeds 0-299 have finite pivots, so
+    the pruned exhaustive scan decides them: run to the bound's sufficient
+    length, its last counterexample is the exact transient minus one, and
+    none may be longer than ``overall``.  Seeds whose sum of m^k passes
+    the budget at that length are skipped (9 of 300)."""
+
+    SEEDS = range(300)
+    BUDGET = 10**9
+    # The families where the bound is attained: the last counterexample
+    # has length floor(overall).
+    ATTAINED = {100: Fraction(5, 2), 121: Fraction(7, 2)}
+
+    def last_counterexample(self, family):
+        report = explicit_bound(family)
+        horizon, m = report.min_sufficient_length, family.member_count
+        if sum(m**k for k in range(1, horizon + 1)) > self.BUDGET:
+            return report, None
+        est = estimate_transient(family, horizon, "exhaustive", max_products=self.BUDGET)
+        last = max((k for k, _ in est.counterexamples), default=0)
+        assert est.first_all_rank_one == last + 1
+        return report, last
+
+    def test_no_counterexample_is_longer_than_the_bound(self):
+        decided, attained = 0, {}
+        for seed in self.SEEDS:
+            report, last = self.last_counterexample(random_valid_family(random.Random(seed)))
+            if last is None:
+                continue
+            decided += 1
+            assert last <= report.overall, seed
+            if last == math.floor(report.overall):
+                attained[seed] = report.overall
+        assert decided == 291
+        assert attained == self.ATTAINED
+
+    @pytest.mark.parametrize("seed", sorted(ATTAINED))
+    def test_attained_bound(self, seed):
+        report, last = self.last_counterexample(random_valid_family(random.Random(seed)))
+        assert report.overall == self.ATTAINED[seed] and last == math.floor(report.overall)
+
+    def test_implicit_bound_is_within_the_explicit_and_sufficient(self):
+        # For k >= n - 1 every path into or out of node 1 fits in the
+        # trellis, so the implicit bound of a sequence of length n or
+        # 3n + 5 is at most the explicit one; a sequence longer than its
+        # implicit bound folds to a rank-one product.
+        longer = 0
+        for seed in self.SEEDS:
+            family = random_valid_family(random.Random(seed))
+            explicit = explicit_bound(family).overall
+            for length in (family.size, 3 * family.size + 5):
+                seq = random_sequence(family, length, seed)
+                implicit = implicit_sequence_bound(family, seq).overall
+                assert implicit <= explicit, (seed, length)
+                if length > implicit:
+                    longer += 1
+                    assert oracles.is_rank_one(oracles.grid(fold(family, seq))), (seed, length)
+        assert longer > 200
+
+
+def synthetic_inputs(tmp_path, n):
+    """The benchmark's seed-1 synthetic family of size n and a 60-long
+    sequence, loaded."""
+    family, sequence = load_bench_inputs().write_synthetic(tmp_path, 1, n, 60)
+    return load_family(family)[0], load_sequence(sequence).indices
+
+
+class TestMetamorphicRelations:
+    """Relations that follow from the definitions, checked at sizes no
+    Fraction oracle reaches."""
+
+    @pytest.mark.parametrize("n", [5, 20, 40])
+    def test_mirror(self, tmp_path, n):
+        # Every member transposed and the sequence reversed: w and v swap,
+        # and so do alpha and beta, while gamma transposes.
+        family, seq = synthetic_inputs(tmp_path, n)
+        mirror = MatrixFamily([member.transpose() for member in family.members])
+        got, want = explicit_bound(mirror), explicit_bound(family)
+        assert got.overall == want.overall
+        assert got.term1 == want.term1.transpose() and got.term2 == want.term2.transpose()
+        assert (implicit_sequence_bound(mirror, seq[::-1]).overall
+                == implicit_sequence_bound(family, seq).overall)
+
+    @pytest.mark.parametrize("n", [5, 20, 40])
+    def test_diagonal_similarity(self, tmp_path, n):
+        # a_ij - d_i + d_j with d_1 = 0 keeps every cycle weight, so the
+        # family stays admissible and every bound term is unchanged.
+        family, seq = synthetic_inputs(tmp_path, n)
+        rng = random.Random(n)
+        d = [Fraction(0)] + [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 5)))
+                             for _ in range(n - 1)]
+        shifted = MatrixFamily([
+            TropicalMatrix.from_rows([[None if x is None else x - d[i] + d[j]
+                                       for j, x in enumerate(row)]
+                                      for i, row in enumerate(oracles.grid(member))])
+            for member in family.members])
+        assert shifted.validate().passed
+        assert shifted.members != family.members
+        for got, want in ((explicit_bound(shifted), explicit_bound(family)),
+                          (implicit_sequence_bound(shifted, seq),
+                           implicit_sequence_bound(family, seq))):
+            assert got.overall == want.overall
+            assert got.term1 == want.term1 and got.term2 == want.term2

@@ -92,7 +92,7 @@ def stacked_fold(mem_num, mem_fin, seqs):
     mem = encode(mem_num, mem_fin)
     level, rows = mem[seqs[:, 0]], np.arange(len(seqs))
     for column in seqs.T[1:]:
-        level = _kernels.extend(level, mem, rows, column)
+        level, _ = _kernels.extend(level, mem, rows, column)
     return decode(level)
 
 
@@ -314,8 +314,8 @@ class TestOracleAgreement:
             num, fin = stacked_fold(mem_num, mem_fin, seqs)
             assert num.shape == fin.shape == (300, n, n)
             keys = np.arange(300 * m)
-            level = _kernels.extend(_kernels.encode(num, fin), _kernels.encode(mem_num, mem_fin),
-                                    keys // m, keys % m)
+            level, _ = _kernels.extend(_kernels.encode(num, fin), _kernels.encode(mem_num, mem_fin),
+                                       keys // m, keys % m)
             assert level.shape == (300 * m, n, n)
             for b in range(0, 300, 7):
                 assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seqs[b]))
@@ -324,8 +324,8 @@ class TestOracleAgreement:
                     assert_masked_equal(decode(level[b * m + j]), want)
             # The sampled scan's pairs repeat parents in any order.
             parents, members = rng.integers(0, 300, size=400), rng.integers(0, m, size=400)
-            level = _kernels.extend(_kernels.encode(num, fin), _kernels.encode(mem_num, mem_fin),
-                                    parents, members)
+            level, _ = _kernels.extend(_kernels.encode(num, fin), _kernels.encode(mem_num, mem_fin),
+                                       parents, members)
             for i in range(0, 400, 9):
                 want = masked_fold(mem_num, mem_fin, np.append(seqs[parents[i]], members[i]))
                 assert_masked_equal(decode(level[i]), want)
@@ -409,7 +409,8 @@ class TestOracleAgreement:
             draws = rng.integers(1, 4, size=(samples, length)).astype(np.uint8)
             draws[::3] = rng.integers(4, 6, size=(len(draws[::3]), length))
             block.append(draws)
-        verdicts = list(products._block_scan(encode(mem_num, mem_fin), block, drop))
+        rank_one = products._prefix_tree_verdicts(encode(mem_num, mem_fin), block, drop)
+        verdicts = [(samples, draws[~ok]) for draws, ok in zip(block, rank_one)]
         assert len(verdicts) == k
         absorbed = 0
         for draws, (count, failed) in zip(block, verdicts):
@@ -467,6 +468,93 @@ class TestOracleAgreement:
                     decode(NUMPY_BACKEND.final_from_anchor(mem_num, mem_fin, seq)),
                     masked_final_from_anchor(mem_num, mem_fin, seq),
                 )
+
+
+def level_members(rng, n):
+    """Four members: admissible ones, member 2 with an all -inf column and
+    member 3 with a -inf pivot (for n = 1 both are the one entry)."""
+    num, fin = admissible_members(rng, 4, n)
+    fin[1, :, n - 1] = False
+    fin[2, 0, 0] = False
+    return num, fin
+
+
+def level_stack(rng, rows, n):
+    """A stack of rows matrices: outer sums on outer patterns, rank-one
+    unless a -inf lands on the pivot, and in every third row arbitrary
+    matrices."""
+    col, row = rng.integers(-30, 31, size=(2, rows, n))
+    col_fin, row_fin = rng.random(size=(2, rows, n)) < 0.8
+    num = col[:, :, None] + row[:, None, :]
+    fin = col_fin[:, :, None] & row_fin[:, None, :]
+    num[::3], fin[::3] = random_members(rng, len(num[::3]), n, 0.7)
+    return num.astype(np.int64), fin
+
+
+class TestLevelKernel:
+    """``extend`` forms each level product by n rank-1 max updates, in
+    chunks of ``_chunk_rows`` rows, and returns it with its rank-one
+    verdict; ``_product`` multiplies one state by one matrix as a
+    broadcast.  The masked products and the rank-one definition of the
+    oracles are the reference.  At n = 1 extend runs no rank-1 update past
+    the first sum."""
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("n", [1, 3, 5, 16])
+    def test_extend_against_masked_products(self, monkeypatch, n, chunk):
+        # Stacks of 1, 2, 15, 16 and 17 rows, and one row past the first
+        # chunk; with chunk, chunks hold 7 rows, so the stacks of 15 to 17
+        # rows span three.
+        if chunk:
+            monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", 4 * n * n * chunk)
+        rows = _kernels._chunk_rows(n)
+        assert rows == (chunk or max(1, (1 << 16) // (4 * n * n)))
+        rng = np.random.default_rng(40 + n)
+        mem_num, mem_fin = level_members(rng, n)
+        mem = encode(mem_num, mem_fin)
+        verdicts = []
+        for size in (1, 2, 15, 16, 17, rows + 1):
+            lev_num, lev_fin = level_stack(rng, size, n)
+            parents = rng.permutation(size)
+            members = np.arange(size) % 4
+            out, ok = _kernels.extend(encode(lev_num, lev_fin), mem, parents, members)
+            assert out.shape == (size, n, n) and ok.shape == (size,)
+            # Every row of a small stack; a sample and the rows at the
+            # chunk boundary of the largest.
+            check = set(range(0, size, -(-size // 40))) | {size - 1}
+            for i in sorted(check | ({rows - 1, rows} & set(range(size)))):
+                p, j = parents[i], members[i]
+                want = masked_matmul(lev_num[p], lev_fin[p], mem_num[j], mem_fin[j])
+                assert_masked_equal(decode(out[i]), want)
+                assert ok[i] == is_rank_one(np.where(want[1], want[0], None).tolist())
+                verdicts.append(bool(ok[i]))
+        assert any(verdicts) and not all(verdicts)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 16])
+    def test_identity_level_extends_to_the_members(self, n):
+        rng = np.random.default_rng(50 + n)
+        mem_num, mem_fin = level_members(rng, n)
+        out, ok = _kernels.extend(_kernels.identity_level(n), encode(mem_num, mem_fin),
+                                  np.zeros(4, dtype=np.intp), np.arange(4))
+        for j in range(4):
+            assert_masked_equal(decode(out[j]), (mem_num[j], mem_fin[j]))
+            assert ok[j] == is_rank_one(np.where(mem_fin[j], mem_num[j], None).tolist())
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 16])
+    def test_product_of_a_vector_and_of_rows(self, n):
+        rng = np.random.default_rng(60 + n)
+        mem_num, mem_fin = level_members(rng, n)
+        for rows in (1, 4):
+            x_num = rng.integers(-50, 51, size=(rows, n)).astype(np.int64)
+            x_fin = rng.random(size=(rows, n)) < 0.7
+            for j in range(4):
+                a = encode(mem_num[j], mem_fin[j])
+                want = masked_matmul(x_num, x_fin, mem_num[j], mem_fin[j])
+                got = _kernels._product(encode(x_num, x_fin), a)
+                assert_masked_equal(decode(got), want)
+                vector = _kernels._product(encode(x_num[0], x_fin[0]), a)
+                assert vector.shape == (n,)
+                assert_masked_equal(decode(vector), (want[0][0], want[1][0]))
 
 
 def masked_taps(tab_num, tab_fin, tap_num, tap_fin):

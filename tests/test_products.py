@@ -343,17 +343,17 @@ def _draw_trees(family, horizon, samples, seed):
 
 def _live_prefixes(family, horizon, samples, seed):
     """The products a prefix-tree scan must form, tree by tree: every
-    distinct prefix of length >= 2 of a tree's draws, except, when the
-    scan prunes, those whose parent prefix is rank-one (its extensions are
-    rank-one and need no product)."""
+    distinct prefix of a tree's draws, from the empty product on (length
+    1 included), except, when the scan prunes, those whose parent prefix
+    is rank-one (its extensions are rank-one and need no product)."""
     prune = products._absorbing(family)
     rank_one = {}
     formed = set()
     for b, tree in enumerate(_draw_trees(family, horizon, samples, seed)):
         for draw in tree:
-            for l in range(1, len(draw)):
+            for l in range(len(draw)):
                 parent = draw[:l]
-                if prune:
+                if prune and l:
                     if parent not in rank_one:
                         rank_one[parent] = oracles._is_rank_one(family, parent)
                     if rank_one[parent]:
@@ -381,20 +381,20 @@ class TestRaggedSampledScan:
     def test_absorbed_rows_are_dropped_when_pruning(self, family5, monkeypatch):
         # Every pivot of the fixture is finite, so a rank-one prefix is
         # dropped with every draw under it.  Its 4,000 draws (one block)
-        # need 2,901 products, where folding each draw on its own takes
+        # need 2,904 products, where folding each draw on its own takes
         # 78,000.
         assert products._absorbing(family5)
         est, spy = _spied_scan(monkeypatch, family5, horizon=40, samples_per_length=100, seed=0)
         assert est.first_all_rank_one is not None and est.counterexamples
         assert len(_draw_trees(family5, 40, 100, 0)) == 1
-        assert spy.products == _live_prefixes(family5, 40, 100, 0) == 2901
+        assert spy.products == _live_prefixes(family5, 40, 100, 0) == 2904
 
     def test_benchmark_transient_op_work(self, family5, monkeypatch):
         # The CLI benchmark's transient op scans horizon 12 with 50 draws
         # per length, seed 0: one tree of 600 draws.
         spy = _spied_scan(monkeypatch, family5, horizon=12, samples_per_length=50, seed=0)[1]
         assert len(_draw_trees(family5, 12, 50, 0)) == 1
-        assert spy.products == _live_prefixes(family5, 12, 50, 0) == 766
+        assert spy.products == _live_prefixes(family5, 12, 50, 0) == 769
 
     def test_every_row_is_decided_without_pruning(self, monkeypatch):
         # A -inf pivot turns pruning off: every distinct prefix is formed,
@@ -441,8 +441,9 @@ class TestRaggedSampledScan:
         est, spy = _spied_scan(monkeypatch, fam, horizon=5, samples_per_length=100, seed=0)
         assert isinstance(est, TransientEstimate) and est.examined == 500
         assert est.counterexamples and all(set(idx) == {2} for _, idx in est.counterexamples)
-        # Only prefixes C^l are extended: two products per layer.
-        assert spy.products == _live_prefixes(fam, 5, 100, 0) == 2 * 4
+        # Only the empty prefix and prefixes C^l are extended: two
+        # products per layer.
+        assert spy.products == _live_prefixes(fam, 5, 100, 0) == 2 * 5
 
     @pytest.mark.parametrize("chunk, block, trees, splits", [
         pytest.param(4 * 25 * 7, 300, 32, True, id="700-300"),
@@ -610,12 +611,13 @@ class TestPrunedExhaustive:
 
     def test_benchmark_scan_work(self, family5, monkeypatch):
         # The benchmark's exhaustive scan (horizon 8, 9,840 sequences)
-        # forms m products per failing product of lengths 1 to 7.
+        # forms m products from the empty product and m per failing
+        # product of lengths 1 to 7.
         spy = _ExtendSpy(monkeypatch)
         est = estimate_transient(family5, 8, "exhaustive")
         failing = [sum(1 for k, _ in est.counterexamples if k == length) for length in range(1, 8)]
         assert est.examined == 9840
-        assert spy.products == 3 * sum(failing) == 3552
+        assert spy.products == 3 * (1 + sum(failing)) == 3555
 
     def test_prune_gate_keeps_the_rank_one_guard(self):
         # Every pivot is finite and A is rank-one, so the level-2 products
