@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -136,6 +137,25 @@ class TestStructure:
         monkeypatch.setattr(_kernels, "ACTIVE", base._replace(**{f: counted(f) for f in fields}))
         dp(build_trellis(family5, seq44), *args)
         assert calls == kernels
+
+    def test_every_walk_and_witness_is_pinned(self):
+        # The digest of every public walk query, witnesses and their
+        # tie-breaks included, on random admissible families.  No oracle
+        # pins the tie-breaks, so a rewrite of the DPs must not move it.
+        rows = []
+        for seed in range(100):
+            rng = random.Random(seed)
+            fam = random_valid_family(rng)
+            n, m = fam.size, fam.member_count
+            for k in (0, 1, 3, 2 * n + 1):
+                t = build_trellis(fam, [rng.randint(1, m) for _ in range(k)])
+                for i in range(1, n + 1):
+                    rows.append((optimal_initial_walk(t, i), optimal_final_walk(t, i)))
+                    rows += [(optimal_full_walk(t, i, j), best_through_one_weight(t, i, j),
+                              best_avoiding_full_weight(t, i, j)) for j in range(1, n + 1)]
+        assert len(rows) == 4864
+        assert hashlib.sha256(repr(rows).encode("utf-8")).hexdigest() == (
+            "3ff672f13f3a386f1189de5ae3c9ccd78dcde1acb97acdaf23ae4adaa2bda640")
 
 
 class TestFullWalks:
