@@ -3,8 +3,9 @@
 Runs the hot kernels (matrix product, sequence fold and the trellis
 sweeps, the start-indexed ones with every node as a start; the all-starts
 avoiding sweep with rank-one absorption that the lemma checks run, the
-through sweep given its arrivals, and the through table that the lemma
-checks join from the arrivals and departures of two avoiding sweeps) on
+through sweep on the 2n-node lifted members, and the through table that
+the lemma checks join from the arrivals and departures of two avoiding
+sweeps) on
 random scaled-integer inputs and prints the best wall time per call.  At
 sizes up to 16 it also times one exhaustive level step of the transient
 scan's level kernel ``extend``, from the m^4 products of length 4 to the
@@ -306,15 +307,15 @@ def main() -> int:
         for name in ("forward_full", "forward_avoid", "backward_avoid"):
             sweep = getattr(ACTIVE, name)
             cases.append((name, lambda sweep=sweep: sweep(num, fin, seq, every), args.length, n))
-        # The lemma checks' avoiding sweep, and the through sweep and the
-        # through table given the arrivals and departures it returns (not
-        # timed with them).
+        # The lemma checks' avoiding sweep, the through sweep, and the
+        # through table given the arrivals and departures the avoiding
+        # sweep returns (not timed with them).
         mem = encode(num, fin)
         into = avoiding_sweep(mem, seq)[0]
         departures = avoiding_sweep(*_mirror(mem, seq))[0]
         cases += [
             ("avoiding_sweep", lambda: avoiding_sweep(mem, seq), args.length, n),
-            ("through_anchor", lambda: ACTIVE.through_anchor(num, fin, seq, every, into),
+            ("through_anchor", lambda: ACTIVE.through_anchor(num, fin, seq, every),
              args.length, n),
             ("through_table", lambda: _through_table(into, departures), args.length, n),
         ]

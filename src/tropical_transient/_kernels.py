@@ -34,19 +34,30 @@ vector sweep (rank-one absorption, ``_absorbing_sweep``).
 
 A sweep pushes a state through the layer matrices of a sequence.  The
 state has one row per start node, so one pass serves every start.  Each
-trellis DP is such a forward sweep over members edited around node 0,
-the distinguished node (node 1 in the 1-based labels of the public API):
-cut off, or made a source.  A quantity of walks that end somewhere fixed
-(final walks out of node 0, walks backward from a target) is the forward
-quantity of the mirrored trellis, members transposed and sequence
-reversed (``_mirror``), so no DP sweeps backward on its own.  The sweep
-of walks through node 0 takes their first arrivals there from an
-avoiding sweep.  The single-start DPs keep every layer's state, which
-their witnesses are traced back through (``arrivals`` reads the first
-arrivals off such a table).  The lemma checks run ``avoiding_sweep`` on
-the trellis and on its mirror; each keeps only the arrivals at node 0
-and the final state, and runs through the fold's absorption loop: once
-a probed state is x (x) y^T, only y moves on.  In
+trellis DP is one forward sweep (``_sweep``) over the members as they are
+or edited around node 0, the distinguished node (node 1 in the 1-based
+labels of the public API), each edit built in one place from the encoded
+members:
+
+* cut (``_cut``): every edge at node 0 removed, for walks that avoid it;
+* sink (``_sink``): node 0 keeps its in-edges and gets a weight-0 loop as
+  its only out-edge, so a walk that arrives there waits; column 0 of the
+  sweep is the best arrival by each layer (initial walks), and the other
+  columns avoid node 0;
+* lifted (``_lifted``): 2n nodes, a cut copy before the first visit to
+  node 0 and an unchanged copy after it, joined by the edges into node 0:
+  the trellis times a two-state automaton that records a visit to node 0,
+  for walks through it.
+
+A quantity of walks that end somewhere fixed (final walks out of node 0,
+walks backward from a target) is the forward quantity of the mirrored
+trellis, members transposed and sequence reversed (``_mirror``), so no
+DP sweeps backward on its own: the sink of the mirror makes node 0 a
+source.  The single-start DPs keep every layer's state, which their
+witnesses are traced back through.  The lemma checks run
+``avoiding_sweep`` on the trellis and on its mirror; each keeps only the
+arrivals at node 0 and the final state, and runs through the fold's
+absorption loop: once a probed state is x (x) y^T, only y moves on.  In
 an admissible family node 0's weight-0 loop is the only critical cycle,
 so a best walk through node 0 is a best arrival, the loop and a best
 departure, joined from those two tables (``_through_table``).
@@ -171,6 +182,31 @@ def _cut(mem: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sink(mem: np.ndarray) -> np.ndarray:
+    """The cut members with node 0's in-edges kept and a weight-0 loop at
+    node 0, its only out-edge: a walk that arrives at node 0 waits there.
+    In a sweep, column 0 is then the best arrival at node 0 by each layer,
+    which never decreases, and every other column the walks that avoid
+    node 0."""
+    out = mem.copy()
+    out[:, 0, :] = MASKED
+    out[:, 0, 0] = 0
+    return out
+
+
+def _lifted(mem: np.ndarray) -> np.ndarray:
+    """Members on 2n nodes for walks through node 0.  Copy 0, nodes (0, p)
+    = p, has not visited node 0 and holds the cut members; copy 1, nodes
+    (1, p) = n + p, has, and holds the members unchanged.  Each edge p -> 0
+    with p != 0 leads from (0, p) to (1, 0)."""
+    m, n = mem.shape[:2]
+    out = np.full((m, 2 * n, 2 * n), MASKED)
+    out[:, :n, :n] = _cut(mem)
+    out[:, 1:n, n] = mem[:, 1:, 0]
+    out[:, n:, n:] = mem
+    return out
+
+
 def _matmul(a_num, a_fin, b_num, b_fin):
     return decode(_product(encode(a_num, a_fin), encode(b_num, b_fin)))
 
@@ -266,38 +302,28 @@ def _forward_avoid(mem_num, mem_fin, seq, starts):
     return _sweep(_cut(encode(mem_num, mem_fin)), seq, state)
 
 
-def _backward_avoid(mem_num, mem_fin, seq, targets):
-    # tab[l, r, p]: best node-0-avoiding walk from p at layer l to
-    # targets[r] at the last layer: the mirror's forward table, read
-    # backwards.
-    return _forward_avoid(*_mirror(mem_num, mem_fin, seq), targets)[::-1]
+def _initial_to_anchor(mem_num, mem_fin, seq):
+    # out[i]: best walk from i at layer 0 that visits node 0 exactly once,
+    # at its end, arriving at any layer.  Reversed, these are the walks out
+    # of node 0 in the mirror of the sink members, where node 0 is a source
+    # with a weight-0 loop, so one row from node 0 reads every i at once.
+    layers, seq = _mirror(_sink(encode(mem_num, mem_fin)), seq)
+    return _sweep(layers, seq, _units(mem_num.shape[1], 0), table=False)
 
 
 def _final_from_anchor(mem_num, mem_fin, seq):
     # out[j]: best walk to j at the last layer that visits node 0 exactly
-    # once, at its start, departing at any layer.  Node 0 becomes a source
-    # with a weight-0 loop, and row 0 reads every target at once.
-    mem = encode(mem_num, mem_fin)
-    source = _cut(mem)
-    source[:, 0, 1:] = mem[:, 0, 1:]
-    source[:, 0, 0] = 0
-    return _sweep(source, seq, _units(mem.shape[1], 0), table=False)
+    # once, at its start, departing at any layer: the mirror's initial walks.
+    return _initial_to_anchor(*_mirror(mem_num, mem_fin, seq))
 
 
-def _initial_to_anchor(mem_num, mem_fin, seq):
-    # out[i]: best walk from i at layer 0 that visits node 0 exactly once,
-    # at its end, arriving at any layer: the mirror's final walks.
-    return _final_from_anchor(*_mirror(mem_num, mem_fin, seq))
-
-
-def arrivals(mem, seq, forward):
-    """into[l, r]: best weight of a walk from starts[r] that avoids node 0
-    until it arrives there at layer l, read off a _forward_avoid table
-    (k + 1, r, n) from those starts; ``mem`` is encoded.  Layer 0 is
-    masked: a walk that starts at node 0 has not arrived there."""
-    into = np.full(forward.shape[:2], MASKED)
-    np.maximum((forward[:-1] + mem[seq, :, 0][:, None, :]).max(axis=2), MASKED, out=into[1:])
-    return into
+def _through_anchor(mem_num, mem_fin, seq, starts):
+    # out[r, j]: best full walk from starts[r] to j that visits node 0 at
+    # least once (endpoints count), for any family: the walk on the lifted
+    # members from (0, starts[r]), or from (1, 0) for start 0, to (1, j).
+    n = mem_num.shape[1]
+    rows = np.where(np.asarray(starts) == 0, n, starts)
+    return _sweep(_lifted(encode(mem_num, mem_fin)), seq, _units(2 * n, rows), table=False)[:, n:]
 
 
 def _absorbing_sweep(layers, seq, tap=None):
@@ -337,8 +363,9 @@ def avoiding_sweep(mem, seq):
 
     into[l, r] is the best weight of a walk from node r that avoids node 0
     until it arrives there at layer l (layer 0 and start 0 masked: such a
-    walk has not arrived), as ``arrivals`` reads it off a ``_forward_avoid``
-    table; final[r, j] is the best node-0-avoiding full walk from r to j.
+    walk has not arrived); its running maximum over layers is column 0 of
+    a sweep over the ``_sink`` members.  final[r, j] is the best
+    node-0-avoiding full walk from r to j.
     The sweep runs on the block of nodes 1..n-1 with rank-one absorption
     (``_absorbing_sweep``), pivoting on node 1.  On the mirror
     (``_mirror``), into read backwards is the departure table: row t is the
@@ -381,22 +408,6 @@ def _through_table(into, departures):
     return out
 
 
-def _through_anchor(mem_num, mem_fin, seq, starts, into):
-    # out[r, j]: best full walk from starts[r] to j that visits node 0 at
-    # least once (endpoints count), for any family.  Until a walk reaches
-    # node 0 it avoids it, so its first arrival there is into[l, r]
-    # (arrivals() or avoiding_sweep()).  Only the walks past node 0 are
-    # swept: at each layer that arrival enters column 0.
-    mem = encode(mem_num, mem_fin)
-    starts = np.asarray(starts)
-    state = np.full((len(starts), mem.shape[1]), MASKED, dtype=np.int64)
-    state[starts == 0, 0] = 0
-    for l, s in enumerate(seq, start=1):
-        state = _product(state, mem[s])
-        np.maximum(state[:, 0], into[l], out=state[:, 0])
-    return state
-
-
 class Backend(NamedTuple):
     """Kernel entry points, each taking members as (numerator, mask)
     stacks.  ``fold`` takes a (k,) sequence of 0-based member indices and
@@ -420,7 +431,10 @@ NUMPY_BACKEND = Backend(
     fold=_fold,
     forward_full=_forward_full,
     forward_avoid=_forward_avoid,
-    backward_avoid=_backward_avoid,
+    # tab[l, r, p]: best node-0-avoiding walk from p at layer l to
+    # targets[r] at the last layer, the mirror's forward table read back.
+    backward_avoid=lambda mem_num, mem_fin, seq, targets: _forward_avoid(
+        *_mirror(mem_num, mem_fin, seq), targets)[::-1],
     initial_to_anchor=_initial_to_anchor,
     final_from_anchor=_final_from_anchor,
     through_anchor=_through_anchor,

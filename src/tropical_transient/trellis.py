@@ -17,11 +17,13 @@ analysis:
 The DP operations return a :class:`WalkSummary` carrying the optimal
 weight, a witness, and the minimum length among optimal walks.
 
-The single-start DPs each sweep from one start.  A final walk out of
-node 1 is an initial walk of the mirrored trellis (members transposed,
-sequence reversed) read backwards, so both classes run through one body,
-on one node-1-avoiding table and its arrivals at node 1; the best walk
-through node 1 extends the same arrivals.
+Each single-start DP is one sweep from its start over the members as
+they are or edited around node 1: cut off (walks that avoid node 1),
+made a sink that a walk waits in once it arrives (initial walks), or
+lifted to two copies of the nodes, before and after the first visit to
+node 1 (walks through it).  A final walk out of node 1 is an initial walk
+of the mirrored trellis (members transposed, sequence reversed) read
+backwards, so both classes run through one body.
 
 :func:`check_lemma_bounds` verifies the walk facts behind the transient
 bound.  All four of its thresholds come from one bound report of
@@ -72,25 +74,11 @@ class TrellisDigraph:
         """n: nodes per layer."""
         return self._family.size
 
-    @property
-    def node_count(self) -> int:
-        return (self.layer_count + 1) * self.node_size
-
     def layer(self, l: int) -> TropicalMatrix:
         """The member matrix weighting edges between layers l - 1 and l."""
         if not 1 <= l <= self.layer_count:
             raise IndexError(f"layer {l} out of range 1..{self.layer_count}")
         return self._family.member(self._indices[l - 1])
-
-    def has_edge(self, i: int, l: int, j: int) -> bool:
-        """True when node i at layer l - 1 connects to node j at layer l.
-
-        Labels are 1-based; one outside 1..n raises ``IndexError``.
-        """
-        member = self.layer(l)
-        _check_node(self.node_size, i)
-        _check_node(self.node_size, j)
-        return not isinstance(member.entry(i - 1, j - 1), Epsilon)
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         mem_num, mem_fin, den = self._family.stacked
@@ -208,8 +196,7 @@ def best_through_one_weight(t: TrellisDigraph, i: int, j: int) -> Weight:
     """Best weight of a full walk i -> j that touches node 1 at least once
     (endpoints count)."""
     mem_num, mem_fin, seq0, den = _staged(t, i, j)
-    _, _, into = _avoiding(mem_num, mem_fin, seq0, i - 1)
-    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, [i - 1], into)
+    through = _kernels.ACTIVE.through_anchor(mem_num, mem_fin, seq0, [i - 1])
     return _weight(through[0, j - 1], den)
 
 
@@ -238,30 +225,28 @@ def _summary(best, den: int, nodes: list[int], start_layer: int) -> WalkSummary:
     return WalkSummary(_frac(best, den), length, length, tuple(x + 1 for x in nodes), start_layer)
 
 
-def _avoiding(mem_num, mem_fin, seq0, start: int):
-    """(mem, tab, into): the encoded members, the node-1-avoiding table
-    from 0-based node ``start`` at layer 0, and its arrivals at node 1."""
-    mem = _kernels.encode(mem_num, mem_fin)
-    tab = _kernels.ACTIVE.forward_avoid(mem_num, mem_fin, seq0, [start])
-    return mem, tab, _kernels.arrivals(mem, seq0, tab)
-
-
 def _anchored_walk(t: TrellisDigraph, node: int, mirrored: bool) -> WalkSummary:
     """The best initial walk from ``node`` into node 1 or, mirrored, the
     best final walk from node 1 to ``node``: the initial walk of the
     mirrored trellis read backwards.  The arrival is the earliest among
-    optima, so the walk is a shortest optimal one."""
+    optima, so the walk is a shortest optimal one.
+
+    One sweep runs over the sink members, where column 0 is the best
+    arrival at node 1 by each layer and never decreases, so the earliest
+    optimal arrival is its first maximum.  Node 1's only out-edge is its
+    loop, and its column is below the optimum before that layer, so the
+    trace back never passes through node 1."""
     k = t.layer_count
     *trellis, den = _staged(t, node)
     if node == 1:
         return WalkSummary(ZERO, 0, 0, (1,), k if mirrored else 0)
-    if mirrored:
-        trellis = _kernels._mirror(*trellis)
-    mem, tab, into = _avoiding(*trellis, node - 1)
-    best, layer = int(into[:, 0].max()), int(into[:, 0].argmax())
+    mem_num, mem_fin, seq0 = _kernels._mirror(*trellis) if mirrored else trellis
+    sink = _kernels._sink(_kernels.encode(mem_num, mem_fin))
+    tab = _kernels._sweep(sink, seq0, _kernels._units(t.node_size, [node - 1]))[:, 0]
+    best, layer = int(tab[k, 0]), int(tab[:, 0].argmax())
     if best <= _kernels.FLOOR:
         return _EMPTY_SUMMARY
-    nodes = _trace_back(mem, trellis[-1], tab[:, 0], layer, 0, best)
+    nodes = _trace_back(sink, seq0, tab, layer, 0, best)
     if mirrored:
         nodes.reverse()
     return _summary(best, den, nodes, k - layer if mirrored else 0)

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from conftest import random_valid_family
 from test_bench_digests import load_bench_inputs
+from tropical_transient import _kernels
 from tropical_transient.bounds import (
     check_length_sufficient,
     compute_bound_report,
@@ -19,7 +20,17 @@ from tropical_transient.family import MatrixFamily
 from tropical_transient.io import load_family, load_sequence
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import estimate_transient, fold, random_sequence
-from tropical_transient.semiring import EPSILON, Epsilon
+from tropical_transient.semiring import EPSILON, Epsilon, oplus
+from tropical_transient.trellis import (
+    best_avoiding_full_weight,
+    best_through_one_weight,
+    build_trellis,
+    final_weights_all,
+    initial_weights_all,
+    optimal_final_walk,
+    optimal_full_walk,
+    optimal_initial_walk,
+)
 
 
 def col(values):
@@ -509,3 +520,32 @@ class TestMetamorphicRelations:
                            implicit_sequence_bound(family, seq))):
             assert got.overall == want.overall
             assert got.term1 == want.term1 and got.term2 == want.term2
+
+    @pytest.mark.parametrize("n", [5, 20, 40])
+    def test_walk_classes(self, tmp_path, n):
+        # A full walk touches node 1 or avoids it, so the better of the two
+        # classes is the best full walk, the product's entry.  In an
+        # admissible family the walk through node 1 is also the lemma
+        # checks' join of a best arrival and a best departure, and the
+        # anchored walks weigh the entries of w* and v*.
+        family, seq = synthetic_inputs(tmp_path, n)
+        t = build_trellis(family, seq)
+        product = fold(family, seq)
+        mem_num, mem_fin, seq0, den = t._arrays()
+        mem = _kernels.encode(mem_num, mem_fin)
+        joined = _kernels._through_table(_kernels.avoiding_sweep(mem, seq0)[0],
+                                         _kernels.avoiding_sweep(*_kernels._mirror(mem, seq0))[0])
+        joined = TropicalMatrix(*_kernels.decode(joined), den)
+        rng = random.Random(n)
+        pairs = [(1, 1), (1, n), (n, 1)]
+        pairs += [(rng.randint(1, n), rng.randint(1, n)) for _ in range(12)]
+        for i, j in pairs:
+            through = best_through_one_weight(t, i, j)
+            full = optimal_full_walk(t, i, j).weight
+            assert oplus(through, best_avoiding_full_weight(t, i, j)) == full
+            assert full == product.entry(i - 1, j - 1)
+            assert through == joined.entry(i - 1, j - 1)
+        w, v = initial_weights_all(t), final_weights_all(t)
+        for i in range(1, n + 1):
+            assert optimal_initial_walk(t, i).weight == w.entry(i - 1, 0)
+            assert optimal_final_walk(t, i).weight == v.entry(i - 1, 0)

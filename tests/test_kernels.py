@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropical_transient import _kernels, products
-from tropical_transient._kernels import (FLOOR, MASKED, NUMPY_BACKEND, PROBE_STRIDE, arrivals, decode,
-                                          encode)
+from tropical_transient._kernels import FLOOR, MASKED, NUMPY_BACKEND, PROBE_STRIDE, decode, encode
 from tropical_transient.family import MatrixFamily
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import fold
@@ -454,9 +453,7 @@ class TestOracleAgreement:
                     for s in starts:
                         want = oracle(mem_num, mem_fin, seq, s)
                         assert_masked_equal(decode(tab[:, s]), want)
-                forward = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, starts)
-                into = arrivals(encode(mem_num, mem_fin), seq, forward)
-                through = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, starts, into)
+                through = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, starts)
                 for s in starts:
                     want = masked_through_anchor(mem_num, mem_fin, seq, s)
                     assert_masked_equal(decode(through[s]), want)
@@ -639,17 +636,20 @@ class TestRankOneAbsorption:
                     # start arrive above its first arrival.
                     seq[:9] = 0
                     seq[9:10] = 1
-                into, _ = _kernels.avoiding_sweep(mem, seq)
-                through = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, starts, into)
+                through = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, starts)
                 for s in starts:
                     want = masked_through_anchor(mem_num, mem_fin, seq, s)
                     assert_masked_equal(decode(through[s]), want)
-                # One start at a time, from the avoiding table's arrivals.
+                # One start at a time.
                 s = int(rng.integers(0, n))
-                forward = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, [s])
-                one = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, [s],
-                                                   arrivals(mem, seq, forward))
+                one = NUMPY_BACKEND.through_anchor(mem_num, mem_fin, seq, [s])
                 assert_masked_equal(decode(one[0]), decode(through[s]))
+                # The absorbing sweep's first arrivals at node 0, kept up to
+                # each layer, are column 0 of the sink sweep, for any family.
+                into, _ = _kernels.avoiding_sweep(mem, seq)
+                sink = _kernels._sweep(_kernels._sink(mem), seq, _kernels._units(n, starts))
+                assert_masked_equal(decode(np.maximum.accumulate(into, axis=0)[:, 1:]),
+                                    decode(sink[:, 1:, 0]))
         assert branch_spy.absorbs > 0
 
     def test_through_table_matches_masked_oracle(self, family5, seq44):
@@ -715,10 +715,8 @@ class TestRankOneAbsorption:
             n = mem_num.shape[1]
             mem = encode(mem_num, mem_fin)
             for seq in [random_seq(rng, mem_num.shape[0], k) for k in self.LENGTHS] + extra:
-                forward = NUMPY_BACKEND.forward_avoid(mem_num, mem_fin, seq, np.arange(n))
                 tables = (*_kernels.avoiding_sweep(mem, seq),
-                          *_kernels.avoiding_sweep(mem.transpose(0, 2, 1), seq[::-1]),
-                          arrivals(mem, seq, forward))
+                          *_kernels.avoiding_sweep(mem.transpose(0, 2, 1), seq[::-1]))
                 for table in tables:
                     assert (table >= MASKED).all()
 

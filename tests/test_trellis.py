@@ -66,7 +66,6 @@ class TestStructure:
         t = build_trellis(family5, seq44)
         assert t.layer_count == 44
         assert t.node_size == 5
-        assert t.node_count == 45 * 5
         assert t.indices == tuple(seq44.indices)
         assert t.layer(1) is family5.member(seq44.indices[0])
         assert t.layer(44) is family5.member(seq44.indices[43])
@@ -74,15 +73,6 @@ class TestStructure:
             t.layer(0)
         with pytest.raises(IndexError):
             t.layer(45)
-        # edge presence mirrors the member support: member 1 has 1 -> 2
-        assert t.has_edge(1, 1, 2)
-        assert not t.has_edge(1, 1, 4)
-
-    def test_has_edge_checks_node_labels(self, family5, seq44):
-        t = build_trellis(family5, seq44)
-        for i, j in ((0, 1), (1, 0), (6, 1), (1, 6)):
-            with pytest.raises(IndexError, match="node label"):
-                t.has_edge(i, 1, j)
 
     def test_accepts_sequence_object_or_list(self, family5, seq44):
         a = build_trellis(family5, seq44)
@@ -111,30 +101,25 @@ class TestStructure:
                     dp(t, *args)
 
     @pytest.mark.parametrize("dp, args, kernels", [
-        (optimal_full_walk, (2, 3), ["forward_full"]),
-        (optimal_full_walk, (1, 1), ["forward_full"]),
-        (optimal_initial_walk, (3,), ["forward_avoid"]),
-        (optimal_final_walk, (3,), ["forward_avoid"]),
-        (best_avoiding_full_weight, (2, 3), ["forward_avoid"]),
-        (best_through_one_weight, (2, 3), ["forward_avoid", "through_anchor"]),
-        (best_through_one_weight, (1, 1), ["forward_avoid", "through_anchor"]),
+        (optimal_full_walk, (2, 3), ["_sweep"]),
+        (optimal_full_walk, (1, 1), ["_sweep"]),
+        (optimal_initial_walk, (3,), ["_sweep"]),
+        (optimal_final_walk, (3,), ["_sweep"]),
+        (best_avoiding_full_weight, (2, 3), ["_sweep"]),
+        (best_through_one_weight, (2, 3), ["_sweep"]),
+        (best_through_one_weight, (1, 1), ["_sweep"]),
         (optimal_initial_walk, (1,), []),
         (optimal_final_walk, (1,), []),
         (best_avoiding_full_weight, (1, 3), []),
         (best_avoiding_full_weight, (3, 1), []),
     ])
     def test_kernel_calls_per_query(self, family5, seq44, monkeypatch, dp, args, kernels):
-        # Each single-start DP runs one sweep of its kind (through node 1
-        # adds the anchor join); the node-1 shortcuts run none.
+        # Each single-start DP runs exactly one sweep, over its edited
+        # member stack; the node-1 shortcuts run none.
         calls = []
-        base = _kernels.ACTIVE
-
-        def counted(name):
-            kernel = getattr(base, name)
-            return lambda *a: calls.append(name) or kernel(*a)
-
-        fields = [f for f in _kernels.Backend._fields if f != "name"]
-        monkeypatch.setattr(_kernels, "ACTIVE", base._replace(**{f: counted(f) for f in fields}))
+        sweep = _kernels._sweep
+        monkeypatch.setattr(_kernels, "_sweep",
+                            lambda *a, **kw: calls.append("_sweep") or sweep(*a, **kw))
         dp(build_trellis(family5, seq44), *args)
         assert calls == kernels
 
