@@ -33,8 +33,11 @@ extend only their failing products.
 A fourth table times the text boundary, the implicit bound and the lemma
 checks on the benchmark's seed-0 synthetic inputs
 (``perfbench/bench_inputs.py``) at n = 20, 40, 80 and k = 200:
-``load_family``, ``matrix_tokens`` of gamma, ``render_json`` of the
-``bound FAM SEQ`` report, ``implicit_sequence_bound`` (two vector sweeps),
+``load_family``, ``matrix_tokens`` of gamma, ``json_text`` of the
+``bound FAM SEQ`` report as the CLI builds it (each grid written from its
+distinct-value table), ``render_json`` of the same report read back from
+its text (plain lists, so every grid goes through the generic writer),
+``implicit_sequence_bound`` (two vector sweeps),
 ``implicit_bound`` of the folded product (the path it replaces) and
 ``check_lemma_bounds``.
 
@@ -75,10 +78,13 @@ from tropical_transient._kernels import (ACTIVE, FLOOR, MASKED, PROBE_STRIDE, _m
                                           _through_table, avoiding_sweep, closure, encode,
                                           extend, rank_one)
 from tropical_transient.bounds import implicit_bound, implicit_sequence_bound
+from tropical_transient.cli import _run as cli_run
+from tropical_transient.cli import build_parser
 from tropical_transient.cli import main as cli_main
 from tropical_transient.digraph import is_irreducible, strongly_connected_components
 from tropical_transient.family import MatrixFamily
-from tropical_transient.io import family_to_dict, load_family, load_sequence, matrix_tokens
+from tropical_transient.io import (family_to_dict, json_text, load_family, load_sequence,
+                                   matrix_tokens)
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import _prefix_tree_verdicts, estimate_transient, fold
 from tropical_transient.report import render_json
@@ -196,13 +202,16 @@ def io_rows(n, fam, seq, repeats):
     family = load_family(fam)[0]
     sequence = load_sequence(seq)
     gamma = family.sup_derived.gamma
+    argv = ["bound", str(fam), str(seq), "--format", "json"]
+    built = cli_run(build_parser().parse_args(argv))[1]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli_main(["bound", str(fam), str(seq), "--format", "json"])
+        cli_main(argv)
     report = json.loads(out.getvalue())
     return [
         ("load_family", "", best_time(lambda: load_family(fam), repeats)),
         ("matrix_tokens", "", best_time(lambda: matrix_tokens(gamma), repeats)),
+        ("json_text", "", best_time(lambda: json_text(built), repeats)),
         ("render_json", "", best_time(lambda: render_json(report), repeats)),
         ("implicit sweeps", IO_LENGTH,
          best_time(lambda: implicit_sequence_bound(family, sequence), repeats)),

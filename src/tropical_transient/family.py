@@ -15,12 +15,13 @@ and minimum A_inf.  The transient analysis requires the family to be
 Check 3 is decided by two exact tests per matrix: entry (1,1) equals 0,
 and after deleting the (1,1) edge no cycle has weight >= 0, which the
 closure around node 1 decides; the maximum cycle mean is computed only
-for the witness of a failure.
+for the witness of a failure.  Every member lies below A_sup entrywise,
+so A_sup's closure decides the second test for all members at once.
 
 Each boundary matrix is closed once.  The closure of A_sup without its
-loop decides check 3 for A_sup and then gives alpha (column 1), beta
-(row 1) and gamma (the rest); the closure of A_inf without its loop
-gives w and v.
+loop decides check 3 for A_sup and the members, and then gives alpha
+(column 1), beta (row 1) and gamma (the rest); the closure of A_inf
+without its loop gives w and v.
 """
 
 from __future__ import annotations
@@ -142,9 +143,23 @@ class MatrixFamily:
 
     @cached_property
     def validation(self) -> ValidationReport:
+        """The four checks, each with the witness of its first failure.
+
+        A member is at most A_sup entrywise, so each of its cycles
+        weighs at most the same cycle of A_sup (cycle weights are
+        monotone in the entries).  When the closure of A_sup without its
+        loop exists, every off-1 cycle of A_sup is negative, hence every
+        member's, and each member only needs its (1,1) entry checked.
+        When that closure finds a nonnegative cycle, or its int64 guard
+        trips (A_sup sits on the members' common grid, so it can trip
+        where no member's does), each member is closed, or runs Karp, on
+        its own.  Once the members share one support, one reachability
+        closure decides irreducibility for all of them.
+        """
+        equivalence = self._check_equivalence()
         checks = (
-            self._check_equivalence(),
-            self._check_irreducibility(),
+            equivalence,
+            self._check_irreducibility(equivalence.passed),
             self._check_member_loops(),
             self._check_sup_loop(),
         )
@@ -181,9 +196,11 @@ class MatrixFamily:
                 )
         return AssumptionCheck("geometric_equivalence", True)
 
-    def _check_irreducibility(self) -> AssumptionCheck:
-        # Equivalence may have failed already; report per member regardless.
-        for idx, m in enumerate(self._members, start=1):
+    def _check_irreducibility(self, shared_support: bool) -> AssumptionCheck:
+        # Members of one support are irreducible together; otherwise
+        # report per member.
+        members = self._members[:1] if shared_support else self._members
+        for idx, m in enumerate(members, start=1):
             if not is_irreducible(m):
                 return AssumptionCheck(
                     "irreducibility",
@@ -194,9 +211,9 @@ class MatrixFamily:
 
     @staticmethod
     def _loop_check(m: TropicalMatrix, label: str,
-                    closure: Callable[[], Optional[TropicalMatrix]]
-                    ) -> Optional[Mapping[str, object]]:
-        """closure() is the node-1 closure of m without its loop."""
+                    negative: Callable[[], bool]) -> Optional[Mapping[str, object]]:
+        """negative() tells whether every cycle of m without its loop is
+        negative, or raises OverflowError past the closure's guard."""
         loop = m.entry(0, 0)
         if isinstance(loop, Epsilon) or loop != 0:
             return validation_witness(
@@ -208,7 +225,7 @@ class MatrixFamily:
         # The closure decides the sign; Karp runs only for the witness, or
         # in place of the closure past its guard.
         try:
-            if closure() is not None:
+            if negative():
                 return None
         except OverflowError:
             pass
@@ -223,16 +240,21 @@ class MatrixFamily:
         return None
 
     def _check_member_loops(self) -> AssumptionCheck:
+        try:
+            dominated = self._sup_closure is not None
+        except OverflowError:
+            dominated = False
         for idx, m in enumerate(self._members, start=1):
             witness = self._loop_check(
-                m, f"member {idx}", lambda: node_one_closure(_without_loop(m))
+                m, f"member {idx}",
+                lambda: dominated or node_one_closure(_without_loop(m)) is not None,
             )
             if witness is not None:
                 return AssumptionCheck("members_node1_critical_loop", False, witness)
         return AssumptionCheck("members_node1_critical_loop", True)
 
     def _check_sup_loop(self) -> AssumptionCheck:
-        witness = self._loop_check(self.a_sup, "A_sup", lambda: self._sup_closure)
+        witness = self._loop_check(self.a_sup, "A_sup", lambda: self._sup_closure is not None)
         if witness is not None:
             return AssumptionCheck("sup_node1_critical_loop", False, witness)
         return AssumptionCheck("sup_node1_critical_loop", True)

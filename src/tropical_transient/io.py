@@ -144,6 +144,18 @@ class _Unhandled(Exception):
     """A value json_text leaves to json.dumps."""
 
 
+class _TokenGrid(list):
+    """A token grid as :func:`_tokens` returns it: the list of row lists,
+    which also keeps its distinct tokens (``table``, an object array) and
+    the (r, c) grid of indices into it (``index``).
+
+    A grid is never edited after ``_tokens`` returns it: ``json_text``
+    writes it from ``table`` and ``index`` without reading its rows.
+    """
+
+    __slots__ = ("table", "index")
+
+
 def _flat_encoder(depth: int):
     while len(_FLAT_ENCODERS) <= depth:
         indent = "  " * len(_FLAT_ENCODERS)
@@ -151,34 +163,64 @@ def _flat_encoder(depth: int):
     return _FLAT_ENCODERS[depth]
 
 
-def _json_text(o, depth: int) -> str:
+def _write_grid(grid: _TokenGrid, depth: int, out: list) -> None:
+    # The tokens' JSON texts from one encoder call: each is an integer or
+    # a string that needs no escaping, so only the separators hold ",\n".
+    texts = np.array(_flat_encoder(0)(grid.table.tolist())[1:-1].split(",\n"), dtype=object)
+    # One gather: each cell is its token's text and the separator that
+    # follows it, the row-closing one in the last column.
+    row, cell = "  " * (depth + 1), "  " * (depth + 2)
+    index = grid.index
+    cells = (texts + (",\n" + cell))[index]
+    cells[:, -1] = (texts + ("\n" + row + "],\n" + row + "[\n" + cell))[index[:, -1]]
+    cells[-1, -1] = texts[index[-1, -1]]
+    out.append("[\n" + row + "[\n" + cell)
+    out.extend(cells.ravel().tolist())
+    out.append("\n" + row + "]\n" + "  " * depth + "]")
+
+
+def _write(o, depth: int, out: list) -> None:
+    """Append the pieces of o's text at nesting depth ``depth`` to out."""
     t = type(o)
     if t in _SCALARS:
-        return _flat_encoder(0)(o)
+        out.append(_flat_encoder(0)(o))
+        return
+    if t is _TokenGrid and 2 * len(o.table) <= o.index.size:
+        # One gather, unless most tokens are distinct: those are cheaper
+        # row by row, as any list.
+        _write_grid(o, depth, out)
+        return
     if t is dict:
         values = o.values()
         if any(type(key) is not str for key in o):
             raise _Unhandled
-    elif t is list or t is tuple:
+    elif t is list or t is tuple or t is _TokenGrid:
         values = o
     else:
         raise _Unhandled
     if not o:
-        return "{}" if t is dict else "[]"
+        out.append("{}" if t is dict else "[]")
+        return
     inner = "  " * (depth + 1)
+    out.append(("{" if t is dict else "[") + "\n" + inner)
     if _SCALARS.issuperset(map(type, values)):
         # Encoded strings hold no raw newline, so the separator is the
         # only one.
-        body = _flat_encoder(depth + 1)(o)[1:-1]
+        out.append(_flat_encoder(depth + 1)(o)[1:-1])
     elif t is dict:
         key = _flat_encoder(0)
-        body = (",\n" + inner).join(
-            key(k) + ": " + _json_text(v, depth + 1) for k, v in o.items()
-        )
+        sep = ""
+        for k, v in o.items():
+            out.append(sep + key(k) + ": ")
+            _write(v, depth + 1, out)
+            sep = ",\n" + inner
     else:
-        body = (",\n" + inner).join(_json_text(v, depth + 1) for v in o)
-    close = "}" if t is dict else "]"
-    return ("{" if t is dict else "[") + "\n" + inner + body + "\n" + "  " * depth + close
+        sep = ""
+        for v in o:
+            out.append(sep)
+            _write(v, depth + 1, out)
+            sep = ",\n" + inner
+    out.append("\n" + "  " * depth + ("}" if t is dict else "]"))
 
 
 def json_text(obj) -> str:
@@ -186,13 +228,19 @@ def json_text(obj) -> str:
 
     Every list or dict whose values are all scalars is written by one
     call of the C encoder, which ``json.dumps`` only uses without an
-    indent; other containers recurse.  A value of any other type (or a
-    non-string key) leaves the whole object to ``json.dumps``.
+    indent; other containers recurse, appending their pieces to one list
+    that is joined once.  A token grid from :func:`matrix_tokens` with at
+    most half as many distinct tokens as entries is written from its
+    distinct-value table in one gather, trusting the ``table`` and
+    ``index`` it carries.  A value of any other type (or a non-string
+    key) leaves the whole object to ``json.dumps``.
     """
+    out: list = []
     try:
-        return _json_text(obj, 0)
+        _write(obj, 0, out)
     except _Unhandled:
         return json.dumps(obj, indent=2)
+    return "".join(out)
 
 
 def load_sequence(path: PathLike) -> ProductSequence:
@@ -252,13 +300,20 @@ def _token_row(p: list, q: list, fin: list) -> list:
 
 def _tokens(num: np.ndarray, fin: np.ndarray, den: int) -> list:
     """Tokens of the entries num / den, nested like num: each distinct
-    value is formatted once and the token list is indexed by the grid."""
+    value is formatted once and the token list is indexed by the grid.
+    A nonempty 2-D grid comes back as a :class:`_TokenGrid`."""
     # Stored numerators stay below 2**62 in magnitude, so the sentinel
     # cannot collide with a finite entry.
     values, inverse = np.unique(np.where(fin, num, _kernels.MASKED), return_inverse=True)
     finite = values != _kernels.MASKED
     table = np.array(_token_row(*_reduced(values, finite, den)), dtype=object)
-    return table[inverse.reshape(num.shape)].tolist()
+    index = inverse.reshape(num.shape)
+    tokens = table[index].tolist()
+    if num.ndim != 2 or not num.size:
+        return tokens
+    grid = _TokenGrid(tokens)
+    grid.table, grid.index = table, index
+    return grid
 
 
 def matrix_tokens(m: TropicalMatrix) -> list[list]:

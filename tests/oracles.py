@@ -11,8 +11,8 @@ explicit finiteness masks (the reference for the sentinel kernels in
 ``tropical_transient._kernels``), the bound terms and the walk-structure
 checks in ``Fraction`` arithmetic, the transient scan one sequence at a
 time, the exhaustive scan that extends every product of each level, the
-loader that converts one entry at a time, and validation's loop check by
-Karp's cycle mean.
+loader that converts one entry at a time, validation's loop check by
+Karp's cycle mean, and validation deciding every member on its own.
 """
 
 import itertools
@@ -35,7 +35,12 @@ from tropical_transient.family import (
     ValidationReport,
     max_walk_magnitude,
 )
-from tropical_transient.matrix import _STORE_LIMIT, TropicalMatrix, _check_magnitude
+from tropical_transient.matrix import (
+    _STORE_LIMIT,
+    TropicalMatrix,
+    _check_magnitude,
+    node_one_closure,
+)
 from tropical_transient.products import (
     DEFAULT_PRODUCT_BUDGET,
     TransientEstimate,
@@ -1095,6 +1100,45 @@ def karp_validation(family: MatrixFamily) -> ValidationReport:
     return ValidationReport((
         support_check(family),
         connectivity_check(family),
+        loops("members_node1_critical_loop", members),
+        loops("sup_node1_critical_loop", [("A_sup", family.a_sup)]),
+    ))
+
+
+def per_member_validation(family: MatrixFamily) -> ValidationReport:
+    """``family.validation`` deciding every member on its own: each
+    member's side cycles by its own node-1 closure (Karp for the witness,
+    or in place of the closure past its guard), and each member's
+    irreducibility by its own reachability closure."""
+    def loop_check(m, label):
+        loop = m.entry(0, 0)
+        if not isinstance(loop, Epsilon) and loop == 0:
+            try:
+                if node_one_closure(m.with_entry(0, 0, EPSILON)) is not None:
+                    return None
+            except OverflowError:
+                pass
+        return karp_loop_check(m, label)
+
+    def loops(name, labeled):
+        for label, m in labeled:
+            witness = loop_check(m, label)
+            if witness is not None:
+                return AssumptionCheck(name, False, witness)
+        return AssumptionCheck(name, True)
+
+    def irreducibility():
+        for idx, m in enumerate(family.members, start=1):
+            if not digraph.is_irreducible(m):
+                return AssumptionCheck("irreducibility", False, digraph.validation_witness(
+                    "not_strongly_connected", member=idx
+                ))
+        return AssumptionCheck("irreducibility", True)
+
+    members = [(f"member {i}", m) for i, m in enumerate(family.members, start=1)]
+    return ValidationReport((
+        support_check(family),
+        irreducibility(),
         loops("members_node1_critical_loop", members),
         loops("sup_node1_critical_loop", [("A_sup", family.a_sup)]),
     ))

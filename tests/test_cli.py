@@ -91,6 +91,16 @@ class TestValidate:
         assert code == 0
         assert "validation: passed" in out
 
+    def test_one_closure_validates_every_member(self, capsys, monkeypatch):
+        # The closure of A_sup without its (1,1) loop finds every off-1
+        # cycle negative, so no member of the three is closed.
+        calls = []
+        closure = _kernels.closure
+        monkeypatch.setattr(_kernels, "closure", lambda a: calls.append(a) or closure(a))
+        code, _, _ = run(capsys, "validate", FAMILY)
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestDerive:
     def test_fixture_values(self, capsys):
@@ -230,16 +240,17 @@ class TestBound:
             assert report["bounds"]["implicit"] == json.loads(json.dumps(want))
 
     def test_a_inf_vectors_are_derived_once(self, capsys, monkeypatch):
-        # Validation closes each member (three) and A_sup, each without its
-        # (1,1) loop; alpha, beta and gamma are read off that A_sup closure,
-        # and one closure of A_inf gives both w and v, although the report
-        # and the bound both read them.
+        # Validation closes A_sup without its (1,1) loop once: every member
+        # lies below it, so its negative off-1 cycles decide the members'
+        # too.  alpha, beta and gamma are read off that closure, and one
+        # closure of A_inf gives both w and v, although the report and the
+        # bound both read them.
         calls = []
         closure = _kernels.closure
         monkeypatch.setattr(_kernels, "closure", lambda a: calls.append(a) or closure(a))
         code, _, _ = run(capsys, "bound", FAMILY, SEQ44)
         assert code == 0
-        assert len(calls) == 5
+        assert len(calls) == 2
 
     def test_expected_logs_bound_disagreements(self, capsys):
         code, report, _ = run_json(

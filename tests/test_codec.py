@@ -3,19 +3,22 @@ per-entry Fraction oracles, token output against ``weight_token``, and
 the JSON writer against ``json.dumps(indent=2)``."""
 
 import collections
+import copy
 import enum
 import json
+import pickle
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import fixture_path
 from tropical_transient.cli import main
+from tropical_transient.family import MatrixFamily
 from tropical_transient.io import (
     column_tokens,
     family_to_dict,
@@ -25,7 +28,7 @@ from tropical_transient.io import (
     save_family,
 )
 from tropical_transient.matrix import _STORE_LIMIT, TropicalMatrix
-from tropical_transient.report import render_json
+from tropical_transient.report import deviations_between, render_json
 from tropical_transient.semiring import EPSILON
 
 FAMILY = fixture_path("five_node_family.json")
@@ -290,6 +293,63 @@ json_values = st.recursive(
     ),
     max_leaves=40,
 )
+
+
+@st.composite
+def token_matrices(draw):
+    """A TropicalMatrix of shape 1x1 to 6x6: every entry p/d on one
+    denominator d, small or past int64, with p small or near +-2^61, and
+    -inf entries (all of them at times)."""
+    r, c = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    d = draw(st.sampled_from([1, 2, 3, 12, 2**64 + 1, 3**41]))
+    numerators = st.one_of(
+        st.integers(-6, 6),
+        st.integers(2**61 - 8, 2**61 + 8),
+        st.integers(-(2**61) - 8, -(2**61) + 8),
+    )
+    entry = st.one_of(st.none(), numerators.map(lambda p: Fraction(p, d)))
+    if draw(st.booleans()) and draw(st.booleans()):
+        entry = st.none()
+    return TropicalMatrix.from_rows(
+        draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    )
+
+
+def nested(value, path):
+    """value inside the dicts ("d") and lists ("l") of path, outermost
+    first, next to scalars of its own level."""
+    for kind in reversed(path):
+        value = {"a": 1, "grid": value, "z": [None]} if kind == "d" else ["x", value, 2]
+    return value
+
+
+class TestGridWriter:
+    """matrix_tokens grids carry their distinct-value table, which json_text
+    writes in one gather; the grid stays the list json.dumps and the
+    other readers see."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @seed(20261020)
+    @given(token_matrices(), st.lists(st.sampled_from("dl"), max_size=4), st.booleans())
+    def test_grids_render_as_json_dumps(self, tmp_path, m, path, as_deviation):
+        tokens = matrix_tokens(m)
+        assert isinstance(tokens, list)
+        assert tokens == oracles.matrix_token_rows(m)
+        value = tokens
+        if as_deviation:
+            # A grid is the computed value of a shape deviation.
+            value = deviations_between({"gamma": tokens}, {"gamma": [0]})
+            assert value[0]["position"] == [] and value[0]["computed"] is tokens
+        value = nested(value, path)
+        text = json.dumps(value, indent=2)
+        assert json_text(value) == text
+        assert json_text(copy.deepcopy(value)) == text
+        assert json_text(pickle.loads(pickle.dumps(value))) == text
+        if m.rows == m.cols:
+            family = MatrixFamily([m, m])
+            save_family(family, tmp_path / "family.json")
+            assert load_family(tmp_path / "family.json")[0].members == family.members
 
 
 class TestJsonText:

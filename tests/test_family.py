@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import random_valid_family
+from tropical_transient import _kernels
 from tropical_transient.digraph import (
     avoiding_walk_weights,
     best_paths_from_one,
@@ -16,7 +18,8 @@ from tropical_transient.family import (
     derive_boundaries,
     max_walk_magnitude,
 )
-from tropical_transient.matrix import TropicalMatrix, walk_closure
+from tropical_transient.matrix import TropicalMatrix, node_one_closure, walk_closure
+from tropical_transient.report import validation_section
 from tropical_transient.semiring import EPSILON, Epsilon
 
 
@@ -259,6 +262,103 @@ class TestLoopCheckAgainstKarp:
         report = fam.validation
         assert report == oracles.karp_validation(fam)
         assert report.failing() == (report.check("irreducibility"),)
+
+
+def corpus_family(rng: random.Random) -> MatrixFamily:
+    """A family of the validation corpus: n in 1..6 and m in 1..4 members
+    on one random support, weights p/q with p in [-6, 2] and q in
+    {1, 2, 3}.  With probability 0.2 each, a member has up to n entries
+    of its support removed, and its (1,1) entry is -inf or +-1/q in place
+    of 0."""
+    n, m = rng.randint(1, 6), rng.randint(1, 4)
+    density = rng.random()
+    support = [[rng.random() < density for _ in range(n)] for _ in range(n)]
+    members = []
+    for _ in range(m):
+        rows = [[Fraction(rng.randint(-6, 2), rng.choice((1, 2, 3))) if present else None
+                 for present in row] for row in support]
+        if rng.random() < 0.2:
+            for _ in range(rng.randint(1, n)):
+                rows[rng.randrange(n)][rng.randrange(n)] = None
+        rows[0][0] = Fraction(0) if rng.random() >= 0.2 else rng.choice(
+            [None, Fraction(rng.choice((-1, 1)), rng.choice((1, 2, 3)))])
+        members.append(TropicalMatrix.from_rows(rows))
+    return MatrixFamily(members)
+
+
+def count_closures(monkeypatch) -> list:
+    calls = []
+    closure = _kernels.closure
+    monkeypatch.setattr(_kernels, "closure", lambda a: calls.append(a) or closure(a))
+    return calls
+
+
+class TestValidationAgainstPerMemberOracle:
+    """One closure of A_sup decides every member's side cycles, and one
+    reachability closure decides irreducibility under a shared support;
+    the sections, witnesses included, match the oracle that closes and
+    searches every member on its own."""
+
+    @pytest.mark.parametrize("seeds", [range(0, 100), range(100, 200), range(200, 300)],
+                             ids=lambda r: f"{r.start}-{r.stop - 1}")
+    def test_random_valid_families(self, seeds, monkeypatch):
+        calls = count_closures(monkeypatch)
+        for seed in seeds:
+            # A fresh family: the generator has validated its own.
+            fam = MatrixFamily(random_valid_family(random.Random(seed)).members)
+            calls.clear()
+            got = validation_section(fam.validate())
+            assert len(calls) == 1
+            assert got == validation_section(oracles.per_member_validation(fam))
+
+    def test_random_corpus(self):
+        rng = random.Random(20261020)
+        kinds = collections.Counter()
+        for _ in range(4000):
+            fam = corpus_family(rng)
+            got = validation_section(fam.validate())
+            assert got == validation_section(oracles.per_member_validation(fam))
+            kinds["passed"] += got["passed"]
+            kinds.update((c["name"], c["witness"]["kind"])
+                         for c in got["checks"] if "witness" in c)
+        # Every witness kind occurs, and some families pass.
+        assert min(kinds.values()) > 100 and len(kinds) == 7, kinds
+
+    def test_sup_guard_falls_back_to_member_closures(self, monkeypatch):
+        # Members on the coprime denominators 2^30 + 1 and 2^30 + 2 stay far
+        # inside the closure guard (2n |scaled entry|), but A_sup takes its
+        # edge 1 -> 2 from member 2 and its loop at node 2 from member 1, so
+        # it sits on their lcm, about 2^60, and trips it.  Node 2 does not
+        # reach node 1, so that edge lies between components and Karp on
+        # A_sup stays within its own guard.
+        members = [TropicalMatrix.from_rows([[0, Fraction(-q - 1, q)],
+                                             [None, Fraction(1 - q, q)]])
+                   for q in (2**30 + 1, 2**30 + 2)]
+        fam = MatrixFamily(members)
+        with pytest.raises(OverflowError):
+            node_one_closure(fam.a_sup.with_entry(0, 0, EPSILON))
+        for m in members:
+            assert node_one_closure(m.with_entry(0, 0, EPSILON)) is not None
+        calls = count_closures(monkeypatch)
+        got = validation_section(fam.validate())
+        assert len(calls) == len(members)
+        assert got == validation_section(oracles.per_member_validation(fam))
+        assert [c["passed"] for c in got["checks"]] == [True, False, True, True]
+
+    def test_member_past_both_guards_is_decided_by_a_sup(self, monkeypatch):
+        # Member 1's edge 1 -> 2 of about -2^60 trips its own closure guard
+        # (4 |entry|) and Karp's (6 |entry|), so deciding it on its own
+        # raises.  Member 2 is larger there, so A_sup stays small, and its
+        # closure decides both members.
+        w = 2**60
+        members = [TropicalMatrix.from_rows([[0, -w], [-1, -1]]),
+                   TropicalMatrix.from_rows([[0, -1], [-1, -1]])]
+        fam = MatrixFamily(members)
+        with pytest.raises(OverflowError):
+            oracles.per_member_validation(MatrixFamily(members))
+        calls = count_closures(monkeypatch)
+        assert fam.validation.passed
+        assert len(calls) == 1
 
 
 class TestSupDerived:
