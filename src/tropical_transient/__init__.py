@@ -21,7 +21,6 @@ from .bounds import (
 )
 from .digraph import (
     CycleMeanResult,
-    EdgeSet,
     avoiding_walk_weights,
     best_paths_from_one,
     best_paths_to_one,
@@ -29,7 +28,6 @@ from .digraph import (
     is_irreducible,
     lambda_star,
     max_cycle_mean,
-    support,
 )
 from .errors import (
     AssumptionError,
@@ -44,18 +42,16 @@ from .family import (
     MatrixFamily,
     SupDerived,
     ValidationReport,
-    derive_boundaries,
 )
-from .io import load_expected, load_family, load_sequence, save_family
-from .matrix import TropicalMatrix, outer_product, rank_one_factor, walk_closure
+from .io import load_expected, load_family, load_sequence
+from .matrix import TropicalMatrix, rank_one_factor
 from .products import (
     ProductSequence,
     TransientEstimate,
     estimate_transient,
     fold,
-    random_sequence,
 )
-from .semiring import EPSILON, Epsilon, Weight, oplus, otimes, weight_from_token, weight_token
+from .semiring import EPSILON, Epsilon, Weight, weight_from_token, weight_token
 from .trellis import (
     LemmaCheck,
     LemmaReport,

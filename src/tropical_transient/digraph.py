@@ -2,18 +2,18 @@
 
 A square matrix A induces a weighted digraph D_A on nodes 1..n with an
 edge (i, j) of weight a_ij exactly when a_ij is finite.  This module
-computes supports, geometric equivalence, irreducibility, maximum cycle
-means (Karp's algorithm, exact rationals) with a canonical critical-cycle
-witness, and the classical path quantities around the distinguished
-node 1: best path weights into and out of it and best weights of walks
-avoiding it.
+computes geometric equivalence (equal supports), irreducibility, maximum
+cycle means (Karp's algorithm, exact rationals) with a canonical
+critical-cycle witness, and the classical path quantities around the
+distinguished node 1: best path weights into and out of it and best
+weights of walks avoiding it.
 
 Graph structure comes from one boolean reachability closure: a digraph
 is irreducible when every node reaches every other, and its strongly
-connected components are the classes of mutual reachability.  The path quantities are three views
-of one weighted closure that never pivots on node 1
-(:func:`node_one_paths`), so a single closure of a matrix gives all of
-them.
+connected components are the classes of mutual reachability.  The path
+quantities are three views of one weighted closure that never pivots on
+node 1 (:func:`node_one_paths`), so a single closure of a matrix gives
+all of them.
 
 Node labels in public inputs and outputs are 1-based, matching the usual
 matrix convention; array indices are 0-based internally.
@@ -32,31 +32,6 @@ from . import _kernels
 from .errors import AssumptionError, DimensionError
 from .matrix import TropicalMatrix, _check_magnitude, node_one_closure
 from .semiring import EPSILON, Epsilon, Weight
-
-
-@dataclass(frozen=True)
-class EdgeSet:
-    """The support of a square matrix: 1-based ordered pairs (i, j)."""
-
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def __contains__(self, edge: tuple[int, int]) -> bool:
-        return edge in self.edges
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-
-def support(m: TropicalMatrix) -> EdgeSet:
-    """Edges (i, j), 1-based, where the entry is finite."""
-    if not m.is_square:
-        raise DimensionError("support is defined for square matrices")
-    fin = m._fin
-    pairs = frozenset(
-        (int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(fin))
-    )
-    return EdgeSet(m.rows, pairs)
 
 
 def geometrically_equivalent(a: TropicalMatrix, b: TropicalMatrix) -> bool:

@@ -67,12 +67,6 @@ class ValidationReport:
     def failing(self) -> tuple[AssumptionCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    def check(self, name: str) -> AssumptionCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class SupDerived:
@@ -112,12 +106,6 @@ class MatrixFamily:
     @property
     def member_count(self) -> int:
         return len(self._members)
-
-    def member(self, index: int) -> TropicalMatrix:
-        """Member by 1-based index, the convention used in product sequences."""
-        if not 1 <= index <= len(self._members):
-            raise IndexError(f"member index {index} out of range 1..{len(self._members)}")
-        return self._members[index - 1]
 
     # -- boundary matrices --------------------------------------------------
 
@@ -354,11 +342,6 @@ def member_index(pos: int, idx) -> int:
 
 def _without_loop(m: TropicalMatrix) -> TropicalMatrix:
     return m.with_entry(0, 0, EPSILON)
-
-
-def derive_boundaries(family: MatrixFamily) -> tuple[TropicalMatrix, TropicalMatrix]:
-    """(A_sup, A_inf) for the family; see :meth:`MatrixFamily.boundaries`."""
-    return family.boundaries()
 
 
 def max_walk_magnitude(family: MatrixFamily, length: int) -> int:

@@ -126,10 +126,6 @@ def family_to_dict(family: MatrixFamily, names=None) -> dict:
     }
 
 
-def save_family(family: MatrixFamily, path: PathLike, names=None) -> None:
-    Path(path).write_text(json_text(family_to_dict(family, names)) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # JSON text, as json.dumps(obj, indent=2) writes it
 # ---------------------------------------------------------------------------

@@ -157,10 +157,6 @@ class TropicalMatrix:
         return table.matrix([table.ids(row) for row in rows])
 
     @classmethod
-    def from_column(cls, weights: Iterable) -> "TropicalMatrix":
-        return cls.from_rows([[w] for w in weights])
-
-    @classmethod
     def eps(cls, rows: int, cols: int) -> "TropicalMatrix":
         """The all -inf matrix (additive identity)."""
         return cls(np.zeros((rows, cols), np.int64), np.zeros((rows, cols), np.bool_))
@@ -201,9 +197,6 @@ class TropicalMatrix:
 
     def column_weights(self, j: int = 0) -> tuple[Weight, ...]:
         return tuple(self.entry(i, j) for i in range(self.rows))
-
-    def row_weights(self, i: int = 0) -> tuple[Weight, ...]:
-        return tuple(self.entry(i, j) for j in range(self.cols))
 
     @property
     def max_abs_numerator(self) -> int:
@@ -273,19 +266,6 @@ class TropicalMatrix:
         num, fin = _kernels.ACTIVE.matmul(a_num, a_fin, b_num, b_fin)
         return TropicalMatrix(num, fin, den)
 
-    def power(self, k: int) -> "TropicalMatrix":
-        """The k-th max-plus power; k = 0 gives the identity."""
-        if not self.is_square:
-            raise DimensionError("powers need a square matrix")
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        if k == 0:
-            return TropicalMatrix.identity(self.rows)
-        out = self
-        for _ in range(k - 1):
-            out = out @ self
-        return out
-
     def _entrywise(self, other: "TropicalMatrix", what: str):
         """:func:`common_grid` of two matrices of equal shape."""
         if self.shape != other.shape:
@@ -302,17 +282,6 @@ class TropicalMatrix:
         """Entrywise min (-inf absorbs)."""
         den, ((a_num, a_fin), (b_num, b_fin)) = self._entrywise(other, "min")
         return TropicalMatrix(np.minimum(a_num, b_num), a_fin & b_fin, den)
-
-    def le(self, other: "TropicalMatrix") -> bool:
-        """Entrywise order: every entry of self at most the matching entry."""
-        _, ((a_num, a_fin), (b_num, b_fin)) = self._entrywise(other, "comparison")
-        if (a_fin & ~b_fin).any():
-            return False
-        both = a_fin & b_fin
-        return bool((a_num[both] <= b_num[both]).all())
-
-    def transpose(self) -> "TropicalMatrix":
-        return TropicalMatrix(self._num.T, self._fin.T, self._den)
 
     # -- structural edits (returning new instances) -------------------------
 
@@ -349,37 +318,11 @@ class TropicalMatrix:
         fin = self._fin[np.ix_(keep, keep)]
         return TropicalMatrix(num, fin, self._den)
 
-    def embed(self, n: int, offset: int) -> "TropicalMatrix":
-        """Place this matrix into an all -inf n x n matrix at a diagonal offset."""
-        num = np.zeros((n, n), dtype=np.int64)
-        fin = np.zeros((n, n), dtype=np.bool_)
-        r, c = self.shape
-        num[offset : offset + r, offset : offset + c] = self._num
-        fin[offset : offset + r, offset : offset + c] = self._fin
-        return TropicalMatrix(num, fin, self._den)
-
-
 def common_grid(*matrices: TropicalMatrix) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
     """The least common denominator of the matrices, and each one's
     numerator grid and mask rescaled to it (see :meth:`TropicalMatrix.scaled`)."""
     den = TropicalMatrix.common_denominator(matrices)
     return den, [m.scaled(den) for m in matrices]
-
-
-def outer_product(x: TropicalMatrix, y: TropicalMatrix) -> TropicalMatrix:
-    """The rank-one matrix x (x) y^T with entries x_i + y_j.
-
-    Both arguments are column vectors of the same length.  Each scaled
-    factor lies below ``_STORE_LIMIT`` = 2**62, so every sum fits in
-    int64; the finite sums, in lowest terms, must stay below it as well,
-    or OverflowError is raised.
-    """
-    if x.cols != 1 or y.cols != 1 or x.rows != y.rows:
-        raise DimensionError("outer product needs two equal-length column vectors")
-    den, ((x_num, x_fin), (y_num, y_fin)) = common_grid(x, y)
-    out = TropicalMatrix(x_num + y_num.T, x_fin & y_fin.T, den)
-    _check_magnitude(out.max_abs_numerator, "outer product", _STORE_LIMIT)
-    return out
 
 
 def rank_one_factor(m: TropicalMatrix) -> Optional[tuple[TropicalMatrix, TropicalMatrix]]:

@@ -57,7 +57,6 @@ class ProductSequence:
     """An ordered selection of member indices (1-based) to multiply."""
 
     indices: tuple[int, ...]
-    seed: Optional[int] = None
 
     def __post_init__(self):
         indices = tuple(member_index(pos, x) for pos, x in enumerate(self.indices, start=1))
@@ -89,15 +88,6 @@ def _staged_sequence(family: MatrixFamily, sequence) -> np.ndarray:
     if not indices:
         raise ValueError("cannot fold an empty sequence")
     return family.stage(indices, "sequence fold")
-
-
-def random_sequence(family: MatrixFamily, length: int, seed: int) -> ProductSequence:
-    """A seeded uniform sequence of the given length (PCG64)."""
-    if length < 1:
-        raise ValueError("sequence length must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.integers(1, family.member_count + 1, size=length)
-    return ProductSequence(tuple(int(x) for x in draws), seed=seed)
 
 
 @dataclass(frozen=True)

@@ -44,26 +44,6 @@ Weight = Union[Fraction, Epsilon]
 ZERO = Fraction(0)
 
 
-def is_eps(w: Weight) -> bool:
-    return isinstance(w, Epsilon)
-
-
-def oplus(a: Weight, b: Weight) -> Weight:
-    """Semiring addition: max(a, b), with EPSILON as neutral element."""
-    if isinstance(a, Epsilon):
-        return b
-    if isinstance(b, Epsilon):
-        return a
-    return a if a >= b else b
-
-
-def otimes(a: Weight, b: Weight) -> Weight:
-    """Semiring multiplication: a + b, with EPSILON as absorbing element."""
-    if isinstance(a, Epsilon) or isinstance(b, Epsilon):
-        return EPSILON
-    return a + b
-
-
 def as_weight(value) -> Weight:
     """Coerce a Python value to a weight.
 

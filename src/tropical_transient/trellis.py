@@ -74,12 +74,6 @@ class TrellisDigraph:
         """n: nodes per layer."""
         return self._family.size
 
-    def layer(self, l: int) -> TropicalMatrix:
-        """The member matrix weighting edges between layers l - 1 and l."""
-        if not 1 <= l <= self.layer_count:
-            raise IndexError(f"layer {l} out of range 1..{self.layer_count}")
-        return self._family.member(self._indices[l - 1])
-
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         mem_num, mem_fin, den = self._family.stacked
         return mem_num, mem_fin, self._seq0, den

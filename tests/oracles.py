@@ -13,11 +13,17 @@ checks in ``Fraction`` arithmetic, the transient scan one sequence at a
 time, the exhaustive scan that extends every product of each level, the
 loader that converts one entry at a time, validation's loop check by
 Karp's cycle mean, and validation deciding every member on its own.
+
+Small helpers the tests share live here as well: matrices built from
+grids (columns, transposes, outer products), the scalar semiring
+operations, seeded sequences, family files, and validation checks by
+name.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -43,6 +49,7 @@ from tropical_transient.matrix import (
 )
 from tropical_transient.products import (
     DEFAULT_PRODUCT_BUDGET,
+    ProductSequence,
     TransientEstimate,
     fold,
 )
@@ -51,7 +58,6 @@ from tropical_transient.semiring import (
     Epsilon,
     Weight,
     as_weight,
-    oplus,
     weight_from_token,
     weight_token,
 )
@@ -81,6 +87,67 @@ def ungrid(rows):
 
 def column(matrix):
     return [row[0] for row in grid(matrix)]
+
+
+def from_column(values) -> TropicalMatrix:
+    """The n x 1 matrix of the given weights."""
+    return TropicalMatrix.from_rows([[w] for w in values])
+
+
+def transpose(matrix) -> TropicalMatrix:
+    return TropicalMatrix.from_rows([list(col) for col in zip(*matrix.to_rows())])
+
+
+def outer_product(x, y) -> TropicalMatrix:
+    """The rank-one matrix x (x) y^T of two column vectors, entry by entry."""
+    return TropicalMatrix.from_rows([[mp_mul(a, b) for b in column(y)] for a in column(x)])
+
+
+def grid_le(a, b):
+    """Entrywise a <= b of two equal-shape grids; None is below every weight."""
+    assert len(a) == len(b) and all(len(ra) == len(rb) for ra, rb in zip(a, b))
+    return all(x is None or (y is not None and x <= y)
+               for ra, rb in zip(a, b) for x, y in zip(ra, rb))
+
+
+def is_eps(w: Weight) -> bool:
+    return isinstance(w, Epsilon)
+
+
+def oplus(a: Weight, b: Weight) -> Weight:
+    """Semiring addition: max(a, b), with EPSILON as neutral element."""
+    if isinstance(a, Epsilon):
+        return b
+    if isinstance(b, Epsilon):
+        return a
+    return a if a >= b else b
+
+
+def otimes(a: Weight, b: Weight) -> Weight:
+    """Semiring multiplication: a + b, with EPSILON as absorbing element."""
+    if isinstance(a, Epsilon) or isinstance(b, Epsilon):
+        return EPSILON
+    return a + b
+
+
+def random_sequence(family, length: int, seed: int) -> ProductSequence:
+    """A seeded uniform sequence of the given length (PCG64)."""
+    if length < 1:
+        raise ValueError("sequence length must be at least 1")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    draws = rng.integers(1, family.member_count + 1, size=length)
+    return ProductSequence(tuple(int(x) for x in draws))
+
+
+def save_family(family, path, names=None) -> None:
+    """Write a family file in the layout ``load_family`` reads."""
+    Path(path).write_text(io.json_text(io.family_to_dict(family, names)) + "\n",
+                          encoding="utf-8")
+
+
+def check(report, name: str) -> AssumptionCheck:
+    """The check of a validation report with the given name."""
+    return next(c for c in report.checks if c.name == name)
 
 
 def mp_mul(a, b):
@@ -536,9 +603,9 @@ def fraction_bound_report(
         per_row: list[Weight] = []
         for j in range(n):
             v_j = v.entry(j, 0)
-            t1_num = _sub(_add(w_i, v_j), gamma.entry(i, j))
+            t1_num = _sub(otimes(w_i, v_j), gamma.entry(i, j))
             t1 = _shift(_quotient(t1_num, lam), const1)
-            t2_num = _add(r_i, _sub(v_j, beta.entry(j, 0)))
+            t2_num = otimes(r_i, _sub(v_j, beta.entry(j, 0)))
             t2 = _shift(_quotient(t2_num, lam), const2)
             entry = oplus(t1, t2)
             t1_row.append(t1)
@@ -558,8 +625,8 @@ def fraction_bound_report(
         mode=mode,
         term1=TropicalMatrix.from_rows(t1_rows),
         term2=TropicalMatrix.from_rows(t2_rows),
-        initial_lengths=TropicalMatrix.from_column(initial),
-        final_lengths=TropicalMatrix.from_column(final),
+        initial_lengths=from_column(initial),
+        final_lengths=from_column(final),
         per_entry=TropicalMatrix.from_rows(per_rows),
         overall=overall,
         argmax=argmax,
@@ -567,12 +634,6 @@ def fraction_bound_report(
         lambda_star=lam,
         lambda_star_undefined=isinstance(lam, Epsilon),
     )
-
-
-def _add(a: Weight, b: Weight) -> Weight:
-    if isinstance(a, Epsilon) or isinstance(b, Epsilon):
-        return EPSILON
-    return a + b
 
 
 def _sub(a: Weight, b: Weight) -> Weight:

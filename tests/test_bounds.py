@@ -19,8 +19,8 @@ from tropical_transient.errors import AssumptionError, DimensionError
 from tropical_transient.family import MatrixFamily
 from tropical_transient.io import load_family, load_sequence
 from tropical_transient.matrix import TropicalMatrix
-from tropical_transient.products import estimate_transient, fold, random_sequence
-from tropical_transient.semiring import EPSILON, Epsilon, oplus
+from tropical_transient.products import estimate_transient, fold
+from tropical_transient.semiring import EPSILON, Epsilon
 from tropical_transient.trellis import (
     best_avoiding_full_weight,
     best_through_one_weight,
@@ -34,7 +34,7 @@ from tropical_transient.trellis import (
 
 
 def col(values):
-    return TropicalMatrix.from_column(values)
+    return oracles.from_column(values)
 
 
 def reference_bounds(w, v, alpha, beta, gamma, lam, n):
@@ -387,7 +387,7 @@ class TestTermTwoParts:
     def outer_sum(report):
         initial = report.initial_lengths.column_weights()
         final = report.final_lengths.column_weights()
-        return TropicalMatrix.from_rows([[oracles._add(a, b) for b in final] for a in initial])
+        return TropicalMatrix.from_rows([[oracles.otimes(a, b) for b in final] for a in initial])
 
     def test_random_families(self):
         rng = random.Random(47)
@@ -468,7 +468,7 @@ class TestSoundnessAgainstExactScans:
             family = random_valid_family(random.Random(seed))
             explicit = explicit_bound(family).overall
             for length in (family.size, 3 * family.size + 5):
-                seq = random_sequence(family, length, seed)
+                seq = oracles.random_sequence(family, length, seed)
                 implicit = implicit_sequence_bound(family, seq).overall
                 assert implicit <= explicit, (seed, length)
                 if length > implicit:
@@ -484,19 +484,88 @@ def synthetic_inputs(tmp_path, n):
     return load_family(family)[0], load_sequence(sequence).indices
 
 
+def relabelled(matrix, perm):
+    """The matrix with node i renamed perm[i] (0-based)."""
+    g = oracles.grid(matrix)
+    rows = [[None] * len(g[0]) for _ in g]
+    for i, row in enumerate(g):
+        for j, x in enumerate(row):
+            rows[perm[i]][perm[j]] = x
+    return TropicalMatrix.from_rows(rows)
+
+
+def reordered(family):
+    """The members in reverse order, with the last one repeated."""
+    members = family.members
+    return MatrixFamily(members[::-1] + members[:1])
+
+
 class TestMetamorphicRelations:
     """Relations that follow from the definitions, checked at sizes no
     Fraction oracle reaches."""
+
+    @pytest.mark.parametrize("n", [5, 20, 40])
+    def test_member_permutation_and_duplication(self, tmp_path, n):
+        # A_sup and A_inf are extrema over the set of members, and the
+        # explicit bound reads nothing else of the family.
+        family, _ = synthetic_inputs(tmp_path, n)
+        other = reordered(family)
+        assert other.member_count == family.member_count + 1
+        assert other.boundaries() == family.boundaries()
+        got, want = explicit_bound(other), explicit_bound(family)
+        assert got.overall == want.overall
+        assert got.term1 == want.term1 and got.term2 == want.term2
+
+    @pytest.mark.parametrize("seed", ["fixture", 0, 3, 100, 121])
+    def test_member_permutation_and_duplication_keep_the_transient(self, family5, seed):
+        # Every sequence over the reordered members folds to the product
+        # of a sequence over the original ones, of the same length, and
+        # the reverse.  Permuting alone is a bijection of sequences, so it
+        # also keeps the number of counterexamples.
+        if seed == "fixture":
+            family, horizon = family5, 16
+        else:
+            family = random_valid_family(random.Random(seed))
+            horizon = explicit_bound(family).min_sufficient_length
+
+        def scan(f):
+            est = estimate_transient(f, horizon, "exhaustive", max_products=10**40)
+            last = max((k for k, _ in est.counterexamples), default=0)
+            return est.first_all_rank_one, last, len(est.counterexamples)
+
+        want = scan(family)
+        assert want[0] is not None
+        assert scan(MatrixFamily(family.members[::-1])) == want
+        assert scan(reordered(family))[:2] == want[:2]
+
+    @pytest.mark.parametrize("n", [5, 20, 40])
+    def test_relabelling_nodes(self, tmp_path, n):
+        # Renaming nodes 2..n renames every walk and keeps node 1 with its
+        # loop, so the bound terms are renamed the same way.  Only values
+        # are compared: argmax and witnesses break ties by the smallest
+        # label.
+        family, seq = synthetic_inputs(tmp_path, n)
+        perm = [0] + random.Random(n).sample(range(1, n), n - 1)
+        assert perm != sorted(perm)
+        other = MatrixFamily([relabelled(member, perm) for member in family.members])
+        assert other.validate().passed
+        for got, want in ((explicit_bound(other), explicit_bound(family)),
+                          (implicit_sequence_bound(other, seq),
+                           implicit_sequence_bound(family, seq))):
+            assert got.overall == want.overall
+            assert got.term1 == relabelled(want.term1, perm)
+            assert got.term2 == relabelled(want.term2, perm)
 
     @pytest.mark.parametrize("n", [5, 20, 40])
     def test_mirror(self, tmp_path, n):
         # Every member transposed and the sequence reversed: w and v swap,
         # and so do alpha and beta, while gamma transposes.
         family, seq = synthetic_inputs(tmp_path, n)
-        mirror = MatrixFamily([member.transpose() for member in family.members])
+        mirror = MatrixFamily([oracles.transpose(member) for member in family.members])
         got, want = explicit_bound(mirror), explicit_bound(family)
         assert got.overall == want.overall
-        assert got.term1 == want.term1.transpose() and got.term2 == want.term2.transpose()
+        assert got.term1 == oracles.transpose(want.term1)
+        assert got.term2 == oracles.transpose(want.term2)
         assert (implicit_sequence_bound(mirror, seq[::-1]).overall
                 == implicit_sequence_bound(family, seq).overall)
 
@@ -542,7 +611,7 @@ class TestMetamorphicRelations:
         for i, j in pairs:
             through = best_through_one_weight(t, i, j)
             full = optimal_full_walk(t, i, j).weight
-            assert oplus(through, best_avoiding_full_weight(t, i, j)) == full
+            assert oracles.oplus(through, best_avoiding_full_weight(t, i, j)) == full
             assert full == product.entry(i - 1, j - 1)
             assert through == joined.entry(i - 1, j - 1)
         w, v = initial_weights_all(t), final_weights_all(t)

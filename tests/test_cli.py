@@ -12,11 +12,12 @@ import pytest
 from tropical_transient import _kernels
 from tropical_transient.bounds import implicit_bound
 from tropical_transient.cli import main
-from tropical_transient.io import save_family
 from tropical_transient.products import fold
-from tropical_transient.report import bound_section, schema_text
+from tropical_transient.report import bound_section, comparable_fields, schema_text
 
+import oracles
 from conftest import fixture_path, random_valid_family
+from test_bench_digests import load_bench_inputs
 
 FAMILY = fixture_path("five_node_family.json")
 SEQ44 = fixture_path("product_len44.json")
@@ -232,7 +233,7 @@ class TestBound:
             fam = random_valid_family(rng, n=2 + case % 4)
             seq = [rng.randint(1, fam.member_count) for _ in range(rng.randint(1, 60))]
             fam_path, seq_path = tmp_path / f"fam{case}.json", tmp_path / f"seq{case}.json"
-            save_family(fam, fam_path)
+            oracles.save_family(fam, fam_path)
             seq_path.write_text(json.dumps(seq), encoding="utf-8")
             code, report, _ = run_json(capsys, "bound", fam_path, seq_path)
             assert code == 0
@@ -324,6 +325,29 @@ class TestCheck:
         fields = {d["field"] for d in report["deviations"]}
         assert fields == set()
         assert report["check"]["product"] == expected5["product"]
+
+
+class TestExpectedRoundTrip:
+    @pytest.mark.parametrize("source", ["fixture", 6, 12])
+    def test_report_fields_as_expected_file_give_no_deviations(self, capsys, tmp_path, source):
+        # A report's own comparable fields, read back as --expected, match
+        # it everywhere: every field they name is compared, none differs.
+        if source == "fixture":
+            family, sequence = FAMILY, SEQ44
+        else:
+            family, sequence = load_bench_inputs().write_synthetic(tmp_path, 1, source, 60)
+        for command in (["derive", family], ["bound", family, sequence],
+                        ["check", family, sequence]):
+            code, report, _ = run_json(capsys, *command)
+            fields = comparable_fields(report)
+            assert fields
+            expected = tmp_path / "expected.json"
+            expected.write_text(json.dumps(fields), encoding="utf-8")
+            again, checked, _ = run_json(capsys, *command, "--expected", expected)
+            assert again == code
+            assert checked["deviations"] == []
+            del checked["deviations"]
+            assert checked == report
 
 
 class TestTransient:

@@ -7,7 +7,6 @@ import pytest
 import oracles
 from tropical_transient.digraph import (
     CycleMeanResult,
-    EdgeSet,
     avoiding_walk_weights,
     best_paths_from_one,
     best_paths_to_one,
@@ -16,7 +15,6 @@ from tropical_transient.digraph import (
     lambda_star,
     max_cycle_mean,
     strongly_connected_components,
-    support,
     validation_witness,
 )
 from tropical_transient.errors import AssumptionError, DimensionError
@@ -47,18 +45,6 @@ def canonical(cycle):
 
 
 class TestSupport:
-    def test_edges_are_one_based(self):
-        m = TropicalMatrix.from_rows([[0, None], [1, 2]])
-        s = support(m)
-        assert isinstance(s, EdgeSet)
-        assert s.n == 2
-        assert s.sorted_edges() == [(1, 1), (2, 1), (2, 2)]
-        assert (1, 1) in s and (1, 2) not in s
-
-    def test_requires_square(self):
-        with pytest.raises(DimensionError):
-            support(TropicalMatrix.eps(2, 3))
-
     def test_geometric_equivalence(self):
         a = TropicalMatrix.from_rows([[0, None], [1, 2]])
         b = TropicalMatrix.from_rows([[-9, None], ["1/2", 0]])

@@ -13,11 +13,7 @@ from tropical_transient.digraph import (
     best_paths_to_one,
 )
 from tropical_transient.errors import AssumptionError, DimensionError
-from tropical_transient.family import (
-    MatrixFamily,
-    derive_boundaries,
-    max_walk_magnitude,
-)
+from tropical_transient.family import MatrixFamily, max_walk_magnitude
 from tropical_transient.matrix import TropicalMatrix, node_one_closure, walk_closure
 from tropical_transient.report import validation_section
 from tropical_transient.semiring import EPSILON, Epsilon
@@ -32,17 +28,8 @@ def test_construction_checks():
         MatrixFamily([TropicalMatrix.eps(2, 3)])
 
 
-def test_member_access_is_one_based(family5):
-    assert family5.member_count == 3
-    assert family5.member(1) is family5.members[0]
-    assert family5.member(3) is family5.members[2]
-    for bad in (0, 4, -1):
-        with pytest.raises(IndexError):
-            family5.member(bad)
-
-
 def test_boundaries_are_entrywise_extrema(family5):
-    a_sup, a_inf = derive_boundaries(family5)
+    a_sup, a_inf = family5.boundaries()
     grids = [oracles.grid(m) for m in family5.members]
     n = family5.size
     for i in range(n):
@@ -65,8 +52,8 @@ def test_boundaries_sandwich_products(family5, seq44):
     a_sup, a_inf = family5.boundaries()
     k = 6
     prod = fold(family5, seq44.indices[:k])
-    assert a_inf.power(k).le(prod)
-    assert prod.le(a_sup.power(k))
+    assert oracles.grid_le(oracles.naive_power(oracles.grid(a_inf), k), oracles.grid(prod))
+    assert oracles.grid_le(oracles.grid(prod), oracles.naive_power(oracles.grid(a_sup), k))
 
 
 def test_fixture_family_is_admissible(family5):
@@ -79,9 +66,7 @@ def test_fixture_family_is_admissible(family5):
         "sup_node1_critical_loop",
     ]
     assert report.failing() == ()
-    assert report.check("irreducibility").passed
-    with pytest.raises(KeyError):
-        report.check("bogus")
+    assert oracles.check(report, "irreducibility").passed
     # must not raise
     family5.require_valid("test")
 
@@ -91,7 +76,7 @@ class TestValidationFailures:
         a = TropicalMatrix.from_rows([[0, -1], [-1, -2]])
         b = TropicalMatrix.from_rows([[0, None], [-1, -2]])
         report = MatrixFamily([a, b]).validate()
-        check = report.check("geometric_equivalence")
+        check = oracles.check(report, "geometric_equivalence")
         assert not check.passed
         assert check.witness["kind"] == "support_mismatch"
         assert check.witness["edge"] == [1, 2]
@@ -107,9 +92,8 @@ class TestValidationFailures:
     def test_support_mismatch_names_the_first_differing_member(self):
         a = TropicalMatrix.from_rows([[0, -1], [-1, -2]])
         b = TropicalMatrix.from_rows([[0, -1], [None, -2]])
-        check = MatrixFamily([a, a, b, a.with_entry(0, 1, None)]).validate().check(
-            "geometric_equivalence"
-        )
+        report = MatrixFamily([a, a, b, a.with_entry(0, 1, None)]).validate()
+        check = oracles.check(report, "geometric_equivalence")
         assert check.witness == {
             "kind": "support_mismatch", "matrix": "member 3", "edge": [2, 1],
             "present_in": "member 1",
@@ -118,14 +102,14 @@ class TestValidationFailures:
     def test_reducible_member(self):
         member = TropicalMatrix.from_rows([[0, None], [-1, -2]])
         report = MatrixFamily([member]).validate()
-        check = report.check("irreducibility")
+        check = oracles.check(report, "irreducibility")
         assert not check.passed
         assert check.witness == {"kind": "not_strongly_connected", "member": 1}
 
     def test_wrong_loop_weight(self):
         member = TropicalMatrix.from_rows([[-1, -1], [-1, -2]])
         report = MatrixFamily([member]).validate()
-        check = report.check("members_node1_critical_loop")
+        check = oracles.check(report, "members_node1_critical_loop")
         assert not check.passed
         assert check.witness["kind"] == "node1_loop_weight"
         assert check.witness["value"] == -1
@@ -133,7 +117,7 @@ class TestValidationFailures:
     def test_missing_loop(self):
         member = TropicalMatrix.from_rows([[None, -1], [-1, -2]])
         report = MatrixFamily([member]).validate()
-        check = report.check("members_node1_critical_loop")
+        check = oracles.check(report, "members_node1_critical_loop")
         assert not check.passed
         assert check.witness["kind"] == "node1_loop_weight"
         assert check.witness["value"] == "-inf"
@@ -141,7 +125,7 @@ class TestValidationFailures:
     def test_nonnegative_other_cycle(self):
         member = TropicalMatrix.from_rows([[0, -1], [-1, 0]])
         report = MatrixFamily([member]).validate()
-        check = report.check("members_node1_critical_loop")
+        check = oracles.check(report, "members_node1_critical_loop")
         assert not check.passed
         assert check.witness["kind"] == "nonnegative_side_cycle"
         assert check.witness["cycle"] == [2]
@@ -150,7 +134,7 @@ class TestValidationFailures:
     def test_nonnegative_through_one_cycle(self):
         member = TropicalMatrix.from_rows([[0, 2], [-1, -3]])
         report = MatrixFamily([member]).validate()
-        check = report.check("members_node1_critical_loop")
+        check = oracles.check(report, "members_node1_critical_loop")
         assert not check.passed
         assert check.witness["cycle"] == [1, 2]
         assert check.witness["mean"] == "1/2"
@@ -161,8 +145,8 @@ class TestValidationFailures:
         b = TropicalMatrix.from_rows([[0, -3], [2, -5]])
         fam = MatrixFamily([a, b])
         report = fam.validate()
-        assert report.check("members_node1_critical_loop").passed
-        check = report.check("sup_node1_critical_loop")
+        assert oracles.check(report, "members_node1_critical_loop").passed
+        check = oracles.check(report, "sup_node1_critical_loop")
         assert not check.passed
         assert check.witness["matrix"] == "A_sup"
 
@@ -236,7 +220,7 @@ class TestLoopCheckAgainstKarp:
             members[2] = members[2].with_entry(i, j, flipped)
             edited = MatrixFamily(members)
             report = edited.validation
-            assert report.check("geometric_equivalence").witness["matrix"] == "member 3"
+            assert oracles.check(report, "geometric_equivalence").witness["matrix"] == "member 3"
             assert report == oracles.karp_validation(edited)
 
     def test_irreducibility_fails_first_at_member_2(self):
@@ -250,7 +234,7 @@ class TestLoopCheckAgainstKarp:
             members[2] = members[2].with_row_eps(k)
             edited = MatrixFamily(members)
             report = edited.validation
-            assert report.check("irreducibility").witness["member"] == 2
+            assert oracles.check(report, "irreducibility").witness["member"] == 2
             assert report == oracles.karp_validation(edited)
 
     def test_karp_decides_past_the_closure_guard(self):
@@ -261,7 +245,7 @@ class TestLoopCheckAgainstKarp:
         fam = MatrixFamily([member])
         report = fam.validation
         assert report == oracles.karp_validation(fam)
-        assert report.failing() == (report.check("irreducibility"),)
+        assert report.failing() == (oracles.check(report, "irreducibility"),)
 
 
 def corpus_family(rng: random.Random) -> MatrixFamily:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from tropical_transient.errors import FamilyFileError
 from tropical_transient.io import (
     column_tokens,
@@ -12,7 +13,6 @@ from tropical_transient.io import (
     load_family,
     load_sequence,
     matrix_tokens,
-    save_family,
 )
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.semiring import EPSILON, weight_token
@@ -31,7 +31,7 @@ class TestLoadFamily:
     def test_fixture_round_trip(self, tmp_path, family5_loaded):
         family, names = family5_loaded
         out = tmp_path / "family.json"
-        save_family(family, out, names)
+        oracles.save_family(family, out, names)
         again, again_names = load_family(out)
         assert again_names == names
         assert again.members == family.members
@@ -45,7 +45,7 @@ class TestLoadFamily:
         family, names = load_family(p)
         assert names == ("A1", "A2")
         assert family.size == 2
-        assert family.member(1).entry(1, 0) == Fraction(-1)
+        assert family.members[0].entry(1, 0) == Fraction(-1)
 
     def test_token_kinds_parse_exactly(self, tmp_path):
         p = write(
@@ -54,7 +54,7 @@ class TestLoadFamily:
             {"members": [{"rows": [[0, "-1/3"], [0.5, "-inf"]]}]},
         )
         family, _ = load_family(p)
-        a = family.member(1)
+        a = family.members[0]
         assert a.entry(0, 1) == Fraction(-1, 3)
         # decimal literal parsed as an exact rational, not a binary float
         assert a.entry(1, 0) == Fraction(1, 2)

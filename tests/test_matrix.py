@@ -11,7 +11,6 @@ from tropical_transient.family import MatrixFamily
 from tropical_transient.matrix import (
     TropicalMatrix,
     node_one_closure,
-    outer_product,
     rank_one_factor,
     walk_closure,
 )
@@ -56,11 +55,6 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             TropicalMatrix.from_rows([])
 
-    def test_from_column(self):
-        c = TropicalMatrix.from_column([1, None, Fraction(1, 3)])
-        assert c.shape == (3, 1)
-        assert c.column_weights() == (Fraction(1), EPSILON, Fraction(1, 3))
-
     def test_eps_and_identity(self):
         z = TropicalMatrix.eps(2, 3)
         assert all(isinstance(x, Epsilon) for row in z.to_rows() for x in row)
@@ -82,7 +76,7 @@ class TestConstruction:
         a = TropicalMatrix.from_rows([["1/2", None], [0, 3]])
         b = TropicalMatrix.from_rows([[Fraction(2, 4), "-inf"], [0.0, Fraction(3)]])
         assert a == b
-        assert a != a.transpose()
+        assert a != oracles.transpose(a)
 
     def test_unhashable(self):
         with pytest.raises(TypeError):
@@ -116,16 +110,6 @@ class TestArithmetic:
         assert e @ m == m
         assert m @ e == m
 
-    @settings(max_examples=30, deadline=None)
-    @given(square(2), st.integers(min_value=0, max_value=5))
-    def test_power_matches_oracle(self, rows, k):
-        m = TropicalMatrix.from_rows(rows)
-        assert oracles.grid(m.power(k)) == oracles.naive_power(oracles.grid(m), k)
-
-    def test_power_zero_is_identity(self):
-        m = TropicalMatrix.from_rows([[5]])
-        assert m.power(0) == TropicalMatrix.identity(1)
-
     @settings(max_examples=40, deadline=None)
     @given(square(3), square(3))
     def test_oplus_emin_entrywise(self, a_rows, b_rows):
@@ -141,22 +125,6 @@ class TestArithmetic:
              for x, y in zip(ra, rb)]
             for ra, rb in zip(ga, gb)
         ]
-
-    def test_le_reflexive_and_orders(self):
-        a = TropicalMatrix.from_rows([[0, None], [-2, 1]])
-        b = TropicalMatrix.from_rows([[1, None], [0, 1]])
-        assert a.le(a)
-        assert a.le(b)
-        assert not b.le(a)
-        # a finite entry is never below one that is absent in the bigger matrix
-        c = TropicalMatrix.from_rows([[0, 5], [-2, 1]])
-        assert a.le(c)
-        assert not c.le(a)
-
-    def test_transpose_involution(self):
-        m = TropicalMatrix.from_rows([[1, 2, None], [None, "1/2", 0]])
-        assert m.transpose().shape == (3, 2)
-        assert m.transpose().transpose() == m
 
     def test_magnitude_guard(self):
         big = TropicalMatrix.from_rows([[2**61, 0], [0, 2**61]])
@@ -174,8 +142,7 @@ class TestEditing:
 
     def test_row_and_col_blanking(self):
         m = TropicalMatrix.from_rows([[1, 2], [3, 4]])
-        assert m.with_row_eps(0).row_weights(0) == (EPSILON, EPSILON)
-        assert m.with_row_eps(0).row_weights(1) == (Fraction(3), Fraction(4))
+        assert oracles.grid(m.with_row_eps(0)) == [[None, None], [3, 4]]
         assert m.with_col_eps(1).column_weights(1) == (EPSILON, EPSILON)
 
     def test_delete_node(self):
@@ -183,39 +150,21 @@ class TestEditing:
         d = m.delete_node(1)
         assert d.to_rows() == [[Fraction(1), Fraction(3)], [Fraction(7), Fraction(9)]]
 
-    def test_embed_inverse_of_delete(self):
-        m = TropicalMatrix.from_rows([[1, 2], [3, 4]])
-        e = m.embed(3, 1)
-        assert isinstance(e.entry(0, 0), Epsilon)
-        assert e.delete_node(0) == m
-
 
 class TestRankOne:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(cell, min_size=3, max_size=3),
-        st.lists(cell, min_size=3, max_size=3),
-    )
-    def test_outer_product_entries(self, xs, ys):
-        x = TropicalMatrix.from_column(xs)
-        y = TropicalMatrix.from_column(ys)
-        m = oracles.grid(outer_product(x, y))
-        gx, gy = oracles.column(x), oracles.column(y)
-        assert m == [[oracles.mp_mul(a, b) for b in gy] for a in gx]
-
     @settings(max_examples=60, deadline=None)
     @given(
         finite, st.lists(cell, min_size=3, max_size=3),
         finite, st.lists(cell, min_size=3, max_size=3),
     )
     def test_factor_round_trip(self, x0, xs, y0, ys):
-        x = TropicalMatrix.from_column([x0] + xs)
-        y = TropicalMatrix.from_column([y0] + ys)
-        m = outer_product(x, y)
+        x = oracles.from_column([x0] + xs)
+        y = oracles.from_column([y0] + ys)
+        m = oracles.outer_product(x, y)
         factors = rank_one_factor(m)
         assert factors is not None
         c, r = factors
-        assert outer_product(c, r) == m
+        assert oracles.outer_product(c, r) == m
         # normalization: the row factor starts at 0
         assert r.entry(0, 0) == 0
 
@@ -233,32 +182,18 @@ class TestRankOne:
     def test_row_factor_just_below_the_storage_limit(self):
         # y_2 = m_12 - m_11 = 2**62 - 1 is stored exactly, with pivot 0;
         # with pivot -2**61 the same y_2 is the difference of two entries
-        # of opposite sign.  outer_product rebuilds m in both cases: each
-        # x_i + y_j it forms is an entry of m, though max |x| + max |y|
-        # passes 2**62.
+        # of opposite sign.  The outer product rebuilds m in both cases.
         top = (1 << 62) - 1
         m = TropicalMatrix.from_rows([[0, top, None], [0, top, None], [None, None, None]])
         x, y = rank_one_factor(m)
         assert oracles.column(y) == [0, top, None]
-        assert outer_product(x, y) == m
+        assert oracles.outer_product(x, y) == m
         half = 1 << 61
         m = TropicalMatrix.from_rows([[-half, half - 1], [0, top]])
         x, y = rank_one_factor(m)
         assert oracles.column(x) == [-half, 0] and oracles.column(y) == [0, top]
         assert oracles.is_rank_one(oracles.grid(m))
-        assert outer_product(x, y) == m
-
-    def test_outer_product_checks_the_sums_it_forms(self):
-        half = 1 << 61
-        for xs, ys in (([0, half], [0, half]), ([-half, 0], [-half, None])):
-            x, y = TropicalMatrix.from_column(xs), TropicalMatrix.from_column(ys)
-            with pytest.raises(OverflowError, match=f"^outer product: scaled integer "
-                                                    f"magnitude {1 << 62} exceeds"):
-                outer_product(x, y)
-        # A sum past the limit on the common denominator that reduces
-        # below it in lowest terms is stored, like any other entry.
-        x = TropicalMatrix.from_column([Fraction(1 + half, 2)])
-        assert oracles.grid(outer_product(x, x)) == [[1 + half]]
+        assert oracles.outer_product(x, y) == m
 
     def test_row_factor_at_the_storage_limit_raises(self):
         half = 1 << 61
@@ -282,7 +217,7 @@ class TestRankOne:
         assert g == [[0, -w], [-w, -2 * w]] and oracles.is_rank_one(g)
         x, y = rank_one_factor(product)
         assert oracles.column(x) == [0, -w] and oracles.column(y) == [0, -w]
-        assert outer_product(x, y) == product
+        assert oracles.outer_product(x, y) == product
 
     @settings(max_examples=60, deadline=None)
     @given(square(3))

@@ -19,7 +19,6 @@ from tropical_transient.products import (
     TransientEstimate,
     estimate_transient,
     fold,
-    random_sequence,
 )
 from tropical_transient.trellis import build_trellis
 
@@ -30,7 +29,6 @@ class TestProductSequence:
         assert seq.indices == (1, 2, 3)
         assert len(seq) == 3
         assert list(seq) == [1, 2, 3]
-        assert seq.seed is None
 
     def test_numpy_ints_become_plain_ints(self):
         seq = ProductSequence(np.array([2, 1], dtype=np.int64))
@@ -81,7 +79,7 @@ class TestFold:
     def test_matches_oracle_on_fixture(self, family5, seq44):
         short = seq44.indices[:5]
         got = oracles.grid(fold(family5, short))
-        want = oracles.naive_fold([oracles.grid(family5.member(s)) for s in short])
+        want = oracles.naive_fold([oracles.grid(family5.members[s - 1]) for s in short])
         assert got == want
 
     def test_matches_oracle_on_random_families(self):
@@ -91,11 +89,11 @@ class TestFold:
             k = rng.randint(1, 7)
             seq = [rng.randint(1, fam.member_count) for _ in range(k)]
             got = oracles.grid(fold(fam, seq))
-            want = oracles.naive_fold([oracles.grid(fam.member(s)) for s in seq])
+            want = oracles.naive_fold([oracles.grid(fam.members[s - 1]) for s in seq])
             assert got == want
 
     def test_single_factor(self, family5):
-        assert fold(family5, [2]) == family5.member(2)
+        assert fold(family5, [2]) == family5.members[1]
 
     def test_accepts_sequence_object(self, family5, seq44):
         assert fold(family5, seq44) == fold(family5, list(seq44.indices))
@@ -118,16 +116,15 @@ class TestFold:
 
 class TestRandomSequence:
     def test_deterministic_and_in_range(self, family5):
-        a = random_sequence(family5, 50, seed=123)
-        b = random_sequence(family5, 50, seed=123)
+        a = oracles.random_sequence(family5, 50, seed=123)
+        b = oracles.random_sequence(family5, 50, seed=123)
         assert a.indices == b.indices
-        assert a.seed == 123
         assert all(1 <= x <= 3 for x in a.indices)
-        assert random_sequence(family5, 50, seed=124).indices != a.indices
+        assert oracles.random_sequence(family5, 50, seed=124).indices != a.indices
 
     def test_rejects_zero_length(self, family5):
         with pytest.raises(ValueError):
-            random_sequence(family5, 0, seed=1)
+            oracles.random_sequence(family5, 0, seed=1)
 
 
 class TestEstimateTransient:
@@ -147,7 +144,7 @@ class TestEstimateTransient:
         want_cex = []
         for k in range(1, horizon + 1):
             for idx in itertools.product((1, 2), repeat=k):
-                grids = [oracles.grid(fam.member(s)) for s in idx]
+                grids = [oracles.grid(fam.members[s - 1]) for s in idx]
                 if not oracles.is_rank_one(oracles.naive_fold(grids)):
                     want_cex.append((k, idx))
         assert list(est.counterexamples) == want_cex
@@ -366,9 +363,9 @@ def _pruned_off_family(rng: random.Random, n: int) -> MatrixFamily:
     """Two admissible members, the second with its (1, 1) entry set to
     -inf, so pruning is off and every distinct prefix is formed."""
     fam = random_valid_family(rng, n, 2)
-    rows = oracles.grid(fam.member(2))
+    rows = oracles.grid(fam.members[1])
     rows[0][0] = None
-    return MatrixFamily([fam.member(1), TropicalMatrix.from_rows(rows)])
+    return MatrixFamily([fam.members[0], TropicalMatrix.from_rows(rows)])
 
 
 class TestRaggedSampledScan:
@@ -418,9 +415,9 @@ class TestRaggedSampledScan:
         assert horizon * big < 1 << 61
         for case in range(4):
             fam = random_valid_family(rng, 4, 3)
-            rows = oracles.grid(fam.member(3))
+            rows = oracles.grid(fam.members[2])
             rows[1][1] = -big
-            fam = MatrixFamily([fam.member(1), fam.member(2), TropicalMatrix.from_rows(rows)])
+            fam = MatrixFamily([*fam.members[:2], TropicalMatrix.from_rows(rows)])
             assert products._absorbing(fam)
             assert 3 * max_walk_magnitude(fam, horizon) >= 1 << 62
             est = _assert_matches_oracle(fam, horizon=horizon, samples_per_length=40, seed=case)
@@ -500,7 +497,7 @@ class TestRaggedSampledScan:
         # 300 members store their draws as uint16; 1-based indices up to
         # 300 come back unchanged.
         rng = random.Random(3)
-        fam = MatrixFamily([_scan_family(rng, 2, 1).member(1) for _ in range(300)])
+        fam = MatrixFamily([_scan_family(rng, 2, 1).members[0] for _ in range(300)])
         est = _assert_matches_oracle(fam, horizon=3, samples_per_length=40, seed=1)
         assert max(max(idx) for _, idx in est.counterexamples) > 255
 

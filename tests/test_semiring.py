@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import is_eps, oplus, otimes
 from tropical_transient.semiring import (
     EPSILON,
     ZERO,
     Epsilon,
     as_weight,
-    is_eps,
-    oplus,
-    otimes,
     weight_from_token,
     weight_str,
     weight_token,
@@ -28,6 +26,9 @@ def test_epsilon_is_a_singleton():
     assert copy.deepcopy(EPSILON) is EPSILON
     assert repr(EPSILON) == "-inf"
 
+
+# The scalar operations are the reference arithmetic of the Fraction
+# oracles; the package computes on int64 grids.
 
 def test_is_eps():
     assert is_eps(EPSILON)

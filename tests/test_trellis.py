@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from oracles import is_eps
 from conftest import late_arrival_family, random_valid_family
 from tropical_transient import _kernels
 from tropical_transient.family import MatrixFamily
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import fold
-from tropical_transient.semiring import EPSILON, Epsilon, is_eps
+from tropical_transient.semiring import EPSILON
 from tropical_transient.trellis import (
     WalkSummary,
     best_avoiding_full_weight,
@@ -27,7 +28,7 @@ from tropical_transient.trellis import (
 
 
 def layer_grids(trellis):
-    return [oracles.grid(trellis.layer(l)) for l in range(1, trellis.layer_count + 1)]
+    return [oracles.grid(trellis.family.members[s - 1]) for s in trellis.indices]
 
 
 def witness_weight(trellis, summary):
@@ -67,12 +68,6 @@ class TestStructure:
         assert t.layer_count == 44
         assert t.node_size == 5
         assert t.indices == tuple(seq44.indices)
-        assert t.layer(1) is family5.member(seq44.indices[0])
-        assert t.layer(44) is family5.member(seq44.indices[43])
-        with pytest.raises(IndexError):
-            t.layer(0)
-        with pytest.raises(IndexError):
-            t.layer(45)
 
     def test_accepts_sequence_object_or_list(self, family5, seq44):
         a = build_trellis(family5, seq44)
@@ -160,7 +155,7 @@ class TestFullWalks:
         for _ in range(40):
             fam, seq = random_case(rng)
             t = build_trellis(fam, seq)
-            grids = [oracles.grid(fam.member(s)) for s in seq]
+            grids = [oracles.grid(fam.members[s - 1]) for s in seq]
             for i in range(1, fam.size + 1):
                 for j in range(1, fam.size + 1):
                     s = optimal_full_walk(t, i, j)
@@ -192,7 +187,7 @@ class TestAnchoredWalks:
         for _ in range(40):
             fam, seq = random_case(rng)
             t = build_trellis(fam, seq)
-            grids = [oracles.grid(fam.member(s)) for s in seq]
+            grids = [oracles.grid(fam.members[s - 1]) for s in seq]
             for node in range(1, fam.size + 1):
                 dp = optimal_initial_walk(t, node)
                 want_w, want_len = oracles.trellis_best_initial(grids, node - 1)
@@ -323,7 +318,7 @@ class TestSplitWalks:
         for _ in range(30):
             fam, seq = random_case(rng)
             t = build_trellis(fam, seq)
-            grids = [oracles.grid(fam.member(s)) for s in seq]
+            grids = [oracles.grid(fam.members[s - 1]) for s in seq]
             for i in range(1, fam.size + 1):
                 for j in range(1, fam.size + 1):
                     got = best_avoiding_full_weight(t, i, j)
