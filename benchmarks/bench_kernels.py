@@ -51,10 +51,13 @@ whole family, and ``render_json`` writes the dict it returns.
 
 A sixth table times the family side on the seed-0 synthetic inputs at
 n = 20, 40, 80: a fresh ``load_family`` followed by validation,
-``sup_derived`` and the A_inf vectors w and v (the closures and Karp runs
-of ``bound FAM SEQ``), one ``closure`` kernel call on A_sup without its
-node-1 loop (validation's closure), and the graph structure of one member
-(``is_irreducible`` and ``strongly_connected_components``).
+``sup_derived`` and the A_inf vectors w and v (the closure, fixpoints and
+Karp runs of ``bound FAM SEQ``), one ``closure`` kernel call on A_sup
+without its node-1 loop (validation's closure), the graph structure of
+one member (``is_irreducible`` and ``strongly_connected_components``),
+the A_inf vectors alone (their cache cleared before each call) and
+``lambda_star`` of A_sup (Karp's table and the critical-cycle
+potentials).
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --sizes 5,16,64 --length 500
@@ -81,7 +84,7 @@ from tropical_transient.bounds import implicit_bound, implicit_sequence_bound
 from tropical_transient.cli import _run as cli_run
 from tropical_transient.cli import build_parser
 from tropical_transient.cli import main as cli_main
-from tropical_transient.digraph import is_irreducible, strongly_connected_components
+from tropical_transient.digraph import is_irreducible, lambda_star, strongly_connected_components
 from tropical_transient.family import MatrixFamily
 from tropical_transient.io import (family_to_dict, json_text, load_family, load_sequence,
                                    matrix_tokens)
@@ -240,10 +243,16 @@ def family_rows(fam, repeats):
         is_irreducible(member)
         strongly_connected_components(member._fin)
 
+    def inf_vectors():
+        family.__dict__.pop("_inf_vectors", None)
+        family.inf_walk_to_one()
+
     return [
         ("load and derive", best_time(derive, repeats)),
         ("closure", best_time(lambda: closure(a_sup), repeats)),
         ("graph structure", best_time(structure, repeats)),
+        ("inf vectors", best_time(inf_vectors, repeats)),
+        ("lambda star", best_time(lambda: lambda_star(family.a_sup), repeats)),
     ]
 
 

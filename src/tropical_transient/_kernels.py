@@ -19,14 +19,23 @@ range.  ``matmul`` and ``fold`` return (numerator, mask) pairs with 0 in
 masked slots; the trellis sweeps return encoded tables, which their
 callers reduce further.
 
-A single state, a vector or a stack of rows, multiplies by one matrix
-as one broadcast (``_product``).  A level of products grows by one factor
-each through ``extend``, by rank-1 max updates: row i is a chosen product
-of the level times a chosen member, and it comes back with its rank-one
-verdicts.  Both transient scans grow every level that way, one length at
-a time from the empty product (``identity_level``).  ``extend`` runs on
-chunks of rows whose working arrays, four of (rows, n, n), hold at most
-``CHUNK_ELEMENTS`` values.
+Every sweep and fold multiplies a state by layers of one stack, and
+the members of an admissible family share one finite pattern (geometric
+equivalence); the benchmark's synthetic families keep 11-15% of the n^2
+entries.  So a call plans its stack once (``_plan``): the entries of the
+union of its layers' patterns, grouped by target column, with one masked
+entry for a column that has no in-edge.  A product step (``_step``) of a
+vector or a matrix state is then one gather of the state's columns, one
+add of the layer's weights and one segmented max
+(``np.maximum.reduceat``): the semiring SpMV of the GraphBLAS (Kepner et
+al., IEEE HPEC 2016).  The dense broadcast (``_product``) is left for
+``matmul`` of arbitrary matrices and for the through table.  A level of products grows by one
+factor each through ``extend``, by rank-1 max updates: row i is a chosen
+product of the level times a chosen member, and it comes back with its
+rank-one verdicts.  Both transient scans grow every level that way, one
+length at a time from the empty product (``identity_level``).
+``extend`` runs on chunks of rows whose working arrays, four of
+(rows, n, n), hold at most ``CHUNK_ELEMENTS`` values.
 
 A single fold tests its running product for rank-one every
 ``PROBE_STRIDE`` layers, and once a prefix passes it finishes as one
@@ -63,9 +72,12 @@ so a best walk through node 0 is a best arrival, the loop and a best
 departure, joined from those two tables (``_through_table``).
 
 The family-side derivations use the same encoding: ``walk_table`` is a
-sweep through one matrix (Karp's table, cycle-mean potentials) and
-``closure`` is a Floyd-Warshall pass that never pivots on node 0, so one
-table holds the best walks into node 0, out of it and around it.
+sweep through one matrix (Karp's table); ``fixpoint`` repeats
+x <- base (+) x (x) a until x stops changing (the cycle-mean potentials,
+and through ``anchor_paths`` the best walks of A_inf into node 0 and out
+of it); and ``closure`` is a Floyd-Warshall pass that never pivots on
+node 0, so one table holds the best walks into node 0, out of it and
+around it.
 """
 
 from __future__ import annotations
@@ -93,10 +105,44 @@ def decode(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(fin, x, np.int64(0)), fin
 
 
-def _product(x: np.ndarray, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _product(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """x (x) a for an encoded (n,) or (r, n) state x and an (n, c) matrix a,
-    as one broadcast: add, then max."""
-    out = (x[..., :, None] + a).max(axis=-2, out=out)
+    as one dense broadcast: add, then max."""
+    out = (x[..., :, None] + a).max(axis=-2)
+    return np.maximum(out, MASKED, out=out)
+
+
+def _plan(layers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, starts, weights): a stack of encoded (m, r, c) layers on the
+    union of their finite patterns, grouped by target column.
+
+    Column c owns the entries starts[c]:starts[c + 1] of rows (their
+    source nodes) and of each layer's weights[s].  A column with no
+    in-edge in any layer gets one entry from row 0 with weight MASKED,
+    since ``np.maximum.reduceat`` returns the first element of an empty
+    segment rather than an identity.
+    """
+    fin = (layers > FLOOR).any(axis=0)
+    fin[0, ~fin.any(axis=0)] = True
+    cols, rows = np.nonzero(fin.T)
+    starts = np.zeros(fin.shape[1], dtype=np.intp)
+    np.cumsum(fin.sum(axis=0)[:-1], out=starts[1:])
+    return rows, starts, layers[:, rows, cols]
+
+
+def _step(state: np.ndarray, plan, s, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """state (x) layers[s] for an encoded (r,) or (..., r) state, on the
+    ``_plan`` of the layers: one gather, one add and one segmented max.
+
+    A layer's own masked entries inside the union weigh MASKED, so every
+    sum the dense product forms for a finite entry is formed here too,
+    and every other one is left out; the result agrees with ``_product``
+    wherever either is finite.
+    """
+    rows, starts, weights = plan
+    terms = state.take(rows, axis=-1)
+    terms += weights[s]
+    out = np.maximum.reduceat(terms, starts, axis=-1, out=out)
     return np.maximum(out, MASKED, out=out)
 
 
@@ -113,14 +159,19 @@ def _sweep(layers: np.ndarray, seq: np.ndarray, state: np.ndarray,
     Returns every intermediate state stacked as (k + 1, *state.shape), or
     only the last one when ``table`` is False.
     """
+    return _planned_sweep(_plan(layers), seq, state, table)
+
+
+def _planned_sweep(plan, seq, state: np.ndarray, table: bool) -> np.ndarray:
+    # _sweep on the plan of its layers.
     if not table:
         for s in seq:
-            state = _product(state, layers[s])
+            state = _step(state, plan, s)
         return state
     tab = np.empty((len(seq) + 1,) + state.shape, dtype=np.int64)
     tab[0] = state
     for l, s in enumerate(seq, start=1):
-        _product(tab[l - 1], layers[s], out=tab[l])
+        _step(tab[l - 1], plan, s, out=tab[l])
     return tab
 
 
@@ -131,6 +182,50 @@ def walk_table(a: np.ndarray, state: np.ndarray, k: int) -> np.ndarray:
     ``2**61``.
     """
     return _sweep(a[None], np.zeros(k, dtype=np.intp), state)
+
+
+def fixpoint(a: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """The least x >= base with x = base (+) x (x) a, for an encoded square
+    matrix a and an encoded vector base: entry j is the best weight of
+    base[i] plus a walk of length >= 0 from i to j.
+
+    Iterates x <- base (+) x (x) a from x = base and stops at the first
+    step that changes nothing.  With every cycle of a of weight at most 0,
+    best walks are paths, so at most n steps run, the last one only
+    confirming; x and each step stay within the largest magnitude of base
+    plus n times that of a, which callers keep below ``2**61``.
+    Raises RuntimeError if x still changes at step n, which only a
+    positive cycle can cause.
+    """
+    plan = _plan(a[None])
+    x = base
+    for _ in range(len(a)):
+        nxt = np.maximum(base, _step(x, plan, 0))
+        if np.array_equal(nxt, x):
+            return x
+        x = nxt
+    raise RuntimeError("walk fixpoint did not converge within n steps")
+
+
+def anchor_paths(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(into, out_of) for an encoded square matrix whose cycles that avoid
+    node 0 are all negative: into[i] is the best walk from i into node 0
+    and out_of[j] the best walk from node 0 to j, each touching node 0
+    only at an end, with entry 0 the empty walk, 0.
+
+    Each is one vector ``fixpoint`` over a with node 0's row and column
+    masked, from the edges into node 0 (walks read backwards, on a^T) or
+    out of it.
+    """
+    cut = _cut(a[None])[0]
+    lines = []
+    for layer, base in ((cut.T, a[:, 0]), (cut, a[0])):
+        base = base.copy()
+        base[0] = MASKED
+        line = fixpoint(layer, base)
+        line[0] = 0
+        lines.append(line)
+    return tuple(lines)
 
 
 def closure(a: np.ndarray) -> Optional[np.ndarray]:
@@ -338,6 +433,7 @@ def _absorbing_sweep(layers, seq, tap=None):
     # y = S_1:, and by associativity only y moves on: the rest is one
     # vector sweep, out[l] is x + max_p(y_p + tap_p) for each later y, and
     # P is x (x) y^T, both rebuilt by _outer.
+    plan = _plan(layers)
     state = layers[seq[0]]
     out = None
     if tap is not None:
@@ -345,7 +441,7 @@ def _absorbing_sweep(layers, seq, tap=None):
         out[1] = tap[seq[0]]
     for l, s in enumerate(seq[1:], start=1):
         if l % PROBE_STRIDE == 0 and rank_one(state, state > FLOOR):
-            ys = _sweep(layers, seq[l:], state[0], table=tap is not None)
+            ys = _planned_sweep(plan, seq[l:], state[0], tap is not None)
             if tap is not None:
                 best = np.maximum((ys[:-1] + tap[seq[l:]]).max(axis=1), MASKED)
                 out[l + 1:] = encode(*_outer(state[:, 0], best)).T
@@ -353,7 +449,7 @@ def _absorbing_sweep(layers, seq, tap=None):
             return out, _outer(state[:, 0], ys)
         if tap is not None:
             np.maximum((state + tap[s]).max(axis=1), MASKED, out=out[l + 1])
-        state = _product(state, layers[s])
+        state = _step(state, plan, s)
     return out, decode(state)
 
 
@@ -397,14 +493,19 @@ def _through_table(into, departures):
         through[i, j] = max_b (max_{a <= b} into[a, i]) + departures[k - b, j].
 
     Start 0 arrives at layer 0 and target 0 departs at layer k, each with
-    weight 0.  The max over b runs as a running max of (n, n) layers.
+    weight 0.  The max over b is one max-plus product of the transposed
+    arrivals and the reversed departures, (n, k + 1) times (k + 1, n),
+    run in blocks of rows whose broadcast holds about ``CHUNK_ELEMENTS``
+    values.
     """
     arrived = np.maximum.accumulate(into, axis=0)
     arrived[:, 0] = 0
-    out = np.full((into.shape[1],) * 2, MASKED)
-    for first, last in zip(arrived, departures[::-1]):
-        np.maximum(out, first[:, None] + last, out=out)
-    out[:, 0] = arrived[-1]
+    arrived, departures = np.ascontiguousarray(arrived.T), departures[::-1]
+    out = np.empty((len(arrived),) * 2, dtype=np.int64)
+    rows = max(1, CHUNK_ELEMENTS // departures.size)
+    for r in range(0, len(out), rows):
+        out[r:r + rows] = _product(arrived[r:r + rows], departures)
+    out[:, 0] = arrived[:, -1]
     return out
 
 

@@ -22,6 +22,7 @@ messages go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -66,7 +67,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it."""
     parser = _Parser(
         prog="tropical-transient",
         description="Max-plus matrix families: validation, transient bounds "

@@ -100,26 +100,36 @@ def _karp_component(num: np.ndarray, fin: np.ndarray, den: int,
     source[0] = 0
     F = _kernels.walk_table(_kernels.encode(sub_num, sub_fin), source, ns)
     walked = F > _kernels.FLOOR
-    top = F[ns]
-    # Per node v, the smallest (top - F[k]) / (ns - k) as a numerator and
-    # denominator pair; a denominator of 0 means no quotient yet.
-    q_num = np.zeros(ns, dtype=np.int64)
-    q_den = np.zeros(ns, dtype=np.int64)
-    for k in range(ns):
-        ok = walked[k] & walked[ns]
-        c_num = np.where(ok, top - F[k], 0)
-        c_den = ns - k
-        better = ok & ((q_den == 0) | (c_num * q_den < q_num * c_den))
-        q_num[better] = c_num[better]
-        q_den[better] = c_den
-    best: Optional[tuple[int, int]] = None
-    has = q_den > 0
-    for p, q in zip(q_num[has].tolist(), q_den[has].tolist()):
-        if best is None or p * best[1] > best[0] * q:
-            best = (p, q)
-    if best is None:
+    # Karp's quotient (F[ns, v] - F[k, v]) / (ns - k) for every k and v, as
+    # a numerator grid over the denominators ns - k; a denominator of 0
+    # marks a missing quotient.  The mean is max over v of min over k.
+    ok = walked[:ns] & walked[ns]
+    q_num = np.where(ok, F[ns] - F[:ns], 0)
+    q_den = np.where(ok, np.arange(ns, 0, -1)[:, None], 0)
+    q_num, q_den = _smallest_quotient(q_num, q_den)
+    if not q_den.any():
         return None
-    return Fraction(best[0], den * best[1])
+    p, q = _smallest_quotient(-q_num[:, None], q_den[:, None])
+    return Fraction(-int(p[0]), den * int(q[0]))
+
+
+def _smallest_quotient(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the smallest num / den down the rows, as a (num, den)
+    pair; a den of 0 is a missing quotient, and a column without one
+    gives den 0.
+
+    A tournament: each round halves the rows, comparing the pairs of
+    quotients by integer cross-multiplication, so the callers keep every
+    |num| times every den within int64.
+    """
+    while len(num) > 1:
+        half = len(num) // 2
+        a, b = slice(0, half), slice(half, 2 * half)
+        take_b = (den[b] > 0) & ((den[a] == 0) | (num[b] * den[a] < num[a] * den[b]))
+        rest_num, rest_den = num[2 * half:], den[2 * half:]
+        num = np.concatenate((np.where(take_b, num[b], num[a]), rest_num))
+        den = np.concatenate((np.where(take_b, den[b], den[a]), rest_den))
+    return num[0], den[0]
 
 
 def _critical_cycle(num: np.ndarray, fin: np.ndarray, den: int,
@@ -148,11 +158,11 @@ def _critical_cycle(num: np.ndarray, fin: np.ndarray, den: int,
     top = int(np.abs(w).max())
     _check_magnitude(n * top, "critical cycle")
     # Longest-path potentials from a virtual source: after normalization no
-    # cycle is positive, so best walks are paths of at most n - 1 edges.
-    # Every critical cycle is tight under any such potential, and every
-    # tight cycle is critical.
-    d = _kernels.walk_table(_kernels.encode(w, fin), np.zeros(n, dtype=np.int64), n - 1)
-    d = d.max(axis=0)
+    # cycle is positive, so best walks are paths of at most n - 1 edges,
+    # and d <- max(d, d (x) W) from 0 stops once d repeats.  Every critical
+    # cycle is tight under any such potential, and every tight cycle is
+    # critical.
+    d = _kernels.fixpoint(_kernels.encode(w, fin), np.zeros(n, dtype=np.int64))
     tight = [row.tolist() for row in map(np.flatnonzero, fin & (d[:, None] + w == d))]
 
     def reaches(target: int, frontier: int, banned: set[int]) -> bool:

@@ -18,10 +18,11 @@ closure around node 1 decides; the maximum cycle mean is computed only
 for the witness of a failure.  Every member lies below A_sup entrywise,
 so A_sup's closure decides the second test for all members at once.
 
-Each boundary matrix is closed once.  The closure of A_sup without its
-loop decides check 3 for A_sup and the members, and then gives alpha
-(column 1), beta (row 1) and gamma (the rest); the closure of A_inf
-without its loop gives w and v.
+A_sup is closed once: its closure without its loop decides check 3 for
+A_sup and the members, and then gives alpha (column 1), beta (row 1) and
+gamma (the rest).  w and v are two vector fixpoints over A_inf with node
+1's row and column masked, each stopping at the first step that changes
+nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import _kernels
 from .digraph import (
     CycleMeanResult,
     geometrically_equivalent,
@@ -267,8 +269,8 @@ class MatrixFamily:
         """Column vector w: entry i is the best weight of a walk i -> 1 in
         D_{A_inf} touching node 1 only at its end (entry 1 is 0).
 
-        Off-1 cycles are negative, so best walks are paths and the closure
-        over all lengths is exact.  Computed once per family.
+        Off-1 cycles are negative, so best walks are paths and the vector
+        fixpoint over all lengths is exact.  Computed once per family.
         """
         return self._inf_vectors[0]
 
@@ -280,10 +282,15 @@ class MatrixFamily:
 
     @cached_property
     def _inf_vectors(self) -> tuple[TropicalMatrix, TropicalMatrix]:
+        # Two vector fixpoints over A_inf with node 1's row and column
+        # masked; A_inf lies below every member on their shared support, so
+        # its off-1 cycles are negative and each stops within n steps.
         self.require_valid("walk weights on A_inf")
-        closed = node_one_closure(_without_loop(self.a_inf))
-        w, v, _ = node_one_paths(self.a_inf, closed, "walk weights on A_inf")
-        return w, v
+        a = self.a_inf
+        _check_magnitude(2 * a.rows * a.max_abs_numerator, "walk closure")
+        lines = _kernels.anchor_paths(_kernels.encode(a._num, a._fin))
+        return tuple(TropicalMatrix(num[:, None], fin[:, None], a.denominator)
+                     for num, fin in map(_kernels.decode, lines))
 
     # -- kernel staging -----------------------------------------------------
 

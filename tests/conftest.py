@@ -138,23 +138,23 @@ class BranchSpy:
 
     Within one call, every layer pushes either the matrix state (a 2-d
     array) or, once the state is absorbed as x (x) y^T, the vector y (1-d)
-    through ``_product``.  A matrix step followed by a vector step is an
-    absorption.  Calls without a tap are folds: ``folds`` holds the
-    absorption count of each.  Calls with one are the lemma checks'
-    avoiding sweeps: ``sweeps`` and ``absorbs`` count them and their
-    absorptions.
+    through the planned product step ``_step``.  A matrix step followed by
+    a vector step is an absorption.  Calls without a tap are folds:
+    ``folds`` holds the absorption count of each.  Calls with one are the
+    lemma checks' avoiding sweeps: ``sweeps`` and ``absorbs`` count them
+    and their absorptions.
     """
 
     def __init__(self, monkeypatch):
         self.absorbs = self.sweeps = 0
         self.folds = []
         self._steps = None
-        product = _kernels._product
+        step = _kernels._step
 
-        def spied_product(x, a, out=None):
+        def spied_step(state, plan, s, out=None):
             if self._steps is not None:
-                self._steps.append(str(x.ndim))
-            return product(x, a, out)
+                self._steps.append(str(state.ndim))
+            return step(state, plan, s, out)
 
         sweep = _kernels._absorbing_sweep
 
@@ -171,7 +171,7 @@ class BranchSpy:
                     self.sweeps += 1
                     self.absorbs += absorbs
 
-        monkeypatch.setattr(_kernels, "_product", spied_product)
+        monkeypatch.setattr(_kernels, "_step", spied_step)
         monkeypatch.setattr(_kernels, "_absorbing_sweep", spied_sweep)
 
 

@@ -459,6 +459,27 @@ def masked_backward_avoid(mem_num, mem_fin, seq, target):
     return tab_num, tab_fin
 
 
+def karp_loop_component(num, fin, den, comp) -> Optional[Fraction]:
+    """Karp's mean of the walks from comp[0] inside comp, min over k then
+    max over v, as loops over k and v with Fraction quotients, on the
+    masked walk table: the loop form of ``digraph._karp_component``."""
+    idx = np.ix_(comp, comp)
+    sub_num, sub_fin = num[idx][None], fin[idx][None]
+    ns = len(comp)
+    if not sub_fin.any():
+        return None
+    tab_num, tab_fin = masked_forward_full(sub_num, sub_fin, np.zeros(ns, dtype=np.int64), 0)
+    best = None
+    for v in range(ns):
+        if not tab_fin[ns, v]:
+            continue
+        quotients = [Fraction(int(tab_num[ns, v] - tab_num[k, v]), ns - k)
+                     for k in range(ns) if tab_fin[k, v]]
+        if quotients and (best is None or min(quotients) > best):
+            best = min(quotients)
+    return None if best is None else best / den
+
+
 def masked_initial_to_anchor(mem_num, mem_fin, seq):
     k = seq.shape[0]
     n = mem_num.shape[1]

@@ -11,7 +11,7 @@ import pytest
 
 from tropical_transient import _kernels
 from tropical_transient.bounds import implicit_bound
-from tropical_transient.cli import main
+from tropical_transient.cli import UsageError, build_parser, main
 from tropical_transient.products import fold
 from tropical_transient.report import bound_section, comparable_fields, schema_text
 
@@ -243,15 +243,18 @@ class TestBound:
     def test_a_inf_vectors_are_derived_once(self, capsys, monkeypatch):
         # Validation closes A_sup without its (1,1) loop once: every member
         # lies below it, so its negative off-1 cycles decide the members'
-        # too.  alpha, beta and gamma are read off that closure, and one
-        # closure of A_inf gives both w and v, although the report and the
-        # bound both read them.
-        calls = []
-        closure = _kernels.closure
+        # too.  alpha, beta and gamma are read off that closure.  w and v
+        # are one vector fixpoint each over A_inf, once, although the
+        # report and the bound both read them.
+        calls, lines = [], []
+        closure, anchor_paths = _kernels.closure, _kernels.anchor_paths
         monkeypatch.setattr(_kernels, "closure", lambda a: calls.append(a) or closure(a))
+        monkeypatch.setattr(_kernels, "anchor_paths",
+                            lambda a: lines.append(a) or anchor_paths(a))
         code, _, _ = run(capsys, "bound", FAMILY, SEQ44)
         assert code == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
+        assert len(lines) == 1
 
     def test_expected_logs_bound_disagreements(self, capsys):
         code, report, _ = run_json(
@@ -406,6 +409,23 @@ class TestTransient:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "usage error" in err
+
+
+class TestParser:
+    def test_built_once_and_keeps_no_state_between_parses(self):
+        # main() reuses one parser per process; each parse starts from the
+        # defaults again, after a usage error too.
+        parser = build_parser()
+        assert build_parser() is parser
+        first = parser.parse_args(["transient", "F", "--horizon", "3", "--samples", "5",
+                                   "--mode", "exhaustive", "--budget", "9"])
+        assert (first.samples, first.mode, first.budget) == (5, "exhaustive", 9)
+        with pytest.raises(UsageError):
+            parser.parse_args(["transient", "F", "--horizon", "x"])
+        again = parser.parse_args(["transient", "F", "--horizon", "3"])
+        assert (again.samples, again.mode, again.budget, again.seed) == (100, "sampled", None, 0)
+        bound = parser.parse_args(["bound", "F"])
+        assert bound.sequence is None and not hasattr(bound, "horizon")
 
 
 class TestInputErrors:

@@ -7,6 +7,7 @@ import pytest
 import oracles
 from tropical_transient.digraph import (
     CycleMeanResult,
+    _karp_component,
     avoiding_walk_weights,
     best_paths_from_one,
     best_paths_to_one,
@@ -204,6 +205,26 @@ class TestKarpComponents:
             assert_witness_attains(g, res.witness, want)
             assert canonical(tuple(v - 1 for v in res.witness)) in attaining
         assert multi > 100
+
+    def test_tournament_matches_the_loop_over_k(self):
+        # Karp's min over k and max over v run as tournaments of
+        # cross-multiplied comparisons; the loop over k with Fraction
+        # quotients gives the same mean on every strongly connected
+        # component of 3,000 seeded random digraphs with n <= 11.
+        rng = np.random.default_rng(29)
+        seen = with_mean = large = 0
+        while seen < 3000:
+            n = int(rng.integers(1, 12))
+            fin = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+            num = np.where(fin, rng.integers(-40, 41, (n, n)), 0).astype(np.int64)
+            den = int(rng.integers(1, 7))
+            for comp in strongly_connected_components(fin):
+                got = _karp_component(num, fin, den, comp)
+                assert got == oracles.karp_loop_component(num, fin, den, comp)
+                seen += 1
+                with_mean += got is not None
+                large += len(comp) >= 4
+        assert with_mean > 1000 and large > 400
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_lambda_star_against_policy_iteration(self, n):

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import random_valid_family
+from test_bench_digests import load_bench_inputs
 from tropical_transient import _kernels
 from tropical_transient.digraph import (
     avoiding_walk_weights,
@@ -14,6 +15,7 @@ from tropical_transient.digraph import (
 )
 from tropical_transient.errors import AssumptionError, DimensionError
 from tropical_transient.family import MatrixFamily, max_walk_magnitude
+from tropical_transient.io import load_family
 from tropical_transient.matrix import TropicalMatrix, node_one_closure, walk_closure
 from tropical_transient.report import validation_section
 from tropical_transient.semiring import EPSILON, Epsilon
@@ -387,6 +389,56 @@ class TestSupDerived:
             assert fam.inf_walk_from_one() == TropicalMatrix.from_rows(
                 [[0]] + [[from_one.entry(0, j)] for j in range(1, n)]
             )
+
+
+class TestFixpointWork:
+    """Step counts of the walk fixpoints, each the number of planned
+    product steps it runs, the last one confirming.  w and v were one
+    closure of A_inf (n - 1 Floyd-Warshall steps), and the potentials
+    n - 1 steps for the n critical-component nodes."""
+
+    @staticmethod
+    def fixpoint_steps(monkeypatch, call):
+        counts, inside = [], []
+        step, fixpoint = _kernels._step, _kernels.fixpoint
+
+        def counted_step(*args, **kwargs):
+            if inside:
+                counts[-1] += 1
+            return step(*args, **kwargs)
+
+        def counted_fixpoint(a, base):
+            counts.append(0)
+            inside.append(True)
+            try:
+                return fixpoint(a, base)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(_kernels, "fixpoint", counted_fixpoint)
+        monkeypatch.setattr(_kernels, "_step", counted_step)
+        call()
+        monkeypatch.undo()
+        return counts
+
+    def family_steps(self, monkeypatch, family):
+        assert family.validation.passed
+        inf = self.fixpoint_steps(monkeypatch, lambda: family._inf_vectors)
+        potentials = self.fixpoint_steps(monkeypatch, lambda: family.sup_derived)
+        return inf, potentials
+
+    def test_fixture(self, monkeypatch, family5_loaded):
+        # Before: 4 closure steps for w and v, 2 potential steps (3
+        # critical-component nodes).
+        family = MatrixFamily(family5_loaded[0].members)
+        assert self.family_steps(monkeypatch, family) == ([3, 2], [3])
+
+    def test_seed_zero_synthetic_family(self, monkeypatch, tmp_path):
+        # Before: 79 closure steps for w and v, 78 potential steps (79
+        # critical-component nodes).
+        path, _ = load_bench_inputs().write_synthetic(tmp_path, 0, 80, 200)
+        family = load_family(str(path))[0]
+        assert self.family_steps(monkeypatch, family) == ([5, 4], [1])
 
 
 class TestInfWalks:

@@ -13,7 +13,7 @@ from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import fold
 from tropical_transient.trellis import build_trellis, optimal_full_walk
 
-from conftest import late_arrival_family
+from conftest import late_arrival_family, random_valid_family
 from oracles import (
     grid,
     is_rank_one,
@@ -588,6 +588,151 @@ def absorption_cases():
     for n in (2, 4, 7):
         num, fin, _ = late_arrival_family(random.Random(n), n).stacked
         yield "late arrival", (num, fin)
+
+
+def planned_stacks(family5):
+    """Encoded layer stacks for the planned product step: members whose
+    columns have no in-edge in any member, members with differing
+    patterns (as ``--force`` and ``transient`` pass them), the cut, sink
+    and lifted edits of admissible members and of the five-node fixture,
+    whose members share one pattern, and fully dense members."""
+    rng = np.random.default_rng(80)
+    for n in (1, 2, 4, 7):
+        num, fin = random_members(rng, 3, n, 0.6)
+        fin[:, :, rng.permutation(n)[:max(1, n // 2)]] = False
+        yield "empty columns", encode(num, fin)
+    for n in (2, 5, 8):
+        yield "differing patterns", encode(*random_members(rng, 3, n, 0.4))
+    edits = (("cut", _kernels._cut), ("sink", _kernels._sink), ("lifted", _kernels._lifted))
+    fixture = encode(*family5.stacked[:2])
+    for mem in [encode(*admissible_members(rng, 3, n)) for n in (1, 3, 6)] + [fixture]:
+        for name, edit in edits:
+            yield name, edit(mem)
+    yield "fixture", fixture
+    yield "dense", encode(*random_members(rng, 2, 6, 1.0))
+
+
+class TestPlannedStep:
+    """The planned product step, and every kernel that runs on it, against
+    the masked oracles on the stacks of ``planned_stacks``."""
+
+    def test_plan_holds_the_union_pattern_and_one_entry_per_empty_column(self, family5):
+        for _, layers in planned_stacks(family5):
+            rows, starts, weights = _kernels._plan(layers)
+            union = (layers > FLOOR).any(axis=0)
+            empty = ~union.any(axis=0)
+            assert len(starts) == layers.shape[2] and starts[0] == 0
+            assert len(rows) == union.sum() + empty.sum() == weights.shape[1]
+            ends = np.append(starts[1:], len(rows))
+            for c in range(layers.shape[2]):
+                block = rows[starts[c]:ends[c]]
+                if empty[c]:
+                    assert block.tolist() == [0] and (weights[:, starts[c]] == MASKED).all()
+                else:
+                    assert block.tolist() == np.flatnonzero(union[:, c]).tolist()
+                    assert (weights[:, starts[c]:ends[c]] == layers[:, block, c]).all()
+
+    def test_step_matches_the_masked_product(self, family5):
+        rng = np.random.default_rng(81)
+        for kind, layers in planned_stacks(family5):
+            n, (mem_num, mem_fin) = layers.shape[1], decode(layers)
+            plan = _kernels._plan(layers)
+            for rows in (1, 3):
+                x_num = rng.integers(-50, 51, size=(rows, n)).astype(np.int64)
+                x_fin = rng.random(size=(rows, n)) < 0.7
+                x = encode(x_num, x_fin)
+                for s in range(len(layers)):
+                    want = masked_matmul(x_num, x_fin, mem_num[s], mem_fin[s])
+                    got = _kernels._step(x, plan, s)
+                    assert (got >= MASKED).all()
+                    assert_masked_equal(decode(got), want)
+                    assert_masked_equal(decode(_kernels._step(x[0], plan, s)),
+                                        (want[0][0], want[1][0]))
+                    assert_masked_equal(decode(_kernels._product(x, layers[s])), want)
+
+    def test_sweep_matches_the_masked_oracle(self, family5):
+        rng = np.random.default_rng(82)
+        for _, layers in planned_stacks(family5):
+            n, (mem_num, mem_fin) = layers.shape[1], decode(layers)
+            for k in (0, 1, 2, 9):
+                seq = random_seq(rng, len(layers), k)
+                tab = _kernels._sweep(layers, seq, _kernels._units(n, np.arange(n)))
+                last = _kernels._sweep(layers, seq, _kernels._units(n, np.arange(n)), table=False)
+                assert tab.shape == (k + 1, n, n) and np.array_equal(tab[-1], last)
+                for r in range(n):
+                    assert_masked_equal(decode(tab[:, r]),
+                                        masked_forward_full(mem_num, mem_fin, seq, r))
+
+    def test_absorbing_sweep_matches_the_masked_oracles(self, family5, seq44):
+        rng = np.random.default_rng(83)
+        fixture = np.array(seq44.indices, dtype=np.int64) - 1
+        for kind, layers in planned_stacks(family5):
+            n, (mem_num, mem_fin) = layers.shape[1], decode(layers)
+            tap_num = rng.integers(-50, 51, size=(len(layers), n)).astype(np.int64)
+            tap_fin = rng.random(size=(len(layers), n)) < 0.7
+            seqs = [random_seq(rng, len(layers), k) for k in (1, 2, 5, 9, 30)]
+            if kind == "fixture":
+                seqs.append(fixture)
+            for seq in seqs:
+                _, product = _kernels._absorbing_sweep(layers, seq)
+                assert_masked_equal(product, masked_fold(mem_num, mem_fin, seq))
+                out, product = _kernels._absorbing_sweep(layers, seq, encode(tap_num, tap_fin))
+                assert_masked_equal(product, masked_fold(mem_num, mem_fin, seq))
+                assert (out[0] == MASKED).all()
+                for l in range(1, len(seq) + 1):
+                    tap = (tap_num[seq[l - 1]][:, None], tap_fin[seq[l - 1]][:, None])
+                    if l == 1:
+                        want = tap
+                    else:
+                        want = masked_matmul(*masked_fold(mem_num, mem_fin, seq[:l - 1]), *tap)
+                    assert_masked_equal(decode(out[l]), (want[0][:, 0], want[1][:, 0]))
+
+    def test_walk_table_matches_the_masked_oracle(self, family5):
+        for _, layers in planned_stacks(family5):
+            n = layers.shape[1]
+            for s in range(len(layers)):
+                mem_num, mem_fin = (x[s:s + 1] for x in decode(layers))
+                for start in range(n):
+                    state = _kernels._units(n, start)
+                    tab = _kernels.walk_table(layers[s], state, n)
+                    assert_masked_equal(decode(tab), masked_forward_full(
+                        mem_num, mem_fin, np.zeros(n, dtype=np.int64), start))
+
+    def test_fixpoint_is_the_best_walk_of_any_length(self, family5):
+        # With every cycle of weight <= 0 the fixpoint is the running max
+        # of the walk table up to n - 1 steps; the anchor paths are the
+        # closure's column and row 0 (entry 0 the empty walk).
+        rng = random.Random(84)
+        for _ in range(40):
+            fam = random_valid_family(rng, rng.randint(1, 7), rng.randint(1, 3))
+            a = encode(fam.a_inf._num, fam.a_inf._fin)
+            n = len(a)
+            cut = _kernels._cut(a[None])[0]
+            base = np.where(np.arange(n) > 0, a[:, 0], MASKED)
+            want = _kernels.walk_table(cut.T, base, n).max(axis=0)
+            assert np.array_equal(_kernels.fixpoint(cut.T, base), want)
+            into, out_of = _kernels.anchor_paths(a)
+            loopless = a.copy()
+            loopless[0, 0] = MASKED
+            closed = _kernels.closure(loopless)
+            for line, want in ((into, closed[:, 0]), (out_of, closed[0])):
+                assert line[0] == 0
+                assert_masked_equal(decode(line[1:]), decode(want[1:]))
+
+    def test_fixpoint_raises_past_n_steps(self):
+        # A positive cycle never settles.
+        a = encode(np.array([[0, 1], [1, 0]]), np.array([[False, True], [True, False]]))
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _kernels.fixpoint(a, _kernels._units(2, 0))
+
+    def test_through_table_blocks_agree(self, family5, seq44, monkeypatch):
+        seq = np.array(seq44.indices, dtype=np.int64) - 1
+        mem = encode(*family5.stacked[:2])
+        into, _ = _kernels.avoiding_sweep(mem, seq)
+        departures, _ = _kernels.avoiding_sweep(*_kernels._mirror(mem, seq))
+        whole = _kernels._through_table(into, departures)
+        monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", 2 * departures.size)
+        assert np.array_equal(_kernels._through_table(into, departures), whole)
 
 
 class TestRankOneAbsorption:
