@@ -170,18 +170,18 @@ def cmd_check(args, family, report) -> int:
         factors = rank_one_factor(product)
     except PivotError:
         factors = None
-    column_ok = [product.entry(i, 0) for i in range(product.rows)] == list(
-        wstar.column_weights()
-    )
-    row_ok = [product.entry(0, j) for j in range(product.cols)] == list(
-        vstar.column_weights()
-    )
+    # Tokens are written in lowest terms, so equal weights give equal
+    # tokens.
+    product_tokens = matrix_tokens(product)
+    w_tokens, v_tokens = column_tokens(wstar), column_tokens(vstar)
+    column_ok = [row[0] for row in product_tokens] == w_tokens
+    row_ok = product_tokens[0] == v_tokens
     section = {
         "length": len(seq),
-        "product": matrix_tokens(product),
+        "product": product_tokens,
         "rank_one": factors is not None,
-        "w_star": column_tokens(wstar),
-        "v_star": column_tokens(vstar),
+        "w_star": w_tokens,
+        "v_star": v_tokens,
         "column_matches_w_star": column_ok,
         "row_matches_v_star": row_ok,
         "consistent": column_ok and row_ok,
@@ -234,7 +234,7 @@ _HANDLERS = {
 def _run(args) -> tuple[int, dict]:
     family, names = load_family(args.family)
     report = base_report(args.command, family, names)
-    validation = family.validate()
+    validation = family.validation
     report["validation"] = validation_section(validation)
     if not (validation.passed or args.command == "transient" or getattr(args, "force", False)):
         return EXIT_ASSUMPTION, report

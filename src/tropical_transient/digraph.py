@@ -228,18 +228,12 @@ def max_cycle_mean(m: TropicalMatrix) -> CycleMeanResult:
 def lambda_star(a_sup: TropicalMatrix) -> CycleMeanResult:
     """Maximum cycle mean of D_{a_sup} with node 1 removed.
 
-    The witness keeps the original 1-based labels.  When every cycle goes
-    through node 1 the result is (-inf, None).
+    Karp runs on a_sup cut at node 1, with row and column 1 masked as in
+    :func:`avoiding_walk_weights`: node 1 is then an edgeless component
+    that Karp skips, so the witness keeps a_sup's 1-based labels.  When
+    every cycle goes through node 1 the result is (-inf, None).
     """
-    if not a_sup.is_square:
-        raise DimensionError("lambda* needs a square matrix")
-    if a_sup.rows == 1:
-        return CycleMeanResult(EPSILON, None)
-    sub = a_sup.delete_node(0)
-    res = max_cycle_mean(sub)
-    if res.witness is None:
-        return res
-    return CycleMeanResult(res.mean, tuple(v + 1 for v in res.witness))
+    return max_cycle_mean(a_sup.with_row_eps(0).with_col_eps(0))
 
 
 def node_one_paths(a: TropicalMatrix, closed: Optional[TropicalMatrix], what: str

@@ -125,10 +125,6 @@ class MatrixFamily:
             out = out.emin(m)
         return out
 
-    def boundaries(self) -> tuple[TropicalMatrix, TropicalMatrix]:
-        """(A_sup, A_inf): entrywise maximum and minimum over members."""
-        return self.a_sup, self.a_inf
-
     # -- validation ---------------------------------------------------------
 
     @cached_property
@@ -320,7 +316,7 @@ class MatrixFamily:
                     f"factor {pos} references member {idx}, valid range is 1..{m}"
                 )
             seq0.append(idx - 1)
-        _check_magnitude(max_walk_magnitude(self, max(len(indices), 1)), context)
+        _check_magnitude(self.layer_magnitude * max(len(indices), 1), context)
         return np.array(seq0, dtype=np.int64)
 
     @cached_property
@@ -349,11 +345,3 @@ def member_index(pos: int, idx) -> int:
 
 def _without_loop(m: TropicalMatrix) -> TropicalMatrix:
     return m.with_entry(0, 0, EPSILON)
-
-
-def max_walk_magnitude(family: MatrixFamily, length: int) -> int:
-    """Upper bound on any scaled walk-weight magnitude after ``length`` steps.
-
-    Used to guard the int64 budget before long folds or DP sweeps.
-    """
-    return family.layer_magnitude * max(length, 0)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, PivotError
-from .semiring import EPSILON, Epsilon, Weight, as_weight
+from .semiring import EPSILON, Epsilon, Weight, as_weight, weight_token
 
 # Headroom bounds for int64 numerators.  Stored numerators, and sums formed
 # by plain numpy arithmetic here, stay below _STORE_LIMIT.  Every magnitude
@@ -195,9 +195,6 @@ class TropicalMatrix:
     def to_rows(self) -> list[list[Weight]]:
         return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
 
-    def column_weights(self, j: int = 0) -> tuple[Weight, ...]:
-        return tuple(self.entry(i, j) for i in range(self.rows))
-
     @property
     def max_abs_numerator(self) -> int:
         if not self._fin.any():
@@ -217,10 +214,8 @@ class TropicalMatrix:
     __hash__ = None
 
     def __repr__(self) -> str:
-        from .semiring import weight_str
-
         body = "; ".join(
-            " ".join(weight_str(self.entry(i, j)) for j in range(self.cols))
+            " ".join(str(weight_token(self.entry(i, j))) for j in range(self.cols))
             for i in range(self.rows)
         )
         return f"TropicalMatrix[{body}]"
@@ -240,13 +235,6 @@ class TropicalMatrix:
             return self._num, self._fin
         _check_magnitude(self.max_abs_numerator * factor, "rescaling", _STORE_LIMIT)
         return self._num * np.int64(factor), self._fin
-
-    @staticmethod
-    def common_denominator(matrices: Sequence["TropicalMatrix"]) -> int:
-        den = 1
-        for m in matrices:
-            den = den * m._den // math.gcd(den, m._den)
-        return den
 
     # -- algebra ------------------------------------------------------------
 
@@ -295,7 +283,7 @@ class TropicalMatrix:
         w = as_weight(value)
         if isinstance(w, Epsilon):
             return self._masked((i, j))
-        den = self._den * w.denominator // math.gcd(self._den, w.denominator)
+        den = math.lcm(self._den, w.denominator)
         num, fin = (a.copy() for a in self.scaled(den))
         scaled = w.numerator * (den // w.denominator)
         _check_magnitude(abs(scaled), "entry update", _STORE_LIMIT)
@@ -309,19 +297,11 @@ class TropicalMatrix:
     def with_col_eps(self, j: int) -> "TropicalMatrix":
         return self._masked(np.s_[:, j])
 
-    def delete_node(self, idx: int) -> "TropicalMatrix":
-        """Remove row and column idx (for node-deleted subdigraphs)."""
-        if not self.is_square:
-            raise DimensionError("node deletion needs a square matrix")
-        keep = [i for i in range(self.rows) if i != idx]
-        num = self._num[np.ix_(keep, keep)]
-        fin = self._fin[np.ix_(keep, keep)]
-        return TropicalMatrix(num, fin, self._den)
 
 def common_grid(*matrices: TropicalMatrix) -> tuple[int, list[tuple[np.ndarray, np.ndarray]]]:
     """The least common denominator of the matrices, and each one's
     numerator grid and mask rescaled to it (see :meth:`TropicalMatrix.scaled`)."""
-    den = TropicalMatrix.common_denominator(matrices)
+    den = math.lcm(*(m._den for m in matrices))
     return den, [m.scaled(den) for m in matrices]
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import BudgetExceededError
-from .family import MatrixFamily, max_walk_magnitude, member_index
+from .family import MatrixFamily, member_index
 from .matrix import TropicalMatrix, _check_magnitude
 
 DEFAULT_PRODUCT_BUDGET = 2_000_000
@@ -152,7 +152,7 @@ def _sampled_scan(family: MatrixFamily, horizon: int, samples: int,
                 yield samples, draws[~ok]
             block = []
         if k <= horizon:
-            _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
+            _check_magnitude(family.layer_magnitude * k, "sequence fold")
             block.append(rng.integers(1, m + 1, size=(samples, k)).astype(dtype))
 
 
@@ -211,7 +211,7 @@ def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, 
     level = _kernels.identity_level(family.size)
     seqs = np.zeros((1, 0), dtype=np.min_scalar_type(m))
     for k in range(1, horizon + 1):
-        _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
+        _check_magnitude(family.layer_magnitude * k, "sequence fold")
         # Row p * m + j extends product p by member j.
         parents, members = np.divmod(np.arange(len(level) * m), m)
         level, ok = _kernels.extend(level, mem, parents, members)

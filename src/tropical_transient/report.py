@@ -52,8 +52,7 @@ def validation_section(report: ValidationReport) -> dict:
 
 
 def boundary_section(family: MatrixFamily) -> dict:
-    a_sup, a_inf = family.boundaries()
-    return {"a_sup": matrix_tokens(a_sup), "a_inf": matrix_tokens(a_inf)}
+    return {"a_sup": matrix_tokens(family.a_sup), "a_inf": matrix_tokens(family.a_inf)}
 
 
 def derived_section(family: MatrixFamily) -> dict:

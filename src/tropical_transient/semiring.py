@@ -103,9 +103,3 @@ def weight_token(w: Weight):
     if w.denominator == 1:
         return int(w)
     return f"{w.numerator}/{w.denominator}"
-
-
-def weight_str(w: Weight) -> str:
-    """Human-readable rendering, identical to the token but always a string."""
-    tok = weight_token(w)
-    return tok if isinstance(tok, str) else str(tok)

@@ -35,6 +35,7 @@ term1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -45,7 +46,7 @@ from . import _kernels
 from .bounds import family_bound_report
 from .family import MatrixFamily
 from .matrix import TropicalMatrix
-from .semiring import EPSILON, Epsilon, Weight, ZERO, weight_token
+from .semiring import EPSILON, Weight, ZERO, weight_token
 
 
 class TrellisDigraph:
@@ -104,10 +105,6 @@ class WalkSummary:
     min_length_among_optima: Optional[int]
     witness: Optional[tuple[int, ...]]
     start_layer: Optional[int]
-
-    @property
-    def exists(self) -> bool:
-        return not isinstance(self.weight, Epsilon)
 
 
 _EMPTY_SUMMARY = WalkSummary(EPSILON, None, None, None, None)
@@ -194,8 +191,20 @@ def best_through_one_weight(t: TrellisDigraph, i: int, j: int) -> Weight:
     return _weight(through[0, j - 1], den)
 
 
-def _check_node(n: int, label: int) -> None:
-    if not 1 <= label <= n:
+def _check_node(n: int, label) -> None:
+    """Refuse a node label that is not an integer in 1..n.
+
+    As for member indices (:func:`~tropical_transient.family.member_index`),
+    ``operator.index`` refuses a float or a string, and a bool is refused
+    too, as ``True`` is no name for node 1.
+    """
+    try:
+        index = operator.index(label)
+    except TypeError:
+        index = None
+    if index is None or isinstance(label, bool):
+        raise TypeError(f"node label {label!r} is not an integer")
+    if not 1 <= index <= n:
         raise IndexError(f"node label {label} out of range 1..{n}")
 
 

@@ -65,7 +65,7 @@ def warm_kernels():
     final_weights_all(trellis)
     best_avoiding_full_weight(trellis, 2, 2)
     best_through_one_weight(trellis, 2, 2)
-    family.boundaries()
+    family.a_sup, family.a_inf
 
 
 def random_valid_family(rng: random.Random, n: int | None = None,

@@ -39,7 +39,6 @@ from tropical_transient.family import (
     AssumptionCheck,
     MatrixFamily,
     ValidationReport,
-    max_walk_magnitude,
 )
 from tropical_transient.matrix import (
     _STORE_LIMIT,
@@ -996,7 +995,7 @@ def _full_levels(family, horizon):
     m = len(mem_num)
     num, fin = mem_num, mem_fin
     for k in range(1, horizon + 1):
-        _check_magnitude(max_walk_magnitude(family, k), "sequence fold")
+        _check_magnitude(family.layer_magnitude * k, "sequence fold")
         if k > 1:
             num, fin = _level_products(num, fin, mem_num, mem_fin)
         failed = np.flatnonzero(~exact_rank_one(num, fin))

@@ -385,9 +385,9 @@ class TestTermTwoParts:
 
     @staticmethod
     def outer_sum(report):
-        initial = report.initial_lengths.column_weights()
-        final = report.final_lengths.column_weights()
-        return TropicalMatrix.from_rows([[oracles.otimes(a, b) for b in final] for a in initial])
+        initial = oracles.column(report.initial_lengths)
+        final = oracles.column(report.final_lengths)
+        return TropicalMatrix.from_rows([[oracles.mp_mul(a, b) for b in final] for a in initial])
 
     def test_random_families(self):
         rng = random.Random(47)
@@ -511,7 +511,7 @@ class TestMetamorphicRelations:
         family, _ = synthetic_inputs(tmp_path, n)
         other = reordered(family)
         assert other.member_count == family.member_count + 1
-        assert other.boundaries() == family.boundaries()
+        assert (other.a_sup, other.a_inf) == (family.a_sup, family.a_inf)
         got, want = explicit_bound(other), explicit_bound(family)
         assert got.overall == want.overall
         assert got.term1 == want.term1 and got.term2 == want.term2

@@ -256,6 +256,27 @@ class TestBound:
         assert len(calls) == 1
         assert len(lines) == 1
 
+    def test_no_cycle_avoids_node_one(self, capsys, tmp_path):
+        # Node 2 has no loop, so the only side cycle, 1 -> 2 -> 1, passes
+        # through node 1: lambda* is -inf and the quotients are taken as 0.
+        p = tmp_path / "through_one.json"
+        p.write_text(json.dumps({"members": [
+            {"rows": [[0, -1], [-1, "-inf"]]},
+            {"rows": [[0, -2], ["-1/2", "-inf"]]},
+        ]}), encoding="utf-8")
+        code, out, _ = run(capsys, "bound", p)
+        assert code == 0
+        assert "\nlambda* = -inf\n" in out
+        assert (
+            "\nexplicit bound: 2 (argmax entry (1,1) via term2)\n"
+            "  sufficient length: k >= 3\n"
+            "  note: no cycle avoids node 1; quotients taken as 0\n"
+        ) in out
+        code, report, _ = run_json(capsys, "bound", p)
+        assert code == 0
+        assert report["derived"]["lambda_star"] == {"value": "-inf", "witness": None}
+        assert report["bounds"]["explicit"]["lambda_star_undefined"] is True
+
     def test_expected_logs_bound_disagreements(self, capsys):
         code, report, _ = run_json(
             capsys, "bound", FAMILY, SEQ44, "--expected", EXPECTED

@@ -322,22 +322,61 @@ class TestGuards:
 
 
 class TestLambdaStar:
+    @staticmethod
+    def cut_vertex_grid(rng, n):
+        # Two blocks that share only node 1: every cycle avoiding node 1
+        # lies inside one block.
+        split = rng.randint(1, n - 1)
+        blocks = (range(0, split + 1), [0, *range(split + 1, n)])
+        rows = [[None] * n for _ in range(n)]
+        for block in blocks:
+            for i in block:
+                for j in block:
+                    if rng.random() < 0.6:
+                        rows[i][j] = Fraction(rng.randint(-9, 9))
+        return rows
+
+    @staticmethod
+    def through_one_grid(rng, n):
+        # Nodes 2..n carry only forward edges, so every cycle uses node 1.
+        rows = random_grid(rng, n, density=0.6)
+        for i in range(1, n):
+            for j in range(1, i + 1):
+                rows[i][j] = None
+        return rows
+
+    @staticmethod
+    def isolated_one_grid(rng, n):
+        rows = random_grid(rng, n, density=0.5)
+        for i in range(n):
+            rows[0][i] = rows[i][0] = None
+        return rows
+
     def test_excludes_node_one(self):
         rng = random.Random(8)
+        cases = []
         for _ in range(80):
-            n = rng.randint(2, 5)
-            g = random_grid(rng, n, density=0.5)
+            n = rng.randint(2, 8)
+            cases.append(random_grid(rng, n, density=rng.choice((0.3, 0.5))))
+            cases.append(self.cut_vertex_grid(rng, n))
+            cases.append(self.isolated_one_grid(rng, n))
+        through = [self.through_one_grid(rng, rng.randint(2, 8)) for _ in range(40)]
+        defined = 0
+        for g in cases + through:
             m = TropicalMatrix.from_rows(g)
             res = lambda_star(m)
             want, attaining = oracles.max_cycle_mean(oracles.grid(m), forbidden={0})
             if want is None:
-                assert isinstance(res.mean, Epsilon)
-                assert res.witness is None
+                assert res == CycleMeanResult(EPSILON, None)
             else:
+                defined += 1
                 assert res.mean == want
                 cyc0 = tuple(v - 1 for v in res.witness)
                 assert 0 not in cyc0
                 assert canonical(cyc0) in attaining
+        for g in through:
+            assert lambda_star(TropicalMatrix.from_rows(g)) == CycleMeanResult(EPSILON, None)
+        assert defined >= len(cases) // 2
 
     def test_single_node(self):
         assert lambda_star(TropicalMatrix.from_rows([[0]])) == CycleMeanResult(

@@ -14,7 +14,7 @@ from tropical_transient.digraph import (
     best_paths_to_one,
 )
 from tropical_transient.errors import AssumptionError, DimensionError
-from tropical_transient.family import MatrixFamily, max_walk_magnitude
+from tropical_transient.family import MatrixFamily
 from tropical_transient.io import load_family
 from tropical_transient.matrix import TropicalMatrix, node_one_closure, walk_closure
 from tropical_transient.report import validation_section
@@ -31,7 +31,7 @@ def test_construction_checks():
 
 
 def test_boundaries_are_entrywise_extrema(family5):
-    a_sup, a_inf = family5.boundaries()
+    a_sup, a_inf = family5.a_sup, family5.a_inf
     grids = [oracles.grid(m) for m in family5.members]
     n = family5.size
     for i in range(n):
@@ -51,7 +51,7 @@ def test_boundaries_are_entrywise_extrema(family5):
 def test_boundaries_sandwich_products(family5, seq44):
     from tropical_transient.products import fold
 
-    a_sup, a_inf = family5.boundaries()
+    a_sup, a_inf = family5.a_sup, family5.a_inf
     k = 6
     prod = fold(family5, seq44.indices[:k])
     assert oracles.grid_le(oracles.naive_power(oracles.grid(a_inf), k), oracles.grid(prod))
@@ -485,13 +485,6 @@ def test_stacked_layout(family5):
                     assert e == Fraction(int(num[t, i, j]), den)
 
 
-def test_max_walk_magnitude(family5):
-    per_layer = max_walk_magnitude(family5, 1)
-    assert per_layer == 6  # largest |entry| in the fixture members
-    assert max_walk_magnitude(family5, 10) == 60
-    assert max_walk_magnitude(family5, 0) == 0
-
-
 def test_layer_magnitude_is_cached_on_the_stacked_grid():
     a = TropicalMatrix.from_rows([[0, Fraction(-7, 2)], [Fraction(1, 3), None]])
     b = TropicalMatrix.from_rows([[Fraction(-5), 0], [None, 2]])
@@ -501,4 +494,4 @@ def test_layer_magnitude_is_cached_on_the_stacked_grid():
     # -5 is the largest |entry|; on the grid 1/6 it is 30
     assert family.layer_magnitude == 30
     assert family.layer_magnitude is family.layer_magnitude
-    assert max_walk_magnitude(family, 4) == 120
+    assert family.layer_magnitude * 4 == 120

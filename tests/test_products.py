@@ -11,7 +11,7 @@ from conftest import random_valid_family
 from tropical_transient import _kernels, products
 from tropical_transient.bounds import implicit_sequence_bound
 from tropical_transient.errors import BudgetExceededError
-from tropical_transient.family import MatrixFamily, max_walk_magnitude
+from tropical_transient.family import MatrixFamily
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import (
     DEFAULT_PRODUCT_BUDGET,
@@ -419,7 +419,7 @@ class TestRaggedSampledScan:
             rows[1][1] = -big
             fam = MatrixFamily([*fam.members[:2], TropicalMatrix.from_rows(rows)])
             assert products._absorbing(fam)
-            assert 3 * max_walk_magnitude(fam, horizon) >= 1 << 62
+            assert 3 * fam.layer_magnitude * horizon >= 1 << 62
             est = _assert_matches_oracle(fam, horizon=horizon, samples_per_length=40, seed=case)
             assert isinstance(est, TransientEstimate)
 

@@ -1,12 +1,17 @@
 """The package root exports only names that something besides the tests
-uses.
+uses, and its classes only methods and properties that something besides
+the tests calls.
 
 ``PUBLIC`` pins ``tropical_transient.__all__``.  Each of its names must be
 referenced in ``src/`` other than by its own definition and the package
 root's import, in README.md, or in the benchmark (``perfbench/``,
-``benchmarks/``).  A new export therefore comes with a caller.
+``benchmarks/``).  A new export therefore comes with a caller.  The same
+texts must hold a ``.name`` reference for every public method and property
+of an exported class; dunders and dataclass fields are exempt.
 """
 
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -56,4 +61,34 @@ def test_every_export_has_a_caller_outside_the_tests():
         if not any(word.search(line) and not definition.match(line)
                    for text in texts for line in text.splitlines()):
             unreferenced.append(name)
+    assert unreferenced == []
+
+
+def public_members() -> list[tuple[str, str]]:
+    """(class, attribute) for every public method and property of the
+    exported classes, inherited ones from package classes included."""
+    out = []
+    for name in PUBLIC:
+        cls = getattr(tropical_transient, name)
+        if not inspect.isclass(cls):
+            continue
+        fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+        for base in cls.__mro__:
+            if not base.__module__.startswith("tropical_transient"):
+                continue
+            out += [(name, attr) for attr in vars(base)
+                    if not attr.startswith("_") and attr not in fields]
+    return out
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    members = public_members()
+    assert ("MatrixFamily", "a_sup") in members
+    assert ("TropicalMatrix", "from_rows") in members
+    assert ("WalkSummary", "weight") not in members  # a dataclass field
+    texts = caller_texts()
+    unreferenced = [
+        f"{cls}.{attr}" for cls, attr in members
+        if not any(re.search(rf"\.{attr}\b", text) for text in texts)
+    ]
     assert unreferenced == []

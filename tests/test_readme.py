@@ -28,5 +28,5 @@ def test_library_example_values():
     # The values the Library example's comments state.
     scope = {}
     exec(compile(BLOCKS[0], str(README), "exec"), scope)
-    assert scope["family"].validate().passed is True
+    assert scope["family"].validation.passed is True
     assert scope["explicit_bound"](scope["family"]).overall == Fraction(9, 2)

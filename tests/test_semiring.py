@@ -12,7 +12,6 @@ from tropical_transient.semiring import (
     Epsilon,
     as_weight,
     weight_from_token,
-    weight_str,
     weight_token,
 )
 
@@ -129,8 +128,3 @@ class TestTokens:
     def test_round_trip(self, w):
         back = weight_from_token(weight_token(w))
         assert back is w if is_eps(w) else back == w
-
-    def test_weight_str(self):
-        assert weight_str(EPSILON) == "-inf"
-        assert weight_str(Fraction(3)) == "3"
-        assert weight_str(Fraction(1, 2)) == "1/2"

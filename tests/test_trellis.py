@@ -81,9 +81,11 @@ class TestStructure:
 
     def test_node_label_validation(self, family5):
         # Labels 0 and n + 1 in every position of every public DP, next to
-        # node 1 too, whose shortcuts come after the check.
+        # node 1 too, whose shortcuts come after the check.  True and 2.0
+        # are not integers: a bool is no name for node 1, and a float is
+        # refused before it reaches an index.
         t = build_trellis(family5, [1, 2])
-        for bad in (0, 6):
+        for bad, error in ((0, IndexError), (6, IndexError), (True, TypeError), (2.0, TypeError)):
             calls = [(dp, (bad,)) for dp in (optimal_initial_walk, optimal_final_walk)]
             calls += [
                 (dp, args)
@@ -92,7 +94,7 @@ class TestStructure:
                 for args in ((bad, good), (good, bad))
             ]
             for dp, args in calls:
-                with pytest.raises(IndexError, match="node label"):
+                with pytest.raises(error, match=f"node label {bad!r} "):
                     dp(t, *args)
 
     @pytest.mark.parametrize("dp, args, kernels", [
@@ -161,7 +163,7 @@ class TestFullWalks:
                     s = optimal_full_walk(t, i, j)
                     want, _ = oracles.trellis_best_full(grids, i - 1, j - 1)
                     if want is None:
-                        assert not s.exists
+                        assert s.weight is EPSILON
                         assert s == WalkSummary(EPSILON, None, None, None, None)
                     else:
                         assert s.weight == want
@@ -171,7 +173,7 @@ class TestFullWalks:
         t = build_trellis(family5, [])
         s = optimal_full_walk(t, 2, 2)
         assert s.weight == 0 and s.length == 0 and s.witness == (2,)
-        assert not optimal_full_walk(t, 2, 3).exists
+        assert optimal_full_walk(t, 2, 3).weight is EPSILON
 
 
 class TestAnchoredWalks:
@@ -192,7 +194,7 @@ class TestAnchoredWalks:
                 dp = optimal_initial_walk(t, node)
                 want_w, want_len = oracles.trellis_best_initial(grids, node - 1)
                 if want_w is None:
-                    assert not dp.exists
+                    assert dp.weight is EPSILON
                 else:
                     assert dp.weight == want_w
                     assert dp.length == want_len
@@ -205,7 +207,7 @@ class TestAnchoredWalks:
                 dp = optimal_final_walk(t, node)
                 want_w, want_len = oracles.trellis_best_final(grids, node - 1)
                 if want_w is None:
-                    assert not dp.exists
+                    assert dp.weight is EPSILON
                 else:
                     assert dp.weight == want_w
                     assert dp.length == want_len
@@ -269,7 +271,7 @@ class TestAnchoredWalks:
         # a single factor cannot take node 3 to node 1 (no 3 -> 1 edge)
         t = build_trellis(family5, [1])
         s = optimal_initial_walk(t, 3)
-        assert not s.exists
+        assert s.weight is EPSILON
         assert s.witness is None and s.length is None
 
     def test_bulk_vectors_match_singles(self, family5, seq44):
