@@ -351,6 +351,33 @@ class TestCheck:
         assert report["check"]["product"] == expected5["product"]
 
 
+class TestStepWork:
+    """Planned product steps (``_kernels._step``) a command runs on the
+    fixture, as (matrix steps, vector steps): a state of one row per start
+    node, or one vector.  ``bound FAM SEQ`` runs the fixpoints of A_inf
+    and of the cycle-mean potentials, Karp's tables and the two vector
+    sweeps of the implicit bound; ``check FAM SEQ --lemmas`` adds the two
+    all-starts avoiding sweeps and the fold, each absorbed into vector
+    sweeps once rank-one."""
+
+    @pytest.mark.parametrize("argv, steps", [
+        pytest.param(("bound", FAMILY, SEQ44), (0, 99), id="bound"),
+        pytest.param(("check", FAMILY, SEQ44, "--lemmas"), (93, 130), id="check-lemmas"),
+    ])
+    def test_steps_on_the_fixture(self, capsys, monkeypatch, argv, steps):
+        counts = [0, 0]
+        step = _kernels._step
+
+        def counted(state, *args, **kwargs):
+            counts[state.ndim == 1] += 1
+            return step(state, *args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "_step", counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert tuple(counts) == steps
+
+
 class TestExpectedRoundTrip:
     @pytest.mark.parametrize("source", ["fixture", 6, 12])
     def test_report_fields_as_expected_file_give_no_deviations(self, capsys, tmp_path, source):
