@@ -7,9 +7,10 @@ through sweep on the 2n-node lifted members, and the through table that
 the lemma checks join from the arrivals and departures of two avoiding
 sweeps) on
 random scaled-integer inputs and prints the best wall time per call.  At
-sizes up to 16 it also times one exhaustive level step of the transient
+sizes up to 40 it also times one exhaustive level step of the transient
 scan's level kernel ``extend``, from the m^4 products of length 4 to the
-m^5 of length 5, formed by rank-1 max updates with their rank-one
+m^5 of length 5, each one planned product step on the members' plan
+(``_plan``, made once outside the timing), with their rank-one
 verdicts.
 
 A second table times the single fold at k = 200 and n = 20, 40, 80 on
@@ -77,9 +78,9 @@ from pathlib import Path
 import numpy as np
 
 from tropical_transient import _kernels
-from tropical_transient._kernels import (ACTIVE, FLOOR, MASKED, PROBE_STRIDE, _mirror, _product,
-                                          _through_table, avoiding_sweep, closure, encode,
-                                          extend, rank_one)
+from tropical_transient._kernels import (ACTIVE, FLOOR, MASKED, PROBE_STRIDE, _mirror, _plan,
+                                          _step, _through_table, avoiding_sweep, closure,
+                                          encode, extend, rank_one)
 from tropical_transient.bounds import implicit_bound, implicit_sequence_bound
 from tropical_transient.cli import _run as cli_run
 from tropical_transient.cli import build_parser
@@ -94,7 +95,7 @@ from tropical_transient.report import render_json
 from tropical_transient.trellis import build_trellis, check_lemma_bounds
 
 STACK_ROWS = 100
-STACK_MAX_SIZE = 16
+STACK_MAX_SIZE = 40
 LEVEL_LENGTH = 4
 ONSET_SIZES = (20, 40, 80)
 ONSET_LENGTH = 200
@@ -140,28 +141,31 @@ def permutation_inputs(rng, m, n):
 def onset_layer(num, fin, seq):
     """The first layer the single fold probes and finds rank-one, or None."""
     mem = encode(num, fin)
+    plan = _plan(mem)
     cur = mem[seq[0]]
     for l in range(1, len(seq)):
         if l % PROBE_STRIDE == 0 and rank_one(cur, cur > FLOOR):
             return l
-        cur = _product(cur, mem[seq[l]])
+        cur = _step(cur, plan, seq[l])
     return None
 
 
-def level_step(level, mem):
-    """The exhaustive scan's level step: product p times member j in row
-    p * m + j.  Its rank-one verdicts are formed, as in the scan, and
-    dropped."""
-    keys = np.arange(len(level) * len(mem))
-    level, _ = extend(level, mem, keys // len(mem), keys % len(mem))
+def level_step(level, plan):
+    """The exhaustive scan's level step on the members' plan: product p
+    times member j in row p * m + j.  Its rank-one verdicts are formed, as
+    in the scan, and dropped."""
+    m = len(plan[2])
+    keys = np.arange(len(level) * m)
+    level, _ = extend(level, plan, keys // m, keys % m)
     return level
 
 
 def prefix_tree(mem, draws):
     """Which of one length's 1-based draws are rank-one, folded as a tree
-    of their distinct prefixes on encoded members."""
+    of their distinct prefixes on encoded members, planned as the scan
+    plans them."""
     prune = bool((mem[:, 0, 0] > FLOOR).all())
-    return _prefix_tree_verdicts(mem, [draws], prune)[0]
+    return _prefix_tree_verdicts(_plan(mem), [draws], prune)[0]
 
 
 def formed(call):
@@ -169,10 +173,10 @@ def formed(call):
     count = 0
     kernel = _kernels.extend
 
-    def counting(level, mem, parents, members):
+    def counting(level, plan, parents, members):
         nonlocal count
         count += len(parents)
-        return kernel(level, mem, parents, members)
+        return kernel(level, plan, parents, members)
 
     _kernels.extend = counting
     try:
@@ -296,7 +300,7 @@ def best_time(fn, repeats):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="5,16,64", help="matrix sizes, comma separated")
+    parser.add_argument("--sizes", default="5,16,40,64", help="matrix sizes, comma separated")
     parser.add_argument("--length", type=int, default=200, help="sequence length")
     parser.add_argument("--members", type=int, default=3, help="family size")
     parser.add_argument("--repeats", type=int, default=7, help="timing repeats (best wins)")
@@ -338,10 +342,11 @@ def main() -> int:
             ("through_table", lambda: _through_table(into, departures), args.length, n),
         ]
         if n <= STACK_MAX_SIZE:
+            plan = _plan(mem)
             level = mem
             for _ in range(LEVEL_LENGTH - 1):
-                level = level_step(level, mem)
-            cases.append((f"extend x{len(level)}", lambda: level_step(level, mem),
+                level = level_step(level, plan)
+            cases.append((f"extend x{len(level)}", lambda: level_step(level, plan),
                           LEVEL_LENGTH + 1, 1))
         for name, call, k, starts in cases:
             t = best_time(call, args.repeats)

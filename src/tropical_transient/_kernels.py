@@ -6,7 +6,7 @@ an ``int64`` numerator grid with a boolean finiteness mask (False is
 inputs and sums alike, stays below ``2**61`` (``matrix._GUARD``).
 
 Inside, a masked entry is stored as the sentinel ``MASKED = -2**62`` and
-a max-plus product is a plain integer broadcast, add then max.  That is
+a max-plus product is plain integer arithmetic, add then max.  That is
 exact for every guarded input:
 
 * a sum of finite entries lies in (-2**61, 2**61);
@@ -19,23 +19,28 @@ range.  ``matmul`` and ``fold`` return (numerator, mask) pairs with 0 in
 masked slots; the trellis sweeps return encoded tables, which their
 callers reduce further.
 
-Every sweep and fold multiplies a state by layers of one stack, and
-the members of an admissible family share one finite pattern (geometric
-equivalence); the benchmark's synthetic families keep 11-15% of the n^2
-entries.  So a call plans its stack once (``_plan``): the entries of the
-union of its layers' patterns, grouped by target column, with one masked
-entry for a column that has no in-edge.  A product step (``_step``) of a
-vector or a matrix state is then one gather of the state's columns, one
-add of the layer's weights and one segmented max
-(``np.maximum.reduceat``): the semiring SpMV of the GraphBLAS (Kepner et
-al., IEEE HPEC 2016).  The dense broadcast (``_product``) is left for
-``matmul`` of arbitrary matrices and for the through table.  A level of products grows by one
-factor each through ``extend``, by rank-1 max updates: row i is a chosen
-product of the level times a chosen member, and it comes back with its
-rank-one verdicts.  Both transient scans grow every level that way, one
-length at a time from the empty product (``identity_level``).
-``extend`` runs on chunks of rows whose working arrays, four of
-(rows, n, n), hold at most ``CHUNK_ELEMENTS`` values.
+Every max-plus product here multiplies a state by one layer of a
+stack, and the members of an admissible family share one finite pattern
+(geometric equivalence); the benchmark's synthetic families keep 11-15%
+of the n^2 entries.  So a call plans its stack once (``_plan``): the
+entries of the union of its layers' patterns, grouped by target column,
+with one masked entry for a column that has no in-edge.  A product step
+(``_step``) of a vector, a matrix or a stack of matrices is then one
+gather of the state's columns, one add of the layer's weights and one
+segmented max (``np.maximum.reduceat``): the semiring SpMV of the
+GraphBLAS (Kepner et al., IEEE HPEC 2016).  It is the only product
+kernel: every sweep, fold and fixpoint steps through the plan of its
+layers, ``matmul`` through the plan of its right factor, and the through
+table through the plan of its reversed departures.
+
+A level of products grows by one factor each through ``extend``: row i
+is a chosen product of the level times a chosen member, and it comes
+back with its rank-one verdicts.  The rows form one step of a stack of
+matrix states, each row adding its own member's weights.  Both
+transient scans plan their members once and grow every level that way,
+one length at a time from the empty product (``identity_level``).
+``extend`` and the through table step in chunks of rows that gather at
+most ``CHUNK_ELEMENTS`` terms (``_chunks``).
 
 A single fold tests its running product for rank-one every
 ``PROBE_STRIDE`` layers, and once a prefix passes it finishes as one
@@ -105,13 +110,6 @@ def decode(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(fin, x, np.int64(0)), fin
 
 
-def _product(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """x (x) a for an encoded (n,) or (r, n) state x and an (n, c) matrix a,
-    as one dense broadcast: add, then max."""
-    out = (x[..., :, None] + a).max(axis=-2)
-    return np.maximum(out, MASKED, out=out)
-
-
 def _plan(layers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, starts, weights): a stack of encoded (m, r, c) layers on the
     union of their finite patterns, grouped by target column.
@@ -133,11 +131,14 @@ def _plan(layers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _step(state: np.ndarray, plan, s, out: Optional[np.ndarray] = None) -> np.ndarray:
     """state (x) layers[s] for an encoded (r,) or (..., r) state, on the
     ``_plan`` of the layers: one gather, one add and one segmented max.
+    s is one layer index, or an array of them that broadcasts against the
+    state's leading axes with a trailing axis of 1 (``extend`` gives each
+    matrix of a stack its own layer).
 
     A layer's own masked entries inside the union weigh MASKED, so every
-    sum the dense product forms for a finite entry is formed here too,
-    and every other one is left out; the result agrees with ``_product``
-    wherever either is finite.
+    sum of finite terms is formed and every other one is at most FLOOR:
+    the result is finite exactly where the max-plus product is, and
+    equal to it there.
     """
     rows, starts, weights = plan
     terms = state.take(rows, axis=-1)
@@ -146,10 +147,12 @@ def _step(state: np.ndarray, plan, s, out: Optional[np.ndarray] = None) -> np.nd
     return np.maximum(out, MASKED, out=out)
 
 
-def _chunk_rows(n: int) -> int:
-    # A chunk of extend touches four (rows, n, n) arrays: the products,
-    # the members, the result and one rank-1 term.
-    return max(1, CHUNK_ELEMENTS // (4 * n * n))
+def _chunks(count: int, terms: int) -> list[slice]:
+    """Consecutive slices of count rows that each gather terms values in a
+    ``_step``: as many rows as hold at most CHUNK_ELEMENTS gathered values,
+    and at least one."""
+    rows = max(1, CHUNK_ELEMENTS // terms)
+    return [slice(s, s + rows) for s in range(0, count, rows)]
 
 
 def _sweep(layers: np.ndarray, seq: np.ndarray, state: np.ndarray,
@@ -303,7 +306,7 @@ def _lifted(mem: np.ndarray) -> np.ndarray:
 
 
 def _matmul(a_num, a_fin, b_num, b_fin):
-    return decode(_product(encode(a_num, a_fin), encode(b_num, b_fin)))
+    return decode(_step(encode(a_num, a_fin), _plan(encode(b_num, b_fin)[None]), 0))
 
 
 def identity_level(n: int) -> np.ndarray:
@@ -311,29 +314,23 @@ def identity_level(n: int) -> np.ndarray:
     return _units(n, np.arange(n))[None]
 
 
-def extend(level: np.ndarray, mem: np.ndarray, parents: np.ndarray,
+def extend(level: np.ndarray, plan, parents: np.ndarray,
            members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(out, ok): out[i] is level[parents[i]] (x) mem[members[i]], for an
-    encoded (B, n, n) level, m encoded members and index arrays of one
-    length, and ok[i] says whether out[i] is rank-one (``rank_one``).
+    encoded (B, n, n) level, the ``_plan`` of the encoded members mem and
+    index arrays of one length, and ok[i] says whether out[i] is rank-one
+    (``rank_one``).
 
     The transient scans grow their levels with it from ``identity_level``:
     the exhaustive scan pairs every product with every member (row
     p * m + j), the sampled scan only the distinct prefixes of its draws.
-    It runs in chunks of ``_chunk_rows`` rows, each gathering its factors
-    once and forming its products by n rank-1 max updates: numpy would
-    reduce their (rows, n, n, n) broadcast over its middle axis in many
-    short strided loops.
+    Each chunk of rows (``_chunks``) is one ``_step`` of the stack of its
+    parents, each parent's n rows adding its own member's weights.
     """
     n = level.shape[-1]
     out = np.empty((len(parents), n, n), dtype=np.int64)
-    rows = _chunk_rows(n)
-    for s in range(0, len(parents), rows):
-        x, a, part = level[parents[s:s + rows]], mem[members[s:s + rows]], out[s:s + rows]
-        np.add(x[..., :1], a[:, :1], out=part)
-        for t in range(1, n):
-            np.maximum(part, x[..., t:t + 1] + a[:, t:t + 1], out=part)
-    np.maximum(out, MASKED, out=out)
+    for part in _chunks(len(parents), n * len(plan[0])):
+        _step(level[parents[part]], plan, members[part, None], out=out[part])
     return out, rank_one(out, out > FLOOR)
 
 
@@ -494,17 +491,17 @@ def _through_table(into, departures):
 
     Start 0 arrives at layer 0 and target 0 departs at layer k, each with
     weight 0.  The max over b is one max-plus product of the transposed
-    arrivals and the reversed departures, (n, k + 1) times (k + 1, n),
-    run in blocks of rows whose broadcast holds about ``CHUNK_ELEMENTS``
-    values.
+    arrivals and the reversed departures, (n, k + 1) times (k + 1, n): a
+    ``_step`` through the plan of the departures, in chunks of rows
+    (``_chunks``).
     """
     arrived = np.maximum.accumulate(into, axis=0)
     arrived[:, 0] = 0
-    arrived, departures = np.ascontiguousarray(arrived.T), departures[::-1]
+    arrived = np.ascontiguousarray(arrived.T)
+    plan = _plan(departures[None, ::-1])
     out = np.empty((len(arrived),) * 2, dtype=np.int64)
-    rows = max(1, CHUNK_ELEMENTS // departures.size)
-    for r in range(0, len(out), rows):
-        out[r:r + rows] = _product(arrived[r:r + rows], departures)
+    for part in _chunks(len(out), len(plan[0])):
+        _step(arrived[part], plan, 0, out=out[part])
     out[:, 0] = arrived[:, -1]
     return out
 

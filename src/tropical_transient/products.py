@@ -136,7 +136,7 @@ def _sampled_scan(family: MatrixFamily, horizon: int, samples: int,
     m, n = family.member_count, family.size
     rng = np.random.Generator(np.random.PCG64(seed))
     dtype = np.min_scalar_type(m)
-    mem = _kernels.encode(*family.stacked[:2])
+    plan = _kernels._plan(_kernels.encode(*family.stacked[:2]))
     prune = _absorbing(family)
     block: list[np.ndarray] = []
     for k in range(1, horizon + 2):
@@ -146,7 +146,7 @@ def _sampled_scan(family: MatrixFamily, horizon: int, samples: int,
         if block and (k > horizon or size > _BLOCK_ELEMENTS):
             width = max(1, _BLOCK_ELEMENTS // (len(block) * max(k - 1, n * n, m)))
             rank_one = np.concatenate([
-                _prefix_tree_verdicts(mem, [draws[s:s + width] for draws in block], prune)
+                _prefix_tree_verdicts(plan, [draws[s:s + width] for draws in block], prune)
                 for s in range(0, samples, width)], axis=1)
             for draws, ok in zip(block, rank_one):
                 yield samples, draws[~ok]
@@ -156,19 +156,20 @@ def _sampled_scan(family: MatrixFamily, horizon: int, samples: int,
             block.append(rng.integers(1, m + 1, size=(samples, k)).astype(dtype))
 
 
-def _prefix_tree_verdicts(mem: np.ndarray, block: list[np.ndarray],
-                          prune: bool) -> np.ndarray:
+def _prefix_tree_verdicts(plan, block: list[np.ndarray], prune: bool) -> np.ndarray:
     # block holds the 1-based draws of consecutive lengths, shortest first,
-    # and the result says which are rank-one, one row per length.  They
-    # fold as a tree of their distinct prefixes: layer l holds one encoded
-    # product per distinct prefix of length l still being folded, and
-    # node[d] is the product of draw live[d].  A draw of length l reads its
-    # verdict from its node.  With prune (_absorbing), a rank-one node is
-    # dropped and every draw under it is rank-one.  The children of a
-    # layer are the distinct keys node * m + next member, found with a mark
-    # array in key order; no sort, which would add numpy's sorting code to
-    # the resident size of a process that never sorts otherwise.
-    m = len(mem)
+    # and the result says which are rank-one, one row per length; plan is
+    # the members' _kernels._plan.  They fold as a tree of their distinct
+    # prefixes: layer l holds one encoded product per distinct prefix of
+    # length l still being folded, and node[d] is the product of draw
+    # live[d].  A draw of length l reads its verdict from its node.  With
+    # prune (_absorbing), a rank-one node is dropped and every draw under
+    # it is rank-one.  The children of a layer are the distinct keys
+    # node * m + next member, found with a mark array in key order; no
+    # sort, which would add numpy's sorting code to the resident size of a
+    # process that never sorts otherwise.
+    _, starts, weights = plan
+    m = len(weights)
     samples, top = block[-1].shape
     # Draws run longest first, so the draws longer than l are the first
     # longer[l] of the stack.
@@ -180,14 +181,14 @@ def _prefix_tree_verdicts(mem: np.ndarray, block: list[np.ndarray],
     live = np.arange(len(stack))
     # Layer 0 is the empty prefix, one node.
     node = np.zeros(len(stack), dtype=np.intp)
-    level = _kernels.identity_level(mem.shape[-1])
+    level = _kernels.identity_level(len(starts))
     for l in range(1, top + 1):
         key = node * m + stack[live, l - 1]
         mark = np.zeros(len(level) * m, dtype=bool)
         mark[key] = True
         children = np.flatnonzero(mark)
         node = np.cumsum(mark)[key] - 1
-        level, ok = _kernels.extend(level, mem, children // m, children % m)
+        level, ok = _kernels.extend(level, plan, children // m, children % m)
         # live is ascending, so the draws that end here are its tail.
         end = int((live < longer[l]).sum())
         rank_one[live[end:]] = ok[node[end:]]
@@ -201,8 +202,8 @@ def _prefix_tree_verdicts(mem: np.ndarray, block: list[np.ndarray],
 
 
 def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
-    mem = _kernels.encode(*family.stacked[:2])
-    m = len(mem)
+    plan = _kernels._plan(_kernels.encode(*family.stacked[:2]))
+    m = family.member_count
     # With _absorbing, only the failing products of a level need
     # extending: the extensions of a rank-one product are rank-one.
     prune = _absorbing(family)
@@ -214,7 +215,7 @@ def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, 
         _check_magnitude(family.layer_magnitude * k, "sequence fold")
         # Row p * m + j extends product p by member j.
         parents, members = np.divmod(np.arange(len(level) * m), m)
-        level, ok = _kernels.extend(level, mem, parents, members)
+        level, ok = _kernels.extend(level, plan, parents, members)
         seqs = np.column_stack((seqs[parents], (members + 1).astype(seqs.dtype)))
         bad = seqs[~ok]
         if prune:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -90,9 +91,10 @@ def stacked_fold(mem_num, mem_fin, seqs):
     mask) arrays, grown one layer at a time by ``extend``: at layer l row b
     times member seqs[b, l]."""
     mem = encode(mem_num, mem_fin)
+    plan = _kernels._plan(mem)
     level, rows = mem[seqs[:, 0]], np.arange(len(seqs))
     for column in seqs.T[1:]:
-        level, _ = _kernels.extend(level, mem, rows, column)
+        level, _ = _kernels.extend(level, plan, rows, column)
     return decode(level)
 
 
@@ -305,17 +307,21 @@ class TestOracleAgreement:
     def test_stacked_fold_and_level_step(self):
         # A (B, k) stack folds row by row through extend, and one level
         # step of the exhaustive scan extends product p by member j in row
-        # p * m + j.  At n = 8 a chunk holds 2**16 // (4 * 8**2) = 256 rows,
-        # so B = 300 spans two chunks, and so do 400 arbitrary pairs.
+        # p * m + j.  A chunk holds 2**16 // (n * nnz) rows for the nnz
+        # entries of the members' plan: 128 rows for dense members at
+        # n = 8, so B = 300 spans three chunks, and 400 arbitrary pairs
+        # four.
         rng = np.random.default_rng(8)
+        chunked = []
         for mem_num, mem_fin in oracle_cases():
             m, n, _ = mem_num.shape
+            plan = _kernels._plan(_kernels.encode(mem_num, mem_fin))
+            chunked.append(len(_kernels._chunks(300, n * len(plan[0]))))
             seqs = rng.integers(0, m, size=(300, 3))
             num, fin = stacked_fold(mem_num, mem_fin, seqs)
             assert num.shape == fin.shape == (300, n, n)
             keys = np.arange(300 * m)
-            level, _ = _kernels.extend(_kernels.encode(num, fin), _kernels.encode(mem_num, mem_fin),
-                                       keys // m, keys % m)
+            level, _ = _kernels.extend(_kernels.encode(num, fin), plan, keys // m, keys % m)
             assert level.shape == (300 * m, n, n)
             for b in range(0, 300, 7):
                 assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seqs[b]))
@@ -324,11 +330,11 @@ class TestOracleAgreement:
                     assert_masked_equal(decode(level[b * m + j]), want)
             # The sampled scan's pairs repeat parents in any order.
             parents, members = rng.integers(0, 300, size=400), rng.integers(0, m, size=400)
-            level, _ = _kernels.extend(_kernels.encode(num, fin), _kernels.encode(mem_num, mem_fin),
-                                       parents, members)
+            level, _ = _kernels.extend(_kernels.encode(num, fin), plan, parents, members)
             for i in range(0, 400, 9):
                 want = masked_fold(mem_num, mem_fin, np.append(seqs[parents[i]], members[i]))
                 assert_masked_equal(decode(level[i]), want)
+        assert max(chunked) == 3 and min(chunked) == 1
 
     def test_stacked_rows_turn_rank_one_at_different_probes(self):
         # Row t of the stack has the first rank-one prefix D^(t-1) (x) R,
@@ -356,11 +362,13 @@ class TestOracleAgreement:
         for b, seq in enumerate(seqs):
             assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seq))
 
-    def test_stacked_factored_fold_across_chunks(self):
-        # At n = 8 a chunk holds 256 rows, so 300 rows span two chunks.
-        # Two rows in three draw admissible members and turn rank-one; the
-        # others draw weighted permutations and never do.  Member 3 has a
-        # -inf (1, 1) entry and appears after the onset.
+    def test_stacked_factored_fold_across_chunks(self, monkeypatch):
+        # The six members' plan has 25 entries, so at n = 8 a row gathers
+        # 200 terms and a default chunk holds 327 rows; with a chunk of
+        # 256 rows, 300 rows span two chunks.  Two rows in three draw
+        # admissible members and turn rank-one; the others draw weighted
+        # permutations and never do.  Member 3 has a -inf (1, 1) entry and
+        # appears after the onset.
         rng = np.random.default_rng(22)
         n, k = 8, 24
         adm_num, adm_fin = admissible_members(rng, 4, n)
@@ -374,16 +382,19 @@ class TestOracleAgreement:
         seqs = rng.integers(0, 3, size=(300, k))
         seqs[:, k - 3] = 3
         seqs[::3] = rng.integers(4, 6, size=(100, k))
+        terms = n * len(_kernels._plan(encode(mem_num, mem_fin))[0])
+        assert terms == 200 and _kernels.CHUNK_ELEMENTS // terms == 327
+        monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", 256 * terms)
+        assert [part.stop for part in _kernels._chunks(300, terms)] == [256, 512]
         num, fin = stacked_fold(mem_num, mem_fin, seqs)
         for b in range(300):
             assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seqs[b]))
-        assert _kernels._chunk_rows(n) == 256
         for b in (0, 1, 255, 256, 299):
             onset = onset_layer(mem_num, mem_fin, seqs[b])
             assert (onset is None) == (b % 3 == 0)
 
     @pytest.mark.parametrize("drop", [False, True])
-    @pytest.mark.parametrize("chunk", [None, 4 * 6 * 6 * 9])
+    @pytest.mark.parametrize("chunk", [None, 1296])
     def test_ragged_stack_ends_each_row_at_its_own_length(self, monkeypatch, drop, chunk):
         # The sampled scan's prefix tree over a block of 9 draws of each
         # length 1..23, over admissible members (whose prefixes turn
@@ -391,7 +402,8 @@ class TestOracleAgreement:
         # never do).  Each draw gets the verdict of its own full product,
         # read at its own last layer.  With drop every pivot is finite, so
         # rank-one prefixes leave the tree; without it member 3 has a -inf
-        # (1, 1) entry.  The second case runs in chunks of 9 rows.
+        # (1, 1) entry.  The members' plan has 16 entries, so in the second
+        # case a row gathers 96 terms and a chunk holds 13 rows.
         if chunk:
             monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
         rng = np.random.default_rng(31)
@@ -409,7 +421,10 @@ class TestOracleAgreement:
             draws = rng.integers(1, 4, size=(samples, length)).astype(np.uint8)
             draws[::3] = rng.integers(4, 6, size=(len(draws[::3]), length))
             block.append(draws)
-        rank_one = products._prefix_tree_verdicts(encode(mem_num, mem_fin), block, drop)
+        plan = _kernels._plan(encode(mem_num, mem_fin))
+        if chunk:
+            assert _kernels.CHUNK_ELEMENTS // (n * len(plan[0])) == 13
+        rank_one = products._prefix_tree_verdicts(plan, block, drop)
         verdicts = [(samples, draws[~ok]) for draws, ok in zip(block, rank_one)]
         assert len(verdicts) == k
         absorbed = 0
@@ -490,32 +505,35 @@ def level_stack(rng, rows, n):
 
 
 class TestLevelKernel:
-    """``extend`` forms each level product by n rank-1 max updates, in
-    chunks of ``_chunk_rows`` rows, and returns it with its rank-one
-    verdict; ``_product`` multiplies one state by one matrix as a
-    broadcast.  The masked products and the rank-one definition of the
-    oracles are the reference.  At n = 1 extend runs no rank-1 update past
-    the first sum."""
+    """``extend`` forms each level product as one planned step of its
+    parent, adding its own member's weights, in chunks of rows that gather
+    at most ``CHUNK_ELEMENTS`` terms, and returns it with its rank-one
+    verdict; ``_step`` multiplies a vector or a stack of rows by one
+    member.  The masked products and the rank-one definition of the
+    oracles are the reference.  At n = 1 the plan holds one entry."""
 
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("n", [1, 3, 5, 16])
     def test_extend_against_masked_products(self, monkeypatch, n, chunk):
         # Stacks of 1, 2, 15, 16 and 17 rows, and one row past the first
         # chunk; with chunk, chunks hold 7 rows, so the stacks of 15 to 17
-        # rows span three.
-        if chunk:
-            monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", 4 * n * n * chunk)
-        rows = _kernels._chunk_rows(n)
-        assert rows == (chunk or max(1, (1 << 16) // (4 * n * n)))
+        # rows span three.  A row gathers n terms per plan entry.
         rng = np.random.default_rng(40 + n)
         mem_num, mem_fin = level_members(rng, n)
         mem = encode(mem_num, mem_fin)
+        plan = _kernels._plan(mem)
+        terms = n * len(plan[0])
+        if chunk:
+            monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", terms * chunk)
+        # No chunk holds more rows than CHUNK_ELEMENTS.
+        rows = _kernels._chunks(_kernels.CHUNK_ELEMENTS + 1, terms)[0].stop
+        assert rows == (chunk or max(1, (1 << 16) // terms))
         verdicts = []
         for size in (1, 2, 15, 16, 17, rows + 1):
             lev_num, lev_fin = level_stack(rng, size, n)
             parents = rng.permutation(size)
             members = np.arange(size) % 4
-            out, ok = _kernels.extend(encode(lev_num, lev_fin), mem, parents, members)
+            out, ok = _kernels.extend(encode(lev_num, lev_fin), plan, parents, members)
             assert out.shape == (size, n, n) and ok.shape == (size,)
             # Every row of a small stack; a sample and the rows at the
             # chunk boundary of the largest.
@@ -532,7 +550,8 @@ class TestLevelKernel:
     def test_identity_level_extends_to_the_members(self, n):
         rng = np.random.default_rng(50 + n)
         mem_num, mem_fin = level_members(rng, n)
-        out, ok = _kernels.extend(_kernels.identity_level(n), encode(mem_num, mem_fin),
+        plan = _kernels._plan(encode(mem_num, mem_fin))
+        out, ok = _kernels.extend(_kernels.identity_level(n), plan,
                                   np.zeros(4, dtype=np.intp), np.arange(4))
         for j in range(4):
             assert_masked_equal(decode(out[j]), (mem_num[j], mem_fin[j]))
@@ -542,15 +561,15 @@ class TestLevelKernel:
     def test_product_of_a_vector_and_of_rows(self, n):
         rng = np.random.default_rng(60 + n)
         mem_num, mem_fin = level_members(rng, n)
+        plan = _kernels._plan(encode(mem_num, mem_fin))
         for rows in (1, 4):
             x_num = rng.integers(-50, 51, size=(rows, n)).astype(np.int64)
             x_fin = rng.random(size=(rows, n)) < 0.7
             for j in range(4):
-                a = encode(mem_num[j], mem_fin[j])
                 want = masked_matmul(x_num, x_fin, mem_num[j], mem_fin[j])
-                got = _kernels._product(encode(x_num, x_fin), a)
+                got = _kernels._step(encode(x_num, x_fin), plan, j)
                 assert_masked_equal(decode(got), want)
-                vector = _kernels._product(encode(x_num[0], x_fin[0]), a)
+                vector = _kernels._step(encode(x_num[0], x_fin[0]), plan, j)
                 assert vector.shape == (n,)
                 assert_masked_equal(decode(vector), (want[0][0], want[1][0]))
 
@@ -649,7 +668,9 @@ class TestPlannedStep:
                     assert_masked_equal(decode(got), want)
                     assert_masked_equal(decode(_kernels._step(x[0], plan, s)),
                                         (want[0][0], want[1][0]))
-                    assert_masked_equal(decode(_kernels._product(x, layers[s])), want)
+                    # The plan of the layer alone, as matmul makes it.
+                    alone = _kernels._plan(layers[s:s + 1])
+                    assert_masked_equal(decode(_kernels._step(x, alone, 0)), want)
 
     def test_sweep_matches_the_masked_oracle(self, family5):
         rng = np.random.default_rng(82)
@@ -732,8 +753,98 @@ class TestPlannedStep:
         into, _ = _kernels.avoiding_sweep(mem, seq)
         departures, _ = _kernels.avoiding_sweep(*_kernels._mirror(mem, seq))
         whole = _kernels._through_table(into, departures)
-        monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", 2 * departures.size)
+        # A row of arrivals gathers one term per entry of the departures'
+        # plan, so chunks of 2 of the 5 rows.
+        terms = len(_kernels._plan(departures[None, ::-1])[0])
+        monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", 2 * terms)
+        assert len(_kernels._chunks(len(whole), terms)) == 3
         assert np.array_equal(_kernels._through_table(into, departures), whole)
+
+
+@st.composite
+def level_steps(draw):
+    """A level step for ``extend``: an encoded (B, n, n) level, m members as
+    a (numerator, mask) pair, parent and member indices, and the rows of
+    a chunk, or None for the default chunks.  n runs from 1; every member
+    draws its own finite pattern; one column may be masked in every
+    member, so the plan gets its masked entry; level rows are outer sums
+    on outer patterns (rank-one unless the pivot is -inf) or arbitrary;
+    and with chunks of 1 to 3 rows, every step forms more products than
+    one chunk holds."""
+    def values(shape):
+        size = int(np.prod(shape))
+        value = st.one_of(st.integers(-50, 50), st.sampled_from([-(1 << 59), 1 << 59]))
+        return np.array(draw(st.lists(value, min_size=size, max_size=size)),
+                        dtype=np.int64).reshape(shape)
+
+    def flags(shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
+
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    mem_num, mem_fin = values((m, n, n)), flags((m, n, n))
+    if draw(st.booleans()):
+        mem_fin[:, :, draw(st.integers(0, n - 1))] = False
+    size = draw(st.integers(1, 6))
+    lev_num = np.empty((size, n, n), dtype=np.int64)
+    lev_fin = np.empty((size, n, n), dtype=bool)
+    for b in range(size):
+        if draw(st.booleans()):
+            lev_num[b] = values((n, 1)) + values((1, n))
+            lev_fin[b] = flags((n, 1)) & flags((1, n))
+        else:
+            lev_num[b], lev_fin[b] = values((n, n)), flags((n, n))
+    chunk = draw(st.one_of(st.none(), st.integers(1, 3)))
+    rows = draw(st.integers(1, 12) if chunk is None else st.integers(chunk + 1, 3 * chunk + 1))
+    parents = np.array(draw(st.lists(st.integers(0, size - 1), min_size=rows, max_size=rows)))
+    members = np.array(draw(st.lists(st.integers(0, m - 1), min_size=rows, max_size=rows)))
+    return encode(lev_num, lev_fin), (mem_num, mem_fin), parents, members, chunk
+
+
+class TestPlannedLevelStep:
+    """``extend`` on the members' plan and ``matmul`` on the plan of its
+    right factor, against the masked product and the rank-one definition
+    of the oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=level_steps())
+    def test_extend_matches_the_masked_products(self, case):
+        level, (mem_num, mem_fin), parents, members, chunk = case
+        n = level.shape[-1]
+        plan = _kernels._plan(encode(mem_num, mem_fin))
+        terms = n * len(plan[0])
+        limit = terms * chunk if chunk else _kernels.CHUNK_ELEMENTS
+        with mock.patch.object(_kernels, "CHUNK_ELEMENTS", limit):
+            if chunk:
+                assert len(_kernels._chunks(len(parents), terms)) == -(-len(parents) // chunk) > 1
+            out, ok = _kernels.extend(level, plan, parents, members)
+        assert out.shape == (len(parents), n, n) and ok.shape == (len(parents),)
+        assert (out >= MASKED).all()
+        lev_num, lev_fin = decode(level)
+        for i, (p, j) in enumerate(zip(parents, members)):
+            want = masked_matmul(lev_num[p], lev_fin[p], mem_num[j], mem_fin[j])
+            assert_masked_equal(decode(out[i]), want)
+            assert ok[i] == is_rank_one(np.where(want[1], want[0], None).tolist())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matmul_of_rectangular_factors(self, data):
+        # (r, n) times (n, c), one column of b masked throughout.
+        r, n, c = (data.draw(st.integers(1, 4)) for _ in range(3))
+        entries = st.integers(-(1 << 59), 1 << 59)
+
+        def grid(rows, cols):
+            num = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+            fin = data.draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+            return (np.array(num, dtype=np.int64).reshape(rows, cols),
+                    np.array(fin).reshape(rows, cols))
+
+        a_num, a_fin = grid(r, n)
+        b_num, b_fin = grid(n, c)
+        b_fin[:, data.draw(st.integers(0, c - 1))] = False
+        got = NUMPY_BACKEND.matmul(a_num, a_fin, b_num, b_fin)
+        assert got[0].shape == got[1].shape == (r, c)
+        assert_masked_equal(got, masked_matmul(a_num, a_fin, b_num, b_fin))
 
 
 class TestRankOneAbsorption:

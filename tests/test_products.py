@@ -259,10 +259,13 @@ class TestStackedScanOracle:
 
     def test_levels_span_several_chunks(self, monkeypatch):
         # Level 6 (4,096 products) spans several kernel chunks at n = 5,
-        # and so do the sampled scan's widest levels of distinct prefixes.
-        rows = _kernels._chunk_rows(5)
-        assert 4**6 > 4 * rows
+        # and so do the sampled scan's widest levels of distinct prefixes:
+        # the members' plan has 25 entries, so a chunk holds
+        # 2**16 // (5 * 25) = 524 rows.
         fam = _scan_family(random.Random(5), 5, 4)
+        terms = 5 * len(_kernels._plan(_kernels.encode(*fam.stacked[:2]))[0])
+        rows = _kernels._chunks(4**6, terms)[0].stop
+        assert rows == 524 and 4**6 > 4 * rows
         _assert_matches_oracle(fam, horizon=6, mode="exhaustive")
         spy = _spied_scan(monkeypatch, fam, horizon=6, samples_per_length=rows + 1, seed=3)[1]
         assert max(spy.sizes) > rows
@@ -278,10 +281,10 @@ class _ExtendSpy:
         self.levels = []
         extend = _kernels.extend
 
-        def spied_extend(level, mem, parents, members):
+        def spied_extend(level, plan, parents, members):
             self.sizes.append(len(parents))
             self.levels.append(len(level))
-            return extend(level, mem, parents, members)
+            return extend(level, plan, parents, members)
 
         monkeypatch.setattr(_kernels, "extend", spied_extend)
 
@@ -298,9 +301,9 @@ class _TreeSpy:
         self.trees = []
         fold_tree = products._prefix_tree_verdicts
 
-        def spied_tree(mem, block, prune):
+        def spied_tree(plan, block, prune):
             self.trees.append([tuple(int(x) for x in row) for draws in block for row in draws])
-            return fold_tree(mem, block, prune)
+            return fold_tree(plan, block, prune)
 
         monkeypatch.setattr(products, "_prefix_tree_verdicts", spied_tree)
 
@@ -442,23 +445,24 @@ class TestRaggedSampledScan:
         # products per layer.
         assert spy.products == _live_prefixes(fam, 5, 100, 0) == 2 * 5
 
-    @pytest.mark.parametrize("chunk, block, trees, splits", [
-        pytest.param(4 * 25 * 7, 300, 32, True, id="700-300"),
-        pytest.param(4 * 25 * 64, 1200, 8, False, id="6400-1200"),
+    @pytest.mark.parametrize("rows, block, trees, splits", [
+        pytest.param(7, 300, 32, True, id="7-300"),
+        pytest.param(64, 1200, 8, False, id="64-1200"),
     ])
-    def test_several_chunks_and_blocks(self, family5, monkeypatch, chunk, block, trees, splits):
-        # Small chunks and blocks: at n = 5 a chunk holds chunk // 100 rows
-        # and a tree's level at most block // 25.  With 20 draws per length,
-        # a block of 300 elements holds one length, which passes it alone
-        # and folds as two trees of 12 and 8 draws, whose levels span
-        # several 7-row chunks; a block of 1200 holds two lengths and folds
-        # as one tree, whose levels of at most 48 fit one 64-row chunk.
-        monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
+    def test_several_chunks_and_blocks(self, family5, monkeypatch, rows, block, trees, splits):
+        # Small chunks and blocks: at n = 5 a chunk holds rows rows (a row
+        # gathers 5 terms per entry of the members' plan) and a tree's
+        # level at most block // 25.  With 20 draws per length, a block of
+        # 300 elements holds one length, which passes it alone and folds as
+        # two trees of 12 and 8 draws, whose levels span several 7-row
+        # chunks; a block of 1200 holds two lengths and folds as one tree,
+        # whose levels of at most 48 fit one 64-row chunk.
         monkeypatch.setattr(products, "_BLOCK_ELEMENTS", block)
-        rows = _kernels._chunk_rows(5)
-        rng = random.Random(chunk)
+        rng = random.Random(100 * rows)
         cases = [family5, _pruned_off_family(rng, 5), _scan_family(rng, 5, 3)]
         for seed, fam in enumerate(cases):
+            terms = 5 * len(_kernels._plan(_kernels.encode(*fam.stacked[:2]))[0])
+            monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", rows * terms)
             tree_spy = _TreeSpy(monkeypatch)
             spy = _spied_scan(monkeypatch, fam, horizon=16, samples_per_length=20, seed=seed)[1]
             assert tree_spy.trees == _draw_trees(fam, 16, 20, seed)
@@ -544,13 +548,14 @@ class TestScanOverflow:
         assert {idx for _, idx in est.counterexamples} == {(1,), (2,), (4,)}
         assert est.examined == (4 if mode == "exhaustive" else 30)
 
-    @pytest.mark.parametrize("chunk", [None, 4 * 4 * 3])
+    @pytest.mark.parametrize("chunk", [None, 48])
     def test_rank_one_guard_at_the_shortest_length_first(self, monkeypatch, chunk):
         # D_c = diag(0, -w - c): a product of three or four factors D
         # reaches 3 w or more, with three times it past the storage limit,
         # and is diagonal, so not rank-one; 4 w stays below the fold guard.
-        # Lengths 1 to 4 fold as one tree, its levels in chunks of 3 rows in
-        # the second case; every draw gets its exact verdict, in scan order.
+        # Lengths 1 to 4 fold as one tree; the members' plan has 4 entries,
+        # so in the second case a row gathers 8 terms and the levels run in
+        # chunks of 6 rows.  Every draw gets its exact verdict, in scan order.
         if chunk:
             monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
         w = 15 << 55
@@ -558,6 +563,9 @@ class TestScanOverflow:
         d0, d1 = (TropicalMatrix.from_rows([[0, None], [None, -w - c]]) for c in (0, 10))
         x = TropicalMatrix.from_rows([[0, -1], [-2, -1]])
         fam = MatrixFamily([d0, d1, x])
+        if chunk:
+            terms = 2 * len(_kernels._plan(_kernels.encode(*fam.stacked[:2]))[0])
+            assert _kernels._chunks(60, terms)[0].stop == 6
         est = _assert_matches_oracle(fam, horizon=4, samples_per_length=60, seed=0)
         assert isinstance(est, TransientEstimate) and est.examined == 240
         for k in (3, 4):
