@@ -19,7 +19,7 @@ range.  ``matmul`` and ``fold`` return (numerator, mask) pairs with 0 in
 masked slots; the trellis sweeps return encoded tables, which their
 callers reduce further.
 
-Every max-plus product here multiplies a state by one layer of a
+A max-plus product here multiplies a state by one layer of a
 stack, and the members of an admissible family share one finite pattern
 (geometric equivalence); the benchmark's synthetic families keep 11-15%
 of the n^2 entries.  So a call plans its stack once (``_plan``): the
@@ -28,10 +28,12 @@ with one masked entry for a column that has no in-edge.  A product step
 (``_step``) of a vector, a matrix or a stack of matrices is then one
 gather of the state's columns, one add of the layer's weights and one
 segmented max (``np.maximum.reduceat``): the semiring SpMV of the
-GraphBLAS (Kepner et al., IEEE HPEC 2016).  It is the only product
-kernel: every sweep, fold and fixpoint steps through the plan of its
+GraphBLAS (Kepner et al., IEEE HPEC 2016).  Every matrix product runs
+on it: every sweep, fold and fixpoint steps through the plan of its
 layers, ``matmul`` through the plan of its right factor, and the through
-table through the plan of its reversed departures.
+table through the plan of its reversed departures.  Only the taps of
+``_absorbing_sweep`` (one max-plus inner product per layer) and the
+rank-1 updates of ``closure`` reduce without it.
 
 A level of products grows by one factor each through ``extend``: row i
 is a chosen product of the level times a chosen member, and it comes
