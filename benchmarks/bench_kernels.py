@@ -13,13 +13,20 @@ m^5 of length 5, each one planned product step on the members' plan
 (``_plan``, made once outside the timing), with their rank-one
 verdicts.
 
-A second table times the single fold at k = 200 and n = 20, 40, 80 on
+A second table times one planned product step (``_step``) on the
+padded-column plan of admissible-style members at n = 5, 20, 40, 80 and
+prints the plan's depth D: of a vector, of a node-first matrix state (one
+column per start) and of a level of 300 products through ``extend``,
+whose ``verdict`` row is the rank-one test of that level alone, so its
+share of the level step can be read off.
+
+A third table times the single fold at k = 200 and n = 20, 40, 80 on
 two sequences: one over admissible-style members, whose prefix turns
 rank-one early so the fold finishes as a vector sweep, and one over
 weighted permutation matrices, which never turn rank-one, so the fold
 pays for every rank-one probe on top of every matrix product.
 
-A third table times the transient scan's own work, all of whose matrix
+A fourth table times the transient scan's own work, all of whose matrix
 products the level kernel ``extend`` forms, from the empty product on;
 the ``formed`` column counts them.  It folds 100 draws of length 20 and
 40 at n = 5 and 16, over the same two kinds of members, as the sampled
@@ -31,7 +38,7 @@ the tree).  Then it runs the sampled scan of the bundled five-node family
 is formed, and the exhaustive scan up to horizons 8 and 12, whose levels
 extend only their failing products.
 
-A fourth table times the text boundary, the implicit bound and the lemma
+A fifth table times the text boundary, the implicit bound and the lemma
 checks on the benchmark's seed-0 synthetic inputs
 (``perfbench/bench_inputs.py``) at n = 20, 40, 80 and k = 200:
 ``load_family``, ``matrix_tokens`` of gamma, ``json_text`` of the
@@ -42,7 +49,7 @@ its text (plain lists, so every grid goes through the generic writer),
 ``implicit_bound`` of the folded product (the path it replaces) and
 ``check_lemma_bounds``.
 
-A fifth table times the same text boundary where tokens and values do not
+A sixth table times the same text boundary where tokens and values do not
 repeat: families of m = 3 and 12 dense members whose entries are nearly
 all distinct rationals.  The synthetic inputs above repeat heavily (about
 40 distinct tokens over 3 n^2 entries), which the token table and the
@@ -50,7 +57,7 @@ writer's per-value formatting exploit; these rows show the cost without
 that.  ``matrix_tokens`` runs on one member, ``family_to_dict`` on the
 whole family, and ``render_json`` writes the dict it returns.
 
-A sixth table times the family side on the seed-0 synthetic inputs at
+A seventh table times the family side on the seed-0 synthetic inputs at
 n = 20, 40, 80: a fresh ``load_family`` followed by validation,
 ``sup_derived`` and the A_inf vectors w and v (the closure, fixpoints and
 Karp runs of ``bound FAM SEQ``), one ``closure`` kernel call on A_sup
@@ -97,6 +104,8 @@ from tropical_transient.trellis import build_trellis, check_lemma_bounds
 STACK_ROWS = 100
 STACK_MAX_SIZE = 40
 LEVEL_LENGTH = 4
+STEP_SIZES = (5, 20, 40, 80)
+STEP_LEVEL = 300
 ONSET_SIZES = (20, 40, 80)
 ONSET_LENGTH = 200
 SCAN_SIZES = (5, 16)
@@ -142,7 +151,7 @@ def onset_layer(num, fin, seq):
     """The first layer the single fold probes and finds rank-one, or None."""
     mem = encode(num, fin)
     plan = _plan(mem)
-    cur = mem[seq[0]]
+    cur = mem[seq[0]].T
     for l in range(1, len(seq)):
         if l % PROBE_STRIDE == 0 and rank_one(cur, cur > FLOOR):
             return l
@@ -150,14 +159,38 @@ def onset_layer(num, fin, seq):
     return None
 
 
+def as_level(stack):
+    """An encoded (B, n, n) stack of matrices as the (n, n, B) level that
+    ``extend`` takes."""
+    return np.ascontiguousarray(stack.transpose(2, 1, 0))
+
+
 def level_step(level, plan):
     """The exhaustive scan's level step on the members' plan: product p
-    times member j in row p * m + j.  Its rank-one verdicts are formed, as
-    in the scan, and dropped."""
-    m = len(plan[2])
-    keys = np.arange(len(level) * m)
+    times member j in product p * m + j.  Its rank-one verdicts are
+    formed, as in the scan, and dropped."""
+    m = len(plan[1])
+    keys = np.arange(level.shape[-1] * m)
     level, _ = extend(level, plan, keys // m, keys % m)
     return level
+
+
+def step_rows(rng, n, members, repeats):
+    """(kind, D, ms) rows of the planned-step table at size n."""
+    mem = encode(*onset_inputs(rng, members, n))
+    plan = _plan(mem)
+    vector, matrix = mem[0, 0].copy(), np.ascontiguousarray(mem[0].T)
+    parents = rng.integers(0, members, size=STEP_LEVEL)
+    choice = rng.integers(0, members, size=STEP_LEVEL)
+    level = as_level(mem)
+    product = extend(level, plan, parents, choice)[0]
+    return [
+        ("vector step", len(plan[0]), best_time(lambda: _step(vector, plan, 1), repeats)),
+        ("matrix step", len(plan[0]), best_time(lambda: _step(matrix, plan, 1), repeats)),
+        (f"level x{STEP_LEVEL}", len(plan[0]),
+         best_time(lambda: extend(level, plan, parents, choice), repeats)),
+        ("verdict", len(plan[0]), best_time(lambda: rank_one(product, product > FLOOR), repeats)),
+    ]
 
 
 def prefix_tree(mem, draws):
@@ -343,14 +376,23 @@ def main() -> int:
         ]
         if n <= STACK_MAX_SIZE:
             plan = _plan(mem)
-            level = mem
+            level = as_level(mem)
             for _ in range(LEVEL_LENGTH - 1):
                 level = level_step(level, plan)
-            cases.append((f"extend x{len(level)}", lambda: level_step(level, plan),
+            cases.append((f"extend x{level.shape[-1]}", lambda: level_step(level, plan),
                           LEVEL_LENGTH + 1, 1))
         for name, call, k, starts in cases:
             t = best_time(call, args.repeats)
             print(f"{name:<18}{n:>5}{k:>6}{starts:>8}{t * 1e3:>14.3f}")
+
+    header = f"{'planned step':<18}{'n':>5}{'D':>6}{'':>8}{ACTIVE.name + ' (ms)':>14}"
+    print()
+    print(header)
+    print("-" * len(header))
+    rng = np.random.default_rng(args.seed)
+    for n in STEP_SIZES:
+        for name, depth, t in step_rows(rng, n, args.members, args.repeats):
+            print(f"{name:<18}{n:>5}{depth:>6}{'':>8}{t * 1e3:>14.3f}")
 
     header = f"{'single fold':<18}{'n':>5}{'k':>6}{'onset':>8}{ACTIVE.name + ' (ms)':>14}"
     print()

@@ -22,26 +22,32 @@ callers reduce further.
 A max-plus product here multiplies a state by one layer of a
 stack, and the members of an admissible family share one finite pattern
 (geometric equivalence); the benchmark's synthetic families keep 11-15%
-of the n^2 entries.  So a call plans its stack once (``_plan``): the
-entries of the union of its layers' patterns, grouped by target column,
-with one masked entry for a column that has no in-edge.  A product step
-(``_step``) of a vector, a matrix or a stack of matrices is then one
-gather of the state's columns, one add of the layer's weights and one
-segmented max (``np.maximum.reduceat``): the semiring SpMV of the
-GraphBLAS (Kepner et al., IEEE HPEC 2016).  Every matrix product runs
-on it: every sweep, fold and fixpoint steps through the plan of its
-layers, ``matmul`` through the plan of its right factor, and the through
-table through the plan of its reversed departures.  Only the taps of
-``_absorbing_sweep`` (one max-plus inner product per layer) and the
-rank-1 updates of ``closure`` reduce without it.
+of the n^2 entries.  So a call plans its stack once (``_plan``) in
+padded columns (ELLPACK; Bell and Garland, SC 2009): src[d, c] is the
+d-th in-neighbour of column c on the union of its layers' patterns, and
+a column with fewer in-edges than the largest, D, is padded with node 0
+at weight MASKED.  States are node-first: the node axis leads and any
+batch trails, so a vector is (n,), the state of r start nodes is (n, r)
+(the transpose of one row per start) and a level of B products is
+(n, n, B).  A product step (``_step``) is then one gather of the state
+along its node axis, one add of the layer's padded weights and one max
+over the D padded terms, each a reduction along whole contiguous rows:
+the semiring SpMV of the GraphBLAS (Kepner et al., IEEE HPEC 2016).
+Every matrix product runs on it: every sweep, fold and fixpoint steps
+through the plan of its layers, ``matmul`` through the plan of its right
+factor, and the through table through the plan of its reversed
+departures.  Only the taps of ``_absorbing_sweep`` (one max-plus inner
+product per layer) and the rank-1 updates of ``closure`` reduce without
+it.
 
-A level of products grows by one factor each through ``extend``: row i
-is a chosen product of the level times a chosen member, and it comes
-back with its rank-one verdicts.  The rows form one step of a stack of
-matrix states, each row adding its own member's weights.  Both
-transient scans plan their members once and grow every level that way,
-one length at a time from the empty product (``identity_level``).
-``extend`` and the through table step in chunks of rows that gather at
+A level of products grows by one factor each through ``extend``:
+product i is a chosen product of the level times a chosen member, and it
+comes back with its rank-one verdicts (``rank_one``, which reduces over
+the two leading axes of the level).  The products form one step of a
+level state, each adding its own member's weights.  Both transient
+scans plan their members once and grow every level that way, one length
+at a time from the empty product (``identity_level``).  ``extend`` and
+the through table step in chunks of products or starts that gather at
 most ``CHUNK_ELEMENTS`` terms (``_chunks``).
 
 A single fold tests its running product for rank-one every
@@ -49,7 +55,9 @@ A single fold tests its running product for rank-one every
 vector sweep (rank-one absorption, ``_absorbing_sweep``).
 
 A sweep pushes a state through the layer matrices of a sequence.  The
-state has one row per start node, so one pass serves every start.  Each
+state has one column per start node, so one pass serves every start; the
+``Backend`` wrappers hand their tables back transposed, as views indexed
+[layer, start, node].  Each
 trellis DP is one forward sweep (``_sweep``) over the members as they are
 or edited around node 0, the distinguished node (node 1 in the 1-based
 labels of the public API), each edit built in one place from the encoded
@@ -57,9 +65,9 @@ members:
 
 * cut (``_cut``): every edge at node 0 removed, for walks that avoid it;
 * sink (``_sink``): node 0 keeps its in-edges and gets a weight-0 loop as
-  its only out-edge, so a walk that arrives there waits; column 0 of the
-  sweep is the best arrival by each layer (initial walks), and the other
-  columns avoid node 0;
+  its only out-edge, so a walk that arrives there waits; node 0's entry
+  of the sweep is the best arrival by each layer (initial walks), and the
+  other nodes' entries avoid node 0;
 * lifted (``_lifted``): 2n nodes, a cut copy before the first visit to
   node 0 and an unchanged copy after it, joined by the edges into node 0:
   the trellis times a two-state automaton that records a visit to node 0,
@@ -112,54 +120,72 @@ def decode(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(fin, x, np.int64(0)), fin
 
 
-def _plan(layers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, starts, weights): a stack of encoded (m, r, c) layers on the
-    union of their finite patterns, grouped by target column.
+def _plan(layers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(src, weights): a stack of encoded (m, r, c) layers on the union of
+    their finite patterns, in padded columns.
 
-    Column c owns the entries starts[c]:starts[c + 1] of rows (their
-    source nodes) and of each layer's weights[s].  A column with no
-    in-edge in any layer gets one entry from row 0 with weight MASKED,
-    since ``np.maximum.reduceat`` returns the first element of an empty
-    segment rather than an identity.
+    src[d, c] is the d-th in-neighbour of column c on the union, and
+    weights[s, d, c] the weight of that edge in layer s, both (D, c) per
+    layer for the largest in-degree D.  A column with fewer in-edges,
+    none included, is padded with node 0 at weight MASKED, so every
+    column reduces over D terms and the padding never wins a max.
     """
     fin = (layers > FLOOR).any(axis=0)
-    fin[0, ~fin.any(axis=0)] = True
     cols, rows = np.nonzero(fin.T)
-    starts = np.zeros(fin.shape[1], dtype=np.intp)
-    np.cumsum(fin.sum(axis=0)[:-1], out=starts[1:])
-    return rows, starts, layers[:, rows, cols]
+    count = fin.sum(axis=0)
+    depth = np.arange(len(rows)) - (np.cumsum(count) - count)[cols]
+    src = np.zeros((max(1, count.max()), fin.shape[1]), dtype=np.intp)
+    src[depth, cols] = rows
+    weights = np.full((len(layers),) + src.shape, MASKED)
+    weights[:, depth, cols] = layers[:, rows, cols]
+    return src, weights
 
 
 def _step(state: np.ndarray, plan, s, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """state (x) layers[s] for an encoded (r,) or (..., r) state, on the
-    ``_plan`` of the layers: one gather, one add and one segmented max.
-    s is one layer index, or an array of them that broadcasts against the
-    state's leading axes with a trailing axis of 1 (``extend`` gives each
-    matrix of a stack its own layer).
+    """The product of a node-first encoded state and layers[s], on the
+    ``_plan`` of the layers: one gather of the state along its node axis,
+    one add of the layer's padded weights and one max over the padded
+    axis.
+
+    The node axis leads and any batch trails: a vector x is (r,) and
+    gives x (x) layers[s]; a matrix state X^T is (r, b) and gives
+    (X (x) layers[s])^T; and a level is (r, r, B), entry [c, i, b] being
+    entry (i, c) of product b, with s an array of B layer indices, one
+    per product.  Every reduction runs over the leading padded axis, so
+    along whole contiguous rows of terms.
 
     A layer's own masked entries inside the union weigh MASKED, so every
     sum of finite terms is formed and every other one is at most FLOOR:
     the result is finite exactly where the max-plus product is, and
     equal to it there.
     """
-    rows, starts, weights = plan
-    terms = state.take(rows, axis=-1)
-    terms += weights[s]
-    out = np.maximum.reduceat(terms, starts, axis=-1, out=out)
+    src, weights = plan
+    if state.ndim == 1:
+        terms = state[src]
+        terms += weights[s]
+    else:
+        terms = state.take(src, axis=0)
+        if np.ndim(s):
+            # (B, D, c) weights of the products' own layers, as (D, c, 1, B).
+            terms += weights[s].transpose(1, 2, 0)[:, :, None]
+        else:
+            terms += weights[s][..., None]
+    out = terms.max(axis=0, out=out)
     return np.maximum(out, MASKED, out=out)
 
 
 def _chunks(count: int, terms: int) -> list[slice]:
-    """Consecutive slices of count rows that each gather terms values in a
-    ``_step``: as many rows as hold at most CHUNK_ELEMENTS gathered values,
-    and at least one."""
-    rows = max(1, CHUNK_ELEMENTS // terms)
-    return [slice(s, s + rows) for s in range(0, count, rows)]
+    """Consecutive slices of a batch of count states (the products of a
+    level, the starts of a matrix) that each gather terms values in a
+    ``_step``: as many as hold at most CHUNK_ELEMENTS gathered values, and
+    at least one."""
+    size = max(1, CHUNK_ELEMENTS // terms)
+    return [slice(s, s + size) for s in range(0, count, size)]
 
 
 def _sweep(layers: np.ndarray, seq: np.ndarray, state: np.ndarray,
            table: bool = True) -> np.ndarray:
-    """Push state through layers[seq[0]], layers[seq[1]], ...
+    """Push a node-first state through layers[seq[0]], layers[seq[1]], ...
 
     Returns every intermediate state stacked as (k + 1, *state.shape), or
     only the last one when ``table`` is False.
@@ -267,11 +293,12 @@ def closure(a: np.ndarray) -> Optional[np.ndarray]:
     return d
 
 
-def _units(n: int, rows) -> np.ndarray:
-    """Encoded state whose row r is 0 at node rows[r] and masked elsewhere."""
+def _units(n: int, starts) -> np.ndarray:
+    """Node-first encoded state whose column r is 0 at node starts[r] and
+    masked elsewhere: one vector for a single start."""
     eye = np.full((n, n), MASKED, dtype=np.int64)
     np.fill_diagonal(eye, 0)
-    return eye[rows]
+    return eye.take(starts, axis=1)
 
 
 def _cut(mem: np.ndarray) -> np.ndarray:
@@ -285,9 +312,9 @@ def _cut(mem: np.ndarray) -> np.ndarray:
 def _sink(mem: np.ndarray) -> np.ndarray:
     """The cut members with node 0's in-edges kept and a weight-0 loop at
     node 0, its only out-edge: a walk that arrives at node 0 waits there.
-    In a sweep, column 0 is then the best arrival at node 0 by each layer,
-    which never decreases, and every other column the walks that avoid
-    node 0."""
+    In a sweep, node 0's entry is then the best arrival at node 0 by each
+    layer, which never decreases, and every other node's entry the walks
+    that avoid node 0."""
     out = mem.copy()
     out[:, 0, :] = MASKED
     out[:, 0, 0] = 0
@@ -308,54 +335,62 @@ def _lifted(mem: np.ndarray) -> np.ndarray:
 
 
 def _matmul(a_num, a_fin, b_num, b_fin):
-    return decode(_step(encode(a_num, a_fin), _plan(encode(b_num, b_fin)[None]), 0))
+    # a (x) b is the transpose of the product of the node-first state a^T.
+    return decode(_step(encode(a_num, a_fin).T, _plan(encode(b_num, b_fin)[None]), 0).T)
 
 
 def identity_level(n: int) -> np.ndarray:
-    """The empty product as a one-row encoded level: the (n, n) identity."""
-    return _units(n, np.arange(n))[None]
+    """The empty product as an encoded level of one product: the identity,
+    (n, n, 1)."""
+    return _units(n, np.arange(n))[..., None]
 
 
 def extend(level: np.ndarray, plan, parents: np.ndarray,
            members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(out, ok): out[i] is level[parents[i]] (x) mem[members[i]], for an
-    encoded (B, n, n) level, the ``_plan`` of the encoded members mem and
-    index arrays of one length, and ok[i] says whether out[i] is rank-one
-    (``rank_one``).
+    """(out, ok): product i of out is product parents[i] of level times
+    mem[members[i]], for an encoded (n, n, B) level (``_step``: entry
+    [c, r, b] is entry (r, c) of product b), the ``_plan`` of the encoded
+    members mem and index arrays of one length; ok[i] says whether
+    product i is rank-one (``rank_one``).
 
     The transient scans grow their levels with it from ``identity_level``:
-    the exhaustive scan pairs every product with every member (row
+    the exhaustive scan pairs every product with every member (product
     p * m + j), the sampled scan only the distinct prefixes of its draws.
-    Each chunk of rows (``_chunks``) is one ``_step`` of the stack of its
-    parents, each parent's n rows adding its own member's weights.
+    Each chunk of products (``_chunks``) is one ``_step`` of the stack of
+    its parents, each adding its own member's weights, into a contiguous
+    array that is then copied into out.
     """
-    n = level.shape[-1]
-    out = np.empty((len(parents), n, n), dtype=np.int64)
-    for part in _chunks(len(parents), n * len(plan[0])):
-        _step(level[parents[part]], plan, members[part, None], out=out[part])
+    n = level.shape[0]
+    out = np.empty((n, n, len(parents)), dtype=np.int64)
+    for part in _chunks(len(parents), n * plan[0].size):
+        out[..., part] = _step(level.take(parents[part], axis=-1), plan, members[part])
     return out, rank_one(out, out > FLOOR)
 
 
 def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
-    """Which matrices of a (..., n, n) stack are rank-one, pivoting on (1, 1).
+    """Which matrices of an (n, n, ...) stack are rank-one, pivoting on
+    (1, 1): the first two axes index the entries, any others the matrices.
 
     A matrix passes when its pivot is finite, its finiteness pattern is
     the outer pattern of column 1 and row 1, and m_ij - m_1j = m_i1 - m_11
     wherever finite, so that m = x (x) y^T with x = m_:1 - m_11 and
-    y = m_1:.  Masked slots of num hold 0 with finite |num| < 2**62 (a
-    decoded stack) or MASKED with finite |num| < 2**61 (an encoded one);
-    either way each side of the value test is a difference of two values
-    in [-2**62, 2**62), which lies strictly inside int64.  So the test
-    needs no magnitude guard, and masked slots are left out of it.
+    y = m_1:.  Each condition holds for m exactly when it holds for m^T,
+    so a node-first state, the transpose of its product, gets the
+    product's verdict.  Masked slots of num hold 0 with finite
+    |num| < 2**62 (a decoded stack) or MASKED with finite |num| < 2**61
+    (an encoded one); either way each side of the value test is a
+    difference of two values in [-2**62, 2**62), which lies strictly
+    inside int64.  So the test needs no magnitude guard, and masked slots
+    are left out of it.
     """
-    pivot = fin[..., 0, 0]
-    pattern = fin == (fin[..., :, :1] & fin[..., :1, :])
+    pivot = fin[0, 0]
+    pattern = fin == (fin[:, :1] & fin[:1])
     if pivot.size == 1 and not (pivot.all() and pattern.all()):
-        # One matrix (alone or a one-row stack) that fails on its pivot or
+        # One matrix (alone or a stack of one) that fails on its pivot or
         # its pattern skips the value test.
         return np.zeros(pivot.shape, dtype=np.bool_)
-    values = (num - num[..., :1, :] == num[..., :, :1] - num[..., :1, :1]) | ~fin
-    return pivot & (pattern & values).all(axis=(-2, -1))
+    values = (num - num[:1] == num[:, :1] - num[:1, :1]) | ~fin
+    return pivot & (pattern & values).all(axis=(0, 1))
 
 
 def _outer(col, y):
@@ -385,22 +420,25 @@ def _mirror(*trellis):
 
 
 def _forward_full(mem_num, mem_fin, seq, starts):
-    # tab[l, r, j]: best walk from starts[r] at layer 0 to j at layer l.
-    return _sweep(encode(mem_num, mem_fin), seq, _units(mem_num.shape[1], starts))
+    # tab[l, r, j]: best walk from starts[r] at layer 0 to j at layer l,
+    # the node-first sweep transposed back as a view (tab[l, j] for one
+    # start given as a scalar).
+    tab = _sweep(encode(mem_num, mem_fin), seq, _units(mem_num.shape[1], starts))
+    return tab.swapaxes(1, -1)
 
 
 def _forward_avoid(mem_num, mem_fin, seq, starts):
     # As _forward_full over walks that never visit node 0.
     state = _units(mem_num.shape[1], starts)
-    state[..., 0] = MASKED
-    return _sweep(_cut(encode(mem_num, mem_fin)), seq, state)
+    state[0] = MASKED
+    return _sweep(_cut(encode(mem_num, mem_fin)), seq, state).swapaxes(1, -1)
 
 
 def _initial_to_anchor(mem_num, mem_fin, seq):
     # out[i]: best walk from i at layer 0 that visits node 0 exactly once,
     # at its end, arriving at any layer.  Reversed, these are the walks out
     # of node 0 in the mirror of the sink members, where node 0 is a source
-    # with a weight-0 loop, so one row from node 0 reads every i at once.
+    # with a weight-0 loop, so one vector from node 0 reads every i at once.
     layers, seq = _mirror(_sink(encode(mem_num, mem_fin)), seq)
     return _sweep(layers, seq, _units(mem_num.shape[1], 0), table=False)
 
@@ -417,7 +455,7 @@ def _through_anchor(mem_num, mem_fin, seq, starts):
     # members from (0, starts[r]), or from (1, 0) for start 0, to (1, j).
     n = mem_num.shape[1]
     rows = np.where(np.asarray(starts) == 0, n, starts)
-    return _sweep(_lifted(encode(mem_num, mem_fin)), seq, _units(2 * n, rows), table=False)[:, n:]
+    return _sweep(_lifted(encode(mem_num, mem_fin)), seq, _units(2 * n, rows), table=False)[n:].T
 
 
 def _absorbing_sweep(layers, seq, tap=None):
@@ -431,25 +469,26 @@ def _absorbing_sweep(layers, seq, tap=None):
     # rank_one.  Once it passes, S = x (x) y^T with x = S_:1 - S_11 and
     # y = S_1:, and by associativity only y moves on: the rest is one
     # vector sweep, out[l] is x + max_p(y_p + tap_p) for each later y, and
-    # P is x (x) y^T, both rebuilt by _outer.
+    # P is x (x) y^T, both rebuilt by _outer.  The state is the node-first
+    # S^T, so y is its column 0 and S_:1 its row 0.
     plan = _plan(layers)
-    state = layers[seq[0]]
+    state = layers[seq[0]].T
     out = None
     if tap is not None:
         out = np.full((len(seq) + 1, len(state)), MASKED)
         out[1] = tap[seq[0]]
     for l, s in enumerate(seq[1:], start=1):
         if l % PROBE_STRIDE == 0 and rank_one(state, state > FLOOR):
-            ys = _planned_sweep(plan, seq[l:], state[0], tap is not None)
+            ys = _planned_sweep(plan, seq[l:], state[:, 0], tap is not None)
             if tap is not None:
                 best = np.maximum((ys[:-1] + tap[seq[l:]]).max(axis=1), MASKED)
-                out[l + 1:] = encode(*_outer(state[:, 0], best)).T
+                out[l + 1:] = encode(*_outer(state[0], best)).T
                 ys = ys[-1]
-            return out, _outer(state[:, 0], ys)
+            return out, _outer(state[0], ys)
         if tap is not None:
-            np.maximum((state + tap[s]).max(axis=1), MASKED, out=out[l + 1])
+            np.maximum((state + tap[s][:, None]).max(axis=0), MASKED, out=out[l + 1])
         state = _step(state, plan, s)
-    return out, decode(state)
+    return out, decode(state.T)
 
 
 def avoiding_sweep(mem, seq):
@@ -493,19 +532,20 @@ def _through_table(into, departures):
 
     Start 0 arrives at layer 0 and target 0 departs at layer k, each with
     weight 0.  The max over b is one max-plus product of the transposed
-    arrivals and the reversed departures, (n, k + 1) times (k + 1, n): a
-    ``_step`` through the plan of the departures, in chunks of rows
-    (``_chunks``).
+    arrivals and the reversed departures, (n, k + 1) times (k + 1, n),
+    whose node-first state is the arrivals themselves: a ``_step``
+    through the plan of the departures, in chunks of starts
+    (``_chunks``).  The table comes back as the transpose of that step's
+    result, a view.
     """
     arrived = np.maximum.accumulate(into, axis=0)
     arrived[:, 0] = 0
-    arrived = np.ascontiguousarray(arrived.T)
     plan = _plan(departures[None, ::-1])
-    out = np.empty((len(arrived),) * 2, dtype=np.int64)
-    for part in _chunks(len(out), len(plan[0])):
-        _step(arrived[part], plan, 0, out=out[part])
-    out[:, 0] = arrived[:, -1]
-    return out
+    out = np.empty((arrived.shape[1],) * 2, dtype=np.int64)
+    for part in _chunks(arrived.shape[1], plan[0].size):
+        out[:, part] = _step(arrived[:, part], plan, 0)
+    out[0] = arrived[-1]
+    return out.T
 
 
 class Backend(NamedTuple):

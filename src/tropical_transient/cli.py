@@ -31,7 +31,6 @@ from .errors import (
     AssumptionError,
     BudgetExceededError,
     FamilyFileError,
-    PivotError,
     TropicalError,
 )
 from .io import column_tokens, load_expected, load_family, load_sequence, matrix_tokens
@@ -166,10 +165,9 @@ def cmd_check(args, family, report) -> int:
     trellis = build_trellis(family, seq)
     wstar = initial_weights_all(trellis)
     vstar = final_weights_all(trellis)
-    try:
-        factors = rank_one_factor(product)
-    except PivotError:
-        factors = None
+    # check runs only past the validation gate, which needs every member's
+    # (1,1) entry to be 0, so the product's pivot is finite.
+    factors = rank_one_factor(product)
     # Tokens are written in lowest terms, so equal weights give equal
     # tokens.
     product_tokens = matrix_tokens(product)

@@ -11,8 +11,11 @@ Both scans work level by level from the empty product: each product of
 length l, length 1 included, is a product of length l - 1 times one
 member, so it costs one matrix product instead of l - 1.  The level
 kernel ``_kernels.extend`` forms every level and returns which of its
-products are rank-one.  Exhaustive mode builds level l as level l - 1
-times every member.  Sampled mode folds the draws of consecutive
+products are rank-one.  A level of B products is one (n, n, B) array,
+node-first as the kernels' states are (entry [c, r, b] is entry (r, c)
+of product b), so the scans select and count products along its last
+axis.  Exhaustive mode builds level l as level l - 1 times every
+member.  Sampled mode folds the draws of consecutive
 lengths as a tree of their distinct prefixes: level l holds one product
 per distinct prefix of length l, and each draw reads its verdict at its
 own last layer.  Draws that share a prefix share its products, so a tree
@@ -35,6 +38,7 @@ in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -168,7 +172,7 @@ def _prefix_tree_verdicts(plan, block: list[np.ndarray], prune: bool) -> np.ndar
     # node * m + next member, found with a mark array in key order; no
     # sort, which would add numpy's sorting code to the resident size of a
     # process that never sorts otherwise.
-    _, starts, weights = plan
+    src, weights = plan
     m = len(weights)
     samples, top = block[-1].shape
     # Draws run longest first, so the draws longer than l are the first
@@ -181,10 +185,10 @@ def _prefix_tree_verdicts(plan, block: list[np.ndarray], prune: bool) -> np.ndar
     live = np.arange(len(stack))
     # Layer 0 is the empty prefix, one node.
     node = np.zeros(len(stack), dtype=np.intp)
-    level = _kernels.identity_level(len(starts))
+    level = _kernels.identity_level(src.shape[1])
     for l in range(1, top + 1):
         key = node * m + stack[live, l - 1]
-        mark = np.zeros(len(level) * m, dtype=bool)
+        mark = np.zeros(level.shape[-1] * m, dtype=bool)
         mark[key] = True
         children = np.flatnonzero(mark)
         node = np.cumsum(mark)[key] - 1
@@ -207,19 +211,19 @@ def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, 
     # With _absorbing, only the failing products of a level need
     # extending: the extensions of a rank-one product are rank-one.
     prune = _absorbing(family)
-    # Level row r is the product of the 1-based sequence seqs[r]; rows run
-    # in itertools.product order, from the empty product.
+    # Product r of the level is that of the 1-based sequence seqs[r];
+    # products run in itertools.product order, from the empty product.
     level = _kernels.identity_level(family.size)
     seqs = np.zeros((1, 0), dtype=np.min_scalar_type(m))
     for k in range(1, horizon + 1):
         _check_magnitude(family.layer_magnitude * k, "sequence fold")
-        # Row p * m + j extends product p by member j.
-        parents, members = np.divmod(np.arange(len(level) * m), m)
+        # Product p * m + j extends product p by member j.
+        parents, members = np.divmod(np.arange(level.shape[-1] * m), m)
         level, ok = _kernels.extend(level, plan, parents, members)
         seqs = np.column_stack((seqs[parents], (members + 1).astype(seqs.dtype)))
         bad = seqs[~ok]
         if prune:
-            level, seqs = level[~ok], bad
+            level, seqs = level[..., ~ok], bad
         yield m**k, bad
 
 
@@ -272,18 +276,16 @@ def estimate_transient(
         levels = _sampled_scan(family, horizon, samples_per_length, seed)
         samples_recorded = samples_per_length
 
-    examined = 0
+    # Every length from the one after the last failing length up to the
+    # horizon is all rank-one.
+    examined = last_failed = 0
     counterexamples: list[tuple[int, tuple[int, ...]]] = []
     for k, (count, failed) in enumerate(levels, start=1):
         examined += count
-        counterexamples.extend((k, tuple(idx)) for idx in failed.tolist())
-
-    failed_lengths = {k for k, _ in counterexamples}
-    first: Optional[int] = None
-    for k in range(horizon, 0, -1):
-        if k in failed_lengths:
-            break
-        first = k
+        if len(failed):
+            last_failed = k
+            counterexamples.extend(zip(repeat(k), map(tuple, failed.tolist())))
+    first = last_failed + 1 if last_failed < horizon else None
     return TransientEstimate(
         mode=mode,
         horizon=horizon,

@@ -245,7 +245,7 @@ def _anchored_walk(t: TrellisDigraph, node: int, mirrored: bool) -> WalkSummary:
         return WalkSummary(ZERO, 0, 0, (1,), k if mirrored else 0)
     mem_num, mem_fin, seq0 = _kernels._mirror(*trellis) if mirrored else trellis
     sink = _kernels._sink(_kernels.encode(mem_num, mem_fin))
-    tab = _kernels._sweep(sink, seq0, _kernels._units(t.node_size, [node - 1]))[:, 0]
+    tab = _kernels._sweep(sink, seq0, _kernels._units(t.node_size, node - 1))
     best, layer = int(tab[k, 0]), int(tab[:, 0].argmax())
     if best <= _kernels.FLOOR:
         return _EMPTY_SUMMARY

@@ -333,6 +333,24 @@ class TestCheck:
         assert code == 0
         assert sorted(calls) == ["final_from_anchor", "initial_to_anchor"]
 
+    def test_minus_inf_pivot_stops_at_the_validation_gate(self, capsys, monkeypatch, tmp_path):
+        # check has no --force, and validation needs every member's (1,1)
+        # entry to be 0, so a product with a -inf pivot is never folded:
+        # rank_one_factor's PivotError cannot reach cmd_check.
+        fam = tmp_path / "pivot.json"
+        fam.write_text(json.dumps({"members": [{"rows": [["-inf", -1], [-1, -2]]},
+                                               {"rows": [[0, -2], [-3, -1]]}]}),
+                       encoding="utf-8")
+        seq = tmp_path / "seq.json"
+        seq.write_text("[2, 1]", encoding="utf-8")
+        folds = []
+        monkeypatch.setattr("tropical_transient.cli.fold", lambda *a: folds.append(a))
+        code, report, _ = run_json(capsys, "check", fam, seq)
+        assert code == 2 and folds == []
+        assert set(report) == HEADER | {"validation"}
+        failing = {c["name"] for c in report["validation"]["checks"] if not c["passed"]}
+        assert "members_node1_critical_loop" in failing
+
     def test_short_product_not_rank_one(self, capsys, tmp_path):
         seq = tmp_path / "one.json"
         seq.write_text("[1]", encoding="utf-8")

@@ -86,16 +86,27 @@ def onset_layer(mem_num, mem_fin, seq):
     return None
 
 
+def as_level(stack):
+    """A (B, n, n) stack of matrices as an (n, n, B) level: entry [c, r, b]
+    is entry (r, c) of matrix b."""
+    return np.ascontiguousarray(stack.transpose(2, 1, 0))
+
+
+def from_level(level):
+    """The (B, n, n) stack of matrices of an (n, n, B) level, a view."""
+    return level.transpose(2, 1, 0)
+
+
 def stacked_fold(mem_num, mem_fin, seqs):
     """Products of a (B, k) stack of sequences as (B, n, n) (numerator,
-    mask) arrays, grown one layer at a time by ``extend``: at layer l row b
-    times member seqs[b, l]."""
+    mask) arrays, grown one layer at a time by ``extend``: at layer l
+    product b times member seqs[b, l]."""
     mem = encode(mem_num, mem_fin)
     plan = _kernels._plan(mem)
-    level, rows = mem[seqs[:, 0]], np.arange(len(seqs))
+    level, rows = as_level(mem[seqs[:, 0]]), np.arange(len(seqs))
     for column in seqs.T[1:]:
         level, _ = _kernels.extend(level, plan, rows, column)
-    return decode(level)
+    return decode(from_level(level))
 
 
 def stage_members(n):
@@ -159,9 +170,12 @@ class TestRankOneWithoutGuard:
             assert np.array_equal(num > FLOOR, fin)
         want = [is_rank_one([[int(v) if ok else None for v, ok in zip(row, oks)]
                              for row, oks in zip(a, f)]) for a, f in zip(num, fin)]
-        assert _kernels.rank_one(num, fin).tolist() == want
+        # The (n, n, B) stack of the matrices, and of their transposes.
+        assert _kernels.rank_one(as_level(num), as_level(fin)).tolist() == want
+        assert _kernels.rank_one(num.transpose(1, 2, 0), fin.transpose(1, 2, 0)).tolist() == want
         for one, one_fin, verdict in zip(num, fin, want):
             assert _kernels.rank_one(one, one_fin) == verdict
+            assert _kernels.rank_one(one.T, one_fin.T) == verdict
 
 
 class TestOracleAgreement:
@@ -292,37 +306,40 @@ class TestOracleAgreement:
             fin[1::5, :, rng.integers(0, n)] = False
             num[2::7] += 1 - 2 * (rng.random(size=num[2::7].shape) < 0.1)
             enc = _kernels.encode(num, fin)
-            probe = _kernels.rank_one(enc, enc > FLOOR)
-            mask = _kernels.rank_one(*decode(enc))
+            level = as_level(enc)
+            probe = _kernels.rank_one(level, level > FLOOR)
+            mask = _kernels.rank_one(*decode(level))
             assert np.array_equal(probe, mask)
             want = [is_rank_one(np.where(f, a, None).tolist()) for a, f in zip(num, fin)]
             assert probe.tolist() == want
-            # A single matrix, alone or as a one-row stack, stops early on a
+            # A single matrix, alone or as a stack of one, stops early on a
             # failed pivot or pattern; the verdict is the same.
             for one, verdict in zip(enc, want):
                 assert _kernels.rank_one(one, one > FLOOR) == verdict
-                assert _kernels.rank_one(one[None], one[None] > FLOOR).tolist() == [verdict]
+                alone = one[..., None]
+                assert _kernels.rank_one(alone, alone > FLOOR).tolist() == [verdict]
             assert 0 < probe.sum() < len(probe)
 
     def test_stacked_fold_and_level_step(self):
-        # A (B, k) stack folds row by row through extend, and one level
-        # step of the exhaustive scan extends product p by member j in row
-        # p * m + j.  A chunk holds 2**16 // (n * nnz) rows for the nnz
-        # entries of the members' plan: 128 rows for dense members at
-        # n = 8, so B = 300 spans three chunks, and 400 arbitrary pairs
-        # four.
+        # A (B, k) stack folds product by product through extend, and one
+        # level step of the exhaustive scan extends product p by member j
+        # in product p * m + j.  A chunk holds 2**16 // (n * D * n)
+        # products for the members' plan padded to depth D: 128 for dense
+        # members at n = 8, so B = 300 spans three chunks, and 400
+        # arbitrary pairs four.
         rng = np.random.default_rng(8)
         chunked = []
         for mem_num, mem_fin in oracle_cases():
             m, n, _ = mem_num.shape
             plan = _kernels._plan(_kernels.encode(mem_num, mem_fin))
-            chunked.append(len(_kernels._chunks(300, n * len(plan[0]))))
+            chunked.append(len(_kernels._chunks(300, n * plan[0].size)))
             seqs = rng.integers(0, m, size=(300, 3))
             num, fin = stacked_fold(mem_num, mem_fin, seqs)
             assert num.shape == fin.shape == (300, n, n)
             keys = np.arange(300 * m)
-            level, _ = _kernels.extend(_kernels.encode(num, fin), plan, keys // m, keys % m)
-            assert level.shape == (300 * m, n, n)
+            level, _ = _kernels.extend(as_level(encode(num, fin)), plan, keys // m, keys % m)
+            assert level.shape == (n, n, 300 * m)
+            level = from_level(level)
             for b in range(0, 300, 7):
                 assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seqs[b]))
                 for j in range(m):
@@ -330,7 +347,8 @@ class TestOracleAgreement:
                     assert_masked_equal(decode(level[b * m + j]), want)
             # The sampled scan's pairs repeat parents in any order.
             parents, members = rng.integers(0, 300, size=400), rng.integers(0, m, size=400)
-            level, _ = _kernels.extend(_kernels.encode(num, fin), plan, parents, members)
+            level, _ = _kernels.extend(as_level(encode(num, fin)), plan, parents, members)
+            level = from_level(level)
             for i in range(0, 400, 9):
                 want = masked_fold(mem_num, mem_fin, np.append(seqs[parents[i]], members[i]))
                 assert_masked_equal(decode(level[i]), want)
@@ -363,9 +381,9 @@ class TestOracleAgreement:
             assert_masked_equal((num[b], fin[b]), masked_fold(mem_num, mem_fin, seq))
 
     def test_stacked_factored_fold_across_chunks(self, monkeypatch):
-        # The six members' plan has 25 entries, so at n = 8 a row gathers
-        # 200 terms and a default chunk holds 327 rows; with a chunk of
-        # 256 rows, 300 rows span two chunks.  Two rows in three draw
+        # The six members' plan pads 8 columns to depth 4, so at n = 8 a
+        # product gathers 256 terms and a chunk holds 256 products, pinned
+        # here: 300 products span two chunks.  Two rows in three draw
         # admissible members and turn rank-one; the others draw weighted
         # permutations and never do.  Member 3 has a -inf (1, 1) entry and
         # appears after the onset.
@@ -382,8 +400,8 @@ class TestOracleAgreement:
         seqs = rng.integers(0, 3, size=(300, k))
         seqs[:, k - 3] = 3
         seqs[::3] = rng.integers(4, 6, size=(100, k))
-        terms = n * len(_kernels._plan(encode(mem_num, mem_fin))[0])
-        assert terms == 200 and _kernels.CHUNK_ELEMENTS // terms == 327
+        terms = n * _kernels._plan(encode(mem_num, mem_fin))[0].size
+        assert terms == 256 and _kernels.CHUNK_ELEMENTS // terms == 256
         monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", 256 * terms)
         assert [part.stop for part in _kernels._chunks(300, terms)] == [256, 512]
         num, fin = stacked_fold(mem_num, mem_fin, seqs)
@@ -402,8 +420,8 @@ class TestOracleAgreement:
         # never do).  Each draw gets the verdict of its own full product,
         # read at its own last layer.  With drop every pivot is finite, so
         # rank-one prefixes leave the tree; without it member 3 has a -inf
-        # (1, 1) entry.  The members' plan has 16 entries, so in the second
-        # case a row gathers 96 terms and a chunk holds 13 rows.
+        # (1, 1) entry.  The members' plan pads 6 columns to depth 4, so in
+        # the second case a product gathers 144 terms and a chunk holds 9.
         if chunk:
             monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", chunk)
         rng = np.random.default_rng(31)
@@ -423,7 +441,7 @@ class TestOracleAgreement:
             block.append(draws)
         plan = _kernels._plan(encode(mem_num, mem_fin))
         if chunk:
-            assert _kernels.CHUNK_ELEMENTS // (n * len(plan[0])) == 13
+            assert _kernels.CHUNK_ELEMENTS // (n * plan[0].size) == 9
         rank_one = products._prefix_tree_verdicts(plan, block, drop)
         verdicts = [(samples, draws[~ok]) for draws, ok in zip(block, rank_one)]
         assert len(verdicts) == k
@@ -505,24 +523,25 @@ def level_stack(rng, rows, n):
 
 
 class TestLevelKernel:
-    """``extend`` forms each level product as one planned step of its
-    parent, adding its own member's weights, in chunks of rows that gather
-    at most ``CHUNK_ELEMENTS`` terms, and returns it with its rank-one
-    verdict; ``_step`` multiplies a vector or a stack of rows by one
-    member.  The masked products and the rank-one definition of the
-    oracles are the reference.  At n = 1 the plan holds one entry."""
+    """``extend`` forms each product of an (n, n, B) level as one planned
+    step of its parent, adding its own member's weights, in chunks of
+    products that gather at most ``CHUNK_ELEMENTS`` terms, and returns it
+    with its rank-one verdict; ``_step`` multiplies a vector or a
+    node-first stack of rows by one member.  The masked products and the
+    rank-one definition of the oracles are the reference.  At n = 1 the
+    plan holds one entry."""
 
     @pytest.mark.parametrize("chunk", [None, 7])
     @pytest.mark.parametrize("n", [1, 3, 5, 16])
     def test_extend_against_masked_products(self, monkeypatch, n, chunk):
-        # Stacks of 1, 2, 15, 16 and 17 rows, and one row past the first
-        # chunk; with chunk, chunks hold 7 rows, so the stacks of 15 to 17
-        # rows span three.  A row gathers n terms per plan entry.
+        # Levels of 1, 2, 15, 16 and 17 products, and one past the first
+        # chunk; with chunk, chunks hold 7 products, so the levels of 15 to
+        # 17 span three.  A product gathers n terms per padded plan entry.
         rng = np.random.default_rng(40 + n)
         mem_num, mem_fin = level_members(rng, n)
         mem = encode(mem_num, mem_fin)
         plan = _kernels._plan(mem)
-        terms = n * len(plan[0])
+        terms = n * plan[0].size
         if chunk:
             monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", terms * chunk)
         # No chunk holds more rows than CHUNK_ELEMENTS.
@@ -533,8 +552,9 @@ class TestLevelKernel:
             lev_num, lev_fin = level_stack(rng, size, n)
             parents = rng.permutation(size)
             members = np.arange(size) % 4
-            out, ok = _kernels.extend(encode(lev_num, lev_fin), plan, parents, members)
-            assert out.shape == (size, n, n) and ok.shape == (size,)
+            out, ok = _kernels.extend(as_level(encode(lev_num, lev_fin)), plan, parents, members)
+            assert out.shape == (n, n, size) and ok.shape == (size,)
+            out = from_level(out)
             # Every row of a small stack; a sample and the rows at the
             # chunk boundary of the largest.
             check = set(range(0, size, -(-size // 40))) | {size - 1}
@@ -553,6 +573,7 @@ class TestLevelKernel:
         plan = _kernels._plan(encode(mem_num, mem_fin))
         out, ok = _kernels.extend(_kernels.identity_level(n), plan,
                                   np.zeros(4, dtype=np.intp), np.arange(4))
+        out = from_level(out)
         for j in range(4):
             assert_masked_equal(decode(out[j]), (mem_num[j], mem_fin[j]))
             assert ok[j] == is_rank_one(np.where(mem_fin[j], mem_num[j], None).tolist())
@@ -567,8 +588,9 @@ class TestLevelKernel:
             x_fin = rng.random(size=(rows, n)) < 0.7
             for j in range(4):
                 want = masked_matmul(x_num, x_fin, mem_num[j], mem_fin[j])
-                got = _kernels._step(encode(x_num, x_fin), plan, j)
-                assert_masked_equal(decode(got), want)
+                got = _kernels._step(encode(x_num, x_fin).T, plan, j)
+                assert got.shape == (n, rows)
+                assert_masked_equal(decode(got.T), want)
                 vector = _kernels._step(encode(x_num[0], x_fin[0]), plan, j)
                 assert vector.shape == (n,)
                 assert_masked_equal(decode(vector), (want[0][0], want[1][0]))
@@ -636,21 +658,22 @@ class TestPlannedStep:
     """The planned product step, and every kernel that runs on it, against
     the masked oracles on the stacks of ``planned_stacks``."""
 
-    def test_plan_holds_the_union_pattern_and_one_entry_per_empty_column(self, family5):
+    def test_plan_pads_every_column_of_the_union_pattern(self, family5):
+        # Column c lists its in-neighbours on the union in ascending order,
+        # with each layer's weights, then node 0 at weight MASKED down to
+        # the largest in-degree, at least 1.
         for _, layers in planned_stacks(family5):
-            rows, starts, weights = _kernels._plan(layers)
+            src, weights = _kernels._plan(layers)
             union = (layers > FLOOR).any(axis=0)
-            empty = ~union.any(axis=0)
-            assert len(starts) == layers.shape[2] and starts[0] == 0
-            assert len(rows) == union.sum() + empty.sum() == weights.shape[1]
-            ends = np.append(starts[1:], len(rows))
+            count = union.sum(axis=0)
+            assert src.shape == (max(1, count.max()), layers.shape[2])
+            assert weights.shape == (len(layers),) + src.shape
             for c in range(layers.shape[2]):
-                block = rows[starts[c]:ends[c]]
-                if empty[c]:
-                    assert block.tolist() == [0] and (weights[:, starts[c]] == MASKED).all()
-                else:
-                    assert block.tolist() == np.flatnonzero(union[:, c]).tolist()
-                    assert (weights[:, starts[c]:ends[c]] == layers[:, block, c]).all()
+                inner = src[:count[c], c]
+                assert inner.tolist() == np.flatnonzero(union[:, c]).tolist()
+                assert (weights[:, :count[c], c] == layers[:, inner, c]).all()
+                assert (src[count[c]:, c] == 0).all()
+                assert (weights[:, count[c]:, c] == MASKED).all()
 
     def test_step_matches_the_masked_product(self, family5):
         rng = np.random.default_rng(81)
@@ -663,14 +686,14 @@ class TestPlannedStep:
                 x = encode(x_num, x_fin)
                 for s in range(len(layers)):
                     want = masked_matmul(x_num, x_fin, mem_num[s], mem_fin[s])
-                    got = _kernels._step(x, plan, s)
+                    got = _kernels._step(x.T, plan, s)
                     assert (got >= MASKED).all()
-                    assert_masked_equal(decode(got), want)
+                    assert_masked_equal(decode(got.T), want)
                     assert_masked_equal(decode(_kernels._step(x[0], plan, s)),
                                         (want[0][0], want[1][0]))
                     # The plan of the layer alone, as matmul makes it.
                     alone = _kernels._plan(layers[s:s + 1])
-                    assert_masked_equal(decode(_kernels._step(x, alone, 0)), want)
+                    assert_masked_equal(decode(_kernels._step(x.T, alone, 0).T), want)
 
     def test_sweep_matches_the_masked_oracle(self, family5):
         rng = np.random.default_rng(82)
@@ -682,7 +705,7 @@ class TestPlannedStep:
                 last = _kernels._sweep(layers, seq, _kernels._units(n, np.arange(n)), table=False)
                 assert tab.shape == (k + 1, n, n) and np.array_equal(tab[-1], last)
                 for r in range(n):
-                    assert_masked_equal(decode(tab[:, r]),
+                    assert_masked_equal(decode(tab[:, :, r]),
                                         masked_forward_full(mem_num, mem_fin, seq, r))
 
     def test_absorbing_sweep_matches_the_masked_oracles(self, family5, seq44):
@@ -753,9 +776,9 @@ class TestPlannedStep:
         into, _ = _kernels.avoiding_sweep(mem, seq)
         departures, _ = _kernels.avoiding_sweep(*_kernels._mirror(mem, seq))
         whole = _kernels._through_table(into, departures)
-        # A row of arrivals gathers one term per entry of the departures'
-        # plan, so chunks of 2 of the 5 rows.
-        terms = len(_kernels._plan(departures[None, ::-1])[0])
+        # A start gathers one term per padded entry of the departures'
+        # plan, so chunks of 2 of the 5 starts.
+        terms = _kernels._plan(departures[None, ::-1])[0].size
         monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", 2 * terms)
         assert len(_kernels._chunks(len(whole), terms)) == 3
         assert np.array_equal(_kernels._through_table(into, departures), whole)
@@ -763,7 +786,8 @@ class TestPlannedStep:
 
 @st.composite
 def level_steps(draw):
-    """A level step for ``extend``: an encoded (B, n, n) level, m members as
+    """A level step for ``extend``: an encoded (B, n, n) stack of the
+    level's products (``as_level`` makes it the level), m members as
     a (numerator, mask) pair, parent and member indices, and the rows of
     a chunk, or None for the default chunks.  n runs from 1; every member
     draws its own finite pattern; one column may be masked in every
@@ -812,14 +836,15 @@ class TestPlannedLevelStep:
         level, (mem_num, mem_fin), parents, members, chunk = case
         n = level.shape[-1]
         plan = _kernels._plan(encode(mem_num, mem_fin))
-        terms = n * len(plan[0])
+        terms = n * plan[0].size
         limit = terms * chunk if chunk else _kernels.CHUNK_ELEMENTS
         with mock.patch.object(_kernels, "CHUNK_ELEMENTS", limit):
             if chunk:
                 assert len(_kernels._chunks(len(parents), terms)) == -(-len(parents) // chunk) > 1
-            out, ok = _kernels.extend(level, plan, parents, members)
-        assert out.shape == (len(parents), n, n) and ok.shape == (len(parents),)
+            out, ok = _kernels.extend(as_level(level), plan, parents, members)
+        assert out.shape == (n, n, len(parents)) and ok.shape == (len(parents),)
         assert (out >= MASKED).all()
+        out = from_level(out)
         lev_num, lev_fin = decode(level)
         for i, (p, j) in enumerate(zip(parents, members)):
             want = masked_matmul(lev_num[p], lev_fin[p], mem_num[j], mem_fin[j])
@@ -845,6 +870,96 @@ class TestPlannedLevelStep:
         got = NUMPY_BACKEND.matmul(a_num, a_fin, b_num, b_fin)
         assert got[0].shape == got[1].shape == (r, c)
         assert_masked_equal(got, masked_matmul(a_num, a_fin, b_num, b_fin))
+
+
+@st.composite
+def node_first_steps(draw):
+    """Members as a (numerator, mask) pair whose union pattern has one of
+    three shapes: arbitrary, one column with no in-edge in any member, or
+    one column of in-degree n beside columns of in-degree 1 (the largest
+    padding); n runs from 1.  Values are small or near the guard."""
+    def values(shape):
+        size = int(np.prod(shape))
+        value = st.one_of(st.integers(-50, 50), st.sampled_from([-(1 << 59), 1 << 59]))
+        return np.array(draw(st.lists(value, min_size=size, max_size=size)),
+                        dtype=np.int64).reshape(shape)
+
+    def flags(shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
+
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    fin = flags((m, n, n))
+    shape = draw(st.sampled_from(["arbitrary", "empty column", "padded"]))
+    column = draw(st.integers(0, n - 1))
+    if shape == "empty column":
+        fin[:, :, column] = False
+    elif shape == "padded":
+        # Each other column keeps one source, in some member.
+        fin[:, :, :] = False
+        fin[0, :, column] = True
+        for c in range(n):
+            if c != column:
+                fin[draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1)), c] = True
+    return values((m, n, n)), fin, shape
+
+
+class TestNodeFirstStep:
+    """``_step`` on the padded plan, for every node-first state it takes,
+    against the masked product of the oracles: a vector x gives
+    x (x) A, a state X^T of r starts gives (X (x) A)^T, and a level of B
+    products gives each product times its own member, also through
+    ``extend`` in chunks of 1 to 3 products."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=node_first_steps(), data=st.data())
+    def test_step_matches_the_masked_product(self, case, data):
+        mem_num, mem_fin, shape = case
+        m, n, _ = mem_num.shape
+        plan = _kernels._plan(encode(mem_num, mem_fin))
+        union = mem_fin.any(axis=0).sum(axis=0)
+        if shape == "padded":
+            assert plan[0].shape == (n, n) and sorted(union) == [1] * (n - 1) + [n]
+        elif shape == "empty column":
+            assert plan[0].shape[0] == max(1, union.max())
+
+        def state(*shape):
+            num = data.draw(st.lists(st.integers(-(1 << 59), 1 << 59), min_size=int(np.prod(shape)),
+                                     max_size=int(np.prod(shape))))
+            fin = data.draw(st.lists(st.booleans(), min_size=int(np.prod(shape)),
+                                     max_size=int(np.prod(shape))))
+            return np.array(num, dtype=np.int64).reshape(shape), np.array(fin).reshape(shape)
+
+        s = data.draw(st.integers(0, m - 1))
+        x_num, x_fin = state(n)
+        got = _kernels._step(encode(x_num, x_fin), plan, s)
+        want = masked_matmul(x_num[None], x_fin[None], mem_num[s], mem_fin[s])
+        assert got.shape == (n,) and (got >= MASKED).all()
+        assert_masked_equal(decode(got), (want[0][0], want[1][0]))
+
+        r = data.draw(st.integers(1, 4))
+        x_num, x_fin = state(r, n)
+        got = _kernels._step(encode(x_num, x_fin).T, plan, s)
+        assert got.shape == (n, r) and (got >= MASKED).all()
+        assert_masked_equal(decode(got.T), masked_matmul(x_num, x_fin, mem_num[s], mem_fin[s]))
+
+        size = data.draw(st.integers(1, 8))
+        lev_num, lev_fin = state(size, n, n)
+        level = as_level(encode(lev_num, lev_fin))
+        members = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=size,
+                                              max_size=size)))
+        got = _kernels._step(level, plan, members)
+        assert got.shape == (n, n, size) and (got >= MASKED).all()
+        chunk = data.draw(st.integers(1, 3))
+        terms = n * plan[0].size
+        with mock.patch.object(_kernels, "CHUNK_ELEMENTS", terms * chunk):
+            assert len(_kernels._chunks(size, terms)) == -(-size // chunk)
+            chunked, ok = _kernels.extend(level, plan, np.arange(size), members)
+        assert np.array_equal(chunked, got)
+        for b, j in enumerate(members):
+            want = masked_matmul(lev_num[b], lev_fin[b], mem_num[j], mem_fin[j])
+            assert_masked_equal(decode(from_level(got)[b]), want)
+            assert ok[b] == is_rank_one(np.where(want[1], want[0], None).tolist())
 
 
 class TestRankOneAbsorption:
@@ -906,7 +1021,7 @@ class TestRankOneAbsorption:
                 into, _ = _kernels.avoiding_sweep(mem, seq)
                 sink = _kernels._sweep(_kernels._sink(mem), seq, _kernels._units(n, starts))
                 assert_masked_equal(decode(np.maximum.accumulate(into, axis=0)[:, 1:]),
-                                    decode(sink[:, 1:, 0]))
+                                    decode(sink[:, 0, 1:]))
         assert branch_spy.absorbs > 0
 
     def test_through_table_matches_masked_oracle(self, family5, seq44):

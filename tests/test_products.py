@@ -260,10 +260,10 @@ class TestStackedScanOracle:
     def test_levels_span_several_chunks(self, monkeypatch):
         # Level 6 (4,096 products) spans several kernel chunks at n = 5,
         # and so do the sampled scan's widest levels of distinct prefixes:
-        # the members' plan has 25 entries, so a chunk holds
-        # 2**16 // (5 * 25) = 524 rows.
+        # the members' plan pads 5 columns to depth 5, 25 entries, so a
+        # chunk holds 2**16 // (5 * 25) = 524 products.
         fam = _scan_family(random.Random(5), 5, 4)
-        terms = 5 * len(_kernels._plan(_kernels.encode(*fam.stacked[:2]))[0])
+        terms = 5 * _kernels._plan(_kernels.encode(*fam.stacked[:2]))[0].size
         rows = _kernels._chunks(4**6, terms)[0].stop
         assert rows == 524 and 4**6 > 4 * rows
         _assert_matches_oracle(fam, horizon=6, mode="exhaustive")
@@ -274,7 +274,8 @@ class TestStackedScanOracle:
 class _ExtendSpy:
     """Records the calls of ``_kernels.extend``, through which both scans
     form every matrix product: ``sizes`` holds the number of products of
-    each call and ``levels`` the number of rows of its input level."""
+    each call and ``levels`` the number of products of its input level
+    (its last axis)."""
 
     def __init__(self, monkeypatch):
         self.sizes = []
@@ -283,7 +284,7 @@ class _ExtendSpy:
 
         def spied_extend(level, plan, parents, members):
             self.sizes.append(len(parents))
-            self.levels.append(len(level))
+            self.levels.append(level.shape[-1])
             return extend(level, plan, parents, members)
 
         monkeypatch.setattr(_kernels, "extend", spied_extend)
@@ -461,7 +462,7 @@ class TestRaggedSampledScan:
         rng = random.Random(100 * rows)
         cases = [family5, _pruned_off_family(rng, 5), _scan_family(rng, 5, 3)]
         for seed, fam in enumerate(cases):
-            terms = 5 * len(_kernels._plan(_kernels.encode(*fam.stacked[:2]))[0])
+            terms = 5 * _kernels._plan(_kernels.encode(*fam.stacked[:2]))[0].size
             monkeypatch.setattr(_kernels, "CHUNK_ELEMENTS", rows * terms)
             tree_spy = _TreeSpy(monkeypatch)
             spy = _spied_scan(monkeypatch, fam, horizon=16, samples_per_length=20, seed=seed)[1]
@@ -564,7 +565,7 @@ class TestScanOverflow:
         x = TropicalMatrix.from_rows([[0, -1], [-2, -1]])
         fam = MatrixFamily([d0, d1, x])
         if chunk:
-            terms = 2 * len(_kernels._plan(_kernels.encode(*fam.stacked[:2]))[0])
+            terms = 2 * _kernels._plan(_kernels.encode(*fam.stacked[:2]))[0].size
             assert _kernels._chunks(60, terms)[0].stop == 6
         est = _assert_matches_oracle(fam, horizon=4, samples_per_length=60, seed=0)
         assert isinstance(est, TransientEstimate) and est.examined == 240
