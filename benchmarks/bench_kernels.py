@@ -27,16 +27,18 @@ weighted permutation matrices, which never turn rank-one, so the fold
 pays for every rank-one probe on top of every matrix product.
 
 A fourth table times the transient scan's own work, all of whose matrix
-products the level kernel ``extend`` forms, from the empty product on;
-the ``formed`` column counts them.  It folds 100 draws of length 20 and
-40 at n = 5 and 16, over the same two kinds of members, as the sampled
-scan's tree of distinct prefixes
-(the onset members have finite (1, 1) entries, so rank-one prefixes leave
-the tree).  Then it runs the sampled scan of the bundled five-node family
-(horizon 40, 100 draws per length, seed 0), the same scan with member 1's
-(1, 1) entry set to -inf, which turns pruning off so every distinct prefix
-is formed, and the exhaustive scan up to horizons 8 and 12, whose levels
-extend only their failing products.
+products the level kernel ``extend`` forms, from the empty product on,
+in depth-first groups of at most 2^18 // n^2 products; the ``formed``
+column counts them.  It folds 100 draws of length 20 and 40 at n = 5 and
+16, over the same two kinds of members, as the sampled scan's tree of
+distinct prefixes (the onset members have finite (1, 1) entries, so
+rank-one prefixes leave the tree).  Then it runs the sampled scan of the
+bundled five-node family (horizon 40, 100 draws per length, seed 0), the
+same scan with member 1's (1, 1) entry set to -inf, which turns pruning
+off so every distinct prefix is formed, the exhaustive scan up to
+horizons 8 and 12, whose groups extend only their failing products, and
+the exhaustive scan of the benchmark's seed-0 admissible family at
+n = 20 up to horizon 8, none of whose 9,840 products is rank-one.
 
 A fifth table times the text boundary, the implicit bound and the lemma
 checks on the benchmark's seed-0 synthetic inputs
@@ -97,7 +99,7 @@ from tropical_transient.family import MatrixFamily
 from tropical_transient.io import (family_to_dict, json_text, load_family, load_sequence,
                                    matrix_tokens)
 from tropical_transient.matrix import TropicalMatrix
-from tropical_transient.products import _prefix_tree_verdicts, estimate_transient, fold
+from tropical_transient.products import _tree_verdicts, estimate_transient, fold
 from tropical_transient.report import render_json
 from tropical_transient.trellis import build_trellis, check_lemma_bounds
 
@@ -111,6 +113,7 @@ ONSET_LENGTH = 200
 SCAN_SIZES = (5, 16)
 SCAN_LENGTHS = (20, 40)
 SCAN_HORIZONS = (8, 12)
+SYNTHETIC_SCAN = (20, 8)
 SAMPLED_HORIZON = 40
 SAMPLED_DRAWS = 100
 IO_SIZES = (20, 40, 80)
@@ -198,7 +201,7 @@ def prefix_tree(mem, draws):
     of their distinct prefixes on encoded members, planned as the scan
     plans them."""
     prune = bool((mem[:, 0, 0] > FLOOR).all())
-    return _prefix_tree_verdicts(_plan(mem), [draws], prune)[0]
+    return _tree_verdicts(_plan(mem), [draws], prune)[0]
 
 
 def formed(call):
@@ -431,6 +434,11 @@ def main() -> int:
     for horizon in SCAN_HORIZONS:
         scans.append(("exhaustive", family.size, horizon,
                       lambda horizon=horizon: estimate_transient(family, horizon, "exhaustive")))
+    n, horizon = SYNTHETIC_SCAN
+    with tempfile.TemporaryDirectory() as workdir:
+        synthetic = load_family(str(synthetic_files(workdir, n)[0]))[0]
+    scans.append(("exhaustive", n, horizon, lambda fam=synthetic, horizon=horizon:
+                  estimate_transient(fam, horizon, "exhaustive")))
     for label, n, k, call in scans:
         count = formed(call)
         t = best_time(call, args.repeats)

@@ -7,21 +7,27 @@ either exhaustively (all m^k sequences, budget-guarded) or by seeded
 sampling with a named, portable generator (numpy PCG64), so runs are
 reproducible across platforms.
 
-Both scans work level by level from the empty product: each product of
-length l, length 1 included, is a product of length l - 1 times one
-member, so it costs one matrix product instead of l - 1.  The level
-kernel ``_kernels.extend`` forms every level and returns which of its
-products are rank-one.  A level of B products is one (n, n, B) array,
-node-first as the kernels' states are (entry [c, r, b] is entry (r, c)
-of product b), so the scans select and count products along its last
-axis.  Exhaustive mode builds level l as level l - 1 times every
-member.  Sampled mode folds the draws of consecutive
-lengths as a tree of their distinct prefixes: level l holds one product
-per distinct prefix of length l, and each draw reads its verdict at its
-own last layer.  Draws that share a prefix share its products, so a tree
-costs one matrix product per distinct prefix, not one per draw and layer.
-A tree is kept within a fixed element budget (``_BLOCK_ELEMENTS``), so
-large lengths fold as several trees of fewer draws.
+Both scans walk a tree of prefixes depth-first from the empty product
+(``_walk``): each product of length l, length 1 included, is a product of
+length l - 1 times one member, so it costs one matrix product instead of
+l - 1.  The level kernel ``_kernels.extend`` forms a group of children of
+one length from their parents and returns which of them are rank-one.  A
+group of B products is one (n, n, B) array, node-first as the kernels'
+states are (entry [c, r, b] is entry (r, c) of product b), so the walk
+selects and counts products along its last axis.  The two modes differ
+only in the children they name: exhaustive mode extends every product by
+every member, and sampled mode extends each distinct prefix of its draws
+by the distinct members that follow it, so a tree costs one matrix
+product per distinct prefix, not one per draw and layer, and each draw
+reads its verdict at its own last layer.
+
+One byte budget (``_BYTE_BUDGET``, 2 MB) bounds what the walk holds.  A
+group holds at most 2^18 int64 entries, so 2^18 // n^2 products (one when
+n > 512), and the groups waiting to be formed sit on an explicit stack:
+the walk holds one formed group per length of its current path.  The
+sampled scan draws every length from one generator and cuts the draws
+into trees of consecutive lengths that fit the budget; a length is never
+split.
 
 A single fold uses rank-one absorption: once a prefix P = x (x) y^T is
 rank-one, the rest of the fold only changes y, so it finishes as a vector
@@ -29,17 +35,17 @@ sweep; that rests on associativity alone and gives the exact product.
 The scans fold every product in full unless every member has a finite
 (1, 1) entry, so that every extension of a rank-one product is rank-one
 (``_absorbing``).  Then a product that turns rank-one needs no more
-work: exhaustive mode extends only the failing products of each level,
-and sampled mode drops a rank-one prefix from its tree and counts every
-draw under it as rank-one.  Both still report every product as examined,
-in the same order.
+work: exhaustive mode extends only the failing products, and sampled
+mode drops a rank-one prefix from its tree and counts every draw under it
+as rank-one.  Both still report every product as examined, in the same
+order: length by length, in itertools.product order or in draw order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterator, Optional
+from itertools import chain, repeat
+from typing import Optional
 
 import numpy as np
 
@@ -49,11 +55,10 @@ from .family import MatrixFamily, member_index
 from .matrix import TropicalMatrix, _check_magnitude
 
 DEFAULT_PRODUCT_BUDGET = 2_000_000
-# Elements held by one prefix tree of the sampled scan, counting
-# max(k, n^2, m) per draw of length k: its padded draw, its product and
-# its m child marks.  A level of int64 products stays within 2 MB unless
-# one draw alone passes the budget (n > 512).
-_BLOCK_ELEMENTS = 1 << 18
+# Bytes that one piece of scan work may hold: a group of int64 products
+# formed by one _kernels.extend call (2^18 entries), and the draws of one
+# sampled prefix tree.
+_BYTE_BUDGET = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -114,9 +119,6 @@ class TransientEstimate:
     seed: Optional[int]
 
 
-# Each scan yields, per length, the number of products examined and the
-# 1-based sequences of those that are not rank-one, as a (failed, k) array.
-
 def _absorbing(family: MatrixFamily) -> bool:
     """Whether every extension of a rank-one product is rank-one: every
     member has a finite (1, 1) entry.
@@ -129,102 +131,107 @@ def _absorbing(family: MatrixFamily) -> bool:
     return bool(family.stacked[1][:, 0, 0].all())
 
 
-def _sampled_scan(family: MatrixFamily, horizon: int, samples: int,
-                  seed: int) -> Iterator[tuple[int, np.ndarray]]:
-    # Lengths are drawn in order from one generator and folded in blocks
-    # of consecutive lengths, counting max(k, n^2, m) elements per draw of
-    # length k.  A block takes the next length while its draws fit
-    # _BLOCK_ELEMENTS, and folds as prefix trees within it: one tree, or
-    # for a length that does not fit alone, one tree per slice of its
-    # draws (at least one draw each).
-    m, n = family.member_count, family.size
+def _walk(plan, grow, root) -> None:
+    # Depth-first over a prefix tree, from the empty product at depth 0;
+    # plan is the members' _kernels._plan.  grow(depth, ok, state) takes a
+    # formed group of products of length depth, their rank-one verdicts
+    # and the mode's state for them, and returns the group's children as
+    # keys p * m + j (product p of the group times member j), in order,
+    # and part(s), the state of the children of slice s.  The children are
+    # formed in groups of at most cap products, one _kernels.extend call
+    # each, whose parents index the formed group as it is.  The stack is
+    # explicit, as a tree can pass Python's recursion limit; groups pop in
+    # order, so each length is formed in prefix order.
+    m, n = len(plan[1]), plan[0].shape[1]
+    cap = max(1, _BYTE_BUDGET // (8 * n * n))
+    level, ok, depth, state = _kernels.identity_level(n), np.zeros(1, dtype=bool), 0, root
+    stack = []
+    while True:
+        children, part = grow(depth, ok, state)
+        stack.extend((depth + 1, level, children, part, slice(s, s + cap))
+                     for s in reversed(range(0, len(children), cap)))
+        if not stack:
+            return
+        depth, level, children, part, s = stack.pop()
+        level, ok = _kernels.extend(level, plan, *np.divmod(children[s], m))
+        state = part(s)
+
+
+def _exhaustive_scan(plan, horizon: int, prune: bool, failed: list) -> None:
+    # The state of a group is seqs, where seqs[r] is the 1-based sequence of
+    # product r.  With prune (_absorbing), only the failing products are
+    # extended: the extensions of a rank-one product are rank-one.
+    m = len(plan[1])
+
+    def grow(depth, ok, seqs):
+        if depth:
+            failed[depth - 1].append(seqs[~ok])
+        live = np.flatnonzero((~ok | (not prune)) & (depth < horizon))
+        children = (live[:, None] * m + np.arange(m)).ravel()
+        return children, lambda s: np.column_stack(
+            (seqs[children[s] // m], (children[s] % m + 1).astype(seqs.dtype)))
+
+    _walk(plan, grow, np.zeros((1, 0), dtype=np.min_scalar_type(m)))
+
+
+def _sampled_scan(plan, horizon: int, samples: int, seed: int, prune: bool, failed: list) -> None:
+    # Lengths are drawn in order from one generator.  A tree takes the
+    # next length while its draws, padded to one more than its longest,
+    # fit _BYTE_BUDGET; a tree holds at least one length.
+    m = len(plan[1])
     rng = np.random.Generator(np.random.PCG64(seed))
     dtype = np.min_scalar_type(m)
-    plan = _kernels._plan(_kernels.encode(*family.stacked[:2]))
-    prune = _absorbing(family)
-    block: list[np.ndarray] = []
-    for k in range(1, horizon + 2):
-        # A block is cut before the first length that does not fit it,
-        # and after the last length.
-        size = samples * (len(block) + 1) * max(k, n * n, m)
-        if block and (k > horizon or size > _BLOCK_ELEMENTS):
-            width = max(1, _BLOCK_ELEMENTS // (len(block) * max(k - 1, n * n, m)))
-            rank_one = np.concatenate([
-                _prefix_tree_verdicts(plan, [draws[s:s + width] for draws in block], prune)
-                for s in range(0, samples, width)], axis=1)
-            for draws, ok in zip(block, rank_one):
-                yield samples, draws[~ok]
-            block = []
-        if k <= horizon:
-            _check_magnitude(family.layer_magnitude * k, "sequence fold")
-            block.append(rng.integers(1, m + 1, size=(samples, k)).astype(dtype))
+    tree: list[np.ndarray] = []
+    for k in range(1, horizon + 1):
+        tree.append(rng.integers(1, m + 1, size=(samples, k)).astype(dtype))
+        if k == horizon or samples * (len(tree) + 1) * (k + 2) * dtype.itemsize > _BYTE_BUDGET:
+            for draws, ok in zip(tree, _tree_verdicts(plan, tree, prune)):
+                failed[draws.shape[1] - 1].append(draws[~ok])
+            tree = []
 
 
-def _prefix_tree_verdicts(plan, block: list[np.ndarray], prune: bool) -> np.ndarray:
-    # block holds the 1-based draws of consecutive lengths, shortest first,
-    # and the result says which are rank-one, one row per length; plan is
-    # the members' _kernels._plan.  They fold as a tree of their distinct
-    # prefixes: layer l holds one encoded product per distinct prefix of
-    # length l still being folded, and node[d] is the product of draw
-    # live[d].  A draw of length l reads its verdict from its node.  With
-    # prune (_absorbing), a rank-one node is dropped and every draw under
-    # it is rank-one.  The children of a layer are the distinct keys
-    # node * m + next member, found with a mark array in key order; no
-    # sort, which would add numpy's sorting code to the resident size of a
-    # process that never sorts otherwise.
-    src, weights = plan
-    m = len(weights)
-    samples, top = block[-1].shape
-    # Draws run longest first, so the draws longer than l are the first
-    # longer[l] of the stack.
-    stack = np.zeros((samples * len(block), top), dtype=block[-1].dtype)
-    for i, draws in enumerate(reversed(block)):
+def _tree_verdicts(plan, tree: list[np.ndarray], prune: bool) -> np.ndarray:
+    # tree holds the 1-based draws of consecutive lengths, shortest first,
+    # and the result says which are rank-one, one row per length.  They
+    # fold as the tree of their distinct prefixes: the state of a group is
+    # (live, node), where node[d] is the product of draw live[d] among the
+    # group's products.  A draw of length l reads its verdict from its
+    # node at depth l.  With prune (_absorbing), a rank-one node is dropped
+    # and every draw under it is rank-one.  The children of a group are
+    # the distinct keys node * m + next member, found with a mark array in
+    # key order; no sort, which would add numpy's sorting code to the
+    # resident size of a process that never sorts otherwise.
+    m = len(plan[1])
+    samples, top = tree[-1].shape
+    # One zero column past the longest draw, so that the next-member read
+    # at the last depth, where no draw is live, stays in bounds.
+    stack = np.zeros((samples * len(tree), top + 1), dtype=tree[-1].dtype)
+    for i, draws in enumerate(tree):
         stack[i * samples:(i + 1) * samples, :draws.shape[1]] = draws - 1
-    longer = [samples * min(len(block), top - l) for l in range(top + 1)]
+    lengths = np.repeat([draws.shape[1] for draws in tree], samples)
     rank_one = np.ones(len(stack), dtype=bool)
-    live = np.arange(len(stack))
-    # Layer 0 is the empty prefix, one node.
-    node = np.zeros(len(stack), dtype=np.intp)
-    level = _kernels.identity_level(src.shape[1])
-    for l in range(1, top + 1):
-        key = node * m + stack[live, l - 1]
-        mark = np.zeros(level.shape[-1] * m, dtype=bool)
+
+    def grow(depth, ok, state):
+        live, node = state
+        done, verdict = lengths[live] == depth, ok[node]
+        rank_one[live[done]] = verdict[done]
+        keep = ~done & ~(verdict & prune)
+        live, node = live[keep], node[keep]
+        key = node * m + stack[live, depth]
+        mark = np.zeros(len(ok) * m, dtype=bool)
         mark[key] = True
         children = np.flatnonzero(mark)
         node = np.cumsum(mark)[key] - 1
-        level, ok = _kernels.extend(level, plan, children // m, children % m)
-        # live is ascending, so the draws that end here are its tail.
-        end = int((live < longer[l]).sum())
-        rank_one[live[end:]] = ok[node[end:]]
-        live, node = live[:end], node[:end]
-        if prune:
-            keep = ~ok[node]
-            live, node = live[keep], node[keep]
-        if not len(live):
-            break
-    return rank_one.reshape(len(block), samples)[::-1]
 
+        def part(s):
+            if not s.start and s.stop >= len(children):
+                return live, node
+            sel = (node >= s.start) & (node < s.stop)
+            return live[sel], node[sel] - s.start
+        return children, part
 
-def _exhaustive_scan(family: MatrixFamily, horizon: int) -> Iterator[tuple[int, np.ndarray]]:
-    plan = _kernels._plan(_kernels.encode(*family.stacked[:2]))
-    m = family.member_count
-    # With _absorbing, only the failing products of a level need
-    # extending: the extensions of a rank-one product are rank-one.
-    prune = _absorbing(family)
-    # Product r of the level is that of the 1-based sequence seqs[r];
-    # products run in itertools.product order, from the empty product.
-    level = _kernels.identity_level(family.size)
-    seqs = np.zeros((1, 0), dtype=np.min_scalar_type(m))
-    for k in range(1, horizon + 1):
-        _check_magnitude(family.layer_magnitude * k, "sequence fold")
-        # Product p * m + j extends product p by member j.
-        parents, members = np.divmod(np.arange(level.shape[-1] * m), m)
-        level, ok = _kernels.extend(level, plan, parents, members)
-        seqs = np.column_stack((seqs[parents], (members + 1).astype(seqs.dtype)))
-        bad = seqs[~ok]
-        if prune:
-            level, seqs = level[..., ~ok], bad
-        yield m**k, bad
+    _walk(plan, grow, (np.arange(len(stack)), np.zeros(len(stack), dtype=np.intp)))
+    return rank_one.reshape(len(tree), samples)
 
 
 def estimate_transient(
@@ -239,15 +246,16 @@ def estimate_transient(
 
     Exhaustive mode decides all m^k sequences per length and raises
     :class:`BudgetExceededError` up front when the total exceeds
-    ``max_products``; it holds at most two lengths of products at once.
-    When every member has a finite (1, 1) entry, it extends only the
-    products that are not rank-one: their extensions are the only
-    candidates.  Otherwise it extends every product.  Sampled mode draws
-    ``samples_per_length`` seeded sequences per length, all from one
-    generator in a fixed order; when every pivot is finite, a draw whose
-    prefix turns rank-one is counted as rank-one without folding it to its
-    end.  Before each length the int64 guard of :func:`fold` is checked,
-    and raises at the first length it fails.
+    ``max_products``.  Sampled mode draws ``samples_per_length`` seeded
+    sequences per length, all from one generator in a fixed order.  Both
+    walk the products depth-first, in groups of at most 2^18 // n^2
+    products.  When every member has a finite (1, 1) entry, exhaustive
+    mode extends only the products that are not rank-one, their
+    extensions being the only candidates, and sampled mode counts a draw
+    whose prefix turns rank-one as rank-one without folding it to its end.
+    Otherwise every product is formed.  Before the scan the int64 guard
+    of :func:`fold` is checked at each length, and raises at the first
+    length it fails.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -256,42 +264,44 @@ def estimate_transient(
     m = family.member_count
 
     if mode == "exhaustive":
-        total = 0
+        examined = 0
         for k in range(1, horizon + 1):
-            total += m**k
-            if total > max_products:
+            examined += m**k
+            if examined > max_products:
                 raise BudgetExceededError(
-                    f"exhaustive scan needs {total}+ products, budget is {max_products}"
+                    f"exhaustive scan needs {examined}+ products, budget is {max_products}"
                 )
-        levels = _exhaustive_scan(family, horizon)
-        samples_recorded = None
     else:
         if samples_per_length < 1:
             raise ValueError("samples_per_length must be at least 1")
-        if horizon * samples_per_length > max_products:
+        examined = horizon * samples_per_length
+        if examined > max_products:
             raise BudgetExceededError(
-                f"sampled scan needs {horizon * samples_per_length} products, "
-                f"budget is {max_products}"
+                f"sampled scan needs {examined} products, budget is {max_products}"
             )
-        levels = _sampled_scan(family, horizon, samples_per_length, seed)
-        samples_recorded = samples_per_length
+    for k in range(1, horizon + 1):
+        _check_magnitude(family.layer_magnitude * k, "sequence fold")
 
+    # failed[k - 1] collects the 1-based sequences of the failing products
+    # of length k, as arrays of rows in scan order.
+    failed: list[list[np.ndarray]] = [[] for _ in range(horizon)]
+    plan, prune = _kernels._plan(_kernels.encode(*family.stacked[:2])), _absorbing(family)
+    if mode == "exhaustive":
+        _exhaustive_scan(plan, horizon, prune, failed)
+    else:
+        _sampled_scan(plan, horizon, samples_per_length, seed, prune, failed)
+    counterexamples = tuple(chain.from_iterable(
+        zip(repeat(k), map(tuple, part.tolist())) for k, rows in enumerate(failed, start=1)
+        for part in rows))
     # Every length from the one after the last failing length up to the
     # horizon is all rank-one.
-    examined = last_failed = 0
-    counterexamples: list[tuple[int, tuple[int, ...]]] = []
-    for k, (count, failed) in enumerate(levels, start=1):
-        examined += count
-        if len(failed):
-            last_failed = k
-            counterexamples.extend(zip(repeat(k), map(tuple, failed.tolist())))
-    first = last_failed + 1 if last_failed < horizon else None
+    last_failed = counterexamples[-1][0] if counterexamples else 0
     return TransientEstimate(
         mode=mode,
         horizon=horizon,
-        first_all_rank_one=first,
-        counterexamples=tuple(counterexamples),
+        first_all_rank_one=last_failed + 1 if last_failed < horizon else None,
+        counterexamples=counterexamples,
         examined=examined,
-        samples_per_length=samples_recorded,
+        samples_per_length=samples_per_length if mode == "sampled" else None,
         seed=seed if mode == "sampled" else None,
     )

@@ -414,7 +414,7 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("drop", [False, True])
     @pytest.mark.parametrize("chunk", [None, 1296])
     def test_ragged_stack_ends_each_row_at_its_own_length(self, monkeypatch, drop, chunk):
-        # The sampled scan's prefix tree over a block of 9 draws of each
+        # The sampled scan's prefix tree over 9 draws of each
         # length 1..23, over admissible members (whose prefixes turn
         # rank-one) and, in every third draw, weighted permutations (which
         # never do).  Each draw gets the verdict of its own full product,
@@ -442,7 +442,7 @@ class TestOracleAgreement:
         plan = _kernels._plan(encode(mem_num, mem_fin))
         if chunk:
             assert _kernels.CHUNK_ELEMENTS // (n * plan[0].size) == 9
-        rank_one = products._prefix_tree_verdicts(plan, block, drop)
+        rank_one = products._tree_verdicts(plan, block, drop)
         verdicts = [(samples, draws[~ok]) for draws, ok in zip(block, rank_one)]
         assert len(verdicts) == k
         absorbed = 0

@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_valid_family
+from test_bench_digests import load_bench_inputs
 from tropical_transient import _kernels, products
 from tropical_transient.bounds import implicit_sequence_bound
 from tropical_transient.errors import BudgetExceededError
 from tropical_transient.family import MatrixFamily
+from tropical_transient.io import load_family
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import (
     DEFAULT_PRODUCT_BUDGET,
@@ -274,17 +278,19 @@ class TestStackedScanOracle:
 class _ExtendSpy:
     """Records the calls of ``_kernels.extend``, through which both scans
     form every matrix product: ``sizes`` holds the number of products of
-    each call and ``levels`` the number of products of its input level
-    (its last axis)."""
+    each call, ``levels`` the number of products of its input level (its
+    last axis) and ``contiguous`` whether that level is C-contiguous."""
 
     def __init__(self, monkeypatch):
         self.sizes = []
         self.levels = []
+        self.contiguous = []
         extend = _kernels.extend
 
         def spied_extend(level, plan, parents, members):
             self.sizes.append(len(parents))
             self.levels.append(level.shape[-1])
+            self.contiguous.append(level.flags.c_contiguous)
             return extend(level, plan, parents, members)
 
         monkeypatch.setattr(_kernels, "extend", spied_extend)
@@ -300,13 +306,13 @@ class _TreeSpy:
 
     def __init__(self, monkeypatch):
         self.trees = []
-        fold_tree = products._prefix_tree_verdicts
+        fold_tree = products._tree_verdicts
 
-        def spied_tree(plan, block, prune):
-            self.trees.append([tuple(int(x) for x in row) for draws in block for row in draws])
-            return fold_tree(plan, block, prune)
+        def spied_tree(plan, tree, prune):
+            self.trees.append([tuple(int(x) for x in row) for draws in tree for row in draws])
+            return fold_tree(plan, tree, prune)
 
-        monkeypatch.setattr(products, "_prefix_tree_verdicts", spied_tree)
+        monkeypatch.setattr(products, "_tree_verdicts", spied_tree)
 
 
 def _spied_scan(monkeypatch, *args, **kwargs):
@@ -321,25 +327,20 @@ def _spied_scan(monkeypatch, *args, **kwargs):
 
 def _draw_trees(family, horizon, samples, seed):
     """The sampled scan's draws as 1-based tuples, grouped into its prefix
-    trees.  A block of consecutive lengths takes the next length while its
-    draws, counted at max(k, n^2, m) elements each, fit
-    ``products._BLOCK_ELEMENTS``; a block folds as one tree, or, when one
-    length alone passes the budget, as one tree per slice of as many draws
-    as fit it (at least one)."""
+    trees.  A tree of consecutive lengths takes the next length while its
+    draws, stored one byte per member index (two past 255 members) and
+    padded to one more than the longest, fit ``products._BYTE_BUDGET``; a
+    length is never split, so a tree holds at least one length."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    n, m = family.size, family.member_count
-    blocks = []
-    for k in range(1, horizon + 1):
-        if not blocks or samples * (len(blocks[-1]) + 1) * max(k, n * n, m) > products._BLOCK_ELEMENTS:
-            blocks.append([])
-        draws = rng.integers(1, m + 1, size=(samples, k))
-        blocks[-1].append([tuple(int(x) for x in row) for row in draws])
+    m = family.member_count
+    row = samples * np.min_scalar_type(m).itemsize
     trees = []
-    for block in blocks:
-        width = max(1, products._BLOCK_ELEMENTS // (len(block) * max(len(block[-1][0]), n * n, m)))
-        for s in range(0, samples, width):
-            trees.append([draw for length in block for draw in length[s:s + width]])
-    return trees
+    for k in range(1, horizon + 1):
+        if not trees or row * (len(trees[-1]) + 1) * (k + 1) > products._BYTE_BUDGET:
+            trees.append([])
+        draws = rng.integers(1, m + 1, size=(samples, k))
+        trees[-1].append([tuple(int(x) for x in row) for row in draws])
+    return [[draw for length in tree for draw in length] for tree in trees]
 
 
 def _live_prefixes(family, horizon, samples, seed):
@@ -373,15 +374,15 @@ def _pruned_off_family(rng: random.Random, n: int) -> MatrixFamily:
 
 
 class TestRaggedSampledScan:
-    """The sampled scan folds a block of draws of several lengths as a tree
-    of their distinct prefixes and decides each draw at its own last layer;
+    """The sampled scan folds the draws of several lengths as a tree of
+    their distinct prefixes and decides each draw at its own last layer;
     the per-sequence scan is the reference, and a spy on
     ``_kernels.extend`` checks that exactly one product is formed per
     distinct live prefix."""
 
     def test_absorbed_rows_are_dropped_when_pruning(self, family5, monkeypatch):
         # Every pivot of the fixture is finite, so a rank-one prefix is
-        # dropped with every draw under it.  Its 4,000 draws (one block)
+        # dropped with every draw under it.  Its 4,000 draws (one tree)
         # need 2,904 products, where folding each draw on its own takes
         # 78,000.
         assert products._absorbing(family5)
@@ -446,19 +447,21 @@ class TestRaggedSampledScan:
         # products per layer.
         assert spy.products == _live_prefixes(fam, 5, 100, 0) == 2 * 5
 
-    @pytest.mark.parametrize("rows, block, trees, splits", [
-        pytest.param(7, 300, 32, True, id="7-300"),
-        pytest.param(64, 1200, 8, False, id="64-1200"),
+    @pytest.mark.parametrize("rows, budget, trees, splits", [
+        pytest.param(7, 300, 2, True, id="7-300"),
+        pytest.param(64, 1200, 1, False, id="64-1200"),
     ])
-    def test_several_chunks_and_blocks(self, family5, monkeypatch, rows, block, trees, splits):
-        # Small chunks and blocks: at n = 5 a chunk holds rows rows (a row
-        # gathers 5 terms per entry of the members' plan) and a tree's
-        # level at most block // 25.  With 20 draws per length, a block of
-        # 300 elements holds one length, which passes it alone and folds as
-        # two trees of 12 and 8 draws, whose levels span several 7-row
-        # chunks; a block of 1200 holds two lengths and folds as one tree,
-        # whose levels of at most 48 fit one 64-row chunk.
-        monkeypatch.setattr(products, "_BLOCK_ELEMENTS", block)
+    def test_several_chunks_and_blocks(self, family5, monkeypatch, rows, budget, trees, splits):
+        # Small chunks and a small byte budget, of budget int64 entries: at
+        # n = 5 a chunk holds rows rows (a row gathers 5 terms per entry of
+        # the members' plan) and a group at most budget // 25 products.
+        # With 20 draws per length, a budget of 300 entries (2,400 bytes)
+        # holds the draws of lengths 1-10 and 11-16 as two trees, and its
+        # groups of at most 12 products span several 7-row chunks; one of
+        # 1200 folds every length as one tree, whose groups of at most 48
+        # fit one 64-row chunk.  Groups split at the wide depths of both.
+        monkeypatch.setattr(products, "_BYTE_BUDGET", 8 * budget)
+        cap = budget // 25
         rng = random.Random(100 * rows)
         cases = [family5, _pruned_off_family(rng, 5), _scan_family(rng, 5, 3)]
         for seed, fam in enumerate(cases):
@@ -470,26 +473,26 @@ class TestRaggedSampledScan:
             assert len(tree_spy.trees) == trees
             assert spy.products == _live_prefixes(fam, 16, 20, seed)
             assert (max(spy.sizes) > rows) == splits
-            assert max(spy.levels) <= block // 25
+            assert max(spy.levels) <= cap and max(spy.sizes) == cap
 
     def test_large_lengths_fold_in_slices_within_the_budget(self, monkeypatch):
-        # At n = 20 one length of 2,000 draws passes the budget alone
-        # (2,000 x 400 > 2^18 elements), so it folds as four trees of at
-        # most 655 draws: no level, input or output of the level kernel,
-        # holds more than _BLOCK_ELEMENTS // n^2 products.  With 30 members
-        # the 900 prefixes of length 2 can fill a tree's level, and a -inf
-        # pivot keeps every one of them in the tree.
+        # At n = 20 no input or output of the level kernel holds more than
+        # _BYTE_BUDGET // (8 n^2) = 655 products, so a wide level folds in
+        # slices of its children, one group each.  The 6,000 draws of
+        # lengths 1-3 fit one tree.  With 30 members the 900 prefixes of
+        # length 2 pass the cap, and a -inf pivot keeps every one of them
+        # in the tree.
         fam = _scan_family(random.Random(20), 20, 30)
         assert not products._absorbing(fam)
-        samples, cap = 2000, products._BLOCK_ELEMENTS // 400
-        assert samples * 400 > products._BLOCK_ELEMENTS and cap == 655
+        samples, cap = 2000, products._BYTE_BUDGET // (8 * 400)
+        assert cap == 655
         tree_spy = _TreeSpy(monkeypatch)
         spy = _ExtendSpy(monkeypatch)
         est = estimate_transient(fam, horizon=3, samples_per_length=samples, seed=1)
         assert est.examined == 3 * samples
-        assert tree_spy.trees == _draw_trees(fam, 3, samples, 1) and len(tree_spy.trees) == 3 * 4
+        assert tree_spy.trees == _draw_trees(fam, 3, samples, 1) and len(tree_spy.trees) == 1
         assert max(spy.levels) <= cap and cap // 2 < max(spy.sizes) <= cap
-        assert spy.products == _live_prefixes(fam, 3, samples, 1)
+        assert spy.products == _live_prefixes(fam, 3, samples, 1) == 2843
 
     @pytest.mark.parametrize("horizon, samples", [(1, 1), (1, 50), (30, 1), (5, 1)])
     def test_smallest_scans(self, family5, horizon, samples):
@@ -505,6 +508,54 @@ class TestRaggedSampledScan:
         fam = MatrixFamily([_scan_family(rng, 2, 1).members[0] for _ in range(300)])
         est = _assert_matches_oracle(fam, horizon=3, samples_per_length=40, seed=1)
         assert max(max(idx) for _, idx in est.counterexamples) > 255
+
+
+class TestDepthFirstWalk:
+    """Both scans walk one prefix tree depth-first, forming the children of
+    each group in groups of at most ``_BYTE_BUDGET // (8 n^2)`` products,
+    whose parents index the formed group as it is."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(family_seed=st.integers(0, 1 << 32), n=st.integers(1, 5), m=st.integers(1, 4),
+           admissible=st.booleans(), exhaustive=st.booleans(), cap=st.integers(1, 3),
+           horizon=st.integers(1, 7), samples=st.integers(1, 12), seed=st.integers(0, 99))
+    def test_small_groups_match_the_per_sequence_scan(self, family_seed, n, m, admissible,
+                                                      exhaustive, cap, horizon, samples, seed):
+        # A budget of cap products splits the children of every group with
+        # more than cap children, at every depth, and cuts the sampled
+        # draws into trees of few lengths.  Verdicts and counterexample
+        # order stay those of the per-sequence scan: itertools.product
+        # order within a length for exhaustive mode, draw order for sampled.
+        rng = random.Random(family_seed)
+        fam = random_valid_family(rng, max(n, 2), m) if admissible else _scan_family(rng, n, m)
+        mode = "exhaustive" if exhaustive else "sampled"
+        if exhaustive:
+            horizon = max(h for h in range(1, horizon + 1)
+                          if sum(m**k for k in range(1, h + 1)) <= 400)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(products, "_BYTE_BUDGET", 8 * fam.size**2 * cap)
+            spy = _ExtendSpy(monkeypatch)
+            est = _assert_matches_oracle(fam, horizon=horizon, mode=mode,
+                                         samples_per_length=samples, seed=seed)
+        assert isinstance(est, TransientEstimate)
+        assert max(spy.sizes) <= cap and max(spy.levels) <= cap
+        if exhaustive:
+            assert list(est.counterexamples) == sorted(est.counterexamples)
+
+    def test_exhaustive_levels_stay_contiguous_and_within_the_cap(self, tmp_path, monkeypatch):
+        # The benchmark's seed-0 admissible family at n = 20 has 3 members
+        # and no rank-one product up to length 8, so the scan forms all
+        # 9,840 products.  No call forms more than 2^18 // 400 = 655 of
+        # them, and every level the kernel takes is the C-contiguous
+        # output of an earlier call (or the identity), so its one take
+        # copies only the selected parents.
+        family = load_family(str(load_bench_inputs().write_synthetic(tmp_path, 0, 20, 10)[0]))[0]
+        assert products._absorbing(family) and family.member_count == 3
+        spy = _ExtendSpy(monkeypatch)
+        est = estimate_transient(family, 8, "exhaustive")
+        assert est.examined == spy.products == 9840 == len(est.counterexamples)
+        assert all(spy.contiguous)
+        assert max(spy.sizes) == max(spy.levels) == products._BYTE_BUDGET // (8 * 400) == 655
 
 
 class TestScanOverflow:
