@@ -46,20 +46,12 @@ checks on the benchmark's seed-0 synthetic inputs
 ``load_family``, ``matrix_tokens`` of gamma, ``json_text`` of the
 ``bound FAM SEQ`` report as the CLI builds it (each grid written from its
 distinct-value table), ``render_json`` of the same report read back from
-its text (plain lists, so every grid goes through the generic writer),
+its text (plain lists with no token grid, so ``json.dumps`` writes it all),
 ``implicit_sequence_bound`` (two vector sweeps),
 ``implicit_bound`` of the folded product (the path it replaces) and
 ``check_lemma_bounds``.
 
-A sixth table times the same text boundary where tokens and values do not
-repeat: families of m = 3 and 12 dense members whose entries are nearly
-all distinct rationals.  The synthetic inputs above repeat heavily (about
-40 distinct tokens over 3 n^2 entries), which the token table and the
-writer's per-value formatting exploit; these rows show the cost without
-that.  ``matrix_tokens`` runs on one member, ``family_to_dict`` on the
-whole family, and ``render_json`` writes the dict it returns.
-
-A seventh table times the family side on the seed-0 synthetic inputs at
+A sixth table times the family side on the seed-0 synthetic inputs at
 n = 20, 40, 80: a fresh ``load_family`` followed by validation,
 ``sup_derived`` and the A_inf vectors w and v (the closure, fixpoints and
 Karp runs of ``bound FAM SEQ``), one ``closure`` kernel call on A_sup
@@ -68,6 +60,14 @@ one member (``is_irreducible`` and ``strongly_connected_components``),
 the A_inf vectors alone (their cache cleared before each call) and
 ``lambda_star`` of A_sup (Karp's table and the critical-cycle
 potentials).
+
+A seventh table times the fifth table's text boundary where tokens and
+values do not repeat: families of m = 3 and 12 dense members whose
+entries are nearly all distinct rationals.  The synthetic inputs repeat
+heavily (about 40 distinct tokens over 3 n^2 entries), which the token
+table and the writer's per-value formatting exploit; these rows show the
+cost without that.  ``matrix_tokens`` runs on one member, ``family_to_dict`` on the
+whole family, and ``render_json`` writes the dict it returns.
 
     python3 benchmarks/bench_kernels.py
     python3 benchmarks/bench_kernels.py --sizes 5,16,64 --length 500

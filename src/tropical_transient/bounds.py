@@ -189,9 +189,11 @@ def implicit_sequence_bound(family: MatrixFamily, sequence) -> BoundReport:
     admissible family they are the best initial-walk and final-walk
     weights w* and v* of the sequence (1-based member indices): a walk
     into node 1 can wait there on the weight-0 loop, and every other
-    closed walk at node 1 weighs at most 0.  Each is one O(k n^2) sweep,
-    the kernel behind ``trellis.initial_weights_all`` and
-    ``final_weights_all``.  Index and int64 errors are those of the fold.
+    closed walk at node 1 weighs at most 0.  Each is one sweep of
+    O(k D n) on the members' padded plan, D being the largest in-degree
+    of their common support: the kernel behind
+    ``trellis.initial_weights_all`` and ``final_weights_all``.  Index
+    and int64 errors are those of the fold.
     """
     seq0 = _staged_sequence(family, sequence)
     family.require_valid("implicit transient bound")

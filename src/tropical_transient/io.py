@@ -78,6 +78,8 @@ def load_family(path: PathLike) -> tuple[MatrixFamily, tuple[str, ...]]:
                 f"{path}: member {mi} must be an object with 'rows'"
             )
         name = raw.get("name", f"A{mi}")
+        if not isinstance(name, str):
+            raise FamilyFileError(f"{path}: member {mi}: 'name' must be a string")
         rows = raw["rows"]
         if not isinstance(rows, list) or not rows:
             raise FamilyFileError(f"{path}: member {name}: 'rows' must be a nonempty list")
@@ -101,7 +103,7 @@ def load_family(path: PathLike) -> tuple[MatrixFamily, tuple[str, ...]]:
                 where = f"{path}: member {name} row {ri} column {column}"
                 raise FamilyFileError(f"{exc}", position=where) from exc
         members.append(table.matrix(grid))
-        names.append(str(name))
+        names.append(name)
     return MatrixFamily(members), tuple(names)
 
 
@@ -130,14 +132,13 @@ def family_to_dict(family: MatrixFamily, names=None) -> dict:
 # JSON text, as json.dumps(obj, indent=2) writes it
 # ---------------------------------------------------------------------------
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-# One C encoder per depth: with this item separator, a container whose
-# values are all scalars encodes as its indented body in one call.
-_FLAT_ENCODERS: list = []
-
-
-class _Unhandled(Exception):
-    """A value json_text leaves to json.dumps."""
+# Splits a list of tokens' JSON texts apart: an encoded string holds no
+# raw newline.
+_TOKEN_TEXTS = json.JSONEncoder(separators=(",\n", ": ")).encode
+# A grid's stand-in is this character and the grid's number.  It encodes
+# as an escape, so the stand-in's text starts with _MARKER_TEXT.
+_MARKER = "\x00"
+_MARKER_TEXT = json.dumps(_MARKER)[:-1]
 
 
 class _TokenGrid(list):
@@ -152,90 +153,53 @@ class _TokenGrid(list):
     __slots__ = ("table", "index")
 
 
-def _flat_encoder(depth: int):
-    while len(_FLAT_ENCODERS) <= depth:
-        indent = "  " * len(_FLAT_ENCODERS)
-        _FLAT_ENCODERS.append(json.JSONEncoder(separators=(",\n" + indent, ": ")).encode)
-    return _FLAT_ENCODERS[depth]
-
-
-def _write_grid(grid: _TokenGrid, depth: int, out: list) -> None:
-    # The tokens' JSON texts from one encoder call: each is an integer or
-    # a string that needs no escaping, so only the separators hold ",\n".
-    texts = np.array(_flat_encoder(0)(grid.table.tolist())[1:-1].split(",\n"), dtype=object)
+def _grid_text(grid: _TokenGrid, indent: str) -> str:
+    """The grid's text as json.dumps(indent=2) writes a value on a line
+    that starts with ``indent``."""
+    texts = np.array(_TOKEN_TEXTS(grid.table.tolist())[1:-1].split(",\n"), dtype=object)
     # One gather: each cell is its token's text and the separator that
     # follows it, the row-closing one in the last column.
-    row, cell = "  " * (depth + 1), "  " * (depth + 2)
+    row, cell = indent + "  ", indent + "    "
     index = grid.index
     cells = (texts + (",\n" + cell))[index]
     cells[:, -1] = (texts + ("\n" + row + "],\n" + row + "[\n" + cell))[index[:, -1]]
     cells[-1, -1] = texts[index[-1, -1]]
-    out.append("[\n" + row + "[\n" + cell)
-    out.extend(cells.ravel().tolist())
-    out.append("\n" + row + "]\n" + "  " * depth + "]")
+    body = "".join(cells.ravel().tolist())
+    return "[\n" + row + "[\n" + cell + body + "\n" + row + "]\n" + indent + "]"
 
 
-def _write(o, depth: int, out: list) -> None:
-    """Append the pieces of o's text at nesting depth ``depth`` to out."""
+def _marked(o, grids: list):
+    """o with each token grid in its dicts, lists and tuples replaced by a
+    stand-in string; the grids are appended to ``grids`` in text order."""
     t = type(o)
-    if t in _SCALARS:
-        out.append(_flat_encoder(0)(o))
-        return
-    if t is _TokenGrid and 2 * len(o.table) <= o.index.size:
-        # One gather, unless most tokens are distinct: those are cheaper
-        # row by row, as any list.
-        _write_grid(o, depth, out)
-        return
+    if t is _TokenGrid:
+        grids.append(o)
+        return f"{_MARKER}{len(grids) - 1}"
     if t is dict:
-        values = o.values()
-        if any(type(key) is not str for key in o):
-            raise _Unhandled
-    elif t is list or t is tuple or t is _TokenGrid:
-        values = o
-    else:
-        raise _Unhandled
-    if not o:
-        out.append("{}" if t is dict else "[]")
-        return
-    inner = "  " * (depth + 1)
-    out.append(("{" if t is dict else "[") + "\n" + inner)
-    if _SCALARS.issuperset(map(type, values)):
-        # Encoded strings hold no raw newline, so the separator is the
-        # only one.
-        out.append(_flat_encoder(depth + 1)(o)[1:-1])
-    elif t is dict:
-        key = _flat_encoder(0)
-        sep = ""
-        for k, v in o.items():
-            out.append(sep + key(k) + ": ")
-            _write(v, depth + 1, out)
-            sep = ",\n" + inner
-    else:
-        sep = ""
-        for v in o:
-            out.append(sep)
-            _write(v, depth + 1, out)
-            sep = ",\n" + inner
-    out.append("\n" + "  " * depth + ("}" if t is dict else "]"))
+        return {k: _marked(v, grids) for k, v in o.items()}
+    if t is list or t is tuple:
+        return [_marked(v, grids) for v in o]
+    return o
 
 
 def json_text(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte.
 
-    Every list or dict whose values are all scalars is written by one
-    call of the C encoder, which ``json.dumps`` only uses without an
-    indent; other containers recurse, appending their pieces to one list
-    that is joined once.  A token grid from :func:`matrix_tokens` with at
-    most half as many distinct tokens as entries is written from its
-    distinct-value table in one gather, trusting the ``table`` and
-    ``index`` it carries.  A value of any other type (or a non-string
-    key) leaves the whole object to ``json.dumps``.
+    ``json.dumps`` writes the object with a stand-in string for each token
+    grid from :func:`matrix_tokens`, and each grid's text is put in its
+    stand-in's place: one gather from its distinct-value table, trusting
+    the ``table`` and ``index`` it carries.  A string of the object's own
+    that reads as a stand-in leaves the whole object to ``json.dumps``.
     """
-    out: list = []
-    try:
-        _write(obj, 0, out)
-    except _Unhandled:
+    grids: list = []
+    pieces = json.dumps(_marked(obj, grids), indent=2).split(_MARKER_TEXT)
+    if len(pieces) != len(grids) + 1:
         return json.dumps(obj, indent=2)
+    out = [pieces[0]]
+    for k, (grid, piece) in enumerate(zip(grids, pieces[1:])):
+        line = out[-1].rpartition("\n")[2]
+        out.append(_grid_text(grid, line[:len(line) - len(line.lstrip(" "))]))
+        out.append(piece[len(str(k)) + 1:])
     return "".join(out)
 
 

@@ -314,7 +314,8 @@ def render_pretty(report: dict) -> str:
         )
         first = transient["first_all_rank_one"]
         if first is None:
-            lines.append("  rank-one never held for a whole scanned length")
+            lines.append(f"  length {transient['horizon']}, the longest scanned,"
+                         " still had a counterexample")
         else:
             lines.append(f"  all examined products rank-one from length {first} on")
         cc = transient["counterexample_count"]

@@ -416,6 +416,42 @@ class TestLengthSufficiency:
         assert check_length_sufficient(report, 28)
 
 
+SEEDS = range(300)
+BUDGET = 10**9
+
+
+def exact_scan(family):
+    """The explicit bound of an admissible family with finite pivots, and
+    the pruned exhaustive scan run to the bound's sufficient length, or
+    None in its place when the sum of m^k to that length passes BUDGET."""
+    report = explicit_bound(family)
+    horizon, m = report.min_sufficient_length, family.member_count
+    if sum(m**k for k in range(1, horizon + 1)) > BUDGET:
+        return report, None
+    return report, estimate_transient(family, horizon, "exhaustive", max_products=BUDGET)
+
+
+def last_counterexample(family):
+    """The explicit bound of family and the length of the last
+    counterexample of its exact scan (0 if there is none), which is the
+    exact transient minus one; None in its place when there is no scan."""
+    report, est = exact_scan(family)
+    if est is None:
+        return report, None
+    last = max((k for k, _ in est.counterexamples), default=0)
+    assert est.first_all_rank_one == last + 1
+    return report, last
+
+
+def one_member_families(tmp_path, n):
+    """Each member of the benchmark's synthetic families of size n, seeds
+    0-9, as a family of its own."""
+    bench_inputs = load_bench_inputs()
+    for seed in range(10):
+        family = load_family(bench_inputs.write_synthetic(tmp_path, seed, n, 1)[0])[0]
+        yield from (MatrixFamily([member]) for member in family.members)
+
+
 class TestSoundnessAgainstExactScans:
     """The explicit bound against exact transients.  The admissible
     families of ``random_valid_family`` seeds 0-299 have finite pivots, so
@@ -424,26 +460,14 @@ class TestSoundnessAgainstExactScans:
     none may be longer than ``overall``.  Seeds whose sum of m^k passes
     the budget at that length are skipped (9 of 300)."""
 
-    SEEDS = range(300)
-    BUDGET = 10**9
     # The families where the bound is attained: the last counterexample
     # has length floor(overall).
     ATTAINED = {100: Fraction(5, 2), 121: Fraction(7, 2)}
 
-    def last_counterexample(self, family):
-        report = explicit_bound(family)
-        horizon, m = report.min_sufficient_length, family.member_count
-        if sum(m**k for k in range(1, horizon + 1)) > self.BUDGET:
-            return report, None
-        est = estimate_transient(family, horizon, "exhaustive", max_products=self.BUDGET)
-        last = max((k for k, _ in est.counterexamples), default=0)
-        assert est.first_all_rank_one == last + 1
-        return report, last
-
     def test_no_counterexample_is_longer_than_the_bound(self):
         decided, attained = 0, {}
-        for seed in self.SEEDS:
-            report, last = self.last_counterexample(random_valid_family(random.Random(seed)))
+        for seed in SEEDS:
+            report, last = last_counterexample(random_valid_family(random.Random(seed)))
             if last is None:
                 continue
             decided += 1
@@ -455,7 +479,7 @@ class TestSoundnessAgainstExactScans:
 
     @pytest.mark.parametrize("seed", sorted(ATTAINED))
     def test_attained_bound(self, seed):
-        report, last = self.last_counterexample(random_valid_family(random.Random(seed)))
+        report, last = last_counterexample(random_valid_family(random.Random(seed)))
         assert report.overall == self.ATTAINED[seed] and last == math.floor(report.overall)
 
     def test_implicit_bound_is_within_the_explicit_and_sufficient(self):
@@ -464,7 +488,7 @@ class TestSoundnessAgainstExactScans:
         # 3n + 5 is at most the explicit one; a sequence longer than its
         # implicit bound folds to a rank-one product.
         longer = 0
-        for seed in self.SEEDS:
+        for seed in SEEDS:
             family = random_valid_family(random.Random(seed))
             explicit = explicit_bound(family).overall
             for length in (family.size, 3 * family.size + 5):
@@ -475,6 +499,39 @@ class TestSoundnessAgainstExactScans:
                     longer += 1
                     assert oracles.is_rank_one(oracles.grid(fold(family, seq))), (seed, length)
         assert longer > 200
+
+
+class TestOneMemberTransients:
+    """Each member of an admissible family is an admissible family of its
+    own, whose transient is the first k with A^k rank-one: once
+    A^k = x (x) y^T, A^(k+1) = x (x) (y^T (x) A) is rank-one too, as the
+    (1, 1) entry is finite.  The pruned exhaustive scan forms one product
+    per length, so it decides these transients at every n, and no
+    counterexample may be longer than ``overall``."""
+
+    def audit(self, families):
+        """How many of the families attain their bound (the last
+        counterexample has length floor(overall)), and their exact
+        transients."""
+        attained, transients = 0, []
+        for family in families:
+            report, last = last_counterexample(family)
+            assert last <= report.overall
+            attained += last == math.floor(report.overall)
+            transients.append(last + 1)
+        return attained, transients
+
+    def test_members_of_random_families(self):
+        families = [MatrixFamily([member]) for seed in SEEDS
+                    for member in random_valid_family(random.Random(seed)).members]
+        assert len(families) == 590
+        assert self.audit(families)[0] == 15
+
+    @pytest.mark.parametrize("n,least,most", [(20, 9, 60), (40, 13, 63), (80, 14, 41)])
+    def test_members_of_synthetic_families(self, tmp_path, n, least, most):
+        attained, transients = self.audit(one_member_families(tmp_path, n))
+        assert len(transients) == 30 and attained == 0
+        assert (min(transients), max(transients)) == (least, most)
 
 
 def synthetic_inputs(tmp_path, n):
@@ -492,6 +549,27 @@ def relabelled(matrix, perm):
         for j, x in enumerate(row):
             rows[perm[i]][perm[j]] = x
     return TropicalMatrix.from_rows(rows)
+
+
+def potentials(rng, n):
+    """Node potentials d with d_1 = 0 and small rational d_2..d_n."""
+    return [Fraction(0)] + [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 5)))
+                            for _ in range(n - 1)]
+
+
+def similar(matrix, d):
+    """The matrix with entry (i, j) shifted to a_ij - d_i + d_j."""
+    return TropicalMatrix.from_rows([[None if x is None else x - d[i] + d[j]
+                                      for j, x in enumerate(row)]
+                                     for i, row in enumerate(oracles.grid(matrix))])
+
+
+def transient(est):
+    """A scan's first_all_rank_one and each length's set of counterexamples."""
+    words = {}
+    for k, word in est.counterexamples:
+        words.setdefault(k, set()).add(word)
+    return est.first_all_rank_one, words
 
 
 def reordered(family):
@@ -574,14 +652,8 @@ class TestMetamorphicRelations:
         # a_ij - d_i + d_j with d_1 = 0 keeps every cycle weight, so the
         # family stays admissible and every bound term is unchanged.
         family, seq = synthetic_inputs(tmp_path, n)
-        rng = random.Random(n)
-        d = [Fraction(0)] + [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 5)))
-                             for _ in range(n - 1)]
-        shifted = MatrixFamily([
-            TropicalMatrix.from_rows([[None if x is None else x - d[i] + d[j]
-                                       for j, x in enumerate(row)]
-                                      for i, row in enumerate(oracles.grid(member))])
-            for member in family.members])
+        d = potentials(random.Random(n), n)
+        shifted = MatrixFamily([similar(member, d) for member in family.members])
         assert shifted.validate().passed
         assert shifted.members != family.members
         for got, want in ((explicit_bound(shifted), explicit_bound(family)),
@@ -589,6 +661,41 @@ class TestMetamorphicRelations:
                            implicit_sequence_bound(family, seq))):
             assert got.overall == want.overall
             assert got.term1 == want.term1 and got.term2 == want.term2
+
+    def check_transient(self, family, seed):
+        """The exact scan of family against those of its relabelling of
+        nodes 2..n, a diagonal similarity and its mirror.  Each relation
+        maps every product to one of the same rank, the mirror the product
+        of a word to the transpose of its reversed word's, so the onset and
+        each length's counterexamples are kept, reversed for the mirror.
+        False when the scan passes the budget."""
+        report, est = exact_scan(family)
+        if est is None:
+            return False
+        horizon, n = report.min_sufficient_length, family.size
+        rng = random.Random(seed)
+        perm = [0] + rng.sample(range(1, n), n - 1)
+        d = potentials(rng, n)
+
+        def scan(relation):
+            other = MatrixFamily([relation(member) for member in family.members])
+            return transient(estimate_transient(other, horizon, "exhaustive",
+                                                max_products=BUDGET))
+
+        want = transient(est)
+        assert scan(lambda a: relabelled(a, perm)) == want
+        assert scan(lambda a: similar(a, d)) == want
+        first, words = scan(oracles.transpose)
+        assert (first, {k: {w[::-1] for w in ws} for k, ws in words.items()}) == want
+        return True
+
+    def test_relations_keep_the_transient_of_random_families(self):
+        assert sum(self.check_transient(random_valid_family(random.Random(seed)), seed)
+                   for seed in SEEDS) == 291
+
+    def test_relations_keep_one_member_transients(self, tmp_path):
+        for seed, family in enumerate(one_member_families(tmp_path, 80)):
+            assert self.check_transient(family, seed)
 
     @pytest.mark.parametrize("n", [5, 20, 40])
     def test_walk_classes(self, tmp_path, n):

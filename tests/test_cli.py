@@ -467,6 +467,21 @@ class TestTransient:
         )
         assert code == 0
 
+    def test_pretty_onset_line_when_the_horizon_fails(self, capsys):
+        # Lengths 7-9 were all rank-one, so a rank-one length was scanned;
+        # only the horizon's counterexample leaves the onset null.
+        args = ("transient", FAMILY, "--horizon", 10, "--samples", 3, "--seed", 9)
+        code, report, _ = run_json(capsys, *args)
+        sect = report["transient"]
+        assert code == 0 and sect["first_all_rank_one"] is None
+        assert sect["counterexample_count"] == len(sect["counterexamples"])
+        failing = {item["length"] for item in sect["counterexamples"]}
+        assert 10 in failing and not failing & {7, 8, 9}
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        assert "\n  length 10, the longest scanned, still had a counterexample\n" in out
+        assert "never held" not in out
+
     @pytest.mark.parametrize(
         "flag,value",
         [("--horizon", 0), ("--samples", 0)],

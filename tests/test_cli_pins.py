@@ -99,7 +99,7 @@ PINS = {
     "transient FAM --horizon 6 --mode exhaustive --format json":
         (0, "f077b5823b3fe4bb84878cf7061936ad9f1dba9860043853990a60f27d027677"),
     "transient FAM --horizon 6 --mode exhaustive --format pretty":
-        (0, "b32c34fbe57a4b2d102b0910d76040b9c181ba86af86c299652b1bc8b410e169"),
+        (0, "0f99fc531877b6664fb20e378bc42b82c1da2c815506c55cd66e170d8c781a3d"),
     "derive FAM --expected EXP --format json":
         (0, "06b1f18a456be85b0afd8b823ec19641236ed005a133231965e2291875fc673a"),
     "derive FAM --expected EXP --format pretty":
@@ -155,7 +155,7 @@ PINS = {
     "transient BAD --horizon 5 --samples 10 --format json":
         (0, "d5423eee1735234dccc440cef5818d24ccc2dc789d2b564c9244208a6c574b07"),
     "transient BAD --horizon 5 --samples 10 --format pretty":
-        (0, "a0d9955054830559ff8d82fe505c8ab585530fe226c5cdc5bdad69e62dd82a37"),
+        (0, "8f6243d85ad181714f43714d510e8bf949141471c2ae2b3745484d56807b37a0"),
     "(no arguments)": (1, "usage error:"),
     "frobnicate FAM": (1, "usage error:"),
     "validate FAM --walrus": (1, "usage error:"),

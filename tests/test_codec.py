@@ -391,6 +391,24 @@ class TestJsonText:
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
+    @pytest.mark.parametrize("case", ["member name", "expected string", "dict key",
+                                      "escaped quote"])
+    def test_strings_that_read_as_grid_stand_ins(self, family5_loaded, case):
+        # A grid's stand-in is "\x00<k>"; each value also holds a string of
+        # its own whose text contains a stand-in's.
+        family, names = family5_loaded
+        grids = [matrix_tokens(member) for member in family.members]
+        value = {
+            "member name": lambda: family_to_dict(family, ["\x000", *names[1:]]),
+            "expected string": lambda: {
+                "gamma": grids[0],
+                "deviations": deviations_between({"gamma": grids[1]}, {"gamma": "\x001"}),
+            },
+            "dict key": lambda: {"\x000": grids[0], "a": grids[1]},
+            "escaped quote": lambda: {"a": grids[0], "note": 'say "\x000"', "b": grids[1]},
+        }[case]()
+        assert json_text(value) == json.dumps(value, indent=2)
+
     def test_save_family(self, tmp_path, family5_loaded):
         family, names = family5_loaded
         path = tmp_path / "family.json"

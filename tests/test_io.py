@@ -81,6 +81,14 @@ class TestLoadFamily:
         with pytest.raises(FamilyFileError, match="member 1"):
             load_family(p)
 
+    @pytest.mark.parametrize("name", [None, ["A"], 3, True, {"x": "A"}])
+    def test_name_must_be_a_string(self, tmp_path, name):
+        # The error names the member by its position, as its name is no string.
+        members = [{"rows": [[0]]}, {"name": name, "rows": [[0]]}]
+        p = write(tmp_path, "f.json", {"members": members})
+        with pytest.raises(FamilyFileError, match="member 2: 'name' must be a string"):
+            load_family(p)
+
     def test_row_count_mismatch_against_declared_n(self, tmp_path):
         p = write(
             tmp_path,
