@@ -38,7 +38,11 @@ same scan with member 1's (1, 1) entry set to -inf, which turns pruning
 off so every distinct prefix is formed, the exhaustive scan up to
 horizons 8 and 12, whose groups extend only their failing products, and
 the exhaustive scan of the benchmark's seed-0 admissible family at
-n = 20 up to horizon 8, none of whose 9,840 products is rank-one.
+n = 20 up to horizon 8, none of whose 9,840 products is rank-one.  Last
+comes one sampled scan (horizon 40, 100 draws per length, seed 0) of the
+benchmark's seed-0 synthetic family at each ``--sizes`` value, labelled
+with the width its levels step in (``--sizes 20,40,80`` gives the
+sampled-scan row of ROADMAP's layer table).
 
 A fifth table times the text boundary, the implicit bound and the lemma
 checks on the benchmark's seed-0 synthetic inputs
@@ -205,13 +209,15 @@ def prefix_tree(mem, draws):
 
 
 def formed(call):
-    """The number of matrix products ``extend`` forms in one call."""
-    count = 0
+    """(count, widths): the number of matrix products ``extend`` forms in
+    one call, and the names of the dtypes its levels step in."""
+    count, widths = 0, set()
     kernel = _kernels.extend
 
     def counting(level, plan, parents, members):
         nonlocal count
         count += len(parents)
+        widths.add(level.dtype.name)
         return kernel(level, plan, parents, members)
 
     _kernels.extend = counting
@@ -219,7 +225,7 @@ def formed(call):
         call()
     finally:
         _kernels.extend = kernel
-    return count
+    return count, widths
 
 
 def pivot_removed(family):
@@ -439,8 +445,15 @@ def main() -> int:
         synthetic = load_family(str(synthetic_files(workdir, n)[0]))[0]
     scans.append(("exhaustive", n, horizon, lambda fam=synthetic, horizon=horizon:
                   estimate_transient(fam, horizon, "exhaustive")))
+    with tempfile.TemporaryDirectory() as workdir:
+        for n in sizes:
+            synthetic = load_family(str(synthetic_files(workdir, n)[0]))[0]
+            scans.append(("synthetic", n, SAMPLED_HORIZON, lambda fam=synthetic: estimate_transient(
+                fam, SAMPLED_HORIZON, samples_per_length=SAMPLED_DRAWS)))
     for label, n, k, call in scans:
-        count = formed(call)
+        count, widths = formed(call)
+        if label == "synthetic":
+            label = f"synthetic {'/'.join(sorted(widths))}"
         t = best_time(call, args.repeats)
         print(f"{label:<18}{n:>5}{k:>6}{count:>8}{t * 1e3:>14.3f}")
 

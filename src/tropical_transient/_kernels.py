@@ -1,23 +1,28 @@
-"""Exact integer max-plus kernels on one sentinel encoding.
+"""Exact integer max-plus kernels on one sentinel encoding, at two widths.
 
 Callers scale exact rational matrices onto a common denominator and pass
-an ``int64`` numerator grid with a boolean finiteness mask (False is
--inf).  They also check that every finite magnitude a kernel can form,
-inputs and sums alike, stays below ``2**61`` (``matrix._GUARD``).
+a numerator grid with a boolean finiteness mask (False is -inf).  They
+also check that every finite magnitude a kernel can form, inputs and
+sums alike, stays below the guard of the width they run at.
 
-Inside, a masked entry is stored as the sentinel ``MASKED = -2**62`` and
-a max-plus product is plain integer arithmetic, add then max.  That is
-exact for every guarded input:
+Inside, a masked entry is stored as a sentinel, MASKED, and a max-plus
+product is plain integer arithmetic, add then max.  A signed width of b
+bits has MASKED = -2**(b - 2), FLOOR = -2**(b - 3) and the guard
+2**(b - 3) (``_SENTINELS``): int64 has -2**62, -2**61 and 2**61
+(``MASKED``, ``FLOOR`` and ``matrix._GUARD``), int32 has -2**30, -2**29
+and 2**29.  That is exact for every guarded input:
 
-* a sum of finite entries lies in (-2**61, 2**61);
-* a sum with a masked term is at most -2**62 + 2**61 < -2**61;
-* ``MASKED + MASKED = -2**63`` still fits in int64.
+* a sum of finite entries lies in (-2**(b - 3), 2**(b - 3));
+* a sum with a masked term lies below MASKED + 2**(b - 3) = FLOOR;
+* ``MASKED + MASKED = -2**(b - 1)`` still fits in b bits.
 
-So an encoded entry is finite exactly when it exceeds ``FLOOR = -2**61``,
-and clamping every reduction back up to ``MASKED`` keeps the next sum in
-range.  ``matmul`` and ``fold`` return (numerator, mask) pairs with 0 in
-masked slots; the trellis sweeps return encoded tables, which their
-callers reduce further.
+So an encoded entry is finite exactly when it exceeds FLOOR, and clamping
+every reduction back up to MASKED keeps the next sum in range.  Every
+kernel runs on whichever of the two widths its inputs have; only the
+transient scans narrow to int32, when the largest magnitude they can
+form is below 2**29 (``width``).  ``matmul`` and ``fold`` return
+(numerator, mask) pairs with 0 in masked slots; the trellis sweeps
+return encoded tables, which their callers reduce further.
 
 A max-plus product here multiplies a state by one layer of a
 stack, and the members of an admissible family share one finite pattern
@@ -103,15 +108,28 @@ import numpy as np
 
 MASKED = np.int64(-(1 << 62))
 FLOOR = -(1 << 61)
+# (MASKED, FLOOR) of each width: -2**(b - 2) and -2**(b - 3) for b bits.
+_SENTINELS = {
+    np.dtype(np.int64): (MASKED, FLOOR),
+    np.dtype(np.int32): (np.int32(-(1 << 30)), -(1 << 29)),
+}
 CHUNK_ELEMENTS = 1 << 16
 # A fold tests its running products for rank-one every this many layers;
 # testing every layer costs more than it saves at small n.
 PROBE_STRIDE = 4
 
 
-def encode(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
-    """Numerators with MASKED in every -inf slot."""
-    return np.where(fin, num, MASKED)
+def width(magnitude: int) -> np.dtype:
+    """The width a scan whose finite values stay below magnitude runs at:
+    int32 when that is below int32's guard, 2**29, and int64 otherwise."""
+    int32 = np.dtype(np.int32)
+    return int32 if magnitude < -_SENTINELS[int32][1] else np.dtype(np.int64)
+
+
+def encode(num: np.ndarray, fin: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Numerators in the given width, with its MASKED in every -inf slot."""
+    dtype = np.dtype(dtype)
+    return np.where(fin, num, _SENTINELS[dtype][0]).astype(dtype, copy=False)
 
 
 def decode(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,13 +148,14 @@ def _plan(layers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     none included, is padded with node 0 at weight MASKED, so every
     column reduces over D terms and the padding never wins a max.
     """
-    fin = (layers > FLOOR).any(axis=0)
+    masked, floor = _SENTINELS[layers.dtype]
+    fin = (layers > floor).any(axis=0)
     cols, rows = np.nonzero(fin.T)
     count = fin.sum(axis=0)
     depth = np.arange(len(rows)) - (np.cumsum(count) - count)[cols]
     src = np.zeros((max(1, count.max()), fin.shape[1]), dtype=np.intp)
     src[depth, cols] = rows
-    weights = np.full((len(layers),) + src.shape, MASKED)
+    weights = np.full((len(layers),) + src.shape, masked, dtype=layers.dtype)
     weights[:, depth, cols] = layers[:, rows, cols]
     return src, weights
 
@@ -145,7 +164,8 @@ def _step(state: np.ndarray, plan, s, out: Optional[np.ndarray] = None) -> np.nd
     """The product of a node-first encoded state and layers[s], on the
     ``_plan`` of the layers: one gather of the state along its node axis,
     one add of the layer's padded weights and one max over the padded
-    axis.
+    axis, clamped up to MASKED inside the reduction.  The state and the
+    weights share one width.
 
     The node axis leads and any batch trails: a vector x is (r,) and
     gives x (x) layers[s]; a matrix state X^T is (r, b) and gives
@@ -170,8 +190,7 @@ def _step(state: np.ndarray, plan, s, out: Optional[np.ndarray] = None) -> np.nd
             terms += weights[s].transpose(1, 2, 0)[:, :, None]
         else:
             terms += weights[s][..., None]
-    out = terms.max(axis=0, out=out)
-    return np.maximum(out, MASKED, out=out)
+    return terms.max(axis=0, out=out, initial=_SENTINELS[terms.dtype][0])
 
 
 def _chunks(count: int, terms: int) -> list[slice]:
@@ -293,10 +312,10 @@ def closure(a: np.ndarray) -> Optional[np.ndarray]:
     return d
 
 
-def _units(n: int, starts) -> np.ndarray:
+def _units(n: int, starts, dtype=np.int64) -> np.ndarray:
     """Node-first encoded state whose column r is 0 at node starts[r] and
     masked elsewhere: one vector for a single start."""
-    eye = np.full((n, n), MASKED, dtype=np.int64)
+    eye = np.full((n, n), _SENTINELS[np.dtype(dtype)][0], dtype=dtype)
     np.fill_diagonal(eye, 0)
     return eye.take(starts, axis=1)
 
@@ -339,10 +358,10 @@ def _matmul(a_num, a_fin, b_num, b_fin):
     return decode(_step(encode(a_num, a_fin).T, _plan(encode(b_num, b_fin)[None]), 0).T)
 
 
-def identity_level(n: int) -> np.ndarray:
-    """The empty product as an encoded level of one product: the identity,
-    (n, n, 1)."""
-    return _units(n, np.arange(n))[..., None]
+def identity_level(n: int, dtype=np.int64) -> np.ndarray:
+    """The empty product as an encoded level of one product in the given
+    width: the identity, (n, n, 1)."""
+    return _units(n, np.arange(n), dtype)[..., None]
 
 
 def extend(level: np.ndarray, plan, parents: np.ndarray,
@@ -358,13 +377,15 @@ def extend(level: np.ndarray, plan, parents: np.ndarray,
     p * m + j), the sampled scan only the distinct prefixes of its draws.
     Each chunk of products (``_chunks``) is one ``_step`` of the stack of
     its parents, each adding its own member's weights, into a contiguous
-    array that is then copied into out.
+    array that is then copied into out; reducing straight into the strided
+    slice of out is slower at large n.  The level and the plan share one
+    width, and out has it too.
     """
     n = level.shape[0]
-    out = np.empty((n, n, len(parents)), dtype=np.int64)
+    out = np.empty((n, n, len(parents)), dtype=level.dtype)
     for part in _chunks(len(parents), n * plan[0].size):
         out[..., part] = _step(level.take(parents[part], axis=-1), plan, members[part])
-    return out, rank_one(out, out > FLOOR)
+    return out, rank_one(out, out > _SENTINELS[out.dtype][1])
 
 
 def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
@@ -376,12 +397,14 @@ def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
     wherever finite, so that m = x (x) y^T with x = m_:1 - m_11 and
     y = m_1:.  Each condition holds for m exactly when it holds for m^T,
     so a node-first state, the transpose of its product, gets the
-    product's verdict.  Masked slots of num hold 0 with finite
-    |num| < 2**62 (a decoded stack) or MASKED with finite |num| < 2**61
-    (an encoded one); either way each side of the value test is a
-    difference of two values in [-2**62, 2**62), which lies strictly
-    inside int64.  So the test needs no magnitude guard, and masked slots
-    are left out of it.
+    product's verdict.  In a width of b bits, masked slots of num hold 0
+    with finite |num| < 2**(b - 2) (a decoded stack) or MASKED with finite
+    |num| < 2**(b - 3) (an encoded one, of either width); either way each
+    side of the value test is a difference of two values in
+    [-2**(b - 2), 2**(b - 2)), which lies in (-2**(b - 1), 2**(b - 1)),
+    strictly inside the width: in [-2**62, 2**62) for int64 and in
+    [-2**30, 2**30) for int32.  So the test needs no magnitude guard, and
+    masked slots are left out of it.
     """
     pivot = fin[0, 0]
     pattern = fin == (fin[:, :1] & fin[:1])

@@ -21,13 +21,18 @@ by the distinct members that follow it, so a tree costs one matrix
 product per distinct prefix, not one per draw and layer, and each draw
 reads its verdict at its own last layer.
 
+Both scans step their levels in int32 when every finite value they can
+form, ``layer_magnitude * horizon``, is below 2^29, and in int64
+otherwise (``_kernels.width``); the width changes no result.
+
 One byte budget (``_BYTE_BUDGET``, 2 MB) bounds what the walk holds.  A
-group holds at most 2^18 int64 entries, so 2^18 // n^2 products (one when
+group holds at most 2^18 entries, so 2^18 // n^2 products (one when
 n > 512), and the groups waiting to be formed sit on an explicit stack:
 the walk holds one formed group per length of its current path.  The
-sampled scan draws every length from one generator and cuts the draws
-into trees of consecutive lengths that fit the budget; a length is never
-split.
+sampled scan draws the lengths in order from one generator, one call per
+tree of consecutive lengths whose int64 draws fit the budget; a length is
+never split.  The failing sequences stay arrays, one per length
+(:class:`Counterexamples`), and become tuples only when read.
 
 A single fold uses rank-one absorption: once a prefix P = x (x) y^T is
 rank-one, the rest of the fold only changes y, so it finishes as a vector
@@ -43,8 +48,11 @@ order: length by length, in itertools.product order or in draw order.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -52,11 +60,11 @@ import numpy as np
 from . import _kernels
 from .errors import BudgetExceededError
 from .family import MatrixFamily, member_index
-from .matrix import TropicalMatrix, _check_magnitude
+from .matrix import _GUARD, TropicalMatrix, _check_magnitude
 
 DEFAULT_PRODUCT_BUDGET = 2_000_000
-# Bytes that one piece of scan work may hold: a group of int64 products
-# formed by one _kernels.extend call (2^18 entries), and the draws of one
+# Bytes that one piece of scan work may hold: a group of products formed
+# by one _kernels.extend call (2^18 entries), and the int64 draws of one
 # sampled prefix tree.
 _BYTE_BUDGET = 1 << 21
 
@@ -99,6 +107,72 @@ def _staged_sequence(family: MatrixFamily, sequence) -> np.ndarray:
     return family.stage(indices, "sequence fold")
 
 
+class Counterexamples(Sequence):
+    """The failing sequences of a scan, in scan order, as a read-only
+    sequence of (length, sequence) pairs: an int and a tuple of 1-based
+    member indices, as a tuple of such pairs would hold them.
+
+    The scan keeps one (count, k) array of member indices per failing
+    length k, and a pair is formed only when it is read (by index, slice
+    or iteration).  A slice is a tuple of pairs.  It equals a tuple of the
+    same pairs, and another such sequence with the same arrays, but no
+    list, as a tuple would.
+    """
+
+    def __init__(self, failed: list[list[np.ndarray]]):
+        # failed[k - 1] holds arrays of the failing sequences of length k,
+        # rows in scan order.
+        self._parts = [(k, np.concatenate(rows)) for k, rows in enumerate(failed, start=1)
+                       if any(len(r) for r in rows)]
+        self._ends = np.cumsum([len(rows) for _, rows in self._parts]).tolist()
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def _entries(self, start: int, stop: int) -> list:
+        # The pairs of entries start..stop - 1, for 0 <= start <= stop <= len.
+        out = []
+        p = bisect_right(self._ends, start)
+        while start < stop:
+            k, rows = self._parts[p]
+            base, top = self._ends[p] - len(rows), min(stop, self._ends[p])
+            out.extend(zip(repeat(k), map(tuple, rows[start - base:top - base].tolist())))
+            start, p = top, p + 1
+        return out
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if step == 1:
+                return tuple(self._entries(start, max(start, stop)))
+            return tuple(self[j] for j in range(start, stop, step))
+        i = index(i)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("counterexample index out of range")
+        return self._entries(i, i + 1)[0]
+
+    def __iter__(self):
+        for k, rows in self._parts:
+            yield from zip(repeat(k), map(tuple, rows.tolist()))
+
+    def __eq__(self, other):
+        if isinstance(other, Counterexamples):
+            return len(self._parts) == len(other._parts) and all(
+                k == l and np.array_equal(a, b)
+                for (k, a), (l, b) in zip(self._parts, other._parts))
+        if isinstance(other, tuple):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Counterexamples({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class TransientEstimate:
     """Result of scanning product lengths for rank-one factorization.
@@ -107,13 +181,14 @@ class TransientEstimate:
     every examined product (of that and every larger scanned length) was
     rank-one, or None if the largest length still had a counterexample.
     ``counterexamples`` lists (length, sequence) pairs that failed, in
-    scan order.
+    scan order: a :class:`Counterexamples` from a scan, or any sequence of
+    such pairs, a tuple for one.
     """
 
     mode: str
     horizon: int
     first_all_rank_one: Optional[int]
-    counterexamples: tuple[tuple[int, tuple[int, ...]], ...]
+    counterexamples: Sequence[tuple[int, tuple[int, ...]]]
     examined: int
     samples_per_length: Optional[int]
     seed: Optional[int]
@@ -126,7 +201,8 @@ def _absorbing(family: MatrixFamily) -> bool:
     If P = x (x) y^T and A_11 is finite, then P (x) A = x (x) (y^T (x) A)
     is rank-one, with a pivot of at least P_11 + A_11.  Skipping such a
     product loses nothing else: the rank-one test (``_kernels.rank_one``)
-    forms no value that can leave int64, so it raises for no product.
+    forms no value that can leave the scan's width, so it raises for no
+    product.
     """
     return bool(family.stacked[1][:, 0, 0].all())
 
@@ -144,7 +220,8 @@ def _walk(plan, grow, root) -> None:
     # order, so each length is formed in prefix order.
     m, n = len(plan[1]), plan[0].shape[1]
     cap = max(1, _BYTE_BUDGET // (8 * n * n))
-    level, ok, depth, state = _kernels.identity_level(n), np.zeros(1, dtype=bool), 0, root
+    level, ok, depth, state = (_kernels.identity_level(n, plan[1].dtype), np.zeros(1, dtype=bool),
+                               0, root)
     stack = []
     while True:
         children, part = grow(depth, ok, state)
@@ -175,19 +252,27 @@ def _exhaustive_scan(plan, horizon: int, prune: bool, failed: list) -> None:
 
 
 def _sampled_scan(plan, horizon: int, samples: int, seed: int, prune: bool, failed: list) -> None:
-    # Lengths are drawn in order from one generator.  A tree takes the
-    # next length while its draws, padded to one more than its longest,
-    # fit _BYTE_BUDGET; a tree holds at least one length.
+    # Lengths are drawn in order from one generator, the draws of a tree
+    # of consecutive lengths in one call: a tree takes the next length
+    # while its samples * (sum of lengths) int64 draws fit _BYTE_BUDGET,
+    # and holds at least one length.  One call of the draws of several
+    # lengths reads the same stream as one call per length, each draw of
+    # length k being k consecutive values.
     m = len(plan[1])
     rng = np.random.Generator(np.random.PCG64(seed))
     dtype = np.min_scalar_type(m)
-    tree: list[np.ndarray] = []
-    for k in range(1, horizon + 1):
-        tree.append(rng.integers(1, m + 1, size=(samples, k)).astype(dtype))
-        if k == horizon or samples * (len(tree) + 1) * (k + 2) * dtype.itemsize > _BYTE_BUDGET:
-            for draws, ok in zip(tree, _tree_verdicts(plan, tree, prune)):
-                failed[draws.shape[1] - 1].append(draws[~ok])
-            tree = []
+    first = 1
+    while first <= horizon:
+        last, total = first, first
+        while last < horizon and 8 * samples * (total + last + 1) <= _BYTE_BUDGET:
+            last += 1
+            total += last
+        flat = rng.integers(1, m + 1, size=samples * total)
+        ends = samples * np.cumsum(np.arange(first, last + 1))
+        tree = [part.reshape(samples, -1) for part in np.split(flat, ends[:-1])]
+        for draws, ok in zip(tree, _tree_verdicts(plan, tree, prune)):
+            failed[draws.shape[1] - 1].append(draws[~ok].astype(dtype))
+        first = last + 1
 
 
 def _tree_verdicts(plan, tree: list[np.ndarray], prune: bool) -> np.ndarray:
@@ -205,7 +290,7 @@ def _tree_verdicts(plan, tree: list[np.ndarray], prune: bool) -> np.ndarray:
     samples, top = tree[-1].shape
     # One zero column past the longest draw, so that the next-member read
     # at the last depth, where no draw is live, stays in bounds.
-    stack = np.zeros((samples * len(tree), top + 1), dtype=tree[-1].dtype)
+    stack = np.zeros((samples * len(tree), top + 1), dtype=np.min_scalar_type(m))
     for i, draws in enumerate(tree):
         stack[i * samples:(i + 1) * samples, :draws.shape[1]] = draws - 1
     lengths = np.repeat([draws.shape[1] for draws in tree], samples)
@@ -249,13 +334,14 @@ def estimate_transient(
     ``max_products``.  Sampled mode draws ``samples_per_length`` seeded
     sequences per length, all from one generator in a fixed order.  Both
     walk the products depth-first, in groups of at most 2^18 // n^2
-    products.  When every member has a finite (1, 1) entry, exhaustive
-    mode extends only the products that are not rank-one, their
-    extensions being the only candidates, and sampled mode counts a draw
-    whose prefix turns rank-one as rank-one without folding it to its end.
-    Otherwise every product is formed.  Before the scan the int64 guard
-    of :func:`fold` is checked at each length, and raises at the first
-    length it fails.
+    products, in int32 when ``layer_magnitude * horizon`` is below 2^29
+    and in int64 otherwise.  When every member has a finite (1, 1) entry,
+    exhaustive mode extends only the products that are not rank-one,
+    their extensions being the only candidates, and sampled mode counts a
+    draw whose prefix turns rank-one as rank-one without folding it to its
+    end.  Otherwise every product is formed.  Before the scan the int64
+    guard of :func:`fold` is checked, and raises at the first length it
+    fails.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -279,20 +365,23 @@ def estimate_transient(
             raise BudgetExceededError(
                 f"sampled scan needs {examined} products, budget is {max_products}"
             )
-    for k in range(1, horizon + 1):
-        _check_magnitude(family.layer_magnitude * k, "sequence fold")
+    magnitude = family.layer_magnitude * horizon
+    if magnitude >= _GUARD:
+        # The guard grows with the length, so the first length that fails
+        # it is the smallest k with layer_magnitude * k >= _GUARD.
+        _check_magnitude(family.layer_magnitude * -(-_GUARD // family.layer_magnitude),
+                         "sequence fold")
 
     # failed[k - 1] collects the 1-based sequences of the failing products
     # of length k, as arrays of rows in scan order.
     failed: list[list[np.ndarray]] = [[] for _ in range(horizon)]
-    plan, prune = _kernels._plan(_kernels.encode(*family.stacked[:2])), _absorbing(family)
+    members = _kernels.encode(*family.stacked[:2], _kernels.width(magnitude))
+    plan, prune = _kernels._plan(members), _absorbing(family)
     if mode == "exhaustive":
         _exhaustive_scan(plan, horizon, prune, failed)
     else:
         _sampled_scan(plan, horizon, samples_per_length, seed, prune, failed)
-    counterexamples = tuple(chain.from_iterable(
-        zip(repeat(k), map(tuple, part.tolist())) for k, rows in enumerate(failed, start=1)
-        for part in rows))
+    counterexamples = Counterexamples(failed)
     # Every length from the one after the last failing length up to the
     # horizon is all rank-one.
     last_failed = counterexamples[-1][0] if counterexamples else 0

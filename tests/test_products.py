@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
@@ -9,21 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_valid_family
+from conftest import fixture_path, random_valid_family
 from test_bench_digests import load_bench_inputs
 from tropical_transient import _kernels, products
 from tropical_transient.bounds import implicit_sequence_bound
+from tropical_transient.cli import main
 from tropical_transient.errors import BudgetExceededError
 from tropical_transient.family import MatrixFamily
 from tropical_transient.io import load_family
 from tropical_transient.matrix import TropicalMatrix
 from tropical_transient.products import (
     DEFAULT_PRODUCT_BUDGET,
+    Counterexamples,
     ProductSequence,
     TransientEstimate,
     estimate_transient,
     fold,
 )
+from tropical_transient.report import MAX_REPORTED_COUNTEREXAMPLES, transient_section
 from tropical_transient.trellis import build_trellis
 
 
@@ -279,18 +283,22 @@ class _ExtendSpy:
     """Records the calls of ``_kernels.extend``, through which both scans
     form every matrix product: ``sizes`` holds the number of products of
     each call, ``levels`` the number of products of its input level (its
-    last axis) and ``contiguous`` whether that level is C-contiguous."""
+    last axis), ``contiguous`` whether that level is C-contiguous and
+    ``widths`` the dtypes the levels step in."""
 
     def __init__(self, monkeypatch):
         self.sizes = []
         self.levels = []
         self.contiguous = []
+        self.widths = set()
         extend = _kernels.extend
 
         def spied_extend(level, plan, parents, members):
             self.sizes.append(len(parents))
             self.levels.append(level.shape[-1])
             self.contiguous.append(level.flags.c_contiguous)
+            self.widths.add(level.dtype)
+            assert plan[1].dtype == level.dtype
             return extend(level, plan, parents, members)
 
         monkeypatch.setattr(_kernels, "extend", spied_extend)
@@ -326,18 +334,19 @@ def _spied_scan(monkeypatch, *args, **kwargs):
 
 
 def _draw_trees(family, horizon, samples, seed):
-    """The sampled scan's draws as 1-based tuples, grouped into its prefix
-    trees.  A tree of consecutive lengths takes the next length while its
-    draws, stored one byte per member index (two past 255 members) and
-    padded to one more than the longest, fit ``products._BYTE_BUDGET``; a
-    length is never split, so a tree holds at least one length."""
+    """The sampled scan's draws as 1-based tuples, drawn one length at a
+    time and grouped into its prefix trees.  A tree of consecutive lengths
+    takes the next length while its draws, as int64 values, fit
+    ``products._BYTE_BUDGET``; a length is never split, so a tree holds at
+    least one length."""
     rng = np.random.Generator(np.random.PCG64(seed))
     m = family.member_count
-    row = samples * np.min_scalar_type(m).itemsize
-    trees = []
+    trees, total = [], 0
     for k in range(1, horizon + 1):
-        if not trees or row * (len(trees[-1]) + 1) * (k + 1) > products._BYTE_BUDGET:
+        total += k
+        if not trees or 8 * samples * total > products._BYTE_BUDGET:
             trees.append([])
+            total = k
         draws = rng.integers(1, m + 1, size=(samples, k))
         trees[-1].append([tuple(int(x) for x in row) for row in draws])
     return [[draw for length in tree for draw in length] for tree in trees]
@@ -448,18 +457,19 @@ class TestRaggedSampledScan:
         assert spy.products == _live_prefixes(fam, 5, 100, 0) == 2 * 5
 
     @pytest.mark.parametrize("rows, budget, trees, splits", [
-        pytest.param(7, 300, 2, True, id="7-300"),
-        pytest.param(64, 1200, 1, False, id="64-1200"),
+        pytest.param(7, 300, 11, True, id="7-300"),
+        pytest.param(64, 1200, 3, False, id="64-1200"),
     ])
     def test_several_chunks_and_blocks(self, family5, monkeypatch, rows, budget, trees, splits):
         # Small chunks and a small byte budget, of budget int64 entries: at
         # n = 5 a chunk holds rows rows (a row gathers 5 terms per entry of
         # the members' plan) and a group at most budget // 25 products.
         # With 20 draws per length, a budget of 300 entries (2,400 bytes)
-        # holds the draws of lengths 1-10 and 11-16 as two trees, and its
-        # groups of at most 12 products span several 7-row chunks; one of
-        # 1200 folds every length as one tree, whose groups of at most 48
-        # fit one 64-row chunk.  Groups split at the wide depths of both.
+        # holds the int64 draws of lengths 1-5, 6-7 and then each longer
+        # length alone, 11 trees, and its groups of at most 12 products
+        # span several 7-row chunks; one of 1200 holds lengths 1-10, 11-14
+        # and 15-16, whose groups of at most 48 fit one 64-row chunk.
+        # Groups split at the wide depths of both.
         monkeypatch.setattr(products, "_BYTE_BUDGET", 8 * budget)
         cap = budget // 25
         rng = random.Random(100 * rows)
@@ -580,6 +590,22 @@ class TestScanOverflow:
         got = _assert_matches_oracle(fam, horizon=3, mode=mode, samples_per_length=5)
         assert got == (OverflowError, f"sequence fold: scaled integer magnitude {3 * big} "
                                       "exceeds the int64 budget")
+
+    @pytest.mark.parametrize("w, length", [
+        (1 << 61, 1), (1 << 59, 4), ((1 << 61) // 1000 + 1, 1000)])
+    def test_fold_guard_names_the_first_failing_length(self, w, length):
+        # The guard grows with the length, so however long the horizon,
+        # the scan raises at the first length k with k w >= 2**61 and
+        # names the magnitude there.
+        assert (length - 1) * w < self.GUARD <= length * w
+        fam = MatrixFamily([TropicalMatrix.from_rows([[0, -w], [-1, -1]])])
+        for horizon in (length, 2_000_000):
+            with pytest.raises(OverflowError) as info:
+                estimate_transient(fam, horizon, samples_per_length=1)
+            assert str(info.value) == (f"sequence fold: scaled integer magnitude {length * w} "
+                                       "exceeds the int64 budget")
+        if length > 1:
+            assert estimate_transient(fam, length - 1, samples_per_length=1).examined == length - 1
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_rank_one_guard_on_reduced_numerators(self, mode):
@@ -702,3 +728,149 @@ class TestPrunedExhaustive:
         assert est.counterexamples == tuple((k, (2,) * k) for k in range(1, horizon + 1))
         assert est.examined == (1 << horizon + 1) - 2
         assert est.first_all_rank_one is None
+
+
+INT32, INT64 = np.dtype(np.int32), np.dtype(np.int64)
+
+
+def _straddling_family() -> MatrixFamily:
+    """Two diagonal members diag(0, -w) and diag(0, -w + 7) and one small
+    full member, with w chosen so that layer_magnitude * horizon, 5 w at
+    horizon 5 and 6 w at horizon 6, straddles 2**29.  A product of
+    diagonal factors reaches -5 w at length 5, near int32's floor -2**29."""
+    w = (1 << 29) // 6 + 1
+    d0, d1 = (TropicalMatrix.from_rows([[0, None], [None, -w + c]]) for c in (0, 7))
+    fam = MatrixFamily([d0, d1, TropicalMatrix.from_rows([[0, -1], [-2, -1]])])
+    assert fam.layer_magnitude == w and 5 * w < 1 << 29 <= 6 * w
+    return fam
+
+
+class TestScanWidth:
+    """The scans step int32 levels when ``layer_magnitude * horizon`` is
+    below 2**29 and int64 levels otherwise, with the same verdicts and
+    counterexamples either way."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(family_seed=st.integers(0, 1 << 32), n=st.integers(2, 5), m=st.integers(1, 3),
+           admissible=st.booleans(), exhaustive=st.booleans(), horizon=st.integers(1, 10),
+           samples=st.integers(1, 40), seed=st.integers(0, 1 << 32))
+    def test_int32_and_int64_scans_agree(self, family_seed, n, m, admissible, exhaustive,
+                                         horizon, samples, seed):
+        rng = random.Random(family_seed)
+        fam = random_valid_family(rng, n, m) if admissible else _scan_family(rng, n, m)
+        mode = "exhaustive" if exhaustive else "sampled"
+        if exhaustive:
+            horizon = max(h for h in range(1, horizon + 1)
+                          if sum(m**k for k in range(1, h + 1)) <= 2000)
+        kwargs = dict(mode=mode, samples_per_length=samples, seed=seed)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            narrow = _ExtendSpy(monkeypatch)
+            got = estimate_transient(fam, horizon, **kwargs)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(_kernels, "width", lambda magnitude: INT64)
+            wide = _ExtendSpy(monkeypatch)
+            want = estimate_transient(fam, horizon, **kwargs)
+        assert narrow.widths == {INT32} and wide.widths == {INT64}
+        assert narrow.sizes == wide.sizes
+        assert got == want
+        assert list(got.counterexamples) == list(want.counterexamples)
+
+    @pytest.mark.parametrize("horizon, width", [(5, INT32), (6, INT64)])
+    def test_straddling_family_on_both_sides(self, monkeypatch, horizon, width):
+        fam = _straddling_family()
+        assert _kernels.width(fam.layer_magnitude * horizon) == width
+        spy = _ExtendSpy(monkeypatch)
+        est = estimate_transient(fam, horizon, "exhaustive")
+        assert est == oracles.full_level_estimate(fam, horizon)
+        assert (horizon, (1,) * horizon) in est.counterexamples
+        _assert_matches_oracle(fam, horizon=horizon, samples_per_length=50, seed=horizon)
+        assert spy.widths == {width}
+
+    def test_benchmark_scans_step_int32(self, family5, capsys, monkeypatch):
+        # The fixture scans of the benchmark and the CLI transient op.
+        spy = _ExtendSpy(monkeypatch)
+        estimate_transient(family5, 40, samples_per_length=100, seed=0)
+        estimate_transient(family5, 8, "exhaustive")
+        assert main(["transient", fixture_path("five_node_family.json"), "--horizon", "12",
+                     "--samples", "50", "--seed", "0", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["transient"]["examined"] == 600
+        assert spy.widths == {INT32} and spy.products == 2904 + 3555 + 769
+
+
+class TestTreeDraws:
+    """The sampled scan draws each tree of lengths with one generator call,
+    which reads the same stream as one call per length."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 255, 256, 300])
+    def test_one_call_per_tree_matches_per_length_draws(self, monkeypatch, m):
+        # 7 draws per length and room for 10 int64 values per draw: lengths
+        # 1-4 form one tree and every longer length one of its own.
+        fam = MatrixFamily([TropicalMatrix.from_rows([[0, -(j % 5)], [-1, -2]])
+                            for j in range(m)])
+        horizon, samples = 9, 7
+        monkeypatch.setattr(products, "_BYTE_BUDGET", 8 * samples * 10)
+        want = _draw_trees(fam, horizon, samples, m)
+        assert [len(tree) for tree in want] == [samples * 4] + [samples] * 5
+        calls = []
+
+        class Counting(np.random.Generator):
+            def integers(self, *args, **kwargs):
+                calls.append(kwargs.get("size"))
+                return super().integers(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", Counting)
+        tree_spy = _TreeSpy(monkeypatch)
+        est = estimate_transient(fam, horizon, samples_per_length=samples, seed=m)
+        assert calls == [samples * 10] + [samples * k for k in range(5, horizon + 1)]
+        assert tree_spy.trees == want
+        assert est.examined == horizon * samples
+
+
+class TestCounterexamples:
+    """A scan's counterexamples read as the tuple of (length, sequence)
+    pairs they replace, and form a pair only when it is read."""
+
+    def test_reads_as_the_tuple(self, family5):
+        kwargs = dict(horizon=12, samples_per_length=30, seed=4)
+        got = estimate_transient(family5, **kwargs).counterexamples
+        want = oracles.per_sequence_estimate(family5, **kwargs).counterexamples
+        assert isinstance(got, Counterexamples) and isinstance(want, tuple)
+        assert len({k for k, _ in want}) > 3 and len(got) == len(want)
+        assert got == want and want == got and not got != want
+        assert tuple(got) == want and list(got) == list(want)
+        assert hash(got) == hash(want)
+        for part in (slice(None), slice(0, 0), slice(3, 17), slice(-5, None), slice(None, None, 3),
+                     slice(10, 2), slice(1, 10**6), slice(None, None, -4)):
+            assert type(got[part]) is tuple and got[part] == want[part]
+        for i in (0, 1, len(want) - 1, -1, -len(want)):
+            assert got[i] == want[i]
+        for i in (len(want), -len(want) - 1):
+            with pytest.raises(IndexError):
+                got[i]
+        assert got[-1] in got and got.index(got[5]) == want.index(want[5])
+        assert got != list(want) and got != want[:-1] and got != want[:-1] + ((1, (9,)),)
+        other = estimate_transient(family5, **{**kwargs, "seed": 5}).counterexamples
+        assert other != got and other == estimate_transient(
+            family5, **{**kwargs, "seed": 5}).counterexamples
+
+    def test_no_counterexample(self):
+        r = TropicalMatrix.from_rows([[0, 0], [0, 0]])
+        got = estimate_transient(MatrixFamily([r]), 3, "exhaustive").counterexamples
+        assert isinstance(got, Counterexamples)
+        assert not got and len(got) == 0 and got == () and got[:5] == () and list(got) == []
+
+    def test_transient_section_forms_at_most_the_reported_pairs(self, family5, monkeypatch):
+        est = estimate_transient(family5, 2, samples_per_length=5000, seed=1)
+        want = oracles.per_sequence_estimate(family5, 2, samples_per_length=5000, seed=1)
+        assert len(est.counterexamples) > 100 * MAX_REPORTED_COUNTEREXAMPLES
+        formed = []
+        entries = Counterexamples._entries
+
+        def counted(self, start, stop):
+            formed.append(stop - start)
+            return entries(self, start, stop)
+
+        monkeypatch.setattr(Counterexamples, "_entries", counted)
+        sect = transient_section(est)
+        assert 0 < sum(formed) <= MAX_REPORTED_COUNTEREXAMPLES == 50
+        assert sect == transient_section(want)
