@@ -29,10 +29,13 @@ pays for every rank-one probe on top of every matrix product.
 A fourth table times the transient scan's own work, all of whose matrix
 products the level kernel ``extend`` forms, from the empty product on,
 in depth-first groups of at most 2^18 // n^2 products; the ``formed``
-column counts them.  It folds 100 draws of length 20 and 40 at n = 5 and
-16, over the same two kinds of members, as the sampled scan's tree of
-distinct prefixes (the onset members have finite (1, 1) entries, so
-rank-one prefixes leave the tree).  Then it runs the sampled scan of the
+column counts them and the ``width`` column names the integer width
+their levels step in (int16 below 2^13, int32 below 2^29, int64 past
+it).  It folds 100 draws of length 20 and 40 at n = 5 and 16, over the
+same two kinds of members encoded in the width a scan of that length
+picks, as the sampled scan's tree of distinct prefixes (the onset
+members have finite (1, 1) entries, so rank-one prefixes leave the
+tree).  Then it runs the sampled scan of the
 bundled five-node family (horizon 40, 100 draws per length, seed 0), the
 same scan with member 1's (1, 1) entry set to -inf, which turns pruning
 off so every distinct prefix is formed, the exhaustive scan up to
@@ -40,9 +43,9 @@ horizons 8 and 12, whose groups extend only their failing products, and
 the exhaustive scan of the benchmark's seed-0 admissible family at
 n = 20 up to horizon 8, none of whose 9,840 products is rank-one.  Last
 comes one sampled scan (horizon 40, 100 draws per length, seed 0) of the
-benchmark's seed-0 synthetic family at each ``--sizes`` value, labelled
-with the width its levels step in (``--sizes 20,40,80`` gives the
-sampled-scan row of ROADMAP's layer table).
+benchmark's seed-0 synthetic family at each ``--sizes`` value
+(``--sizes 20,40,80`` gives the sampled-scan row of ROADMAP's layer
+table).
 
 A fifth table times the text boundary, the implicit bound and the lemma
 checks on the benchmark's seed-0 synthetic inputs
@@ -201,9 +204,9 @@ def step_rows(rng, n, members, repeats):
 
 
 def prefix_tree(mem, draws):
-    """Which of one length's 1-based draws are rank-one, folded as a tree
-    of their distinct prefixes on encoded members, planned as the scan
-    plans them."""
+    """Which of one length's 1-based int32 draws are rank-one, folded as a
+    tree of their distinct prefixes on encoded members (in the width the
+    scan would pick), planned as the scan plans them."""
     prune = bool((mem[:, 0, 0] > FLOOR).all())
     return _tree_verdicts(_plan(mem), [draws], prune)[0]
 
@@ -417,7 +420,8 @@ def main() -> int:
             t = best_time(lambda: ACTIVE.fold(num, fin, seq), args.repeats)
             print(f"{name:<18}{n:>5}{ONSET_LENGTH:>6}{str(onset):>8}{t * 1e3:>14.3f}")
 
-    header = f"{'scan':<18}{'n':>5}{'k':>6}{'formed':>8}{ACTIVE.name + ' (ms)':>14}"
+    header = (f"{'scan':<18}{'n':>5}{'k':>6}{'formed':>8}{'width':>7}"
+              f"{ACTIVE.name + ' (ms)':>14}")
     print()
     print(header)
     print("-" * len(header))
@@ -425,9 +429,11 @@ def main() -> int:
     scans = []
     for n in SCAN_SIZES:
         for k in SCAN_LENGTHS:
-            draws = rng.integers(1, args.members + 1, size=(STACK_ROWS, k)).astype(np.uint8)
+            draws = rng.integers(1, args.members + 1, size=(STACK_ROWS, k)).astype(np.int32)
             for name, make in (("onset", onset_inputs), ("never", permutation_inputs)):
-                mem = encode(*make(rng, args.members, n))
+                num, fin = make(rng, args.members, n)
+                # The width a scan of length k picks for these members.
+                mem = encode(num, fin, _kernels.width(int(np.abs(num[fin]).max(initial=0)) * k))
                 scans.append((f"tree x{STACK_ROWS} {name}", n, k,
                               lambda mem=mem, draws=draws: prefix_tree(mem, draws)))
     path = resources.files("tropical_transient").joinpath("fixtures/five_node_family.json")
@@ -452,10 +458,8 @@ def main() -> int:
                 fam, SAMPLED_HORIZON, samples_per_length=SAMPLED_DRAWS)))
     for label, n, k, call in scans:
         count, widths = formed(call)
-        if label == "synthetic":
-            label = f"synthetic {'/'.join(sorted(widths))}"
         t = best_time(call, args.repeats)
-        print(f"{label:<18}{n:>5}{k:>6}{count:>8}{t * 1e3:>14.3f}")
+        print(f"{label:<18}{n:>5}{k:>6}{count:>8}{'/'.join(sorted(widths)):>7}{t * 1e3:>14.3f}")
 
     header = f"{'io and lemmas':<18}{'n':>5}{'k':>6}{'':>8}{ACTIVE.name + ' (ms)':>14}"
     print()

@@ -1,4 +1,4 @@
-"""Exact integer max-plus kernels on one sentinel encoding, at two widths.
+"""Exact integer max-plus kernels on one sentinel encoding, at three widths.
 
 Callers scale exact rational matrices onto a common denominator and pass
 a numerator grid with a boolean finiteness mask (False is -inf).  They
@@ -10,19 +10,22 @@ product is plain integer arithmetic, add then max.  A signed width of b
 bits has MASKED = -2**(b - 2), FLOOR = -2**(b - 3) and the guard
 2**(b - 3) (``_SENTINELS``): int64 has -2**62, -2**61 and 2**61
 (``MASKED``, ``FLOOR`` and ``matrix._GUARD``), int32 has -2**30, -2**29
-and 2**29.  That is exact for every guarded input:
+and 2**29, and int16 has -2**14, -2**13 and 2**13.  That is exact for
+every guarded input:
 
 * a sum of finite entries lies in (-2**(b - 3), 2**(b - 3));
 * a sum with a masked term lies below MASKED + 2**(b - 3) = FLOOR;
-* ``MASKED + MASKED = -2**(b - 1)`` still fits in b bits.
+* ``MASKED + MASKED = -2**(b - 1)`` still fits in b bits: -2**15, the
+  least int16, at b = 16.
 
 So an encoded entry is finite exactly when it exceeds FLOOR, and clamping
 every reduction back up to MASKED keeps the next sum in range.  Every
-kernel runs on whichever of the two widths its inputs have; only the
-transient scans narrow to int32, when the largest magnitude they can
-form is below 2**29 (``width``).  ``matmul`` and ``fold`` return
-(numerator, mask) pairs with 0 in masked slots; the trellis sweeps
-return encoded tables, which their callers reduce further.
+kernel runs on whichever width its inputs have; only the transient scans
+narrow, to the narrowest width whose guard exceeds the largest magnitude
+they can form (``width``): int16 below 2**13, int32 below 2**29.
+``matmul`` and ``fold`` return (numerator, mask) pairs with 0 in masked
+slots; the trellis sweeps return encoded tables, which their callers
+reduce further.
 
 A max-plus product here multiplies a state by one layer of a
 stack, and the members of an admissible family share one finite pattern
@@ -35,8 +38,9 @@ at weight MASKED.  States are node-first: the node axis leads and any
 batch trails, so a vector is (n,), the state of r start nodes is (n, r)
 (the transpose of one row per start) and a level of B products is
 (n, n, B).  A product step (``_step``) is then one gather of the state
-along its node axis, one add of the layer's padded weights and one max
-over the D padded terms, each a reduction along whole contiguous rows:
+along its node axis, one add of the layer's padded weights (for a level,
+each product's own, gathered batch-last) and one max over the D padded
+terms, each a reduction along whole contiguous rows:
 the semiring SpMV of the GraphBLAS (Kepner et al., IEEE HPEC 2016).
 Every matrix product runs on it: every sweep, fold and fixpoint steps
 through the plan of its layers, ``matmul`` through the plan of its right
@@ -108,10 +112,12 @@ import numpy as np
 
 MASKED = np.int64(-(1 << 62))
 FLOOR = -(1 << 61)
-# (MASKED, FLOOR) of each width: -2**(b - 2) and -2**(b - 3) for b bits.
+# (MASKED, FLOOR) of each width, narrowest first: -2**(b - 2) and
+# -2**(b - 3) for b bits.
 _SENTINELS = {
-    np.dtype(np.int64): (MASKED, FLOOR),
+    np.dtype(np.int16): (np.int16(-(1 << 14)), -(1 << 13)),
     np.dtype(np.int32): (np.int32(-(1 << 30)), -(1 << 29)),
+    np.dtype(np.int64): (MASKED, FLOOR),
 }
 CHUNK_ELEMENTS = 1 << 16
 # A fold tests its running products for rank-one every this many layers;
@@ -121,9 +127,10 @@ PROBE_STRIDE = 4
 
 def width(magnitude: int) -> np.dtype:
     """The width a scan whose finite values stay below magnitude runs at:
-    int32 when that is below int32's guard, 2**29, and int64 otherwise."""
-    int32 = np.dtype(np.int32)
-    return int32 if magnitude < -_SENTINELS[int32][1] else np.dtype(np.int64)
+    the narrowest of int16, int32 and int64 whose guard, 2**13, 2**29 or
+    2**61, exceeds it (int64 past that too; callers check its guard)."""
+    return next((dtype for dtype, (_, floor) in _SENTINELS.items() if magnitude < -floor),
+                np.dtype(np.int64))
 
 
 def encode(num: np.ndarray, fin: np.ndarray, dtype=np.int64) -> np.ndarray:
@@ -186,11 +193,14 @@ def _step(state: np.ndarray, plan, s, out: Optional[np.ndarray] = None) -> np.nd
     else:
         terms = state.take(src, axis=0)
         if np.ndim(s):
-            # (B, D, c) weights of the products' own layers, as (D, c, 1, B).
-            terms += weights[s].transpose(1, 2, 0)[:, :, None]
+            # The (D, c) weights of the products' own layers, gathered
+            # batch-last as (D, c, 1, B), so that the add runs along the
+            # batch axis of both operands; take copies weights that are
+            # not batch-last in memory first (see extend).
+            terms += weights.transpose(1, 2, 0).take(s, axis=-1)[:, :, None]
         else:
             terms += weights[s][..., None]
-    return terms.max(axis=0, out=out, initial=_SENTINELS[terms.dtype][0])
+    return np.maximum.reduce(terms, axis=0, out=out, initial=_SENTINELS[terms.dtype][0])
 
 
 def _chunks(count: int, terms: int) -> list[slice]:
@@ -376,15 +386,24 @@ def extend(level: np.ndarray, plan, parents: np.ndarray,
     the exhaustive scan pairs every product with every member (product
     p * m + j), the sampled scan only the distinct prefixes of its draws.
     Each chunk of products (``_chunks``) is one ``_step`` of the stack of
-    its parents, each adding its own member's weights, into a contiguous
-    array that is then copied into out; reducing straight into the strided
-    slice of out is slower at large n.  The level and the plan share one
-    width, and out has it too.
+    its parents, each adding its own member's weights, which it gathers
+    batch-last from one (D, c, m) copy of the plan's weights made per
+    call.  A single chunk's result is out itself; with several, each is
+    reduced into a contiguous array that is then copied into out, since
+    reducing straight into the strided slice of out is slower at large n.
+    The level and the plan share one width, and out has it too.
     """
     n = level.shape[0]
-    out = np.empty((n, n, len(parents)), dtype=level.dtype)
-    for part in _chunks(len(parents), n * plan[0].size):
-        out[..., part] = _step(level.take(parents[part], axis=-1), plan, members[part])
+    src, weights = plan
+    # The weights batch-last in memory, (D, c, m), seen as (m, D, c).
+    plan = src, np.ascontiguousarray(weights.transpose(1, 2, 0)).transpose(2, 0, 1)
+    parts = _chunks(len(parents), n * src.size)
+    if len(parts) == 1:
+        out = _step(level.take(parents, axis=-1), plan, members)
+    else:
+        out = np.empty((n, n, len(parents)), dtype=level.dtype)
+        for part in parts:
+            out[..., part] = _step(level.take(parents[part], axis=-1), plan, members[part])
     return out, rank_one(out, out > _SENTINELS[out.dtype][1])
 
 
@@ -399,12 +418,13 @@ def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:
     so a node-first state, the transpose of its product, gets the
     product's verdict.  In a width of b bits, masked slots of num hold 0
     with finite |num| < 2**(b - 2) (a decoded stack) or MASKED with finite
-    |num| < 2**(b - 3) (an encoded one, of either width); either way each
+    |num| < 2**(b - 3) (an encoded one, of any width); either way each
     side of the value test is a difference of two values in
     [-2**(b - 2), 2**(b - 2)), which lies in (-2**(b - 1), 2**(b - 1)),
-    strictly inside the width: in [-2**62, 2**62) for int64 and in
-    [-2**30, 2**30) for int32.  So the test needs no magnitude guard, and
-    masked slots are left out of it.
+    strictly inside the width: values in [-2**62, 2**62) for int64, in
+    [-2**30, 2**30) for int32 and in [-2**14, 2**14) for int16, whose
+    differences lie in (-2**15, 2**15).  So the test needs no magnitude
+    guard, and masked slots are left out of it.
     """
     pivot = fin[0, 0]
     pattern = fin == (fin[:, :1] & fin[:1])

@@ -21,17 +21,21 @@ by the distinct members that follow it, so a tree costs one matrix
 product per distinct prefix, not one per draw and layer, and each draw
 reads its verdict at its own last layer.
 
-Both scans step their levels in int32 when every finite value they can
-form, ``layer_magnitude * horizon``, is below 2^29, and in int64
-otherwise (``_kernels.width``); the width changes no result.
+Both scans step their levels in the narrowest of int16, int32 and int64
+whose guard, 2^13, 2^29 or 2^61, exceeds every finite value they can
+form, ``layer_magnitude * horizon`` (``_kernels.width``); the width
+changes no result.
 
 One byte budget (``_BYTE_BUDGET``, 2 MB) bounds what the walk holds.  A
 group holds at most 2^18 entries, so 2^18 // n^2 products (one when
 n > 512), and the groups waiting to be formed sit on an explicit stack:
 the walk holds one formed group per length of its current path.  The
-sampled scan draws the lengths in order from one generator, one call per
-tree of consecutive lengths whose int64 draws fit the budget; a length is
-never split.  The failing sequences stay arrays, one per length
+sampled scan draws the lengths in order from one generator, one call of
+int32 draws per tree of consecutive lengths whose draws, at 8 bytes
+each, fit the budget; a length is never split.  A tree keeps its draws
+depth-major and numbers them in length order, so the draws that end at
+a depth are a prefix of those still live there, and its per-draw
+bookkeeping is int32.  The failing sequences stay arrays, one per length
 (:class:`Counterexamples`), and become tuples only when read.
 
 A single fold uses rank-one absorption: once a prefix P = x (x) y^T is
@@ -64,8 +68,8 @@ from .matrix import _GUARD, TropicalMatrix, _check_magnitude
 
 DEFAULT_PRODUCT_BUDGET = 2_000_000
 # Bytes that one piece of scan work may hold: a group of products formed
-# by one _kernels.extend call (2^18 entries), and the int64 draws of one
-# sampled prefix tree.
+# by one _kernels.extend call (2^18 entries at 8 bytes), and the draws of
+# one sampled prefix tree at 8 bytes each.
 _BYTE_BUDGET = 1 << 21
 
 
@@ -254,10 +258,11 @@ def _exhaustive_scan(plan, horizon: int, prune: bool, failed: list) -> None:
 def _sampled_scan(plan, horizon: int, samples: int, seed: int, prune: bool, failed: list) -> None:
     # Lengths are drawn in order from one generator, the draws of a tree
     # of consecutive lengths in one call: a tree takes the next length
-    # while its samples * (sum of lengths) int64 draws fit _BYTE_BUDGET,
-    # and holds at least one length.  One call of the draws of several
-    # lengths reads the same stream as one call per length, each draw of
-    # length k being k consecutive values.
+    # while its samples * (sum of lengths) draws fit _BYTE_BUDGET at 8
+    # bytes a draw, and holds at least one length.  One call of the draws
+    # of several lengths reads the same stream as one call per length,
+    # each draw of length k being k consecutive values; int32 output reads
+    # the same stream as int64 for any m < 2^31 (not so int16 or uint8).
     m = len(plan[1])
     rng = np.random.Generator(np.random.PCG64(seed))
     dtype = np.min_scalar_type(m)
@@ -267,9 +272,11 @@ def _sampled_scan(plan, horizon: int, samples: int, seed: int, prune: bool, fail
         while last < horizon and 8 * samples * (total + last + 1) <= _BYTE_BUDGET:
             last += 1
             total += last
-        flat = rng.integers(1, m + 1, size=samples * total)
-        ends = samples * np.cumsum(np.arange(first, last + 1))
-        tree = [part.reshape(samples, -1) for part in np.split(flat, ends[:-1])]
+        flat = rng.integers(1, m + 1, size=samples * total, dtype=np.int32)
+        tree, start = [], 0
+        for k in range(first, last + 1):
+            tree.append(flat[start:start + samples * k].reshape(samples, k))
+            start += samples * k
         for draws, ok in zip(tree, _tree_verdicts(plan, tree, prune)):
             failed[draws.shape[1] - 1].append(draws[~ok].astype(dtype))
         first = last + 1
@@ -280,33 +287,49 @@ def _tree_verdicts(plan, tree: list[np.ndarray], prune: bool) -> np.ndarray:
     # and the result says which are rank-one, one row per length.  They
     # fold as the tree of their distinct prefixes: the state of a group is
     # (live, node), where node[d] is the product of draw live[d] among the
-    # group's products.  A draw of length l reads its verdict from its
-    # node at depth l.  With prune (_absorbing), a rank-one node is dropped
+    # group's products.  The draws are numbered in length order and live
+    # stays increasing, so the live draws that end at a depth, and read
+    # their verdicts there, are a prefix of live, found by one
+    # searchsorted.  With prune (_absorbing), a rank-one node is dropped
     # and every draw under it is rank-one.  The children of a group are
     # the distinct keys node * m + next member, found with a mark array in
     # key order; no sort, which would add numpy's sorting code to the
     # resident size of a process that never sorts otherwise.
     m = len(plan[1])
-    samples, top = tree[-1].shape
-    # One zero column past the longest draw, so that the next-member read
-    # at the last depth, where no draw is live, stays in bounds.
-    stack = np.zeros((samples * len(tree), top + 1), dtype=np.min_scalar_type(m))
+    samples = len(tree[0])
+    lengths = [draws.shape[1] for draws in tree]
+    count = samples * len(tree)
+    # Draw numbers and node indices fit int32 below 2^31 draws; they index
+    # through take and put, which read int32 indices faster than [] does.
+    itype = np.int32 if count < 1 << 31 else np.intp
+    # Depth-major: cols[d] holds every draw's 0-based member at depth d,
+    # and one zero row past the longest draw keeps the next-member read at
+    # the last depth, where no draw is live, in bounds.
+    cols = np.zeros((lengths[-1] + 1, count), dtype=np.min_scalar_type(m))
     for i, draws in enumerate(tree):
-        stack[i * samples:(i + 1) * samples, :draws.shape[1]] = draws - 1
-    lengths = np.repeat([draws.shape[1] for draws in tree], samples)
-    rank_one = np.ones(len(stack), dtype=bool)
+        np.subtract(draws.T, 1, out=cols[:draws.shape[1], i * samples:(i + 1) * samples],
+                    casting="unsafe")
+    # ended[d]: the number of draws of length at most d, in live's dtype,
+    # so that searchsorted reads live as it is.
+    ended = (samples * np.searchsorted(lengths, np.arange(lengths[-1] + 1), "right")).astype(itype)
+    rank_one = np.ones(count, dtype=bool)
 
     def grow(depth, ok, state):
         live, node = state
-        done, verdict = lengths[live] == depth, ok[node]
-        rank_one[live[done]] = verdict[done]
-        keep = ~done & ~(verdict & prune)
-        live, node = live[keep], node[keep]
-        key = node * m + stack[live, depth]
+        done = live.searchsorted(ended[depth])
+        rank_one.put(live[:done], ok.take(node[:done]))
+        live, node = live[done:], node[done:]
+        if prune and depth:
+            # (The empty product at depth 0 is not rank-one.)
+            keep = ~ok.take(node)
+            live, node = live[keep], node[keep]
+        # The key in intp, which no member count can wrap.
+        key = node * np.intp(m)
+        key += cols[depth].take(live)
         mark = np.zeros(len(ok) * m, dtype=bool)
         mark[key] = True
-        children = np.flatnonzero(mark)
-        node = np.cumsum(mark)[key] - 1
+        children = mark.nonzero()[0]
+        node = mark.cumsum(dtype=itype).take(key) - 1
 
         def part(s):
             if not s.start and s.stop >= len(children):
@@ -315,7 +338,7 @@ def _tree_verdicts(plan, tree: list[np.ndarray], prune: bool) -> np.ndarray:
             return live[sel], node[sel] - s.start
         return children, part
 
-    _walk(plan, grow, (np.arange(len(stack)), np.zeros(len(stack), dtype=np.intp)))
+    _walk(plan, grow, (np.arange(count, dtype=itype), np.zeros(count, dtype=itype)))
     return rank_one.reshape(len(tree), samples)
 
 
@@ -334,12 +357,13 @@ def estimate_transient(
     ``max_products``.  Sampled mode draws ``samples_per_length`` seeded
     sequences per length, all from one generator in a fixed order.  Both
     walk the products depth-first, in groups of at most 2^18 // n^2
-    products, in int32 when ``layer_magnitude * horizon`` is below 2^29
-    and in int64 otherwise.  When every member has a finite (1, 1) entry,
-    exhaustive mode extends only the products that are not rank-one,
-    their extensions being the only candidates, and sampled mode counts a
-    draw whose prefix turns rank-one as rank-one without folding it to its
-    end.  Otherwise every product is formed.  Before the scan the int64
+    products, in int16 when ``layer_magnitude * horizon`` is below 2^13,
+    in int32 when it is below 2^29 and in int64 otherwise.  When every
+    member has a finite (1, 1) entry, exhaustive mode extends only the
+    products that are not rank-one, their extensions being the only
+    candidates, and sampled mode counts a draw whose prefix turns
+    rank-one as rank-one without folding it to its end.  Otherwise every
+    product is formed.  Before the scan the int64
     guard of :func:`fold` is checked, and raises at the first length it
     fails.
     """

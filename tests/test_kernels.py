@@ -178,6 +178,121 @@ class TestRankOneWithoutGuard:
             assert _kernels.rank_one(one.T, one_fin.T) == verdict
 
 
+INT16 = np.dtype(np.int16)
+MASKED16, FLOOR16 = _kernels._SENTINELS[INT16]
+# The largest finite magnitude an int16 scan forms: just below the guard.
+EDGE16 = (1 << 13) - 1
+
+
+def python_grid(num, fin):
+    """An (r, c) numerator grid with its mask as rows of Python ints, None
+    for -inf, for the oracles."""
+    return [[int(v) if ok else None for v, ok in zip(row, oks)] for row, oks in zip(num, fin)]
+
+
+@st.composite
+def sixteen_bit_steps(draw):
+    """m members with weights in [-2**12, 2**12] and a state of r rows with
+    finite entries in [-(2**12 - 1), 2**12 - 1], each with its mask and
+    its extremes drawn on purpose, so every finite sum of the step lies in
+    [-(2**13 - 1), 2**13 - 1], inside int16's guard; masked entries of a
+    member inside the union and masked state entries meet in sums of
+    MASKED + MASKED = -2**15."""
+    def grid(shape, bound):
+        size = int(np.prod(shape))
+        value = st.one_of(st.integers(-bound, bound), st.sampled_from([-bound, bound, 0]))
+        num = np.array(draw(st.lists(value, min_size=size, max_size=size)), dtype=np.int64)
+        fin = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        return num.reshape(shape), fin.reshape(shape)
+
+    n, m, r = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    return grid((m, n, n), 1 << 12), grid((r, n), (1 << 12) - 1)
+
+
+class TestSixteenBits:
+    """The kernels at int16, the width the scans pick below 2**13: MASKED =
+    -2**14, FLOOR = -2**13 and the guard 2**13.  A sum of finite terms lies
+    in (-2**13, 2**13), one with a masked term below FLOOR, and MASKED +
+    MASKED = -2**15 still fits, so every step and verdict is exact; the
+    oracles decide in Python ints."""
+
+    def test_sentinels_and_widths(self):
+        assert MASKED16.dtype == INT16 and (int(MASKED16), FLOOR16) == (-(1 << 14), -(1 << 13))
+        assert int(MASKED16 + MASKED16) == -(1 << 15)
+        widths = [_kernels.width(x) for x in (0, 240, EDGE16, 1 << 13, (1 << 29) - 1, 1 << 29,
+                                              (1 << 61) - 1)]
+        assert widths == [INT16] * 3 + [np.dtype(np.int32)] * 2 + [np.dtype(np.int64)] * 2
+
+    @pytest.mark.parametrize("limit, masked", [(1 << 14, 0), (1 << 13, int(MASKED16))],
+                             ids=["decoded", "encoded"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_rank_one_agrees_with_the_definition(self, limit, masked, data):
+        # Each side of the value test is a difference of two values in
+        # [-2**14, 2**14), inside int16.
+        num, fin = data.draw(rank_one_stacks(limit, masked))
+        num = num.astype(INT16)
+        want = [is_rank_one(python_grid(a, f)) for a, f in zip(num, fin)]
+        assert _kernels.rank_one(as_level(num), as_level(fin)).tolist() == want
+        for one, one_fin, verdict in zip(num, fin, want):
+            assert _kernels.rank_one(one, one_fin) == verdict
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=sixteen_bit_steps(), data=st.data())
+    def test_step_matches_the_oracle(self, case, data):
+        (mem_num, mem_fin), (x_num, x_fin) = case
+        plan = _kernels._plan(encode(mem_num, mem_fin, INT16))
+        assert plan[1].dtype == INT16
+        x = encode(x_num, x_fin, INT16)
+        grids = [python_grid(a, f) for a, f in zip(mem_num, mem_fin)]
+        rows = python_grid(x_num, x_fin)
+        for s in range(len(grids)):
+            want = naive_matmul(rows, grids[s])
+            got = _kernels._step(x.T, plan, s)
+            assert got.dtype == INT16 and (got >= MASKED16).all()
+            assert python_grid(got.T, got.T > FLOOR16) == want
+            vector = _kernels._step(x[0], plan, s)
+            assert python_grid(vector[None], vector[None] > FLOOR16) == want[:1]
+        # A level of the rows as (1, n) products, each times its own member.
+        members = np.array(data.draw(st.lists(st.integers(0, len(grids) - 1), min_size=len(rows),
+                                              max_size=len(rows))))
+        level = np.ascontiguousarray(x.T[:, None, :])
+        out, ok = _kernels.extend(level, plan, np.arange(len(rows)), members)
+        assert out.dtype == INT16 and (out >= MASKED16).all()
+        for b, j in enumerate(members):
+            want = naive_matmul(rows[b:b + 1], grids[j])
+            assert python_grid(out[:, :, b].T, out[:, :, b].T > FLOOR16) == want
+
+    def test_extremes_and_masked_sums(self):
+        # x = (2**13 - 1, -inf, -(2**13 - 1)) times D = diag(0, 0, 0), whose
+        # off-diagonal entries are masked inside the union with the all-0
+        # member Z: the step forms -2**15 at x's masked entry and the
+        # extremes at the others, and keeps both exact.
+        mem_num = np.zeros((2, 3, 3), dtype=np.int64)
+        mem_fin = np.stack([np.eye(3, dtype=bool), np.ones((3, 3), dtype=bool)])
+        plan = _kernels._plan(encode(mem_num, mem_fin, INT16))
+        x = encode(np.array([EDGE16, 0, -EDGE16]), np.array([True, False, True]), INT16)
+        terms = x.take(plan[0], axis=0) + plan[1][0]
+        assert terms.dtype == INT16 and int(terms.min()) == -(1 << 15)
+        rows = python_grid([[EDGE16, 0, -EDGE16]], [[True, False, True]])
+        for s, want in ((0, [[EDGE16, None, -EDGE16]]), (1, [[EDGE16] * 3])):
+            assert naive_matmul(rows, python_grid(mem_num[s], mem_fin[s])) == want
+            got = _kernels._step(x, plan, s)
+            assert python_grid(got[None], got[None] > FLOOR16) == want
+        # A matrix S with entries at the extremes, not rank-one, times D
+        # (itself) and times Z (every entry 2**13 - 1, rank-one).
+        square = encode(np.array([[EDGE16, 0, -EDGE16], [0, EDGE16, 0], [-EDGE16, 0, EDGE16]]),
+                        np.ones((3, 3), dtype=bool), INT16)
+        out, ok = _kernels.extend(square.T[..., None].copy(), plan, np.zeros(2, dtype=np.intp),
+                                  np.arange(2))
+        for b in range(2):
+            want = naive_matmul(python_grid(square, square > FLOOR16),
+                                python_grid(mem_num[b], mem_fin[b]))
+            assert python_grid(out[:, :, b].T, out[:, :, b].T > FLOOR16) == want
+            assert ok[b] == is_rank_one(want)
+        assert ok.tolist() == [False, True]
+
+
 class TestOracleAgreement:
     """The sentinel kernels against the earlier masked numpy kernels, which
     follow one start at a time; masked numerators are excluded."""

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -310,14 +311,17 @@ class _ExtendSpy:
 
 class _TreeSpy:
     """Records the draws of every prefix tree the sampled scan folds, as
-    1-based tuples, shortest first."""
+    1-based tuples, shortest first, and in ``dtypes`` the dtypes of the
+    draws."""
 
     def __init__(self, monkeypatch):
         self.trees = []
+        self.dtypes = set()
         fold_tree = products._tree_verdicts
 
         def spied_tree(plan, tree, prune):
             self.trees.append([tuple(int(x) for x in row) for draws in tree for row in draws])
+            self.dtypes.update(draws.dtype for draws in tree)
             return fold_tree(plan, tree, prune)
 
         monkeypatch.setattr(products, "_tree_verdicts", spied_tree)
@@ -484,6 +488,46 @@ class TestRaggedSampledScan:
             assert spy.products == _live_prefixes(fam, 16, 20, seed)
             assert (max(spy.sizes) > rows) == splits
             assert max(spy.levels) <= cap and max(spy.sizes) == cap
+
+    @pytest.mark.parametrize("pruned", [True, False], ids=["pruning", "no-pruning"])
+    def test_draws_end_inside_split_groups(self, family5, monkeypatch, pruned):
+        # A budget of 800 bytes holds 4 products per group at n = 5 and
+        # 100 draws per tree: with 3 draws per length, lengths 1-7, 8-10,
+        # 11-12, 13-14 and 15-16.  The children of a wide depth are split
+        # into several groups, the draws that end at that depth are spread
+        # over them, and each group finds its own as a prefix of its live
+        # draws.  Both families have rank-one draws and failing ones.
+        fam = family5 if pruned else _pruned_off_family(random.Random(0), 5)
+        assert products._absorbing(fam) == pruned
+        monkeypatch.setattr(products, "_BYTE_BUDGET", 8 * 25 * 4)
+        # Per tree: its lengths, its draws per length and, by depth, the
+        # number of draws that end at that depth in each group grown there.
+        trees = []
+        walk, fold_tree = products._walk, products._tree_verdicts
+
+        def spied_tree(plan, tree, prune):
+            trees.append(([draws.shape[1] for draws in tree], len(tree[0]), {}))
+            return fold_tree(plan, tree, prune)
+
+        def spied_walk(plan, grow, root):
+            lengths, samples, groups = trees[-1]
+
+            def counted(depth, ok, state):
+                ended = samples * sum(k <= depth for k in lengths)
+                groups.setdefault(depth, []).append(int((state[0] < ended).sum()))
+                return grow(depth, ok, state)
+            return walk(plan, counted, root)
+
+        monkeypatch.setattr(products, "_walk", spied_walk)
+        monkeypatch.setattr(products, "_tree_verdicts", spied_tree)
+        est = _spied_scan(monkeypatch, fam, horizon=16, samples_per_length=3, seed=1)[0]
+        assert [lengths for lengths, _, _ in trees] == [
+            list(range(1, 8)), [8, 9, 10], [11, 12], [13, 14], [15, 16]]
+        assert 0 < len(est.counterexamples) < est.examined == 48
+        # Depths at which two or more groups hold ending draws.
+        split = [counts for _, _, groups in trees for counts in groups.values()
+                 if sum(c > 0 for c in counts) > 1]
+        assert len(split) == (6 if pruned else 12)
 
     def test_large_lengths_fold_in_slices_within_the_budget(self, monkeypatch):
         # At n = 20 no input or output of the level kernel holds more than
@@ -730,54 +774,63 @@ class TestPrunedExhaustive:
         assert est.first_all_rank_one is None
 
 
-INT32, INT64 = np.dtype(np.int32), np.dtype(np.int64)
+INT16, INT32, INT64 = np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64)
 
 
-def _straddling_family() -> MatrixFamily:
+def _straddling_family(guard: int) -> MatrixFamily:
     """Two diagonal members diag(0, -w) and diag(0, -w + 7) and one small
     full member, with w chosen so that layer_magnitude * horizon, 5 w at
-    horizon 5 and 6 w at horizon 6, straddles 2**29.  A product of
-    diagonal factors reaches -5 w at length 5, near int32's floor -2**29."""
-    w = (1 << 29) // 6 + 1
+    horizon 5 and 6 w at horizon 6, straddles a width's guard (2**13 or
+    2**29).  A product of diagonal factors reaches -5 w at length 5, near
+    the narrower width's floor -guard."""
+    w = guard // 6 + 1
     d0, d1 = (TropicalMatrix.from_rows([[0, None], [None, -w + c]]) for c in (0, 7))
     fam = MatrixFamily([d0, d1, TropicalMatrix.from_rows([[0, -1], [-2, -1]])])
-    assert fam.layer_magnitude == w and 5 * w < 1 << 29 <= 6 * w
+    assert fam.layer_magnitude == w and 5 * w < guard <= 6 * w
     return fam
 
 
 class TestScanWidth:
-    """The scans step int32 levels when ``layer_magnitude * horizon`` is
-    below 2**29 and int64 levels otherwise, with the same verdicts and
-    counterexamples either way."""
+    """The scans step the narrowest of int16, int32 and int64 levels whose
+    guard, 2**13, 2**29 or 2**61, exceeds ``layer_magnitude * horizon``,
+    with the same verdicts and counterexamples at every width."""
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(family_seed=st.integers(0, 1 << 32), n=st.integers(2, 5), m=st.integers(1, 3),
            admissible=st.booleans(), exhaustive=st.booleans(), horizon=st.integers(1, 10),
            samples=st.integers(1, 40), seed=st.integers(0, 1 << 32))
-    def test_int32_and_int64_scans_agree(self, family_seed, n, m, admissible, exhaustive,
-                                         horizon, samples, seed):
+    def test_int16_int32_and_int64_scans_agree(self, family_seed, n, m, admissible, exhaustive,
+                                               horizon, samples, seed):
+        # Each width is forced through _kernels.width; the families' scans
+        # pick int16 themselves, so every width is within its guard.
         rng = random.Random(family_seed)
         fam = random_valid_family(rng, n, m) if admissible else _scan_family(rng, n, m)
         mode = "exhaustive" if exhaustive else "sampled"
         if exhaustive:
             horizon = max(h for h in range(1, horizon + 1)
                           if sum(m**k for k in range(1, h + 1)) <= 2000)
+        assert _kernels.width(fam.layer_magnitude * horizon) == INT16
         kwargs = dict(mode=mode, samples_per_length=samples, seed=seed)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            narrow = _ExtendSpy(monkeypatch)
-            got = estimate_transient(fam, horizon, **kwargs)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            monkeypatch.setattr(_kernels, "width", lambda magnitude: INT64)
-            wide = _ExtendSpy(monkeypatch)
-            want = estimate_transient(fam, horizon, **kwargs)
-        assert narrow.widths == {INT32} and wide.widths == {INT64}
-        assert narrow.sizes == wide.sizes
-        assert got == want
-        assert list(got.counterexamples) == list(want.counterexamples)
+        runs, sizes = [], []
+        for width in (INT16, INT32, INT64):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                monkeypatch.setattr(_kernels, "width", lambda magnitude, width=width: width)
+                spy = _ExtendSpy(monkeypatch)
+                runs.append(estimate_transient(fam, horizon, **kwargs))
+            assert spy.widths == {width}
+            sizes.append(spy.sizes)
+        assert sizes[0] == sizes[1] == sizes[2]
+        assert runs[0] == runs[1] == runs[2]
+        assert [list(est.counterexamples) for est in runs] == [list(runs[0].counterexamples)] * 3
 
-    @pytest.mark.parametrize("horizon, width", [(5, INT32), (6, INT64)])
-    def test_straddling_family_on_both_sides(self, monkeypatch, horizon, width):
-        fam = _straddling_family()
+    @pytest.mark.parametrize("guard, horizon, width", [
+        pytest.param(1 << 29, 5, INT32, id="5-width0"),
+        pytest.param(1 << 29, 6, INT64, id="6-width1"),
+        pytest.param(1 << 13, 5, INT16, id="5-width2"),
+        pytest.param(1 << 13, 6, INT32, id="6-width3"),
+    ])
+    def test_straddling_family_on_both_sides(self, monkeypatch, guard, horizon, width):
+        fam = _straddling_family(guard)
         assert _kernels.width(fam.layer_magnitude * horizon) == width
         spy = _ExtendSpy(monkeypatch)
         est = estimate_transient(fam, horizon, "exhaustive")
@@ -786,15 +839,17 @@ class TestScanWidth:
         _assert_matches_oracle(fam, horizon=horizon, samples_per_length=50, seed=horizon)
         assert spy.widths == {width}
 
-    def test_benchmark_scans_step_int32(self, family5, capsys, monkeypatch):
-        # The fixture scans of the benchmark and the CLI transient op.
+    def test_benchmark_scans_step_int16(self, family5, capsys, monkeypatch):
+        # The fixture scans of the benchmark and the CLI transient op:
+        # layer_magnitude 6 times horizon 40, 8 and 12.
         spy = _ExtendSpy(monkeypatch)
         estimate_transient(family5, 40, samples_per_length=100, seed=0)
         estimate_transient(family5, 8, "exhaustive")
         assert main(["transient", fixture_path("five_node_family.json"), "--horizon", "12",
                      "--samples", "50", "--seed", "0", "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out)["transient"]["examined"] == 600
-        assert spy.widths == {INT32} and spy.products == 2904 + 3555 + 769
+        assert family5.layer_magnitude * 40 == 240
+        assert spy.widths == {INT16} and spy.products == 2904 + 3555 + 769
 
 
 class TestTreeDraws:
@@ -822,8 +877,42 @@ class TestTreeDraws:
         tree_spy = _TreeSpy(monkeypatch)
         est = estimate_transient(fam, horizon, samples_per_length=samples, seed=m)
         assert calls == [samples * 10] + [samples * k for k in range(5, horizon + 1)]
-        assert tree_spy.trees == want
+        assert tree_spy.trees == want and tree_spy.dtypes == {INT32}
         assert est.examined == horizon * samples
+
+    @pytest.mark.parametrize("m", [1, 3, 255, 256, 300, 65_537, (1 << 20) + 3, (1 << 31) - 2])
+    def test_int32_draws_read_the_int64_stream(self, m):
+        # Generator.integers fills int32 and int64 output through one
+        # buffered 32-bit routine for m < 2**31, so the values and the
+        # generator's state after them agree, over calls of odd and even
+        # sizes in turn.  The stream alone is checked: no family of m
+        # members is needed.
+        for seed in (0, 1, 9173):
+            narrow, wide = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+            for size in (1, 7, 1000, 4, 333):
+                got = narrow.integers(1, m + 1, size=size, dtype=np.int32)
+                want = wide.integers(1, m + 1, size=size)
+                assert got.dtype == INT32 and np.array_equal(got, want)
+                assert narrow.bit_generator.state == wide.bit_generator.state
+
+
+class TestScanMemory:
+    """What a sampled scan holds per draw: its int32 draw, the int32 draw
+    number and node of the tree walk and a uint8 member per depth."""
+
+    def test_a_wide_tree_stays_within_its_measured_peak(self, family5):
+        # The fixture at horizon 1 with 200,000 draws, all of them failing:
+        # one tree of one length.  Its tracemalloc peak reads 6.1 MiB;
+        # with int64 draws and per-draw lengths, draw numbers and nodes
+        # in int64 it read 13.4 MiB.
+        tracemalloc.start()
+        try:
+            est = estimate_transient(family5, 1, samples_per_length=200_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(est.counterexamples) == 200_000
+        assert peak < 7 << 20
 
 
 class TestCounterexamples:
