@@ -10,14 +10,15 @@ random scaled-integer inputs and prints the best wall time per call.  At
 sizes up to 40 it also times one exhaustive level step of the transient
 scan's level kernel ``extend``, from the m^4 products of length 4 to the
 m^5 of length 5, each one planned product step on the members' plan
-(``_plan``, made once outside the timing), with their rank-one
-verdicts.
+(``level_plan``, made once outside the timing, as the scans make it),
+with their rank-one verdicts.
 
 A second table times one planned product step (``_step``) on the
 padded-column plan of admissible-style members at n = 5, 20, 40, 80 and
 prints the plan's depth D: of a vector, of a node-first matrix state (one
-column per start) and of a level of 300 products through ``extend``,
-whose ``verdict`` row is the rank-one test of that level alone, so its
+column per start) and of a level of 300 products through ``extend`` (on
+the members' ``level_plan``, as the scans step them), whose
+``verdict`` row is the rank-one test of that level alone, so its
 share of the level step can be read off.
 
 A third table times the single fold at k = 200 and n = 20, 40, 80 on
@@ -39,9 +40,12 @@ tree).  Then it runs the sampled scan of the
 bundled five-node family (horizon 40, 100 draws per length, seed 0), the
 same scan with member 1's (1, 1) entry set to -inf, which turns pruning
 off so every distinct prefix is formed, the exhaustive scan up to
-horizons 8 and 12, whose groups extend only their failing products, and
-the exhaustive scan of the benchmark's seed-0 admissible family at
-n = 20 up to horizon 8, none of whose 9,840 products is rank-one.  Last
+horizons 8 and 12, whose groups extend only their failing products, a
+fresh ``load_family`` of the bundled family followed by a horizon-1
+scan, sampled with one draw and exhaustive (the fixed cost of one scan
+op, apart from its per-depth work), and the exhaustive scan of the
+benchmark's seed-0 admissible family at n = 20 up to horizon 8, none of
+whose 9,840 products is rank-one.  Last
 comes one sampled scan (horizon 40, 100 draws per length, seed 0) of the
 benchmark's seed-0 synthetic family at each ``--sizes`` value
 (``--sizes 20,40,80`` gives the sampled-scan row of ROADMAP's layer
@@ -96,7 +100,7 @@ import numpy as np
 from tropical_transient import _kernels
 from tropical_transient._kernels import (ACTIVE, FLOOR, MASKED, PROBE_STRIDE, _mirror, _plan,
                                           _step, _through_table, avoiding_sweep, closure,
-                                          encode, extend, rank_one)
+                                          encode, extend, level_plan, rank_one)
 from tropical_transient.bounds import implicit_bound, implicit_sequence_bound
 from tropical_transient.cli import _run as cli_run
 from tropical_transient.cli import build_parser
@@ -188,27 +192,30 @@ def level_step(level, plan):
 def step_rows(rng, n, members, repeats):
     """(kind, D, ms) rows of the planned-step table at size n."""
     mem = encode(*onset_inputs(rng, members, n))
-    plan = _plan(mem)
+    plan, levels = _plan(mem), level_plan(mem)
     vector, matrix = mem[0, 0].copy(), np.ascontiguousarray(mem[0].T)
     parents = rng.integers(0, members, size=STEP_LEVEL)
     choice = rng.integers(0, members, size=STEP_LEVEL)
     level = as_level(mem)
-    product = extend(level, plan, parents, choice)[0]
+    product = extend(level, levels, parents, choice)[0]
     return [
         ("vector step", len(plan[0]), best_time(lambda: _step(vector, plan, 1), repeats)),
         ("matrix step", len(plan[0]), best_time(lambda: _step(matrix, plan, 1), repeats)),
         (f"level x{STEP_LEVEL}", len(plan[0]),
-         best_time(lambda: extend(level, plan, parents, choice), repeats)),
+         best_time(lambda: extend(level, levels, parents, choice), repeats)),
         ("verdict", len(plan[0]), best_time(lambda: rank_one(product, product > FLOOR), repeats)),
     ]
 
 
 def prefix_tree(mem, draws):
-    """Which of one length's 1-based int32 draws are rank-one, folded as a
-    tree of their distinct prefixes on encoded members (in the width the
-    scan would pick), planned as the scan plans them."""
+    """Which of one length's 1-based int32 draws, a (samples, k) array, are
+    rank-one, folded as a tree of their distinct prefixes on encoded
+    members (in the width the scan would pick), planned as the scan plans
+    them and read in place as the scan reads them: one flat array of
+    0-based members."""
     prune = bool((mem[:, 0, 0] > FLOOR).all())
-    return _tree_verdicts(_plan(mem), [draws], prune)[0]
+    samples, k = draws.shape
+    return _tree_verdicts(level_plan(mem), (draws - 1).ravel(), k, k, samples, prune)[0]
 
 
 def formed(call):
@@ -387,7 +394,7 @@ def main() -> int:
             ("through_table", lambda: _through_table(into, departures), args.length, n),
         ]
         if n <= STACK_MAX_SIZE:
-            plan = _plan(mem)
+            plan = level_plan(mem)
             level = as_level(mem)
             for _ in range(LEVEL_LENGTH - 1):
                 level = level_step(level, plan)
@@ -446,6 +453,13 @@ def main() -> int:
     for horizon in SCAN_HORIZONS:
         scans.append(("exhaustive", family.size, horizon,
                       lambda horizon=horizon: estimate_transient(family, horizon, "exhaustive")))
+    # The fixed cost of one scan op: a fresh load and a horizon-1 scan.
+    scans += [
+        ("load+sampled x1", family.size, 1,
+         lambda: estimate_transient(load_family(str(path))[0], 1, samples_per_length=1)),
+        ("load+exhaustive", family.size, 1,
+         lambda: estimate_transient(load_family(str(path))[0], 1, "exhaustive")),
+    ]
     n, horizon = SYNTHETIC_SCAN
     with tempfile.TemporaryDirectory() as workdir:
         synthetic = load_family(str(synthetic_files(workdir, n)[0]))[0]

@@ -37,10 +37,11 @@ a column with fewer in-edges than the largest, D, is padded with node 0
 at weight MASKED.  States are node-first: the node axis leads and any
 batch trails, so a vector is (n,), the state of r start nodes is (n, r)
 (the transpose of one row per start) and a level of B products is
-(n, n, B).  A product step (``_step``) is then one gather of the state
-along its node axis, one add of the layer's padded weights (for a level,
-each product's own, gathered batch-last) and one max over the D padded
-terms, each a reduction along whole contiguous rows:
+(n, n, B).  A product step (``_step``; ``extend`` for a level) is then
+one gather of the state along its node axis, one add of the layer's
+padded weights (for a level, each product's own, gathered batch-last)
+and one max over the D padded terms, each a reduction along whole
+contiguous rows:
 the semiring SpMV of the GraphBLAS (Kepner et al., IEEE HPEC 2016).
 Every matrix product runs on it: every sweep, fold and fixpoint steps
 through the plan of its layers, ``matmul`` through the plan of its right
@@ -53,11 +54,12 @@ A level of products grows by one factor each through ``extend``:
 product i is a chosen product of the level times a chosen member, and it
 comes back with its rank-one verdicts (``rank_one``, which reduces over
 the two leading axes of the level).  The products form one step of a
-level state, each adding its own member's weights.  Both transient
-scans plan their members once and grow every level that way, one length
-at a time from the empty product (``identity_level``).  ``extend`` and
-the through table step in chunks of products or starts that gather at
-most ``CHUNK_ELEMENTS`` terms (``_chunks``).
+level state, each adding its own member's weights, which it reads
+batch-last.  Both transient scans plan their members once that way
+(``level_plan``) and grow every level through it, one length at a time
+from the empty product (``identity_level``).  ``extend`` and the
+through table step in chunks of products or starts that gather at most
+``CHUNK_ELEMENTS`` terms (``_chunks``).
 
 A single fold tests its running product for rank-one every
 ``PROBE_STRIDE`` layers, and once a prefix passes it finishes as one
@@ -157,10 +159,11 @@ def _plan(layers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     masked, floor = _SENTINELS[layers.dtype]
     fin = (layers > floor).any(axis=0)
-    cols, rows = np.nonzero(fin.T)
-    count = fin.sum(axis=0)
-    depth = np.arange(len(rows)) - (np.cumsum(count) - count)[cols]
-    src = np.zeros((max(1, count.max()), fin.shape[1]), dtype=np.intp)
+    # Entry (r, c) of the union is in-edge depth[r, c] - 1 of column c.
+    depth = fin.cumsum(axis=0)
+    rows, cols = fin.nonzero()
+    depth = depth[rows, cols] - 1
+    src = np.zeros((max(1, depth.max(initial=0) + 1), fin.shape[1]), dtype=np.intp)
     src[depth, cols] = rows
     weights = np.full((len(layers),) + src.shape, masked, dtype=layers.dtype)
     weights[:, depth, cols] = layers[:, rows, cols]
@@ -175,11 +178,10 @@ def _step(state: np.ndarray, plan, s, out: Optional[np.ndarray] = None) -> np.nd
     weights share one width.
 
     The node axis leads and any batch trails: a vector x is (r,) and
-    gives x (x) layers[s]; a matrix state X^T is (r, b) and gives
-    (X (x) layers[s])^T; and a level is (r, r, B), entry [c, i, b] being
-    entry (i, c) of product b, with s an array of B layer indices, one
-    per product.  Every reduction runs over the leading padded axis, so
-    along whole contiguous rows of terms.
+    gives x (x) layers[s], and a matrix state X^T is (r, b) and gives
+    (X (x) layers[s])^T.  Every reduction runs over the leading padded
+    axis, so along whole contiguous rows of terms.  (A level of products,
+    each times its own layer, steps in ``extend``.)
 
     A layer's own masked entries inside the union weigh MASKED, so every
     sum of finite terms is formed and every other one is at most FLOOR:
@@ -192,14 +194,7 @@ def _step(state: np.ndarray, plan, s, out: Optional[np.ndarray] = None) -> np.nd
         terms += weights[s]
     else:
         terms = state.take(src, axis=0)
-        if np.ndim(s):
-            # The (D, c) weights of the products' own layers, gathered
-            # batch-last as (D, c, 1, B), so that the add runs along the
-            # batch axis of both operands; take copies weights that are
-            # not batch-last in memory first (see extend).
-            terms += weights.transpose(1, 2, 0).take(s, axis=-1)[:, :, None]
-        else:
-            terms += weights[s][..., None]
+        terms += weights[s][..., None]
     return np.maximum.reduce(terms, axis=0, out=out, initial=_SENTINELS[terms.dtype][0])
 
 
@@ -326,7 +321,7 @@ def _units(n: int, starts, dtype=np.int64) -> np.ndarray:
     """Node-first encoded state whose column r is 0 at node starts[r] and
     masked elsewhere: one vector for a single start."""
     eye = np.full((n, n), _SENTINELS[np.dtype(dtype)][0], dtype=dtype)
-    np.fill_diagonal(eye, 0)
+    eye.reshape(-1)[::n + 1] = 0
     return eye.take(starts, axis=1)
 
 
@@ -374,37 +369,54 @@ def identity_level(n: int, dtype=np.int64) -> np.ndarray:
     return _units(n, np.arange(n), dtype)[..., None]
 
 
+def level_plan(layers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_plan`` of encoded (m, r, c) layers with its weights batch-last
+    in memory: a (D, c, m) array seen as (m, D, c), which ``extend`` reads
+    as it is.  The transient scans make it once per scan."""
+    src, weights = _plan(layers)
+    return src, np.ascontiguousarray(weights.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
 def extend(level: np.ndarray, plan, parents: np.ndarray,
            members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(out, ok): product i of out is product parents[i] of level times
-    mem[members[i]], for an encoded (n, n, B) level (``_step``: entry
+    mem[members[i]], for an encoded node-first (n, n, B) level (entry
     [c, r, b] is entry (r, c) of product b), the ``_plan`` of the encoded
     members mem and index arrays of one length; ok[i] says whether
     product i is rank-one (``rank_one``).
 
     The transient scans grow their levels with it from ``identity_level``:
-    the exhaustive scan pairs every product with every member (product
-    p * m + j), the sampled scan only the distinct prefixes of its draws.
-    Each chunk of products (``_chunks``) is one ``_step`` of the stack of
-    its parents, each adding its own member's weights, which it gathers
-    batch-last from one (D, c, m) copy of the plan's weights made per
-    call.  A single chunk's result is out itself; with several, each is
-    reduced into a contiguous array that is then copied into out, since
-    reducing straight into the strided slice of out is slower at large n.
-    The level and the plan share one width, and out has it too.
+    the exhaustive scan pairs products with every member, the sampled
+    scan only the distinct prefixes of its draws with the members that
+    follow them.  Products step in chunks that each gather at most
+    CHUNK_ELEMENTS terms (``_chunks``): one gather of the chunk's parents
+    along the node axis, one add of each product's own member's (D, c)
+    weights, gathered batch-last as (D, c, 1, B) so that the add runs
+    along the batch axis of both operands, and one max over the padded
+    axis.  The weights are read batch-last from the plan, which is copied
+    so first unless it already is (``level_plan``).  A single chunk's
+    result is out itself; with several, each is reduced into a contiguous
+    array that is then copied into out, since reducing straight into the
+    strided slice of out is slower at large n.  The level and the plan
+    share one width, and out has it too.
     """
     n = level.shape[0]
-    src, weights = plan
-    # The weights batch-last in memory, (D, c, m), seen as (m, D, c).
-    plan = src, np.ascontiguousarray(weights.transpose(1, 2, 0)).transpose(2, 0, 1)
-    parts = _chunks(len(parents), n * src.size)
-    if len(parts) == 1:
-        out = _step(level.take(parents, axis=-1), plan, members)
-    else:
-        out = np.empty((n, n, len(parents)), dtype=level.dtype)
-        for part in parts:
-            out[..., part] = _step(level.take(parents[part], axis=-1), plan, members[part])
-    return out, rank_one(out, out > _SENTINELS[out.dtype][1])
+    src = plan[0]
+    weights = np.ascontiguousarray(plan[1].transpose(1, 2, 0))
+    masked, floor = _SENTINELS[level.dtype]
+    # The chunk size of _chunks, without its list of slices.
+    size = max(1, CHUNK_ELEMENTS // (n * src.size))
+    whole = 0 < len(parents) <= size
+    out = None if whole else np.empty((n, n, len(parents)), dtype=level.dtype)
+    for s in range(0, len(parents), size):
+        terms = level.take(parents[s:s + size], axis=-1).take(src, axis=0)
+        terms += weights.take(members[s:s + size], axis=-1)[:, :, None]
+        part = np.maximum.reduce(terms, axis=0, initial=masked)
+        if whole:
+            out = part
+        else:
+            out[..., s:s + size] = part
+    return out, rank_one(out, out > floor)
 
 
 def rank_one(num: np.ndarray, fin: np.ndarray) -> np.ndarray:

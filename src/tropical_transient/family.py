@@ -294,7 +294,7 @@ class MatrixFamily:
     def stacked(self) -> tuple[np.ndarray, np.ndarray, int]:
         """Members stacked as (m, n, n) scaled arrays on a common denominator."""
         den, grid = common_grid(*self._members)
-        mem_num, mem_fin = (np.stack(arrays) for arrays in zip(*grid))
+        mem_num, mem_fin = (np.array(arrays) for arrays in zip(*grid))
         mem_num.setflags(write=False)
         mem_fin.setflags(write=False)
         return mem_num, mem_fin, den

@@ -43,11 +43,30 @@ PathLike = Union[str, Path]
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
+# One decoder for every file, as json.loads keeps one for its defaults;
+# parse_float keeps decimal literals exact.
+_DECODER = json.JSONDecoder(parse_float=Fraction)
+
+
+def _read_text(path: PathLike) -> str:
+    """``Path(path).read_text(encoding="utf-8")``, errors included, read as
+    raw bytes and decoded at once: the same universal newlines ("\\r\\n"
+    and a lone "\\r" read as "\\n"), without the buffered text layer's
+    set-up."""
+    with open(path, "rb", buffering=0) as f:
+        text = f.read().decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def _load_json(path: PathLike):
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
-        # parse_float keeps decimal literals exact.
-        return json.loads(text, parse_float=Fraction)
+        if text.startswith("\ufeff"):
+            # As json.loads refuses it, before decoding.
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise FamilyFileError(
             f"{path}: invalid JSON: {exc.msg}", position=f"line {exc.lineno}"
@@ -68,43 +87,50 @@ def load_family(path: PathLike) -> tuple[MatrixFamily, tuple[str, ...]]:
         isinstance(n, bool) or not isinstance(n, (int, Fraction)) or n.denominator != 1 or n < 1
     ):
         raise FamilyFileError(f"{path}: 'n' must be a positive integer")
-    members = []
+    grids = []
     names = []
     # One table for the whole family: each distinct token is parsed once.
     table = TokenTable(weight_from_token)
-    for mi, raw in enumerate(raw_members, start=1):
-        if not isinstance(raw, dict) or "rows" not in raw:
-            raise FamilyFileError(
-                f"{path}: member {mi} must be an object with 'rows'"
-            )
-        name = raw.get("name", f"A{mi}")
-        if not isinstance(name, str):
-            raise FamilyFileError(f"{path}: member {mi}: 'name' must be a string")
-        rows = raw["rows"]
-        if not isinstance(rows, list) or not rows:
-            raise FamilyFileError(f"{path}: member {name}: 'rows' must be a nonempty list")
-        if n is None:
-            n = len(rows)
-        if len(rows) != n:
-            raise FamilyFileError(
-                f"{path}: member {name} has {len(rows)} rows, expected {n}"
-            )
-        grid = []
-        for ri, row in enumerate(rows, start=1):
-            if not isinstance(row, list) or len(row) != n:
+    try:
+        for mi, raw in enumerate(raw_members, start=1):
+            if not isinstance(raw, dict) or "rows" not in raw:
                 raise FamilyFileError(
-                    f"{path}: member {name} row {ri} must have {n} entries"
+                    f"{path}: member {mi} must be an object with 'rows'"
                 )
-            try:
-                grid.append(table.ids(row))
-            except ValueError as exc:
-                # Only a failing row pays for finding its first unreadable token.
-                column = next(c for c, tok in enumerate(row, start=1) if not _readable(tok))
-                where = f"{path}: member {name} row {ri} column {column}"
-                raise FamilyFileError(f"{exc}", position=where) from exc
-        members.append(table.matrix(grid))
-        names.append(name)
-    return MatrixFamily(members), tuple(names)
+            name = raw.get("name", f"A{mi}")
+            if not isinstance(name, str):
+                raise FamilyFileError(f"{path}: member {mi}: 'name' must be a string")
+            rows = raw["rows"]
+            if not isinstance(rows, list) or not rows:
+                raise FamilyFileError(f"{path}: member {name}: 'rows' must be a nonempty list")
+            if n is None:
+                n = len(rows)
+            if len(rows) != n:
+                raise FamilyFileError(
+                    f"{path}: member {name} has {len(rows)} rows, expected {n}"
+                )
+            grid = []
+            for ri, row in enumerate(rows, start=1):
+                if not isinstance(row, list) or len(row) != n:
+                    raise FamilyFileError(
+                        f"{path}: member {name} row {ri} must have {n} entries"
+                    )
+                try:
+                    grid.append(table.ids(row))
+                except ValueError as exc:
+                    # Only a failing row pays for finding its first unreadable token.
+                    column = next(c for c, tok in enumerate(row, start=1) if not _readable(tok))
+                    where = f"{path}: member {name} row {ri} column {column}"
+                    raise FamilyFileError(f"{exc}", position=where) from exc
+            grids.append(grid)
+            names.append(name)
+    except FamilyFileError:
+        # The members before the failing one are built first, so an entry
+        # of theirs too large to store is still the error reported.
+        if grids:
+            table.matrices(grids)
+        raise
+    return MatrixFamily(table.matrices(grids)), tuple(names)
 
 
 def _readable(tok) -> bool:

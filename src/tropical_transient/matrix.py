@@ -98,26 +98,44 @@ class TokenTable:
         c = len(grid[0])
         if c == 0 or any(len(row) != c for row in grid):
             raise DimensionError("rows must be nonempty and of equal length")
-        ids = np.array(grid, dtype=np.intp)
-        # Renumber the ids this matrix uses into a compact table, so its
-        # lcm, scaling and checks see only its own tokens, however many
-        # the table holds for the rest of the family.
-        used = np.zeros(len(self._fin), dtype=np.bool_)
-        used[ids] = True
-        keep = np.flatnonzero(used)
-        local = np.zeros(len(self._fin), dtype=np.intp)
-        local[keep] = np.arange(len(keep))
-        ids = local[ids]
-        keep = keep.tolist()
-        den = math.lcm(*(self._den[i] for i in keep))
-        scaled = [self._num[i] * (den // self._den[i]) for i in keep]
-        if max(map(abs, scaled)) >= _STORE_LIMIT:
-            too_big = np.array([abs(s) >= _STORE_LIMIT for s in scaled])
-            first = ids.flat[too_big[ids].argmax()]  # in row-major order
-            _check_magnitude(abs(scaled[first]), "matrix construction", _STORE_LIMIT)
-        num = np.array(scaled, dtype=np.int64)
-        fin = np.array([self._fin[i] for i in keep], dtype=np.bool_)
-        return TropicalMatrix(num[ids], fin[ids], den)
+        return self.matrices([grid])[0]
+
+    def matrices(self, grids: list[list[list[int]]]) -> list["TropicalMatrix"]:
+        """The matrices of a nonempty list of id grids of one shape, each as
+        :meth:`matrix` builds it, in order, from one id array for them all.
+
+        The tokens each matrix uses are marked in one (grids, tokens) table,
+        so its lcm, scaling and checks see only its own tokens, however many
+        the table holds for the rest; a matrix with an entry too large to
+        store raises before any later one is checked.
+        """
+        ids = np.array(grids, dtype=np.intp)
+        k, count = len(ids), len(self._fin)
+        # Matrix i reads row i of the (k, count) tables below.
+        index = ids.reshape(k, -1) + np.arange(0, k * count, count)[:, None]
+        used = np.bincount(index.ravel(), minlength=k * count).reshape(k, count)
+        slots, scaled, dens = [], [], []
+        for i, row in enumerate(used):
+            keep = row.nonzero()[0].tolist()
+            den = math.lcm(*(self._den[t] for t in keep))
+            values = [self._num[t] * (den // self._den[t]) for t in keep]
+            if max(map(abs, values)) >= _STORE_LIMIT:
+                too_big = np.zeros(count, dtype=np.bool_)
+                too_big[keep] = [abs(v) >= _STORE_LIMIT for v in values]
+                first = ids[i].flat[too_big[ids[i]].argmax()]  # in row-major order
+                _check_magnitude(abs(values[keep.index(first)]), "matrix construction",
+                                 _STORE_LIMIT)
+            # In lowest terms, as TropicalMatrix keeps them (-inf is 0/1).
+            g = math.gcd(den, *values)
+            slots += [i * count + t for t in keep]
+            scaled += [v // g for v in values]
+            dens.append(den // g)
+        # table[i, t]: token t's numerator on matrix i's reduced denominator.
+        table = np.zeros(k * count, dtype=np.int64)
+        table[slots] = scaled
+        num = table.take(index).reshape(ids.shape)
+        fin = np.array(self._fin, dtype=np.bool_).take(ids)
+        return [TropicalMatrix._reduced(a, b, den) for a, b, den in zip(num, fin, dens)]
 
 
 class TropicalMatrix:
@@ -133,19 +151,32 @@ class TropicalMatrix:
         if den < 1:
             raise ValueError("denominator must be a positive integer")
         num = np.where(fin, num, np.int64(0))
-        if fin.any():
-            g = int(np.gcd.reduce(np.abs(num[fin])))
-            g = math.gcd(g, den)
+        if not fin.any():
+            den = 1
+        elif den > 1:
+            # Masked slots hold 0, which leaves the gcd of the finite
+            # numerators as it is; over the integers (den 1) it is 1.
+            g = math.gcd(int(np.gcd.reduce(np.abs(num), axis=None)), den)
             if g > 1:
                 num = num // g
                 den = den // g
-        else:
-            den = 1
         num.setflags(write=False)
         fin.setflags(write=False)
         self._num = num
         self._fin = fin
         self._den = den
+
+    @classmethod
+    def _reduced(cls, num: np.ndarray, fin: np.ndarray, den: int) -> "TropicalMatrix":
+        """The matrix of arrays already as the constructor leaves them:
+        int64 numerators, 0 in masked slots, in lowest terms with den (1
+        when nothing is finite), and a boolean mask, both C-contiguous and
+        2-d.  They are made read-only, not copied."""
+        num.setflags(write=False)
+        fin.setflags(write=False)
+        self = object.__new__(cls)
+        self._num, self._fin, self._den = num, fin, den
+        return self
 
     # -- construction -------------------------------------------------------
 

@@ -29,13 +29,23 @@ changes no result.
 One byte budget (``_BYTE_BUDGET``, 2 MB) bounds what the walk holds.  A
 group holds at most 2^18 entries, so 2^18 // n^2 products (one when
 n > 512), and the groups waiting to be formed sit on an explicit stack:
-the walk holds one formed group per length of its current path.  The
-sampled scan draws the lengths in order from one generator, one call of
-int32 draws per tree of consecutive lengths whose draws, at 8 bytes
-each, fit the budget; a length is never split.  A tree keeps its draws
-depth-major and numbers them in length order, so the draws that end at
-a depth are a prefix of those still live there, and its per-draw
-bookkeeping is int32.  The failing sequences stay arrays, one per length
+the walk holds one formed group per length of its current path.  Each
+scan plans its members once (``_kernels.level_plan``), with the weights
+batch-last as ``extend`` reads them.
+
+Exhaustive mode names child start + t of a group's children by
+position alone: parent row (start + t) // m, member (start + t) % m + 1.
+A group holds the member sequences of its parents and the start of its
+slice, and forms the sequences of the products it keeps only: the
+failing ones, which are also the next length's parents, or every one
+when nothing prunes.  The sampled scan draws the lengths in order from
+one generator, one call of int32 draws per tree of consecutive lengths
+whose draws, at 8 bytes each, fit the budget; a length is never split.
+A tree reads each draw's members in place from that flat array, through
+the position where the draw starts; starts grow in length order, so the
+draws that end at a depth are a prefix of those still live there, and
+its per-draw bookkeeping is int32.  Only the lengths with a failing
+draw form rows.  The failing sequences stay arrays, one per length
 (:class:`Counterexamples`), and become tuples only when read.
 
 A single fold uses rank-one absorption: once a prefix P = x (x) y^T is
@@ -55,7 +65,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import index
 from typing import Optional
 
@@ -126,9 +136,10 @@ class Counterexamples(Sequence):
     def __init__(self, failed: list[list[np.ndarray]]):
         # failed[k - 1] holds arrays of the failing sequences of length k,
         # rows in scan order.
-        self._parts = [(k, np.concatenate(rows)) for k, rows in enumerate(failed, start=1)
-                       if any(len(r) for r in rows)]
-        self._ends = np.cumsum([len(rows) for _, rows in self._parts]).tolist()
+        self._parts = [(k, rows[0] if len(rows) == 1 else np.concatenate(rows))
+                       for k, rows in enumerate(failed, start=1)
+                       if rows and any(len(r) for r in rows)]
+        self._ends = list(accumulate(len(rows) for _, rows in self._parts))
 
     def __len__(self) -> int:
         return self._ends[-1] if self._ends else 0
@@ -213,44 +224,57 @@ def _absorbing(family: MatrixFamily) -> bool:
 
 def _walk(plan, grow, root) -> None:
     # Depth-first over a prefix tree, from the empty product at depth 0;
-    # plan is the members' _kernels._plan.  grow(depth, ok, state) takes a
-    # formed group of products of length depth, their rank-one verdicts
-    # and the mode's state for them, and returns the group's children as
-    # keys p * m + j (product p of the group times member j), in order,
-    # and part(s), the state of the children of slice s.  The children are
-    # formed in groups of at most cap products, one _kernels.extend call
-    # each, whose parents index the formed group as it is.  The stack is
-    # explicit, as a tree can pass Python's recursion limit; groups pop in
-    # order, so each length is formed in prefix order.
-    m, n = len(plan[1]), plan[0].shape[1]
+    # plan is the members' _kernels.level_plan.  grow(depth, ok, state, s)
+    # takes a formed group of products of length depth, their rank-one
+    # verdicts, the state its parent group returned for its children and
+    # the slice s of those children the group holds, and returns None or
+    # the group's children as (parents, members, state): child i is
+    # product parents[i] of the group times member members[i] (0-based),
+    # in order.  The children are formed in groups of at most cap
+    # products, one _kernels.extend call each, whose parents index the
+    # formed group as it is.  The stack is explicit, as a tree can pass
+    # Python's recursion limit; groups pop in order, so each length is
+    # formed in prefix order.
+    n = plan[0].shape[1]
     cap = max(1, _BYTE_BUDGET // (8 * n * n))
-    level, ok, depth, state = (_kernels.identity_level(n, plan[1].dtype), np.zeros(1, dtype=bool),
-                               0, root)
+    level, ok = _kernels.identity_level(n, plan[1].dtype), np.zeros(1, dtype=bool)
+    depth, state, s = 0, root, slice(0, 1)
     stack = []
     while True:
-        children, part = grow(depth, ok, state)
-        stack.extend((depth + 1, level, children, part, slice(s, s + cap))
-                     for s in reversed(range(0, len(children), cap)))
+        children = grow(depth, ok, state, s)
+        if children is not None:
+            parents, members, state = children
+            stack.extend((depth + 1, level, parents, members, state, slice(s, s + cap))
+                         for s in reversed(range(0, len(parents), cap)))
         if not stack:
             return
-        depth, level, children, part, s = stack.pop()
-        level, ok = _kernels.extend(level, plan, *np.divmod(children[s], m))
-        state = part(s)
+        depth, level, parents, members, state, s = stack.pop()
+        level, ok = _kernels.extend(level, plan, parents[s], members[s])
 
 
 def _exhaustive_scan(plan, horizon: int, prune: bool, failed: list) -> None:
-    # The state of a group is seqs, where seqs[r] is the 1-based sequence of
-    # product r.  With prune (_absorbing), only the failing products are
-    # extended: the extensions of a rank-one product are rank-one.
+    # Every product is extended by every member, so child start + t of a
+    # group's children has parent row (start + t) // m and member
+    # (start + t) % m + 1.  The state of a group is the 1-based sequences
+    # of the products extended (the parents' rows), and a group forms the
+    # rows of the products it keeps: with prune (_absorbing) only the
+    # failing ones, the only ones extended, as the extensions of a rank-one
+    # product are rank-one; without, every one.  At the horizon it keeps
+    # the failing ones alone.
     m = len(plan[1])
+    each = np.arange(m)[None]
 
-    def grow(depth, ok, seqs):
+    def grow(depth, ok, rows, s):
+        fail = (~ok).nonzero()[0]
+        live = fail if prune or depth == horizon else np.arange(len(ok))
         if depth:
-            failed[depth - 1].append(seqs[~ok])
-        live = np.flatnonzero((~ok | (not prune)) & (depth < horizon))
-        children = (live[:, None] * m + np.arange(m)).ravel()
-        return children, lambda s: np.column_stack(
-            (seqs[children[s] // m], (children[s] % m + 1).astype(seqs.dtype)))
+            parent, member = np.divmod(live + s.start if s.start else live, m)
+            rows = np.concatenate((rows.take(parent, axis=0), member[:, None] + 1), axis=1,
+                                  dtype=rows.dtype, casting="unsafe")
+            failed[depth - 1].append(rows if live is fail else rows[fail])
+        if depth == horizon or not len(live):
+            return None
+        return live.repeat(m), each.repeat(len(live), axis=0).ravel(), rows
 
     _walk(plan, grow, np.zeros((1, 0), dtype=np.min_scalar_type(m)))
 
@@ -262,7 +286,9 @@ def _sampled_scan(plan, horizon: int, samples: int, seed: int, prune: bool, fail
     # bytes a draw, and holds at least one length.  One call of the draws
     # of several lengths reads the same stream as one call per length,
     # each draw of length k being k consecutive values; int32 output reads
-    # the same stream as int64 for any m < 2^31 (not so int16 or uint8).
+    # the same stream as int64 for any m < 2^31 (not so int16 or uint8),
+    # and integers(0, m) the same as integers(1, m + 1), each value one
+    # less.  Only the lengths with a failing draw form their rows.
     m = len(plan[1])
     rng = np.random.Generator(np.random.PCG64(seed))
     dtype = np.min_scalar_type(m)
@@ -272,74 +298,85 @@ def _sampled_scan(plan, horizon: int, samples: int, seed: int, prune: bool, fail
         while last < horizon and 8 * samples * (total + last + 1) <= _BYTE_BUDGET:
             last += 1
             total += last
-        flat = rng.integers(1, m + 1, size=samples * total, dtype=np.int32)
-        tree, start = [], 0
-        for k in range(first, last + 1):
-            tree.append(flat[start:start + samples * k].reshape(samples, k))
-            start += samples * k
-        for draws, ok in zip(tree, _tree_verdicts(plan, tree, prune)):
-            failed[draws.shape[1] - 1].append(draws[~ok].astype(dtype))
+        draws = rng.integers(0, m, size=samples * total, dtype=np.int32)
+        fail = ~_tree_verdicts(plan, draws, first, last, samples, prune)
+        for i in fail.any(axis=1).nonzero()[0].tolist():
+            k = first + i
+            start = samples * (k * (k - 1) - first * (first - 1)) // 2
+            rows = draws[start:start + samples * k].reshape(samples, k)[fail[i]]
+            failed[k - 1].append(np.add(rows, 1, dtype=dtype, casting="unsafe"))
         first = last + 1
 
 
-def _tree_verdicts(plan, tree: list[np.ndarray], prune: bool) -> np.ndarray:
-    # tree holds the 1-based draws of consecutive lengths, shortest first,
-    # and the result says which are rank-one, one row per length.  They
-    # fold as the tree of their distinct prefixes: the state of a group is
-    # (live, node), where node[d] is the product of draw live[d] among the
-    # group's products.  The draws are numbered in length order and live
-    # stays increasing, so the live draws that end at a depth, and read
-    # their verdicts there, are a prefix of live, found by one
-    # searchsorted.  With prune (_absorbing), a rank-one node is dropped
-    # and every draw under it is rank-one.  The children of a group are
-    # the distinct keys node * m + next member, found with a mark array in
-    # key order; no sort, which would add numpy's sorting code to the
-    # resident size of a process that never sorts otherwise.
+def _tree_verdicts(plan, draws: np.ndarray, first: int, last: int, samples: int,
+                   prune: bool) -> np.ndarray:
+    # draws holds the 0-based members of samples draws of each length
+    # first..last, length by length, each draw's members consecutive, and
+    # the result says which draws are rank-one, one row per length.  They
+    # fold as the tree of their distinct prefixes.  A draw is known by its
+    # start, the position of its first member in draws, so its member at
+    # depth d is draws[start + d], read in place.  The state of a group's
+    # children is (live, count): live is (2, L), the starts of the draws
+    # still live under them and m times the child each one is under, the
+    # first key of that child's children, and count is the number of
+    # children.  Starts stay increasing, and the draws that end at depth d
+    # are those that start before position samples * (first + ... + d), so
+    # the live draws that end at a depth, and read their verdicts there,
+    # are a prefix of live, found by one searchsorted.  With prune
+    # (_absorbing), a rank-one node is dropped and every draw under it is
+    # rank-one.  The children of a group are the distinct keys
+    # m * node + next member, found with a mark array in key order; no
+    # sort, which would add numpy's sorting code to the resident size of a
+    # process that never sorts otherwise.
     m = len(plan[1])
-    samples = len(tree[0])
-    lengths = [draws.shape[1] for draws in tree]
-    count = samples * len(tree)
-    # Draw numbers and node indices fit int32 below 2^31 draws; they index
-    # through take and put, which read int32 indices faster than [] does.
-    itype = np.int32 if count < 1 << 31 else np.intp
-    # Depth-major: cols[d] holds every draw's 0-based member at depth d,
-    # and one zero row past the longest draw keeps the next-member read at
-    # the last depth, where no draw is live, in bounds.
-    cols = np.zeros((lengths[-1] + 1, count), dtype=np.min_scalar_type(m))
-    for i, draws in enumerate(tree):
-        np.subtract(draws.T, 1, out=cols[:draws.shape[1], i * samples:(i + 1) * samples],
-                    casting="unsafe")
-    # ended[d]: the number of draws of length at most d, in live's dtype,
-    # so that searchsorted reads live as it is.
-    ended = (samples * np.searchsorted(lengths, np.arange(lengths[-1] + 1), "right")).astype(itype)
-    rank_one = np.ones(count, dtype=bool)
+    # Starts and keys fit int32 below 2^31 draw values and while a group's
+    # keys do (a group holds at most _BYTE_BUDGET // 8 products); they
+    # index through take, which reads int32 indices faster than [] does.
+    # The mark is set through [], which reads intp ones faster.
+    itype = np.int32 if max(len(draws), (_BYTE_BUDGET // 8 + 1) * m) < 1 << 31 else np.intp
+    # The root state: every draw, under the empty product.  Its starts
+    # row is never written, and reads the verdicts back at the end.
+    root = np.zeros((2, samples * (last - first + 1)), dtype=itype)
+    lengths = np.arange(first, last + 1, dtype=itype).repeat(samples)
+    starts = np.subtract(lengths.cumsum(dtype=itype), lengths, out=root[0])
+    del lengths
+    rank_one = np.ones(len(draws), dtype=bool)
+    base = first * (first - 1)
 
-    def grow(depth, ok, state):
-        live, node = state
-        done = live.searchsorted(ended[depth])
-        rank_one.put(live[:done], ok.take(node[:done]))
-        live, node = live[done:], node[done:]
+    def grow(depth, ok, state, s):
+        live, count = state
+        if s.start or s.stop < count:
+            live = live.compress((live[1] >= m * s.start) & (live[1] < m * s.stop), axis=1)
+            live[1] -= m * s.start
+        # The first start past the draws of length at most depth.
+        k = min(depth, last)
+        done = live[0].searchsorted(itype(samples * max(0, k * (k + 1) - base) // 2))
         if prune and depth:
-            # (The empty product at depth 0 is not rank-one.)
-            keep = ~ok.take(node)
-            live, node = live[keep], node[keep]
-        # The key in intp, which no member count can wrap.
-        key = node * np.intp(m)
-        key += cols[depth].take(live)
-        mark = np.zeros(len(ok) * m, dtype=bool)
-        mark[key] = True
-        children = mark.nonzero()[0]
-        node = mark.cumsum(dtype=itype).take(key) - 1
+            # One verdict per live draw: those that end here keep it, the
+            # others go on only under a failing node.
+            verdict = ok.repeat(m).take(live[1])
+            rank_one[live[0, :done]] = verdict[:done]
+            live = live[:, done:].compress(~verdict[done:], axis=1)
+        elif done:
+            rank_one[live[0, :done]] = ok.take(live[1, :done] // m)
+            live = live[:, done:]
+        if not live.shape[1]:
+            return None
+        start, first_key = live
+        key = np.add(first_key, draws[depth:].take(start), dtype=np.intp)
+        # m at each key that occurs: key k is child cumsum(mark)[k] / m - 1,
+        # whose first key is cumsum(mark)[k] - m.
+        mark = np.zeros(len(ok) * m, dtype=itype)
+        mark[key] = m
+        parents, members = mark.reshape(-1, m).nonzero()
+        child = mark.cumsum(dtype=itype)
+        child -= m
+        # In place: no other group reads this draw state again.
+        child.take(key, out=first_key, mode="clip")
+        return parents, members, (live, len(parents))
 
-        def part(s):
-            if not s.start and s.stop >= len(children):
-                return live, node
-            sel = (node >= s.start) & (node < s.stop)
-            return live[sel], node[sel] - s.start
-        return children, part
-
-    _walk(plan, grow, (np.arange(count, dtype=itype), np.zeros(count, dtype=itype)))
-    return rank_one.reshape(len(tree), samples)
+    _walk(plan, grow, (root, 1))
+    return rank_one.take(starts).reshape(-1, samples)
 
 
 def estimate_transient(
@@ -400,7 +437,7 @@ def estimate_transient(
     # of length k, as arrays of rows in scan order.
     failed: list[list[np.ndarray]] = [[] for _ in range(horizon)]
     members = _kernels.encode(*family.stacked[:2], _kernels.width(magnitude))
-    plan, prune = _kernels._plan(members), _absorbing(family)
+    plan, prune = _kernels.level_plan(members), _absorbing(family)
     if mode == "exhaustive":
         _exhaustive_scan(plan, horizon, prune, failed)
     else:

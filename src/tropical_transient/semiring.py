@@ -12,6 +12,7 @@ no finite weight can collide with it.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -42,6 +43,11 @@ EPSILON = Epsilon()
 Weight = Union[Fraction, Epsilon]
 
 ZERO = Fraction(0)
+
+# Plain tokens, ASCII "p" and "p/q" with an optional minus sign: Fraction
+# reads them as int(p) and int(p) / int(q), and parsing them that way
+# skips its type checks and its general pattern.
+_PLAIN_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_weight(value) -> Weight:
@@ -90,7 +96,11 @@ def weight_from_token(token) -> Weight:
         if token.strip() == "-inf":
             return EPSILON
         try:
-            return Fraction(token)
+            plain = _PLAIN_TOKEN.fullmatch(token)
+            if plain is None:
+                return Fraction(token)
+            p, q = plain.groups()
+            return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"unreadable weight token {token!r}") from exc
     raise ValueError(f"unreadable weight token {token!r}")

@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from tropical_transient.errors import FamilyFileError
 from tropical_transient.io import (
+    _load_json,
+    _read_text,
     column_tokens,
     family_to_dict,
     load_expected,
@@ -145,6 +149,30 @@ class TestLoadFamily:
         assert str(exc.value) == f"unreadable weight token '1/0' (at {where})"
         assert isinstance(exc.value.__cause__, ValueError)
 
+    def test_bad_json_line_counts_every_line_ending(self, tmp_path):
+        # Files are read with universal newlines: "\r\n" and a lone "\r"
+        # end a line as "\n" does.
+        for end in ("\n", "\r\n", "\r"):
+            p = tmp_path / "f.json"
+            p.write_bytes(end.join(['{"members": [', '  {"rows": [[0]]},', ']}']).encode())
+            with pytest.raises(FamilyFileError) as exc:
+                load_family(p)
+            assert exc.value.position == "line 3"
+
+    def test_an_earlier_member_too_large_to_store_is_reported_first(self, tmp_path):
+        # Members are built after the whole file is read, but an entry of
+        # member 1 past the storage limit is still reported before a later
+        # member's bad token or shape.
+        big = [[0, -(1 << 62)], [-1, 0]]
+        for later in ([[0, "wat"], [0, 0]], [[0, -1, -2]]):
+            p = write(tmp_path, "f.json", {"members": [{"rows": big}, {"rows": later}]})
+            with pytest.raises(OverflowError, match="matrix construction"):
+                load_family(p)
+        p = write(tmp_path, "f.json", {"members": [{"rows": [[0, -1], [-1, 0]]},
+                                                   {"rows": [[0, "wat"], [0, 0]]}]})
+        with pytest.raises(FamilyFileError, match="unreadable weight token 'wat'"):
+            load_family(p)
+
     def test_second_member_shape_checked_against_first(self, tmp_path):
         p = write(
             tmp_path,
@@ -158,6 +186,50 @@ class TestLoadFamily:
         )
         with pytest.raises(FamilyFileError, match="has 3 rows, expected 2"):
             load_family(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=40),
+                 st.lists(st.sampled_from([b"\r", b"\n", b"\r\n", b"{}", b"\xff", b"\xc3",
+                                           b"\xc3\xa9", b"\xef\xbb\xbf", b"\xed\xa0\x80", b" 1"]),
+                          max_size=12).map(b"".join)))
+@example(b"\r")
+@example(b"{\r}\r\n\n\r\r")
+@example(b"\xef\xbb\xbf{}")
+@example(b"[1,\r 2]\xff")
+def test_read_text_is_path_read_text(tmp_path_factory, data):
+    # The family loader's reader returns what Path.read_text(encoding=
+    # "utf-8") returns, or raises what it raises, message included.
+    p = tmp_path_factory.mktemp("read") / "f.json"
+    p.write_bytes(data)
+    try:
+        want = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        with pytest.raises(UnicodeDecodeError) as got:
+            _read_text(p)
+        assert str(got.value) == str(exc)
+    else:
+        assert _read_text(p) == want and _read_text(str(p)) == want
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": [1, 2.5, "-inf"]}', "\ufeff{}", "\ufeff{", "{\n  1: 2}", "[1,\r\n 2,]", "", "  ",
+    "\ufeff", "[1e400, -0.0]", "{} {}", "[Infinity]",
+])
+def test_json_reads_as_json_loads_reads(tmp_path, text):
+    # Files decode through one shared decoder; values and errors, the BOM
+    # refusal and the line reported included, are json.loads's with exact
+    # decimals.
+    p = tmp_path / "f.json"
+    p.write_bytes(text.encode())
+    try:
+        want = json.loads(p.read_text(encoding="utf-8"), parse_float=Fraction)
+    except json.JSONDecodeError as exc:
+        with pytest.raises(FamilyFileError) as got:
+            _load_json(p)
+        assert str(got.value) == f"{p}: invalid JSON: {exc.msg} (at line {exc.lineno})"
+    else:
+        assert _load_json(p) == want
 
 
 class TestLoadSequence:

@@ -554,10 +554,14 @@ class TestOracleAgreement:
             draws = rng.integers(1, 4, size=(samples, length)).astype(np.uint8)
             draws[::3] = rng.integers(4, 6, size=(len(draws[::3]), length))
             block.append(draws)
-        plan = _kernels._plan(encode(mem_num, mem_fin))
+        plan = _kernels.level_plan(encode(mem_num, mem_fin))
         if chunk:
             assert _kernels.CHUNK_ELEMENTS // (n * plan[0].size) == 9
-        rank_one = products._tree_verdicts(plan, block, drop)
+        # The tree's draws as the scan holds them: one flat array of
+        # 0-based members, length by length.
+        flat = np.concatenate([draws.ravel() for draws in block]).astype(np.int32) - 1
+        rank_one = products._tree_verdicts(plan, flat, 1, k, samples, drop)
+        assert rank_one.shape == (k, samples)
         verdicts = [(samples, draws[~ok]) for draws, ok in zip(block, rank_one)]
         assert len(verdicts) == k
         absorbed = 0
@@ -1020,11 +1024,12 @@ def node_first_steps(draw):
 
 
 class TestNodeFirstStep:
-    """``_step`` on the padded plan, for every node-first state it takes,
-    against the masked product of the oracles: a vector x gives
-    x (x) A, a state X^T of r starts gives (X (x) A)^T, and a level of B
-    products gives each product times its own member, also through
-    ``extend`` in chunks of 1 to 3 products."""
+    """The planned product step on the padded plan, for every node-first
+    state, against the masked product of the oracles: through ``_step``, a
+    vector x gives x (x) A and a state X^T of r starts gives
+    (X (x) A)^T; through ``extend``, a level of B products gives each
+    product times its own member, in one chunk and in chunks of 1 to 3
+    products."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=node_first_steps(), data=st.data())
@@ -1063,7 +1068,7 @@ class TestNodeFirstStep:
         level = as_level(encode(lev_num, lev_fin))
         members = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=size,
                                               max_size=size)))
-        got = _kernels._step(level, plan, members)
+        got, _ = _kernels.extend(level, plan, np.arange(size), members)
         assert got.shape == (n, n, size) and (got >= MASKED).all()
         chunk = data.draw(st.integers(1, 3))
         terms = n * plan[0].size

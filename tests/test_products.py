@@ -312,17 +312,24 @@ class _ExtendSpy:
 class _TreeSpy:
     """Records the draws of every prefix tree the sampled scan folds, as
     1-based tuples, shortest first, and in ``dtypes`` the dtypes of the
-    draws."""
+    draws.  A tree's draws reach ``_tree_verdicts`` as one flat array of
+    0-based members, samples draws of each length first..last in turn."""
 
     def __init__(self, monkeypatch):
         self.trees = []
         self.dtypes = set()
         fold_tree = products._tree_verdicts
 
-        def spied_tree(plan, tree, prune):
-            self.trees.append([tuple(int(x) for x in row) for draws in tree for row in draws])
-            self.dtypes.update(draws.dtype for draws in tree)
-            return fold_tree(plan, tree, prune)
+        def spied_tree(plan, draws, first, last, samples, prune):
+            values = (draws + 1).tolist()
+            tree, start = [], 0
+            for k in range(first, last + 1):
+                tree += [tuple(values[i:i + k]) for i in range(start, start + samples * k, k)]
+                start += samples * k
+            assert start == len(draws)
+            self.trees.append(tree)
+            self.dtypes.add(draws.dtype)
+            return fold_tree(plan, draws, first, last, samples, prune)
 
         monkeypatch.setattr(products, "_tree_verdicts", spied_tree)
 
@@ -499,23 +506,30 @@ class TestRaggedSampledScan:
         # draws.  Both families have rank-one draws and failing ones.
         fam = family5 if pruned else _pruned_off_family(random.Random(0), 5)
         assert products._absorbing(fam) == pruned
+        m = fam.member_count
         monkeypatch.setattr(products, "_BYTE_BUDGET", 8 * 25 * 4)
         # Per tree: its lengths, its draws per length and, by depth, the
         # number of draws that end at that depth in each group grown there.
+        # A group's state holds the starts of the live draws under its
+        # parent's children and m times the child each is under; the group
+        # holds the children of its slice, and a draw of length at most
+        # depth starts before samples * (the sum of those lengths).
         trees = []
         walk, fold_tree = products._walk, products._tree_verdicts
 
-        def spied_tree(plan, tree, prune):
-            trees.append(([draws.shape[1] for draws in tree], len(tree[0]), {}))
-            return fold_tree(plan, tree, prune)
+        def spied_tree(plan, draws, first, last, samples, prune):
+            trees.append((list(range(first, last + 1)), samples, {}))
+            return fold_tree(plan, draws, first, last, samples, prune)
 
         def spied_walk(plan, grow, root):
             lengths, samples, groups = trees[-1]
 
-            def counted(depth, ok, state):
-                ended = samples * sum(k <= depth for k in lengths)
-                groups.setdefault(depth, []).append(int((state[0] < ended).sum()))
-                return grow(depth, ok, state)
+            def counted(depth, ok, state, s):
+                ended = samples * sum(k for k in lengths if k <= depth)
+                (start, key), _ = state
+                mine = (key >= m * s.start) & (key < m * s.stop)
+                groups.setdefault(depth, []).append(int((start[mine] < ended).sum()))
+                return grow(depth, ok, state, s)
             return walk(plan, counted, root)
 
         monkeypatch.setattr(products, "_walk", spied_walk)
@@ -745,6 +759,37 @@ class TestPrunedExhaustive:
         failing = [sum(1 for k, _ in est.counterexamples if k == length) for length in range(1, 8)]
         assert est.examined == 9840
         assert spy.products == 3 * (1 + sum(failing)) == 3555
+
+    @pytest.mark.parametrize("pruned", [True, False], ids=["pruning", "no-pruning"])
+    def test_failing_rows_straddle_split_groups(self, family5, monkeypatch, pruned):
+        # A budget of 4 products per group at n = 5 splits the children of
+        # every depth past the first, so the failing products of one depth
+        # fall in several groups, whose slices start at multiples of 4,
+        # between the m children of one parent.  Each group builds the rows
+        # it keeps from its parents' rows and its slice start.  The scan
+        # over full levels is the reference, in order too.
+        fam = family5 if pruned else _pruned_off_family(random.Random(0), 5)
+        assert products._absorbing(fam) == pruned
+        monkeypatch.setattr(products, "_BYTE_BUDGET", 8 * 25 * 4)
+        failing = {}
+        walk = products._walk
+
+        def spied_walk(plan, grow, root):
+            def counted(depth, ok, rows, s):
+                failing.setdefault(depth, []).append(int((~ok).sum()))
+                return grow(depth, ok, rows, s)
+            return walk(plan, counted, root)
+
+        monkeypatch.setattr(products, "_walk", spied_walk)
+        spy = _ExtendSpy(monkeypatch)
+        horizon = 6
+        est = estimate_transient(fam, horizon, "exhaustive")
+        want = oracles.full_level_estimate(fam, horizon)
+        assert est == want and list(est.counterexamples) == list(want.counterexamples)
+        assert max(spy.sizes) == max(spy.levels) == 4
+        # Depths at which two or more groups hold failing products.
+        split = [d for d, counts in failing.items() if sum(c > 0 for c in counts) > 1]
+        assert len(split) >= horizon - 2
 
     def test_prune_gate_keeps_the_rank_one_guard(self):
         # Every pivot is finite and A is rank-one, so the level-2 products

@@ -2,7 +2,7 @@ import copy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import is_eps, oplus, otimes
@@ -117,6 +117,45 @@ class TestTokens:
         for bad in ("", "inf", "1/0", "one", None, [1], True):
             with pytest.raises(ValueError):
                 weight_from_token(bad)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        st.from_regex(r"\s?[-+]?[0-9_١]{0,5}(/[-0-9_]{0,4})?(\.[0-9]*)?(e[-+]?[0-9]{1,2})?\s?",
+                      fullmatch=True),
+        st.integers(-10**30, 10**30).map(str),
+        st.tuples(st.integers(-10**20, 10**20), st.integers(0, 10**20)).map("{0[0]}/{0[1]}".format),
+    ))
+    @example("+1")
+    @example(" 1 ")
+    @example("1_0")
+    @example("1/0")
+    @example("-0")
+    @example("1e3")
+    @example("0x1")
+    @example("١")
+    @example(" -inf ")
+    @example("-0/7")
+    @example("0012/0008")
+    @example("1/")
+    @example("1" * 5000)
+    def test_plain_tokens_read_as_fraction_reads_them(self, token):
+        # Plain "p" and "p/q" strings skip Fraction(str); every string reads
+        # as it did through Fraction(str) alone: the same acceptance, the
+        # same value and type, and the same error under the ValueError.
+        def through_fraction():
+            return EPSILON if token.strip() == "-inf" else Fraction(token)
+
+        try:
+            want = through_fraction()
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(ValueError, match="unreadable weight token") as got:
+                weight_from_token(token)
+            assert type(got.value.__cause__) is type(exc)
+            assert str(got.value.__cause__) == str(exc)
+        else:
+            got = weight_from_token(token)
+            assert type(got) is type(want) and got == want
 
     def test_serialize(self):
         assert weight_token(EPSILON) == "-inf"
